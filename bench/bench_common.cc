@@ -1,7 +1,8 @@
 #include "bench_common.h"
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -59,12 +60,27 @@ bool WriteMetricsJson() {
   return true;
 }
 
-Scale ParseScale(int argc, char** argv) {
+Scale ParseScale(int argc, char** argv,
+                 const std::vector<std::string>& extra_flags) {
   Scale scale;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) scale.quick = true;
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      SetMetricsJsonPath(argv[i] + 11);
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      scale.quick = true;
+    } else if (arg.rfind("--json-out=", 0) == 0) {
+      SetMetricsJsonPath(arg.substr(11));
+    } else if (std::none_of(extra_flags.begin(), extra_flags.end(),
+                            [&arg](const std::string& prefix) {
+                              return arg.rfind(prefix, 0) == 0;
+                            })) {
+      // A mistyped flag must not silently run the full-size config.
+      std::fprintf(stderr, "%s: unknown flag '%s'\naccepted flags: --quick "
+                   "--json-out=PATH", argv[0], arg.c_str());
+      for (const std::string& prefix : extra_flags) {
+        std::fprintf(stderr, " %sPATH", prefix.c_str());
+      }
+      std::fprintf(stderr, "\n");
+      std::exit(2);
     }
   }
   if (scale.quick) {

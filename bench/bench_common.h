@@ -44,8 +44,14 @@ struct Scale {
   float final_learning_rate = 0.0005f;
 };
 
-/** Parses --quick and --json-out=PATH from the command line. */
-Scale ParseScale(int argc, char** argv);
+/**
+ * Parses --quick and --json-out=PATH from the command line. A bench that
+ * takes more flags names their prefixes in `extra_flags` (e.g.
+ * "--import-csv=") and reads their values itself. Any other argument
+ * prints the accepted flags and exits with status 2.
+ */
+Scale ParseScale(int argc, char** argv,
+                 const std::vector<std::string>& extra_flags = {});
 
 /**
  * Machine-readable metric registry for the CI perf spine. Benches call

@@ -49,7 +49,7 @@ double SecondsSince(Clock::time_point start) {
 }
 
 void Run(int argc, char** argv) {
-  const Scale scale = ParseScale(argc, argv);
+  const Scale scale = ParseScale(argc, argv, {"--import-csv="});
   // The shard count always exceeds the random-access cache window, so
   // phase 3 measures genuine reload traffic in both run sizes.
   const std::size_t num_blocks = scale.quick ? 4000 : 25000;

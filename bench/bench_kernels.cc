@@ -2,11 +2,12 @@
  * @file
  * Kernel backend throughput: reference vs optimized GFLOP/s for the
  * MatMul family (plain, transpose-A, transpose-B, fused linear+bias)
- * across aligned, odd, and rectangular shapes, the graph structure ops
- * (GatherRowsAcc / ScatterAddRows) and LayerNorm at message-passing
- * node counts with and without pool sharding, plus the end-to-end
- * training-step and inference speedup of a GRANITE model when its math
- * runs on the optimized backend.
+ * across aligned, odd, and rectangular shapes; LayerNorm and the
+ * dX = dY * W^T product at the narrow shapes a GRANITE training step
+ * runs; the graph structure ops (GatherRowsAcc / ScatterAddRows) at
+ * message-passing node counts with and without pool sharding; plus the
+ * end-to-end training-step speedup of a GRANITE model when its math runs
+ * on the optimized backend.
  *
  * Acceptance target (ISSUE 2): the optimized backend is >= 3x faster
  * than the reference triple-loop MatMul on 256x256x256, single-threaded.
@@ -15,6 +16,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -188,8 +190,88 @@ double MeasureCallsPerSec(const std::function<void()>& fn,
 }
 
 /**
- * Graph structure ops and LayerNorm at message-passing node counts,
- * serial vs pool-sharded. These are memory-bound (one add per element),
+ * The narrow shapes one trainer worker runs per GRANITE step at
+ * embedding 16 (half of a batch of 100 blocks): LayerNorm over the
+ * 64-wide edge-update and 48-wide node-update inputs, and the dX product
+ * of a 64 -> 16 layer's backward pass. Reference vs optimized,
+ * single-threaded; the 256-wide matmul table above says little about
+ * these.
+ */
+void RunGnnShapeTable(bool quick) {
+  const double min_seconds = quick ? 0.05 : 0.2;
+  const ml::KernelBackend& reference =
+      ml::GetKernelBackend(ml::KernelBackendKind::kReference);
+  const ml::KernelBackend& optimized =
+      ml::GetKernelBackend(ml::KernelBackendKind::kOptimized);
+
+  std::printf("GRANITE training shapes, single-threaded (Mrows/s)\n");
+  const std::vector<int> widths = {18, 12, 10, 10, 9};
+  PrintSeparator(widths);
+  PrintRow({"op", "shape", "reference", "optimized", "speedup"}, widths);
+  PrintSeparator(widths);
+  const auto measure = [&](const char* label, const std::string& metric,
+                           const std::string& shape, int rows,
+                           const std::function<void(const ml::KernelBackend&)>&
+                               fn) {
+    const double mrows = static_cast<double>(rows) / 1e6;
+    const double ref =
+        MeasureCallsPerSec([&] { fn(reference); }, min_seconds) * mrows;
+    const double opt =
+        MeasureCallsPerSec([&] { fn(optimized); }, min_seconds) * mrows;
+    const std::string prefix = "kernels.gnn." + metric + "_" + shape;
+    RecordMetric(prefix + ".optimized_mrows_per_sec", opt);
+    RecordMetric(prefix + ".speedup", opt / ref);
+    PrintRow({label, shape, Fixed(ref, 2), Fixed(opt, 2),
+              Fixed(opt / ref, 2) + "x"},
+             widths);
+  };
+
+  Rng rng(29);
+  for (const auto& [rows, cols] :
+       {std::pair<int, int>{1656, 64}, std::pair<int, int>{1548, 48}}) {
+    const ml::Tensor x = RandomTensor(rows, cols, rng);
+    const ml::Tensor gain = RandomTensor(1, cols, rng);
+    const ml::Tensor bias = RandomTensor(1, cols, rng);
+    const ml::Tensor out_grad = RandomTensor(rows, cols, rng);
+    ml::Tensor out(rows, cols);
+    ml::Tensor normalized(rows, cols);
+    ml::Tensor x_grad(rows, cols);
+    ml::Tensor gain_grad(1, cols);
+    ml::Tensor bias_grad(1, cols);
+    std::vector<float> inv_stddev(rows, 0.0f);
+    const std::string shape = std::to_string(rows) + "x" +
+                              std::to_string(cols);
+    measure("LayerNormForward", "layernorm_fwd", shape, rows,
+            [&](const ml::KernelBackend& backend) {
+              backend.LayerNormForward(x, gain, bias, 1e-5f, out,
+                                       normalized, inv_stddev);
+            });
+    // The forward calls above left a real result in normalized and
+    // inv_stddev for the backward pass to read.
+    measure("LayerNormBackward", "layernorm_bwd", shape, rows,
+            [&](const ml::KernelBackend& backend) {
+              backend.LayerNormBackward(out_grad, gain, normalized,
+                                        inv_stddev, &x_grad, &gain_grad,
+                                        &bias_grad);
+            });
+  }
+
+  // dX = dY * W^T for a [64 -> 16] layer over the edge rows.
+  const int rows = 1656;
+  const ml::Tensor dy = RandomTensor(rows, 16, rng);
+  const ml::Tensor w = RandomTensor(64, 16, rng);
+  ml::Tensor dx(rows, 64);
+  measure("MatMulTransposeB", "dx", "1656x16x64", rows,
+          [&](const ml::KernelBackend& backend) {
+            backend.MatMulTransposeBAcc(dy, w, dx);
+          });
+  PrintSeparator(widths);
+  std::printf("\n");
+}
+
+/**
+ * Graph structure ops at message-passing node counts, serial vs
+ * pool-sharded. These are memory-bound (one add per element),
  * so the parallel speedups collapse to ~1x on a single-core machine —
  * compare_bench.py skips the *_parallel_speedup advisories there.
  */
@@ -204,8 +286,6 @@ void RunGraphOpsTable(bool quick) {
   Rng rng(23);
   const ml::Tensor table = RandomTensor(table_rows, cols, rng);
   const ml::Tensor rows_in = RandomTensor(rows, cols, rng);
-  const ml::Tensor gain = RandomTensor(1, cols, rng);
-  const ml::Tensor bias = RandomTensor(1, cols, rng);
   std::vector<int> indices(rows);
   for (int i = 0; i < rows; ++i) {
     indices[static_cast<std::size_t>(i)] = static_cast<int>(
@@ -213,11 +293,6 @@ void RunGraphOpsTable(bool quick) {
   }
   ml::Tensor out(rows, cols);
   ml::Tensor scatter_table(table_rows, cols);
-  ml::Tensor normalized(rows, cols);
-  ml::Tensor x_grad(rows, cols);
-  ml::Tensor gain_grad(1, cols);
-  ml::Tensor bias_grad(1, cols);
-  std::vector<float> inv_stddev(rows, 0.0f);
 
   const ml::OptimizedBackend serial;
   base::ThreadPool pool(4);
@@ -237,16 +312,6 @@ void RunGraphOpsTable(bool quick) {
        [&](const ml::KernelBackend& backend) {
          backend.ScatterAddRows(rows_in, indices, scatter_table);
        }},
-      {"LayerNormForward", "layernorm_fwd",
-       [&](const ml::KernelBackend& backend) {
-         backend.LayerNormForward(rows_in, gain, bias, 1e-5f, out,
-                                  normalized, inv_stddev);
-       }},
-      {"LayerNormBackward", "layernorm_bwd",
-       [&](const ml::KernelBackend& backend) {
-         backend.LayerNormBackward(out, gain, normalized, inv_stddev,
-                                   &x_grad, &gain_grad, &bias_grad);
-       }},
   };
 
   std::printf("Graph ops at %dx%d (Mrows/s)\n", rows, cols);
@@ -255,10 +320,6 @@ void RunGraphOpsTable(bool quick) {
   PrintRow({"op", "serial", "pooled(4)", "speedup"}, widths);
   PrintSeparator(widths);
   for (const Op& op : ops) {
-    // LayerNormBackward reads `normalized`/`inv_stddev`: ensure they
-    // hold a real forward result before timing it.
-    serial.LayerNormForward(rows_in, gain, bias, 1e-5f, out, normalized,
-                            inv_stddev);
     const double serial_rate = MeasureCallsPerSec(
         [&] { op.fn(serial); }, min_seconds);
     const double pooled_rate = MeasureCallsPerSec(
@@ -328,6 +389,7 @@ void Run(int argc, char** argv) {
   scale.message_passing_iterations = 4;
   PrintBanner("Kernel backends: blocked/SIMD vs reference loops", scale);
   RunMatMulTable(scale.quick);
+  RunGnnShapeTable(scale.quick);
   RunGraphOpsTable(scale.quick);
   RunEndToEnd(scale);
   WriteMetricsJson();

@@ -1,6 +1,7 @@
 #include "autotune/search.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -185,14 +186,18 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
     frontier = std::move(scored);
   }
 
-  if (best.cost <
-      result.original_cost * (1.0 - config_.min_relative_gain)) {
+  // The margin is relative to the cost's magnitude, so it stays below the
+  // original when a model predicts a negative cost.
+  const double margin =
+      std::abs(result.original_cost) * config_.min_relative_gain;
+  if (best.cost < result.original_cost - margin) {
     result.improved = true;
     result.best = best.block;
     result.best_cost = best.cost;
     result.applied = best.rules;
-    result.predicted_speedup =
-        best.cost > 0.0 ? result.original_cost / best.cost : 1.0;
+    result.predicted_speedup = best.cost > 0.0 && result.original_cost > 0.0
+                                   ? result.original_cost / best.cost
+                                   : 1.0;
   }
   return result;
 }

@@ -119,8 +119,9 @@ struct SearchConfig {
    * deadline is checked between waves, so one in-flight wave may
    * overshoot it by its service latency. */
   std::chrono::microseconds deadline{0};
-  /** A candidate must beat the incumbent by this relative margin to be
-   * adopted — guards against swapping spellings over float noise. */
+  /** A candidate must beat the original by this fraction of the
+   * original's magnitude to be adopted — guards against swapping
+   * spellings over float noise, whatever the sign of the cost. */
   double min_relative_gain = 1e-4;
 };
 
@@ -136,7 +137,8 @@ struct OptimizeResult {
   bool improved = false;
   double original_cost = 0.0;
   double best_cost = 0.0;
-  /** original_cost / best_cost (1.0 when not improved). */
+  /** original_cost / best_cost (1.0 when not improved or when either
+   * cost is not positive). */
   double predicted_speedup = 1.0;
   /** Rule names along the winning composition path, in order. */
   std::vector<std::string> applied;

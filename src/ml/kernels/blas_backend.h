@@ -34,7 +34,7 @@ class BlasBackend : public OptimizedBackend {
  public:
   /**
    * @param pool Optional worker pool, forwarded to OptimizedBackend for
-   *   the non-GEMM parallel kernels (gather/scatter/LayerNorm). The GEMM
+   *   the non-GEMM parallel kernels (gather/scatter). The GEMM
    *   overrides below never touch the pool: threading inside the matrix
    *   product is the BLAS library's business.
    */

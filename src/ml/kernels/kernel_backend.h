@@ -11,9 +11,10 @@
  *  - ReferenceBackend: the original straightforward loops, kept as the
  *    correctness oracle for the equivalence test suite.
  *  - OptimizedBackend: cache-blocked, transpose-aware MatMul micro-kernels
- *    with vectorizable inner loops, fused AXPY/scale/bias kernels, and
+ *    with vectorizable inner loops, fused AXPY/scale/bias kernels, a
+ *    row-interleaved LayerNorm bit-identical to the reference, and
  *    optional large-op parallelization (MatMul row shards, gather/
- *    scatter/LayerNorm) across a base::ThreadPool.
+ *    scatter) across a base::ThreadPool.
  *  - BlasBackend (only when built with -DGRANITE_WITH_BLAS=ON): the
  *    MatMul family routed through cblas sgemm, every other op falling
  *    back to the optimized kernels. ListKernelBackends() reports

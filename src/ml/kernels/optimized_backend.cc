@@ -19,6 +19,11 @@ constexpr int kNr = 16;
 // k-blocking keeps the active B panel (kKc rows x kNr columns of cache
 // lines) resident in L1/L2 while it is swept once per output row tile.
 constexpr int kKc = 256;
+// LayerNorm rows interleaved per pass: enough independent double-add
+// chains to cover the add latency. The row loops carry `#pragma GCC
+// unroll 4` because -O2 keeps a rolled loop's per-row sums in memory,
+// which puts a store-to-load round trip back into every chain.
+constexpr int kLayerNormRows = 4;
 
 /** out[i0:i1) += A * B restricted to a row range of the output. */
 void MatMulRowRange(const Tensor& a, const Tensor& b, Tensor& out, int i0,
@@ -89,15 +94,33 @@ void MatMulRowRange(const Tensor& a, const Tensor& b, Tensor& out, int i0,
         }
       }
     }
-    // Row remainder: plain vectorized axpy rows.
+    // Row remainder: one row at a time, summed exactly like a row of a
+    // full tile (a local sliver accumulator added to `out` once per
+    // k-block, then the column-remainder axpy), so a row's bits do not
+    // depend on its position in the batch or on how rows are sharded.
     for (; i < i1; ++i) {
       const float* __restrict__ a_row = a.row_data(i);
       float* __restrict__ o_row = out.row_data(i);
-      for (int p = p0; p < p1; ++p) {
-        const float v = a_row[p];
-        const float* __restrict__ b_row = b.row_data(p);
+      for (int j0 = 0; j0 < n_main; j0 += kNr) {
+        float acc[kNr];
 #pragma omp simd
-        for (int j = 0; j < n; ++j) o_row[j] += v * b_row[j];
+        for (int jj = 0; jj < kNr; ++jj) acc[jj] = 0.0f;
+        for (int p = p0; p < p1; ++p) {
+          const float* __restrict__ b_row = b.row_data(p) + j0;
+          const float v = a_row[p];
+#pragma omp simd
+          for (int jj = 0; jj < kNr; ++jj) acc[jj] += v * b_row[jj];
+        }
+#pragma omp simd
+        for (int jj = 0; jj < kNr; ++jj) o_row[j0 + jj] += acc[jj];
+      }
+      if (n_main < n) {
+        for (int p = p0; p < p1; ++p) {
+          const float v = a_row[p];
+          const float* __restrict__ b_row = b.row_data(p);
+#pragma omp simd
+          for (int j = n_main; j < n; ++j) o_row[j] += v * b_row[j];
+        }
       }
     }
   }
@@ -148,43 +171,115 @@ void MatMulTransposeARowRange(const Tensor& a, const Tensor& b, Tensor& out,
   }
 }
 
-/** out[i0:i1) += A * B^T restricted to a row range of the output. */
-void MatMulTransposeBRowRange(const Tensor& a, const Tensor& b, Tensor& out,
-                              int i0, int i1) {
-  const int k = a.cols();
-  const int n = b.rows();
-  // Dot-product structure: out[i,j] += <A row i, B row j>. Tiling j by 4
-  // reuses each A row load four times; each dot product vectorizes as a
-  // SIMD reduction.
-  for (int i = i0; i < i1; ++i) {
-    const float* __restrict__ a_row = a.row_data(i);
-    float* __restrict__ o_row = out.row_data(i);
-    int j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* __restrict__ b0 = b.row_data(j + 0);
-      const float* __restrict__ b1 = b.row_data(j + 1);
-      const float* __restrict__ b2 = b.row_data(j + 2);
-      const float* __restrict__ b3 = b.row_data(j + 3);
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-#pragma omp simd reduction(+ : s0, s1, s2, s3)
-      for (int p = 0; p < k; ++p) {
-        const float av = a_row[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      o_row[j + 0] += s0;
-      o_row[j + 1] += s1;
-      o_row[j + 2] += s2;
-      o_row[j + 3] += s3;
+/**
+ * LayerNorm forward over R consecutive rows starting at r0. Each row keeps
+ * its own double sums in ascending column order, exactly as the reference
+ * loop computes them, so interleaving R rows breaks the add-latency chain
+ * without changing a bit; the element-wise finish is a SIMD loop with no
+ * reassociation.
+ */
+template <int R>
+void LayerNormForwardRows(const Tensor& x, const float* gain_row,
+                          const float* bias_row, float epsilon, Tensor& out,
+                          Tensor& normalized, std::vector<float>& inv_stddev,
+                          int r0) {
+  const int cols = x.cols();
+  const float* x_rows[R];
+  for (int r = 0; r < R; ++r) x_rows[r] = x.row_data(r0 + r);
+  double mean[R] = {};
+  for (int c = 0; c < cols; ++c) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) mean[r] += x_rows[r][c];
+  }
+  for (int r = 0; r < R; ++r) mean[r] /= cols;
+  double variance[R] = {};
+  for (int c = 0; c < cols; ++c) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const double centered = x_rows[r][c] - mean[r];
+      variance[r] += centered * centered;
     }
-    for (; j < n; ++j) {
-      const float* __restrict__ b_row = b.row_data(j);
-      float sum = 0.0f;
-#pragma omp simd reduction(+ : sum)
-      for (int p = 0; p < k; ++p) sum += a_row[p] * b_row[p];
-      o_row[j] += sum;
+  }
+  for (int r = 0; r < R; ++r) {
+    variance[r] /= cols;
+    const float inv =
+        1.0f / std::sqrt(static_cast<float>(variance[r]) + epsilon);
+    inv_stddev[r0 + r] = inv;
+    const float row_mean = static_cast<float>(mean[r]);
+    const float* __restrict__ x_row = x_rows[r];
+    float* __restrict__ norm_row = normalized.row_data(r0 + r);
+    float* __restrict__ out_row = out.row_data(r0 + r);
+#pragma omp simd
+    for (int c = 0; c < cols; ++c) {
+      const float norm = (x_row[c] - row_mean) * inv;
+      norm_row[c] = norm;
+      out_row[c] = norm * gain_row[c] + bias_row[c];
+    }
+  }
+}
+
+/**
+ * LayerNorm backward over R consecutive rows starting at r0, bit-identical
+ * to the reference: gain/bias grads add the rows in ascending order per
+ * column, and each row's two dx sums keep their own ascending-column
+ * double chains.
+ */
+template <int R>
+void LayerNormBackwardRows(const Tensor& out_grad, const float* gain_row,
+                           const Tensor& normalized,
+                           const std::vector<float>& inv_stddev,
+                           Tensor* x_grad, float* gain_grad, float* bias_grad,
+                           int r0) {
+  const int cols = out_grad.cols();
+  const float* g_rows[R];
+  const float* n_rows[R];
+  for (int r = 0; r < R; ++r) {
+    g_rows[r] = out_grad.row_data(r0 + r);
+    n_rows[r] = normalized.row_data(r0 + r);
+  }
+  if (bias_grad != nullptr) {
+#pragma omp simd
+    for (int c = 0; c < cols; ++c) {
+      float sum = bias_grad[c];
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) sum += g_rows[r][c];
+      bias_grad[c] = sum;
+    }
+  }
+  if (gain_grad != nullptr) {
+#pragma omp simd
+    for (int c = 0; c < cols; ++c) {
+      float sum = gain_grad[c];
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) sum += g_rows[r][c] * n_rows[r][c];
+      gain_grad[c] = sum;
+    }
+  }
+  if (x_grad == nullptr) return;
+  // dL/dxhat = dL/dy * gain. Then the standard layer-norm backward:
+  // dx = (dxhat - mean(dxhat) - xhat*mean(dxhat*xhat)) * inv_stddev.
+  double mean_dxhat[R] = {};
+  double mean_dxhat_xhat[R] = {};
+  for (int c = 0; c < cols; ++c) {
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const double dxhat = static_cast<double>(g_rows[r][c]) * gain_row[c];
+      mean_dxhat[r] += dxhat;
+      mean_dxhat_xhat[r] += dxhat * n_rows[r][c];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    const double row_mean_dxhat = mean_dxhat[r] / cols;
+    const double row_mean_dxhat_xhat = mean_dxhat_xhat[r] / cols;
+    const float inv = inv_stddev[r0 + r];
+    const float* __restrict__ g_row = g_rows[r];
+    const float* __restrict__ n_row = n_rows[r];
+    float* __restrict__ dx_row = x_grad->row_data(r0 + r);
+#pragma omp simd
+    for (int c = 0; c < cols; ++c) {
+      const double dxhat = static_cast<double>(g_row[c]) * gain_row[c];
+      dx_row[c] += static_cast<float>(
+          (dxhat - row_mean_dxhat - n_row[c] * row_mean_dxhat_xhat) * inv);
     }
   }
 }
@@ -240,12 +335,18 @@ void OptimizedBackend::DoMatMulTransposeAAcc(const Tensor& a, const Tensor& b,
 
 void OptimizedBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
                                              Tensor& out) const {
-  const std::size_t flops = 2u * static_cast<std::size_t>(a.rows()) *
-                            static_cast<std::size_t>(a.cols()) *
-                            static_cast<std::size_t>(b.rows());
-  ParallelOverRows(flops, a.rows(), [&](int begin, int end) {
-    MatMulTransposeBRowRange(a, b, out, begin, end);
-  });
+  // B is the small operand on the training path (dX = dY * W^T), so pack
+  // it transposed once, before any sharding, and run the plain product's
+  // micro-kernel instead of short dot-product reductions.
+  const int n = b.rows();
+  const int k = b.cols();
+  Tensor b_transposed(k, n);
+  const float* __restrict__ source = b.data();
+  float* __restrict__ packed = b_transposed.data();
+  for (int j = 0; j < n; ++j) {
+    for (int p = 0; p < k; ++p) packed[p * n + j] = source[j * k + p];
+  }
+  DoMatMulAcc(a, b_transposed, out);
 }
 
 void OptimizedBackend::DoLinearBias(const Tensor& a, const Tensor& w,
@@ -512,45 +613,17 @@ void OptimizedBackend::DoLayerNormForward(
     const Tensor& x, const Tensor& gain, const Tensor& bias, float epsilon,
     Tensor& out, Tensor& normalized, std::vector<float>& inv_stddev) const {
   const int rows = x.rows();
-  const int cols = x.cols();
   const float* gain_row = gain.row_data(0);
   const float* bias_row = bias.row_data(0);
-  // Per-row statistics in double, exactly as the reference loop computes
-  // them; rows are independent, so the sharded path is bit-identical.
-  const auto norm_rows = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t ri = begin; ri < end; ++ri) {
-      const int r = static_cast<int>(ri);
-      const float* x_row = x.row_data(r);
-      double mean = 0.0;
-      for (int c = 0; c < cols; ++c) mean += x_row[c];
-      mean /= cols;
-      double variance = 0.0;
-      for (int c = 0; c < cols; ++c) {
-        const double centered = x_row[c] - mean;
-        variance += centered * centered;
-      }
-      variance /= cols;
-      const float inv =
-          1.0f / std::sqrt(static_cast<float>(variance) + epsilon);
-      inv_stddev[r] = inv;
-      float* norm_row = normalized.row_data(r);
-      float* out_row = out.row_data(r);
-      for (int c = 0; c < cols; ++c) {
-        norm_row[c] = (x_row[c] - static_cast<float>(mean)) * inv;
-        out_row[c] = norm_row[c] * gain_row[c] + bias_row[c];
-      }
-    }
-  };
-  const std::size_t elements =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  if (PlannedShards(elements, static_cast<std::size_t>(rows)) == 1) {
-    norm_rows(0, static_cast<std::size_t>(rows));
-    return;
+  int r = 0;
+  for (; r + kLayerNormRows <= rows; r += kLayerNormRows) {
+    LayerNormForwardRows<kLayerNormRows>(x, gain_row, bias_row, epsilon, out,
+                                         normalized, inv_stddev, r);
   }
-  pool_->RunShards(0, static_cast<std::size_t>(rows),
-                   [&norm_rows](int, std::size_t begin, std::size_t end) {
-                     norm_rows(begin, end);
-                   });
+  for (; r < rows; ++r) {
+    LayerNormForwardRows<1>(x, gain_row, bias_row, epsilon, out, normalized,
+                            inv_stddev, r);
+  }
 }
 
 void OptimizedBackend::DoLayerNormBackward(
@@ -558,88 +631,18 @@ void OptimizedBackend::DoLayerNormBackward(
     const std::vector<float>& inv_stddev, Tensor* x_grad, Tensor* gain_grad,
     Tensor* bias_grad) const {
   const int rows = out_grad.rows();
-  const int cols = out_grad.cols();
-  const std::size_t elements =
-      static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  const int shards = PlannedShards(elements, static_cast<std::size_t>(rows));
-  if (shards == 1) {
-    ReferenceBackend::DoLayerNormBackward(out_grad, gain, normalized,
-                                          inv_stddev, x_grad, gain_grad,
-                                          bias_grad);
-    return;
-  }
-  // x_grad rows are independent (direct writes); the [1,cols] gain/bias
-  // gradients are row reductions, so each shard accumulates into its own
-  // partial and the partials are reduced in shard order after the join —
-  // deterministic run to run, differing from the serial loop only by
-  // the reduction's association order.
-  const auto row_ranges = base::ThreadPool::PartitionRange(
-      static_cast<std::size_t>(rows), shards);
-  const std::size_t width = static_cast<std::size_t>(cols);
-  std::vector<std::vector<float>> gain_partials;
-  std::vector<std::vector<float>> bias_partials;
-  if (gain_grad != nullptr) {
-    gain_partials.assign(shards, std::vector<float>(width, 0.0f));
-  }
-  if (bias_grad != nullptr) {
-    bias_partials.assign(shards, std::vector<float>(width, 0.0f));
-  }
   const float* gain_row = gain.row_data(0);
-  pool_->RunShards(
-      0, static_cast<std::size_t>(shards),
-      [&](int, std::size_t s_begin, std::size_t s_end) {
-        for (std::size_t s = s_begin; s < s_end; ++s) {
-          float* b_partial =
-              bias_grad != nullptr ? bias_partials[s].data() : nullptr;
-          float* g_partial =
-              gain_grad != nullptr ? gain_partials[s].data() : nullptr;
-          for (std::size_t ri = row_ranges[s].first;
-               ri < row_ranges[s].second; ++ri) {
-            const int r = static_cast<int>(ri);
-            const float* g_row = out_grad.row_data(r);
-            const float* n_row = normalized.row_data(r);
-            if (b_partial != nullptr) {
-              for (int c = 0; c < cols; ++c) b_partial[c] += g_row[c];
-            }
-            if (g_partial != nullptr) {
-              for (int c = 0; c < cols; ++c) {
-                g_partial[c] += g_row[c] * n_row[c];
-              }
-            }
-            if (x_grad != nullptr) {
-              double mean_dxhat = 0.0;
-              double mean_dxhat_xhat = 0.0;
-              for (int c = 0; c < cols; ++c) {
-                const double dxhat =
-                    static_cast<double>(g_row[c]) * gain_row[c];
-                mean_dxhat += dxhat;
-                mean_dxhat_xhat += dxhat * n_row[c];
-              }
-              mean_dxhat /= cols;
-              mean_dxhat_xhat /= cols;
-              float* dx_row = x_grad->row_data(r);
-              for (int c = 0; c < cols; ++c) {
-                const double dxhat =
-                    static_cast<double>(g_row[c]) * gain_row[c];
-                dx_row[c] += static_cast<float>(
-                    (dxhat - mean_dxhat - n_row[c] * mean_dxhat_xhat) *
-                    inv_stddev[r]);
-              }
-            }
-          }
-        }
-      });
-  for (int s = 0; s < shards; ++s) {
-    if (bias_grad != nullptr) {
-      float* b_grad = bias_grad->row_data(0);
-      const float* partial = bias_partials[s].data();
-      for (int c = 0; c < cols; ++c) b_grad[c] += partial[c];
-    }
-    if (gain_grad != nullptr) {
-      float* g_grad = gain_grad->row_data(0);
-      const float* partial = gain_partials[s].data();
-      for (int c = 0; c < cols; ++c) g_grad[c] += partial[c];
-    }
+  float* gain_sums = gain_grad != nullptr ? gain_grad->row_data(0) : nullptr;
+  float* bias_sums = bias_grad != nullptr ? bias_grad->row_data(0) : nullptr;
+  int r = 0;
+  for (; r + kLayerNormRows <= rows; r += kLayerNormRows) {
+    LayerNormBackwardRows<kLayerNormRows>(out_grad, gain_row, normalized,
+                                          inv_stddev, x_grad, gain_sums,
+                                          bias_sums, r);
+  }
+  for (; r < rows; ++r) {
+    LayerNormBackwardRows<1>(out_grad, gain_row, normalized, inv_stddev,
+                             x_grad, gain_sums, bias_sums, r);
   }
 }
 

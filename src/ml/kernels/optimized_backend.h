@@ -1,25 +1,31 @@
 /**
  * @file
- * The optimized kernel backend: cache-blocked, register-tiled,
- * transpose-aware MatMul micro-kernels with vectorizable (`#pragma omp
- * simd`) inner loops, fused AXPY/scale/bias element-wise kernels, and
+ * The optimized kernel backend: cache-blocked, register-tiled MatMul
+ * micro-kernels with vectorizable (`#pragma omp simd`) inner loops, fused
+ * AXPY/scale/bias element-wise kernels, a row-interleaved LayerNorm, and
  * optional parallelization of large ops across a base::ThreadPool —
  * matrix products sharded by output rows (FLOP-gated), and the
- * graph-network structure ops (GatherRowsAcc / ScatterAddRows) plus
- * LayerNorm forward/backward sharded by rows at large node counts
- * (element-gated, since they are memory-bound).
+ * graph-network structure ops (GatherRowsAcc / ScatterAddRows) sharded
+ * at large node counts (element-gated, since they are memory-bound).
+ *
+ * The plain product runs a 4x16 micro-kernel whose per-row sum order
+ * does not depend on the row's position in the call, so a row's result
+ * is the same at every batch row count and every shard split. The dX
+ * product (A * B^T, with B the small weight) packs B transposed once per
+ * call and reuses that micro-kernel; the A^T * B product has its own
+ * rank-1 tiling. LayerNorm forward and backward process 4 rows at a time
+ * with one set of sums per row, in the reference backend's order, and
+ * are bit-identical to it.
  *
  * Inherits the reference loops for the ops where a tuned kernel buys
  * nothing (transcendental element-wise maps, column-block plumbing) and
  * overrides everything on the training hot path. Equivalence with the
  * reference backend across odd/prime/blocked shapes is enforced by
- * tests/kernels_test.cc; results may differ from the reference by
- * floating-point reassociation only. The parallel gather / scatter /
- * LayerNorm-forward paths are bit-identical to their serial loops
- * (disjoint output rows, and scatter partitions by *destination* row so
- * each table row still accumulates in ascending input order); only
- * LayerNorm backward's gain/bias reduction reassociates, and it does so
- * deterministically (per-shard partials reduced in shard order).
+ * tests/kernels_test.cc; matrix products may differ from the reference
+ * by floating-point reassociation only. Every pool-sharded path is
+ * bit-identical to its serial loop (disjoint output rows, and scatter
+ * partitions by *destination* row so each table row still accumulates in
+ * ascending input order).
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
@@ -42,7 +48,7 @@ class OptimizedBackend : public ReferenceBackend {
    * across the pool when one is attached. */
   static constexpr std::size_t kDefaultParallelFlopThreshold = 1u << 21;
 
-  /** Memory-bound ops (gather / scatter / LayerNorm) touching at least
+  /** Memory-bound ops (gather / scatter) touching at least
    * this many elements are sharded across the pool when one is attached.
    * Higher than a FLOP-equivalent threshold would be: these ops move one
    * element per "op", so small sizes are dominated by fork-join cost. */

@@ -8,6 +8,8 @@
  * sleeps-as-sync, futures are the only synchronization.
  */
 #include <chrono>
+#include <future>
+#include <optional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -165,6 +167,46 @@ TEST(AnalyticalSearchTest, ExpiredDeadlineStopsBeforeTheFirstWave) {
   EXPECT_TRUE(result.deadline_hit);
   EXPECT_EQ(result.depth_reached, 0);
   EXPECT_FALSE(result.improved);
+}
+
+/** Scores every block at the same negative cost, as an untrained or
+ * extrapolating model can. */
+class ConstantCostClient : public CostClient {
+ public:
+  explicit ConstantCostClient(double cost) : cost_(cost) {}
+
+  std::vector<std::optional<std::future<double>>> SubmitWave(
+      const std::vector<const BasicBlock*>& blocks) override {
+    std::vector<std::optional<std::future<double>>> futures;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      std::promise<double> promise;
+      promise.set_value(cost_);
+      futures.push_back(promise.get_future());
+    }
+    return futures;
+  }
+
+ private:
+  double cost_;
+};
+
+TEST(AnalyticalSearchTest, EqualNegativeCostIsNotAnImprovement) {
+  // Every candidate ties the original. A margin of original * (1 - gain)
+  // lies *above* a negative original, which would adopt a tie.
+  ConstantCostClient client(-2.5);
+  SearchConfig config;
+  config.beam_width = 4;
+  config.max_depth = 3;
+  BlockOptimizer optimizer(&client, config);
+  const BasicBlock block = Parse("IMUL RAX, RAX, 5\nADD RAX, RBX");
+  const OptimizeResult result = optimizer.Optimize(block);
+  ASSERT_TRUE(result.scored);
+  EXPECT_GT(result.candidates_scored, 0u);
+  EXPECT_FALSE(result.improved);
+  EXPECT_EQ(result.best.ToString(), block.ToString());
+  EXPECT_EQ(result.best_cost, result.original_cost);
+  EXPECT_EQ(result.predicted_speedup, 1.0);
+  EXPECT_TRUE(result.applied.empty());
 }
 
 // ---- Served path ------------------------------------------------------

@@ -5,11 +5,12 @@
  * KernelBackend operation is run through the reference oracle and the
  * backend under test on the same inputs — including odd, prime, and
  * micro-kernel-aligned shapes that exercise every remainder path of the
- * blocked kernels — and the results must agree to tight tolerance. Pool
- * sharding of the matmul and graph kernels is checked for bit-identity
- * against the serial paths. Also gradient-checks the fused tape ops
- * (Linear, ConcatGathered) against central finite differences under
- * every backend, and verifies backend selection plumbing (default,
+ * blocked kernels — and the results must agree to tight tolerance;
+ * LayerNorm must agree bit for bit. Pool sharding of the matmul and graph
+ * kernels, and the row count of a matmul call, are checked for
+ * bit-identity against the serial paths. Also gradient-checks the fused
+ * tape ops (Linear, ConcatGathered) against central finite differences
+ * under every backend, and verifies backend selection plumbing (default,
  * env-free explicit kinds, registry enumeration, tape routing).
  */
 #include <cmath>
@@ -188,6 +189,17 @@ TEST_P(KernelEquivalenceTest, PooledMatMulMatchesSequential) {
   }
 }
 
+/** Exact equality, element by element. */
+void ExpectBitIdentical(const Tensor& a, const Tensor& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.rows(), b.rows()) << label;
+  ASSERT_EQ(a.cols(), b.cols()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i])
+        << label << " element " << i << " of " << a.size();
+  }
+}
+
 TEST_P(KernelEquivalenceTest, ElementwiseOps) {
   const int rows = 13;
   const int cols = 37;
@@ -335,59 +347,111 @@ TEST_P(KernelEquivalenceTest, GatherScatterConcatOps) {
   ExpectAllClose(ref_dest, opt_dest, 1e-6f, "AccumulateColumnBlock");
 }
 
-TEST_P(KernelEquivalenceTest, LayerNorm) {
-  const int rows = 17;
-  const int cols = 43;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
+TEST_P(KernelEquivalenceTest, LayerNormIsBitIdenticalToReference) {
+  // The tuned LayerNorm interleaves rows but keeps every row's sums and
+  // the gain/bias reductions in the reference order, so it must match
+  // the reference bit for bit — at row counts on and off the interleave
+  // width and at the widths the model runs.
   const float epsilon = 1e-5f;
+  for (const int rows : {1, 3, 4, 5, 17}) {
+    for (const int cols : {16, 43, 48, 64}) {
+      const std::string shape =
+          std::to_string(rows) + "x" + std::to_string(cols);
+      const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
+      const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
+      const Tensor bias = RandomTensor(1, cols, rng_);
 
-  Tensor ref_out(rows, cols), ref_norm(rows, cols);
-  Tensor opt_out(rows, cols), opt_norm(rows, cols);
-  std::vector<float> ref_inv(rows), opt_inv(rows);
-  reference().LayerNormForward(x, gain, bias, epsilon, ref_out, ref_norm,
-                               ref_inv);
-  backend().LayerNormForward(x, gain, bias, epsilon, opt_out, opt_norm,
-                               opt_inv);
-  ExpectAllClose(ref_out, opt_out, 1e-5f, "LayerNormForward");
+      Tensor ref_out(rows, cols), ref_norm(rows, cols);
+      Tensor opt_out(rows, cols), opt_norm(rows, cols);
+      std::vector<float> ref_inv(rows), opt_inv(rows);
+      reference().LayerNormForward(x, gain, bias, epsilon, ref_out,
+                                   ref_norm, ref_inv);
+      backend().LayerNormForward(x, gain, bias, epsilon, opt_out, opt_norm,
+                                 opt_inv);
+      ExpectBitIdentical(ref_out, opt_out, "LayerNormForward out " + shape);
+      ExpectBitIdentical(ref_norm, opt_norm,
+                         "LayerNormForward normalized " + shape);
+      ASSERT_EQ(ref_inv, opt_inv) << "inv_stddev " << shape;
 
-  const Tensor out_grad = RandomTensor(rows, cols, rng_);
-  Tensor ref_dx(rows, cols), opt_dx(rows, cols);
-  Tensor ref_dgain(1, cols), opt_dgain(1, cols);
-  Tensor ref_dbias(1, cols), opt_dbias(1, cols);
-  reference().LayerNormBackward(out_grad, gain, ref_norm, ref_inv, &ref_dx,
-                                &ref_dgain, &ref_dbias);
-  backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, &opt_dx,
-                                &opt_dgain, &opt_dbias);
-  ExpectAllClose(ref_dx, opt_dx, 1e-5f, "LayerNormBackward dx");
-  ExpectAllClose(ref_dgain, opt_dgain, 1e-5f, "LayerNormBackward dgain");
-  ExpectAllClose(ref_dbias, opt_dbias, 1e-5f, "LayerNormBackward dbias");
+      // Accumulation semantics: every gradient starts from the same
+      // nonzero seed.
+      const Tensor out_grad = RandomTensor(rows, cols, rng_);
+      const Tensor dx_seed = RandomTensor(rows, cols, rng_);
+      const Tensor dgain_seed = RandomTensor(1, cols, rng_);
+      const Tensor dbias_seed = RandomTensor(1, cols, rng_);
+      Tensor ref_dx = dx_seed, opt_dx = dx_seed;
+      Tensor ref_dgain = dgain_seed, opt_dgain = dgain_seed;
+      Tensor ref_dbias = dbias_seed, opt_dbias = dbias_seed;
+      reference().LayerNormBackward(out_grad, gain, ref_norm, ref_inv,
+                                    &ref_dx, &ref_dgain, &ref_dbias);
+      backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, &opt_dx,
+                                  &opt_dgain, &opt_dbias);
+      ExpectBitIdentical(ref_dx, opt_dx, "LayerNormBackward dx " + shape);
+      ExpectBitIdentical(ref_dgain, opt_dgain,
+                         "LayerNormBackward dgain " + shape);
+      ExpectBitIdentical(ref_dbias, opt_dbias,
+                         "LayerNormBackward dbias " + shape);
+
+      // Each gradient alone (the others null) takes the same path.
+      Tensor only_dx = dx_seed;
+      backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, &only_dx,
+                                  nullptr, nullptr);
+      ExpectBitIdentical(ref_dx, only_dx, "LayerNormBackward dx only " + shape);
+      Tensor only_dgain = dgain_seed;
+      backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, nullptr,
+                                  &only_dgain, nullptr);
+      ExpectBitIdentical(ref_dgain, only_dgain,
+                         "LayerNormBackward dgain only " + shape);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KernelEquivalenceTest,
                          ::testing::ValuesIn(KindsUnderTest()), KindName);
 
-// ---- Pool-sharded graph kernels ------------------------------------------
+// ---- Row-position independence of the optimized matmul -------------------
+
+TEST(OptimizedMatMulRowTest, LinearBiasRowDoesNotDependOnRowCount) {
+  // A row's result must not depend on how many rows share the call: the
+  // micro-kernel tiles 4 rows at a time, and a row left over after the
+  // last full tile must be summed in the same order as a tiled one.
+  // Width 8 is narrower than one 16-column sliver; 16 and 48 are not.
+  const OptimizedBackend backend;
+  Rng rng(20261016);
+  const int k = 37;
+  for (const int width : {8, 16, 48}) {
+    const Tensor a = RandomTensor(13, k, rng);
+    const Tensor w = RandomTensor(k, width, rng);
+    const Tensor bias = RandomTensor(1, width, rng);
+    Tensor all(13, width);
+    backend.LinearBias(a, w, bias, all);
+    for (const int rows : {5, 8}) {
+      Tensor head_a(rows, k);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < k; ++c) head_a.at(r, c) = a.at(r, c);
+      }
+      Tensor head(rows, width);
+      backend.LinearBias(head_a, w, bias, head);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < width; ++c) {
+          ASSERT_EQ(head.at(r, c), all.at(r, c))
+              << "width " << width << ", " << rows << " rows vs 13: row " << r
+              << " column " << c;
+        }
+      }
+    }
+  }
+}
+
+// ---- Pool-sharded kernels ------------------------------------------------
 
 class PooledGraphKernelTest : public ::testing::Test {
  protected:
   PooledGraphKernelTest()
-      // parallel_element_threshold=1 forces the sharded paths even on the
-      // small tensors used here.
-      : pooled_(&pool_, OptimizedBackend::kDefaultParallelFlopThreshold,
+      // Thresholds of 1 force the sharded paths even on the small
+      // tensors used here.
+      : pooled_(&pool_, /*parallel_flop_threshold=*/1,
                 /*parallel_element_threshold=*/1) {}
-
-  /** Exact equality: the sharded paths promise bit-identical results. */
-  void ExpectBitIdentical(const Tensor& a, const Tensor& b,
-                          const std::string& label) {
-    ASSERT_EQ(a.rows(), b.rows()) << label;
-    ASSERT_EQ(a.cols(), b.cols()) << label;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a.data()[i], b.data()[i])
-          << label << " element " << i << " of " << a.size();
-    }
-  }
 
   base::ThreadPool pool_{4};
   const OptimizedBackend serial_;
@@ -420,77 +484,27 @@ TEST_F(PooledGraphKernelTest, ScatterAddRowsBitIdentical) {
   ExpectBitIdentical(serial_table, pooled_table, "pooled ScatterAddRows");
 }
 
-TEST_F(PooledGraphKernelTest, LayerNormForwardBitIdentical) {
-  const int rows = 53;
-  const int cols = 29;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  Tensor serial_out(rows, cols), serial_norm(rows, cols);
-  Tensor pooled_out(rows, cols), pooled_norm(rows, cols);
-  std::vector<float> serial_inv(rows), pooled_inv(rows);
-  serial_.LayerNormForward(x, gain, bias, 1e-5f, serial_out, serial_norm,
-                           serial_inv);
-  pooled_.LayerNormForward(x, gain, bias, 1e-5f, pooled_out, pooled_norm,
-                           pooled_inv);
-  ExpectBitIdentical(serial_out, pooled_out, "pooled LayerNormForward out");
-  ExpectBitIdentical(serial_norm, pooled_norm,
-                     "pooled LayerNormForward normalized");
-  for (int r = 0; r < rows; ++r) {
-    ASSERT_EQ(serial_inv[r], pooled_inv[r]) << "inv_stddev row " << r;
-  }
-}
+TEST_F(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
+  // Row shards start wherever the partition puts them, so a row that is
+  // tiled in the serial call can be a leftover row in its shard: both
+  // must sum in the same order. Row counts off a multiple of 4 shards x
+  // 4-row tiles, widths on and off the 16-column sliver.
+  for (const MatMulShape& shape : kMatMulShapes) {
+    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
+    const Tensor b = RandomTensor(shape.k, shape.n, rng_);
+    const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
+    Tensor serial_out = seed;
+    Tensor pooled_out = seed;
+    serial_.MatMulAcc(a, b, serial_out);
+    pooled_.MatMulAcc(a, b, pooled_out);
+    ExpectBitIdentical(serial_out, pooled_out, "pooled MatMulAcc");
 
-TEST_F(PooledGraphKernelTest, LayerNormBackwardMatchesSerial) {
-  // dx is bit-identical (rows-parallel); the gain/bias reductions use
-  // per-shard partials, so they only promise closeness to the serial sum.
-  const int rows = 47;
-  const int cols = 31;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  Tensor out(rows, cols), norm(rows, cols);
-  std::vector<float> inv(rows);
-  serial_.LayerNormForward(x, gain, bias, 1e-5f, out, norm, inv);
-
-  const Tensor out_grad = RandomTensor(rows, cols, rng_);
-  Tensor serial_dx(rows, cols), pooled_dx(rows, cols);
-  Tensor serial_dgain(1, cols), pooled_dgain(1, cols);
-  Tensor serial_dbias(1, cols), pooled_dbias(1, cols);
-  serial_.LayerNormBackward(out_grad, gain, norm, inv, &serial_dx,
-                            &serial_dgain, &serial_dbias);
-  pooled_.LayerNormBackward(out_grad, gain, norm, inv, &pooled_dx,
-                            &pooled_dgain, &pooled_dbias);
-  ExpectBitIdentical(serial_dx, pooled_dx, "pooled LayerNormBackward dx");
-  ExpectAllClose(serial_dgain, pooled_dgain, 1e-5f,
-                 "pooled LayerNormBackward dgain");
-  ExpectAllClose(serial_dbias, pooled_dbias, 1e-5f,
-                 "pooled LayerNormBackward dbias");
-}
-
-TEST_F(PooledGraphKernelTest, RepeatedRunsAreDeterministic) {
-  // The sharded reductions fix their combination order, so re-running the
-  // same backward pass must reproduce every bit, including dgain/dbias.
-  const int rows = 41;
-  const int cols = 23;
-  const Tensor x = RandomTensor(rows, cols, rng_, -3.0f, 3.0f);
-  const Tensor gain = RandomTensor(1, cols, rng_, 0.5f, 1.5f);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  Tensor out(rows, cols), norm(rows, cols);
-  std::vector<float> inv(rows);
-  pooled_.LayerNormForward(x, gain, bias, 1e-5f, out, norm, inv);
-  const Tensor out_grad = RandomTensor(rows, cols, rng_);
-
-  Tensor first_dx(rows, cols), first_dgain(1, cols), first_dbias(1, cols);
-  pooled_.LayerNormBackward(out_grad, gain, norm, inv, &first_dx,
-                            &first_dgain, &first_dbias);
-  for (int run = 0; run < 3; ++run) {
-    Tensor dx(rows, cols), dgain(1, cols), dbias(1, cols);
-    pooled_.LayerNormBackward(out_grad, gain, norm, inv, &dx, &dgain,
-                              &dbias);
-    ExpectBitIdentical(first_dx, dx, "rerun dx");
-    ExpectBitIdentical(first_dgain, dgain, "rerun dgain");
-    ExpectBitIdentical(first_dbias, dbias, "rerun dbias");
+    const Tensor bt = RandomTensor(shape.n, shape.k, rng_);
+    Tensor serial_t = seed;
+    Tensor pooled_t = seed;
+    serial_.MatMulTransposeBAcc(a, bt, serial_t);
+    pooled_.MatMulTransposeBAcc(a, bt, pooled_t);
+    ExpectBitIdentical(serial_t, pooled_t, "pooled MatMulTransposeBAcc");
   }
 }
 

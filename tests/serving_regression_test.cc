@@ -3,11 +3,13 @@
  * Golden-prediction regression tests for the serving path: with a fixed
  * RNG seed and a small trained model, predictions served through the
  * InferenceServer must bit-match direct GraniteModel::PredictBatch
- * calls, under both kernel backends. The backend is pinned through
+ * calls, under both kernel backends, and a block's prediction must not
+ * depend on which blocks share its batch. The backend is pinned through
  * GraniteConfig/TrainerConfig (not the GRANITE_KERNEL_BACKEND
  * environment selector), so the test is stable no matter which process
  * default CI runs it under.
  */
+#include <algorithm>
 #include <chrono>
 #include <vector>
 
@@ -29,8 +31,10 @@ dataset::Dataset TinyDataset() {
   return dataset::SynthesizeDataset(config);
 }
 
-core::GraniteConfig TinyModelConfig(ml::KernelBackendKind kind) {
-  core::GraniteConfig config = core::GraniteConfig().WithEmbeddingSize(8);
+core::GraniteConfig TinyModelConfig(ml::KernelBackendKind kind,
+                                    int embedding_size = 8) {
+  core::GraniteConfig config =
+      core::GraniteConfig().WithEmbeddingSize(embedding_size);
   config.message_passing_iterations = 2;
   config.seed = 7;
   config.kernel_backend = kind;
@@ -130,6 +134,58 @@ TEST_P(ServingRegressionTest, TrainingAndServingAreSeedDeterministic) {
     runs.push_back(std::move(values));
   }
   EXPECT_EQ(runs[0], runs[1]);
+}
+
+TEST_P(ServingRegressionTest, BatchCompositionInvariantAtEmbedding16) {
+  // At embedding 16 every matmul output is at least one full 16-column
+  // micro-kernel sliver wide, so a row's sum order would show if it
+  // depended on the row's position in the batch. Each block's prediction
+  // alone must equal its prediction inside batches of every composition.
+  const ml::KernelBackendKind kind = GetParam();
+  core::GraniteModel model(&vocabulary_,
+                           TinyModelConfig(kind, /*embedding_size=*/16));
+  TrainSmallModel(model, data_, kind);
+  const std::vector<const assembly::BasicBlock*> blocks = data_.Blocks();
+  std::vector<double> alone(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    alone[i] = model.Predict({blocks[i]}, 0)[0];
+  }
+
+  const std::vector<double> whole = model.Predict(blocks, 0);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(whole[i], alone[i]) << "whole batch, block " << i;
+  }
+  const std::vector<const assembly::BasicBlock*> reversed(blocks.rbegin(),
+                                                          blocks.rend());
+  const std::vector<double> backwards = model.Predict(reversed, 0);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(backwards[blocks.size() - 1 - i], alone[i])
+        << "reversed batch, block " << i;
+  }
+  for (const std::size_t chunk : {std::size_t{3}, std::size_t{5}}) {
+    for (std::size_t begin = 0; begin < blocks.size(); begin += chunk) {
+      const std::size_t end = std::min(blocks.size(), begin + chunk);
+      const std::vector<double> part = model.Predict(
+          {blocks.begin() + begin, blocks.begin() + end}, 0);
+      for (std::size_t i = begin; i < end; ++i) {
+        EXPECT_EQ(part[i - begin], alone[i])
+            << "chunk of " << chunk << ", block " << i;
+      }
+    }
+  }
+
+  // Served in size-flushed batches of 6: the same bits again.
+  InferenceServerConfig server_config;
+  server_config.max_batch_size = 6;
+  server_config.batch_window = std::chrono::microseconds{10'000'000};
+  InferenceServer server(&model, server_config);
+  std::vector<std::future<double>> served;
+  for (const assembly::BasicBlock* block : blocks) {
+    served.push_back(*server.Submit(block, 0));
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(served[i].get(), alone[i]) << "served, block " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
