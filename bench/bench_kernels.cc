@@ -192,10 +192,10 @@ double MeasureCallsPerSec(const std::function<void()>& fn,
 /**
  * The narrow shapes one trainer worker runs per GRANITE step at
  * embedding 16 (half of a batch of 100 blocks): LayerNorm over the
- * 64-wide edge-update and 48-wide node-update inputs, and the dX product
- * of a 64 -> 16 layer's backward pass. Reference vs optimized,
- * single-threaded; the 256-wide matmul table above says little about
- * these.
+ * 64-wide edge-update and 48-wide node-update inputs, the dX product of
+ * a 64 -> 16 layer's backward pass, and the dW products of the 64 -> 16
+ * and 48 -> 16 layers. Reference vs optimized, single-threaded; the
+ * 256-wide matmul table above says little about these.
  */
 void RunGnnShapeTable(bool quick) {
   const double min_seconds = quick ? 0.05 : 0.2;
@@ -265,6 +265,19 @@ void RunGnnShapeTable(bool quick) {
           [&](const ml::KernelBackend& backend) {
             backend.MatMulTransposeBAcc(dy, w, dx);
           });
+
+  // dW += X^T * dY for the [64 -> 16] edge and [48 -> 16] node layers.
+  for (const auto& [dw_rows, in_width] :
+       {std::pair<int, int>{1656, 64}, std::pair<int, int>{1548, 48}}) {
+    const ml::Tensor x = RandomTensor(dw_rows, in_width, rng);
+    const ml::Tensor dy_layer = RandomTensor(dw_rows, 16, rng);
+    ml::Tensor dw(in_width, 16);
+    measure("MatMulTransposeA", "dw",
+            std::to_string(dw_rows) + "x" + std::to_string(in_width) + "x16",
+            dw_rows, [&](const ml::KernelBackend& backend) {
+              backend.MatMulTransposeAAcc(x, dy_layer, dw);
+            });
+  }
   PrintSeparator(widths);
   std::printf("\n");
 }

@@ -4,9 +4,9 @@
  * a backend executes it.
  *
  * Every heavy loop of the ML stack — the autodiff tape's forward ops and
- * backward accumulations, the tensor_ops free functions, the MLP/LSTM
- * layers and the graph-network aggregations — routes through a
- * KernelBackend. Three implementations ship:
+ * backward accumulations, the MLP/LSTM layers and the graph-network
+ * aggregations — routes through a KernelBackend. Three implementations
+ * ship:
  *
  *  - ReferenceBackend: the original straightforward loops, kept as the
  *    correctness oracle for the equivalence test suite.
@@ -298,12 +298,11 @@ class KernelBackend {
 const KernelBackend& GetKernelBackend(KernelBackendKind kind);
 
 /**
- * The process-wide default backend used by default-constructed tapes and
- * the tensor_ops free functions. Resolution order: a backend installed
- * via SetDefaultKernelBackend, else the GRANITE_KERNEL_BACKEND
- * environment variable ("reference" / "optimized" / "blas", read once;
- * unknown or compiled-out names abort with the list of valid values),
- * else the optimized backend.
+ * The process-wide default backend used by default-constructed tapes.
+ * Resolution order: a backend installed via SetDefaultKernelBackend,
+ * else the GRANITE_KERNEL_BACKEND environment variable ("reference" /
+ * "optimized" / "blas", read once; unknown or compiled-out names abort
+ * with the list of valid values), else the optimized backend.
  */
 const KernelBackend& DefaultKernelBackend();
 

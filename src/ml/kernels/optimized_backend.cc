@@ -11,11 +11,14 @@ namespace {
 
 // Micro-kernel tile sizes. kMr rows of the output are computed at once
 // against kNr-column slivers of B, so each B row load is reused kMr times
-// and the kMr x kNr accumulator block lives in vector registers across the
-// whole k loop (4 x 16 floats = 8 AVX2 registers, leaving room for the
-// broadcast A values and the B sliver).
+// and the kMr x kNr accumulator block is reused across the whole k loop
+// (4 x 16 floats: 8 AVX2 registers, but at the baseline SSE ISA GCC keeps
+// it in a stack array that stays in L1).
 constexpr int kMr = 4;
 constexpr int kNr = 16;
+// The A^T * B tile is kMr x 8 with no k-blocking: 8 SSE registers of
+// accumulators at the baseline ISA, loaded from and stored to `out` once.
+constexpr int kNrTransposeA = 8;
 // k-blocking keeps the active B panel (kKc rows x kNr columns of cache
 // lines) resident in L1/L2 while it is swept once per output row tile.
 constexpr int kKc = 256;
@@ -126,47 +129,72 @@ void MatMulRowRange(const Tensor& a, const Tensor& b, Tensor& out, int i0,
   }
 }
 
-/** out[i0:i1) += A^T * B restricted to a row range of the output (rows of
- * the output are columns of A). */
+/**
+ * out[i0:i0+R) += A^T * B over the kNrTransposeA-column sliver at j0 (rows
+ * of the output are columns of A). The R x kNrTransposeA tile is loaded
+ * from `out`, runs every k row in ascending order and is stored once, so
+ * each element is summed from its starting value in the reference
+ * backend's order. Every tile loop is fully unrolled rather than marked
+ * `omp simd`: with constant indices the tile is scalarized and the SLP
+ * vectorizer packs it into registers for the whole k loop, where a
+ * vectorized inner loop would keep it in a stack array.
+ */
+template <int R>
+void MatMulTransposeATile(const Tensor& a, const Tensor& b, Tensor& out,
+                          int i0, int j0) {
+  const int k = a.rows();
+  float* o_rows[R];
+  float acc[R][kNrTransposeA];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+    o_rows[r] = out.row_data(i0 + r) + j0;
+#pragma GCC unroll 8
+    for (int jj = 0; jj < kNrTransposeA; ++jj) acc[r][jj] = o_rows[r][jj];
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* __restrict__ a_row = a.row_data(p) + i0;
+    const float* __restrict__ b_row = b.row_data(p) + j0;
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const float v = a_row[r];
+#pragma GCC unroll 8
+      for (int jj = 0; jj < kNrTransposeA; ++jj) acc[r][jj] += v * b_row[jj];
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int jj = 0; jj < kNrTransposeA; ++jj) o_rows[r][jj] = acc[r][jj];
+  }
+}
+
+/** out[i0:i1) += A^T * B restricted to a row range of the output. */
 void MatMulTransposeARowRange(const Tensor& a, const Tensor& b, Tensor& out,
                               int i0, int i1) {
   const int k = a.rows();
   const int n = b.cols();
-  // Rank-1 update structure: for every p, out[i] += A[p,i] * B[p,:]. The
-  // i tile of kMr output rows reuses each B row load kMr times, exactly
-  // like the plain kernel, with A read column-wise (stride a.cols()).
+  const int n_main = n - n % kNrTransposeA;
   int i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    float* __restrict__ o0 = out.row_data(i + 0);
-    float* __restrict__ o1 = out.row_data(i + 1);
-    float* __restrict__ o2 = out.row_data(i + 2);
-    float* __restrict__ o3 = out.row_data(i + 3);
-    for (int p = 0; p < k; ++p) {
-      const float* __restrict__ a_row = a.row_data(p);
-      const float* __restrict__ b_row = b.row_data(p);
-      const float v0 = a_row[i + 0];
-      const float v1 = a_row[i + 1];
-      const float v2 = a_row[i + 2];
-      const float v3 = a_row[i + 3];
-      if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-#pragma omp simd
-      for (int j = 0; j < n; ++j) {
-        const float bv = b_row[j];
-        o0[j] += v0 * bv;
-        o1[j] += v1 * bv;
-        o2[j] += v2 * bv;
-        o3[j] += v3 * bv;
-      }
+    for (int j0 = 0; j0 < n_main; j0 += kNrTransposeA) {
+      MatMulTransposeATile<kMr>(a, b, out, i, j0);
     }
   }
   for (; i < i1; ++i) {
-    float* __restrict__ o_row = out.row_data(i);
-    for (int p = 0; p < k; ++p) {
-      const float v = a.row_data(p)[i];
+    for (int j0 = 0; j0 < n_main; j0 += kNrTransposeA) {
+      MatMulTransposeATile<1>(a, b, out, i, j0);
+    }
+  }
+  if (n_main == n) return;
+  // Column remainder: the reference's p-outer loop with its zero skip.
+  for (int p = 0; p < k; ++p) {
+    const float* __restrict__ a_row = a.row_data(p);
+    const float* __restrict__ b_row = b.row_data(p);
+    for (int r = i0; r < i1; ++r) {
+      const float v = a_row[r];
       if (v == 0.0f) continue;
-      const float* __restrict__ b_row = b.row_data(p);
-#pragma omp simd
-      for (int j = 0; j < n; ++j) o_row[j] += v * b_row[j];
+      float* __restrict__ o_row = out.row_data(r);
+      for (int j = n_main; j < n; ++j) o_row[j] += v * b_row[j];
     }
   }
 }

@@ -12,20 +12,25 @@
  * does not depend on the row's position in the call, so a row's result
  * is the same at every batch row count and every shard split. The dX
  * product (A * B^T, with B the small weight) packs B transposed once per
- * call and reuses that micro-kernel; the A^T * B product has its own
- * rank-1 tiling. LayerNorm forward and backward process 4 rows at a time
- * with one set of sums per row, in the reference backend's order, and
- * are bit-identical to it.
+ * call and reuses that micro-kernel. The A^T * B (dW) product runs a
+ * 4x8 tile that stays in registers across the whole k loop: it is loaded
+ * from the output, summed over k in ascending order and stored once, so
+ * every element follows the reference backend's sequence and the
+ * product is bit-identical to it for finite inputs (the reference skips
+ * zero A entries; adding their zero products leaves a finite sum
+ * unchanged unless the running value is -0). LayerNorm forward and
+ * backward process 4 rows at a time with one set of sums per row, in the
+ * reference backend's order, and are bit-identical to it.
  *
  * Inherits the reference loops for the ops where a tuned kernel buys
  * nothing (transcendental element-wise maps, column-block plumbing) and
  * overrides everything on the training hot path. Equivalence with the
  * reference backend across odd/prime/blocked shapes is enforced by
- * tests/kernels_test.cc; matrix products may differ from the reference
- * by floating-point reassociation only. Every pool-sharded path is
- * bit-identical to its serial loop (disjoint output rows, and scatter
- * partitions by *destination* row so each table row still accumulates in
- * ascending input order).
+ * tests/kernels_test.cc; the other matrix products may differ from the
+ * reference by floating-point reassociation only. Every pool-sharded
+ * path is bit-identical to its serial loop (disjoint output rows, and
+ * scatter partitions by *destination* row so each table row still
+ * accumulates in ascending input order).
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_

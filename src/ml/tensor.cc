@@ -51,16 +51,6 @@ float Tensor::at(int row, int col) const {
   return data_[static_cast<std::size_t>(row) * cols_ + col];
 }
 
-float* Tensor::row_data(int row) {
-  GRANITE_CHECK(row >= 0 && row < rows_);
-  return data_.data() + static_cast<std::size_t>(row) * cols_;
-}
-
-const float* Tensor::row_data(int row) const {
-  GRANITE_CHECK(row >= 0 && row < rows_);
-  return data_.data() + static_cast<std::size_t>(row) * cols_;
-}
-
 void Tensor::Fill(float value) {
   for (float& element : data_) element = value;
 }

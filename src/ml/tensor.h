@@ -5,14 +5,16 @@
  * All model state (embeddings, weight matrices, activations) is represented
  * as row-major matrices of 32-bit floats. Vectors are 1xN or Nx1 matrices;
  * scalars are 1x1. The class is deliberately minimal: arithmetic lives in
- * tensor_ops.h so that the autodiff tape can reuse the same kernels for
- * forward and backward passes.
+ * the kernel backends (ml/kernels/kernel_backend.h) so that the autodiff
+ * tape can reuse the same kernels for forward and backward passes.
  */
 #ifndef GRANITE_ML_TENSOR_H_
 #define GRANITE_ML_TENSOR_H_
 
 #include <string>
 #include <vector>
+
+#include "base/logging.h"
 
 namespace granite::ml {
 
@@ -62,9 +64,22 @@ class Tensor {
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 
-  /** Mutable pointer to the start of `row`. */
-  float* row_data(int row);
-  const float* row_data(int row) const;
+  /**
+   * Pointer to the start of `row`; aborts unless 0 <= row < rows() in
+   * every build. Defined inline because the matmul micro-kernels call it
+   * once per k step: an out-of-line call clobbers every vector register
+   * under the SysV ABI and forces the accumulator tile through memory,
+   * whereas the inline check is a compare plus a cold branch into the
+   * [[noreturn]] panic, which leaves the accumulators live.
+   */
+  float* row_data(int row) {
+    GRANITE_CHECK(row >= 0 && row < rows_);
+    return data_.data() + static_cast<std::size_t>(row) * cols_;
+  }
+  const float* row_data(int row) const {
+    GRANITE_CHECK(row >= 0 && row < rows_);
+    return data_.data() + static_cast<std::size_t>(row) * cols_;
+  }
 
   /** Sets every element to `value`. */
   void Fill(float value);

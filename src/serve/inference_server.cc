@@ -111,6 +111,10 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
       ++shard.rejected;
       return false;
     }
+    // Deliver the wakeups earned so far before sleeping: SubmitMany
+    // defers them until its whole shard group is enqueued, and a worker
+    // asleep on an empty-queue wait is the only one that frees space.
+    for (; notifies > 0; --notifies) shard.queue_event.notify_one();
     shard.space_event.wait(lock, [&] {
       return shard.stopping ||
              shard.queue.size() < config_.queue_capacity;

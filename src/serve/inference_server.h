@@ -404,7 +404,8 @@ class InferenceServer {
    * OverflowPolicy::kBlock). On admission, fills `future`, appends any
    * evicted request to `victims` (to be failed after unlock), and adds
    * the worker wakeups this enqueue earned to `notifies`; returns false
-   * on rejection (queue full under kReject, or shutting down).
+   * on rejection (queue full under kReject, or shutting down). Pending
+   * `notifies` are delivered (and zeroed) before any wait for space.
    */
   bool EnqueueLocked(Shard& shard, std::unique_lock<std::mutex>& lock,
                      const assembly::BasicBlock* block, int task,

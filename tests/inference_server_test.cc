@@ -161,6 +161,43 @@ TEST_F(InferenceServerTest, SubmitManySizeFlushesWithoutADeadline) {
   EXPECT_EQ(stats.deadline_flushes, 0u);
 }
 
+TEST_F(InferenceServerTest, SubmitManyLargerThanTheQueueBlocksAndDrains) {
+  // One shard's share of a SubmitMany call exceeds queue_capacity under
+  // kBlock: the call must wake the worker before waiting for space, or
+  // the worker sleeps on an empty-queue wait and the call never returns.
+  core::GraniteModel model(&vocabulary_, TinyConfig());
+  const std::vector<double> expected = ExpectedAlone(model, 0);
+  InferenceServerConfig config;
+  config.num_workers = 1;
+  config.max_batch_size = 4;
+  config.batch_window = microseconds{200};
+  config.queue_capacity = 8;
+  config.overflow_policy = OverflowPolicy::kBlock;
+  InferenceServer server(&model, config);
+
+  std::vector<BatchSubmitRequest> requests;
+  for (int r = 0; r < 40; ++r) {
+    requests.push_back(BatchSubmitRequest{&blocks_[r % blocks_.size()], 0});
+  }
+  std::future<std::vector<std::optional<std::future<double>>>> call =
+      std::async(std::launch::async,
+                 [&server, &requests] { return server.SubmitMany(requests); });
+  if (call.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    // Unblock the stuck call (shutdown rejects the waiting enqueue) so
+    // the test fails instead of hanging.
+    server.Shutdown();
+    call.wait();
+    FAIL() << "SubmitMany did not return within 10 s";
+  }
+  std::vector<std::optional<std::future<double>>> futures = call.get();
+  ASSERT_EQ(futures.size(), requests.size());
+  for (std::size_t r = 0; r < futures.size(); ++r) {
+    ASSERT_TRUE(futures[r].has_value()) << r;
+    EXPECT_EQ(futures[r]->get(), expected[r % blocks_.size()]) << r;
+  }
+  EXPECT_EQ(server.Stats().rejected, 0u);
+}
+
 TEST_F(InferenceServerTest, SubmitManyAfterShutdownRejectsEverything) {
   core::GraniteModel model(&vocabulary_, TinyConfig());
   InferenceServer server(&model, InferenceServerConfig());

@@ -6,12 +6,14 @@
  * backend under test on the same inputs — including odd, prime, and
  * micro-kernel-aligned shapes that exercise every remainder path of the
  * blocked kernels — and the results must agree to tight tolerance;
- * LayerNorm must agree bit for bit. Pool sharding of the matmul and graph
- * kernels, and the row count of a matmul call, are checked for
- * bit-identity against the serial paths. Also gradient-checks the fused
- * tape ops (Linear, ConcatGathered) against central finite differences
- * under every backend, and verifies backend selection plumbing (default,
- * env-free explicit kinds, registry enumeration, tape routing).
+ * LayerNorm and the optimized A^T * B product must agree bit for bit.
+ * Pool sharding of the matmul and graph kernels, and the row count of a
+ * matmul call, are checked for bit-identity against the serial paths.
+ * Also gradient-checks the fused tape ops (Linear, ConcatGathered)
+ * against central finite differences under every backend, pins known
+ * values of the basic ops on the process-default backend, and verifies
+ * backend selection plumbing (default, env-free explicit kinds, registry
+ * enumeration, tape routing).
  */
 #include <cmath>
 #include <functional>
@@ -57,6 +59,17 @@ void ExpectAllClose(const Tensor& a, const Tensor& b, float tolerance,
     const float y = b.data()[i];
     const float scale = std::max({1.0f, std::abs(x), std::abs(y)});
     ASSERT_NEAR(x, y, tolerance * scale)
+        << label << " element " << i << " of " << a.size();
+  }
+}
+
+/** Exact equality, element by element. */
+void ExpectBitIdentical(const Tensor& a, const Tensor& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.rows(), b.rows()) << label;
+  ASSERT_EQ(a.cols(), b.cols()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a.data()[i], b.data()[i])
         << label << " element " << i << " of " << a.size();
   }
 }
@@ -127,16 +140,60 @@ TEST_P(KernelEquivalenceTest, MatMulAcc) {
   }
 }
 
+/** Extra (m, k, n) shapes for A^T * B (A is k x m): the optimized tile is
+ * 4 output rows x 8 columns, so these put m on and off a multiple of 4 and
+ * n on and off a multiple of 8, down to n = 1. */
+const MatMulShape kTransposeAShapes[] = {
+    {4, 9, 8},    {6, 7, 1},  {9, 21, 8},    {11, 40, 24},
+    {17, 50, 16}, {8, 33, 9}, {64, 120, 16}, {7, 3, 15},
+};
+
+/** Zeroes parts of A the way ReLU activations do, in the three patterns
+ * the reference's per-element zero skip sees: a whole row of A (one k
+ * step skipped for every output row), the 4 columns one output tile reads
+ * at one k step, and scattered single elements. */
+void PlantZeros(Tensor& a, Rng& rng) {
+  if (a.rows() > 1) {
+    for (int c = 0; c < a.cols(); ++c) a.at(1, c) = 0.0f;
+  }
+  if (a.rows() > 2 && a.cols() >= 8) {
+    for (int c = 4; c < 8; ++c) a.at(2, c) = 0.0f;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (rng.NextBounded(4) == 0) a.data()[i] = 0.0f;
+  }
+}
+
 TEST_P(KernelEquivalenceTest, MatMulTransposeAAcc) {
-  for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.k, shape.m, rng_);
-    const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-    const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
-    Tensor ref = seed;
-    Tensor opt = seed;
-    reference().MatMulTransposeAAcc(a, b, ref);
-    backend().MatMulTransposeAAcc(a, b, opt);
-    ExpectAllClose(ref, opt, 1e-4f, "MatMulTransposeAAcc");
+  // The optimized dW product sums every element sequentially over k from
+  // its seeded value, exactly like the reference, so it must match bit
+  // for bit (zero products it does not skip leave a finite sum
+  // unchanged). A BLAS sgemm reassociates and keeps a tolerance.
+  const bool exact = GetParam() == KernelBackendKind::kOptimized;
+  std::vector<MatMulShape> shapes(std::begin(kMatMulShapes),
+                                  std::end(kMatMulShapes));
+  shapes.insert(shapes.end(), std::begin(kTransposeAShapes),
+                std::end(kTransposeAShapes));
+  for (const MatMulShape& shape : shapes) {
+    for (const bool sparse : {false, true}) {
+      Tensor a = RandomTensor(shape.k, shape.m, rng_);
+      if (sparse) PlantZeros(a, rng_);
+      const Tensor b = RandomTensor(shape.k, shape.n, rng_);
+      const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
+      Tensor ref = seed;
+      Tensor opt = seed;
+      reference().MatMulTransposeAAcc(a, b, ref);
+      backend().MatMulTransposeAAcc(a, b, opt);
+      const std::string label =
+          "MatMulTransposeAAcc " + std::to_string(shape.m) + "x" +
+          std::to_string(shape.k) + "x" + std::to_string(shape.n) +
+          (sparse ? " sparse" : " dense");
+      if (exact) {
+        ExpectBitIdentical(ref, opt, label);
+      } else {
+        ExpectAllClose(ref, opt, 1e-4f, label);
+      }
+    }
   }
 }
 
@@ -186,17 +243,6 @@ TEST_P(KernelEquivalenceTest, PooledMatMulMatchesSequential) {
     reference().MatMulTransposeBAcc(a, bt, ref_t);
     pooled.MatMulTransposeBAcc(a, bt, opt_t);
     ExpectAllClose(ref_t, opt_t, 1e-4f, "pooled MatMulTransposeBAcc");
-  }
-}
-
-/** Exact equality, element by element. */
-void ExpectBitIdentical(const Tensor& a, const Tensor& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.rows(), b.rows()) << label;
-  ASSERT_EQ(a.cols(), b.cols()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i])
-        << label << " element " << i << " of " << a.size();
   }
 }
 
@@ -488,7 +534,7 @@ TEST_F(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
   // Row shards start wherever the partition puts them, so a row that is
   // tiled in the serial call can be a leftover row in its shard: both
   // must sum in the same order. Row counts off a multiple of 4 shards x
-  // 4-row tiles, widths on and off the 16-column sliver.
+  // 4-row tiles, widths on and off the 16- and 8-column slivers.
   for (const MatMulShape& shape : kMatMulShapes) {
     const Tensor a = RandomTensor(shape.m, shape.k, rng_);
     const Tensor b = RandomTensor(shape.k, shape.n, rng_);
@@ -505,6 +551,13 @@ TEST_F(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
     serial_.MatMulTransposeBAcc(a, bt, serial_t);
     pooled_.MatMulTransposeBAcc(a, bt, pooled_t);
     ExpectBitIdentical(serial_t, pooled_t, "pooled MatMulTransposeBAcc");
+
+    const Tensor at = RandomTensor(shape.k, shape.m, rng_);
+    Tensor serial_ta = seed;
+    Tensor pooled_ta = seed;
+    serial_.MatMulTransposeAAcc(at, b, serial_ta);
+    pooled_.MatMulTransposeAAcc(at, b, pooled_ta);
+    ExpectBitIdentical(serial_ta, pooled_ta, "pooled MatMulTransposeAAcc");
   }
 }
 
@@ -624,6 +677,143 @@ TEST_P(FusedOpGradTest, ConcatGatheredMatchesGatherPlusConcat) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusedOpGradTest,
                          ::testing::ValuesIn(AvailableKinds()), KindName);
+
+// ---- Known values on the process-default backend ------------------------
+
+/** a * b into a fresh tensor on the default backend. */
+Tensor DefaultMatMul(const Tensor& a, const Tensor& b) {
+  Tensor out(a.rows(), b.cols());
+  DefaultKernelBackend().MatMulAcc(a, b, out);
+  return out;
+}
+
+/** op(a, b) into a fresh tensor on the default backend. */
+Tensor DefaultBinary(BinaryOp op, const Tensor& a, const Tensor& b) {
+  Tensor out(a.rows(), a.cols());
+  DefaultKernelBackend().BinaryPointwise(op, a, b, out);
+  return out;
+}
+
+/** The column concatenation of `parts` on the default backend. */
+Tensor DefaultConcatCols(const std::vector<Tensor>& parts) {
+  int total_cols = 0;
+  for (const Tensor& part : parts) total_cols += part.cols();
+  Tensor out(parts.front().rows(), total_cols);
+  int offset = 0;
+  for (const Tensor& part : parts) {
+    DefaultKernelBackend().AccumulateColumnBlock(part, 0, out, offset,
+                                                 part.cols());
+    offset += part.cols();
+  }
+  return out;
+}
+
+TEST(DefaultBackendKnownValueTest, MatMulKnownProduct) {
+  const Tensor a(2, 3, {1, 2, 3, 4, 5, 6});
+  const Tensor b(3, 2, {7, 8, 9, 10, 11, 12});
+  const Tensor c = DefaultMatMul(a, b);
+  EXPECT_EQ(c.at(0, 0), 58.0f);
+  EXPECT_EQ(c.at(0, 1), 64.0f);
+  EXPECT_EQ(c.at(1, 0), 139.0f);
+  EXPECT_EQ(c.at(1, 1), 154.0f);
+}
+
+TEST(DefaultBackendKnownValueTest, MatMulIdentityIsNeutral) {
+  const Tensor a(2, 2, {1, 2, 3, 4});
+  const Tensor identity(2, 2, {1, 0, 0, 1});
+  EXPECT_TRUE(DefaultMatMul(a, identity) == a);
+  EXPECT_TRUE(DefaultMatMul(identity, a) == a);
+}
+
+TEST(DefaultBackendKnownValueTest, TransposeVariantsAgree) {
+  const KernelBackend& backend = DefaultKernelBackend();
+  const Tensor a(3, 2, {1, 2, 3, 4, 5, 6});
+  const Tensor b(3, 4, {1, 0, 2, 1, 3, 1, 0, 2, 2, 2, 1, 1});
+  // A^T * B via the accumulate-transpose kernel, against an explicit A^T.
+  Tensor at_b(2, 4);
+  backend.MatMulTransposeAAcc(a, b, at_b);
+  Tensor a_transposed(2, 3);
+  for (int r = 0; r < 3; ++r) {
+    for (int c = 0; c < 2; ++c) a_transposed.at(c, r) = a.at(r, c);
+  }
+  EXPECT_TRUE(at_b.AllClose(DefaultMatMul(a_transposed, b)));
+
+  // A * B^T via the accumulate-transpose kernel, against an explicit B^T.
+  const Tensor c(4, 2, {1, 1, 0, 2, 3, 0, 1, 1});
+  Tensor a_ct(3, 4);
+  backend.MatMulTransposeBAcc(a, c, a_ct);
+  Tensor c_transposed(2, 4);
+  for (int r = 0; r < 4; ++r) {
+    for (int col = 0; col < 2; ++col) c_transposed.at(col, r) = c.at(r, col);
+  }
+  EXPECT_TRUE(a_ct.AllClose(DefaultMatMul(a, c_transposed)));
+}
+
+TEST(DefaultBackendKnownValueTest, AddSubMulDiv) {
+  const Tensor a(1, 4, {4, 9, 16, 25});
+  const Tensor b(1, 4, {2, 3, 4, 5});
+  EXPECT_TRUE(DefaultBinary(BinaryOp::kAdd, a, b) ==
+              Tensor(1, 4, {6, 12, 20, 30}));
+  EXPECT_TRUE(DefaultBinary(BinaryOp::kSub, a, b) ==
+              Tensor(1, 4, {2, 6, 12, 20}));
+  EXPECT_TRUE(DefaultBinary(BinaryOp::kMul, a, b) ==
+              Tensor(1, 4, {8, 27, 64, 125}));
+  EXPECT_TRUE(DefaultBinary(BinaryOp::kDiv, a, b) ==
+              Tensor(1, 4, {2, 3, 4, 5}));
+}
+
+TEST(DefaultBackendKnownValueTest, ScaleAndAccumulate) {
+  const KernelBackend& backend = DefaultKernelBackend();
+  const Tensor a(1, 3, {1, 2, 3});
+  Tensor scaled(1, 3);
+  backend.ScaleInto(a, 2.0f, scaled);
+  EXPECT_TRUE(scaled == Tensor(1, 3, {2, 4, 6}));
+  Tensor out(1, 3, {10, 10, 10});
+  backend.AccumulateAdd(a, out);
+  EXPECT_TRUE(out == Tensor(1, 3, {11, 12, 13}));
+  backend.AccumulateScaled(a, -1.0f, out);
+  EXPECT_TRUE(out == Tensor(1, 3, {10, 10, 10}));
+}
+
+TEST(DefaultBackendKnownValueTest, AddRowBroadcastAddsBiasToEveryRow) {
+  const Tensor a(2, 3, {1, 2, 3, 4, 5, 6});
+  const Tensor bias(1, 3, {10, 20, 30});
+  Tensor out(2, 3);
+  DefaultKernelBackend().AddRowBroadcastInto(a, bias, out);
+  EXPECT_TRUE(out == Tensor(2, 3, {11, 22, 33, 14, 25, 36}));
+}
+
+TEST(DefaultBackendKnownValueTest, SumAndNorm) {
+  const Tensor a(2, 2, {3, 4, 0, 0});
+  EXPECT_DOUBLE_EQ(DefaultKernelBackend().SumAll(a), 7.0);
+  const Tensor squares = DefaultBinary(BinaryOp::kMul, a, a);
+  EXPECT_DOUBLE_EQ(std::sqrt(DefaultKernelBackend().SumAll(squares)), 5.0);
+}
+
+TEST(DefaultBackendKnownValueTest, GatherRowsPicksAndRepeats) {
+  const Tensor table(3, 2, {1, 2, 3, 4, 5, 6});
+  Tensor gathered(3, 2);
+  DefaultKernelBackend().GatherRowsAcc(table, {2, 0, 2}, gathered);
+  EXPECT_TRUE(gathered == Tensor(3, 2, {5, 6, 1, 2, 5, 6}));
+}
+
+TEST(DefaultBackendKnownValueTest, SegmentSumSumsIntoBuckets) {
+  const Tensor rows(4, 2, {1, 1, 2, 2, 3, 3, 4, 4});
+  Tensor summed(3, 2);
+  DefaultKernelBackend().ScatterAddRows(rows, {0, 1, 0, 1}, summed);
+  EXPECT_TRUE(summed == Tensor(3, 2, {4, 4, 6, 6, 0, 0}));
+}
+
+TEST(DefaultBackendKnownValueTest, ConcatColsConcatenates) {
+  const Tensor a(2, 1, {1, 2});
+  const Tensor b(2, 2, {3, 4, 5, 6});
+  EXPECT_TRUE(DefaultConcatCols({a, b}) == Tensor(2, 3, {1, 3, 4, 2, 5, 6}));
+}
+
+TEST(DefaultBackendKnownValueTest, ConcatColsSingleInputIsCopy) {
+  const Tensor a(2, 2, {1, 2, 3, 4});
+  EXPECT_TRUE(DefaultConcatCols({a}) == a);
+}
 
 // ---- Selection plumbing --------------------------------------------------
 

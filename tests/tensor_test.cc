@@ -70,5 +70,19 @@ TEST(TensorTest, ToStringMentionsShape) {
   EXPECT_NE(text.find("1.5"), std::string::npos);
 }
 
+TEST(TensorDeathTest, RowDataChecksBoundsInEveryBuild) {
+  // row_data is inline for the matmul kernels, but its bounds check is a
+  // GRANITE_CHECK, not an assert: it must fire with NDEBUG defined too.
+  Tensor tensor(3, 2);
+  const Tensor& const_tensor = tensor;
+  EXPECT_DEATH((void)tensor.row_data(-1), "Check failed");
+  EXPECT_DEATH((void)tensor.row_data(tensor.rows()), "Check failed");
+  EXPECT_DEATH((void)const_tensor.row_data(-1), "Check failed");
+  EXPECT_DEATH((void)const_tensor.row_data(const_tensor.rows()),
+               "Check failed");
+  EXPECT_EQ(tensor.row_data(2), tensor.data() + 4);
+  EXPECT_EQ(const_tensor.row_data(1), const_tensor.data() + 2);
+}
+
 }  // namespace
 }  // namespace granite::ml
