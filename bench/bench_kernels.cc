@@ -3,11 +3,11 @@
  * Kernel backend throughput: reference vs optimized GFLOP/s for the
  * MatMul family (plain, transpose-A, transpose-B, fused linear+bias)
  * across aligned, odd, and rectangular shapes; LayerNorm and the
- * dX = dY * W^T product at the narrow shapes a GRANITE training step
- * runs; the graph structure ops (GatherRowsAcc / ScatterAddRows) at
- * message-passing node counts with and without pool sharding; plus the
- * end-to-end training-step speedup of a GRANITE model when its math runs
- * on the optimized backend.
+ * dX/dW products at the narrow shapes a GRANITE training step runs, for
+ * the ISA copy the optimized backend dispatched to and for its baseline
+ * copy; the graph structure ops (GatherRowsAcc / ScatterAddRows) at
+ * message-passing node counts; plus the end-to-end training-step speedup
+ * of a GRANITE model when its math runs on the optimized backend.
  *
  * Acceptance target (ISSUE 2): the optimized backend is >= 3x faster
  * than the reference triple-loop MatMul on 256x256x256, single-threaded.
@@ -195,7 +195,9 @@ double MeasureCallsPerSec(const std::function<void()>& fn,
  * 64-wide edge-update and 48-wide node-update inputs, the dX product of
  * a 64 -> 16 layer's backward pass, and the dW products of the 64 -> 16
  * and 48 -> 16 layers. Reference vs optimized, single-threaded; the
- * 256-wide matmul table above says little about these.
+ * 256-wide matmul table above says little about these. The "baseline"
+ * column forces the optimized backend's baseline ISA copy, so one run on
+ * an AVX2 host also tracks the copy that non-AVX2 CPUs run.
  */
 void RunGnnShapeTable(bool quick) {
   const double min_seconds = quick ? 0.05 : 0.2;
@@ -203,11 +205,15 @@ void RunGnnShapeTable(bool quick) {
       ml::GetKernelBackend(ml::KernelBackendKind::kReference);
   const ml::KernelBackend& optimized =
       ml::GetKernelBackend(ml::KernelBackendKind::kOptimized);
+  const ml::OptimizedBackend baseline(
+      nullptr, ml::OptimizedBackend::kDefaultParallelFlopThreshold,
+      /*force_baseline_isa=*/true);
 
   std::printf("GRANITE training shapes, single-threaded (Mrows/s)\n");
-  const std::vector<int> widths = {18, 12, 10, 10, 9};
+  const std::vector<int> widths = {18, 12, 10, 10, 10, 9};
   PrintSeparator(widths);
-  PrintRow({"op", "shape", "reference", "optimized", "speedup"}, widths);
+  PrintRow({"op", "shape", "reference", "optimized", "baseline", "speedup"},
+           widths);
   PrintSeparator(widths);
   const auto measure = [&](const char* label, const std::string& metric,
                            const std::string& shape, int rows,
@@ -218,10 +224,13 @@ void RunGnnShapeTable(bool quick) {
         MeasureCallsPerSec([&] { fn(reference); }, min_seconds) * mrows;
     const double opt =
         MeasureCallsPerSec([&] { fn(optimized); }, min_seconds) * mrows;
+    const double base =
+        MeasureCallsPerSec([&] { fn(baseline); }, min_seconds) * mrows;
     const std::string prefix = "kernels.gnn." + metric + "_" + shape;
     RecordMetric(prefix + ".optimized_mrows_per_sec", opt);
+    RecordMetric(prefix + ".baseline_mrows_per_sec", base);
     RecordMetric(prefix + ".speedup", opt / ref);
-    PrintRow({label, shape, Fixed(ref, 2), Fixed(opt, 2),
+    PrintRow({label, shape, Fixed(ref, 2), Fixed(opt, 2), Fixed(base, 2),
               Fixed(opt / ref, 2) + "x"},
              widths);
   };
@@ -282,12 +291,8 @@ void RunGnnShapeTable(bool quick) {
   std::printf("\n");
 }
 
-/**
- * Graph structure ops at message-passing node counts, serial vs
- * pool-sharded. These are memory-bound (one add per element),
- * so the parallel speedups collapse to ~1x on a single-core machine —
- * compare_bench.py skips the *_parallel_speedup advisories there.
- */
+/** Graph structure ops at message-passing node counts. These are
+ * memory-bound (one add per element). */
 void RunGraphOpsTable(bool quick) {
   const double min_seconds = quick ? 0.05 : 0.2;
   // A large message-passing batch: tens of thousands of edge-endpoint
@@ -306,45 +311,33 @@ void RunGraphOpsTable(bool quick) {
   }
   ml::Tensor out(rows, cols);
   ml::Tensor scatter_table(table_rows, cols);
-
-  const ml::OptimizedBackend serial;
-  base::ThreadPool pool(4);
-  const ml::OptimizedBackend pooled(&pool);
+  const ml::KernelBackend& optimized =
+      ml::GetKernelBackend(ml::KernelBackendKind::kOptimized);
 
   struct Op {
     const char* label;
     const char* metric;
-    std::function<void(const ml::KernelBackend&)> fn;
+    std::function<void()> fn;
   };
   const std::vector<Op> ops = {
       {"GatherRowsAcc", "gather",
-       [&](const ml::KernelBackend& backend) {
-         backend.GatherRowsAcc(table, indices, out);
-       }},
+       [&] { optimized.GatherRowsAcc(table, indices, out); }},
       {"ScatterAddRows", "scatter",
-       [&](const ml::KernelBackend& backend) {
-         backend.ScatterAddRows(rows_in, indices, scatter_table);
-       }},
+       [&] { optimized.ScatterAddRows(rows_in, indices, scatter_table); }},
   };
 
   std::printf("Graph ops at %dx%d (Mrows/s)\n", rows, cols);
-  const std::vector<int> widths = {18, 10, 10, 9};
+  const std::vector<int> widths = {18, 10};
   PrintSeparator(widths);
-  PrintRow({"op", "serial", "pooled(4)", "speedup"}, widths);
+  PrintRow({"op", "optimized"}, widths);
   PrintSeparator(widths);
   for (const Op& op : ops) {
-    const double serial_rate = MeasureCallsPerSec(
-        [&] { op.fn(serial); }, min_seconds);
-    const double pooled_rate = MeasureCallsPerSec(
-        [&] { op.fn(pooled); }, min_seconds);
-    const double mrows = static_cast<double>(rows) / 1e6;
-    const std::string prefix = std::string("kernels.graph_ops.") + op.metric;
-    RecordMetric(prefix + "_mrows_per_sec", serial_rate * mrows);
-    RecordMetric(prefix + "_parallel_speedup", pooled_rate / serial_rate);
-    PrintRow({op.label, Fixed(serial_rate * mrows, 2),
-              Fixed(pooled_rate * mrows, 2),
-              Fixed(pooled_rate / serial_rate, 2) + "x"},
-             widths);
+    const double rate = MeasureCallsPerSec(op.fn, min_seconds) *
+                        static_cast<double>(rows) / 1e6;
+    RecordMetric(std::string("kernels.graph_ops.") + op.metric +
+                     "_mrows_per_sec",
+                 rate);
+    PrintRow({op.label, Fixed(rate, 2)}, widths);
   }
   PrintSeparator(widths);
   std::printf("\n");
@@ -401,6 +394,10 @@ void Run(int argc, char** argv) {
   scale.embedding_size = scale.quick ? 16 : 48;
   scale.message_passing_iterations = 4;
   PrintBanner("Kernel backends: blocked/SIMD vs reference loops", scale);
+  std::printf("optimized backend ISA copy: %s\n\n",
+              static_cast<const ml::OptimizedBackend&>(
+                  ml::GetKernelBackend(ml::KernelBackendKind::kOptimized))
+                  .isa());
   RunMatMulTable(scale.quick);
   RunGnnShapeTable(scale.quick);
   RunGraphOpsTable(scale.quick);

@@ -17,8 +17,6 @@
 
 namespace granite::ml {
 
-BlasBackend::BlasBackend(base::ThreadPool* pool) : OptimizedBackend(pool) {}
-
 const char* BlasBackend::name() const { return "blas"; }
 
 void BlasBackend::DoMatMulAcc(const Tensor& a, const Tensor& b,

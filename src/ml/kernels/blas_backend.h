@@ -23,23 +23,15 @@
 
 #ifdef GRANITE_WITH_BLAS
 
-#include <cstddef>
-
 #include "ml/kernels/optimized_backend.h"
 
 namespace granite::ml {
 
-/** MatMul family on cblas sgemm; optimized kernels for everything else. */
+/** MatMul family on cblas sgemm; optimized kernels for everything else.
+ * Pool-free: threading inside the matrix product is the BLAS library's
+ * business. */
 class BlasBackend : public OptimizedBackend {
  public:
-  /**
-   * @param pool Optional worker pool, forwarded to OptimizedBackend for
-   *   the non-GEMM parallel kernels (gather/scatter). The GEMM
-   *   overrides below never touch the pool: threading inside the matrix
-   *   product is the BLAS library's business.
-   */
-  explicit BlasBackend(base::ThreadPool* pool = nullptr);
-
   const char* name() const override;
 
  protected:

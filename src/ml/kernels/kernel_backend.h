@@ -13,8 +13,10 @@
  *  - OptimizedBackend: cache-blocked, transpose-aware MatMul micro-kernels
  *    with vectorizable inner loops, fused AXPY/scale/bias kernels, a
  *    row-interleaved LayerNorm bit-identical to the reference, and
- *    optional large-op parallelization (MatMul row shards, gather/
- *    scatter) across a base::ThreadPool.
+ *    optional MatMul row sharding across a base::ThreadPool. Its hot
+ *    loops are compiled for the x86-64 baseline and for AVX2; the
+ *    backend picks one copy at startup from CPUID, with bit-identical
+ *    results either way.
  *  - BlasBackend (only when built with -DGRANITE_WITH_BLAS=ON): the
  *    MatMul family routed through cblas sgemm, every other op falling
  *    back to the optimized kernels. ListKernelBackends() reports

@@ -3,10 +3,18 @@
  * The optimized kernel backend: cache-blocked, register-tiled MatMul
  * micro-kernels with vectorizable (`#pragma omp simd`) inner loops, fused
  * AXPY/scale/bias element-wise kernels, a row-interleaved LayerNorm, and
- * optional parallelization of large ops across a base::ThreadPool —
- * matrix products sharded by output rows (FLOP-gated), and the
- * graph-network structure ops (GatherRowsAcc / ScatterAddRows) sharded
- * at large node counts (element-gated, since they are memory-bound).
+ * optional sharding of large matrix products by output rows across a
+ * base::ThreadPool (FLOP-gated). Gather and scatter always run serially.
+ *
+ * The hot loops live in optimized_kernels.inc and are compiled twice from
+ * that one source: once for the x86-64 baseline the whole build targets,
+ * once under `#pragma GCC target("avx2")`. The constructor picks a copy
+ * once, from CPUID: AVX2 when the CPU has it, else the baseline (builds
+ * for other targets or compilers carry the baseline copy only). The
+ * library therefore stays runnable on any x86-64 CPU. FMA is never
+ * enabled, and both copies round every product and sum separately in the
+ * same order, so the two copies are bit-identical to each other for
+ * every kernel; isa() says which one runs.
  *
  * The plain product runs a 4x16 micro-kernel whose per-row sum order
  * does not depend on the row's position in the call, so a row's result
@@ -25,12 +33,11 @@
  * Inherits the reference loops for the ops where a tuned kernel buys
  * nothing (transcendental element-wise maps, column-block plumbing) and
  * overrides everything on the training hot path. Equivalence with the
- * reference backend across odd/prime/blocked shapes is enforced by
- * tests/kernels_test.cc; the other matrix products may differ from the
- * reference by floating-point reassociation only. Every pool-sharded
- * path is bit-identical to its serial loop (disjoint output rows, and
- * scatter partitions by *destination* row so each table row still
- * accumulates in ascending input order).
+ * reference backend across odd/prime/blocked shapes, and bit-identity of
+ * the two ISA copies, are enforced by tests/kernels_test.cc; the other
+ * matrix products may differ from the reference by floating-point
+ * reassociation only. Row-sharded products are bit-identical to the
+ * serial call (disjoint output rows, position-independent row sums).
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
@@ -46,6 +53,8 @@ class ThreadPool;
 
 namespace granite::ml {
 
+struct OptimizedKernels;
+
 /** Blocked/SIMD kernels; optionally parallel over a thread pool. */
 class OptimizedBackend : public ReferenceBackend {
  public:
@@ -53,30 +62,26 @@ class OptimizedBackend : public ReferenceBackend {
    * across the pool when one is attached. */
   static constexpr std::size_t kDefaultParallelFlopThreshold = 1u << 21;
 
-  /** Memory-bound ops (gather / scatter) touching at least
-   * this many elements are sharded across the pool when one is attached.
-   * Higher than a FLOP-equivalent threshold would be: these ops move one
-   * element per "op", so small sizes are dominated by fork-join cost. */
-  static constexpr std::size_t kDefaultParallelElementThreshold = 1u << 16;
-
   /**
-   * @param pool Optional worker pool for large ops. The backend stays
-   *   safe for concurrent use from many threads either way: ThreadPool
-   *   fork-join is reentrant (each RunShards call is its own join
-   *   window), so pool-attached backends may be shared across trainer
-   *   workers and serving shards.
+   * @param pool Optional worker pool for large matrix products. The
+   *   backend stays safe for concurrent use from many threads either
+   *   way: ThreadPool fork-join is reentrant (each RunShards call is its
+   *   own join window), so pool-attached backends may be shared across
+   *   trainer workers and serving shards.
    * @param parallel_flop_threshold Minimum FLOP count before a matrix
    *   product is sharded across the pool.
-   * @param parallel_element_threshold Minimum element count before a
-   *   memory-bound op is sharded across the pool.
+   * @param force_baseline_isa Run the baseline copy even on an AVX2 CPU;
+   *   for tests and benches that compare the two copies.
    */
   explicit OptimizedBackend(
       base::ThreadPool* pool = nullptr,
       std::size_t parallel_flop_threshold = kDefaultParallelFlopThreshold,
-      std::size_t parallel_element_threshold =
-          kDefaultParallelElementThreshold);
+      bool force_baseline_isa = false);
 
   const char* name() const override;
+
+  /** The compiled copy this instance runs: "avx2" or "baseline". */
+  const char* isa() const;
 
  protected:
   void DoMatMulAcc(const Tensor& a, const Tensor& b,
@@ -126,14 +131,9 @@ class OptimizedBackend : public ReferenceBackend {
   void ParallelOverRows(std::size_t flops, int rows,
                         const std::function<void(int, int)>& fn) const;
 
-  /** Shard count a memory-bound op over `rows` units touching `elements`
-   * floats should use: 1 (run inline) when no pool is attached or the op
-   * is below the element threshold, else min(rows, pool width). */
-  int PlannedShards(std::size_t elements, std::size_t rows) const;
-
   base::ThreadPool* pool_;
   std::size_t parallel_flop_threshold_;
-  std::size_t parallel_element_threshold_;
+  const OptimizedKernels* kernels_;
 };
 
 }  // namespace granite::ml

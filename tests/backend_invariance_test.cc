@@ -1,15 +1,17 @@
 /**
  * @file
  * End-to-end backend invariance, parameterized over every kernel backend
- * this build registered (optimized always; blas when compiled in): the
- * GRANITE model must produce the same forward values, the same parameter
- * gradients, and (to floating-point reassociation tolerance) the same
- * training trajectory on each backend as on the reference backend.
+ * this build registered (optimized always, once per ISA copy; blas when
+ * compiled in): the GRANITE model must produce the same forward values,
+ * the same parameter gradients, and (to floating-point reassociation
+ * tolerance) the same training trajectory on each backend as on the
+ * reference backend.
  */
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "backends_under_test.h"
 #include "core/granite_model.h"
 #include "dataset/dataset.h"
 #include "gtest/gtest.h"
@@ -94,34 +96,28 @@ std::pair<std::vector<float>, std::vector<float>> ForwardBackwardTrace(
   return trace;
 }
 
-/** Every registered backend this build can construct, minus the
- * reference oracle the parameterized tests compare against. */
-std::vector<ml::KernelBackendKind> KindsUnderTest() {
-  std::vector<ml::KernelBackendKind> kinds;
-  for (const ml::KernelBackendInfo& info : ml::ListKernelBackends()) {
-    if (info.available && info.kind != ml::KernelBackendKind::kReference) {
-      kinds.push_back(info.kind);
-    }
-  }
-  return kinds;
-}
-
-std::string KindName(
-    const ::testing::TestParamInfo<ml::KernelBackendKind>& info) {
-  for (const ml::KernelBackendInfo& row : ml::ListKernelBackends()) {
-    if (row.kind == info.param) return row.name;
-  }
-  return "unknown";
-}
-
+/** Models and trainers resolve their backend by kind, so a pinned ISA
+ * copy runs as the process default for the duration of a test. */
 class BackendInvarianceTest
-    : public ::testing::TestWithParam<ml::KernelBackendKind> {};
+    : public ::testing::TestWithParam<ml::BackendUnderTest> {
+ protected:
+  void SetUp() override {
+    if (GetParam().needs_avx2 && !ml::DispatchesAvx2Copy()) {
+      GTEST_SKIP() << "this CPU has no AVX2";
+    }
+    ml::SetDefaultKernelBackend(GetParam().pinned);
+    ASSERT_EQ(&ml::GetKernelBackend(kind()), &GetParam().backend());
+  }
+  void TearDown() override { ml::SetDefaultKernelBackend(nullptr); }
+
+  ml::KernelBackendKind kind() const { return GetParam().kind; }
+};
 
 TEST_P(BackendInvarianceTest, ForwardAndGradientsMatchReference) {
   const dataset::Dataset data = TinyDataset(12);
   const auto [ref_forward, ref_grads] =
       ForwardBackwardTrace(ml::KernelBackendKind::kReference, data);
-  const auto [opt_forward, opt_grads] = ForwardBackwardTrace(GetParam(), data);
+  const auto [opt_forward, opt_grads] = ForwardBackwardTrace(kind(), data);
 
   ASSERT_EQ(ref_forward.size(), opt_forward.size());
   for (std::size_t i = 0; i < ref_forward.size(); ++i) {
@@ -159,7 +155,7 @@ TEST_P(BackendInvarianceTest, TrainingIsBackendInvariant) {
   const auto [ref_loss, ref_predictions] =
       TrainOnBackend(ml::KernelBackendKind::kReference, train, test, steps);
   const auto [opt_loss, opt_predictions] =
-      TrainOnBackend(GetParam(), train, test, steps);
+      TrainOnBackend(kind(), train, test, steps);
 
   // Identical seeds + identical batch sequence: the two runs may diverge
   // only through floating-point reassociation inside the kernels. Over a
@@ -178,16 +174,17 @@ TEST_P(BackendInvarianceTest, TrainingIsBackendInvariant) {
 TEST_P(BackendInvarianceTest, TrainerResolvesConfiguredBackend) {
   const dataset::Dataset train = TinyDataset(8);
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
-  core::GraniteModel model(&vocabulary, TinyGraniteConfig(GetParam()));
+  core::GraniteModel model(&vocabulary, TinyGraniteConfig(kind()));
   train::Trainer trainer(GraniteForward(model), &model.parameters(),
-                         FastConfig(2, GetParam()));
+                         FastConfig(2, kind()));
   // Smoke: a trainer configured for this backend trains and predicts.
   trainer.Train(train, dataset::Dataset());
   EXPECT_EQ(trainer.Predict(train, 0).size(), train.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendInvarianceTest,
-                         ::testing::ValuesIn(KindsUnderTest()), KindName);
+                         ::testing::ValuesIn(ml::BackendsUnderTest()),
+                         ml::BackendUnderTestName);
 
 }  // namespace
 }  // namespace granite

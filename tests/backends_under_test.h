@@ -1,0 +1,92 @@
+/**
+ * @file
+ * The backends the equivalence suites hold to the reference oracle: every
+ * kind the build registered except the reference itself, with the
+ * optimized backend listed once per compiled ISA copy, so both copies
+ * meet the same bar. The AVX2 entry runs the registry's shared instance
+ * and is skipped (GTEST_SKIP) on a CPU without AVX2, where that instance
+ * runs the baseline copy; the baseline entry pins a forced-baseline
+ * instance, so it runs on every CPU.
+ */
+#ifndef GRANITE_TESTS_BACKENDS_UNDER_TEST_H_
+#define GRANITE_TESTS_BACKENDS_UNDER_TEST_H_
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "gtest/gtest.h"
+#include "ml/kernels/kernel_backend.h"
+#include "ml/kernels/optimized_backend.h"
+
+namespace granite::ml {
+
+/** The optimized backend pinned to its baseline ISA copy. */
+inline const OptimizedBackend& BaselineCopyBackend() {
+  static const OptimizedBackend backend(
+      nullptr, OptimizedBackend::kDefaultParallelFlopThreshold,
+      /*force_baseline_isa=*/true);
+  return backend;
+}
+
+/** True when the registry's optimized backend runs the AVX2 copy. */
+inline bool DispatchesAvx2Copy() {
+  const auto& optimized = static_cast<const OptimizedBackend&>(
+      GetKernelBackend(KernelBackendKind::kOptimized));
+  return std::strcmp(optimized.isa(), "avx2") == 0;
+}
+
+/** One backend under test. */
+struct BackendUnderTest {
+  /** Test-name suffix. */
+  std::string name;
+  /** The registry kind; kDefault when `pinned` is set. */
+  KernelBackendKind kind;
+  /** A backend instance outside the registry (an ISA copy), or null. To
+   * reach code that resolves backends by kind, install it with
+   * SetDefaultKernelBackend and pass `kind`. */
+  const KernelBackend* pinned;
+  /** Skip on CPUs without AVX2. */
+  bool needs_avx2;
+  /** The optimized family: its dW product is bit-identical to the
+   * reference. */
+  bool optimized;
+
+  const KernelBackend& backend() const {
+    return pinned != nullptr ? *pinned : GetKernelBackend(kind);
+  }
+};
+
+/** Every registered backend but the reference, optimized once per ISA
+ * copy. */
+inline std::vector<BackendUnderTest> BackendsUnderTest() {
+  std::vector<BackendUnderTest> backends;
+  for (const KernelBackendInfo& info : ListKernelBackends()) {
+    if (!info.available || info.kind == KernelBackendKind::kReference) {
+      continue;
+    }
+    if (info.kind == KernelBackendKind::kOptimized) {
+      backends.push_back(
+          {"optimized_avx2", info.kind, nullptr, true, true});
+      backends.push_back({"optimized_baseline", KernelBackendKind::kDefault,
+                          &BaselineCopyBackend(), false, true});
+    } else {
+      backends.push_back({info.name, info.kind, nullptr, false, false});
+    }
+  }
+  return backends;
+}
+
+inline std::string BackendUnderTestName(
+    const ::testing::TestParamInfo<BackendUnderTest>& info) {
+  return info.param.name;
+}
+
+/** gtest prints parameters with this. */
+inline void PrintTo(const BackendUnderTest& backend, std::ostream* os) {
+  *os << backend.name;
+}
+
+}  // namespace granite::ml
+
+#endif  // GRANITE_TESTS_BACKENDS_UNDER_TEST_H_

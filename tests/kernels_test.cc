@@ -1,14 +1,16 @@
 /**
  * @file
  * Kernel-backend equivalence suite, parameterized over EVERY backend the
- * build registered (optimized always; blas when compiled in): each
- * KernelBackend operation is run through the reference oracle and the
- * backend under test on the same inputs — including odd, prime, and
- * micro-kernel-aligned shapes that exercise every remainder path of the
- * blocked kernels — and the results must agree to tight tolerance;
- * LayerNorm and the optimized A^T * B product must agree bit for bit.
- * Pool sharding of the matmul and graph kernels, and the row count of a
- * matmul call, are checked for bit-identity against the serial paths.
+ * build registered (optimized always, once per ISA copy; blas when
+ * compiled in): each KernelBackend operation is run through the reference
+ * oracle and the backend under test on the same inputs — including odd,
+ * prime, and micro-kernel-aligned shapes that exercise every remainder
+ * path of the blocked kernels — and the results must agree to tight
+ * tolerance; LayerNorm and the optimized A^T * B product must agree bit
+ * for bit. The optimized backend's baseline and AVX2 copies must agree
+ * with each other bit for bit on every kernel. Pool sharding of the
+ * matmul kernels, and the row count of a matmul call, are checked for
+ * bit-identity against the serial paths.
  * Also gradient-checks the fused tape ops (Linear, ConcatGathered)
  * against central finite differences under every backend, pins known
  * values of the basic ops on the process-default backend, and verifies
@@ -16,10 +18,12 @@
  * enumeration, tape routing).
  */
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "backends_under_test.h"
 #include "base/rng.h"
 #include "base/thread_pool.h"
 #include "gtest/gtest.h"
@@ -96,15 +100,6 @@ std::vector<KernelBackendKind> AvailableKinds() {
   return kinds;
 }
 
-/** AvailableKinds() minus the oracle itself. */
-std::vector<KernelBackendKind> KindsUnderTest() {
-  std::vector<KernelBackendKind> kinds;
-  for (const KernelBackendKind kind : AvailableKinds()) {
-    if (kind != KernelBackendKind::kReference) kinds.push_back(kind);
-  }
-  return kinds;
-}
-
 std::string KindName(
     const ::testing::TestParamInfo<KernelBackendKind>& info) {
   for (const KernelBackendInfo& row : ListKernelBackends()) {
@@ -114,13 +109,19 @@ std::string KindName(
 }
 
 class KernelEquivalenceTest
-    : public ::testing::TestWithParam<KernelBackendKind> {
+    : public ::testing::TestWithParam<BackendUnderTest> {
  protected:
+  void SetUp() override {
+    if (GetParam().needs_avx2 && !DispatchesAvx2Copy()) {
+      GTEST_SKIP() << "this CPU has no AVX2";
+    }
+  }
+
   const KernelBackend& reference() {
     return GetKernelBackend(KernelBackendKind::kReference);
   }
   /** The backend under test, compared against the reference oracle. */
-  const KernelBackend& backend() { return GetKernelBackend(GetParam()); }
+  const KernelBackend& backend() { return GetParam().backend(); }
 
   Rng rng_{20260731};
 };
@@ -169,7 +170,7 @@ TEST_P(KernelEquivalenceTest, MatMulTransposeAAcc) {
   // its seeded value, exactly like the reference, so it must match bit
   // for bit (zero products it does not skip leave a finite sum
   // unchanged). A BLAS sgemm reassociates and keeps a tolerance.
-  const bool exact = GetParam() == KernelBackendKind::kOptimized;
+  const bool exact = GetParam().optimized;
   std::vector<MatMulShape> shapes(std::begin(kMatMulShapes),
                                   std::end(kMatMulShapes));
   shapes.insert(shapes.end(), std::begin(kTransposeAShapes),
@@ -453,7 +454,8 @@ TEST_P(KernelEquivalenceTest, LayerNormIsBitIdenticalToReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, KernelEquivalenceTest,
-                         ::testing::ValuesIn(KindsUnderTest()), KindName);
+                         ::testing::ValuesIn(BackendsUnderTest()),
+                         BackendUnderTestName);
 
 // ---- Row-position independence of the optimized matmul -------------------
 
@@ -489,15 +491,23 @@ TEST(OptimizedMatMulRowTest, LinearBiasRowDoesNotDependOnRowCount) {
   }
 }
 
-// ---- Pool-sharded kernels ------------------------------------------------
+// ---- Pool-sharded matmul -------------------------------------------------
 
-class PooledGraphKernelTest : public ::testing::Test {
+/** Runs against each ISA copy: the parameter forces the baseline copy. */
+class PooledGraphKernelTest : public ::testing::TestWithParam<bool> {
  protected:
   PooledGraphKernelTest()
-      // Thresholds of 1 force the sharded paths even on the small
+      // A threshold of 1 forces the sharded path even on the small
       // tensors used here.
-      : pooled_(&pool_, /*parallel_flop_threshold=*/1,
-                /*parallel_element_threshold=*/1) {}
+      : serial_(nullptr, OptimizedBackend::kDefaultParallelFlopThreshold,
+                GetParam()),
+        pooled_(&pool_, /*parallel_flop_threshold=*/1, GetParam()) {}
+
+  void SetUp() override {
+    if (std::strcmp(serial_.isa(), GetParam() ? "baseline" : "avx2") != 0) {
+      GTEST_SKIP() << "this CPU has no AVX2";
+    }
+  }
 
   base::ThreadPool pool_{4};
   const OptimizedBackend serial_;
@@ -505,32 +515,7 @@ class PooledGraphKernelTest : public ::testing::Test {
   Rng rng_{20260808};
 };
 
-TEST_F(PooledGraphKernelTest, GatherRowsAccBitIdentical) {
-  const Tensor table = RandomTensor(37, 13, rng_);
-  const std::vector<int> indices = RandomIndices(101, 37, rng_);
-  const Tensor seed = RandomTensor(101, 13 + 5, rng_);
-  Tensor serial_out = seed;
-  Tensor pooled_out = seed;
-  serial_.GatherRowsAcc(table, indices, serial_out, /*out_col_offset=*/5);
-  pooled_.GatherRowsAcc(table, indices, pooled_out, /*out_col_offset=*/5);
-  ExpectBitIdentical(serial_out, pooled_out, "pooled GatherRowsAcc");
-}
-
-TEST_F(PooledGraphKernelTest, ScatterAddRowsBitIdentical) {
-  // Repeated indices make the accumulation order observable: the colored
-  // partition must still apply updates per destination row in ascending
-  // source order.
-  const Tensor rows = RandomTensor(97, 11 + 3, rng_);
-  const std::vector<int> indices = RandomIndices(97, 17, rng_);
-  const Tensor seed = RandomTensor(17, 11, rng_);
-  Tensor serial_table = seed;
-  Tensor pooled_table = seed;
-  serial_.ScatterAddRows(rows, indices, serial_table, /*rows_col_offset=*/3);
-  pooled_.ScatterAddRows(rows, indices, pooled_table, /*rows_col_offset=*/3);
-  ExpectBitIdentical(serial_table, pooled_table, "pooled ScatterAddRows");
-}
-
-TEST_F(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
+TEST_P(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
   // Row shards start wherever the partition puts them, so a row that is
   // tiled in the serial call can be a leftover row in its shard: both
   // must sum in the same order. Row counts off a multiple of 4 shards x
@@ -558,6 +543,191 @@ TEST_F(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
     serial_.MatMulTransposeAAcc(at, b, serial_ta);
     pooled_.MatMulTransposeAAcc(at, b, pooled_ta);
     ExpectBitIdentical(serial_ta, pooled_ta, "pooled MatMulTransposeAAcc");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(IsaCopies, PooledGraphKernelTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "baseline"
+                                                         : "avx2");
+                         });
+
+// ---- The two ISA copies of the optimized backend -------------------------
+
+/** Equal bit patterns, element by element: unlike ==, tells -0 from +0. */
+void ExpectSameBits(const Tensor& a, const Tensor& b,
+                    const std::string& label) {
+  ASSERT_EQ(a.rows(), b.rows()) << label;
+  ASSERT_EQ(a.cols(), b.cols()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)), 0)
+        << label << " element " << i << " of " << a.size() << ": "
+        << a.data()[i] << " vs " << b.data()[i];
+  }
+}
+
+/** Values in [-1, 1) with about a quarter replaced by +0 and an eighth by
+ * -0, so zero products, signed-zero sums and negative ReLU inputs all
+ * occur. */
+Tensor ZeroPlantedTensor(int rows, int cols, Rng& rng) {
+  Tensor tensor = RandomTensor(rows, cols, rng);
+  for (std::size_t i = 0; i < tensor.size(); ++i) {
+    const uint64_t pick = rng.NextBounded(8);
+    if (pick < 2) tensor.data()[i] = 0.0f;
+    if (pick == 2) tensor.data()[i] = -0.0f;
+  }
+  return tensor;
+}
+
+TEST(OptimizedIsaTest, CopiesAreBitIdentical) {
+  // The AVX2 copy only changes instruction selection: every product and
+  // sum keeps its own rounding and order, and FMA is never enabled. So
+  // every overridden kernel must match the baseline copy bit for bit —
+  // including MatMulAcc and LinearBias, which match the reference only to
+  // tolerance. Accumulators start from seeded values (with zeros of both
+  // signs); row counts sit on and off the 4-row tiles, widths on and off
+  // the 8- and 16-column slivers and the vector widths.
+  if (!DispatchesAvx2Copy()) GTEST_SKIP() << "this CPU has no AVX2";
+  const KernelBackend& avx2 = GetKernelBackend(KernelBackendKind::kOptimized);
+  const KernelBackend& baseline = BaselineCopyBackend();
+  Rng rng(20261017);
+  const auto both = [&](const std::string& label, const Tensor& seed,
+                        const std::function<void(const KernelBackend&,
+                                                 Tensor&)>& op) {
+    Tensor from_avx2 = seed;
+    Tensor from_baseline = seed;
+    op(avx2, from_avx2);
+    op(baseline, from_baseline);
+    ExpectSameBits(from_avx2, from_baseline, label);
+  };
+  for (const int rows : {1, 3, 4, 5, 17}) {
+    for (const int width : {1, 7, 8, 15, 16, 17, 48, 64}) {
+      const std::string shape =
+          " " + std::to_string(rows) + "x" + std::to_string(width);
+      const Tensor x = ZeroPlantedTensor(rows, width, rng);
+      const Tensor y = ZeroPlantedTensor(rows, width, rng);
+      const Tensor divisor = RandomTensor(rows, width, rng, 0.5f, 2.0f);
+      const Tensor seed = ZeroPlantedTensor(rows, width, rng);
+      const Tensor row = ZeroPlantedTensor(1, width, rng);
+
+      // Matrix products, at depths inside and across one k-block.
+      for (const int k : {1, 9, 37, 300}) {
+        const std::string mk = shape + " k=" + std::to_string(k);
+        const Tensor a = ZeroPlantedTensor(rows, k, rng);
+        const Tensor b = ZeroPlantedTensor(k, width, rng);
+        const Tensor at = ZeroPlantedTensor(k, rows, rng);
+        const Tensor bt = ZeroPlantedTensor(width, k, rng);
+        both("MatMulAcc" + mk, seed, [&](const KernelBackend& be, Tensor& o) {
+          be.MatMulAcc(a, b, o);
+        });
+        both("MatMulTransposeAAcc" + mk, seed,
+             [&](const KernelBackend& be, Tensor& o) {
+               be.MatMulTransposeAAcc(at, b, o);
+             });
+        both("MatMulTransposeBAcc" + mk, seed,
+             [&](const KernelBackend& be, Tensor& o) {
+               be.MatMulTransposeBAcc(a, bt, o);
+             });
+        both("LinearBias" + mk, seed, [&](const KernelBackend& be, Tensor& o) {
+          be.LinearBias(a, b, row, o);
+        });
+      }
+
+      // Element-wise, broadcast and reduction kernels.
+      for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub,
+                                BinaryOp::kMul, BinaryOp::kDiv}) {
+        const Tensor& rhs = op == BinaryOp::kDiv ? divisor : y;
+        both("BinaryPointwise" + shape, seed,
+             [&](const KernelBackend& be, Tensor& o) {
+               be.BinaryPointwise(op, x, rhs, o);
+             });
+      }
+      both("ScaleInto" + shape, seed, [&](const KernelBackend& be, Tensor& o) {
+        be.ScaleInto(x, -0.75f, o);
+      });
+      both("AddScalarInto" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AddScalarInto(x, 0.0f, o);
+           });
+      both("AccumulateAdd" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) { be.AccumulateAdd(x, o); });
+      both("AccumulateScaled" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AccumulateScaled(x, 1.5f, o);
+           });
+      both("AccumulateMul" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AccumulateMul(x, y, o);
+           });
+      for (const UnaryOp op :
+           {UnaryOp::kRelu, UnaryOp::kSigmoid, UnaryOp::kTanh, UnaryOp::kAbs,
+            UnaryOp::kSquare, UnaryOp::kHuber}) {
+        const std::string label =
+            " op " + std::to_string(static_cast<int>(op)) + shape;
+        Tensor forward(rows, width);
+        GetKernelBackend(KernelBackendKind::kReference)
+            .UnaryForward(op, x, forward, 0.8f);
+        both("UnaryForward" + label, seed,
+             [&](const KernelBackend& be, Tensor& o) {
+               be.UnaryForward(op, x, o, 0.8f);
+             });
+        both("AccumulateUnaryGrad" + label, seed,
+             [&](const KernelBackend& be, Tensor& o) {
+               be.AccumulateUnaryGrad(op, x, forward, y, o, 0.8f);
+             });
+      }
+      both("AddRowBroadcastInto" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AddRowBroadcastInto(x, row, o);
+           });
+      both("AccumulateColumnSums" + shape, row,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AccumulateColumnSums(x, o);
+           });
+
+      // Gather and scatter, into and out of a column block.
+      const std::vector<int> indices = RandomIndices(rows + 6, rows, rng);
+      const Tensor wide_seed =
+          ZeroPlantedTensor(static_cast<int>(indices.size()), width + 3, rng);
+      both("GatherRowsAcc" + shape, wide_seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.GatherRowsAcc(x, indices, o, 3);
+           });
+      both("ScatterAddRows" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.ScatterAddRows(wide_seed, indices, o, 3);
+           });
+
+      // LayerNorm forward (every output) and backward (every gradient).
+      const Tensor gain = RandomTensor(1, width, rng, 0.5f, 1.5f);
+      Tensor normalized[2] = {Tensor(rows, width), Tensor(rows, width)};
+      Tensor out[2] = {Tensor(rows, width), Tensor(rows, width)};
+      std::vector<float> inv_stddev[2] = {std::vector<float>(rows),
+                                          std::vector<float>(rows)};
+      const KernelBackend* copies[2] = {&avx2, &baseline};
+      for (int c = 0; c < 2; ++c) {
+        copies[c]->LayerNormForward(x, gain, row, 1e-5f, out[c],
+                                    normalized[c], inv_stddev[c]);
+      }
+      ExpectSameBits(out[0], out[1], "LayerNormForward out" + shape);
+      ExpectSameBits(normalized[0], normalized[1],
+                     "LayerNormForward normalized" + shape);
+      ASSERT_EQ(std::memcmp(inv_stddev[0].data(), inv_stddev[1].data(),
+                            rows * sizeof(float)),
+                0)
+          << "LayerNormForward inv_stddev" << shape;
+      Tensor dx[2] = {seed, seed};
+      Tensor dgain[2] = {row, row};
+      Tensor dbias[2] = {row, row};
+      for (int c = 0; c < 2; ++c) {
+        copies[c]->LayerNormBackward(y, gain, normalized[c], inv_stddev[c],
+                                     &dx[c], &dgain[c], &dbias[c]);
+      }
+      ExpectSameBits(dx[0], dx[1], "LayerNormBackward dx" + shape);
+      ExpectSameBits(dgain[0], dgain[1], "LayerNormBackward dgain" + shape);
+      ExpectSameBits(dbias[0], dbias[1], "LayerNormBackward dbias" + shape);
+    }
   }
 }
 

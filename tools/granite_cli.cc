@@ -80,6 +80,7 @@
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
 #include "ml/kernels/kernel_backend.h"
+#include "ml/kernels/optimized_backend.h"
 #include "model/checkpoint.h"
 #include "serve/model_router.h"
 #include "train/runners.h"
@@ -382,6 +383,15 @@ void PrintUsage() {
   std::printf("  help\n      this text\n");
 }
 
+/** " (avx2)" or " (baseline)" for the optimized family (which the BLAS
+ * backend extends): the ISA copy its kernels run. Empty for others. */
+std::string IsaSuffix(const granite::ml::KernelBackend& backend) {
+  const auto* optimized =
+      dynamic_cast<const granite::ml::OptimizedBackend*>(&backend);
+  if (optimized == nullptr) return "";
+  return std::string(" (") + optimized->isa() + ")";
+}
+
 /**
  * Applies --backend=NAME by installing the named kernel backend as the
  * process-wide default before any model is constructed. --backend=list
@@ -394,10 +404,13 @@ void ApplyBackendFlag(const Flags& flags) {
   if (name == "list") {
     for (const granite::ml::KernelBackendInfo& info :
          granite::ml::ListKernelBackends()) {
-      std::printf("%-12s %s\n", info.name,
-                  info.available
-                      ? "available"
-                      : "not compiled in (build with -DGRANITE_WITH_BLAS=ON)");
+      std::printf(
+          "%-12s %s\n", info.name,
+          info.available
+              ? ("available" +
+                 IsaSuffix(granite::ml::GetKernelBackend(info.kind)))
+                    .c_str()
+              : "not compiled in (build with -DGRANITE_WITH_BLAS=ON)");
     }
     std::exit(0);
   }
@@ -421,8 +434,10 @@ void ApplyBackendFlag(const Flags& flags) {
   }
   granite::ml::SetDefaultKernelBackend(
       &granite::ml::GetKernelBackend(info->kind));
-  std::printf("kernel backend: %s\n",
-              granite::ml::DefaultKernelBackend().name());
+  const granite::ml::KernelBackend& backend =
+      granite::ml::DefaultKernelBackend();
+  std::printf("kernel backend: %s%s\n", backend.name(),
+              IsaSuffix(backend).c_str());
 }
 
 /** Task head i is supervised by Microarchitecture(i). */
