@@ -12,7 +12,10 @@
  *     resubmits them on purpose so the cache, not the client, is the
  *     memoizer — at beam 4 the hit rate must clear 50% once the search
  *     is deep enough to saturate its reachable set), and
- *   - server QPS while the tuner is the only tenant.
+ *   - server QPS while the tuner is the only tenant, and
+ *   - the kernel's share of the process CPU time and the minor page
+ *     faults per scored candidate (heap memory returned to the OS
+ *     between forwards and faulted back in shows up in both).
  *
  * The model is an untrained embedding-8 GRANITE: an untrained model
  * serves identical-cost forwards to a trained one (same graph sizes,
@@ -31,6 +34,7 @@
 
 #include "autotune/search.h"
 #include "autotune/transforms.h"
+#include "base/resource_usage.h"
 #include "bench_common.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
@@ -96,6 +100,7 @@ void Run(int argc, char** argv) {
   std::size_t improved_model = 0;
   std::size_t improved_oracle = 0;
   std::uint64_t candidates_scored = 0;
+  const base::CpuUsage usage_before = base::ProcessCpuUsage();
   const Clock::time_point start = Clock::now();
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     const autotune::OptimizeResult result = optimizer.Optimize(corpus[i]);
@@ -108,7 +113,14 @@ void Run(int argc, char** argv) {
     if (tuned < naive - 1e-9) ++improved_oracle;
   }
   const double seconds = SecondsSince(start);
+  const base::CpuUsage usage = base::ProcessCpuUsage() - usage_before;
   const serve::ServerStats stats = server.Stats();
+  const double cpu_s = usage.user_s + usage.sys_s;
+  const double sys_cpu_share = cpu_s > 0.0 ? usage.sys_s / cpu_s : 0.0;
+  const double faults_per_candidate =
+      candidates_scored > 0 ? static_cast<double>(usage.minor_faults) /
+                                  static_cast<double>(candidates_scored)
+                            : 0.0;
 
   const double blocks_improved_per_sec = improved_model / seconds;
   const double candidates_per_sec = candidates_scored / seconds;
@@ -127,6 +139,9 @@ void Run(int argc, char** argv) {
   std::printf("  server qps              : %.0f\n", stats.qps);
   std::printf("  mean batch occupancy    : %.2f\n",
               stats.mean_batch_occupancy);
+  std::printf("  cpu user/sys            : %.2fs / %.2fs (sys share %s)\n",
+              usage.user_s, usage.sys_s, Percent(sys_cpu_share).c_str());
+  std::printf("  minor faults/candidate  : %.2f\n", faults_per_candidate);
 
   RecordMetric("autotune.blocks_improved_per_sec", blocks_improved_per_sec);
   RecordMetric("autotune.candidates_per_sec", candidates_per_sec);
@@ -135,6 +150,8 @@ void Run(int argc, char** argv) {
   RecordMetric("autotune.cache_hit_rate", stats.cache_hit_rate);
   RecordMetric("autotune.server_qps", stats.qps);
   RecordMetric("autotune.mean_batch_occupancy", stats.mean_batch_occupancy);
+  RecordMetric("autotune.sys_cpu_share", sys_cpu_share);
+  RecordMetric("autotune.minor_faults_per_candidate", faults_per_candidate);
 
   WriteMetricsJson();
 }

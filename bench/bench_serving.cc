@@ -23,6 +23,7 @@
  */
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/resource_usage.h"
 #include "bench_common.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
@@ -208,11 +210,19 @@ int main(int argc, char** argv) {
   PrintHeader();
   double batch1_sustained = 0.0;
   double best_batched_sustained = 0.0;
+  // Page faults while serving (model and server construction excluded):
+  // memory the allocator hands back between forwards and faults in again.
+  std::uint64_t cold_faults = 0;
+  std::uint64_t cold_completed = 0;
   for (const SweepRow& row : Sweep()) {
     granite::core::GraniteModel model(&vocabulary, model_config);
     InferenceServer server(&model, row.config);
+    const granite::base::CpuUsage before = granite::base::ProcessCpuUsage();
     const LoadResult result =
         OfferLoad(server, unique_blocks, offered, cold_requests);
+    cold_faults +=
+        (granite::base::ProcessCpuUsage() - before).minor_faults;
+    cold_completed += result.stats.completed;
     PrintRow(row.label, result);
     if (row.config.max_batch_size == 1) {
       batch1_sustained = result.sustained_qps;
@@ -228,6 +238,13 @@ int main(int argc, char** argv) {
   granite::bench::RecordMetric("serving.cold.best_batched_sustained_qps",
                                best_batched_sustained);
   granite::bench::RecordMetric("serving.cold.batching_speedup", speedup);
+  const double faults_per_request =
+      static_cast<double>(cold_faults) /
+      static_cast<double>(std::max<std::uint64_t>(1, cold_completed));
+  granite::bench::RecordMetric("serving.cold.minor_faults_per_request",
+                               faults_per_request);
+  std::printf("\nminor page faults per completed request: %.2f\n",
+              faults_per_request);
   std::printf("\nbatching speedup at fixed offered load: %.2fx "
               "(acceptance: >= 2x) -- %s\n\n",
               speedup, speedup >= 2.0 ? "PASS" : "FAIL");

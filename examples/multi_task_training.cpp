@@ -10,6 +10,7 @@
 #include <cstdio>
 
 #include "dataset/dataset.h"
+#include "model/checkpoint.h"
 #include "train/runners.h"
 
 int main() {
@@ -76,14 +77,11 @@ int main() {
               "cost (paper §5.4).\n");
 
   // ---- Checkpointing -------------------------------------------------------
-  const std::string path = "multi_task_granite.ckpt";
-  multi_task.model().parameters().Save(path);
+  const std::string path = "multi_task_granite.gmb";
+  multi_task.Save(path);
   std::printf("\nsaved checkpoint to %s; reloading into a fresh model...\n",
               path.c_str());
-  core::GraniteConfig reload_config = multi_config;
-  reload_config.seed = 555;  // Different init; overwritten by the load.
-  train::GraniteRunner reloaded(reload_config, multi_trainer);
-  reloaded.model().parameters().Load(path);
+  train::ModelRunner reloaded(model::LoadModel(path), multi_trainer);
   const double original =
       multi_task.Evaluate(train_test.second, 0).mape;
   const double restored = reloaded.Evaluate(train_test.second, 0).mape;

@@ -1,5 +1,7 @@
 #include "base/resource_usage.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 
 namespace granite::base {
@@ -18,6 +20,28 @@ double PeakRssMb() {
   }
   std::fclose(status);
   return rss_mb;
+}
+
+CpuUsage CpuUsage::operator-(const CpuUsage& earlier) const {
+  CpuUsage delta;
+  delta.user_s = user_s - earlier.user_s;
+  delta.sys_s = sys_s - earlier.sys_s;
+  delta.minor_faults = minor_faults - earlier.minor_faults;
+  return delta;
+}
+
+CpuUsage ProcessCpuUsage() {
+  CpuUsage usage;
+  rusage self{};
+  if (getrusage(RUSAGE_SELF, &self) != 0) return usage;
+  const auto seconds = [](const timeval& time) {
+    return static_cast<double>(time.tv_sec) +
+           static_cast<double>(time.tv_usec) * 1e-6;
+  };
+  usage.user_s = seconds(self.ru_utime);
+  usage.sys_s = seconds(self.ru_stime);
+  usage.minor_faults = static_cast<std::uint64_t>(self.ru_minflt);
+  return usage;
 }
 
 }  // namespace granite::base

@@ -145,9 +145,8 @@ std::vector<ml::Var> GraniteModel::Forward(
   return ForwardGraphs(tape, EncodeBlocks(blocks));
 }
 
-std::vector<ml::Var> GraniteModel::ForwardGraphs(
+ml::Var GraniteModel::MnemonicEmbeddings(
     ml::Tape& tape, const graph::BatchedGraph& batch) const {
-  num_forward_passes_.fetch_add(1, std::memory_order_relaxed);
   // Initial embeddings (paper §3.2): learned per-token node embeddings,
   // learned per-type edge embeddings, projected frequency vector for the
   // global feature.
@@ -163,12 +162,16 @@ std::vector<ml::Var> GraniteModel::ForwardGraphs(
        ++iteration) {
     state = graph_net_->Apply(tape, batch, state);
   }
+  return tape.GatherRows(state.nodes, batch.mnemonic_node);
+}
 
+std::vector<ml::Var> GraniteModel::ForwardGraphs(
+    ml::Tape& tape, const graph::BatchedGraph& batch) const {
+  num_forward_passes_.fetch_add(1, std::memory_order_relaxed);
   // Per-instruction decoding (§3.3): the decoder maps each mnemonic
   // node's embedding to the instruction's contribution; the block
   // prediction is the sum over its instructions.
-  const ml::Var mnemonic_embeddings =
-      tape.GatherRows(state.nodes, batch.mnemonic_node);
+  const ml::Var mnemonic_embeddings = MnemonicEmbeddings(tape, batch);
   std::vector<ml::Var> predictions;
   predictions.reserve(decoders_.size());
   for (const auto& decoder : decoders_) {
@@ -185,24 +188,11 @@ std::vector<std::vector<double>> GraniteModel::PredictPerInstruction(
   GRANITE_CHECK(task >= 0 && task < config_.num_tasks);
   const graph::BatchedGraph batch = EncodeBlocks(blocks);
 
-  // Rebuild the forward pass up to the decoder and keep the
-  // per-mnemonic-node contributions instead of their per-graph sums.
-  ml::Tape tape(backend_);
-  GraphState state;
-  state.nodes = node_embedding_->Lookup(tape, batch.node_token);
-  state.edges = edge_embedding_->Lookup(tape, batch.edge_type);
-  state.globals = tape.AddRowBroadcast(
-      tape.MatMul(tape.Constant(batch.global_features),
-                  tape.Param(global_projection_)),
-      tape.Param(global_projection_bias_));
-  for (int iteration = 0; iteration < config_.message_passing_iterations;
-       ++iteration) {
-    state = graph_net_->Apply(tape, batch, state);
-  }
-  const ml::Var mnemonic_embeddings =
-      tape.GatherRows(state.nodes, batch.mnemonic_node);
+  // The forward pass up to the decoder, keeping the per-mnemonic-node
+  // contributions instead of their per-graph sums.
+  ml::Tape tape(backend_, ml::GradMode::kNone);
   const ml::Var contributions =
-      decoders_[task]->Apply(tape, mnemonic_embeddings);
+      decoders_[task]->Apply(tape, MnemonicEmbeddings(tape, batch));
 
   std::vector<std::vector<double>> result(blocks.size());
   const ml::Tensor& column = tape.value(contributions);
@@ -216,7 +206,7 @@ std::vector<std::vector<double>> GraniteModel::PredictPerInstruction(
 std::vector<double> GraniteModel::Predict(
     const std::vector<const assembly::BasicBlock*>& blocks, int task) const {
   GRANITE_CHECK(task >= 0 && task < config_.num_tasks);
-  ml::Tape tape(backend_);
+  ml::Tape tape(backend_, ml::GradMode::kNone);
   const std::vector<ml::Var> predictions = Forward(tape, blocks);
   const ml::Tensor& column = tape.value(predictions[task]);
   std::vector<double> result(blocks.size());
@@ -237,7 +227,7 @@ std::vector<ml::Var> GraniteModel::ForwardGraphsOrBlocks(
 std::vector<std::vector<double>> GraniteModel::ComputeBatchAllTasks(
     const std::vector<const assembly::BasicBlock*>& blocks) const {
   const int num_tasks = config_.num_tasks;
-  ml::Tape tape(backend_);
+  ml::Tape tape(backend_, ml::GradMode::kNone);
   const std::vector<ml::Var> predictions = Forward(tape, blocks);
   std::vector<std::vector<double>> result(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {

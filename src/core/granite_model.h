@@ -165,6 +165,11 @@ class GraniteModel : public model::ThroughputPredictor {
       const std::vector<const assembly::BasicBlock*>& blocks) const override;
 
  private:
+  /** The trunk shared by ForwardGraphs and PredictPerInstruction:
+   * initial embeddings, message passing, then the mnemonic nodes' rows. */
+  ml::Var MnemonicEmbeddings(ml::Tape& tape,
+                             const graph::BatchedGraph& batch) const;
+
   /** Set only by the owning-vocabulary constructor. */
   std::unique_ptr<graph::Vocabulary> owned_vocabulary_;
   const graph::Vocabulary* vocabulary_;

@@ -198,7 +198,7 @@ std::vector<ml::Var> IthemalModel::Forward(
 std::vector<double> IthemalModel::Predict(
     const std::vector<const assembly::BasicBlock*>& blocks, int task) const {
   GRANITE_CHECK(task >= 0 && task < config_.num_tasks);
-  ml::Tape tape;
+  ml::Tape tape(/*backend=*/nullptr, ml::GradMode::kNone);
   const std::vector<ml::Var> predictions = Forward(tape, blocks);
   const ml::Tensor& column = tape.value(predictions[task]);
   std::vector<double> result(blocks.size());
@@ -220,7 +220,7 @@ std::vector<ml::Var> IthemalModel::ForwardGraphsOrBlocks(
 std::vector<std::vector<double>> IthemalModel::ComputeBatchAllTasks(
     const std::vector<const assembly::BasicBlock*>& blocks) const {
   const int num_tasks = config_.num_tasks;
-  ml::Tape tape;
+  ml::Tape tape(/*backend=*/nullptr, ml::GradMode::kNone);
   const std::vector<ml::Var> predictions = Forward(tape, blocks);
   std::vector<std::vector<double>> result(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {

@@ -2,14 +2,11 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 
 #include "base/logging.h"
 
 namespace granite::ml {
 namespace {
-
-constexpr uint64_t kCheckpointMagic = 0x4752414E49544531ull;  // "GRANITE1"
 
 void InitializeTensor(Tensor& tensor, Initializer init, Rng& rng) {
   const int fan_in = tensor.rows();
@@ -98,58 +95,6 @@ std::size_t ParameterStore::TotalWeights() const {
 
 void ParameterStore::ZeroAllGrads() {
   for (const auto& parameter : parameters_) parameter->ZeroGrad();
-}
-
-void ParameterStore::Save(const std::string& path) const {
-  std::ofstream file(path, std::ios::binary);
-  if (!file.is_open()) GRANITE_FATAL("cannot write checkpoint: " << path);
-  file.write(reinterpret_cast<const char*>(&kCheckpointMagic),
-             sizeof(kCheckpointMagic));
-  const uint64_t count = parameters_.size();
-  file.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const auto& parameter : parameters_) {
-    const uint64_t name_size = parameter->name.size();
-    file.write(reinterpret_cast<const char*>(&name_size), sizeof(name_size));
-    file.write(parameter->name.data(),
-               static_cast<std::streamsize>(name_size));
-    const int32_t rows = parameter->value.rows();
-    const int32_t cols = parameter->value.cols();
-    file.write(reinterpret_cast<const char*>(&rows), sizeof(rows));
-    file.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
-    file.write(reinterpret_cast<const char*>(parameter->value.data()),
-               static_cast<std::streamsize>(parameter->value.size() *
-                                            sizeof(float)));
-  }
-}
-
-void ParameterStore::Load(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file.is_open()) GRANITE_FATAL("cannot read checkpoint: " << path);
-  uint64_t magic = 0;
-  file.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  GRANITE_CHECK_MSG(magic == kCheckpointMagic,
-                    "not a GRANITE checkpoint: " << path);
-  uint64_t count = 0;
-  file.read(reinterpret_cast<char*>(&count), sizeof(count));
-  GRANITE_CHECK_EQ(count, parameters_.size());
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t name_size = 0;
-    file.read(reinterpret_cast<char*>(&name_size), sizeof(name_size));
-    std::string name(name_size, '\0');
-    file.read(name.data(), static_cast<std::streamsize>(name_size));
-    int32_t rows = 0;
-    int32_t cols = 0;
-    file.read(reinterpret_cast<char*>(&rows), sizeof(rows));
-    file.read(reinterpret_cast<char*>(&cols), sizeof(cols));
-    Parameter* parameter = Get(name);
-    GRANITE_CHECK_EQ(parameter->value.rows(), rows);
-    GRANITE_CHECK_EQ(parameter->value.cols(), cols);
-    file.read(reinterpret_cast<char*>(parameter->value.data()),
-              static_cast<std::streamsize>(parameter->value.size() *
-                                           sizeof(float)));
-  }
-  GRANITE_CHECK_MSG(file.good(), "truncated checkpoint: " << path);
-  BumpGeneration();
 }
 
 std::vector<Tensor> ParameterStore::SnapshotValues() const {

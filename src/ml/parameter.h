@@ -3,9 +3,10 @@
  * Trainable parameters and the parameter store.
  *
  * A Parameter owns a value tensor, an accumulated-gradient tensor, and the
- * Adam moment estimates. The ParameterStore owns all parameters of a model,
- * provides name-based lookup, and (de)serializes checkpoints. Checkpoint
- * selection by validation loss (paper §4) is implemented in src/train.
+ * Adam moment estimates. The ParameterStore owns all parameters of a model
+ * and provides name-based lookup. Checkpoint files are model bundles
+ * (src/model/checkpoint.h); checkpoint selection by validation loss (paper
+ * §4) is implemented in src/train.
  */
 #ifndef GRANITE_ML_PARAMETER_H_
 #define GRANITE_ML_PARAMETER_H_
@@ -124,18 +125,6 @@ class ParameterStore {
   void BumpGeneration() {
     generation_.fetch_add(1, std::memory_order_acq_rel);
   }
-
-  /**
-   * Serializes all parameter values to a binary checkpoint file.
-   * Format: magic, count, then (name, rows, cols, data) records.
-   */
-  void Save(const std::string& path) const;
-
-  /**
-   * Restores parameter values from a checkpoint written by Save(). All
-   * names and shapes must match the current store contents exactly.
-   */
-  void Load(const std::string& path);
 
   /** Copies all parameter values from another store (same structure). */
   void CopyValuesFrom(const ParameterStore& other);

@@ -7,18 +7,24 @@
 
 namespace granite::ml {
 
-Tape::Tape(const KernelBackend* backend)
-    : backend_(backend != nullptr ? backend : &DefaultKernelBackend()) {}
+Tape::Tape(const KernelBackend* backend, GradMode mode)
+    : backend_(backend != nullptr ? backend : &DefaultKernelBackend()),
+      grad_mode_(mode) {}
 
-Var Tape::MakeNode(Tensor value, bool requires_grad,
-                   std::function<void(Tape&, int)> backward,
+template <typename BackwardFn>
+Var Tape::MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
                    Parameter* parameter) {
   Node node;
   node.requires_grad = requires_grad;
   node.parameter = parameter;
-  if (requires_grad) node.grad = Tensor(value.rows(), value.cols());
+  // Backward() only visits nodes that require grad, so a closure on any
+  // other node would never run; dropping it here frees its captures now
+  // instead of when the tape dies.
+  if (requires_grad) {
+    node.grad = Tensor(value.rows(), value.cols());
+    node.backward = std::forward<BackwardFn>(backward);
+  }
   node.value = std::move(value);
-  node.backward = std::move(backward);
   nodes_.push_back(std::move(node));
   return Var(this, static_cast<int>(nodes_.size()) - 1);
 }
@@ -57,7 +63,8 @@ Var Tape::Constant(Tensor value) {
 
 Var Tape::Param(Parameter* parameter) {
   GRANITE_CHECK(parameter != nullptr);
-  return MakeNode(parameter->value, /*requires_grad=*/true,
+  return MakeNode(parameter->value,
+                  /*requires_grad=*/grad_mode_ == GradMode::kRecord,
                   [](Tape& tape, int self) {
                     Node& node = tape.nodes_[self];
                     Tensor& dest =
@@ -402,32 +409,36 @@ Var Tape::ConcatGathered(const std::vector<GatherSpec>& parts) {
   }
 
   Tensor out(rows, total_cols);
-  // Backward-closure state: node id, column offset/width, whether the
-  // part was gathered, and a copy of its gather indices.
+  // Backward-closure state, kept only when a gradient will flow: node
+  // id, column offset/width, whether the part was gathered, and a copy
+  // of its gather indices.
   std::vector<int> part_ids;
   std::vector<int> part_offsets;
   std::vector<int> part_cols;
   std::vector<char> part_gathered;
   std::vector<std::vector<int>> part_indices;
-  part_ids.reserve(parts.size());
-  part_offsets.reserve(parts.size());
-  part_cols.reserve(parts.size());
-  part_gathered.reserve(parts.size());
-  part_indices.reserve(parts.size());
+  const std::size_t kept_parts = needs_grad ? parts.size() : 0;
+  part_ids.reserve(kept_parts);
+  part_offsets.reserve(kept_parts);
+  part_cols.reserve(kept_parts);
+  part_gathered.reserve(kept_parts);
+  part_indices.reserve(kept_parts);
   int offset = 0;
   for (const GatherSpec& part : parts) {
     const Tensor& source = value(part.source);
     if (part.indices != nullptr) {
       backend_->GatherRowsAcc(source, *part.indices, out, offset);
-      part_indices.push_back(*part.indices);
     } else {
       backend_->AccumulateColumnBlock(source, 0, out, offset, source.cols());
-      part_indices.emplace_back();
     }
-    part_gathered.push_back(part.indices != nullptr ? 1 : 0);
-    part_ids.push_back(part.source.id());
-    part_offsets.push_back(offset);
-    part_cols.push_back(source.cols());
+    if (needs_grad) {
+      part_indices.push_back(part.indices != nullptr ? *part.indices
+                                                     : std::vector<int>());
+      part_gathered.push_back(part.indices != nullptr ? 1 : 0);
+      part_ids.push_back(part.source.id());
+      part_offsets.push_back(offset);
+      part_cols.push_back(source.cols());
+    }
     offset += source.cols();
   }
 

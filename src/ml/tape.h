@@ -14,6 +14,20 @@
  * and the paper's five loss functions (§5.2) require. Every op's gradient
  * is verified against central finite differences in tests/ml_grad_test.cc.
  *
+ * A tape runs in one of two modes, fixed at construction:
+ *   - GradMode::kRecord (the default) is the training tape described
+ *     above: Param() leaves require grad, and every node that depends on
+ *     one allocates a zero-filled adjoint of its value's shape and keeps
+ *     its backward closure (with whatever the closure captured, such as
+ *     LayerNorm's normalized activations) until the tape dies.
+ *   - GradMode::kNone is the inference tape. Param() leaves do not
+ *     require grad, so no node does: no adjoint is allocated and no
+ *     backward closure or captured state is kept, and each node holds
+ *     only its value. Backward() and grad() fail on it. Every forward
+ *     that never calls Backward() — serving, autotune scoring, trainer
+ *     evaluation — runs in this mode; its values are bit-identical to a
+ *     recording tape's, since both run the same forward kernels.
+ *
  * The tape records *what* to compute; *how* each kernel executes —
  * forward ops and backward accumulations alike — is delegated to the
  * ml::KernelBackend the tape was constructed with (reference loops or
@@ -66,6 +80,15 @@ struct GatherSpec {
   const std::vector<int>* indices = nullptr;
 };
 
+/** Whether a tape records what Backward() needs (see the file comment). */
+enum class GradMode {
+  /** Training: parameter leaves require grad; adjoints and backward
+   * closures are kept. */
+  kRecord,
+  /** Inference: no node requires grad; nodes hold only their values. */
+  kNone,
+};
+
 /** Records operations and computes gradients by reverse accumulation. */
 class Tape {
  public:
@@ -73,8 +96,10 @@ class Tape {
    * @param backend Executes every kernel recorded on this tape; nullptr
    *   selects the process default (DefaultKernelBackend()). Must outlive
    *   the tape.
+   * @param mode kNone for a forward that never calls Backward().
    */
-  explicit Tape(const KernelBackend* backend = nullptr);
+  explicit Tape(const KernelBackend* backend = nullptr,
+                GradMode mode = GradMode::kRecord);
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
@@ -87,7 +112,8 @@ class Tape {
   Var Constant(Tensor value);
 
   /** A leaf bound to a trainable parameter; Backward() accumulates into
-   * `parameter->grad`. The parameter must outlive the tape. */
+   * `parameter->grad`. The parameter must outlive the tape. On a kNone
+   * tape the leaf does not require grad. */
   Var Param(Parameter* parameter);
 
   // ---- Linear algebra ---------------------------------------------------
@@ -187,12 +213,15 @@ class Tape {
   /** The forward value of a node. */
   const Tensor& value(Var v) const;
 
-  /** The accumulated adjoint of a node (valid after Backward). */
+  /** The accumulated adjoint of a node (valid after Backward). Fails for
+   * a node that does not require grad, hence for every node of a kNone
+   * tape. */
   const Tensor& grad(Var v) const;
 
   /**
-   * Runs reverse accumulation from `loss`, which must be 1x1. Parameter
-   * leaves accumulate into their Parameter::grad tensors.
+   * Runs reverse accumulation from `loss`, which must be 1x1 and require
+   * grad (so never on a kNone tape). Parameter leaves accumulate into
+   * their Parameter::grad tensors.
    */
   void Backward(Var loss);
 
@@ -217,12 +246,15 @@ class Tape {
     Tensor grad;
     bool requires_grad = false;
     Parameter* parameter = nullptr;
-    // Propagates this node's adjoint into its inputs' adjoints.
+    // Propagates this node's adjoint into its inputs' adjoints; empty
+    // unless requires_grad.
     std::function<void(Tape&, int self)> backward;
   };
 
-  Var MakeNode(Tensor value, bool requires_grad,
-               std::function<void(Tape&, int)> backward,
+  /** Appends a node. `backward` (any callable taking (Tape&, int self))
+   * and its captured state are kept only when `requires_grad`. */
+  template <typename BackwardFn>
+  Var MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
                Parameter* parameter = nullptr);
 
   /** Shared node builder for the element-wise unary ops. */
@@ -235,6 +267,7 @@ class Tape {
   void AccumulateGrad(int id, const Tensor& delta);
 
   const KernelBackend* backend_;
+  GradMode grad_mode_;
   std::vector<Node> nodes_;
   GradientSink* gradient_sink_ = nullptr;
 };

@@ -7,9 +7,7 @@
  * magic header, the model kind, the serialized hyper-parameter config,
  * the token vocabulary, every named parameter tensor, and a payload
  * checksum. model::LoadModel() therefore returns a ready-to-serve
- * ThroughputPredictor from just a path — the inverse of the old
- * ParameterStore::Save/Load pair, which persisted an anonymous value blob
- * that only the exact constructing code could reload.
+ * ThroughputPredictor from just a path. It is the only checkpoint format.
  *
  * Bundle layout (all integers little-endian host encoding):
  *   magic "GRNTBNDL" (8 bytes)

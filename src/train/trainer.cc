@@ -232,7 +232,7 @@ std::vector<double> Trainer::Predict(const dataset::BlockSource& data,
       views.push_back(data.Get(i));
       blocks.push_back(views.back().block);
     }
-    ml::Tape tape(backend_);
+    ml::Tape tape(backend_, ml::GradMode::kNone);
     const std::vector<ml::Var> outputs =
         graph_forward_ ? graph_forward_(tape, encode_(blocks))
                        : forward_(tape, blocks);

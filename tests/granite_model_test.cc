@@ -1,11 +1,17 @@
 /**
  * @file
  * Tests of the GRANITE model facade: shapes, determinism, multi-task
- * heads, per-instruction decoding, checkpointing.
+ * heads, per-instruction decoding, checkpointing, and the inference
+ * entry points' bit-identity with a recording-tape forward.
  */
+#include <cstdio>
+#include <cstring>
+
 #include "gtest/gtest.h"
 #include "asm/parser.h"
 #include "core/granite_model.h"
+#include "dataset/generator.h"
+#include "model/checkpoint.h"
 
 namespace granite::core {
 namespace {
@@ -122,19 +128,25 @@ TEST_F(GraniteModelTest, MessagePassingDepthMatters) {
 }
 
 TEST_F(GraniteModelTest, CheckpointRoundTripPreservesPredictions) {
-  const std::string path = ::testing::TempDir() + "/granite_ckpt.bin";
-  GraniteConfig config = SmallConfig();
-  GraniteModel model(&vocabulary_, config);
+  const std::string path = ::testing::TempDir() + "/granite_ckpt.gmb";
+  GraniteModel model(&vocabulary_, SmallConfig());
+  // Move the weights off their seeded initialization, so that only a
+  // restored parameter set (not a re-run of the initializers) can match.
+  for (const auto& parameter : model.parameters().parameters()) {
+    for (std::size_t i = 0; i < parameter->value.size(); ++i) {
+      parameter->value.data()[i] = parameter->value.data()[i] * 1.5f + 0.01f;
+    }
+  }
+  model.parameters().BumpGeneration();
   const assembly::BasicBlock block = Parse("ADD RAX, RBX\nIMUL RCX, RAX");
   const double before = model.Predict({&block}, 0)[0];
-  model.parameters().Save(path);
+  model::SaveModel(model, path);
 
-  GraniteConfig other_seed = config;
-  other_seed.seed = 4242;
-  GraniteModel restored(&vocabulary_, other_seed);
-  EXPECT_NE(restored.Predict({&block}, 0)[0], before);
-  restored.parameters().Load(path);
-  EXPECT_EQ(restored.Predict({&block}, 0)[0], before);
+  EXPECT_NE(GraniteModel(&vocabulary_, SmallConfig()).Predict({&block}, 0)[0],
+            before);
+  const std::unique_ptr<model::ThroughputPredictor> restored =
+      model::LoadModel(path);
+  EXPECT_EQ(restored->Predict({&block}, 0)[0], before);
   std::remove(path.c_str());
 }
 
@@ -155,6 +167,54 @@ TEST_F(GraniteModelTest, DefaultConfigMatchesPaperTable4) {
   EXPECT_EQ(config.message_passing_iterations, 8);
   EXPECT_TRUE(config.use_layer_norm);
   EXPECT_TRUE(config.use_residual);
+}
+
+/** The model's scalar output as a float, for bit comparisons. */
+float Bits(double prediction) { return static_cast<float>(prediction); }
+
+bool BitEqual(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST_F(GraniteModelTest, InferenceEntryPointsMatchRecordingForward) {
+  // Predict, PredictBatchAllTasks and PredictPerInstruction run on
+  // inference (GradMode::kNone) tapes; each must reproduce the values of
+  // a recording-tape ForwardGraphs bit for bit.
+  constexpr int kTasks = 3;
+  const GraniteModel model(&vocabulary_, SmallConfig(kTasks));
+  dataset::BlockGenerator generator(dataset::GeneratorConfig(), 11);
+  const std::vector<assembly::BasicBlock> corpus = generator.GenerateMany(64);
+  for (const std::size_t batch_size : {1u, 7u, 64u}) {
+    SCOPED_TRACE(batch_size);
+    std::vector<const assembly::BasicBlock*> blocks;
+    for (std::size_t i = 0; i < batch_size; ++i) blocks.push_back(&corpus[i]);
+
+    ml::Tape recording(&ml::GetKernelBackend(model.config().kernel_backend));
+    const std::vector<ml::Var> expected =
+        model.ForwardGraphs(recording, model.EncodeBlocks(blocks));
+    ASSERT_EQ(expected.size(), static_cast<std::size_t>(kTasks));
+    const auto all_tasks = model.PredictBatchAllTasks(blocks);
+    ASSERT_EQ(all_tasks.size(), batch_size);
+    for (int task = 0; task < kTasks; ++task) {
+      const ml::Tensor& column = recording.value(expected[task]);
+      const std::vector<double> predicted = model.Predict(blocks, task);
+      const auto per_instruction = model.PredictPerInstruction(blocks, task);
+      ASSERT_EQ(predicted.size(), batch_size);
+      ASSERT_EQ(per_instruction.size(), batch_size);
+      for (std::size_t i = 0; i < batch_size; ++i) {
+        const float want = column.at(static_cast<int>(i), 0);
+        EXPECT_TRUE(BitEqual(Bits(predicted[i]), want)) << task << "/" << i;
+        EXPECT_TRUE(BitEqual(Bits(all_tasks[i][task]), want))
+            << task << "/" << i;
+        // The per-instruction contributions are the rows the recording
+        // forward's segment sum adds, in the same order.
+        ASSERT_EQ(per_instruction[i].size(), blocks[i]->size());
+        float sum = 0.0f;
+        for (const double contribution : per_instruction[i]) {
+          sum += Bits(contribution);
+        }
+        EXPECT_TRUE(BitEqual(sum, want)) << task << "/" << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "core/granite_model.h"
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
+#include "model/checkpoint.h"
 #include "train/trainer.h"
 
 namespace granite::train {
@@ -125,7 +126,7 @@ TEST(IntegrationTest, CrossToolEvaluationDegradesAccuracy) {
 }
 
 TEST(IntegrationTest, CheckpointReloadedModelMatchesTrainedModel) {
-  const std::string path = ::testing::TempDir() + "/integration_ckpt.bin";
+  const std::string path = ::testing::TempDir() + "/integration_ckpt.gmb";
   dataset::SynthesisConfig synthesis;
   synthesis.num_blocks = 24;
   synthesis.seed = 9;
@@ -149,19 +150,17 @@ TEST(IntegrationTest, CheckpointReloadedModelMatchesTrainedModel) {
       },
       &model.parameters(), config);
   trainer.Train(data, dataset::Dataset());
-  model.parameters().Save(path);
+  model::SaveModel(model, path);
   const std::vector<double> trained_predictions = trainer.Predict(data, 0);
 
-  core::GraniteConfig fresh_config = model_config;
-  fresh_config.seed = 999;
-  core::GraniteModel fresh(&vocabulary, fresh_config);
-  fresh.parameters().Load(path);
+  const std::unique_ptr<model::ThroughputPredictor> fresh =
+      model::LoadModel(path);
   Trainer fresh_trainer(
       [&fresh](ml::Tape& tape,
                const std::vector<const assembly::BasicBlock*>& blocks) {
-        return fresh.Forward(tape, blocks);
+        return fresh->ForwardGraphsOrBlocks(tape, &blocks, nullptr);
       },
-      &fresh.parameters(), config);
+      &fresh->parameters(), config);
   const std::vector<double> reloaded_predictions =
       fresh_trainer.Predict(data, 0);
   ASSERT_EQ(trained_predictions.size(), reloaded_predictions.size());

@@ -3,9 +3,11 @@
  * Tests of the Ithemal tokenizer and the Ithemal / Ithemal+ models.
  */
 #include <cmath>
+#include <cstring>
 
 #include "gtest/gtest.h"
 #include "asm/parser.h"
+#include "dataset/generator.h"
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
 
@@ -159,6 +161,43 @@ TEST_F(IthemalModelTest, VariableLengthInstructionsInOneBatch) {
   // Both predictions are finite.
   EXPECT_TRUE(std::isfinite(tape.value(predictions[0]).at(0, 0)));
   EXPECT_TRUE(std::isfinite(tape.value(predictions[0]).at(1, 0)));
+}
+
+TEST_F(IthemalModelTest, InferenceEntryPointsMatchRecordingForward) {
+  // Predict and PredictBatchAllTasks run on inference (GradMode::kNone)
+  // tapes; each must reproduce a recording-tape Forward bit for bit.
+  constexpr int kTasks = 3;
+  dataset::BlockGenerator generator(dataset::GeneratorConfig(), 13);
+  const std::vector<assembly::BasicBlock> corpus = generator.GenerateMany(64);
+  for (const auto decoder : {DecoderKind::kDotProduct, DecoderKind::kMlp}) {
+    const IthemalModel model(&vocabulary_, SmallConfig(decoder, kTasks));
+    for (const std::size_t batch_size : {1u, 7u, 64u}) {
+      SCOPED_TRACE(batch_size);
+      std::vector<const assembly::BasicBlock*> blocks;
+      for (std::size_t i = 0; i < batch_size; ++i) {
+        blocks.push_back(&corpus[i]);
+      }
+      ml::Tape recording;
+      const std::vector<ml::Var> expected = model.Forward(recording, blocks);
+      ASSERT_EQ(expected.size(), static_cast<std::size_t>(kTasks));
+      const auto all_tasks = model.PredictBatchAllTasks(blocks);
+      ASSERT_EQ(all_tasks.size(), batch_size);
+      for (int task = 0; task < kTasks; ++task) {
+        const ml::Tensor& column = recording.value(expected[task]);
+        const std::vector<double> predicted = model.Predict(blocks, task);
+        ASSERT_EQ(predicted.size(), batch_size);
+        for (std::size_t i = 0; i < batch_size; ++i) {
+          const float want = column.at(static_cast<int>(i), 0);
+          const float got = static_cast<float>(predicted[i]);
+          const float got_all = static_cast<float>(all_tasks[i][task]);
+          EXPECT_EQ(std::memcmp(&got, &want, sizeof want), 0)
+              << task << "/" << i;
+          EXPECT_EQ(std::memcmp(&got_all, &want, sizeof want), 0)
+              << task << "/" << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

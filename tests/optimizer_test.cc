@@ -104,21 +104,5 @@ TEST(ParameterStoreTest, SnapshotRestoreRoundTrip) {
   EXPECT_TRUE(p->value == original);
 }
 
-TEST(ParameterStoreTest, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/params_test.bin";
-  ParameterStore store(9);
-  Parameter* p = store.Create("p", 3, 2, Initializer::kGlorotUniform);
-  Parameter* q = store.Create("q", 1, 4, Initializer::kGlorotUniform);
-  const Tensor p_original = p->value;
-  const Tensor q_original = q->value;
-  store.Save(path);
-  p->value.Fill(0.0f);
-  q->value.Fill(0.0f);
-  store.Load(path);
-  EXPECT_TRUE(p->value == p_original);
-  EXPECT_TRUE(q->value == q_original);
-  std::remove(path.c_str());
-}
-
 }  // namespace
 }  // namespace granite::ml

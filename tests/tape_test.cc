@@ -1,10 +1,15 @@
 /**
  * @file
  * Forward-value tests of the autodiff tape (gradients are covered by
- * ml_grad_test.cc).
+ * ml_grad_test.cc), and of the inference mode: a GradMode::kNone tape
+ * computes the recording tape's values bit for bit and refuses Backward()
+ * and grad().
  */
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "backends_under_test.h"
 #include "gtest/gtest.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
@@ -141,6 +146,126 @@ TEST(TapeTest, GradAccumulatesAcrossBatches) {
     tape.Backward(tape.SumAll(tape.Scale(tape.Param(p), 2.0f)));
   }
   EXPECT_EQ(p->grad.at(0, 0), 6.0f);  // 3 passes x d(2p)/dp = 2.
+}
+
+/** Parameters feeding EveryOp, so that on a recording tape every op's
+ * output requires grad. */
+struct OpInputs {
+  OpInputs() : store(7) {
+    x = store.Create("x", 4, 3, Initializer::kGlorotUniform);
+    w = store.Create("w", 3, 2, Initializer::kGlorotUniform);
+    bias = store.Create("bias", 1, 2, Initializer::kGlorotUniform);
+    gain = store.Create("gain", 1, 3, Initializer::kGlorotUniform);
+    shift = store.Create("shift", 1, 3, Initializer::kGlorotUniform);
+    column = store.Create("column", 4, 1, Initializer::kGlorotUniform);
+  }
+
+  ParameterStore store;
+  Parameter* x;
+  Parameter* w;
+  Parameter* bias;
+  Parameter* gain;
+  Parameter* shift;
+  Parameter* column;
+};
+
+/** Index of EveryOp's one constant leaf, the only output that does not
+ * require grad on a recording tape. */
+constexpr std::size_t kConstantLeaf = 6;
+
+/** Applies every Tape op once and returns the outputs, leaves included. */
+std::vector<Var> EveryOp(Tape& tape, const OpInputs& in) {
+  const Var x = tape.Param(in.x);
+  const Var w = tape.Param(in.w);
+  const Var bias = tape.Param(in.bias);
+  const Var gain = tape.Param(in.gain);
+  const Var shift = tape.Param(in.shift);
+  const Var column = tape.Param(in.column);
+  const Var c = tape.Constant(
+      Tensor(4, 3, {1, -2, 3, 0.5f, 4, -1, 2, 2, -3, 0.25f, 1, 5}));
+  const Var positive = tape.Constant(Tensor::Constant(4, 3, 1.5f));
+  const std::vector<int> rows = {3, 0, 0, 2, 1};
+  const std::vector<int> four_rows = {2, 2, 0, 1};
+  std::vector<Var> out = {x, w, bias, gain, shift, column, c};
+  out.push_back(tape.MatMul(x, w));
+  out.push_back(tape.Linear(x, w, bias));
+  out.push_back(tape.Add(x, c));
+  out.push_back(tape.Sub(x, c));
+  out.push_back(tape.Mul(x, c));
+  out.push_back(tape.Div(x, positive));
+  out.push_back(tape.Scale(x, 0.3f));
+  out.push_back(tape.AddConstant(x, 1.5f));
+  out.push_back(tape.AddRowBroadcast(x, gain));
+  out.push_back(tape.MulColumnBroadcast(x, column));
+  out.push_back(tape.Relu(x));
+  out.push_back(tape.Sigmoid(x));
+  out.push_back(tape.Tanh(x));
+  out.push_back(tape.Abs(x));
+  out.push_back(tape.Square(x));
+  out.push_back(tape.Huber(x, 0.05f));
+  out.push_back(tape.LayerNorm(x, gain, shift));
+  out.push_back(tape.GatherRows(x, rows));
+  out.push_back(tape.SegmentSum(x, {1, 0, 1, 2}, 3));
+  out.push_back(tape.ConcatCols({x, c}));
+  const std::vector<GatherSpec> parts = {
+      {x, &four_rows}, {c, nullptr}, {column, nullptr}};
+  out.push_back(tape.ConcatGathered(parts));
+  out.push_back(tape.SumAll(x));
+  out.push_back(tape.MeanAll(x));
+  return out;
+}
+
+std::vector<const KernelBackend*> AllBackends() {
+  std::vector<const KernelBackend*> backends = {
+      &GetKernelBackend(KernelBackendKind::kReference)};
+  for (const BackendUnderTest& backend : BackendsUnderTest()) {
+    if (backend.needs_avx2 && !DispatchesAvx2Copy()) continue;
+    backends.push_back(&backend.backend());
+  }
+  return backends;
+}
+
+TEST(TapeGradModeTest, InferenceValuesAreBitIdenticalToRecording) {
+  const OpInputs inputs;
+  for (const KernelBackend* backend : AllBackends()) {
+    SCOPED_TRACE(backend->name());
+    Tape recording(backend);
+    Tape inference(backend, GradMode::kNone);
+    const std::vector<Var> recorded = EveryOp(recording, inputs);
+    const std::vector<Var> inferred = EveryOp(inference, inputs);
+    ASSERT_EQ(recording.num_nodes(), inference.num_nodes());
+    ASSERT_EQ(recorded.size(), inferred.size());
+    for (std::size_t i = 0; i < recorded.size(); ++i) {
+      SCOPED_TRACE(i);
+      const Tensor& expected = recording.value(recorded[i]);
+      const Tensor& actual = inference.value(inferred[i]);
+      ASSERT_EQ(actual.rows(), expected.rows());
+      ASSERT_EQ(actual.cols(), expected.cols());
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            expected.size() * sizeof(float)),
+                0);
+      // The recording tape really recorded: every output but the
+      // constant leaf has an adjoint.
+      if (i != kConstantLeaf) {
+        EXPECT_EQ(recording.grad(recorded[i]).size(), expected.size());
+      }
+    }
+  }
+}
+
+TEST(TapeGradModeDeathTest, BackwardOnInferenceTapeFails) {
+  const OpInputs inputs;
+  Tape tape(nullptr, GradMode::kNone);
+  const Var loss = tape.SumAll(tape.Square(tape.Param(inputs.x)));
+  EXPECT_DEATH(tape.Backward(loss), "non-differentiable loss");
+}
+
+TEST(TapeGradModeDeathTest, GradOnInferenceTapeFails) {
+  const OpInputs inputs;
+  Tape tape(nullptr, GradMode::kNone);
+  const Var x = tape.Param(inputs.x);
+  EXPECT_DEATH(tape.grad(x), "non-differentiable node");
+  EXPECT_DEATH(tape.grad(tape.Tanh(x)), "non-differentiable node");
 }
 
 }  // namespace

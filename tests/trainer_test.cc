@@ -3,6 +3,8 @@
  * Tests of the training harness: overfitting a tiny dataset with GRANITE
  * and the Ithemal baselines, multi-task updates, checkpoint selection.
  */
+#include <cstring>
+
 #include "gtest/gtest.h"
 #include "core/granite_model.h"
 #include "ithemal/ithemal_model.h"
@@ -131,6 +133,53 @@ TEST(TrainerTest, TargetScaleRoundTripsInPredict) {
   const std::vector<double> unit_predictions = unit.Predict(data, 0);
   for (std::size_t i = 0; i < scaled_predictions.size(); ++i) {
     EXPECT_NEAR(scaled_predictions[i], unit_predictions[i] * 100.0, 1e-3);
+  }
+}
+
+TEST(TrainerTest, PredictMatchesRecordingForward) {
+  // Trainer::Predict evaluates on inference (GradMode::kNone) tapes, on
+  // the block path and on the graph path; both must reproduce a
+  // recording-tape forward over the same batches bit for bit.
+  const dataset::Dataset data = TinyDataset(70);
+  graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
+  core::GraniteModel model(&vocabulary, TinyGraniteConfig(2));
+  for (const bool graph_path : {false, true}) {
+    for (const int batch_size : {1, 7, 64}) {
+      SCOPED_TRACE(testing::Message() << "graph_path=" << graph_path
+                                      << " batch=" << batch_size);
+      TrainerConfig config = FastConfig(1);
+      config.eval_batch_size = batch_size;
+      Trainer trainer(GraniteForward(model), &model.parameters(), config);
+      if (graph_path) {
+        trainer.SetGraphPath(
+            [&model](ml::Tape& tape, const graph::BatchedGraph& batch) {
+              return model.ForwardGraphs(tape, batch);
+            },
+            [&model](const std::vector<const assembly::BasicBlock*>& blocks) {
+              return model.EncodeBlocks(blocks);
+            });
+      }
+      for (int task = 0; task < 2; ++task) {
+        const std::vector<double> predicted = trainer.Predict(data, task);
+        ASSERT_EQ(predicted.size(), data.size());
+        for (std::size_t begin = 0; begin < data.size(); begin += batch_size) {
+          const std::size_t end = std::min(begin + batch_size, data.size());
+          std::vector<const assembly::BasicBlock*> blocks;
+          for (std::size_t i = begin; i < end; ++i) {
+            blocks.push_back(&data[i].block);
+          }
+          ml::Tape recording;
+          const ml::Tensor& column =
+              recording.value(model.Forward(recording, blocks)[task]);
+          for (std::size_t i = begin; i < end; ++i) {
+            const double want = column.at(static_cast<int>(i - begin), 0) *
+                                config.target_scale;
+            EXPECT_EQ(std::memcmp(&predicted[i], &want, sizeof want), 0)
+                << task << "/" << i;
+          }
+        }
+      }
+    }
   }
 }
 
