@@ -25,13 +25,13 @@ void Run(int argc, char** argv) {
       uarch::MeasurementTool::kIthemalTool, scale.ithemal_blocks, 211);
 
   std::printf("training Ithemal (dot-product decoder)...\n");
-  train::IthemalRunner dot(
+  train::ModelRunner dot(
       IthemalBenchConfig(scale, ithemal::DecoderKind::kDotProduct, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.lstm_steps));
   dot.Train(data.train, data.validation);
 
   std::printf("training Ithemal+ (MLP decoder)...\n");
-  train::IthemalRunner mlp(
+  train::ModelRunner mlp(
       IthemalBenchConfig(scale, ithemal::DecoderKind::kMlp, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.lstm_steps));
   mlp.Train(data.train, data.validation);

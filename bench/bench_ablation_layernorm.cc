@@ -27,7 +27,7 @@ void Run(int argc, char** argv) {
       uarch::MeasurementTool::kIthemalTool, scale.ithemal_blocks, 212);
 
   std::printf("training GRANITE with layer normalization...\n");
-  train::GraniteRunner with_norm(
+  train::ModelRunner with_norm(
       GraniteBenchConfig(scale, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.granite_steps));
   with_norm.Train(data.train, data.validation);
@@ -39,7 +39,7 @@ void Run(int argc, char** argv) {
   train::TrainerConfig no_norm_trainer =
       MultiTaskTrainerConfig(scale, scale.granite_steps);
   no_norm_trainer.adam.gradient_clip_norm = 1.0f;
-  train::GraniteRunner without_norm(no_norm_config, no_norm_trainer);
+  train::ModelRunner without_norm(no_norm_config, no_norm_trainer);
   without_norm.Train(data.train, data.validation);
 
   const std::vector<int> widths = {14, 16, 16, 12};

@@ -53,10 +53,10 @@ void Run(int argc, char** argv) {
   const SplitDataset data = MakeDataset(
       uarch::MeasurementTool::kIthemalTool, scale.ithemal_blocks, 401);
 
-  train::GraniteRunner granite(GraniteBenchConfig(scale, 3, data.train),
-                               MultiTaskTrainerConfig(scale,
-                                                      scale.granite_steps));
-  train::IthemalRunner ithemal(
+  train::ModelRunner granite(GraniteBenchConfig(scale, 3, data.train),
+                              MultiTaskTrainerConfig(scale,
+                                                     scale.granite_steps));
+  train::ModelRunner ithemal(
       IthemalBenchConfig(scale, ithemal::DecoderKind::kDotProduct, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.lstm_steps));
 

@@ -22,9 +22,9 @@ void Run(int argc, char** argv) {
   const SplitDataset data = MakeDataset(uarch::MeasurementTool::kBHiveTool,
                                         scale.bhive_blocks, 302);
 
-  train::GraniteRunner granite(GraniteBenchConfig(scale, 3, data.train),
-                               MultiTaskTrainerConfig(scale,
-                                                      scale.granite_steps));
+  train::ModelRunner granite(GraniteBenchConfig(scale, 3, data.train),
+                              MultiTaskTrainerConfig(scale,
+                                                     scale.granite_steps));
   std::printf("training GRANITE on the BHive-style dataset...\n");
   granite.Train(data.train, data.validation);
 

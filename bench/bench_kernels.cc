@@ -352,7 +352,7 @@ double MeasureTraining(const Scale& scale, const SplitDataset& data,
   trainer_config.kernel_backend = backend;
   core::GraniteConfig model_config = GraniteBenchConfig(scale, 1, data.train);
   model_config.kernel_backend = backend;
-  train::GraniteRunner runner(model_config, trainer_config);
+  train::ModelRunner runner(model_config, trainer_config);
   const Clock::time_point start = Clock::now();
   runner.Train(data.train, data.validation);
   return steps / SecondsSince(start);

@@ -35,8 +35,8 @@ double MeasureTraining(const Scale& scale, const SplitDataset& data,
   trainer_config.validation_every = 0;  // Measure pure training throughput.
   trainer_config.num_workers = num_workers;
   trainer_config.prefetch = prefetch;
-  train::GraniteRunner runner(GraniteBenchConfig(scale, 1, data.train),
-                              trainer_config);
+  train::ModelRunner runner(GraniteBenchConfig(scale, 1, data.train),
+                             trainer_config);
   const Clock::time_point start = Clock::now();
   runner.Train(data.train, data.validation);
   return steps / SecondsSince(start);

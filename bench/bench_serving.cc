@@ -326,52 +326,6 @@ int main(int argc, char** argv) {
               "runners may land lower)\n",
               shard_scaling);
 
-  // Hot-shard phase: all traffic lands on ONE shard (num_workers=1), the
-  // skew sharding cannot fix — fingerprint partitioning pins a hot block
-  // set to its shard no matter how many shards exist. workers_per_shard
-  // adds draining threads to that one queue so several batches execute
-  // concurrently. Per-point calibrated like the shard sweep.
-  std::printf("\n-- hot shard (1 shard, 64 hot blocks, cache off), "
-              "workers per shard swept --\n");
-  PrintHeader();
-  double per_shard1_sustained = 0.0;
-  double per_shard2_sustained = 0.0;
-  for (const int workers : {1, 2}) {
-    InferenceServerConfig config = BaseServerConfig();
-    config.num_workers = 1;
-    config.workers_per_shard = workers;
-    config.max_batch_size = 32;
-    config.batch_window = std::chrono::microseconds{500};
-    // Cache off: a warm cache answers on the submit path and the worker
-    // count stops mattering; the knob exists for cache-miss-heavy load.
-    double capacity;
-    {
-      granite::core::GraniteModel model(&vocabulary, model_config);
-      InferenceServer server(&model, config);
-      capacity = OfferLoad(server, hot_blocks, /*rate_qps=*/500000.0,
-                           cold_requests)
-                     .sustained_qps;
-    }
-    granite::core::GraniteModel model(&vocabulary, model_config);
-    InferenceServer server(&model, config);
-    const LoadResult result =
-        OfferLoad(server, hot_blocks, 1.5 * capacity, cold_requests);
-    PrintRow("workers_per_shard=" + std::to_string(workers), result);
-    granite::bench::RecordMetric(
-        "serving.workers_per_shard." + std::to_string(workers) +
-            ".sustained_qps",
-        result.sustained_qps);
-    if (workers == 1) per_shard1_sustained = result.sustained_qps;
-    if (workers == 2) per_shard2_sustained = result.sustained_qps;
-  }
-  const double per_shard_scaling =
-      per_shard2_sustained / per_shard1_sustained;
-  granite::bench::RecordMetric("serving.workers_per_shard.2v1",
-                               per_shard_scaling);
-  std::printf("\nhot-shard workers_per_shard 1->2 at per-point calibrated "
-              "load: %.2fx (advisory; ~1x on a 1-core runner)\n",
-              per_shard_scaling);
-
   granite::bench::WriteMetricsJson();
   return 0;
 }

@@ -67,21 +67,21 @@ void RunTrainingSteps(benchmark::State& state, train::Trainer& trainer,
 }
 
 void BM_GraniteTrainSingleTask(benchmark::State& state) {
-  train::GraniteRunner runner(GraniteBenchConfig(TimingScale(), 1, TimingDataset()),
-                              TimingTrainerConfig(1));
+  train::ModelRunner runner(GraniteBenchConfig(TimingScale(), 1, TimingDataset()),
+                             TimingTrainerConfig(1));
   RunTrainingSteps(state, runner.trainer(), TimingDataset());
 }
 BENCHMARK(BM_GraniteTrainSingleTask)->Unit(benchmark::kMillisecond);
 
 void BM_GraniteTrainMultiTask(benchmark::State& state) {
-  train::GraniteRunner runner(GraniteBenchConfig(TimingScale(), 3, TimingDataset()),
-                              TimingTrainerConfig(3));
+  train::ModelRunner runner(GraniteBenchConfig(TimingScale(), 3, TimingDataset()),
+                             TimingTrainerConfig(3));
   RunTrainingSteps(state, runner.trainer(), TimingDataset());
 }
 BENCHMARK(BM_GraniteTrainMultiTask)->Unit(benchmark::kMillisecond);
 
 void BM_IthemalTrainSingleTask(benchmark::State& state) {
-  train::IthemalRunner runner(
+  train::ModelRunner runner(
       IthemalBenchConfig(TimingScale(), ithemal::DecoderKind::kDotProduct,
                          1, TimingDataset()),
       TimingTrainerConfig(1));
@@ -90,7 +90,7 @@ void BM_IthemalTrainSingleTask(benchmark::State& state) {
 BENCHMARK(BM_IthemalTrainSingleTask)->Unit(benchmark::kMillisecond);
 
 void BM_IthemalPlusTrainMultiTask(benchmark::State& state) {
-  train::IthemalRunner runner(
+  train::ModelRunner runner(
       IthemalBenchConfig(TimingScale(), ithemal::DecoderKind::kMlp, 3,
                          TimingDataset()),
       TimingTrainerConfig(3));
@@ -99,8 +99,8 @@ void BM_IthemalPlusTrainMultiTask(benchmark::State& state) {
 BENCHMARK(BM_IthemalPlusTrainMultiTask)->Unit(benchmark::kMillisecond);
 
 void BM_GraniteInferenceSingleTask(benchmark::State& state) {
-  train::GraniteRunner runner(GraniteBenchConfig(TimingScale(), 1, TimingDataset()),
-                              TimingTrainerConfig(1));
+  train::ModelRunner runner(GraniteBenchConfig(TimingScale(), 1, TimingDataset()),
+                             TimingTrainerConfig(1));
   for (auto _ : state) {
     (void)_;
     benchmark::DoNotOptimize(runner.Predict(TimingDataset(), 0));
@@ -109,8 +109,8 @@ void BM_GraniteInferenceSingleTask(benchmark::State& state) {
 BENCHMARK(BM_GraniteInferenceSingleTask)->Unit(benchmark::kMillisecond);
 
 void BM_GraniteInferenceMultiTask(benchmark::State& state) {
-  train::GraniteRunner runner(GraniteBenchConfig(TimingScale(), 3, TimingDataset()),
-                              TimingTrainerConfig(3));
+  train::ModelRunner runner(GraniteBenchConfig(TimingScale(), 3, TimingDataset()),
+                             TimingTrainerConfig(3));
   for (auto _ : state) {
     (void)_;
     benchmark::DoNotOptimize(runner.Predict(TimingDataset(), 2));
@@ -119,7 +119,7 @@ void BM_GraniteInferenceMultiTask(benchmark::State& state) {
 BENCHMARK(BM_GraniteInferenceMultiTask)->Unit(benchmark::kMillisecond);
 
 void BM_IthemalInferenceSingleTask(benchmark::State& state) {
-  train::IthemalRunner runner(
+  train::ModelRunner runner(
       IthemalBenchConfig(TimingScale(), ithemal::DecoderKind::kDotProduct,
                          1, TimingDataset()),
       TimingTrainerConfig(1));
@@ -131,7 +131,7 @@ void BM_IthemalInferenceSingleTask(benchmark::State& state) {
 BENCHMARK(BM_IthemalInferenceSingleTask)->Unit(benchmark::kMillisecond);
 
 void BM_IthemalPlusInferenceMultiTask(benchmark::State& state) {
-  train::IthemalRunner runner(
+  train::ModelRunner runner(
       IthemalBenchConfig(TimingScale(), ithemal::DecoderKind::kMlp, 3,
                          TimingDataset()),
       TimingTrainerConfig(3));

@@ -34,13 +34,13 @@ void Run(int argc, char** argv) {
 
   // All models are trained multi-task over the three microarchitectures
   // (the paper's best configurations per Table 8).
-  train::GraniteRunner granite(GraniteBenchConfig(scale, 3, data.train),
-                               MultiTaskTrainerConfig(scale,
-                                                      scale.granite_steps));
-  train::IthemalRunner ithemal(
+  train::ModelRunner granite(GraniteBenchConfig(scale, 3, data.train),
+                              MultiTaskTrainerConfig(scale,
+                                                     scale.granite_steps));
+  train::ModelRunner ithemal(
       IthemalBenchConfig(scale, ithemal::DecoderKind::kDotProduct, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.lstm_steps));
-  train::IthemalRunner ithemal_plus(
+  train::ModelRunner ithemal_plus(
       IthemalBenchConfig(scale, ithemal::DecoderKind::kMlp, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.lstm_steps));
 

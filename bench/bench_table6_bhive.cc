@@ -25,10 +25,10 @@ void Run(int argc, char** argv) {
   std::printf("train %zu / validation %zu / test %zu blocks\n\n",
               data.train.size(), data.validation.size(), data.test.size());
 
-  train::GraniteRunner granite(GraniteBenchConfig(scale, 3, data.train),
-                               MultiTaskTrainerConfig(scale,
-                                                      scale.granite_steps));
-  train::IthemalRunner ithemal_plus(
+  train::ModelRunner granite(GraniteBenchConfig(scale, 3, data.train),
+                              MultiTaskTrainerConfig(scale,
+                                                     scale.granite_steps));
+  train::ModelRunner ithemal_plus(
       IthemalBenchConfig(scale, ithemal::DecoderKind::kMlp, 3, data.train),
       MultiTaskTrainerConfig(scale, scale.lstm_steps));
 

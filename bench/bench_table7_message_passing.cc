@@ -39,8 +39,8 @@ void Run(int argc, char** argv) {
     swept.message_passing_iterations = iterations;
     std::printf("training GRANITE with %d message passing iterations...\n",
                 iterations);
-    train::GraniteRunner runner(GraniteBenchConfig(swept, 3, data.train),
-                                MultiTaskTrainerConfig(swept, steps));
+    train::ModelRunner runner(GraniteBenchConfig(swept, 3, data.train),
+                               MultiTaskTrainerConfig(swept, steps));
     runner.Train(data.train, data.validation);
     std::array<double, 3> mape{};
     for (int task = 0; task < 3; ++task) {

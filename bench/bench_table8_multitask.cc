@@ -45,7 +45,7 @@ void Run(int argc, char** argv) {
       std::printf("training single-task GRANITE on %s...\n",
                   std::string(MicroarchitectureName(microarchitecture))
                       .c_str());
-      train::GraniteRunner runner(
+      train::ModelRunner runner(
           GraniteBenchConfig(scale, 1, data.train),
           SingleTaskTrainerConfig(scale, granite_steps, microarchitecture));
       runner.Train(data.train, data.validation);
@@ -53,7 +53,7 @@ void Run(int argc, char** argv) {
           runner.Evaluate(data.test, 0).mape;
     }
     std::printf("training multi-task GRANITE...\n");
-    train::GraniteRunner runner(
+    train::ModelRunner runner(
         GraniteBenchConfig(scale, 3, data.train),
         MultiTaskTrainerConfig(scale, granite_steps));
     runner.Train(data.train, data.validation);
@@ -76,7 +76,7 @@ void Run(int argc, char** argv) {
       std::printf("training single-task %s on %s...\n", name.c_str(),
                   std::string(MicroarchitectureName(microarchitecture))
                       .c_str());
-      train::IthemalRunner runner(
+      train::ModelRunner runner(
           IthemalBenchConfig(scale, decoder, 1, data.train),
           SingleTaskTrainerConfig(scale, lstm_steps, microarchitecture));
       runner.Train(data.train, data.validation);
@@ -84,8 +84,8 @@ void Run(int argc, char** argv) {
           runner.Evaluate(data.test, 0).mape;
     }
     std::printf("training multi-task %s...\n", name.c_str());
-    train::IthemalRunner runner(IthemalBenchConfig(scale, decoder, 3, data.train),
-                                MultiTaskTrainerConfig(scale, lstm_steps));
+    train::ModelRunner runner(IthemalBenchConfig(scale, decoder, 3, data.train),
+                               MultiTaskTrainerConfig(scale, lstm_steps));
     runner.Train(data.train, data.validation);
     for (int task = 0; task < 3; ++task) {
       lstm_rows.multi_task[task] = runner.Evaluate(data.test, task).mape;

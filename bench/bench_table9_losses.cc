@@ -48,7 +48,7 @@ void Run(int argc, char** argv) {
         loss == ml::LossFunction::kHuber) {
       config.adam.gradient_clip_norm = 10.0f;
     }
-    train::GraniteRunner runner(GraniteBenchConfig(scale, 3, data.train), config);
+    train::ModelRunner runner(GraniteBenchConfig(scale, 3, data.train), config);
     runner.Train(data.train, data.validation);
     std::array<train::EvaluationResult, 3> per_task;
     for (int task = 0; task < 3; ++task) {

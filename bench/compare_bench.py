@@ -36,7 +36,6 @@ def is_parallel_scaling_metric(name):
     the advisory comparison is skipped there."""
     return (name.startswith("parallel.")
             or "parallel_speedup" in name
-            or "workers_per_shard" in name
             or name.startswith("serving.shard"))
 
 

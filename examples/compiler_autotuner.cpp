@@ -109,7 +109,7 @@ int main() {
   trainer_config.target_scale = 100.0;
   trainer_config.tasks = {uarch::Microarchitecture::kHaswell};
   trainer_config.validation_every = 0;
-  train::GraniteRunner runner(model_config, trainer_config);
+  train::ModelRunner runner(model_config, trainer_config);
   runner.Train(dataset, dataset::Dataset());
 
   // Serve the trained model the way a build farm would: a batching

@@ -44,7 +44,7 @@ int main() {
   single_config.num_tasks = 1;
   train::TrainerConfig single_trainer = trainer_config;
   single_trainer.tasks = {uarch::Microarchitecture::kIvyBridge};
-  train::GraniteRunner single_task(single_config, single_trainer);
+  train::ModelRunner single_task(single_config, single_trainer);
   single_task.Train(train_validation.first, train_validation.second);
 
   // ---- Multi-task model ---------------------------------------------------
@@ -56,7 +56,7 @@ int main() {
   multi_trainer.tasks = {uarch::Microarchitecture::kIvyBridge,
                          uarch::Microarchitecture::kHaswell,
                          uarch::Microarchitecture::kSkylake};
-  train::GraniteRunner multi_task(multi_config, multi_trainer);
+  train::ModelRunner multi_task(multi_config, multi_trainer);
   multi_task.Train(train_validation.first, train_validation.second);
 
   std::printf("\nheld-out MAPE:\n");

@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
   trainer_config.tasks = {uarch::Microarchitecture::kIvyBridge,
                           uarch::Microarchitecture::kHaswell,
                           uarch::Microarchitecture::kSkylake};
-  train::GraniteRunner runner(model_config, trainer_config);
+  train::ModelRunner runner(model_config, trainer_config);
   runner.Train(split.first, dataset::Dataset());
 
   // ---- 4. Evaluate and predict -------------------------------------------

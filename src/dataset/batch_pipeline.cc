@@ -46,13 +46,6 @@ PreparedBatch PrepareBatch(const BlockSource& source,
   return batch;
 }
 
-PreparedBatch PrepareBatch(const Dataset& data,
-                           std::vector<std::size_t> indices, int num_shards,
-                           const EncodeFn& encode) {
-  return PrepareBatch(MaterializedBlockSource(&data), std::move(indices),
-                      num_shards, encode);
-}
-
 namespace {
 
 /** Null-checks `source` before the constructor's initializer list uses
@@ -74,30 +67,6 @@ PrefetchingBatchPipeline::PrefetchingBatchPipeline(const BlockSource* source,
       num_shards_(num_shards),
       encode_(std::move(encode)),
       sampler_(CheckedSize(source), batch_size, seed) {
-  GRANITE_CHECK_GE(num_shards, 1);
-  producer_ = std::thread([this] { ProducerLoop(); });
-}
-
-namespace {
-
-/** Wraps `data` for the delegating constructor, null-checked first. */
-std::unique_ptr<BlockSource> WrapDataset(const Dataset* data) {
-  GRANITE_CHECK(data != nullptr);
-  return std::make_unique<MaterializedBlockSource>(data);
-}
-
-}  // namespace
-
-PrefetchingBatchPipeline::PrefetchingBatchPipeline(const Dataset* data,
-                                                   std::size_t batch_size,
-                                                   int num_shards,
-                                                   uint64_t seed,
-                                                   EncodeFn encode)
-    : owned_source_(WrapDataset(data)),
-      num_shards_(num_shards),
-      encode_(std::move(encode)),
-      sampler_(CheckedSize(owned_source_.get()), batch_size, seed) {
-  source_ = owned_source_.get();
   GRANITE_CHECK_GE(num_shards, 1);
   producer_ = std::thread([this] { ProducerLoop(); });
 }

@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "dataset/block_source.h"
 #include "dataset/dataset.h"
 #include "graph/batch.h"
 
@@ -69,11 +68,6 @@ PreparedBatch PrepareBatch(const BlockSource& source,
                            std::vector<std::size_t> indices, int num_shards,
                            const EncodeFn& encode);
 
-/** Convenience overload for materialized datasets. */
-PreparedBatch PrepareBatch(const Dataset& data,
-                           std::vector<std::size_t> indices, int num_shards,
-                           const EncodeFn& encode);
-
 /**
  * Double-buffered background batch builder: owns a BatchSampler and a
  * producer thread that always keeps one PreparedBatch ready. Next() hands
@@ -85,11 +79,6 @@ class PrefetchingBatchPipeline {
  public:
   /** `source` must outlive the pipeline. `encode` may be null. */
   PrefetchingBatchPipeline(const BlockSource* source, std::size_t batch_size,
-                           int num_shards, uint64_t seed, EncodeFn encode);
-
-  /** Convenience overload wrapping a materialized dataset (`data` must
-   * outlive the pipeline). */
-  PrefetchingBatchPipeline(const Dataset* data, std::size_t batch_size,
                            int num_shards, uint64_t seed, EncodeFn encode);
 
   /** Stops and joins the producer thread. */
@@ -106,8 +95,6 @@ class PrefetchingBatchPipeline {
   void ProducerLoop();
 
   const BlockSource* source_;
-  /** Set when constructed from a Dataset: the wrapper the pipeline owns. */
-  std::unique_ptr<BlockSource> owned_source_;
   int num_shards_;
   EncodeFn encode_;
   BatchSampler sampler_;

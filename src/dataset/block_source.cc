@@ -7,26 +7,6 @@
 
 namespace granite::dataset {
 
-std::vector<double> BlockSource::Throughputs(
-    uarch::Microarchitecture uarch) const {
-  std::vector<double> values;
-  values.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) {
-    values.push_back((*Get(i).throughput)[static_cast<int>(uarch)]);
-  }
-  return values;
-}
-
-MaterializedBlockSource::MaterializedBlockSource(const Dataset* data)
-    : data_(data) {
-  GRANITE_CHECK(data != nullptr);
-}
-
-SampleView MaterializedBlockSource::Get(std::size_t index) const {
-  const Sample& sample = (*data_)[index];
-  return SampleView{&sample.block, &sample.throughput, nullptr};
-}
-
 SubsetBlockSource::SubsetBlockSource(const BlockSource* base,
                                      std::vector<std::size_t> indices)
     : base_(base), indices_(std::move(indices)) {
@@ -39,22 +19,6 @@ SubsetBlockSource::SubsetBlockSource(const BlockSource* base,
 SampleView SubsetBlockSource::Get(std::size_t index) const {
   GRANITE_CHECK_LT(index, indices_.size());
   return base_->Get(indices_[index]);
-}
-
-IndexSplit SplitIndices(std::size_t size, double first_fraction,
-                        uint64_t seed) {
-  GRANITE_CHECK_GT(first_fraction, 0.0);
-  GRANITE_CHECK_LT(first_fraction, 1.0);
-  Rng rng(seed);
-  std::vector<std::size_t> order = rng.Permutation(size);
-  const std::size_t first_count = static_cast<std::size_t>(
-      first_fraction * static_cast<double>(size));
-  IndexSplit split;
-  split.first.assign(order.begin(),
-                     order.begin() + static_cast<std::ptrdiff_t>(first_count));
-  split.second.assign(order.begin() + static_cast<std::ptrdiff_t>(first_count),
-                      order.end());
-  return split;
 }
 
 ShardedBlockSource::ShardedBlockSource(std::size_t records_per_shard,

@@ -1,15 +1,13 @@
 /**
  * @file
- * Streaming-capable sample sources.
+ * Views and streaming implementations of dataset::BlockSource.
  *
  * The paper trains on corpora of >1M basic blocks; materializing every
- * Sample in one std::vector caps the corpus far below that scale. A
- * BlockSource abstracts "an indexed collection of labeled blocks" away
- * from its storage: fully materialized (a Dataset), streamed from an
- * on-disk corpus file (corpus_io.h), or synthesized lazily from the
- * seeded generator. Batch preparation and the trainer sample from a
- * BlockSource, so the same seed produces bit-identical training runs
- * regardless of where the samples live.
+ * Sample in one std::vector caps the corpus far below that scale. Next to
+ * the in-memory Dataset (dataset.h), a BlockSource can be streamed from
+ * an on-disk corpus file (corpus_io.h) or synthesized lazily from the
+ * seeded generator (here), and any source can be re-indexed into a split
+ * without copying samples (SubsetBlockSource).
  *
  * Streaming sources keep at most a small LRU window of shards resident;
  * Get() hands out views that pin their backing shard, so a view stays
@@ -28,49 +26,6 @@
 namespace granite::dataset {
 
 /**
- * A pinned view of one sample. `block` and `throughput` stay valid while
- * `pin` is alive (for materialized sources they point into the backing
- * Dataset and `pin` is empty).
- */
-struct SampleView {
-  const assembly::BasicBlock* block = nullptr;
-  const std::array<double, uarch::kNumMicroarchitectures>* throughput =
-      nullptr;
-  /** Keep-alive handle for the backing shard of a streaming source. */
-  std::shared_ptr<const void> pin;
-};
-
-/** An indexed, possibly streaming, collection of labeled blocks. */
-class BlockSource {
- public:
-  virtual ~BlockSource() = default;
-
-  /** Total number of samples. */
-  virtual std::size_t size() const = 0;
-
-  /** Returns a pinned view of sample `index`. Thread-safe. */
-  virtual SampleView Get(std::size_t index) const = 0;
-
-  bool empty() const { return size() == 0; }
-
-  /** Ground-truth column of one microarchitecture (one full pass). */
-  std::vector<double> Throughputs(uarch::Microarchitecture uarch) const;
-};
-
-/** Zero-copy view of a fully materialized Dataset (which must outlive
- * the source). */
-class MaterializedBlockSource : public BlockSource {
- public:
-  explicit MaterializedBlockSource(const Dataset* data);
-
-  std::size_t size() const override { return data_->size(); }
-  SampleView Get(std::size_t index) const override;
-
- private:
-  const Dataset* data_;
-};
-
-/**
  * A re-indexed view of another source: element i is base[indices[i]].
  * Used for train/validation/test splits without copying samples; `base`
  * must outlive the subset.
@@ -87,22 +42,6 @@ class SubsetBlockSource : public BlockSource {
   const BlockSource* base_;
   std::vector<std::size_t> indices_;
 };
-
-/** The index lists of a two-way split (parallel to
- * Dataset::SplitFraction, which copies samples instead). */
-struct IndexSplit {
-  std::vector<std::size_t> first;
-  std::vector<std::size_t> second;
-};
-
-/**
- * Splits [0, size) into (`first_fraction`, rest) by the same seeded
- * shuffle as Dataset::SplitFraction: applying the returned index lists
- * to a source yields exactly the samples (in the same order) that
- * SplitFraction would copy into its two datasets.
- */
-IndexSplit SplitIndices(std::size_t size, double first_fraction,
-                        uint64_t seed);
 
 /**
  * Base for sources that materialize fixed-size shards on demand and keep

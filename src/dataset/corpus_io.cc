@@ -428,13 +428,6 @@ void SaveCorpus(const BlockSource& source, const std::string& path,
   writer.Finish();
 }
 
-void SaveCorpus(const Dataset& data, const std::string& path,
-                uarch::MeasurementTool tool, std::uint64_t generator_seed,
-                std::uint64_t records_per_shard) {
-  SaveCorpus(MaterializedBlockSource(&data), path, tool, generator_seed,
-             records_per_shard);
-}
-
 CorpusHeader ReadCorpusHeader(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
   const auto [header, file_size] = OpenAndReadHeader(file, path);

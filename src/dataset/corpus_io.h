@@ -146,11 +146,6 @@ void SaveCorpus(const BlockSource& source, const std::string& path,
                 uarch::MeasurementTool tool, std::uint64_t generator_seed,
                 std::uint64_t records_per_shard = kDefaultRecordsPerShard);
 
-/** Convenience overload for materialized datasets. */
-void SaveCorpus(const Dataset& data, const std::string& path,
-                uarch::MeasurementTool tool, std::uint64_t generator_seed,
-                std::uint64_t records_per_shard = kDefaultRecordsPerShard);
-
 /** Reads and validates only the header of `path` (no record is read):
  * the `dataset inspect` entry point. Throws CorpusError. */
 CorpusHeader ReadCorpusHeader(const std::string& path);

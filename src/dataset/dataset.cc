@@ -7,6 +7,32 @@
 
 namespace granite::dataset {
 
+std::vector<double> BlockSource::Throughputs(
+    uarch::Microarchitecture uarch) const {
+  std::vector<double> values;
+  values.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) {
+    values.push_back((*Get(i).throughput)[static_cast<int>(uarch)]);
+  }
+  return values;
+}
+
+IndexSplit SplitIndices(std::size_t size, double first_fraction,
+                        uint64_t seed) {
+  GRANITE_CHECK_GT(first_fraction, 0.0);
+  GRANITE_CHECK_LT(first_fraction, 1.0);
+  Rng rng(seed);
+  std::vector<std::size_t> order = rng.Permutation(size);
+  const std::size_t first_count = static_cast<std::size_t>(
+      first_fraction * static_cast<double>(size));
+  IndexSplit split;
+  split.first.assign(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(first_count));
+  split.second.assign(order.begin() + static_cast<std::ptrdiff_t>(first_count),
+                      order.end());
+  return split;
+}
+
 Dataset::Dataset(std::vector<Sample> samples)
     : samples_(std::move(samples)) {}
 
@@ -15,36 +41,23 @@ const Sample& Dataset::operator[](std::size_t index) const {
   return samples_[index];
 }
 
-DatasetSplit Dataset::SplitFraction(double first_fraction,
-                                    uint64_t seed) const {
-  GRANITE_CHECK_GT(first_fraction, 0.0);
-  GRANITE_CHECK_LT(first_fraction, 1.0);
-  Rng rng(seed);
-  const std::vector<std::size_t> order = rng.Permutation(samples_.size());
-  const std::size_t first_count = static_cast<std::size_t>(
-      first_fraction * static_cast<double>(samples_.size()));
-  std::vector<Sample> first;
-  std::vector<Sample> second;
-  first.reserve(first_count);
-  second.reserve(samples_.size() - first_count);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i < first_count) {
-      first.push_back(samples_[order[i]]);
-    } else {
-      second.push_back(samples_[order[i]]);
-    }
-  }
-  return DatasetSplit{Dataset(std::move(first)), Dataset(std::move(second))};
+SampleView Dataset::Get(std::size_t index) const {
+  const Sample& sample = (*this)[index];
+  return SampleView{&sample.block, &sample.throughput, nullptr};
 }
 
-std::vector<double> Dataset::Throughputs(
-    uarch::Microarchitecture uarch) const {
-  std::vector<double> values;
-  values.reserve(samples_.size());
-  for (const Sample& sample : samples_) {
-    values.push_back(sample.throughput[static_cast<int>(uarch)]);
-  }
-  return values;
+DatasetSplit Dataset::SplitFraction(double first_fraction,
+                                    uint64_t seed) const {
+  const IndexSplit split = SplitIndices(size(), first_fraction, seed);
+  const auto copy = [this](const std::vector<std::size_t>& indices) {
+    std::vector<Sample> samples;
+    samples.reserve(indices.size());
+    for (const std::size_t index : indices) {
+      samples.push_back(samples_[index]);
+    }
+    return Dataset(std::move(samples));
+  };
+  return DatasetSplit{copy(split.first), copy(split.second)};
 }
 
 std::vector<const assembly::BasicBlock*> Dataset::Blocks() const {
@@ -84,13 +97,13 @@ Dataset SynthesizeDataset(const SynthesisConfig& config) {
   return Dataset(std::move(samples));
 }
 
-Dataset RelabelDataset(const Dataset& dataset,
+Dataset RelabelDataset(const BlockSource& dataset,
                        uarch::MeasurementTool tool) {
   std::vector<Sample> samples;
   samples.reserve(dataset.size());
-  for (const Sample& sample : dataset.samples()) {
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
     Sample relabeled;
-    relabeled.block = sample.block;
+    relabeled.block = *dataset.Get(i).block;
     for (const uarch::Microarchitecture microarchitecture :
          uarch::AllMicroarchitectures()) {
       relabeled.throughput[static_cast<int>(microarchitecture)] =

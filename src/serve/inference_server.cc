@@ -26,7 +26,6 @@ InferenceServer::InferenceServer(model::ThroughputPredictor* model,
     : model_(model), config_(config), start_time_(Clock::now()) {
   GRANITE_CHECK(model != nullptr);
   GRANITE_CHECK_GE(config.num_workers, 1);
-  GRANITE_CHECK_GE(config.workers_per_shard, 1);
   GRANITE_CHECK_GE(config.max_batch_size, 1);
   GRANITE_CHECK_GE(config.queue_capacity, 1u);
   GRANITE_CHECK_GE(config.batch_window.count(), 0);
@@ -48,13 +47,10 @@ InferenceServer::InferenceServer(model::ThroughputPredictor* model,
     }
     shards_.push_back(std::move(shard));
   }
-  workers_.reserve(static_cast<std::size_t>(config.num_workers) *
-                   static_cast<std::size_t>(config.workers_per_shard));
+  workers_.reserve(shards_.size());
   for (int i = 0; i < config.num_workers; ++i) {
     Shard* shard = shards_[i].get();
-    for (int w = 0; w < config.workers_per_shard; ++w) {
-      workers_.emplace_back([this, shard] { WorkerLoop(*shard); });
-    }
+    workers_.emplace_back([this, shard] { WorkerLoop(*shard); });
   }
 }
 

@@ -134,15 +134,6 @@ struct InferenceServerConfig {
   /** Request queue + statistics shards; requests are partitioned across
    * shards by block fingerprint. */
   int num_workers = 1;
-  /**
-   * Batch-draining threads per shard. With 1 (the default, the historical
-   * behavior) each shard has a dedicated worker; raising it lets several
-   * batches from one hot shard execute concurrently — useful when the
-   * fingerprint distribution is skewed (a few hot blocks pinning one
-   * shard) and cores are idle. All of a shard's workers drain the same
-   * queue; batching, admission, and overflow semantics are unchanged.
-   */
-  int workers_per_shard = 1;
   /** A shard flushes a batch as soon as this many requests are pending
    * in its queue. */
   int max_batch_size = 32;
@@ -252,8 +243,8 @@ struct BatchSubmitRequest {
 class InferenceServer {
  public:
   /**
-   * Starts config.num_workers queue/stats shards and
-   * config.workers_per_shard worker threads for each.
+   * Starts config.num_workers queue/stats shards, each drained by one
+   * worker thread.
    * @param model The served model; must outlive the server. The server
    *   mutates it only through UpdateModel() and (optionally)
    *   EnablePredictionCache().
@@ -353,10 +344,10 @@ class InferenceServer {
 
   /**
    * One fingerprint partition of the server: its request queue and both
-   * counter sets, drained by `workers_per_shard` worker threads. `mutex`
-   * guards the queue-side state (queue, stopping, submitted, rejected,
-   * shed); `stats_mutex` guards the completion-side counters and
-   * histograms, recorded by this shard's workers.
+   * counter sets, drained by one worker thread. `mutex` guards the
+   * queue-side state (queue, stopping, submitted, rejected, shed);
+   * `stats_mutex` guards the completion-side counters and histograms,
+   * recorded by this shard's worker.
    * No thread ever holds two mutexes of the same shard, or
    * any mutex of another shard, except Stats() which locks all shards
    * in index order.
@@ -373,7 +364,7 @@ class InferenceServer {
     std::uint64_t rejected = 0;
     std::array<std::uint64_t, kNumAdmissionClasses> shed_by_class{};
 
-    /** Completion-side counters, written by this shard's workers. */
+    /** Completion-side counters, written by this shard's worker. */
     std::mutex stats_mutex;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
@@ -415,7 +406,7 @@ class InferenceServer {
 
   /** Worker thread: waits for a flush condition on its shard, drains
    * one batch at a time. Every check happens under shard.mutex inside
-   * the loop, so any number of workers may drain one shard. */
+   * the loop. */
   void WorkerLoop(Shard& shard);
 
   /** Runs one coalesced batch and fulfills its promises, recording

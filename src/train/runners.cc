@@ -50,29 +50,14 @@ ModelRunner::ModelRunner(std::unique_ptr<model::ThroughputPredictor> model,
   }
 }
 
-TrainingResult ModelRunner::Train(const dataset::Dataset& train_data,
-                                  const dataset::Dataset& validation) {
-  return trainer_->Train(train_data, validation);
-}
-
 TrainingResult ModelRunner::Train(const dataset::BlockSource& train_data,
                                   const dataset::BlockSource& validation) {
   return trainer_->Train(train_data, validation);
 }
 
-EvaluationResult ModelRunner::Evaluate(const dataset::Dataset& data,
-                                       int task) const {
-  return trainer_->EvaluateTask(data, task);
-}
-
 EvaluationResult ModelRunner::Evaluate(const dataset::BlockSource& data,
                                        int task) const {
   return trainer_->EvaluateTask(data, task);
-}
-
-std::vector<double> ModelRunner::Predict(const dataset::Dataset& data,
-                                         int task) const {
-  return trainer_->Predict(data, task);
 }
 
 std::vector<double> ModelRunner::Predict(const dataset::BlockSource& data,

@@ -7,8 +7,7 @@
  *
  * The runner is model-agnostic: it drives any model::ThroughputPredictor
  * through the unified interface, wiring the pre-encoded-graph fast path
- * automatically for models that support it. The historical GraniteRunner
- * / IthemalRunner classes are thin aliases; overload resolution on the
+ * automatically for models that support it. Overload resolution on the
  * config type picks the model family.
  */
 #ifndef GRANITE_TRAIN_RUNNERS_H_
@@ -53,18 +52,14 @@ class ModelRunner {
    * same sample content ⇒ bit-identical trained parameters. */
   TrainingResult Train(const dataset::BlockSource& train_data,
                        const dataset::BlockSource& validation);
-  TrainingResult Train(const dataset::Dataset& train_data,
-                       const dataset::Dataset& validation);
 
   /** Evaluates one task head against its microarchitecture labels. */
   EvaluationResult Evaluate(const dataset::BlockSource& data,
                             int task) const;
-  EvaluationResult Evaluate(const dataset::Dataset& data, int task) const;
 
   /** Whole-dataset inference for one task. */
   std::vector<double> Predict(const dataset::BlockSource& data,
                               int task) const;
-  std::vector<double> Predict(const dataset::Dataset& data, int task) const;
 
   /** Writes the model as a self-describing checkpoint bundle
    * (model::SaveModel). */
@@ -78,10 +73,6 @@ class ModelRunner {
   std::unique_ptr<model::ThroughputPredictor> model_;
   std::unique_ptr<Trainer> trainer_;
 };
-
-/** Source-compatibility aliases for the pre-unification runner names. */
-using GraniteRunner = ModelRunner;
-using IthemalRunner = ModelRunner;
 
 }  // namespace granite::train
 

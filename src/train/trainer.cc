@@ -122,14 +122,6 @@ double Trainer::TrainStep(const dataset::PreparedBatch& batch) {
   return loss;
 }
 
-TrainingResult Trainer::Train(const dataset::Dataset& train_data,
-                              const dataset::Dataset& validation_data) {
-  const dataset::MaterializedBlockSource train_source(&train_data);
-  const dataset::MaterializedBlockSource validation_source(
-      &validation_data);
-  return Train(train_source, validation_source);
-}
-
 TrainingResult Trainer::Train(const dataset::BlockSource& train_data,
                               const dataset::BlockSource& validation_data) {
   GRANITE_CHECK(!train_data.empty());
@@ -201,11 +193,6 @@ TrainingResult Trainer::Train(const dataset::BlockSource& train_data,
   return result;
 }
 
-std::vector<double> Trainer::Predict(const dataset::Dataset& data,
-                                     int task) const {
-  return Predict(dataset::MaterializedBlockSource(&data), task);
-}
-
 std::vector<double> Trainer::Predict(const dataset::BlockSource& data,
                                      int task) const {
   GRANITE_CHECK_GE(task, 0);
@@ -248,11 +235,6 @@ std::vector<double> Trainer::Predict(const dataset::BlockSource& data,
     pool.ParallelFor(0, num_batches, run_batch);
   });
   return predictions;
-}
-
-EvaluationResult Trainer::EvaluateTask(const dataset::Dataset& data,
-                                       int task) const {
-  return EvaluateTask(dataset::MaterializedBlockSource(&data), task);
 }
 
 EvaluationResult Trainer::EvaluateTask(const dataset::BlockSource& data,

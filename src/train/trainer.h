@@ -146,19 +146,12 @@ class Trainer {
   TrainingResult Train(const dataset::BlockSource& train_data,
                        const dataset::BlockSource& validation_data);
 
-  /** Convenience overload for materialized datasets. */
-  TrainingResult Train(const dataset::Dataset& train_data,
-                       const dataset::Dataset& validation_data);
-
   /** Inference over a whole source for one task head. */
   std::vector<double> Predict(const dataset::BlockSource& data,
                               int task) const;
-  std::vector<double> Predict(const dataset::Dataset& data, int task) const;
 
   /** Full metric suite of one task head against its ground truth. */
   EvaluationResult EvaluateTask(const dataset::BlockSource& data,
-                                int task) const;
-  EvaluationResult EvaluateTask(const dataset::Dataset& data,
                                 int task) const;
 
   const TrainerConfig& config() const { return config_; }

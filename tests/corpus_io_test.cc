@@ -231,9 +231,8 @@ TEST_F(CorpusIoTest, SplitIndicesMatchesSplitFraction) {
   const Dataset data = TinyDataset(60);
   const DatasetSplit copied = data.SplitFraction(0.83, 9);
   const IndexSplit indices = SplitIndices(data.size(), 0.83, 9);
-  const MaterializedBlockSource base(&data);
-  const SubsetBlockSource first(&base, indices.first);
-  const SubsetBlockSource second(&base, indices.second);
+  const SubsetBlockSource first(&data, indices.first);
+  const SubsetBlockSource second(&data, indices.second);
   ASSERT_EQ(first.size(), copied.first.size());
   ASSERT_EQ(second.size(), copied.second.size());
   for (std::size_t i = 0; i < first.size(); ++i) {

@@ -130,6 +130,39 @@ TEST(ThroughputsTest, ColumnMatchesSamples) {
   }
 }
 
+TEST(ThroughputsTest, ColumnThroughBlockSourceMatchesSamples) {
+  // Dataset inherits Throughputs from BlockSource: the column read
+  // through the base-class reference walks Get() over the samples.
+  const Dataset dataset = SynthesizeDataset(SmallConfig(30));
+  const BlockSource& source = dataset;
+  EXPECT_FALSE(source.empty());
+  const std::vector<double> column =
+      source.Throughputs(uarch::Microarchitecture::kSkylake);
+  ASSERT_EQ(column.size(), 30u);
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    EXPECT_EQ(column[i], dataset[i].throughput[2]);
+  }
+  EXPECT_TRUE(Dataset().Throughputs(uarch::Microarchitecture::kSkylake)
+                  .empty());
+}
+
+TEST(DatasetGetTest, ViewsPointIntoSamplesUnpinned) {
+  const Dataset dataset = SynthesizeDataset(SmallConfig(10));
+  const BlockSource& source = dataset;
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const SampleView view = source.Get(i);
+    EXPECT_EQ(view.block, &dataset[i].block);
+    EXPECT_EQ(view.throughput, &dataset[i].throughput);
+    EXPECT_EQ(view.pin, nullptr);
+  }
+}
+
+TEST(DatasetGetDeathTest, OutOfRangeIndexAborts) {
+  const Dataset dataset = SynthesizeDataset(SmallConfig(10));
+  EXPECT_DEATH(dataset.Get(10), "Check failed");
+  EXPECT_DEATH(Dataset().Get(0), "Check failed");
+}
+
 TEST(BlocksTest, PointersMatchSamples) {
   const Dataset dataset = SynthesizeDataset(SmallConfig(10));
   const auto blocks = dataset.Blocks();

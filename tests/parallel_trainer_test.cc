@@ -96,23 +96,11 @@ TEST(GradientSinkTest, MultipleSinksReduceLikeOneBackward) {
   EXPECT_FLOAT_EQ(p->grad.at(0, 0), direct);
 }
 
-/** Trains a fresh tiny model on any BlockSource and returns its final
- * parameter values. */
-std::vector<ml::Tensor> TrainAndSnapshotSource(
-    const dataset::BlockSource& data, int num_workers, bool prefetch,
-    bool graph_path);
-
-/** Trains a fresh tiny model and returns its final parameter values. */
-std::vector<ml::Tensor> TrainAndSnapshot(const dataset::Dataset& data,
+/** Trains a fresh tiny model on any BlockSource (a Dataset included)
+ * and returns its final parameter values. */
+std::vector<ml::Tensor> TrainAndSnapshot(const dataset::BlockSource& data,
                                          int num_workers, bool prefetch,
                                          bool graph_path) {
-  return TrainAndSnapshotSource(dataset::MaterializedBlockSource(&data),
-                                num_workers, prefetch, graph_path);
-}
-
-std::vector<ml::Tensor> TrainAndSnapshotSource(
-    const dataset::BlockSource& data, int num_workers, bool prefetch,
-    bool graph_path) {
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteModel model(&vocabulary, TinyGraniteConfig());
   TrainerConfig config = FastConfig(5);
@@ -195,7 +183,7 @@ TEST(ParallelTrainerTest, ParallelPrefetchedTrainingConverges) {
 }
 
 /** Builds a trainer over `model` with the pre-encoded-graph path wired,
- * the way GraniteRunner does. */
+ * the way ModelRunner does. */
 std::unique_ptr<Trainer> GraphPathTrainer(core::GraniteModel& model,
                                           const TrainerConfig& config) {
   auto trainer = std::make_unique<Trainer>(GraniteForward(model),
@@ -276,8 +264,7 @@ TEST(StreamingTrainerTest, FileBackedTrainingIsBitIdentical) {
   // Same seed, same sample content, different storage: the parameter
   // trajectories must be bit-identical, not merely close.
   const auto materialized = TrainAndSnapshot(data, 1, false, false);
-  const auto from_file =
-      TrainAndSnapshotSource(streaming, 1, false, false);
+  const auto from_file = TrainAndSnapshot(streaming, 1, false, false);
   ExpectNearSnapshots(materialized, from_file, 0.0f);
 }
 
@@ -290,7 +277,7 @@ TEST(StreamingTrainerTest, FileBackedPrefetchGraphPathIsBitIdentical) {
   // The full fast path — prefetch thread + pre-encoded graphs — over a
   // streaming file source, against the plain in-memory block path.
   const auto materialized = TrainAndSnapshot(data, 1, false, false);
-  const auto streamed = TrainAndSnapshotSource(streaming, 1, true, true);
+  const auto streamed = TrainAndSnapshot(streaming, 1, true, true);
   ExpectNearSnapshots(materialized, streamed, 0.0f);
 }
 
@@ -307,7 +294,7 @@ TEST(StreamingTrainerTest, LazySynthesisTrainingIsBitIdentical) {
   const dataset::StreamingSynthesisSource lazy(config, options);
 
   const auto from_memory = TrainAndSnapshot(materialized, 1, false, false);
-  const auto from_lazy = TrainAndSnapshotSource(lazy, 1, false, false);
+  const auto from_lazy = TrainAndSnapshot(lazy, 1, false, false);
   ExpectNearSnapshots(from_memory, from_lazy, 0.0f);
 }
 

@@ -46,30 +46,30 @@ core::GraniteConfig TinyGranite(int num_tasks) {
   return config;
 }
 
-TEST(GraniteRunnerTest, TrainEvaluatePredict) {
+TEST(ModelRunnerTest, GraniteTrainEvaluatePredict) {
   const dataset::Dataset data = TinyDataset(16);
-  GraniteRunner runner(TinyGranite(1), FastConfig(60, 1));
+  ModelRunner runner(TinyGranite(1), FastConfig(60, 1));
   const double before = runner.Evaluate(data, 0).mape;
   runner.Train(data, dataset::Dataset());
   EXPECT_LT(runner.Evaluate(data, 0).mape, before);
   EXPECT_EQ(runner.Predict(data, 0).size(), data.size());
 }
 
-TEST(IthemalRunnerTest, TrainEvaluatePredict) {
+TEST(ModelRunnerTest, IthemalTrainEvaluatePredict) {
   const dataset::Dataset data = TinyDataset(16);
   ithemal::IthemalConfig config =
       ithemal::IthemalConfig().WithEmbeddingSize(8);
   config.decoder = ithemal::DecoderKind::kMlp;
-  IthemalRunner runner(config, FastConfig(60, 1));
+  ModelRunner runner(config, FastConfig(60, 1));
   const double before = runner.Evaluate(data, 0).mape;
   runner.Train(data, dataset::Dataset());
   EXPECT_LT(runner.Evaluate(data, 0).mape, before);
   EXPECT_EQ(runner.Predict(data, 0).size(), data.size());
 }
 
-TEST(GraniteRunnerTest, MultiTaskHeadsAllEvaluate) {
+TEST(ModelRunnerTest, GraniteMultiTaskHeadsAllEvaluate) {
   const dataset::Dataset data = TinyDataset(12);
-  GraniteRunner runner(TinyGranite(3), FastConfig(30, 3));
+  ModelRunner runner(TinyGranite(3), FastConfig(30, 3));
   runner.Train(data, dataset::Dataset());
   for (int task = 0; task < 3; ++task) {
     EXPECT_GT(runner.Evaluate(data, task).count, 0u);
@@ -117,7 +117,7 @@ TEST(ModelRunnerTest, WrapsACheckpointLoadedPredictor) {
   // loaded bundle matches the original runner bit-for-bit (the Trainer
   // drives both through the same ThroughputPredictor interface).
   const dataset::Dataset data = TinyDataset(16);
-  GraniteRunner original(TinyGranite(1), FastConfig(40, 1));
+  ModelRunner original(TinyGranite(1), FastConfig(40, 1));
   original.Train(data, dataset::Dataset());
   const std::string path =
       (std::filesystem::temp_directory_path() / "runners_test.gmb")
@@ -138,7 +138,7 @@ TEST(ModelRunnerTest, IthemalHasNoGraphPathButTrainsTheSame) {
   ithemal::IthemalConfig config =
       ithemal::IthemalConfig().WithEmbeddingSize(8);
   config.decoder = ithemal::DecoderKind::kMlp;
-  IthemalRunner runner(config, FastConfig(20, 1));
+  ModelRunner runner(config, FastConfig(20, 1));
   EXPECT_FALSE(runner.model().SupportsGraphEncoding());
   const TrainingResult result = runner.Train(data, dataset::Dataset());
   EXPECT_TRUE(std::isfinite(result.final_train_loss));
@@ -152,7 +152,7 @@ TEST(TrainerConfigTest, LearningRateDecayReachesFloor) {
   TrainerConfig config = FastConfig(2, 1);
   config.adam.learning_rate = 0.5f;
   config.final_learning_rate = 1e-4f;
-  GraniteRunner runner(TinyGranite(1), config);
+  ModelRunner runner(TinyGranite(1), config);
   const TrainingResult result = runner.Train(data, dataset::Dataset());
   EXPECT_TRUE(std::isfinite(result.final_train_loss));
 }

@@ -52,6 +52,7 @@
  * paper's cycles-per-100-iterations scale.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -166,11 +167,13 @@ struct Flags {
     return parsed;
   }
 
-  /** GetDouble constrained to strictly positive values (scales). */
+  /** GetDouble constrained to finite, strictly positive values
+   * (scales). */
   double GetPositiveDouble(const std::string& key, double fallback) const {
     const double parsed = GetDouble(key, fallback);
-    if (!(parsed > 0.0)) {
-      std::fprintf(stderr, "granite_cli: --%s must be > 0, got %g\n",
+    if (!std::isfinite(parsed) || parsed <= 0.0) {
+      std::fprintf(stderr,
+                   "granite_cli: --%s must be finite and > 0, got %g\n",
                    key.c_str(), parsed);
       std::exit(2);
     }
@@ -269,7 +272,6 @@ const std::vector<CommandSpec>& CommandTable() {
         {"requests", "N", "replayed client requests"},
         {"shards", "N", "queue/stats shards (alias --workers)"},
         {"workers", "N", "legacy alias of --shards"},
-        {"workers-per-shard", "N", "draining threads per shard"},
         {"batch-size", "N", "coalesced batch size"},
         {"window-us", "N", "batching window"},
         {"cache", "N", "prediction cache capacity"},
@@ -482,17 +484,12 @@ std::unique_ptr<granite::dataset::StreamingCorpusSource> OpenCorpusOrDie(
 }
 
 /** The corpus a command runs on: a streaming file-backed source when
- * --dataset-file is given, else a freshly synthesized in-memory corpus.
- * Both cases sample through the same BlockSource interface, so the two
- * paths are interchangeable bit-for-bit given the same samples. */
-struct CorpusSource {
-  std::unique_ptr<granite::dataset::Dataset> owned;
-  std::unique_ptr<granite::dataset::BlockSource> source;
-};
-
-CorpusSource MakeCorpusSource(const Flags& flags, long default_blocks,
-                              long min_blocks, uint64_t seed) {
-  CorpusSource corpus;
+ * --dataset-file is given, else a freshly synthesized in-memory Dataset.
+ * Both are BlockSources, so the two paths are interchangeable
+ * bit-for-bit given the same samples. */
+std::unique_ptr<granite::dataset::BlockSource> MakeCorpusSource(
+    const Flags& flags, long default_blocks, long min_blocks,
+    uint64_t seed) {
   const std::string dataset_file = flags.GetString("dataset-file", "");
   if (!dataset_file.empty()) {
     if (flags.Has("blocks")) {
@@ -515,17 +512,12 @@ CorpusSource MakeCorpusSource(const Flags& flags, long default_blocks,
                     .c_str(),
                 static_cast<unsigned long long>(
                     streaming->header().generator_seed));
-    corpus.source = std::move(streaming);
-  } else {
-    const long num_blocks =
-        flags.GetCount("blocks", default_blocks, min_blocks, 1000000);
-    corpus.owned = std::make_unique<granite::dataset::Dataset>(
-        SynthesizeCorpus(static_cast<std::size_t>(num_blocks), seed));
-    corpus.source =
-        std::make_unique<granite::dataset::MaterializedBlockSource>(
-            corpus.owned.get());
+    return streaming;
   }
-  return corpus;
+  const long num_blocks =
+      flags.GetCount("blocks", default_blocks, min_blocks, 1000000);
+  return std::make_unique<granite::dataset::Dataset>(
+      SynthesizeCorpus(static_cast<std::size_t>(num_blocks), seed));
 }
 
 /** Composes outer[inner[i]] — the index form of a split-of-a-split. */
@@ -566,28 +558,27 @@ int RunTrain(const Flags& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   const double target_scale = flags.GetPositiveDouble("target-scale", 100.0);
 
-  const CorpusSource corpus =
+  const std::unique_ptr<granite::dataset::BlockSource> corpus =
       MakeCorpusSource(flags, /*default_blocks=*/160, /*min_blocks=*/16,
                        seed);
-  if (corpus.source->size() < 16) {
+  if (corpus->size() < 16) {
     std::fprintf(stderr,
                  "granite_cli train: corpus has %zu blocks, need >= 16\n",
-                 corpus.source->size());
+                 corpus->size());
     return 2;
   }
   // The paper's splits, as index views over the source (identical sample
   // sequences to Dataset::SplitFraction, without materializing copies).
   const granite::dataset::IndexSplit train_test =
-      granite::dataset::SplitIndices(corpus.source->size(), 0.83, 1);
+      granite::dataset::SplitIndices(corpus->size(), 0.83, 1);
   const granite::dataset::IndexSplit inner =
       granite::dataset::SplitIndices(train_test.first.size(), 0.98, 2);
   const granite::dataset::SubsetBlockSource train_source(
-      corpus.source.get(), ComposeIndices(train_test.first, inner.first));
+      corpus.get(), ComposeIndices(train_test.first, inner.first));
   const granite::dataset::SubsetBlockSource validation_source(
-      corpus.source.get(),
-      ComposeIndices(train_test.first, inner.second));
+      corpus.get(), ComposeIndices(train_test.first, inner.second));
   const granite::dataset::SubsetBlockSource test_source(
-      corpus.source.get(), train_test.second);
+      corpus.get(), train_test.second);
 
   granite::train::TrainerConfig trainer_config;
   trainer_config.num_steps = steps;
@@ -698,13 +689,13 @@ int RunEval(const Flags& flags) {
   const granite::train::TrainerConfig eval_config =
       EvalConfig(*loaded, target_scale);
   const int num_tasks = loaded->num_tasks();
-  const CorpusSource corpus =
+  const std::unique_ptr<granite::dataset::BlockSource> corpus =
       MakeCorpusSource(flags, /*default_blocks=*/64, /*min_blocks=*/1,
                        seed);
   granite::train::ModelRunner runner(std::move(loaded), eval_config);
   for (int task = 0; task < num_tasks; ++task) {
     const granite::train::EvaluationResult eval =
-        runner.Evaluate(*corpus.source, task);
+        runner.Evaluate(*corpus, task);
     std::printf("task %d (%s): mape=%.1f%% pearson=%.3f spearman=%.3f "
                 "(%zu blocks)\n",
                 task,
@@ -780,8 +771,6 @@ int RunServe(const Flags& flags) {
   // name for the knob, --workers the legacy alias.
   server_config.num_workers = static_cast<int>(flags.GetCount(
       "shards", flags.GetCount("workers", 2, 1, 256), 1, 256));
-  server_config.workers_per_shard =
-      static_cast<int>(flags.GetCount("workers-per-shard", 1, 1, 64));
   server_config.max_batch_size =
       static_cast<int>(flags.GetCount("batch-size", 16, 1, 100000));
   server_config.batch_window =
@@ -861,12 +850,19 @@ int RunServe(const Flags& flags) {
     char* end = nullptr;
     const std::string weight_text = spec.substr(second_colon + 1);
     const double weight_a = std::strtod(weight_text.c_str(), &end);
-    if (end == weight_text.c_str() || *end != '\0' || weight_a < 0.0 ||
-        weight_a > 1.0) {
+    if (end == weight_text.c_str() || *end != '\0' ||
+        !std::isfinite(weight_a) || weight_a < 0.0 || weight_a > 1.0) {
       std::fprintf(stderr,
-                   "granite_cli serve: split weight must be in [0, 1], "
-                   "got '%s'\n",
+                   "granite_cli serve: split weight must be a finite "
+                   "number in [0, 1], got '%s'\n",
                    weight_text.c_str());
+      return 2;
+    }
+    if (router.HasModel(split_name)) {
+      std::fprintf(stderr,
+                   "granite_cli serve: split name '%s' collides with a "
+                   "loaded route\n",
+                   split_name.c_str());
       return 2;
     }
     if (!router.HasModel(route_a) || !router.HasModel(route_b)) {
@@ -1007,14 +1003,14 @@ int RunAutotune(const Flags& flags) {
 
   // Collect the input corpus: oracle-supported blocks only (the
   // transform catalog cannot reason about unknown instructions).
-  const CorpusSource corpus =
+  const std::unique_ptr<granite::dataset::BlockSource> corpus =
       MakeCorpusSource(flags, /*default_blocks=*/32, /*min_blocks=*/1,
                        seed);
   std::vector<granite::assembly::BasicBlock> inputs;
   std::size_t unsupported = 0;
-  for (std::size_t i = 0; i < corpus.source->size(); ++i) {
+  for (std::size_t i = 0; i < corpus->size(); ++i) {
     const granite::assembly::BasicBlock& block =
-        *corpus.source->Get(i).block;
+        *corpus->Get(i).block;
     const bool supported = std::all_of(
         block.instructions.begin(), block.instructions.end(),
         [](const granite::assembly::Instruction& instruction) {
