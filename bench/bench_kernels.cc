@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "base/thread_pool.h"
 #include "bench_common.h"
 #include "ml/kernels/kernel_backend.h"
 #include "ml/kernels/optimized_backend.h"
@@ -160,19 +159,7 @@ void RunMatMulTable(bool quick) {
     }
     PrintSeparator(widths);
   }
-
-  // Pool-parallel large products (informative on multi-core machines;
-  // collapses to ~1x on a single-core container).
-  base::ThreadPool pool(4);
-  const ml::OptimizedBackend pooled(&pool);
-  const double seq =
-      MeasureGflops(optimized, MatMulVariant::kPlain, 256, 256, 256,
-                    min_seconds);
-  const double par =
-      MeasureGflops(pooled, MatMulVariant::kPlain, 256, 256, 256,
-                    min_seconds);
-  std::printf("256^3 across 4 pool threads: %.2f -> %.2f GFLOP/s (%.2fx)\n\n",
-              seq, par, par / seq);
+  std::printf("\n");
 }
 
 /** Runs `fn` repeatedly for `min_seconds` and returns calls/sec. */
@@ -205,9 +192,7 @@ void RunGnnShapeTable(bool quick) {
       ml::GetKernelBackend(ml::KernelBackendKind::kReference);
   const ml::KernelBackend& optimized =
       ml::GetKernelBackend(ml::KernelBackendKind::kOptimized);
-  const ml::OptimizedBackend baseline(
-      nullptr, ml::OptimizedBackend::kDefaultParallelFlopThreshold,
-      /*force_baseline_isa=*/true);
+  const ml::OptimizedBackend baseline(/*force_baseline_isa=*/true);
 
   std::printf("GRANITE training shapes, single-threaded (Mrows/s)\n");
   const std::vector<int> widths = {18, 12, 10, 10, 10, 9};

@@ -1,186 +1,56 @@
 #include "base/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "base/logging.h"
 
 namespace granite::base {
-namespace {
-
-/** The deque slot this thread owns, valid while `pool` matches. Lets a
- * worker push nested work to its own deque and lets JoinGroup prefer
- * the caller's local work when helping. */
-struct WorkerIdentity {
-  const ThreadPool* pool = nullptr;
-  int slot = -1;
-};
-thread_local WorkerIdentity t_worker_identity;
-
-}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
   GRANITE_CHECK_GE(num_threads, 1);
-  deques_.reserve(num_threads);
-  for (int i = 0; i < num_threads; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
   workers_.reserve(num_threads - 1);
-  for (int slot = 1; slot < num_threads; ++slot) {
-    workers_.emplace_back([this, slot] { WorkerLoop(slot); });
+  for (int shard = 1; shard < num_threads; ++shard) {
+    workers_.emplace_back([this, shard] { WorkerLoop(shard); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     shutting_down_ = true;
   }
-  task_available_.notify_all();
-  // Help drain pending tasks on the destructing thread — the only
-  // drainer a width-1 pool has. Tasks submitted *by* draining tasks are
-  // picked up by whichever thread (a worker or this loop) is still
-  // running; exceptions land in their group's slot and are discarded
-  // unobserved (destructors cannot rethrow).
-  while (TryRunOneTask(/*home_slot=*/-1)) {
-  }
+  work_ready_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
-int ThreadPool::CurrentSlot() const {
-  return t_worker_identity.pool == this ? t_worker_identity.slot : -1;
-}
-
-void ThreadPool::CaptureGroupException(TaskGroup& group) {
-  std::lock_guard<std::mutex> lock(group.mutex);
-  if (group.exception == nullptr) {
-    group.exception = std::current_exception();
+void ThreadPool::WorkerLoop(int shard) {
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    work_ready_.wait(
+        lock, [&] { return shutting_down_ || generation_ != seen; });
+    if (shutting_down_) return;
+    // A worker may sleep through a call with no shard for it; it then
+    // wakes on the latest generation, which is the only one that can be
+    // in flight.
+    seen = generation_;
+    if (shard >= static_cast<int>(shards_.size())) continue;
+    lock.unlock();
+    RunShard(shard);
+    lock.lock();
+    if (--remaining_ == 0) shards_done_.notify_one();
   }
 }
 
-void ThreadPool::RunTask(Task& task) {
+void ThreadPool::RunShard(int shard) {
   try {
-    task.fn();
+    (*fn_)(shard, begin_ + shards_[shard].first,
+           begin_ + shards_[shard].second);
   } catch (...) {
-    CaptureGroupException(*task.group);
-  }
-  // Retire after the task body (and any nested submissions it made)
-  // finished, so a join can never observe zero while a parent that is
-  // about to spawn children is still running.
-  std::lock_guard<std::mutex> lock(task.group->mutex);
-  if (--task.group->remaining == 0) task.group->done.notify_all();
-}
-
-void ThreadPool::SubmitToGroup(TaskGroup* group, std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(group->mutex);
-    ++group->remaining;
-  }
-  // A worker pushes to the back of its own deque (nested work runs
-  // LIFO, depth-first, on a warm cache); external threads spray
-  // round-robin across all deques so every worker's steal sweep starts
-  // non-empty under load.
-  const int own_slot = CurrentSlot();
-  const int slot =
-      own_slot >= 0
-          ? own_slot
-          : static_cast<int>(next_slot_.fetch_add(
-                                 1, std::memory_order_relaxed) %
-                             static_cast<unsigned>(num_threads_));
-  {
-    std::lock_guard<std::mutex> lock(deques_[slot]->mutex);
-    deques_[slot]->tasks.push_back(Task{std::move(fn), group});
-  }
-  {
-    // No shutting_down_ check: tasks may submit nested tasks even while
-    // the destructor drains — the drain loops only finish once every
-    // deque is empty, so late submissions still run.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    ++queued_;
-  }
-  task_available_.notify_one();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  SubmitToGroup(&ambient_group_, std::move(task));
-}
-
-bool ThreadPool::PopTask(int home_slot, Task& task) {
-  bool popped = false;
-  if (home_slot >= 0) {
-    Deque& own = *deques_[home_slot];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      popped = true;
-    }
-  }
-  if (!popped) {
-    // Steal sweep: oldest task first from each victim, starting after
-    // the caller's own slot so thieves spread across the deques.
-    const int start = home_slot >= 0 ? home_slot + 1 : 0;
-    for (int i = 0; i < num_threads_ && !popped; ++i) {
-      Deque& victim = *deques_[(start + i) % num_threads_];
-      std::lock_guard<std::mutex> lock(victim.mutex);
-      if (!victim.tasks.empty()) {
-        task = std::move(victim.tasks.front());
-        victim.tasks.pop_front();
-        popped = true;
-      }
-    }
-  }
-  if (popped) {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    --queued_;
-  }
-  return popped;
-}
-
-bool ThreadPool::TryRunOneTask(int home_slot) {
-  Task task;
-  if (!PopTask(home_slot, task)) return false;
-  RunTask(task);
-  return true;
-}
-
-void ThreadPool::WorkerLoop(int slot) {
-  t_worker_identity = {this, slot};
-  for (;;) {
-    if (TryRunOneTask(slot)) continue;
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    task_available_.wait(
-        lock, [this] { return queued_ > 0 || shutting_down_; });
-    if (queued_ == 0) return;  // Shutting down with every deque empty.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (exception_ == nullptr) exception_ = std::current_exception();
   }
 }
-
-void ThreadPool::JoinGroup(TaskGroup& group) {
-  const int slot = CurrentSlot();
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(group.mutex);
-      if (group.remaining == 0) break;
-    }
-    if (TryRunOneTask(slot)) continue;
-    // Every deque was momentarily empty, so this window's outstanding
-    // tasks are executing on other threads (which keep helping if they
-    // block on nested joins themselves); sleep until the count drains.
-    // Tasks queued after the emptiness check wake a pool worker (or are
-    // run by their submitter's own join), never only this sleeper.
-    std::unique_lock<std::mutex> lock(group.mutex);
-    group.done.wait(lock, [&group] { return group.remaining == 0; });
-    break;
-  }
-  std::exception_ptr exception;
-  {
-    std::lock_guard<std::mutex> lock(group.mutex);
-    std::swap(exception, group.exception);
-  }
-  if (exception != nullptr) std::rethrow_exception(exception);
-}
-
-void ThreadPool::Wait() { JoinGroup(ambient_group_); }
 
 std::vector<std::pair<std::size_t, std::size_t>> ThreadPool::PartitionRange(
     std::size_t total, int num_shards) {
@@ -199,33 +69,37 @@ std::vector<std::pair<std::size_t, std::size_t>> ThreadPool::PartitionRange(
   return shards;
 }
 
-int ThreadPool::RunShards(
-    std::size_t begin, std::size_t end,
-    const std::function<void(int, std::size_t, std::size_t)>& fn) {
+int ThreadPool::RunShards(std::size_t begin, std::size_t end,
+                          const ShardFn& fn) {
   GRANITE_CHECK_GE(end, begin);
+  GRANITE_CHECK_MSG(!busy_.exchange(true),
+                    "ThreadPool::RunShards/ParallelFor called from inside "
+                    "a shard or concurrently with another call");
   const std::size_t total = end - begin;
   const int num_shards =
       static_cast<int>(std::min<std::size_t>(total, num_threads_));
-  if (num_shards <= 1) {
-    if (total > 0) fn(0, begin, end);
-    return total > 0 ? 1 : 0;
+  if (num_shards == 0) {
+    busy_.store(false);
+    return 0;
   }
-  const auto shards = PartitionRange(total, num_shards);
-  TaskGroup group;
-  for (int shard = 1; shard < num_shards; ++shard) {
-    SubmitToGroup(&group, [&fn, &shards, shard, begin] {
-      fn(shard, begin + shards[shard].first, begin + shards[shard].second);
-    });
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    fn_ = &fn;
+    begin_ = begin;
+    shards_ = PartitionRange(total, num_shards);
+    remaining_ = num_shards - 1;
+    ++generation_;
   }
-  // The caller's shard routes exceptions through the same group slot as
-  // the workers', so the join below always happens before anything
-  // propagates (the submitted shards reference stack state).
-  try {
-    fn(0, begin + shards[0].first, begin + shards[0].second);
-  } catch (...) {
-    CaptureGroupException(group);
+  if (num_shards > 1) work_ready_.notify_all();
+  RunShard(0);
+  std::exception_ptr exception;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    shards_done_.wait(lock, [this] { return remaining_ == 0; });
+    std::swap(exception, exception_);
   }
-  JoinGroup(group);
+  busy_.store(false);
+  if (exception != nullptr) std::rethrow_exception(exception);
   return num_shards;
 }
 

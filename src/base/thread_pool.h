@@ -1,39 +1,25 @@
 /**
  * @file
- * A fixed-size work-stealing worker pool with reentrant fork-join
- * primitives.
+ * A fixed-size fork-join worker pool.
  *
- * The pool is the concurrency substrate of the whole system: the
- * data-parallel trainer's per-worker tapes, the kernel backends'
- * intra-op row sharding, and the inference server's per-shard worker
- * pools all run on it. Each worker owns a deque — it pushes and pops
- * its own work LIFO at the back (so nested fork-joins drain depth-first
- * with warm caches) and steals FIFO from the front of other deques when
- * its own is empty. External threads submit round-robin across the
- * deques.
+ * The data-parallel trainer runs its per-worker tapes on it: one
+ * RunShards()/ParallelFor() call per training step or evaluation pass.
+ * (The inference server and the kernel backends do not use it; the
+ * server runs its own shard threads, and every kernel call is
+ * single-threaded.)
  *
- * Reentrancy: RunShards()/ParallelFor() may be called from any number
- * of threads concurrently *and* from inside a running task (nested
- * fork-join). Each call is its own join window (a private task group
- * with its own completion count and first-exception slot), and a
- * joining thread executes queued tasks while it waits instead of
- * blocking — so a kernel that shards rows across the pool composes with
- * a trainer or server that is already running its callers on the same
- * pool, without deadlock. Work is partitioned into contiguous shards
- * and the calling thread runs shard 0, so a pool constructed with
- * `num_threads == 1` spawns no threads at all and runs everything
- * inline (making the sequential path identical to the pre-pool code).
+ * One call at a time: RunShards() partitions the range into contiguous
+ * shards, the calling thread runs shard 0, and worker i runs shard i.
+ * The call returns once every shard has finished. A pool constructed
+ * with `num_threads == 1` spawns no threads and runs everything inline.
+ * Calling RunShards()/ParallelFor() while another call on the same pool
+ * is in flight — from inside a shard (nested) or from a second thread
+ * (concurrent) — is a GRANITE_CHECK failure, not a deadlock.
  *
- * Internal failures abort via GRANITE_CHECK like the rest of the
- * codebase, but tasks are allowed to throw: the first exception
- * escaping a task of a join window is captured and rethrown on the
- * joining thread after every task of that window has finished — from
- * Wait() for Submit()ed tasks, from RunShards()/ParallelFor() for their
- * shards (including the caller's own shard 0). Later exceptions from
- * the same window are discarded, as is a pending exception that was
- * never observed before destruction. Exceptions never cross join
- * windows: a throwing shard of one RunShards() call is invisible to a
- * concurrent caller's window.
+ * Shards may throw: the first exception escaping any shard (the
+ * caller's shard 0 included) is rethrown on the calling thread after
+ * every shard of the call has finished; later ones are discarded. The
+ * next call starts clean.
  */
 #ifndef GRANITE_BASE_THREAD_POOL_H_
 #define GRANITE_BASE_THREAD_POOL_H_
@@ -41,29 +27,30 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace granite::base {
 
-/** A fixed set of work-stealing worker threads executing submitted
- * tasks; see the file comment for the reentrancy contract. */
+/** A fixed set of worker threads running one fork-join call at a time;
+ * see the file comment for the contract. */
 class ThreadPool {
  public:
+  /** `fn(shard_index, shard_begin, shard_end)`. */
+  using ShardFn = std::function<void(int, std::size_t, std::size_t)>;
+
   /**
    * @param num_threads Total concurrency including the calling thread;
    *   the pool spawns `num_threads - 1` workers. Must be >= 1.
    */
   explicit ThreadPool(int num_threads);
 
-  /** Joins all workers; pending tasks are completed first (on the
-   * destructing thread for a width-1 pool). An unobserved pending
-   * exception is discarded. */
+  /** Joins all workers. Must not run concurrently with a call. */
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -72,43 +59,17 @@ class ThreadPool {
   /** Total concurrency (workers + the calling thread). */
   int num_threads() const { return num_threads_; }
 
-  /** Enqueues a task for asynchronous execution. Safe to call from any
-   * thread, including from inside a running task (nested submission) and
-   * while the destructor is draining the queue — such tasks still
-   * complete before destruction finishes. Submitting from outside after
-   * the destructor has begun is, as for any object, undefined behavior.
-   * Tasks submitted here are joined by Wait(), not by concurrent
-   * RunShards()/ParallelFor() calls (which join only their own shards). */
-  void Submit(std::function<void()> task);
-
-  /**
-   * Blocks until every Submit()ed task has finished (including tasks
-   * submitted by other tasks while waiting), executing queued tasks on
-   * the calling thread while it waits, then rethrows the first
-   * exception any of them raised, if there was one. Must not be called
-   * from inside a task: the caller's own task is still in flight, so
-   * the wait could never finish. (RunShards/ParallelFor join only
-   * themselves and *are* safe from inside a task.)
-   */
-  void Wait();
-
   /**
    * Partitions [begin, end) into at most num_threads() contiguous shards
-   * and runs `fn(shard_index, shard_begin, shard_end)` for each, using the
-   * calling thread for shard 0. Returns (after all shards finish) the
-   * number of shards used, which is < num_threads() when the range is
-   * shorter than the thread count. Safe to call from multiple threads
-   * concurrently and from inside a running task; each call joins only
-   * its own shards and rethrows only its own first exception.
+   * (PartitionRange) and runs `fn(shard_index, shard_begin, shard_end)`
+   * for each, the calling thread running shard 0 and worker i shard i.
+   * Returns (after all shards finish) the number of shards used, which
+   * is < num_threads() when the range is shorter than the thread count.
    */
-  int RunShards(std::size_t begin, std::size_t end,
-                const std::function<void(int, std::size_t, std::size_t)>& fn);
+  int RunShards(std::size_t begin, std::size_t end, const ShardFn& fn);
 
-  /**
-   * Runs `fn(index)` for every index in [begin, end), statically
-   * partitioned across the pool. Blocks until done. Reentrant like
-   * RunShards().
-   */
+  /** Runs `fn(index)` for every index in [begin, end), statically
+   * partitioned like RunShards(). Blocks until done. */
   void ParallelFor(std::size_t begin, std::size_t end,
                    const std::function<void(std::size_t)>& fn);
 
@@ -121,89 +82,39 @@ class ThreadPool {
       std::size_t total, int num_shards);
 
  private:
-  /**
-   * One join window: the completion count and first-exception slot of a
-   * batch of tasks joined together. Submit()/Wait() share the pool's
-   * ambient group; every RunShards()/ParallelFor() call creates its own
-   * on the stack (its tasks all finish before the call returns).
-   */
-  struct TaskGroup {
-    std::mutex mutex;
-    std::condition_variable done;
-    /** Tasks submitted but not yet finished. Guarded by `mutex`. */
-    int remaining = 0;
-    /** First exception escaping a task of this window; cleared when the
-     * join rethrows it. Guarded by `mutex`. */
-    std::exception_ptr exception;
-  };
+  /** Worker `shard`'s loop: waits for each new call and runs its shard
+   * of it, if the call has one. */
+  void WorkerLoop(int shard);
 
-  /** A queued task and the join window it reports to. */
-  struct Task {
-    std::function<void()> fn;
-    TaskGroup* group;
-  };
-
-  /** One work deque. Slot 0 is the injector for external threads (and
-   * the only deque of a width-1 pool); slots 1..num_threads-1 are owned
-   * by the workers, which push/pop at the back while thieves steal from
-   * the front. */
-  struct Deque {
-    std::mutex mutex;
-    std::deque<Task> tasks;
-  };
-
-  void WorkerLoop(int slot);
-
-  /** Enqueues `fn` into `group`'s join window. */
-  void SubmitToGroup(TaskGroup* group, std::function<void()> fn);
-
-  /** Pops one task — the caller's own deque first (back/LIFO), then a
-   * stealing sweep over the others (front/FIFO). */
-  bool PopTask(int home_slot, Task& task);
-
-  /** Pops and runs one task; false when every deque was empty. */
-  bool TryRunOneTask(int home_slot);
-
-  /** Runs `task`, capturing the first escaping exception into its
-   * group, then retires it from the group's count. */
-  void RunTask(Task& task);
-
-  /** Stores the in-flight exception as `group`'s pending one if it is
-   * the window's first. Call only from a catch block. */
-  static void CaptureGroupException(TaskGroup& group);
-
-  /**
-   * Blocks until `group.remaining == 0`, running queued tasks (of any
-   * group) on this thread while any are available — the helping that
-   * makes nested and concurrent joins deadlock-free. Then rethrows the
-   * group's first exception, if any.
-   */
-  void JoinGroup(TaskGroup& group);
-
-  /** This thread's own deque slot in this pool (workers only), -1 for
-   * external threads. */
-  int CurrentSlot() const;
+  /** Runs shard `shard` of the current call, keeping its exception if
+   * it is the call's first. */
+  void RunShard(int shard);
 
   int num_threads_;
-  /** Deque addresses must stay stable across the vector (workers hold
-   * references), hence unique_ptr. */
-  std::vector<std::unique_ptr<Deque>> deques_;
   std::vector<std::thread> workers_;
 
-  /** Sleep/wake coordination: workers sleep here when every deque is
-   * empty. `queued_` counts tasks sitting in deques (not executing) and
-   * is guarded by `sleep_mutex_` so a submit can never slip between a
-   * worker's emptiness check and its wait. */
-  std::mutex sleep_mutex_;
-  std::condition_variable task_available_;
-  std::size_t queued_ = 0;
+  /** Set while a call is in flight; catches nested and concurrent
+   * calls. */
+  std::atomic<bool> busy_{false};
+
+  std::mutex mutex_;
+  /** Signals workers that `generation_` moved or shutdown began. */
+  std::condition_variable work_ready_;
+  /** Signals the caller that `remaining_` reached zero. */
+  std::condition_variable shards_done_;
+
+  // The call in flight. The fields below are guarded by `mutex_`; the
+  // job fields are written before `generation_` moves and stay fixed
+  // until every worker shard has finished.
+  std::uint64_t generation_ = 0;
   bool shutting_down_ = false;
-
-  /** Round-robin cursor for external submissions. */
-  std::atomic<unsigned> next_slot_{0};
-
-  /** The join window of plain Submit()/Wait(). */
-  TaskGroup ambient_group_;
+  const ShardFn* fn_ = nullptr;
+  std::size_t begin_ = 0;
+  std::vector<std::pair<std::size_t, std::size_t>> shards_;
+  /** Worker shards of the current call not yet finished. */
+  int remaining_ = 0;
+  /** The current call's first exception. */
+  std::exception_ptr exception_;
 };
 
 }  // namespace granite::base

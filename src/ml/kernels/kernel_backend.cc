@@ -6,7 +6,6 @@
 #include <string>
 
 #include "base/logging.h"
-#include "ml/kernels/blas_backend.h"
 #include "ml/kernels/optimized_backend.h"
 #include "ml/kernels/reference_backend.h"
 
@@ -242,25 +241,14 @@ const ReferenceBackend& SharedReferenceBackend() {
 }
 
 const OptimizedBackend& SharedOptimizedBackend() {
-  // Pool-free: safe for concurrent use by data-parallel worker tapes.
   static const OptimizedBackend backend;
   return backend;
 }
 
-#ifdef GRANITE_WITH_BLAS
-const BlasBackend& SharedBlasBackend() {
-  // Pool-free like the other shared instances.
-  static const BlasBackend backend;
-  return backend;
-}
-#endif
-
-/** "reference, optimized, blas" — or a note that blas is compiled out;
- * for error messages. */
-std::string AvailableBackendNames() {
+/** "reference, optimized", for error messages. */
+std::string BackendNames() {
   std::string names;
   for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (!info.available) continue;
     if (!names.empty()) names += ", ";
     names += info.name;
   }
@@ -268,8 +256,8 @@ std::string AvailableBackendNames() {
 }
 
 /** The backend named by GRANITE_KERNEL_BACKEND, read once at startup.
- * Unknown or compiled-out names are fatal: a silently substituted
- * backend would invalidate any measurement the variable was set for. */
+ * Unknown names are fatal: a silently substituted backend would
+ * invalidate any measurement the variable was set for. */
 const KernelBackend& EnvironmentSelectedBackend() {
   static const KernelBackend* const selected = [] {
     const char* const env = std::getenv("GRANITE_KERNEL_BACKEND");
@@ -277,16 +265,9 @@ const KernelBackend& EnvironmentSelectedBackend() {
       return static_cast<const KernelBackend*>(&SharedOptimizedBackend());
     }
     const KernelBackendInfo* const info = FindKernelBackendByName(env);
-    GRANITE_CHECK_MSG(info != nullptr,
-                      "unknown GRANITE_KERNEL_BACKEND '"
-                          << env << "'; valid values: "
-                          << AvailableBackendNames());
-    GRANITE_CHECK_MSG(info->available,
-                      "GRANITE_KERNEL_BACKEND '"
-                          << env
-                          << "' is not compiled into this build (configure "
-                             "with -DGRANITE_WITH_BLAS=ON); valid values: "
-                          << AvailableBackendNames());
+    GRANITE_CHECK_MSG(info != nullptr, "unknown GRANITE_KERNEL_BACKEND '"
+                                           << env << "'; valid values: "
+                                           << BackendNames());
     return &GetKernelBackend(info->kind);
   }();
   return *selected;
@@ -298,13 +279,8 @@ std::atomic<const KernelBackend*> g_default_backend{nullptr};
 
 const std::vector<KernelBackendInfo>& ListKernelBackends() {
   static const std::vector<KernelBackendInfo> registry = {
-      {KernelBackendKind::kReference, "reference", true},
-      {KernelBackendKind::kOptimized, "optimized", true},
-#ifdef GRANITE_WITH_BLAS
-      {KernelBackendKind::kBlas, "blas", true},
-#else
-      {KernelBackendKind::kBlas, "blas", false},
-#endif
+      {KernelBackendKind::kReference, "reference"},
+      {KernelBackendKind::kOptimized, "optimized"},
   };
   return registry;
 }
@@ -325,16 +301,6 @@ const KernelBackend& GetKernelBackend(KernelBackendKind kind) {
       return SharedReferenceBackend();
     case KernelBackendKind::kOptimized:
       return SharedOptimizedBackend();
-    case KernelBackendKind::kBlas:
-#ifdef GRANITE_WITH_BLAS
-      return SharedBlasBackend();
-#else
-      GRANITE_CHECK_MSG(false,
-                        "the BLAS kernel backend is not compiled into this "
-                        "build; configure with -DGRANITE_WITH_BLAS=ON "
-                        "(valid backends: "
-                            << AvailableBackendNames() << ")");
-#endif
   }
   GRANITE_CHECK_MSG(false, "unknown kernel backend kind");
   return SharedReferenceBackend();

@@ -5,31 +5,29 @@
  *
  * Every heavy loop of the ML stack — the autodiff tape's forward ops and
  * backward accumulations, the MLP/LSTM layers and the graph-network
- * aggregations — routes through a KernelBackend. Three implementations
+ * aggregations — routes through a KernelBackend. Two implementations
  * ship:
  *
  *  - ReferenceBackend: the original straightforward loops, kept as the
  *    correctness oracle for the equivalence test suite.
  *  - OptimizedBackend: cache-blocked, transpose-aware MatMul micro-kernels
- *    with vectorizable inner loops, fused AXPY/scale/bias kernels, a
- *    row-interleaved LayerNorm bit-identical to the reference, and
- *    optional MatMul row sharding across a base::ThreadPool. Its hot
+ *    with vectorizable inner loops, fused AXPY/scale/bias kernels and a
+ *    row-interleaved LayerNorm bit-identical to the reference. Its hot
  *    loops are compiled for the x86-64 baseline and for AVX2; the
  *    backend picks one copy at startup from CPUID, with bit-identical
  *    results either way.
- *  - BlasBackend (only when built with -DGRANITE_WITH_BLAS=ON): the
- *    MatMul family routed through cblas sgemm, every other op falling
- *    back to the optimized kernels. ListKernelBackends() reports
- *    whether it was compiled in.
+ *
+ * Every kernel call runs on the calling thread; parallelism lives above
+ * this layer (the trainer's data-parallel shards, the server's shard
+ * threads), each tape running single-threaded.
  *
  * Backend selection is plumbed through TrainerConfig::kernel_backend and
  * GraniteConfig::kernel_backend; the process-wide default is the
  * optimized backend and can be overridden programmatically
  * (SetDefaultKernelBackend) or via the GRANITE_KERNEL_BACKEND environment
- * variable ("reference" / "optimized" / "blas"). Naming a backend that
- * is unknown or not compiled in is a fatal configuration error (the
- * process aborts with the list of valid names) rather than a silent
- * fallback.
+ * variable ("reference" / "optimized"). Naming an unknown backend is a
+ * fatal configuration error (the process aborts with the list of valid
+ * names) rather than a silent fallback.
  *
  * Interface convention: `*Into` methods overwrite their output, `*Acc` /
  * `Accumulate*` methods add into it. Outputs must be preallocated with
@@ -53,31 +51,19 @@ enum class KernelBackendKind {
   kReference,
   /** Blocked/SIMD kernels; the fast path. */
   kOptimized,
-  /** cblas sgemm for the MatMul family, optimized kernels for the rest.
-   * Requesting it in a build without GRANITE_WITH_BLAS is a fatal
-   * configuration error; see ListKernelBackends(). */
-  kBlas,
 };
 
-/** One row of the backend registry: a selectable backend and whether
- * this build can actually construct it. */
+/** One row of the backend registry: a selectable backend. */
 struct KernelBackendInfo {
   KernelBackendKind kind;
   /** The stable name used by GRANITE_KERNEL_BACKEND and --backend=. */
   const char* name;
-  /** False when the backend was not compiled in (BLAS without
-   * -DGRANITE_WITH_BLAS=ON); selecting it then is a fatal error. */
-  bool available;
 };
 
-/** Every selectable backend (kDefault excluded), in registry order,
- * including compiled-out ones with `available == false`. */
+/** Every selectable backend (kDefault excluded), in registry order. */
 const std::vector<KernelBackendInfo>& ListKernelBackends();
 
-/**
- * The registry row whose name matches, or nullptr for unknown names.
- * Matches compiled-out backends too (check `available`).
- */
+/** The registry row whose name matches, or nullptr for unknown names. */
 const KernelBackendInfo* FindKernelBackendByName(const char* name);
 
 /** Element-wise unary transforms executed by a backend. */
@@ -87,10 +73,9 @@ enum class UnaryOp { kRelu, kSigmoid, kTanh, kAbs, kSquare, kHuber };
 enum class BinaryOp { kAdd, kSub, kMul, kDiv };
 
 /**
- * Executes dense math kernels. Implementations must be stateless with
- * respect to calls (safe for concurrent use from many threads), except
- * where a backend documents otherwise (e.g. OptimizedBackend built over a
- * thread pool).
+ * Executes dense math kernels on the calling thread. Implementations
+ * must be stateless with respect to calls (safe for concurrent use from
+ * many threads).
  */
 class KernelBackend {
  public:
@@ -292,10 +277,8 @@ class KernelBackend {
 };
 
 /**
- * Returns the shared (pool-free, thread-safe) backend of `kind`;
- * kDefault resolves through DefaultKernelBackend(). Requesting a
- * backend that is not compiled in (kBlas without GRANITE_WITH_BLAS)
- * aborts with a clear error.
+ * Returns the shared (thread-safe) backend of `kind`; kDefault resolves
+ * through DefaultKernelBackend().
  */
 const KernelBackend& GetKernelBackend(KernelBackendKind kind);
 
@@ -303,8 +286,8 @@ const KernelBackend& GetKernelBackend(KernelBackendKind kind);
  * The process-wide default backend used by default-constructed tapes.
  * Resolution order: a backend installed via SetDefaultKernelBackend,
  * else the GRANITE_KERNEL_BACKEND environment variable ("reference" /
- * "optimized" / "blas", read once; unknown or compiled-out names abort
- * with the list of valid values), else the optimized backend.
+ * "optimized", read once; an unknown name aborts with the list of valid
+ * values), else the optimized backend.
  */
 const KernelBackend& DefaultKernelBackend();
 

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <vector>
 
-#include "base/thread_pool.h"
-
 // The AVX2 copy needs GCC's target pragma and CPUID builtin on x86-64;
 // any other build compiles only the baseline copy.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -88,60 +86,28 @@ const OptimizedKernels& SelectKernels(bool force_baseline_isa) {
 
 }  // namespace
 
-OptimizedBackend::OptimizedBackend(base::ThreadPool* pool,
-                                   std::size_t parallel_flop_threshold,
-                                   bool force_baseline_isa)
-    : pool_(pool),
-      parallel_flop_threshold_(parallel_flop_threshold),
-      kernels_(&SelectKernels(force_baseline_isa)) {}
+OptimizedBackend::OptimizedBackend(bool force_baseline_isa)
+    : kernels_(&SelectKernels(force_baseline_isa)) {}
 
-const char* OptimizedBackend::name() const {
-  return pool_ != nullptr ? "optimized+pool" : "optimized";
-}
+const char* OptimizedBackend::name() const { return "optimized"; }
 
 const char* OptimizedBackend::isa() const { return kernels_->isa; }
 
-void OptimizedBackend::ParallelOverRows(
-    std::size_t flops, int rows,
-    const std::function<void(int, int)>& fn) const {
-  if (pool_ == nullptr || pool_->num_threads() <= 1 || rows < 2 ||
-      flops < parallel_flop_threshold_) {
-    fn(0, rows);
-    return;
-  }
-  pool_->RunShards(0, static_cast<std::size_t>(rows),
-                   [&fn](int /*shard*/, std::size_t begin, std::size_t end) {
-                     if (begin < end) {
-                       fn(static_cast<int>(begin), static_cast<int>(end));
-                     }
-                   });
-}
-
 void OptimizedBackend::DoMatMulAcc(const Tensor& a, const Tensor& b,
                                    Tensor& out) const {
-  const std::size_t flops = 2u * static_cast<std::size_t>(a.rows()) *
-                            static_cast<std::size_t>(a.cols()) *
-                            static_cast<std::size_t>(b.cols());
-  ParallelOverRows(flops, a.rows(), [&](int begin, int end) {
-    kernels_->matmul_rows(a, b, out, begin, end);
-  });
+  kernels_->matmul_rows(a, b, out, 0, a.rows());
 }
 
 void OptimizedBackend::DoMatMulTransposeAAcc(const Tensor& a, const Tensor& b,
                                              Tensor& out) const {
-  const std::size_t flops = 2u * static_cast<std::size_t>(a.rows()) *
-                            static_cast<std::size_t>(a.cols()) *
-                            static_cast<std::size_t>(b.cols());
-  ParallelOverRows(flops, a.cols(), [&](int begin, int end) {
-    kernels_->matmul_transpose_a_rows(a, b, out, begin, end);
-  });
+  kernels_->matmul_transpose_a_rows(a, b, out, 0, a.cols());
 }
 
 void OptimizedBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
                                              Tensor& out) const {
   // B is the small operand on the training path (dX = dY * W^T), so pack
-  // it transposed once, before any sharding, and run the plain product's
-  // micro-kernel instead of short dot-product reductions.
+  // it transposed once and run the plain product's micro-kernel instead
+  // of short dot-product reductions.
   const int n = b.rows();
   const int k = b.cols();
   Tensor b_transposed(k, n);

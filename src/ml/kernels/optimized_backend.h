@@ -2,9 +2,8 @@
  * @file
  * The optimized kernel backend: cache-blocked, register-tiled MatMul
  * micro-kernels with vectorizable (`#pragma omp simd`) inner loops, fused
- * AXPY/scale/bias element-wise kernels, a row-interleaved LayerNorm, and
- * optional sharding of large matrix products by output rows across a
- * base::ThreadPool (FLOP-gated). Gather and scatter always run serially.
+ * AXPY/scale/bias element-wise kernels and a row-interleaved LayerNorm.
+ * Every kernel runs on the calling thread.
  *
  * The hot loops live in optimized_kernels.inc and are compiled twice from
  * that one source: once for the x86-64 baseline the whole build targets,
@@ -18,13 +17,13 @@
  *
  * The plain product runs a 4x16 micro-kernel whose per-row sum order
  * does not depend on the row's position in the call, so a row's result
- * is the same at every batch row count and every shard split. The dX
- * product (A * B^T, with B the small weight) packs B transposed once per
- * call and reuses that micro-kernel. The A^T * B (dW) product runs a
- * 4x8 tile that stays in registers across the whole k loop: it is loaded
- * from the output, summed over k in ascending order and stored once, so
- * every element follows the reference backend's sequence and the
- * product is bit-identical to it for finite inputs (the reference skips
+ * is the same at every batch row count. The dX product (A * B^T, with B
+ * the small weight) packs B transposed once per call and reuses that
+ * micro-kernel. The A^T * B (dW) product runs a 4x8 tile that stays in
+ * registers across the whole k loop: it is loaded from the output,
+ * summed over k in ascending order and stored once, so every element
+ * follows the reference backend's sequence and the product is
+ * bit-identical to it for finite inputs (the reference skips
  * zero A entries; adding their zero products leaves a finite sum
  * unchanged unless the running value is -0). LayerNorm forward and
  * backward process 4 rows at a time with one set of sums per row, in the
@@ -36,47 +35,25 @@
  * reference backend across odd/prime/blocked shapes, and bit-identity of
  * the two ISA copies, are enforced by tests/kernels_test.cc; the other
  * matrix products may differ from the reference by floating-point
- * reassociation only. Row-sharded products are bit-identical to the
- * serial call (disjoint output rows, position-independent row sums).
+ * reassociation only.
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 
-#include <cstddef>
-#include <functional>
-
 #include "ml/kernels/reference_backend.h"
-
-namespace granite::base {
-class ThreadPool;
-}  // namespace granite::base
 
 namespace granite::ml {
 
 struct OptimizedKernels;
 
-/** Blocked/SIMD kernels; optionally parallel over a thread pool. */
+/** Blocked/SIMD kernels, single-threaded. */
 class OptimizedBackend : public ReferenceBackend {
  public:
-  /** Matrix products with at least this many FLOPs (2*m*n*k) are sharded
-   * across the pool when one is attached. */
-  static constexpr std::size_t kDefaultParallelFlopThreshold = 1u << 21;
-
   /**
-   * @param pool Optional worker pool for large matrix products. The
-   *   backend stays safe for concurrent use from many threads either
-   *   way: ThreadPool fork-join is reentrant (each RunShards call is its
-   *   own join window), so pool-attached backends may be shared across
-   *   trainer workers and serving shards.
-   * @param parallel_flop_threshold Minimum FLOP count before a matrix
-   *   product is sharded across the pool.
    * @param force_baseline_isa Run the baseline copy even on an AVX2 CPU;
    *   for tests and benches that compare the two copies.
    */
-  explicit OptimizedBackend(
-      base::ThreadPool* pool = nullptr,
-      std::size_t parallel_flop_threshold = kDefaultParallelFlopThreshold,
-      bool force_baseline_isa = false);
+  explicit OptimizedBackend(bool force_baseline_isa = false);
 
   const char* name() const override;
 
@@ -125,14 +102,6 @@ class OptimizedBackend : public ReferenceBackend {
                            Tensor* bias_grad) const override;
 
  private:
-  /** Runs `rows` row-shards of a matmul on the pool when profitable,
-   * inline otherwise. `fn(begin, end)` must be safe for disjoint row
-   * ranges. */
-  void ParallelOverRows(std::size_t flops, int rows,
-                        const std::function<void(int, int)>& fn) const;
-
-  base::ThreadPool* pool_;
-  std::size_t parallel_flop_threshold_;
   const OptimizedKernels* kernels_;
 };
 

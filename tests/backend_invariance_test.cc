@@ -1,11 +1,10 @@
 /**
  * @file
  * End-to-end backend invariance, parameterized over every kernel backend
- * this build registered (optimized always, once per ISA copy; blas when
- * compiled in): the GRANITE model must produce the same forward values,
- * the same parameter gradients, and (to floating-point reassociation
- * tolerance) the same training trajectory on each backend as on the
- * reference backend.
+ * this build registered (the optimized backend, once per ISA copy): the
+ * GRANITE model must produce the same forward values, the same parameter
+ * gradients, and (to floating-point reassociation tolerance) the same
+ * training trajectory on each backend as on the reference backend.
  */
 #include <cmath>
 #include <string>

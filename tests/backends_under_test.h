@@ -1,8 +1,7 @@
 /**
  * @file
- * The backends the equivalence suites hold to the reference oracle: every
- * kind the build registered except the reference itself, with the
- * optimized backend listed once per compiled ISA copy, so both copies
+ * The backends the equivalence suites hold to the reference oracle: the
+ * optimized backend, listed once per compiled ISA copy, so both copies
  * meet the same bar. The AVX2 entry runs the registry's shared instance
  * and is skipped (GTEST_SKIP) on a CPU without AVX2, where that instance
  * runs the baseline copy; the baseline entry pins a forced-baseline
@@ -23,9 +22,7 @@ namespace granite::ml {
 
 /** The optimized backend pinned to its baseline ISA copy. */
 inline const OptimizedBackend& BaselineCopyBackend() {
-  static const OptimizedBackend backend(
-      nullptr, OptimizedBackend::kDefaultParallelFlopThreshold,
-      /*force_baseline_isa=*/true);
+  static const OptimizedBackend backend(/*force_baseline_isa=*/true);
   return backend;
 }
 
@@ -48,9 +45,6 @@ struct BackendUnderTest {
   const KernelBackend* pinned;
   /** Skip on CPUs without AVX2. */
   bool needs_avx2;
-  /** The optimized family: its dW product is bit-identical to the
-   * reference. */
-  bool optimized;
 
   const KernelBackend& backend() const {
     return pinned != nullptr ? *pinned : GetKernelBackend(kind);
@@ -62,16 +56,13 @@ struct BackendUnderTest {
 inline std::vector<BackendUnderTest> BackendsUnderTest() {
   std::vector<BackendUnderTest> backends;
   for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (!info.available || info.kind == KernelBackendKind::kReference) {
-      continue;
-    }
+    if (info.kind == KernelBackendKind::kReference) continue;
     if (info.kind == KernelBackendKind::kOptimized) {
-      backends.push_back(
-          {"optimized_avx2", info.kind, nullptr, true, true});
+      backends.push_back({"optimized_avx2", info.kind, nullptr, true});
       backends.push_back({"optimized_baseline", KernelBackendKind::kDefault,
-                          &BaselineCopyBackend(), false, true});
+                          &BaselineCopyBackend(), false});
     } else {
-      backends.push_back({info.name, info.kind, nullptr, false, false});
+      backends.push_back({info.name, info.kind, nullptr, false});
     }
   }
   return backends;

@@ -1,16 +1,15 @@
 /**
  * @file
  * Kernel-backend equivalence suite, parameterized over EVERY backend the
- * build registered (optimized always, once per ISA copy; blas when
- * compiled in): each KernelBackend operation is run through the reference
- * oracle and the backend under test on the same inputs — including odd,
- * prime, and micro-kernel-aligned shapes that exercise every remainder
- * path of the blocked kernels — and the results must agree to tight
- * tolerance; LayerNorm and the optimized A^T * B product must agree bit
- * for bit. The optimized backend's baseline and AVX2 copies must agree
- * with each other bit for bit on every kernel. Pool sharding of the
- * matmul kernels, and the row count of a matmul call, are checked for
- * bit-identity against the serial paths.
+ * build registered (the optimized backend, once per ISA copy): each
+ * KernelBackend operation is run through the reference oracle and the
+ * backend under test on the same inputs — including odd, prime, and
+ * micro-kernel-aligned shapes that exercise every remainder path of the
+ * blocked kernels — and the results must agree to tight tolerance;
+ * LayerNorm and the optimized A^T * B product must agree bit for bit.
+ * The optimized backend's baseline and AVX2 copies must agree with each
+ * other bit for bit on every kernel. A row's matmul result must not
+ * depend on the row count of the call.
  * Also gradient-checks the fused tape ops (Linear, ConcatGathered)
  * against central finite differences under every backend, pins known
  * values of the basic ops on the process-default backend, and verifies
@@ -25,7 +24,6 @@
 
 #include "backends_under_test.h"
 #include "base/rng.h"
-#include "base/thread_pool.h"
 #include "gtest/gtest.h"
 #include "ml/kernels/kernel_backend.h"
 #include "ml/kernels/optimized_backend.h"
@@ -91,11 +89,11 @@ const MatMulShape kMatMulShapes[] = {
     {67, 263, 33}, {3, 1, 47},
 };
 
-/** Every registered backend this build can construct. */
-std::vector<KernelBackendKind> AvailableKinds() {
+/** Every registered backend. */
+std::vector<KernelBackendKind> RegisteredKinds() {
   std::vector<KernelBackendKind> kinds;
   for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (info.available) kinds.push_back(info.kind);
+    kinds.push_back(info.kind);
   }
   return kinds;
 }
@@ -169,8 +167,7 @@ TEST_P(KernelEquivalenceTest, MatMulTransposeAAcc) {
   // The optimized dW product sums every element sequentially over k from
   // its seeded value, exactly like the reference, so it must match bit
   // for bit (zero products it does not skip leave a finite sum
-  // unchanged). A BLAS sgemm reassociates and keeps a tolerance.
-  const bool exact = GetParam().optimized;
+  // unchanged).
   std::vector<MatMulShape> shapes(std::begin(kMatMulShapes),
                                   std::end(kMatMulShapes));
   shapes.insert(shapes.end(), std::begin(kTransposeAShapes),
@@ -189,11 +186,7 @@ TEST_P(KernelEquivalenceTest, MatMulTransposeAAcc) {
           "MatMulTransposeAAcc " + std::to_string(shape.m) + "x" +
           std::to_string(shape.k) + "x" + std::to_string(shape.n) +
           (sparse ? " sparse" : " dense");
-      if (exact) {
-        ExpectBitIdentical(ref, opt, label);
-      } else {
-        ExpectAllClose(ref, opt, 1e-4f, label);
-      }
+      ExpectBitIdentical(ref, opt, label);
     }
   }
 }
@@ -221,29 +214,6 @@ TEST_P(KernelEquivalenceTest, LinearBias) {
     reference().LinearBias(a, w, bias, ref);
     backend().LinearBias(a, w, bias, opt);
     ExpectAllClose(ref, opt, 1e-4f, "LinearBias");
-  }
-}
-
-TEST_P(KernelEquivalenceTest, PooledMatMulMatchesSequential) {
-  // The pool-attached optimized backend shards big products over rows;
-  // the result must match the shared sequential instance.
-  base::ThreadPool pool(4);
-  const OptimizedBackend pooled(&pool, /*parallel_flop_threshold=*/1);
-  for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
-    const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-    Tensor ref(shape.m, shape.n);
-    Tensor opt(shape.m, shape.n);
-    reference().MatMulAcc(a, b, ref);
-    pooled.MatMulAcc(a, b, opt);
-    ExpectAllClose(ref, opt, 1e-4f, "pooled MatMulAcc");
-
-    const Tensor bt = RandomTensor(shape.n, shape.k, rng_);
-    Tensor ref_t(shape.m, shape.n);
-    Tensor opt_t(shape.m, shape.n);
-    reference().MatMulTransposeBAcc(a, bt, ref_t);
-    pooled.MatMulTransposeBAcc(a, bt, opt_t);
-    ExpectAllClose(ref_t, opt_t, 1e-4f, "pooled MatMulTransposeBAcc");
   }
 }
 
@@ -490,68 +460,6 @@ TEST(OptimizedMatMulRowTest, LinearBiasRowDoesNotDependOnRowCount) {
     }
   }
 }
-
-// ---- Pool-sharded matmul -------------------------------------------------
-
-/** Runs against each ISA copy: the parameter forces the baseline copy. */
-class PooledGraphKernelTest : public ::testing::TestWithParam<bool> {
- protected:
-  PooledGraphKernelTest()
-      // A threshold of 1 forces the sharded path even on the small
-      // tensors used here.
-      : serial_(nullptr, OptimizedBackend::kDefaultParallelFlopThreshold,
-                GetParam()),
-        pooled_(&pool_, /*parallel_flop_threshold=*/1, GetParam()) {}
-
-  void SetUp() override {
-    if (std::strcmp(serial_.isa(), GetParam() ? "baseline" : "avx2") != 0) {
-      GTEST_SKIP() << "this CPU has no AVX2";
-    }
-  }
-
-  base::ThreadPool pool_{4};
-  const OptimizedBackend serial_;
-  const OptimizedBackend pooled_;
-  Rng rng_{20260808};
-};
-
-TEST_P(PooledGraphKernelTest, MatMulBitIdenticalToSerial) {
-  // Row shards start wherever the partition puts them, so a row that is
-  // tiled in the serial call can be a leftover row in its shard: both
-  // must sum in the same order. Row counts off a multiple of 4 shards x
-  // 4-row tiles, widths on and off the 16- and 8-column slivers.
-  for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
-    const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-    const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
-    Tensor serial_out = seed;
-    Tensor pooled_out = seed;
-    serial_.MatMulAcc(a, b, serial_out);
-    pooled_.MatMulAcc(a, b, pooled_out);
-    ExpectBitIdentical(serial_out, pooled_out, "pooled MatMulAcc");
-
-    const Tensor bt = RandomTensor(shape.n, shape.k, rng_);
-    Tensor serial_t = seed;
-    Tensor pooled_t = seed;
-    serial_.MatMulTransposeBAcc(a, bt, serial_t);
-    pooled_.MatMulTransposeBAcc(a, bt, pooled_t);
-    ExpectBitIdentical(serial_t, pooled_t, "pooled MatMulTransposeBAcc");
-
-    const Tensor at = RandomTensor(shape.k, shape.m, rng_);
-    Tensor serial_ta = seed;
-    Tensor pooled_ta = seed;
-    serial_.MatMulTransposeAAcc(at, b, serial_ta);
-    pooled_.MatMulTransposeAAcc(at, b, pooled_ta);
-    ExpectBitIdentical(serial_ta, pooled_ta, "pooled MatMulTransposeAAcc");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(IsaCopies, PooledGraphKernelTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return std::string(info.param ? "baseline"
-                                                         : "avx2");
-                         });
 
 // ---- The two ISA copies of the optimized backend -------------------------
 
@@ -846,7 +754,7 @@ TEST_P(FusedOpGradTest, ConcatGatheredMatchesGatherPlusConcat) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FusedOpGradTest,
-                         ::testing::ValuesIn(AvailableKinds()), KindName);
+                         ::testing::ValuesIn(RegisteredKinds()), KindName);
 
 // ---- Known values on the process-default backend ------------------------
 
@@ -1021,22 +929,11 @@ TEST(KernelBackendSelectionTest, ExplicitTapeBackendWins) {
 
 TEST(KernelBackendRegistryTest, ListsEverySelectableBackend) {
   const std::vector<KernelBackendInfo>& registry = ListKernelBackends();
-  ASSERT_EQ(registry.size(), 3u);
+  ASSERT_EQ(registry.size(), 2u);
   EXPECT_EQ(registry[0].kind, KernelBackendKind::kReference);
   EXPECT_STREQ(registry[0].name, "reference");
-  EXPECT_TRUE(registry[0].available);
   EXPECT_EQ(registry[1].kind, KernelBackendKind::kOptimized);
   EXPECT_STREQ(registry[1].name, "optimized");
-  EXPECT_TRUE(registry[1].available);
-  // The BLAS row is always listed so tools can say "not compiled in";
-  // availability tracks the build option.
-  EXPECT_EQ(registry[2].kind, KernelBackendKind::kBlas);
-  EXPECT_STREQ(registry[2].name, "blas");
-#ifdef GRANITE_WITH_BLAS
-  EXPECT_TRUE(registry[2].available);
-#else
-  EXPECT_FALSE(registry[2].available);
-#endif
 }
 
 TEST(KernelBackendRegistryTest, FindByNameMatchesRegistryRows) {
@@ -1048,9 +945,8 @@ TEST(KernelBackendRegistryTest, FindByNameMatchesRegistryRows) {
   EXPECT_EQ(FindKernelBackendByName("turbo"), nullptr);
 }
 
-TEST(KernelBackendRegistryTest, AvailableKindsConstructAndReportTheirName) {
+TEST(KernelBackendRegistryTest, EveryKindConstructsAndReportsItsName) {
   for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (!info.available) continue;
     EXPECT_STREQ(GetKernelBackend(info.kind).name(), info.name);
   }
 }

@@ -1,10 +1,9 @@
 /**
  * @file
- * Torture tests for base::ThreadPool beyond the happy path: nested and
- * reentrant submission, exception capture/propagation through Wait() and
- * the fork-join primitives, the N=1 inline path, and rapid
- * construct/destroy cycles. All synchronization goes through the pool's
- * own join points — no sleeps.
+ * Torture tests for base::ThreadPool beyond the happy path: exception
+ * capture and propagation through the fork-join primitives, the N=1
+ * inline path, and rapid construct/destroy cycles. All synchronization
+ * goes through the pool's own join points — no sleeps.
  */
 #include <atomic>
 #include <stdexcept>
@@ -17,162 +16,31 @@
 namespace granite::base {
 namespace {
 
-TEST(ThreadPoolStressTest, NestedSubmissionIsDrainedByOneWait) {
-  ThreadPool pool(4);
-  std::atomic<int> executed{0};
-  for (int parent = 0; parent < 8; ++parent) {
-    pool.Submit([&pool, &executed] {
-      ++executed;
-      for (int child = 0; child < 8; ++child) {
-        pool.Submit([&pool, &executed] {
-          ++executed;
-          pool.Submit([&executed] { ++executed; });
-        });
-      }
-    });
-  }
-  // Wait() must account for grandchildren submitted while it drains.
-  pool.Wait();
-  EXPECT_EQ(executed.load(), 8 + 8 * 8 + 8 * 8);
-}
-
-TEST(ThreadPoolStressTest, ReentrantSubmitDuringParallelFor) {
-  ThreadPool pool(3);
-  std::atomic<int> extra{0};
-  std::atomic<int> visited{0};
-  pool.ParallelFor(0, 32, [&](std::size_t) {
-    ++visited;
-    pool.Submit([&extra] { ++extra; });
-  });
-  // ParallelFor joins only its own shards; the Submit()ed tasks belong
-  // to the ambient window and are drained by Wait().
-  EXPECT_EQ(visited.load(), 32);
-  pool.Wait();
-  EXPECT_EQ(extra.load(), 32);
-}
-
-TEST(ThreadPoolStressTest, NestedRunShardsInsideTaskDoesNotDeadlock) {
-  // The composition the work-stealing rewrite exists for: a task already
-  // running on the pool (a trainer shard, a serving batch) forks its own
-  // inner RunShards — kernel-level row sharding — on the same pool.
-  ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  pool.ParallelFor(0, 8, [&](std::size_t outer) {
-    pool.RunShards(0, 64, [&](int, std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        sum += static_cast<long>(outer * 64 + i);
-      }
-    });
-  });
-  EXPECT_EQ(sum.load(), 8L * 64 * (8 * 64 - 1) / 2);
-}
-
-TEST(ThreadPoolStressTest, ConcurrentMultiCallerForkJoins) {
-  // Many external threads fork-join on ONE pool at once; every call must
-  // see exactly its own indices, every time.
-  ThreadPool pool(4);
-  constexpr int kCallers = 6;
-  constexpr int kRounds = 50;
-  std::vector<std::thread> callers;
-  std::atomic<int> failures{0};
-  callers.reserve(kCallers);
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&pool, &failures, c] {
-      for (int round = 0; round < kRounds; ++round) {
-        std::atomic<long> sum{0};
-        const std::size_t n = 16 + static_cast<std::size_t>(c);
-        pool.ParallelFor(0, n, [&sum](std::size_t i) {
-          sum += static_cast<long>(i);
-        });
-        const long expected = static_cast<long>(n * (n - 1) / 2);
-        if (sum.load() != expected) ++failures;
-      }
-    });
-  }
-  for (std::thread& caller : callers) caller.join();
-  EXPECT_EQ(failures.load(), 0);
-}
-
-TEST(ThreadPoolStressTest, ConcurrentRunShardsKeepExceptionsSeparate) {
-  // Two concurrent join windows: the throwing caller's RunShards must
-  // rethrow, and the clean caller's concurrent windows must never
-  // observe the foreign exception.
-  ThreadPool pool(4);
-  constexpr int kRounds = 100;
-  std::atomic<int> clean_throws{0};
-  std::atomic<int> dirty_throws{0};
-  std::thread dirty([&pool, &dirty_throws] {
-    for (int round = 0; round < kRounds; ++round) {
-      try {
-        pool.RunShards(0, 8, [](int shard, std::size_t, std::size_t) {
-          if (shard == 1) throw std::runtime_error("dirty shard");
-        });
-      } catch (const std::runtime_error&) {
-        ++dirty_throws;
-      }
-    }
-  });
-  std::thread clean([&pool, &clean_throws] {
-    for (int round = 0; round < kRounds; ++round) {
-      try {
-        std::atomic<int> count{0};
-        pool.ParallelFor(0, 8, [&count](std::size_t) { ++count; });
-      } catch (...) {
-        ++clean_throws;
-      }
-    }
-  });
-  dirty.join();
-  clean.join();
-  EXPECT_EQ(dirty_throws.load(), kRounds);
-  EXPECT_EQ(clean_throws.load(), 0);
-}
-
-TEST(ThreadPoolStressTest, StolenShardExceptionPropagatesToItsCaller) {
-  // Force the throwing shard onto a *stolen* execution path: the caller
-  // shard blocks until another thread has run the thrower, so the
-  // exception provably crossed a steal before the join rethrows it.
-  ThreadPool pool(4);
-  std::atomic<bool> thrown{false};
-  EXPECT_THROW(
-      pool.RunShards(0, 4,
-                     [&](int shard, std::size_t, std::size_t) {
-                       if (shard == 0) {
-                         while (!thrown.load()) std::this_thread::yield();
-                         return;
-                       }
-                       if (shard == 3) {
-                         thrown.store(true);
-                         throw std::runtime_error("stolen");
-                       }
-                     }),
-      std::runtime_error);
-}
-
-TEST(ThreadPoolStressTest, WorkerExceptionPropagatesToWait) {
+TEST(ThreadPoolStressTest, WorkerShardExceptionPropagatesAfterEveryShard) {
   ThreadPool pool(4);
   std::atomic<int> survivors{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&survivors, i] {
-      if (i == 7) throw std::runtime_error("boom");
-      ++survivors;
-    });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // All non-throwing tasks still ran: the exception does not cancel the
-  // rest of the join window.
+  EXPECT_THROW(pool.ParallelFor(0, 16,
+                                [&survivors](std::size_t i) {
+                                  if (i == 7) {
+                                    throw std::runtime_error("boom");
+                                  }
+                                  ++survivors;
+                                }),
+               std::runtime_error);
+  // Index 7 is the last of shard 1 ([4, 8)), so every other index ran:
+  // the exception does not cancel the other shards of the call.
   EXPECT_EQ(survivors.load(), 15);
 }
 
 TEST(ThreadPoolStressTest, OnlyTheFirstExceptionIsReported) {
   ThreadPool pool(4);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([] { throw std::runtime_error("each task throws"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // The pending slot was consumed: a fresh join window is clean.
-  pool.Submit([] {});
-  EXPECT_NO_THROW(pool.Wait());
+  EXPECT_THROW(pool.RunShards(0, 8,
+                              [](int, std::size_t, std::size_t) {
+                                throw std::runtime_error("each shard throws");
+                              }),
+               std::runtime_error);
+  // The pending slot was consumed: the next call is clean.
+  EXPECT_NO_THROW(pool.ParallelFor(0, 8, [](std::size_t) {}));
 }
 
 TEST(ThreadPoolStressTest, CallerShardExceptionPropagatesFromRunShards) {
@@ -185,7 +53,7 @@ TEST(ThreadPoolStressTest, CallerShardExceptionPropagatesFromRunShards) {
                        ++other_shards;
                      }),
       std::logic_error);
-  // The submitted shards completed before the rethrow (they reference
+  // The worker shards completed before the rethrow (they reference
   // stack state, so RunShards must join before propagating).
   EXPECT_EQ(other_shards.load(), 3);
 }
@@ -203,34 +71,39 @@ TEST(ThreadPoolStressTest, ParallelForExceptionPropagates) {
 
 TEST(ThreadPoolStressTest, ExceptionDoesNotPoisonSubsequentWork) {
   ThreadPool pool(4);
-  pool.Submit([] { throw std::runtime_error("once"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
+  EXPECT_THROW(pool.RunShards(0, 4,
+                              [](int shard, std::size_t, std::size_t) {
+                                if (shard == 2) {
+                                  throw std::runtime_error("once");
+                                }
+                              }),
+               std::runtime_error);
 
   std::atomic<long> sum{0};
   pool.ParallelFor(0, 100, [&](std::size_t i) {
     sum += static_cast<long>(i);
   });
   EXPECT_EQ(sum.load(), 4950);
-  EXPECT_NO_THROW(pool.Wait());
 }
 
 TEST(ThreadPoolStressTest, InlinePoolRunsEverythingOnTheCaller) {
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen;
-  for (int i = 0; i < 4; ++i) {
-    pool.Submit([&seen] { seen.push_back(std::this_thread::get_id()); });
-  }
-  pool.Wait();  // Drains on the calling thread: no workers exist.
+  pool.ParallelFor(0, 4, [&seen](std::size_t) {
+    seen.push_back(std::this_thread::get_id());
+  });
   ASSERT_EQ(seen.size(), 4u);
   for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
 }
 
 TEST(ThreadPoolStressTest, InlinePoolPropagatesExceptionsToo) {
   ThreadPool pool(1);
-  pool.Submit([] { throw std::runtime_error("inline"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  // RunShards' single-shard fast path throws straight through.
+  EXPECT_THROW(pool.ParallelFor(0, 4,
+                                [](std::size_t) {
+                                  throw std::runtime_error("inline");
+                                }),
+               std::runtime_error);
   EXPECT_THROW(pool.RunShards(0, 1,
                               [](int, std::size_t, std::size_t) {
                                 throw std::logic_error("direct");
@@ -238,48 +111,18 @@ TEST(ThreadPoolStressTest, InlinePoolPropagatesExceptionsToo) {
                std::logic_error);
 }
 
-TEST(ThreadPoolStressTest, RapidConstructDestroyCompletesAllTasks) {
+TEST(ThreadPoolStressTest, RapidConstructDestroyCompletesAllCalls) {
   std::atomic<int> executed{0};
   constexpr int kCycles = 50;
-  constexpr int kTasksPerCycle = 32;
+  constexpr int kIndicesPerCycle = 32;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     ThreadPool pool(4);
-    for (int t = 0; t < kTasksPerCycle; ++t) {
-      pool.Submit([&executed] { ++executed; });
-    }
-    // No Wait(): the destructor must complete every pending task.
+    pool.ParallelFor(0, kIndicesPerCycle,
+                     [&executed](std::size_t) { ++executed; });
   }
-  EXPECT_EQ(executed.load(), kCycles * kTasksPerCycle);
-}
-
-TEST(ThreadPoolStressTest, InlinePoolDestructorCompletesPendingTasks) {
-  // A width-1 pool has no workers: the destructor itself must drain the
-  // queue (and swallow any exception) instead of dropping the tasks.
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 8; ++i) pool.Submit([&executed] { ++executed; });
-    pool.Submit([] { throw std::runtime_error("unobserved"); });
-  }
-  EXPECT_EQ(executed.load(), 8);
-}
-
-TEST(ThreadPoolStressTest, NestedSubmissionDuringDestructorDrain) {
-  // A queued task that submits a child while the destructor is already
-  // draining must not abort, and the child must still run.
-  for (const int width : {1, 4}) {
-    std::atomic<int> executed{0};
-    {
-      ThreadPool pool(width);
-      for (int i = 0; i < 8; ++i) {
-        pool.Submit([&pool, &executed] {
-          pool.Submit([&executed] { ++executed; });
-        });
-      }
-      // Destroyed with everything still pending.
-    }
-    EXPECT_EQ(executed.load(), 8) << "width " << width;
-  }
+  EXPECT_EQ(executed.load(), kCycles * kIndicesPerCycle);
+  // Pools destroyed without ever running a call shut down too.
+  for (int cycle = 0; cycle < kCycles; ++cycle) ThreadPool idle(4);
 }
 
 TEST(ThreadPoolStressTest, RapidConstructDestroyWithVaryingWidths) {
@@ -293,14 +136,16 @@ TEST(ThreadPoolStressTest, RapidConstructDestroyWithVaryingWidths) {
   EXPECT_EQ(sum.load(), 8 * 2016);  // 8 widths x sum(0..63).
 }
 
-TEST(ThreadPoolStressTest, ManyConcurrentJoinWindows) {
-  // Repeated fork-joins on one pool: stale all_done_ notifications from
-  // a previous window must not let a later Wait() return early.
+TEST(ThreadPoolStressTest, ManySequentialCallsEachSeeTheirOwnShards) {
+  // Repeated fork-joins on one pool, with shard counts that rise and
+  // fall: a worker that sat out one call must still run its shard of the
+  // next, and a finished call must not let the next one return early.
   ThreadPool pool(4);
   for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(round % 6);
     std::atomic<int> count{0};
-    pool.ParallelFor(0, 16, [&](std::size_t) { ++count; });
-    ASSERT_EQ(count.load(), 16) << "round " << round;
+    pool.ParallelFor(0, n, [&](std::size_t) { ++count; });
+    ASSERT_EQ(count.load(), static_cast<int>(n)) << "round " << round;
   }
 }
 

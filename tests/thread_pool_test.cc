@@ -3,7 +3,7 @@
  * Tests of the worker pool and its fork-join primitives.
  */
 #include <atomic>
-#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "base/thread_pool.h"
@@ -69,14 +69,17 @@ TEST(ThreadPoolTest, RunShardsNeverExceedsRangeLength) {
   EXPECT_EQ(pool.RunShards(0, 0, [](int, std::size_t, std::size_t) {}), 0);
 }
 
-TEST(ThreadPoolTest, SubmitAndWait) {
+TEST(ThreadPoolTest, EachShardRunsOnItsOwnThread) {
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { ++counter; });
+  std::vector<std::thread::id> ids(4);
+  pool.RunShards(0, 4, [&](int shard, std::size_t, std::size_t) {
+    ids[shard] = std::this_thread::get_id();
+  });
+  // The caller runs shard 0, and worker i shard i.
+  EXPECT_EQ(ids[0], std::this_thread::get_id());
+  for (int a = 0; a < 4; ++a) {
+    for (int b = a + 1; b < 4; ++b) EXPECT_NE(ids[a], ids[b]);
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, PartitionRangeBalances) {
@@ -90,6 +93,31 @@ TEST(ThreadPoolTest, PartitionRangeBalances) {
   const auto sparse = ThreadPool::PartitionRange(2, 4);
   EXPECT_EQ(sparse[2].first, sparse[2].second);
   EXPECT_EQ(sparse[3].first, sparse[3].second);
+}
+
+TEST(ThreadPoolDeathTest, NestedOrConcurrentCallFailsTheCheck) {
+  // One call at a time: a second call while one is in flight would
+  // wait on workers that are busy with the first, so it aborts instead.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.ParallelFor(0, 2, [&pool](std::size_t) {
+          pool.ParallelFor(0, 2, [](std::size_t) {});
+        });
+      },
+      "called from inside a shard or concurrently");
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(2);
+        pool.RunShards(0, 2, [&pool](int shard, std::size_t, std::size_t) {
+          if (shard != 0) return;
+          std::thread other(
+              [&pool] { pool.ParallelFor(0, 2, [](std::size_t) {}); });
+          other.join();
+        });
+      },
+      "called from inside a shard or concurrently");
 }
 
 }  // namespace

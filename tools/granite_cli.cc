@@ -248,7 +248,7 @@ const std::vector<CommandSpec>& CommandTable() {
         {"seed", "N", "corpus + init seed"},
         {"target-scale", "S", "cycles-per-N-iterations label scale"},
         {"verbose", "0|1", "per-validation progress"},
-        {"backend", "reference|optimized|blas|list",
+        {"backend", "reference|optimized|list",
          "kernel backend ('list' prints the registry and exits)"}}},
       {"eval",
        "evaluate a bundle per task on a held-out corpus",
@@ -258,20 +258,19 @@ const std::vector<CommandSpec>& CommandTable() {
         {"blocks", "N", "synthesized corpus size"},
         {"seed", "N", "synthesis seed"},
         {"target-scale", "S", "cycles-per-N-iterations label scale"},
-        {"backend", "reference|optimized|blas|list", "kernel backend"}}},
+        {"backend", "reference|optimized|list", "kernel backend"}}},
       {"predict",
        "predict one block's throughput on every task head",
        {{"model-file", "PATH", "checkpoint bundle (required)"},
         {"asm", "\"INSTR; INSTR\"",
          "block text (else read from stdin)"},
         {"target-scale", "S", "reporting scale"},
-        {"backend", "reference|optimized|blas|list", "kernel backend"}}},
+        {"backend", "reference|optimized|list", "kernel backend"}}},
       {"serve",
        "serve bundles behind a multi-model router",
        {{"model-file", "[NAME=]PATH", "bundle route (repeatable, required)"},
         {"requests", "N", "replayed client requests"},
-        {"shards", "N", "queue/stats shards (alias --workers)"},
-        {"workers", "N", "legacy alias of --shards"},
+        {"shards", "N", "queue/stats shards"},
         {"batch-size", "N", "coalesced batch size"},
         {"window-us", "N", "batching window"},
         {"cache", "N", "prediction cache capacity"},
@@ -282,7 +281,7 @@ const std::vector<CommandSpec>& CommandTable() {
         {"shadow", "ROUTE=PATH", "mirror ROUTE to a candidate bundle"},
         {"shadow-samples", "N", "comparisons before the parity verdict"},
         {"promote", "0|1", "auto-promote the shadow on parity"},
-        {"backend", "reference|optimized|blas|list", "kernel backend"}}},
+        {"backend", "reference|optimized|list", "kernel backend"}}},
       {"autotune",
        "optimize basic blocks with beam search over the served cost model",
        {{"model-file", "PATH",
@@ -303,7 +302,7 @@ const std::vector<CommandSpec>& CommandTable() {
         {"window-us", "N", "server batching window"},
         {"cache", "N", "server prediction cache capacity"},
         {"verbose", "0|1", "print optimized block text"},
-        {"backend", "reference|optimized|blas|list", "kernel backend"}}},
+        {"backend", "reference|optimized|list", "kernel backend"}}},
       {"inspect",
        "dump checkpoint bundle metadata without loading the model",
        {{"model-file", "PATH", "checkpoint bundle (required)"},
@@ -385,8 +384,8 @@ void PrintUsage() {
   std::printf("  help\n      this text\n");
 }
 
-/** " (avx2)" or " (baseline)" for the optimized family (which the BLAS
- * backend extends): the ISA copy its kernels run. Empty for others. */
+/** " (avx2)" or " (baseline)" for the optimized backend: the ISA copy
+ * its kernels run. Empty for the reference backend. */
 std::string IsaSuffix(const granite::ml::KernelBackend& backend) {
   const auto* optimized =
       dynamic_cast<const granite::ml::OptimizedBackend*>(&backend);
@@ -397,8 +396,8 @@ std::string IsaSuffix(const granite::ml::KernelBackend& backend) {
 /**
  * Applies --backend=NAME by installing the named kernel backend as the
  * process-wide default before any model is constructed. --backend=list
- * prints the registry (including backends this build left out) and
- * exits 0. Unknown or compiled-out names exit 2 with the valid set.
+ * prints the registry and exits 0. Unknown names exit 2 with the valid
+ * set.
  */
 void ApplyBackendFlag(const Flags& flags) {
   if (!flags.Has("backend")) return;
@@ -406,32 +405,23 @@ void ApplyBackendFlag(const Flags& flags) {
   if (name == "list") {
     for (const granite::ml::KernelBackendInfo& info :
          granite::ml::ListKernelBackends()) {
-      std::printf(
-          "%-12s %s\n", info.name,
-          info.available
-              ? ("available" +
-                 IsaSuffix(granite::ml::GetKernelBackend(info.kind)))
-                    .c_str()
-              : "not compiled in (build with -DGRANITE_WITH_BLAS=ON)");
+      std::printf("%s%s\n", info.name,
+                  IsaSuffix(granite::ml::GetKernelBackend(info.kind)).c_str());
     }
     std::exit(0);
   }
   const granite::ml::KernelBackendInfo* info =
       granite::ml::FindKernelBackendByName(name.c_str());
-  if (info == nullptr || !info->available) {
+  if (info == nullptr) {
     std::string valid;
     for (const granite::ml::KernelBackendInfo& candidate :
          granite::ml::ListKernelBackends()) {
-      if (!candidate.available) continue;
       if (!valid.empty()) valid += ", ";
       valid += candidate.name;
     }
     std::fprintf(stderr,
-                 "granite_cli: --backend='%s' is %s (valid: %s; "
-                 "--backend=list shows every backend)\n",
-                 name.c_str(),
-                 info == nullptr ? "unknown" : "not compiled into this build",
-                 valid.c_str());
+                 "granite_cli: --backend='%s' is unknown (valid: %s)\n",
+                 name.c_str(), valid.c_str());
     std::exit(2);
   }
   granite::ml::SetDefaultKernelBackend(
@@ -767,10 +757,9 @@ int RunServe(const Flags& flags) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
 
   granite::serve::InferenceServerConfig server_config;
-  // Workers and request-queue shards are 1:1; --shards is the operator
-  // name for the knob, --workers the legacy alias.
-  server_config.num_workers = static_cast<int>(flags.GetCount(
-      "shards", flags.GetCount("workers", 2, 1, 256), 1, 256));
+  // Workers and request-queue shards are 1:1.
+  server_config.num_workers =
+      static_cast<int>(flags.GetCount("shards", 2, 1, 256));
   server_config.max_batch_size =
       static_cast<int>(flags.GetCount("batch-size", 16, 1, 100000));
   server_config.batch_window =
