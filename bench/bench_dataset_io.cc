@@ -2,7 +2,7 @@
  * @file
  * Dataset IO throughput: how fast corpora stream to and from disk.
  *
- * Three phases, all at bounded memory:
+ * Five phases, all at bounded memory:
  *   1. synthesize+write — StreamingSynthesisSource feeding CorpusWriter
  *      (the `granite_cli dataset synthesize` path): blocks/sec and MB/s.
  *   2. sequential read — the chunked CorpusReader (checksum-verified
@@ -15,6 +15,10 @@
  *      BHive sample CSV (--import-csv=PATH, default
  *      ../tests/data/bhive_sample.csv) as an ISA-coverage canary —
  *      a parser regression shows up as a rising reject_ppm.
+ *   5. canonical text — BasicBlock::ToString, BlockFingerprint and
+ *      ParseBasicBlock over blocks of the corpus's shape: ns (print,
+ *      fingerprint) and µs (parse) per block, the per-candidate costs
+ *      of autotune search and the per-record costs of corpus write.
  *
  * Peak RSS (VmHWM) is reported on Linux as a bounded-memory sanity
  * check: it must track the shard window, not the corpus size.
@@ -33,11 +37,14 @@
 #include <cstring>
 #include <fstream>
 
+#include "asm/parser.h"
 #include "base/resource_usage.h"
 #include "bench_common.h"
 #include "dataset/block_source.h"
 #include "dataset/corpus_io.h"
+#include "dataset/generator.h"
 #include "dataset/importer.h"
+#include "uarch/measurement.h"
 
 namespace granite::bench {
 namespace {
@@ -213,6 +220,57 @@ void Run(int argc, char** argv) {
                 "window, not the corpus)\n",
                 rss);
     RecordMetric("dataset_io.peak_rss_mb", rss);
+  }
+
+  // Phase 5: the canonical block text, after the peak-RSS reading so
+  // its block set does not count against the shard-window bound. A
+  // small block set is replayed for several passes so the timed loops
+  // run long enough to resolve.
+  {
+    dataset::BlockGenerator generator(synthesis.generator, synthesis.seed);
+    const std::vector<assembly::BasicBlock> blocks =
+        generator.GenerateMany(1000);
+    const int passes = scale.quick ? 20 : 100;
+    const double items = static_cast<double>(blocks.size()) * passes;
+    std::size_t checksum = 0;
+
+    Clock::time_point start = Clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const assembly::BasicBlock& block : blocks) {
+        checksum += block.ToString().size();
+      }
+    }
+    const double print_ns = 1e9 * SecondsSince(start) / items;
+
+    start = Clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const assembly::BasicBlock& block : blocks) {
+        checksum += uarch::BlockFingerprint(block);
+      }
+    }
+    const double fingerprint_ns = 1e9 * SecondsSince(start) / items;
+
+    std::vector<std::string> texts;
+    texts.reserve(blocks.size());
+    for (const assembly::BasicBlock& block : blocks) {
+      texts.push_back(block.ToString());
+    }
+    start = Clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const std::string& text : texts) {
+        checksum += assembly::ParseBasicBlock(text).value->size();
+      }
+    }
+    const double parse_us = 1e6 * SecondsSince(start) / items;
+
+    std::printf("canonical text:   %6.0f ns print  %6.0f ns fingerprint  "
+                "%6.2f us parse per block  (%zu blocks x %d, checksum "
+                "%zx)\n",
+                print_ns, fingerprint_ns, parse_us, blocks.size(), passes,
+                checksum);
+    RecordMetric("dataset_io.asm.print_ns_per_block", print_ns);
+    RecordMetric("dataset_io.asm.fingerprint_ns_per_block", fingerprint_ns);
+    RecordMetric("dataset_io.asm.parse_us_per_block", parse_us);
   }
 
   std::error_code ignored;

@@ -1,7 +1,5 @@
 #include "asm/instruction.h"
 
-#include <sstream>
-
 namespace granite::assembly {
 
 bool Instruction::HasPrefix(const std::string& prefix) const {
@@ -11,23 +9,35 @@ bool Instruction::HasPrefix(const std::string& prefix) const {
   return false;
 }
 
-std::string Instruction::ToString() const {
-  std::ostringstream out;
-  for (const std::string& prefix : prefixes) out << prefix << " ";
-  out << mnemonic;
-  for (std::size_t i = 0; i < operands.size(); ++i) {
-    out << (i == 0 ? " " : ", ") << operands[i].ToString();
+void Instruction::AppendTo(std::string& out) const {
+  for (const std::string& prefix : prefixes) {
+    out.append(prefix);
+    out.push_back(' ');
   }
-  return out.str();
+  out.append(mnemonic);
+  for (std::size_t i = 0; i < operands.size(); ++i) {
+    out.append(i == 0 ? " " : ", ");
+    operands[i].AppendTo(out);
+  }
+}
+
+std::string Instruction::ToString() const {
+  std::string text;
+  AppendTo(text);
+  return text;
+}
+
+void BasicBlock::AppendTo(std::string& out) const {
+  for (std::size_t i = 0; i < instructions.size(); ++i) {
+    if (i > 0) out.push_back('\n');
+    instructions[i].AppendTo(out);
+  }
 }
 
 std::string BasicBlock::ToString() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < instructions.size(); ++i) {
-    if (i > 0) out << "\n";
-    out << instructions[i].ToString();
-  }
-  return out.str();
+  std::string text;
+  AppendTo(text);
+  return text;
 }
 
 }  // namespace granite::assembly

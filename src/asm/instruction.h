@@ -35,7 +35,11 @@ struct Instruction {
    * upper-case). */
   bool HasPrefix(const std::string& prefix) const;
 
-  /** Intel-syntax rendering, e.g. "LOCK ADD DWORD PTR [RAX], EBX". */
+  /** Appends the Intel-syntax rendering, e.g.
+   * "LOCK ADD DWORD PTR [RAX], EBX". */
+  void AppendTo(std::string& out) const;
+
+  /** AppendTo into a fresh string. */
   std::string ToString() const;
 };
 
@@ -48,7 +52,15 @@ struct BasicBlock {
   std::size_t size() const { return instructions.size(); }
   bool empty() const { return instructions.empty(); }
 
-  /** One instruction per line. */
+  /**
+   * Appends the canonical block text: one instruction per line, joined
+   * by '\n' with no trailing newline. Fingerprints, shard routes, cache
+   * keys, measurement-noise seeds and corpus records all hash or store
+   * these exact bytes (docs/ARCHITECTURE.md, "canonical block text").
+   */
+  void AppendTo(std::string& out) const;
+
+  /** AppendTo into a fresh string. */
   std::string ToString() const;
 };
 

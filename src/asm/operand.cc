@@ -1,36 +1,82 @@
 #include "asm/operand.h"
 
-#include <sstream>
+#include <charconv>
+#include <cmath>
+#include <iterator>
 
 #include "base/logging.h"
+#include "base/string_util.h"
 
 namespace granite::assembly {
+namespace {
 
-std::string MemoryReference::ToString() const {
-  std::ostringstream out;
-  if (segment != kInvalidRegister) out << RegisterName(segment) << ":";
-  out << "[";
+/** Appends the decimal digits of an integer. */
+template <typename Integer>
+void AppendInteger(std::string& out, Integer value) {
+  char buffer[24];
+  const std::to_chars_result printed =
+      std::to_chars(buffer, std::end(buffer), value);
+  out.append(buffer, printed.ptr);
+}
+
+/** Appends an fp immediate (the policy is documented on Operand). */
+void AppendFpImmediate(std::string& out, double value) {
+  char buffer[40];
+  std::string_view text;
+  for (int precision = 6;; ++precision) {
+    const std::to_chars_result printed =
+        std::to_chars(buffer, std::end(buffer), value,
+                      std::chars_format::general, precision);
+    text = std::string_view(buffer, printed.ptr - buffer);
+    if (precision == 17 || !std::isfinite(value) ||
+        ParseDouble(text) == value) {
+      break;
+    }
+  }
+  out.append(text);
+  // Make sure the token reads as a float even for integral values.
+  if (text.find('.') == std::string_view::npos &&
+      text.find('e') == std::string_view::npos) {
+    out.append(".0");
+  }
+}
+
+}  // namespace
+
+void MemoryReference::AppendTo(std::string& out) const {
+  if (segment != kInvalidRegister) {
+    out.append(RegisterName(segment));
+    out.push_back(':');
+  }
+  out.push_back('[');
   bool first = true;
   if (base != kInvalidRegister) {
-    out << RegisterName(base);
+    out.append(RegisterName(base));
     first = false;
   }
   if (index != kInvalidRegister) {
-    if (!first) out << " + ";
-    if (scale != 1) out << scale << "*";
-    out << RegisterName(index);
+    if (!first) out.append(" + ");
+    if (scale != 1) {
+      AppendInteger(out, scale);
+      out.push_back('*');
+    }
+    out.append(RegisterName(index));
     first = false;
   }
-  if (displacement != 0 || first) {
-    if (!first) {
-      out << (displacement < 0 ? " - " : " + ");
-      out << (displacement < 0 ? -displacement : displacement);
-    } else {
-      out << displacement;
-    }
+  if (first) {
+    AppendInteger(out, displacement);
+  } else if (displacement != 0) {
+    out.append(displacement < 0 ? " - " : " + ");
+    const uint64_t bits = static_cast<uint64_t>(displacement);
+    AppendInteger(out, displacement < 0 ? 0 - bits : bits);
   }
-  out << "]";
-  return out.str();
+  out.push_back(']');
+}
+
+std::string MemoryReference::ToString() const {
+  std::string text;
+  AppendTo(text);
+  return text;
 }
 
 Operand Operand::Reg(Register reg) {
@@ -96,7 +142,7 @@ int Operand::width_bits() const {
   return width_bits_;
 }
 
-std::string MemoryWidthKeyword(int width_bits) {
+std::string_view MemoryWidthKeyword(int width_bits) {
   switch (width_bits) {
     case 8:
       return "BYTE PTR";
@@ -115,32 +161,33 @@ std::string MemoryWidthKeyword(int width_bits) {
   }
 }
 
-std::string Operand::ToString() const {
+void Operand::AppendTo(std::string& out) const {
   switch (kind_) {
     case OperandKind::kRegister:
-      return RegisterName(reg_);
-    case OperandKind::kImmediate: {
-      std::ostringstream out;
-      out << imm_;
-      return out.str();
-    }
-    case OperandKind::kFpImmediate: {
-      std::ostringstream out;
-      out << fp_imm_;
-      const std::string text = out.str();
-      // Make sure the token reads as a float even for integral values.
-      if (text.find('.') == std::string::npos &&
-          text.find('e') == std::string::npos) {
-        return text + ".0";
-      }
-      return text;
-    }
+      out.append(RegisterName(reg_));
+      return;
+    case OperandKind::kImmediate:
+      AppendInteger(out, imm_);
+      return;
+    case OperandKind::kFpImmediate:
+      AppendFpImmediate(out, fp_imm_);
+      return;
     case OperandKind::kMemory:
-      return MemoryWidthKeyword(width_bits_) + " " + mem_.ToString();
+      out.append(MemoryWidthKeyword(width_bits_));
+      out.push_back(' ');
+      mem_.AppendTo(out);
+      return;
     case OperandKind::kAddress:
-      return mem_.ToString();
+      mem_.AppendTo(out);
+      return;
   }
   GRANITE_PANIC("unknown operand kind");
+}
+
+std::string Operand::ToString() const {
+  std::string text;
+  AppendTo(text);
+  return text;
 }
 
 }  // namespace granite::assembly

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "asm/registers.h"
 
@@ -47,7 +48,12 @@ struct MemoryReference {
 
   bool operator==(const MemoryReference&) const = default;
 
-  /** Renders the bracketed Intel-syntax expression, e.g. "[RAX + 4*RBX]". */
+  /** Appends the bracketed Intel-syntax expression, e.g. "[RAX + 4*RBX]".
+   * A negative displacement after a register prints as " - <magnitude>"
+   * (INT64_MIN included: the magnitude is computed unsigned). */
+  void AppendTo(std::string& out) const;
+
+  /** AppendTo into a fresh string. */
   std::string ToString() const;
 };
 
@@ -92,7 +98,15 @@ class Operand {
 
   bool operator==(const Operand&) const = default;
 
-  /** Intel-syntax rendering. */
+  /**
+   * Appends the Intel-syntax rendering. An fp immediate prints in `%g`
+   * form (6 significant digits) when that reads back as the same double,
+   * else with the fewest digits (at most 17) that do; a ".0" is added
+   * when the text would otherwise read as an integer.
+   */
+  void AppendTo(std::string& out) const;
+
+  /** AppendTo into a fresh string. */
   std::string ToString() const;
 
  private:
@@ -107,7 +121,7 @@ class Operand {
 };
 
 /** Returns the "DWORD PTR"-style width keyword for a bit width. */
-std::string MemoryWidthKeyword(int width_bits);
+std::string_view MemoryWidthKeyword(int width_bits);
 
 }  // namespace granite::assembly
 

@@ -1,6 +1,8 @@
 #include "asm/parser.h"
 
 #include <cctype>
+#include <cmath>
+#include <limits>
 
 #include "base/string_util.h"
 
@@ -138,7 +140,18 @@ ParseResult<MemoryReference> ParseAddressExpression(std::string_view expr,
     }
     const std::optional<int64_t> value = ParseInt(term.text);
     if (value.has_value()) {
-      reference.displacement += term.negative ? -*value : *value;
+      // Checked: the sum must stay a displacement whose magnitude is an
+      // int64_t, so INT64_MIN is out of range as well.
+      int64_t sum = 0;
+      const bool overflow =
+          term.negative
+              ? __builtin_sub_overflow(reference.displacement, *value, &sum)
+              : __builtin_add_overflow(reference.displacement, *value, &sum);
+      if (overflow || sum == std::numeric_limits<int64_t>::min()) {
+        return {std::nullopt,
+                "displacement out of range in: " + std::string(expr)};
+      }
+      reference.displacement = sum;
       continue;
     }
     return {std::nullopt, "malformed address term: " + std::string(term.text)};
@@ -217,7 +230,14 @@ ParseResult<Operand> ParseOperand(std::string_view text) {
   // appear in canonicalized operand streams (paper Table 2 has a dedicated
   // node type); the parser accepts them for completeness.
   const std::optional<double> fp = ParseDouble(text);
-  if (fp.has_value()) return {Operand::FpImm(*fp), ""};
+  if (fp.has_value()) {
+    // nan and inf have no canonical text that reads back as themselves.
+    if (!std::isfinite(*fp)) {
+      return {std::nullopt,
+              "non-finite floating-point immediate: " + std::string(text)};
+    }
+    return {Operand::FpImm(*fp), ""};
+  }
 
   return {std::nullopt, "unrecognized operand: " + std::string(text)};
 }
@@ -271,6 +291,9 @@ ParseResult<Instruction> ParseInstruction(std::string_view line) {
   const ParseResult<std::vector<std::string_view>> operands =
       SplitOperands(text);
   if (!operands.ok()) return {std::nullopt, operands.error};
+  // Exact capacities: parsed blocks are moved, not copied, into the
+  // caller, so a vector's growth slack would stay resident with them.
+  instruction.operands.reserve(operands.value->size());
   for (std::string_view operand_text : *operands.value) {
     ParseResult<Operand> operand = ParseOperand(operand_text);
     if (!operand.ok()) return {std::nullopt, operand.error};
@@ -285,12 +308,14 @@ ParseResult<Instruction> ParseInstruction(std::string_view line) {
       }
     }
   }
-  return {instruction, ""};
+  return {std::move(instruction), ""};
 }
 
 ParseResult<BasicBlock> ParseBasicBlock(std::string_view text) {
+  const std::vector<std::string_view> lines = Split(text, '\n');
   BasicBlock block;
-  for (std::string_view line : Split(text, '\n')) {
+  block.instructions.reserve(lines.size());
+  for (std::string_view line : lines) {
     const std::string_view stripped = StripWhitespace(line);
     if (stripped.empty() || stripped.front() == '#' ||
         stripped.front() == ';') {
@@ -303,7 +328,7 @@ ParseResult<BasicBlock> ParseBasicBlock(std::string_view text) {
     }
     block.instructions.push_back(std::move(*instruction.value));
   }
-  return {block, ""};
+  return {std::move(block), ""};
 }
 
 }  // namespace granite::assembly

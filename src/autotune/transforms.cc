@@ -273,10 +273,16 @@ void Emit(std::vector<RewriteCandidate>& out, const BasicBlock& block,
   RewriteCandidate candidate;
   candidate.block = Splice(block, remove, replacement);
   candidate.rule = std::string(rule);
-  candidate.detail = block.instructions[site].ToString() + " @" +
-                     std::to_string(site) + " -> " +
-                     (replacement.empty() ? std::string("(removed)")
-                                          : replacement.front().ToString());
+  std::string& detail = candidate.detail;
+  block.instructions[site].AppendTo(detail);
+  detail.append(" @");
+  detail.append(std::to_string(site));
+  detail.append(" -> ");
+  if (replacement.empty()) {
+    detail.append("(removed)");
+  } else {
+    replacement.front().AppendTo(detail);
+  }
   out.push_back(std::move(candidate));
 }
 

@@ -84,6 +84,9 @@ std::optional<int64_t> ParseInt(std::string_view text) {
     base = 16;
     text.remove_prefix(2);
   }
+  // from_chars takes its own '-': a second sign ("--9223372036854775808")
+  // would hand back INT64_MIN, whose negation below overflows.
+  if (text.front() == '-') return std::nullopt;
   int64_t value = 0;
   const auto result =
       std::from_chars(text.data(), text.data() + text.size(), value, base);

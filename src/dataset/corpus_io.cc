@@ -336,13 +336,19 @@ void CorpusWriter::Append(const Sample& sample) {
   if (finished_) {
     throw CorpusError("append after Finish: " + path_);
   }
-  const std::string text = sample.block.ToString();
-  if (text.size() > kMaxBlockTextBytes) {
+  // The text goes straight into the shard buffer behind a length slot
+  // that is patched once the text's size is known.
+  const std::size_t length_at = shard_buffer_.size();
+  AppendScalar<std::uint32_t>(shard_buffer_, 0);
+  sample.block.AppendTo(shard_buffer_);
+  const std::size_t text_size =
+      shard_buffer_.size() - length_at - sizeof(std::uint32_t);
+  if (text_size > kMaxBlockTextBytes) {
+    shard_buffer_.resize(length_at);
     throw CorpusError("block text exceeds the format limit: " + path_);
   }
-  AppendScalar<std::uint32_t>(shard_buffer_,
-                              static_cast<std::uint32_t>(text.size()));
-  shard_buffer_.append(text);
+  const auto length = static_cast<std::uint32_t>(text_size);
+  std::memcpy(shard_buffer_.data() + length_at, &length, sizeof(length));
   for (int label = 0; label < uarch::kNumMicroarchitectures; ++label) {
     AppendScalar<double>(shard_buffer_, sample.throughput[label]);
   }

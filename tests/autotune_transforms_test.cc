@@ -112,6 +112,20 @@ TEST(TransformCatalogTest, EveryTransformFiresAndRoundTrips) {
   }
 }
 
+TEST(TransformCatalogTest, FpImmediateBlockRoundTrips) {
+  // Six significant digits ("1.23457") would not read back as the same
+  // value, and EnumerateCandidates' round-trip check would abort.
+  const BasicBlock block =
+      Parse("MOV RAX, 1.2345678\nADD RBX, 0\nIMUL RCX, RCX, 2");
+  const std::vector<RewriteCandidate> candidates = EnumerateCandidates(block);
+  ASSERT_FALSE(candidates.empty());
+  for (const RewriteCandidate& candidate : candidates) {
+    EXPECT_NE(candidate.block.ToString().find("MOV RAX, 1.2345678"),
+              std::string::npos)
+        << candidate.rule << ":\n" << candidate.block.ToString();
+  }
+}
+
 // ---- Oracle direction on the classic idioms ---------------------------
 
 class OracleDirectionTest : public ::testing::Test {

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "asm/parser.h"
 #include "dataset/block_source.h"
 #include "dataset/corpus_io.h"
 #include "gtest/gtest.h"
@@ -251,6 +252,47 @@ TEST_F(CorpusIoTest, EmptyCorpusRoundTrips) {
   EXPECT_TRUE(LoadCorpus(path_).empty());
   const StreamingCorpusSource source(path_);
   EXPECT_EQ(source.size(), 0u);
+}
+
+TEST_F(CorpusIoTest, FpImmediatesRoundTripExactly) {
+  Sample sample;
+  sample.block = *assembly::ParseBasicBlock(
+                      "MOV RAX, 1.2345678\nMOV RBX, 0.30000000000000004")
+                      .value;
+  sample.throughput.fill(1.0);
+  SaveCorpus(Dataset({sample}), path_, uarch::MeasurementTool::kIthemalTool,
+             0);
+  const Dataset loaded = LoadCorpus(path_);
+  ASSERT_EQ(loaded.size(), 1u);
+  const assembly::BasicBlock& block = loaded[0].block;
+  EXPECT_EQ(block, sample.block);
+  EXPECT_EQ(block.instructions[0].operands[1].fp_imm(), 1.2345678);
+  EXPECT_EQ(block.instructions[1].operands[1].fp_imm(), 0.1 + 0.2);
+}
+
+TEST_F(CorpusIoTest, OversizedBlockTextIsRejectedAndNotWritten) {
+  const Dataset data = TinyDataset(3);
+  Sample oversized;
+  const assembly::Instruction wide =
+      *assembly::ParseInstruction("VADDPS YMM0, YMM1, YMMWORD PTR [RSI + 32]")
+           .value;
+  // 41 bytes + '\n' per instruction: past the 1 MiB record limit.
+  oversized.block.instructions.assign(30000, wide);
+
+  CorpusWriter writer(path_, uarch::MeasurementTool::kIthemalTool, 0,
+                      /*records_per_shard=*/2);
+  writer.Append(data[0]);
+  EXPECT_THROW(writer.Append(oversized), CorpusError);
+  writer.Append(data[1]);
+  writer.Append(data[2]);
+  writer.Finish();
+  EXPECT_EQ(writer.blocks_written(), 3u);
+
+  const Dataset loaded = LoadCorpus(path_);
+  ASSERT_EQ(loaded.size(), 3u);
+  for (std::size_t i = 0; i < loaded.size(); ++i) {
+    ExpectSamplesEqual(data[i], loaded[i], "sample " + std::to_string(i));
+  }
 }
 
 TEST_F(CorpusIoTest, MissingFileRaisesCleanError) {

@@ -108,6 +108,56 @@ TEST(ParseOperandTest, RejectsGarbage) {
   EXPECT_FALSE(ParseOperand("").ok());
 }
 
+TEST(ParseOperandTest, DisplacementSumsStayInRange) {
+  const auto largest = ParseOperand("[RBX + 9223372036854775806 + 1]");
+  ASSERT_TRUE(largest.ok()) << largest.error;
+  EXPECT_EQ(largest.value->mem().displacement, INT64_MAX);
+  const auto smallest = ParseOperand("[RBX - 9223372036854775806 - 1]");
+  ASSERT_TRUE(smallest.ok()) << smallest.error;
+  EXPECT_EQ(smallest.value->mem().displacement, -INT64_MAX);
+  EXPECT_EQ(smallest.value->ToString(),
+            "QWORD PTR [RBX - 9223372036854775807]");
+}
+
+TEST(ParseOperandTest, RejectsDisplacementOverflow) {
+  const auto overflow = ParseOperand("[RBX + 9223372036854775807 + 1]");
+  EXPECT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.error.find("displacement out of range"),
+            std::string::npos)
+      << overflow.error;
+  EXPECT_FALSE(ParseOperand("[RBX - 9223372036854775807 - 2]").ok());
+}
+
+TEST(ParseOperandTest, RejectsInt64MinDisplacement) {
+  // The sum is representable, but its magnitude is not an int64_t.
+  const auto minimum = ParseOperand("[RBX - 9223372036854775807 - 1]");
+  EXPECT_FALSE(minimum.ok());
+  EXPECT_NE(minimum.error.find("displacement out of range"),
+            std::string::npos)
+      << minimum.error;
+  EXPECT_FALSE(ParseOperand("[-9223372036854775807 - 1]").ok());
+}
+
+TEST(ParseOperandTest, RejectsNonFiniteFpImmediates) {
+  for (const char* text : {"nan", "-nan", "inf", "-inf", "INFINITY",
+                           "1e999", "nan.0", "inf.0"}) {
+    const auto result = ParseOperand(text);
+    EXPECT_FALSE(result.ok()) << text;
+    if (std::string_view(text).find(".0") == std::string_view::npos) {
+      EXPECT_NE(result.error.find("non-finite"), std::string::npos)
+          << text << ": " << result.error;
+    }
+  }
+  EXPECT_FALSE(ParseBasicBlock("MOV RAX, nan\nADD RBX, 0").ok());
+}
+
+TEST(ParseOperandTest, FpImmediateKeepsEveryDigit) {
+  const auto result = ParseOperand("1.2345678");
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.value->fp_imm(), 1.2345678);
+  EXPECT_EQ(result.value->ToString(), "1.2345678");
+}
+
 TEST(ParseOperandTest, PtrWithoutSpaceBeforeBracket) {
   // llvm-mc/objdump Intel syntax legally omits the space after PTR.
   const auto tight = ParseOperand("QWORD PTR[RAX]");
@@ -255,13 +305,14 @@ TEST(ParseBasicBlockTest, ReportsBadLine) {
   EXPECT_NE(result.error.find("BOGUS"), std::string::npos);
 }
 
-/** Property: printing and re-parsing a generated block is the identity. */
+/** Property: printing and re-parsing a generated block is the identity
+ * (5 seeds x 1,000 blocks). */
 class RoundTripTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RoundTripTest, GeneratedBlocksRoundTrip) {
   dataset::GeneratorConfig config;
   dataset::BlockGenerator generator(config, GetParam());
-  for (int i = 0; i < 50; ++i) {
+  for (int i = 0; i < 1000; ++i) {
     const BasicBlock block = generator.Generate();
     const auto reparsed = ParseBasicBlock(block.ToString());
     ASSERT_TRUE(reparsed.ok())

@@ -76,6 +76,15 @@ TEST(ParseIntTest, Malformed) {
   EXPECT_EQ(ParseInt("1.5"), std::nullopt);
 }
 
+TEST(ParseIntTest, RejectsASecondSign) {
+  EXPECT_EQ(ParseInt("--5"), std::nullopt);
+  EXPECT_EQ(ParseInt("+-5"), std::nullopt);
+  EXPECT_EQ(ParseInt("0x-5"), std::nullopt);
+  EXPECT_EQ(ParseInt("-0x-5"), std::nullopt);
+  // Would be INT64_MIN before the outer negation.
+  EXPECT_EQ(ParseInt("--9223372036854775808"), std::nullopt);
+}
+
 TEST(ParseDoubleTest, Valid) {
   EXPECT_DOUBLE_EQ(*ParseDouble("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-0.25"), -0.25);
