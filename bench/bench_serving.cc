@@ -272,11 +272,12 @@ int main(int argc, char** argv) {
   granite::bench::RecordMetric("serving.warm.best_sustained_qps",
                                best_warm_sustained);
 
-  // Shard-scaling phase: per-worker request queues and cache stripes
-  // mean the submit path of an N-worker server shares no locks across
-  // shards. Measured in the warm regime (hot blocks, cache on), where
-  // queue and cache contention — what sharding removes — dominates the
-  // per-request cost.
+  // Shard-scaling phase: per-worker request queues mean the submit path
+  // of an N-worker server shares no queue lock across shards (the
+  // model's prediction cache is one lock, taken once per batch for
+  // lookups and once for inserts). Measured in the warm regime (hot
+  // blocks, cache on), where queue contention — what sharding removes —
+  // dominates the per-request cost.
   std::printf("\n-- shard scaling (64 hot blocks, 512-entry cache), "
               "offered load re-calibrated per point --\n");
   PrintHeader();

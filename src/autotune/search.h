@@ -14,11 +14,11 @@
  * by canonical block fingerprint (sibling beam entries derive the same
  * block often — commuting transform pairs). *Across* waves the search
  * deliberately resubmits previously seen blocks instead of memoizing
- * scores client-side: the server's striped prediction cache is the
- * memoizer (fingerprint-keyed, generation-checked), so repeated
- * candidates are served at cache-hit cost and stay correct across hot
- * model swaps — a client-side score map would serve stale predictions
- * after an UpdateModel(). This resubmission is what produces the high
+ * scores client-side: the server's prediction cache is the memoizer
+ * (fingerprint-keyed, generation-checked), so repeated candidates are
+ * served at cache-hit cost and stay correct across hot model swaps — a
+ * client-side score map would serve stale predictions after an
+ * UpdateModel(). This resubmission is what produces the high
  * cache-hit-rate traffic the serving stack is built for.
  *
  * Threading: a BlockOptimizer instance is not thread-safe (use one per

@@ -6,7 +6,7 @@
  * BHive-style corpora contain the same hot basic blocks over and over, so
  * an LRU over canonical block hashes lets repeated blocks skip the GNN
  * forward pass entirely. The cache itself is generic and single-threaded;
- * callers serialize access (GraniteModel guards it with a mutex).
+ * callers serialize access (ThroughputPredictor guards it with a mutex).
  */
 #ifndef GRANITE_BASE_LRU_CACHE_H_
 #define GRANITE_BASE_LRU_CACHE_H_

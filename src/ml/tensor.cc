@@ -19,8 +19,6 @@ Tensor::Tensor(int rows, int cols, std::vector<float> data)
   GRANITE_CHECK_EQ(data_.size(), static_cast<std::size_t>(rows) * cols);
 }
 
-Tensor Tensor::Zeros(int rows, int cols) { return Tensor(rows, cols); }
-
 Tensor Tensor::Constant(int rows, int cols, float value) {
   Tensor result(rows, cols);
   result.Fill(value);

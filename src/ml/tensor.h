@@ -30,9 +30,6 @@ class Tensor {
   /** Creates a tensor from explicit data (size must be rows*cols). */
   Tensor(int rows, int cols, std::vector<float> data);
 
-  /** Returns a rows x cols tensor of zeros. */
-  static Tensor Zeros(int rows, int cols);
-
   /** Returns a rows x cols tensor filled with `value`. */
   static Tensor Constant(int rows, int cols, float value);
 

@@ -31,32 +31,19 @@ graph::BatchedGraph ThroughputPredictor::EncodeBlocks(
                 << ModelKindName(kind()) << ")");
 }
 
-void ThroughputPredictor::EnablePredictionCache(std::size_t capacity,
-                                                std::size_t num_stripes) {
-  std::shared_ptr<PredictionCache> cache;
-  if (capacity > 0) {
-    cache = std::make_shared<PredictionCache>(capacity, num_stripes);
-  }
-  std::lock_guard<std::mutex> lock(cache_swap_mutex_);
-  // In-flight PredictBatchAllTasks calls keep their shared_ptr to the
-  // old instance and finish harmlessly against it.
-  prediction_cache_ = std::move(cache);
-}
-
-std::shared_ptr<ThroughputPredictor::PredictionCache>
-ThroughputPredictor::CurrentCache() const {
-  std::lock_guard<std::mutex> lock(cache_swap_mutex_);
-  return prediction_cache_;
+void ThroughputPredictor::EnablePredictionCache(std::size_t capacity) {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  prediction_cache_ = base::LruCache<uint64_t, std::vector<double>>(capacity);
 }
 
 std::size_t ThroughputPredictor::prediction_cache_hits() const {
-  const std::shared_ptr<PredictionCache> cache = CurrentCache();
-  return cache ? cache->hits() : 0;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  return prediction_cache_.hits();
 }
 
 std::size_t ThroughputPredictor::prediction_cache_misses() const {
-  const std::shared_ptr<PredictionCache> cache = CurrentCache();
-  return cache ? cache->misses() : 0;
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  return prediction_cache_.misses();
 }
 
 std::vector<double> ThroughputPredictor::PredictBatch(
@@ -74,38 +61,48 @@ std::vector<double> ThroughputPredictor::PredictBatch(
 std::vector<std::vector<double>> ThroughputPredictor::PredictBatchAllTasks(
     const std::vector<const assembly::BasicBlock*>& blocks) const {
   if (blocks.empty()) return {};
-  std::vector<std::vector<double>> result(blocks.size());
-  // Pin the cache instance for the whole call: a concurrent
-  // EnablePredictionCache swap retires the old instance only once every
-  // in-flight call drops its reference.
-  const std::shared_ptr<PredictionCache> cache = CurrentCache();
-  // Forward passes never run under any cache lock, so concurrent
+  bool caching;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    caching = prediction_cache_.capacity() > 0;
+  }
+  // Forward passes never run under the cache lock, so concurrent
   // PredictBatch callers are never serialized on the model.
-  if (cache == nullptr) return ComputeBatchAllTasks(blocks);
+  if (!caching) return ComputeBatchAllTasks(blocks);
 
-  // The parameter generation the forward pass below computes under.
-  // Lookups and inserts carry it as the cache version: stripes holding
-  // entries of an older generation self-invalidate on first touch, and
-  // Put() drops results that a concurrent optimizer step made stale —
-  // a prediction from old parameters is never served after an update.
-  const uint64_t forward_generation = parameters().generation();
-
-  // Distinct fingerprint → block indices that need a forward pass.
-  std::unordered_map<uint64_t, std::vector<std::size_t>> misses;
-  std::vector<uint64_t> miss_order;
   std::vector<uint64_t> keys(blocks.size());
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     GRANITE_CHECK(blocks[i] != nullptr);
     keys[i] = uarch::BlockFingerprint(*blocks[i]);
-    std::optional<std::vector<double>> cached =
-        cache->Get(keys[i], forward_generation);
-    if (cached.has_value()) {
-      result[i] = *std::move(cached);
-      continue;
+  }
+  // Entries computed at an older parameter generation than `generation`
+  // are stale: drop them all. Requires cache_mutex_.
+  const auto roll_forward = [this](uint64_t generation) {
+    if (generation > cache_generation_) {
+      prediction_cache_.Clear();
+      cache_generation_ = generation;
     }
-    auto [it, inserted] = misses.try_emplace(keys[i]);
-    if (inserted) miss_order.push_back(keys[i]);
-    it->second.push_back(i);
+  };
+
+  std::vector<std::vector<double>> result(blocks.size());
+  // Distinct fingerprint → block indices that need a forward pass.
+  std::unordered_map<uint64_t, std::vector<std::size_t>> misses;
+  std::vector<uint64_t> miss_order;
+  // The parameter generation the forward pass below computes under.
+  uint64_t forward_generation;
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    forward_generation = parameters().generation();
+    roll_forward(forward_generation);
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      if (const std::vector<double>* cached = prediction_cache_.Get(keys[i])) {
+        result[i] = *cached;
+        continue;
+      }
+      auto [it, inserted] = misses.try_emplace(keys[i]);
+      if (inserted) miss_order.push_back(keys[i]);
+      it->second.push_back(i);
+    }
   }
   if (miss_order.empty()) return result;
 
@@ -124,7 +121,17 @@ std::vector<std::vector<double>> ThroughputPredictor::PredictBatchAllTasks(
     for (const std::size_t i : misses.at(miss_order[j])) {
       result[i] = computed[j];
     }
-    cache->Put(miss_order[j], std::move(computed[j]), forward_generation);
+  }
+
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  // A generation bump during the forward pass (seen here, or already
+  // applied by another caller) makes these results stale: they are not
+  // inserted, so a prediction from old parameters is never served after
+  // an update.
+  roll_forward(parameters().generation());
+  if (forward_generation < cache_generation_) return result;
+  for (std::size_t j = 0; j < miss_order.size(); ++j) {
+    prediction_cache_.Put(miss_order[j], std::move(computed[j]));
   }
   return result;
 }

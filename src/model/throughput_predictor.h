@@ -10,18 +10,16 @@
  *
  * The base class also owns the serving-path machinery that used to live in
  * GraniteModel: PredictBatchAllTasks with canonical-fingerprint
- * deduplication and a self-versioning, lock-striped LRU prediction cache
- * (versioned on the ParameterStore generation counter, so training steps
- * and checkpoint loads invalidate it automatically). Concrete models only
- * implement the uncached batched forward (ComputeBatchAllTasks), which
- * gives Ithemal the same batched/cached all-task serving path as GRANITE
- * for free.
+ * deduplication and a self-versioning LRU prediction cache (versioned on
+ * the ParameterStore generation counter, so training steps and checkpoint
+ * loads invalidate it automatically). Concrete models only implement the
+ * uncached batched forward (ComputeBatchAllTasks), which gives Ithemal the
+ * same batched/cached all-task serving path as GRANITE for free.
  */
 #ifndef GRANITE_MODEL_THROUGHPUT_PREDICTOR_H_
 #define GRANITE_MODEL_THROUGHPUT_PREDICTOR_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -29,7 +27,7 @@
 #include <vector>
 
 #include "asm/instruction.h"
-#include "base/striped_lru_cache.h"
+#include "base/lru_cache.h"
 #include "graph/batch.h"
 #include "graph/vocabulary.h"
 #include "ml/parameter.h"
@@ -92,9 +90,15 @@ class ThroughputPredictor {
    * blocks[i]. Without EnablePredictionCache() this degrades to a plain
    * batched forward pass.
    *
-   * Thread-safety: safe to call concurrently; the cache is lock-striped
-   * by block fingerprint, so parallel callers with disjoint working sets
-   * contend on nothing but their own stripes.
+   * A hit is never older than the parameter generation the call read
+   * on entry: entries from an older generation are cleared before the
+   * lookups, and the results of a forward pass that overlapped a
+   * generation bump are not inserted. (A caller that read an older
+   * generation than the cache's may be served the newer entries.)
+   *
+   * Thread-safety: safe to call concurrently. One mutex guards the
+   * cache; each call takes it once for all of its lookups and once for
+   * all of its inserts, never across fingerprinting or the forward pass.
    */
   std::vector<std::vector<double>> PredictBatchAllTasks(
       const std::vector<const assembly::BasicBlock*>& blocks) const;
@@ -110,19 +114,11 @@ class ThroughputPredictor {
    * Sizes the PredictBatch LRU cache to `capacity` unique blocks and
    * clears it; 0 disables caching. The cache versions itself on the
    * parameter store's generation counter, so training steps, checkpoint
-   * loads and snapshot restores invalidate it automatically. The cache
-   * is split over `num_stripes` independently locked shards (clamped to
-   * the capacity, so a capacity-1 cache keeps exact global-LRU
-   * eviction). Thread-safe; in-flight PredictBatch calls finish against
-   * the cache instance they started with.
+   * loads and snapshot restores invalidate it automatically. The
+   * hit/miss counters start over. Thread-safe; an in-flight PredictBatch
+   * call inserts its results into the new cache.
    */
-  void EnablePredictionCache(std::size_t capacity,
-                             std::size_t num_stripes = kDefaultCacheStripes);
-
-  /** Default shard count of the prediction cache; matches the serving
-   * layer's typical worker counts so per-worker traffic rarely collides
-   * on a stripe lock. */
-  static constexpr std::size_t kDefaultCacheStripes = 8;
+  void EnablePredictionCache(std::size_t capacity);
 
   /** Lifetime PredictBatch() cache hit / miss counters. */
   std::size_t prediction_cache_hits() const;
@@ -168,18 +164,14 @@ class ThroughputPredictor {
       const std::vector<const assembly::BasicBlock*>& blocks) const = 0;
 
  private:
-  using PredictionCache = base::StripedLruCache<uint64_t, std::vector<double>>;
-
-  /** Returns the current cache instance (or nullptr when disabled).
-   * shared_ptr so EnablePredictionCache can swap the instance while
-   * in-flight PredictBatch calls keep using the one they started with. */
-  std::shared_ptr<PredictionCache> CurrentCache() const;
-
-  /** Guards only the prediction_cache_ pointer swap; per-key traffic
-   * goes through the striped cache's own per-stripe locks. Mutable
-   * because inference is const. */
-  mutable std::mutex cache_swap_mutex_;
-  mutable std::shared_ptr<PredictionCache> prediction_cache_;
+  /** Guards prediction_cache_ and cache_generation_. Mutable because
+   * inference is const. */
+  mutable std::mutex cache_mutex_;
+  /** Predictions of every task head by block fingerprint; capacity 0
+   * (the default) disables caching. */
+  mutable base::LruCache<uint64_t, std::vector<double>> prediction_cache_{0};
+  /** The parameter generation the resident entries were computed at. */
+  mutable uint64_t cache_generation_ = 0;
 };
 
 }  // namespace granite::model

@@ -30,13 +30,7 @@ InferenceServer::InferenceServer(model::ThroughputPredictor* model,
   GRANITE_CHECK_GE(config.queue_capacity, 1u);
   GRANITE_CHECK_GE(config.batch_window.count(), 0);
   if (config.prediction_cache_capacity > 0) {
-    // At least one cache stripe per worker, so per-shard traffic (which
-    // is already partitioned by fingerprint) rarely collides on a
-    // stripe lock.
-    model_->EnablePredictionCache(
-        config.prediction_cache_capacity,
-        std::max<std::size_t>(model::ThroughputPredictor::kDefaultCacheStripes,
-                              config.num_workers));
+    model_->EnablePredictionCache(config.prediction_cache_capacity);
   }
   shards_.reserve(config.num_workers);
   for (int i = 0; i < config.num_workers; ++i) {
@@ -69,7 +63,7 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
                                     const assembly::BasicBlock* block,
                                     int task, AdmissionClass admission,
                                     std::vector<ShedVictim>& victims,
-                                    int& notifies,
+                                    bool& wake,
                                     std::future<double>& future) {
   for (;;) {
     if (shard.stopping) {
@@ -107,10 +101,13 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
       ++shard.rejected;
       return false;
     }
-    // Deliver the wakeups earned so far before sleeping: SubmitMany
-    // defers them until its whole shard group is enqueued, and a worker
+    // Deliver the wakeup earned so far before sleeping: SubmitMany
+    // defers it until its whole shard group is enqueued, and the worker
     // asleep on an empty-queue wait is the only one that frees space.
-    for (; notifies > 0; --notifies) shard.queue_event.notify_one();
+    if (wake) {
+      shard.queue_event.notify_one();
+      wake = false;
+    }
     shard.space_event.wait(lock, [&] {
       return shard.stopping ||
              shard.queue.size() < config_.queue_capacity;
@@ -134,7 +131,7 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
   const std::size_t queue_size = shard.queue.size();
   if (queue_size == 1 ||
       queue_size >= static_cast<std::size_t>(config_.max_batch_size)) {
-    ++notifies;
+    wake = true;
   }
   return true;
 }
@@ -145,19 +142,19 @@ std::optional<std::future<double>> InferenceServer::Submit(
   GRANITE_CHECK(task >= 0 && task < model_->num_tasks());
   Shard& shard = ShardFor(*block);
   std::vector<ShedVictim> victims;
-  int notifies = 0;
+  bool wake = false;
   std::future<double> future;
   bool admitted;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
     admitted = EnqueueLocked(shard, lock, block, task, admission, victims,
-                             notifies, future);
+                             wake, future);
   }
   for (ShedVictim& victim : victims) {
     victim.promise.set_exception(
         std::make_exception_ptr(RequestShedError(victim.admission)));
   }
-  for (int i = 0; i < notifies; ++i) shard.queue_event.notify_one();
+  if (wake) shard.queue_event.notify_one();
   if (!admitted) return std::nullopt;
   return future;
 }
@@ -183,13 +180,13 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
     if (by_shard[s].empty()) continue;
     Shard& shard = *shards_[s];
     std::vector<ShedVictim> victims;
-    int notifies = 0;
+    bool wake = false;
     {
       std::unique_lock<std::mutex> lock(shard.mutex);
       for (std::size_t i : by_shard[s]) {
         std::future<double> future;
         if (EnqueueLocked(shard, lock, requests[i].block, requests[i].task,
-                          admission, victims, notifies, future)) {
+                          admission, victims, wake, future)) {
           futures[i] = std::move(future);
         }
       }
@@ -198,7 +195,7 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
       victim.promise.set_exception(
           std::make_exception_ptr(RequestShedError(victim.admission)));
     }
-    for (int i = 0; i < notifies; ++i) shard.queue_event.notify_one();
+    if (wake) shard.queue_event.notify_one();
   }
   return futures;
 }

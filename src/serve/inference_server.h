@@ -13,18 +13,18 @@
  * bundle (model::LoadModel). Mixed tasks (microarchitectures) coalesce
  * into the same batch because every task head is evaluated by the one
  * forward pass, and identical blocks are deduplicated by canonical
- * fingerprint inside the model (and served from its striped LRU
- * prediction cache when enabled).
+ * fingerprint inside the model (and served from its LRU prediction cache
+ * when enabled).
  *
  * Sharding: the hot path is sharded per worker. Each worker owns one
  * request queue (its own mutex and condition variables) plus its own
  * submit- and completion-side statistics, and Submit() routes a request
  * to the shard chosen by the block's canonical fingerprint — so N
  * workers contend on 1/N of the queue state, and repeated blocks always
- * land on the same shard (keeping the per-stripe prediction cache and
- * batch-level deduplication effective). There is no global lock anywhere
- * on the submit path; Stats() assembles a consistent snapshot by locking
- * the shards in a fixed order only when asked.
+ * land on the same shard (keeping batch-level deduplication effective).
+ * There is no global lock anywhere on the submit path; Stats() assembles
+ * a consistent snapshot by locking the shards in a fixed order only when
+ * asked.
  *
  * Backpressure: each shard's queue is bounded; when it is full, Submit()
  * either blocks until space frees up or rejects the request, per the
@@ -152,8 +152,7 @@ struct InferenceServerConfig {
   AdmissionPolicy admission_policy = AdmissionPolicy::kFifo;
   /**
    * When positive, EnablePredictionCache(capacity) is called on the
-   * served model at construction (with one cache stripe per worker, at
-   * least the model's default); 0 leaves the model's cache setting
+   * served model at construction; 0 leaves the model's cache setting
    * untouched.
    */
   std::size_t prediction_cache_capacity = 0;
@@ -393,15 +392,16 @@ class InferenceServer {
    * The admission/overflow/enqueue step shared by Submit and SubmitMany,
    * run with `lock` held on `shard.mutex` (may wait on it under
    * OverflowPolicy::kBlock). On admission, fills `future`, appends any
-   * evicted request to `victims` (to be failed after unlock), and adds
-   * the worker wakeups this enqueue earned to `notifies`; returns false
-   * on rejection (queue full under kReject, or shutting down). Pending
-   * `notifies` are delivered (and zeroed) before any wait for space.
+   * evicted request to `victims` (to be failed after unlock), and
+   * sets `wake` when this enqueue changed a flush condition (the shard's
+   * one worker must be notified); returns false on rejection (queue full
+   * under kReject, or shutting down). A pending `wake` is delivered (and
+   * cleared) before any wait for space.
    */
   bool EnqueueLocked(Shard& shard, std::unique_lock<std::mutex>& lock,
                      const assembly::BasicBlock* block, int task,
                      AdmissionClass admission,
-                     std::vector<ShedVictim>& victims, int& notifies,
+                     std::vector<ShedVictim>& victims, bool& wake,
                      std::future<double>& future);
 
   /** Worker thread: waits for a flush condition on its shard, drains

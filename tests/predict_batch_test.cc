@@ -2,8 +2,14 @@
  * @file
  * Tests of GraniteModel::PredictBatch and its LRU prediction cache,
  * including the acceptance property that cache hits bypass the GNN
- * forward pass entirely (verified by counting forward passes).
+ * forward pass entirely (verified by counting forward passes), and the
+ * cache's generation contract under concurrent callers, parameter
+ * updates and resizes.
  */
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
 #include <vector>
 
 #include "asm/parser.h"
@@ -35,6 +41,78 @@ class PredictBatchTest : public ::testing::Test {
   const assembly::BasicBlock b_ = Parse("MOV RCX, 1\nIMUL RCX, RDX");
   const assembly::BasicBlock c_ = Parse("SUB RDI, RSI\nXOR RAX, RAX");
 };
+
+/**
+ * A GraniteModel with a scripted uncached forward pass: every task head
+ * of every block answers the parameter generation read when the pass
+ * started, so a served value tells which generation computed it.
+ * `on_forward`, when set, runs in the middle of each pass.
+ */
+class GenerationEchoModel : public GraniteModel {
+ public:
+  using GraniteModel::GraniteModel;
+
+  std::size_t forwards() const { return forwards_.load(); }
+
+  std::function<void()> on_forward;
+
+ protected:
+  std::vector<std::vector<double>> ComputeBatchAllTasks(
+      const std::vector<const assembly::BasicBlock*>& blocks) const override {
+    ++forwards_;
+    const double generation = static_cast<double>(parameters().generation());
+    if (on_forward) on_forward();
+    return std::vector<std::vector<double>>(
+        blocks.size(), std::vector<double>(num_tasks(), generation));
+  }
+
+ private:
+  mutable std::atomic<std::size_t> forwards_{0};
+};
+
+/**
+ * Four threads call PredictBatchAllTasks(batch) while `disturb(round)`
+ * runs on a fifth thread between short sleeps. Returns how many answers
+ * were computed at an older generation than their caller read on entry.
+ */
+int CountStaleAnswers(GenerationEchoModel& model,
+                      const std::vector<const assembly::BasicBlock*>& batch,
+                      const std::function<void(int round)>& disturb) {
+  // A slow forward pass widens the window in which a generation bump and
+  // another caller's lookup can land between this call's lookup and
+  // insert.
+  model.on_forward = [] {
+    std::this_thread::sleep_for(std::chrono::microseconds(20));
+  };
+  std::atomic<int> stale{0};
+  std::atomic<int> callers_left{4};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < 2000; ++call) {
+        const double entry_generation =
+            static_cast<double>(model.parameters().generation());
+        for (const std::vector<double>& heads :
+             model.PredictBatchAllTasks(batch)) {
+          EXPECT_EQ(heads.size(), static_cast<std::size_t>(model.num_tasks()));
+          for (const double value : heads) {
+            if (value < entry_generation) ++stale;
+          }
+        }
+      }
+      --callers_left;
+    });
+  }
+  std::thread disturber([&] {
+    for (int round = 0; callers_left.load() > 0; ++round) {
+      disturb(round);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  for (std::thread& caller : callers) caller.join();
+  disturber.join();
+  return stale.load();
+}
 
 TEST_F(PredictBatchTest, UncachedMatchesPredict) {
   GraniteModel model(&vocabulary_, SmallConfig());
@@ -176,6 +254,67 @@ TEST_F(PredictBatchTest, UnchangedParametersKeepServingFromCache) {
   model.PredictBatch({&a_, &b_}, 0);
   model.PredictBatch({&b_, &a_}, 0);
   EXPECT_EQ(model.num_forward_passes(), passes);
+}
+
+TEST_F(PredictBatchTest, ForwardOverlappingAGenerationBumpIsNotCached) {
+  GenerationEchoModel model(&vocabulary_, SmallConfig());
+  model.EnablePredictionCache(16);
+  ml::ParameterStore& parameters = model.parameters();
+  const auto now = [&] { return static_cast<double>(parameters.generation()); };
+
+  // A parameter update lands while the forward pass runs: its results
+  // were computed (at least partly) under the old parameters, so they
+  // are not inserted and the next call forwards again.
+  bool bump = true;
+  model.on_forward = [&] {
+    if (bump) parameters.BumpGeneration();
+    bump = false;
+  };
+  model.PredictBatch({&a_}, 0);
+  EXPECT_EQ(model.forwards(), 1u);
+  EXPECT_EQ(model.PredictBatch({&a_}, 0), std::vector<double>{now()});
+  EXPECT_EQ(model.forwards(), 2u);
+  model.PredictBatch({&a_}, 0);
+  EXPECT_EQ(model.forwards(), 2u);  // A forward at one generation caches.
+
+  // Same, with a caller at the new generation finishing in between (the
+  // nested call stands in for a concurrent one): its current entry must
+  // not be overwritten by the overlapped forward's older result.
+  bool interleave = true;
+  model.on_forward = [&] {
+    if (!interleave) return;
+    interleave = false;
+    parameters.BumpGeneration();
+    EXPECT_EQ(model.PredictBatch({&b_}, 0), std::vector<double>{now()});
+  };
+  model.PredictBatch({&b_}, 0);
+  const std::size_t forwards = model.forwards();
+  EXPECT_EQ(model.PredictBatch({&b_}, 0), std::vector<double>{now()});
+  EXPECT_EQ(model.forwards(), forwards);  // Served the nested call's entry.
+}
+
+TEST_F(PredictBatchTest, ConcurrentCallsNeverServeOlderThanTheirGeneration) {
+  GenerationEchoModel model(&vocabulary_, SmallConfig(/*num_tasks=*/2));
+  model.EnablePredictionCache(8);
+  const auto bump = [&](int) { model.parameters().BumpGeneration(); };
+  EXPECT_EQ(CountStaleAnswers(model, {&a_, &b_, &c_, &a_}, bump), 0);
+  EXPECT_GT(model.prediction_cache_hits(), 0u);
+}
+
+TEST_F(PredictBatchTest, ResizesRaceWithInFlightCalls) {
+  GenerationEchoModel model(&vocabulary_, SmallConfig(/*num_tasks=*/2));
+  model.EnablePredictionCache(8);
+  // Resizes (including disabling the cache) interleave with lookups,
+  // forwards and inserts; every answer still honours the generation
+  // contract.
+  constexpr std::size_t kCapacities[] = {1, 0, 16, 4};
+  EXPECT_EQ(CountStaleAnswers(model, {&a_, &b_, &c_},
+                              [&](int round) {
+                                model.parameters().BumpGeneration();
+                                model.EnablePredictionCache(
+                                    kCapacities[round % 4]);
+                              }),
+            0);
 }
 
 }  // namespace
