@@ -2,12 +2,13 @@
  * @file
  * Kernel backend throughput: reference vs optimized GFLOP/s for the
  * MatMul family (plain, transpose-A, transpose-B, fused linear+bias)
- * across aligned, odd, and rectangular shapes; LayerNorm and the
- * dX/dW products at the narrow shapes a GRANITE training step runs, for
- * the ISA copy the optimized backend dispatched to and for its baseline
- * copy; the graph structure ops (GatherRowsAcc / ScatterAddRows) at
- * message-passing node counts; plus the end-to-end training-step speedup
- * of a GRANITE model when its math runs on the optimized backend.
+ * across aligned, odd, and rectangular shapes; LayerNorm, the forward
+ * LinearBias and the dX/dW products at the narrow shapes a GRANITE
+ * training step runs, for the ISA copy the optimized backend dispatched
+ * to and for its baseline copy; the graph structure ops (GatherRowsAcc /
+ * ScatterAddRows) at message-passing node counts; plus the end-to-end
+ * training-step speedup of a GRANITE model when its math runs on the
+ * optimized backend.
  *
  * Acceptance target (ISSUE 2): the optimized backend is >= 3x faster
  * than the reference triple-loop MatMul on 256x256x256, single-threaded.
@@ -180,8 +181,10 @@ double MeasureCallsPerSec(const std::function<void()>& fn,
  * The narrow shapes one trainer worker runs per GRANITE step at
  * embedding 16 (half of a batch of 100 blocks): LayerNorm over the
  * 64-wide edge-update and 48-wide node-update inputs, the dX product of
- * a 64 -> 16 layer's backward pass, and the dW products of the 64 -> 16
- * and 48 -> 16 layers. Reference vs optimized, single-threaded; the
+ * a 64 -> 16 layer's backward pass, the dW products of the 64 -> 16
+ * and 48 -> 16 layers, and the forward LinearBias of the 64 -> 16 and
+ * 16 -> 16 layers (plus the 64 -> 16 layer over a 165-row serving
+ * batch). Reference vs optimized, single-threaded; the
  * 256-wide matmul table above says little about these. The "baseline"
  * column forces the optimized backend's baseline ISA copy, so one run on
  * an AVX2 host also tracks the copy that non-AVX2 CPUs run.
@@ -270,6 +273,22 @@ void RunGnnShapeTable(bool quick) {
             std::to_string(dw_rows) + "x" + std::to_string(in_width) + "x16",
             dw_rows, [&](const ml::KernelBackend& backend) {
               backend.MatMulTransposeAAcc(x, dy_layer, dw);
+            });
+  }
+
+  // Y = X * W + b forward for the [64 -> 16] edge and [16 -> 16] layers
+  // over the edge rows, and for the edge layer over one serving batch.
+  for (const Shape& shape :
+       {Shape{1656, 64, 16}, Shape{1656, 16, 16}, Shape{165, 64, 16}}) {
+    const ml::Tensor x = RandomTensor(shape.m, shape.k, rng);
+    const ml::Tensor w_layer = RandomTensor(shape.k, shape.n, rng);
+    const ml::Tensor bias = RandomTensor(1, shape.n, rng);
+    ml::Tensor y(shape.m, shape.n);
+    measure("LinearBias", "linear",
+            std::to_string(shape.m) + "x" + std::to_string(shape.k) + "x" +
+                std::to_string(shape.n),
+            shape.m, [&](const ml::KernelBackend& backend) {
+              backend.LinearBias(x, w_layer, bias, y);
             });
   }
   PrintSeparator(widths);

@@ -45,6 +45,9 @@ struct OptimizedKernels {
   void (*add_row_broadcast_into)(const Tensor& a, const Tensor& bias,
                                  Tensor& out);
   void (*accumulate_column_sums)(const Tensor& a, Tensor& out_row);
+  void (*accumulate_column_block)(const Tensor& src, int src_col_offset,
+                                  Tensor& dest, int dest_col_offset,
+                                  int num_cols);
 };
 
 namespace {
@@ -190,6 +193,15 @@ void OptimizedBackend::DoAddRowBroadcastInto(const Tensor& a,
 void OptimizedBackend::DoAccumulateColumnSums(const Tensor& a,
                                               Tensor& out_row) const {
   kernels_->accumulate_column_sums(a, out_row);
+}
+
+void OptimizedBackend::DoAccumulateColumnBlock(const Tensor& src,
+                                               int src_col_offset,
+                                               Tensor& dest,
+                                               int dest_col_offset,
+                                               int num_cols) const {
+  kernels_->accumulate_column_block(src, src_col_offset, dest,
+                                    dest_col_offset, num_cols);
 }
 
 void OptimizedBackend::DoGatherRowsAcc(const Tensor& table,

@@ -17,25 +17,30 @@
  *
  * The plain product runs a 4x16 micro-kernel whose per-row sum order
  * does not depend on the row's position in the call, so a row's result
- * is the same at every batch row count. The dX product (A * B^T, with B
- * the small weight) packs B transposed once per call and reuses that
- * micro-kernel. The A^T * B (dW) product runs a 4x8 tile that stays in
- * registers across the whole k loop: it is loaded from the output,
- * summed over k in ascending order and stored once, so every element
- * follows the reference backend's sequence and the product is
- * bit-identical to it for finite inputs (the reference skips
- * zero A entries; adding their zero products leaves a finite sum
- * unchanged unless the running value is -0). LayerNorm forward and
- * backward process 4 rows at a time with one set of sums per row, in the
- * reference backend's order, and are bit-identical to it.
+ * is the same at every batch row count; each tile sums its products from
+ * zero over one k-block of 256 and adds them to the output once (the
+ * AVX2 copy keeps the tile in registers, the baseline copy in a stack
+ * array). The dX product (A * B^T, with B the small weight) packs B
+ * transposed once per call and reuses that micro-kernel. The A^T * B (dW)
+ * product runs a tile that stays in registers across the whole k loop,
+ * 4x16 in the AVX2 copy and 4x8 in the baseline copy (and for an
+ * 8-column remainder): it is loaded from the output, summed over k in
+ * ascending order and stored once, so every element follows the
+ * reference backend's sequence and the product is bit-identical to it
+ * for finite inputs (the reference skips zero A entries; adding their
+ * zero products leaves a finite sum unchanged unless the running value
+ * is -0). LayerNorm forward and backward process 4 rows at a time with
+ * one set of sums per row, in the reference backend's order, and are
+ * bit-identical to it.
  *
  * Inherits the reference loops for the ops where a tuned kernel buys
- * nothing (transcendental element-wise maps, column-block plumbing) and
- * overrides everything on the training hot path. Equivalence with the
- * reference backend across odd/prime/blocked shapes, and bit-identity of
- * the two ISA copies, are enforced by tests/kernels_test.cc; the other
- * matrix products may differ from the reference by floating-point
- * reassociation only.
+ * nothing (transcendental element-wise maps, column broadcasts, row
+ * dots, SumAll) and overrides everything on the training hot path,
+ * including the column-block accumulate of ConcatGathered. Equivalence
+ * with the reference backend across odd/prime/blocked shapes, and
+ * bit-identity of the two ISA copies, are enforced by
+ * tests/kernels_test.cc; the other matrix products may differ from the
+ * reference by floating-point reassociation only.
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
@@ -87,6 +92,9 @@ class OptimizedBackend : public ReferenceBackend {
   void DoAddRowBroadcastInto(const Tensor& a, const Tensor& bias,
                              Tensor& out) const override;
   void DoAccumulateColumnSums(const Tensor& a, Tensor& out_row) const override;
+  void DoAccumulateColumnBlock(const Tensor& src, int src_col_offset,
+                               Tensor& dest, int dest_col_offset,
+                               int num_cols) const override;
   void DoGatherRowsAcc(const Tensor& table, const std::vector<int>& indices,
                        Tensor& out, int out_col_offset) const override;
   void DoScatterAddRows(const Tensor& rows, const std::vector<int>& indices,

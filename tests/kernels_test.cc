@@ -6,7 +6,8 @@
  * backend under test on the same inputs — including odd, prime, and
  * micro-kernel-aligned shapes that exercise every remainder path of the
  * blocked kernels — and the results must agree to tight tolerance;
- * LayerNorm and the optimized A^T * B product must agree bit for bit.
+ * LayerNorm, the optimized A^T * B product and, at the GRANITE shapes, the
+ * plain product into a zero output must agree bit for bit.
  * The optimized backend's baseline and AVX2 copies must agree with each
  * other bit for bit on every kernel. A row's matmul result must not
  * depend on the row count of the call.
@@ -139,12 +140,14 @@ TEST_P(KernelEquivalenceTest, MatMulAcc) {
   }
 }
 
-/** Extra (m, k, n) shapes for A^T * B (A is k x m): the optimized tile is
- * 4 output rows x 8 columns, so these put m on and off a multiple of 4 and
- * n on and off a multiple of 8, down to n = 1. */
+/** Extra (m, k, n) shapes for A^T * B (A is k x m): the optimized tiles
+ * are 4 output rows x 16 columns with an 8-column tile for the remainder,
+ * so these put m on and off a multiple of 4 and n on and off multiples of
+ * 8 and 16, down to n = 1. */
 const MatMulShape kTransposeAShapes[] = {
     {4, 9, 8},    {6, 7, 1},  {9, 21, 8},    {11, 40, 24},
     {17, 50, 16}, {8, 33, 9}, {64, 120, 16}, {7, 3, 15},
+    {5, 40, 24},  {8, 64, 32}, {3, 20, 40},
 };
 
 /** Zeroes parts of A the way ReLU activations do, in the three patterns
@@ -187,6 +190,39 @@ TEST_P(KernelEquivalenceTest, MatMulTransposeAAcc) {
           std::to_string(shape.k) + "x" + std::to_string(shape.n) +
           (sparse ? " sparse" : " dense");
       ExpectBitIdentical(ref, opt, label);
+    }
+  }
+}
+
+/** The plain products a GRANITE step runs at embedding 16 and a batch of
+ * 100 blocks: the 64 -> 16, 16 -> 16 and 48 -> 16 layers over a trainer
+ * worker's rows, the 64 -> 16 layer over a serving batch and the packed
+ * dX product of the 64 -> 16 layer; plus rows off the 4-row tile and the
+ * deepest k inside one k-block. */
+const MatMulShape kGnnMatMulShapes[] = {
+    {1656, 64, 16}, {1656, 16, 16}, {1548, 48, 16}, {165, 64, 16},
+    {1656, 16, 64}, {7, 48, 32},    {6, 256, 16},
+};
+
+TEST_P(KernelEquivalenceTest, MatMulAccIntoZeroIsBitIdenticalToReference) {
+  // Into a zero-filled output with k inside one k-block (256), the
+  // optimized tile's "sum the products from zero in ascending k, then add
+  // once" and the reference's "add each product into the output in
+  // ascending k" do the same roundings in the same order, so the bits
+  // must agree (the reference's zero skip leaves the sums unchanged).
+  for (const MatMulShape& shape : kGnnMatMulShapes) {
+    for (const bool sparse : {false, true}) {
+      Tensor a = RandomTensor(shape.m, shape.k, rng_);
+      if (sparse) PlantZeros(a, rng_);
+      const Tensor b = RandomTensor(shape.k, shape.n, rng_);
+      Tensor ref(shape.m, shape.n);
+      Tensor opt(shape.m, shape.n);
+      reference().MatMulAcc(a, b, ref);
+      backend().MatMulAcc(a, b, opt);
+      ASSERT_EQ(std::memcmp(ref.data(), opt.data(), ref.size() * sizeof(float)),
+                0)
+          << "MatMulAcc " << shape.m << "x" << shape.k << "x" << shape.n
+          << (sparse ? " sparse" : " dense");
     }
   }
 }
@@ -433,11 +469,11 @@ TEST(OptimizedMatMulRowTest, LinearBiasRowDoesNotDependOnRowCount) {
   // A row's result must not depend on how many rows share the call: the
   // micro-kernel tiles 4 rows at a time, and a row left over after the
   // last full tile must be summed in the same order as a tiled one.
-  // Width 8 is narrower than one 16-column sliver; 16 and 48 are not.
+  // Width 8 is narrower than one 16-column sliver; 16 to 48 are not.
   const OptimizedBackend backend;
   Rng rng(20261016);
   const int k = 37;
-  for (const int width : {8, 16, 48}) {
+  for (const int width : {8, 16, 24, 32, 48}) {
     const Tensor a = RandomTensor(13, k, rng);
     const Tensor w = RandomTensor(k, width, rng);
     const Tensor bias = RandomTensor(1, width, rng);
@@ -509,10 +545,10 @@ TEST(OptimizedIsaTest, CopiesAreBitIdentical) {
     op(baseline, from_baseline);
     ExpectSameBits(from_avx2, from_baseline, label);
   };
-  for (const int rows : {1, 3, 4, 5, 17}) {
-    for (const int width : {1, 7, 8, 15, 16, 17, 48, 64}) {
-      const std::string shape =
-          " " + std::to_string(rows) + "x" + std::to_string(width);
+  for (const int rows : {1, 2, 3, 4, 5, 6, 7, 17}) {
+    for (const int width : {1, 7, 8, 15, 16, 17, 24, 32, 40, 48, 64}) {
+      const std::string shape = std::string(" ") + std::to_string(rows) +
+                                "x" + std::to_string(width);
       const Tensor x = ZeroPlantedTensor(rows, width, rng);
       const Tensor y = ZeroPlantedTensor(rows, width, rng);
       const Tensor divisor = RandomTensor(rows, width, rng, 0.5f, 2.0f);
@@ -594,7 +630,8 @@ TEST(OptimizedIsaTest, CopiesAreBitIdentical) {
              be.AccumulateColumnSums(x, o);
            });
 
-      // Gather and scatter, into and out of a column block.
+      // Gather, scatter and column-block accumulate, into and out of a
+      // column block.
       const std::vector<int> indices = RandomIndices(rows + 6, rows, rng);
       const Tensor wide_seed =
           ZeroPlantedTensor(static_cast<int>(indices.size()), width + 3, rng);
@@ -605,6 +642,15 @@ TEST(OptimizedIsaTest, CopiesAreBitIdentical) {
       both("ScatterAddRows" + shape, seed,
            [&](const KernelBackend& be, Tensor& o) {
              be.ScatterAddRows(wide_seed, indices, o, 3);
+           });
+      const Tensor block_seed = ZeroPlantedTensor(rows, width + 3, rng);
+      both("AccumulateColumnBlock into" + shape, block_seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AccumulateColumnBlock(x, 0, o, 2, width);
+           });
+      both("AccumulateColumnBlock out of" + shape, seed,
+           [&](const KernelBackend& be, Tensor& o) {
+             be.AccumulateColumnBlock(block_seed, 3, o, 0, width);
            });
 
       // LayerNorm forward (every output) and backward (every gradient).
