@@ -8,19 +8,13 @@
  * dataset).
  *
  * Run time: around a minute on a laptop-class CPU.
- *
- * Pass --backend=reference to run the original scalar loops instead of
- * the blocked/SIMD kernels (see src/ml/kernels/), e.g. to compare
- * training speed; the default is the optimized backend.
  */
 #include <cstdio>
-#include <cstring>
 
 #include "asm/parser.h"
 #include "core/granite_model.h"
 #include "dataset/dataset.h"
 #include "graph/graph_builder.h"
-#include "ml/kernels/kernel_backend.h"
 #include "train/runners.h"
 #include "uarch/measurement.h"
 
@@ -39,20 +33,8 @@ CMP EDX, EAX
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace granite;
-
-  // ---- 0. Pick a kernel backend ------------------------------------------
-  ml::KernelBackendKind backend = ml::KernelBackendKind::kOptimized;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--backend=reference") == 0) {
-      backend = ml::KernelBackendKind::kReference;
-    } else if (std::strcmp(argv[i], "--backend=optimized") == 0) {
-      backend = ml::KernelBackendKind::kOptimized;
-    }
-  }
-  std::printf("Kernel backend: %s\n\n",
-              ml::GetKernelBackend(backend).name());
 
   // ---- 1. Parse a basic block -------------------------------------------
   const auto parsed = assembly::ParseBasicBlock(kPaperTable1Block);
@@ -91,10 +73,8 @@ int main(int argc, char** argv) {
   model_config.message_passing_iterations = 4;
   model_config.num_tasks = 3;
   model_config.decoder_output_bias_init = 1.0f;
-  model_config.kernel_backend = backend;
 
   train::TrainerConfig trainer_config;
-  trainer_config.kernel_backend = backend;
   trainer_config.num_steps = 1200;
   trainer_config.batch_size = 32;
   trainer_config.adam.learning_rate = 0.02f;

@@ -29,26 +29,6 @@ std::vector<std::optional<std::future<double>>> ServerCostClient::SubmitWave(
   return server_->SubmitMany(requests, admission_);
 }
 
-RouterCostClient::RouterCostClient(serve::ModelRouter* router,
-                                   std::string route, int task,
-                                   serve::AdmissionClass admission)
-    : router_(router),
-      route_(std::move(route)),
-      task_(task),
-      admission_(admission) {
-  GRANITE_CHECK(router != nullptr);
-}
-
-std::vector<std::optional<std::future<double>>> RouterCostClient::SubmitWave(
-    const std::vector<const BasicBlock*>& blocks) {
-  std::vector<std::optional<std::future<double>>> futures;
-  futures.reserve(blocks.size());
-  for (const BasicBlock* block : blocks) {
-    futures.push_back(router_->Submit(route_, block, task_, admission_));
-  }
-  return futures;
-}
-
 AnalyticalCostClient::AnalyticalCostClient(
     uarch::Microarchitecture microarchitecture)
     : oracle_(microarchitecture) {}

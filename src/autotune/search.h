@@ -5,10 +5,9 @@
  * The compiler-in-the-loop workload the paper's model exists to enable:
  * a block optimizer enumerates candidate rewrites (autotune/transforms),
  * submits each wave of candidates asynchronously to a cost backend —
- * typically a serve::InferenceServer or serve::ModelRouter route, under
- * admission class kBatch — and keeps the beam_width best-scoring
- * candidates for the next round of composition, up to max_depth rounds
- * or a wall-clock deadline.
+ * typically a serve::InferenceServer, under admission class kBatch —
+ * and keeps the beam_width best-scoring candidates for the next round of
+ * composition, up to max_depth rounds or a wall-clock deadline.
  *
  * Deduplication contract: within one wave, candidates are deduplicated
  * by canonical block fingerprint (sibling beam entries derive the same
@@ -23,7 +22,7 @@
  *
  * Threading: a BlockOptimizer instance is not thread-safe (use one per
  * thread); distinct instances may share one CostClient backed by a
- * server or router, whose submit paths are thread-safe. The provided
+ * server, whose submit paths are thread-safe. The provided
  * CostClient implementations are safe for concurrent SubmitWave calls.
  */
 #ifndef GRANITE_AUTOTUNE_SEARCH_H_
@@ -37,7 +36,6 @@
 
 #include "asm/instruction.h"
 #include "serve/inference_server.h"
-#include "serve/model_router.h"
 #include "uarch/throughput_model.h"
 
 namespace granite::autotune {
@@ -71,25 +69,6 @@ class ServerCostClient : public CostClient {
 
  private:
   serve::InferenceServer* server_;
-  int task_;
-  serve::AdmissionClass admission_;
-};
-
-/** Scores candidates through a named serve::ModelRouter route (a model,
- * an A/B split, or a shadowed route). Thread-safe. */
-class RouterCostClient : public CostClient {
- public:
-  /** @param router Must outlive the client. */
-  RouterCostClient(
-      serve::ModelRouter* router, std::string route, int task,
-      serve::AdmissionClass admission = serve::AdmissionClass::kBatch);
-
-  std::vector<std::optional<std::future<double>>> SubmitWave(
-      const std::vector<const assembly::BasicBlock*>& blocks) override;
-
- private:
-  serve::ModelRouter* router_;
-  std::string route_;
   int task_;
   serve::AdmissionClass admission_;
 };

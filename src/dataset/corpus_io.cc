@@ -512,23 +512,20 @@ Dataset LoadCorpus(const std::string& path) {
 }
 
 StreamingCorpusSource::OpenState StreamingCorpusSource::Open(
-    const std::string& path, const StreamingCorpusOptions& options) {
+    const std::string& path) {
   OpenState state;
   state.file.open(path, std::ios::binary);
   const auto [header, file_size] = OpenAndReadHeader(state.file, path);
   state.header = header;
   state.shard_offsets =
       BuildShardIndex(state.file, state.header, file_size, path);
-  if (options.verify_checksum) {
-    VerifyWholeFileChecksum(state.file, file_size, path);
-  }
+  VerifyWholeFileChecksum(state.file, file_size, path);
   return state;
 }
 
 StreamingCorpusSource::StreamingCorpusSource(
     const std::string& path, const StreamingCorpusOptions& options)
-    : StreamingCorpusSource(Open(path, options), path,
-                            options.cache_shards) {}
+    : StreamingCorpusSource(Open(path), path, options.cache_shards) {}
 
 StreamingCorpusSource::StreamingCorpusSource(OpenState state,
                                              const std::string& path,

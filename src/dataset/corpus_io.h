@@ -188,13 +188,6 @@ Dataset LoadCorpus(const std::string& path);
 struct StreamingCorpusOptions {
   /** Shards kept resident (LRU). */
   std::size_t cache_shards = 8;
-  /**
-   * Verify the whole-file checksum at open (one extra sequential pass,
-   * constant memory). Random shard access cannot verify a whole-file
-   * checksum incrementally, so with this off a bit flip in a label may
-   * go undetected (block corruption is still caught by the parser).
-   */
-  bool verify_checksum = true;
 };
 
 /**
@@ -205,7 +198,9 @@ struct StreamingCorpusOptions {
  */
 class StreamingCorpusSource : public ShardedBlockSource {
  public:
-  /** Opens and validates `path`. Throws CorpusError. */
+  /** Opens and validates `path`, verifying the whole-file checksum in
+   * one sequential pass (constant memory): random shard access could not
+   * verify it later. Throws CorpusError. */
   explicit StreamingCorpusSource(const std::string& path,
                                  const StreamingCorpusOptions& options = {});
 
@@ -227,8 +222,7 @@ class StreamingCorpusSource : public ShardedBlockSource {
     std::vector<std::uint64_t> shard_offsets;
   };
 
-  static OpenState Open(const std::string& path,
-                        const StreamingCorpusOptions& options);
+  static OpenState Open(const std::string& path);
 
   StreamingCorpusSource(OpenState state, const std::string& path,
                         std::size_t cache_shards);

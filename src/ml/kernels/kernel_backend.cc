@@ -1,9 +1,6 @@
 #include "ml/kernels/kernel_backend.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "base/logging.h"
 #include "ml/kernels/optimized_backend.h"
@@ -245,53 +242,9 @@ const OptimizedBackend& SharedOptimizedBackend() {
   return backend;
 }
 
-/** "reference, optimized", for error messages. */
-std::string BackendNames() {
-  std::string names;
-  for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (!names.empty()) names += ", ";
-    names += info.name;
-  }
-  return names;
-}
-
-/** The backend named by GRANITE_KERNEL_BACKEND, read once at startup.
- * Unknown names are fatal: a silently substituted backend would
- * invalidate any measurement the variable was set for. */
-const KernelBackend& EnvironmentSelectedBackend() {
-  static const KernelBackend* const selected = [] {
-    const char* const env = std::getenv("GRANITE_KERNEL_BACKEND");
-    if (env == nullptr || env[0] == '\0') {
-      return static_cast<const KernelBackend*>(&SharedOptimizedBackend());
-    }
-    const KernelBackendInfo* const info = FindKernelBackendByName(env);
-    GRANITE_CHECK_MSG(info != nullptr, "unknown GRANITE_KERNEL_BACKEND '"
-                                           << env << "'; valid values: "
-                                           << BackendNames());
-    return &GetKernelBackend(info->kind);
-  }();
-  return *selected;
-}
-
 std::atomic<const KernelBackend*> g_default_backend{nullptr};
 
 }  // namespace
-
-const std::vector<KernelBackendInfo>& ListKernelBackends() {
-  static const std::vector<KernelBackendInfo> registry = {
-      {KernelBackendKind::kReference, "reference"},
-      {KernelBackendKind::kOptimized, "optimized"},
-  };
-  return registry;
-}
-
-const KernelBackendInfo* FindKernelBackendByName(const char* name) {
-  if (name == nullptr) return nullptr;
-  for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (std::strcmp(info.name, name) == 0) return &info;
-  }
-  return nullptr;
-}
 
 const KernelBackend& GetKernelBackend(KernelBackendKind kind) {
   switch (kind) {
@@ -310,7 +263,7 @@ const KernelBackend& DefaultKernelBackend() {
   const KernelBackend* const installed =
       g_default_backend.load(std::memory_order_acquire);
   if (installed != nullptr) return *installed;
-  return EnvironmentSelectedBackend();
+  return SharedOptimizedBackend();
 }
 
 void SetDefaultKernelBackend(const KernelBackend* backend) {

@@ -23,11 +23,11 @@
  *
  * Backend selection is plumbed through TrainerConfig::kernel_backend and
  * GraniteConfig::kernel_backend; the process-wide default is the
- * optimized backend and can be overridden programmatically
- * (SetDefaultKernelBackend) or via the GRANITE_KERNEL_BACKEND environment
- * variable ("reference" / "optimized"). Naming an unknown backend is a
- * fatal configuration error (the process aborts with the list of valid
- * names) rather than a silent fallback.
+ * optimized backend unless code installs another with
+ * SetDefaultKernelBackend. Nothing selects a backend by name or from the
+ * environment: tests and benches pick the reference backend in code,
+ * through a `kernel_backend` config field, an explicit Tape backend or
+ * SetDefaultKernelBackend.
  *
  * Interface convention: `*Into` methods overwrite their output, `*Acc` /
  * `Accumulate*` methods add into it. Outputs must be preallocated with
@@ -52,19 +52,6 @@ enum class KernelBackendKind {
   /** Blocked/SIMD kernels; the fast path. */
   kOptimized,
 };
-
-/** One row of the backend registry: a selectable backend. */
-struct KernelBackendInfo {
-  KernelBackendKind kind;
-  /** The stable name used by GRANITE_KERNEL_BACKEND and --backend=. */
-  const char* name;
-};
-
-/** Every selectable backend (kDefault excluded), in registry order. */
-const std::vector<KernelBackendInfo>& ListKernelBackends();
-
-/** The registry row whose name matches, or nullptr for unknown names. */
-const KernelBackendInfo* FindKernelBackendByName(const char* name);
 
 /** Element-wise unary transforms executed by a backend. */
 enum class UnaryOp { kRelu, kSigmoid, kTanh, kAbs, kSquare, kHuber };
@@ -283,17 +270,15 @@ class KernelBackend {
 const KernelBackend& GetKernelBackend(KernelBackendKind kind);
 
 /**
- * The process-wide default backend used by default-constructed tapes.
- * Resolution order: a backend installed via SetDefaultKernelBackend,
- * else the GRANITE_KERNEL_BACKEND environment variable ("reference" /
- * "optimized", read once; an unknown name aborts with the list of valid
- * values), else the optimized backend.
+ * The process-wide default backend used by default-constructed tapes: a
+ * backend installed via SetDefaultKernelBackend, else the optimized
+ * backend.
  */
 const KernelBackend& DefaultKernelBackend();
 
 /**
- * Installs a process-wide default backend (nullptr restores the built-in
- * selection). The backend must outlive all subsequent kernel calls;
+ * Installs a process-wide default backend (nullptr restores the
+ * optimized backend). The backend must outlive all subsequent kernel calls;
  * intended for tests and experiment drivers, not for concurrent
  * reconfiguration while kernels are running.
  */

@@ -2,7 +2,7 @@
  * @file
  * The backends the equivalence suites hold to the reference oracle: the
  * optimized backend, listed once per compiled ISA copy, so both copies
- * meet the same bar. The AVX2 entry runs the registry's shared instance
+ * meet the same bar. The AVX2 entry runs the shared kOptimized instance
  * and is skipped (GTEST_SKIP) on a CPU without AVX2, where that instance
  * runs the baseline copy; the baseline entry pins a forced-baseline
  * instance, so it runs on every CPU.
@@ -26,7 +26,7 @@ inline const OptimizedBackend& BaselineCopyBackend() {
   return backend;
 }
 
-/** True when the registry's optimized backend runs the AVX2 copy. */
+/** True when the shared optimized backend runs the AVX2 copy. */
 inline bool DispatchesAvx2Copy() {
   const auto& optimized = static_cast<const OptimizedBackend&>(
       GetKernelBackend(KernelBackendKind::kOptimized));
@@ -37,9 +37,9 @@ inline bool DispatchesAvx2Copy() {
 struct BackendUnderTest {
   /** Test-name suffix. */
   std::string name;
-  /** The registry kind; kDefault when `pinned` is set. */
+  /** The shared backend's kind; kDefault when `pinned` is set. */
   KernelBackendKind kind;
-  /** A backend instance outside the registry (an ISA copy), or null. To
+  /** A backend instance of its own (an ISA copy), or null. To
    * reach code that resolves backends by kind, install it with
    * SetDefaultKernelBackend and pass `kind`. */
   const KernelBackend* pinned;
@@ -51,21 +51,11 @@ struct BackendUnderTest {
   }
 };
 
-/** Every registered backend but the reference, optimized once per ISA
- * copy. */
+/** The optimized backend, once per ISA copy. */
 inline std::vector<BackendUnderTest> BackendsUnderTest() {
-  std::vector<BackendUnderTest> backends;
-  for (const KernelBackendInfo& info : ListKernelBackends()) {
-    if (info.kind == KernelBackendKind::kReference) continue;
-    if (info.kind == KernelBackendKind::kOptimized) {
-      backends.push_back({"optimized_avx2", info.kind, nullptr, true});
-      backends.push_back({"optimized_baseline", KernelBackendKind::kDefault,
-                          &BaselineCopyBackend(), false});
-    } else {
-      backends.push_back({info.name, info.kind, nullptr, false});
-    }
-  }
-  return backends;
+  return {{"optimized_avx2", KernelBackendKind::kOptimized, nullptr, true},
+          {"optimized_baseline", KernelBackendKind::kDefault,
+           &BaselineCopyBackend(), false}};
 }
 
 inline std::string BackendUnderTestName(

@@ -1,7 +1,8 @@
 /**
  * @file
  * Finite-difference gradient checks for every autodiff operation and for
- * the composed building blocks (MLP, layer norm, LSTM cell, losses).
+ * the composed building blocks (MLP, layer norm, LSTM cell, losses), on
+ * the reference backend (the oracle) and on the optimized backend.
  *
  * Strategy: build a scalar loss from the op under test, compute analytic
  * gradients via Tape::Backward, then perturb each input element by ±h and
@@ -9,9 +10,11 @@
  */
 #include <cmath>
 #include <functional>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "base/rng.h"
+#include "ml/kernels/kernel_backend.h"
 #include "ml/layers.h"
 #include "ml/losses.h"
 #include "ml/parameter.h"
@@ -30,56 +33,57 @@ Tensor RandomTensor(int rows, int cols, Rng& rng, float lo = -1.0f,
   return tensor;
 }
 
-/**
- * Checks the gradient of `build` with respect to a single parameter.
- * `build` must construct a 1x1 loss from a fresh tape, reading the
- * parameter through Tape::Param.
- */
-void CheckParameterGradient(
-    Parameter* parameter,
-    const std::function<Var(Tape&)>& build, float step = 1e-2f,
-    float tolerance = 2e-2f) {
-  // Analytic gradient.
-  parameter->ZeroGrad();
-  {
-    Tape tape;
-    Var loss = build(tape);
-    tape.Backward(loss);
-  }
-  const Tensor analytic = parameter->grad;
-
-  // Central finite differences, element by element.
-  for (std::size_t i = 0; i < parameter->value.size(); ++i) {
-    const float saved = parameter->value.data()[i];
-    parameter->value.data()[i] = saved + step;
-    double loss_plus;
-    {
-      Tape tape;
-      loss_plus = tape.value(build(tape)).scalar();
-    }
-    parameter->value.data()[i] = saved - step;
-    double loss_minus;
-    {
-      Tape tape;
-      loss_minus = tape.value(build(tape)).scalar();
-    }
-    parameter->value.data()[i] = saved;
-    const double numeric = (loss_plus - loss_minus) / (2.0 * step);
-    const double reference =
-        std::max({1.0, std::abs(numeric),
-                  std::abs(static_cast<double>(analytic.data()[i]))});
-    EXPECT_NEAR(analytic.data()[i], numeric, tolerance * reference)
-        << "parameter " << parameter->name << " element " << i;
-  }
-}
-
-class GradCheckTest : public ::testing::Test {
+class GradCheckTest : public ::testing::TestWithParam<KernelBackendKind> {
  protected:
+  /**
+   * Checks the gradient of `build` with respect to a single parameter.
+   * `build` must construct a 1x1 loss from a fresh tape, reading the
+   * parameter through Tape::Param.
+   */
+  void CheckParameterGradient(Parameter* parameter,
+                              const std::function<Var(Tape&)>& build,
+                              float step = 1e-2f, float tolerance = 2e-2f) {
+    const KernelBackend* backend = &GetKernelBackend(GetParam());
+    // Analytic gradient.
+    parameter->ZeroGrad();
+    {
+      Tape tape(backend);
+      Var loss = build(tape);
+      tape.Backward(loss);
+    }
+    const Tensor analytic = parameter->grad;
+
+    // Central finite differences, element by element.
+    for (std::size_t i = 0; i < parameter->value.size(); ++i) {
+      const float saved = parameter->value.data()[i];
+      parameter->value.data()[i] = saved + step;
+      double loss_plus;
+      {
+        Tape tape(backend);
+        loss_plus = tape.value(build(tape)).scalar();
+      }
+      parameter->value.data()[i] = saved - step;
+      double loss_minus;
+      {
+        Tape tape(backend);
+        loss_minus = tape.value(build(tape)).scalar();
+      }
+      parameter->value.data()[i] = saved;
+      const double numeric = (loss_plus - loss_minus) / (2.0 * step);
+      const double reference =
+          std::max({1.0, std::abs(numeric),
+                    std::abs(static_cast<double>(analytic.data()[i]))});
+      EXPECT_NEAR(analytic.data()[i], numeric, tolerance * reference)
+          << backend->name() << " parameter " << parameter->name
+          << " element " << i;
+    }
+  }
+
   Rng rng_{12345};
   ParameterStore store_{99};
 };
 
-TEST_F(GradCheckTest, MatMulLeft) {
+TEST_P(GradCheckTest, MatMulLeft) {
   Parameter* a = store_.Create("a", 3, 4, Initializer::kGlorotUniform);
   const Tensor b_value = RandomTensor(4, 2, rng_);
   CheckParameterGradient(a, [&](Tape& tape) {
@@ -87,7 +91,7 @@ TEST_F(GradCheckTest, MatMulLeft) {
   });
 }
 
-TEST_F(GradCheckTest, MatMulRight) {
+TEST_P(GradCheckTest, MatMulRight) {
   Parameter* b = store_.Create("b", 4, 2, Initializer::kGlorotUniform);
   const Tensor a_value = RandomTensor(3, 4, rng_);
   CheckParameterGradient(b, [&](Tape& tape) {
@@ -95,7 +99,7 @@ TEST_F(GradCheckTest, MatMulRight) {
   });
 }
 
-TEST_F(GradCheckTest, AddSubMul) {
+TEST_P(GradCheckTest, AddSubMul) {
   Parameter* a = store_.Create("a", 2, 3, Initializer::kGlorotUniform);
   const Tensor b_value = RandomTensor(2, 3, rng_);
   CheckParameterGradient(a, [&](Tape& tape) {
@@ -105,7 +109,7 @@ TEST_F(GradCheckTest, AddSubMul) {
   });
 }
 
-TEST_F(GradCheckTest, DivNumerator) {
+TEST_P(GradCheckTest, DivNumerator) {
   Parameter* a = store_.Create("a", 2, 2, Initializer::kGlorotUniform);
   const Tensor b_value = RandomTensor(2, 2, rng_, 1.0f, 2.0f);
   CheckParameterGradient(a, [&](Tape& tape) {
@@ -113,7 +117,7 @@ TEST_F(GradCheckTest, DivNumerator) {
   });
 }
 
-TEST_F(GradCheckTest, DivDenominator) {
+TEST_P(GradCheckTest, DivDenominator) {
   Parameter* b = store_.Create("b", 2, 2, Initializer::kGlorotUniform);
   // Keep the denominator away from zero.
   for (std::size_t i = 0; i < b->value.size(); ++i) {
@@ -125,7 +129,7 @@ TEST_F(GradCheckTest, DivDenominator) {
   });
 }
 
-TEST_F(GradCheckTest, ScaleAndAddConstant) {
+TEST_P(GradCheckTest, ScaleAndAddConstant) {
   Parameter* a = store_.Create("a", 2, 3, Initializer::kGlorotUniform);
   CheckParameterGradient(a, [&](Tape& tape) {
     return tape.SumAll(tape.AddConstant(tape.Scale(tape.Param(a), 2.5f),
@@ -133,7 +137,7 @@ TEST_F(GradCheckTest, ScaleAndAddConstant) {
   });
 }
 
-TEST_F(GradCheckTest, AddRowBroadcastInput) {
+TEST_P(GradCheckTest, AddRowBroadcastInput) {
   Parameter* a = store_.Create("a", 3, 4, Initializer::kGlorotUniform);
   const Tensor bias = RandomTensor(1, 4, rng_);
   CheckParameterGradient(a, [&](Tape& tape) {
@@ -142,7 +146,7 @@ TEST_F(GradCheckTest, AddRowBroadcastInput) {
   });
 }
 
-TEST_F(GradCheckTest, AddRowBroadcastBias) {
+TEST_P(GradCheckTest, AddRowBroadcastBias) {
   Parameter* bias = store_.Create("bias", 1, 4, Initializer::kGlorotUniform);
   const Tensor a_value = RandomTensor(3, 4, rng_);
   CheckParameterGradient(bias, [&](Tape& tape) {
@@ -151,7 +155,7 @@ TEST_F(GradCheckTest, AddRowBroadcastBias) {
   });
 }
 
-TEST_F(GradCheckTest, MulColumnBroadcastBothSides) {
+TEST_P(GradCheckTest, MulColumnBroadcastBothSides) {
   Parameter* a = store_.Create("a", 3, 4, Initializer::kGlorotUniform);
   Parameter* column = store_.Create("col", 3, 1, Initializer::kGlorotUniform);
   CheckParameterGradient(a, [&](Tape& tape) {
@@ -164,7 +168,7 @@ TEST_F(GradCheckTest, MulColumnBroadcastBothSides) {
   });
 }
 
-TEST_F(GradCheckTest, Relu) {
+TEST_P(GradCheckTest, Relu) {
   Parameter* a = store_.Create("a", 3, 3, Initializer::kGlorotUniform);
   // Keep values away from the kink at 0 so finite differences are valid.
   for (std::size_t i = 0; i < a->value.size(); ++i) {
@@ -175,7 +179,7 @@ TEST_F(GradCheckTest, Relu) {
   });
 }
 
-TEST_F(GradCheckTest, SigmoidTanh) {
+TEST_P(GradCheckTest, SigmoidTanh) {
   Parameter* a = store_.Create("a", 2, 3, Initializer::kGlorotUniform);
   CheckParameterGradient(a, [&](Tape& tape) {
     return tape.SumAll(tape.Mul(tape.Sigmoid(tape.Param(a)),
@@ -183,7 +187,7 @@ TEST_F(GradCheckTest, SigmoidTanh) {
   });
 }
 
-TEST_F(GradCheckTest, AbsAwayFromZero) {
+TEST_P(GradCheckTest, AbsAwayFromZero) {
   Parameter* a = store_.Create("a", 2, 3, Initializer::kGlorotUniform);
   for (std::size_t i = 0; i < a->value.size(); ++i) {
     if (std::abs(a->value.data()[i]) < 0.1f) a->value.data()[i] = -0.4f;
@@ -193,14 +197,14 @@ TEST_F(GradCheckTest, AbsAwayFromZero) {
   });
 }
 
-TEST_F(GradCheckTest, Square) {
+TEST_P(GradCheckTest, Square) {
   Parameter* a = store_.Create("a", 2, 2, Initializer::kGlorotUniform);
   CheckParameterGradient(a, [&](Tape& tape) {
     return tape.SumAll(tape.Square(tape.Param(a)));
   });
 }
 
-TEST_F(GradCheckTest, HuberBothRegimes) {
+TEST_P(GradCheckTest, HuberBothRegimes) {
   Parameter* a = store_.Create("a", 1, 4, Initializer::kZero);
   // Two values in the quadratic regime, two in the linear regime.
   a->value.at(0, 0) = 0.4f;
@@ -212,7 +216,7 @@ TEST_F(GradCheckTest, HuberBothRegimes) {
   });
 }
 
-TEST_F(GradCheckTest, LayerNormAllInputs) {
+TEST_P(GradCheckTest, LayerNormAllInputs) {
   Parameter* x = store_.Create("x", 3, 5, Initializer::kGlorotUniform);
   Parameter* gain = store_.Create("gain", 1, 5, Initializer::kOne);
   Parameter* bias = store_.Create("bias", 1, 5, Initializer::kZero);
@@ -225,7 +229,7 @@ TEST_F(GradCheckTest, LayerNormAllInputs) {
   CheckParameterGradient(bias, build);
 }
 
-TEST_F(GradCheckTest, GatherRows) {
+TEST_P(GradCheckTest, GatherRows) {
   Parameter* table = store_.Create("table", 5, 3,
                                    Initializer::kGlorotUniform);
   CheckParameterGradient(table, [&](Tape& tape) {
@@ -235,7 +239,7 @@ TEST_F(GradCheckTest, GatherRows) {
   });
 }
 
-TEST_F(GradCheckTest, SegmentSum) {
+TEST_P(GradCheckTest, SegmentSum) {
   Parameter* rows = store_.Create("rows", 6, 2,
                                   Initializer::kGlorotUniform);
   CheckParameterGradient(rows, [&](Tape& tape) {
@@ -244,7 +248,7 @@ TEST_F(GradCheckTest, SegmentSum) {
   });
 }
 
-TEST_F(GradCheckTest, ConcatCols) {
+TEST_P(GradCheckTest, ConcatCols) {
   Parameter* a = store_.Create("a", 3, 2, Initializer::kGlorotUniform);
   Parameter* b = store_.Create("b", 3, 3, Initializer::kGlorotUniform);
   const auto build = [&](Tape& tape) {
@@ -255,14 +259,14 @@ TEST_F(GradCheckTest, ConcatCols) {
   CheckParameterGradient(b, build);
 }
 
-TEST_F(GradCheckTest, MeanAll) {
+TEST_P(GradCheckTest, MeanAll) {
   Parameter* a = store_.Create("a", 4, 4, Initializer::kGlorotUniform);
   CheckParameterGradient(a, [&](Tape& tape) {
     return tape.MeanAll(tape.Square(tape.Param(a)));
   });
 }
 
-TEST_F(GradCheckTest, ComposedMlp) {
+TEST_P(GradCheckTest, ComposedMlp) {
   MlpConfig config;
   config.input_size = 4;
   config.hidden_sizes = {6};
@@ -281,7 +285,7 @@ TEST_F(GradCheckTest, ComposedMlp) {
   }
 }
 
-TEST_F(GradCheckTest, LstmCellStep) {
+TEST_P(GradCheckTest, LstmCellStep) {
   LstmCell cell(&store_, "lstm", 3, 4);
   const Tensor input = RandomTensor(2, 3, rng_);
   const auto build = [&](Tape& tape) {
@@ -296,7 +300,7 @@ TEST_F(GradCheckTest, LstmCellStep) {
   }
 }
 
-TEST_F(GradCheckTest, LossFunctions) {
+TEST_P(GradCheckTest, LossFunctions) {
   Parameter* prediction = store_.Create("pred", 4, 1,
                                         Initializer::kGlorotUniform);
   for (std::size_t i = 0; i < prediction->value.size(); ++i) {
@@ -315,6 +319,14 @@ TEST_F(GradCheckTest, LossFunctions) {
     });
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, GradCheckTest,
+    ::testing::Values(KernelBackendKind::kReference,
+                      KernelBackendKind::kOptimized),
+    [](const ::testing::TestParamInfo<KernelBackendKind>& info) {
+      return std::string(GetKernelBackend(info.param).name());
+    });
 
 }  // namespace
 }  // namespace granite::ml

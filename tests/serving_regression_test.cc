@@ -5,9 +5,8 @@
  * InferenceServer must bit-match direct GraniteModel::PredictBatch
  * calls, under both kernel backends, and a block's prediction must not
  * depend on which blocks share its batch. The backend is pinned through
- * GraniteConfig/TrainerConfig (not the GRANITE_KERNEL_BACKEND
- * environment selector), so the test is stable no matter which process
- * default CI runs it under.
+ * GraniteConfig/TrainerConfig, so the test covers the reference backend
+ * as well as the optimized process default.
  */
 #include <algorithm>
 #include <chrono>

@@ -247,9 +247,7 @@ const std::vector<CommandSpec>& CommandTable() {
         {"batch-size", "N", "training batch size"},
         {"seed", "N", "corpus + init seed"},
         {"target-scale", "S", "cycles-per-N-iterations label scale"},
-        {"verbose", "0|1", "per-validation progress"},
-        {"backend", "reference|optimized|list",
-         "kernel backend ('list' prints the registry and exits)"}}},
+        {"verbose", "0|1", "per-validation progress"}}},
       {"eval",
        "evaluate a bundle per task on a held-out corpus",
        {{"model-file", "PATH", "checkpoint bundle (required)"},
@@ -257,15 +255,13 @@ const std::vector<CommandSpec>& CommandTable() {
          "corpus file (else synthesized from --blocks)"},
         {"blocks", "N", "synthesized corpus size"},
         {"seed", "N", "synthesis seed"},
-        {"target-scale", "S", "cycles-per-N-iterations label scale"},
-        {"backend", "reference|optimized|list", "kernel backend"}}},
+        {"target-scale", "S", "cycles-per-N-iterations label scale"}}},
       {"predict",
        "predict one block's throughput on every task head",
        {{"model-file", "PATH", "checkpoint bundle (required)"},
         {"asm", "\"INSTR; INSTR\"",
          "block text (else read from stdin)"},
-        {"target-scale", "S", "reporting scale"},
-        {"backend", "reference|optimized|list", "kernel backend"}}},
+        {"target-scale", "S", "reporting scale"}}},
       {"serve",
        "serve bundles behind a multi-model router",
        {{"model-file", "[NAME=]PATH", "bundle route (repeatable, required)"},
@@ -280,8 +276,7 @@ const std::vector<CommandSpec>& CommandTable() {
         {"split", "NAME=A:B:WEIGHT", "weighted A/B split route"},
         {"shadow", "ROUTE=PATH", "mirror ROUTE to a candidate bundle"},
         {"shadow-samples", "N", "comparisons before the parity verdict"},
-        {"promote", "0|1", "auto-promote the shadow on parity"},
-        {"backend", "reference|optimized|list", "kernel backend"}}},
+        {"promote", "0|1", "auto-promote the shadow on parity"}}},
       {"autotune",
        "optimize basic blocks with beam search over the served cost model",
        {{"model-file", "PATH",
@@ -301,8 +296,7 @@ const std::vector<CommandSpec>& CommandTable() {
         {"batch-size", "N", "server batch size"},
         {"window-us", "N", "server batching window"},
         {"cache", "N", "server prediction cache capacity"},
-        {"verbose", "0|1", "print optimized block text"},
-        {"backend", "reference|optimized|list", "kernel backend"}}},
+        {"verbose", "0|1", "print optimized block text"}}},
       {"inspect",
        "dump checkpoint bundle metadata without loading the model",
        {{"model-file", "PATH", "checkpoint bundle (required)"},
@@ -382,54 +376,6 @@ void PrintUsage() {
     }
   }
   std::printf("  help\n      this text\n");
-}
-
-/** " (avx2)" or " (baseline)" for the optimized backend: the ISA copy
- * its kernels run. Empty for the reference backend. */
-std::string IsaSuffix(const granite::ml::KernelBackend& backend) {
-  const auto* optimized =
-      dynamic_cast<const granite::ml::OptimizedBackend*>(&backend);
-  if (optimized == nullptr) return "";
-  return std::string(" (") + optimized->isa() + ")";
-}
-
-/**
- * Applies --backend=NAME by installing the named kernel backend as the
- * process-wide default before any model is constructed. --backend=list
- * prints the registry and exits 0. Unknown names exit 2 with the valid
- * set.
- */
-void ApplyBackendFlag(const Flags& flags) {
-  if (!flags.Has("backend")) return;
-  const std::string name = flags.GetString("backend", "");
-  if (name == "list") {
-    for (const granite::ml::KernelBackendInfo& info :
-         granite::ml::ListKernelBackends()) {
-      std::printf("%s%s\n", info.name,
-                  IsaSuffix(granite::ml::GetKernelBackend(info.kind)).c_str());
-    }
-    std::exit(0);
-  }
-  const granite::ml::KernelBackendInfo* info =
-      granite::ml::FindKernelBackendByName(name.c_str());
-  if (info == nullptr) {
-    std::string valid;
-    for (const granite::ml::KernelBackendInfo& candidate :
-         granite::ml::ListKernelBackends()) {
-      if (!valid.empty()) valid += ", ";
-      valid += candidate.name;
-    }
-    std::fprintf(stderr,
-                 "granite_cli: --backend='%s' is unknown (valid: %s)\n",
-                 name.c_str(), valid.c_str());
-    std::exit(2);
-  }
-  granite::ml::SetDefaultKernelBackend(
-      &granite::ml::GetKernelBackend(info->kind));
-  const granite::ml::KernelBackend& backend =
-      granite::ml::DefaultKernelBackend();
-  std::printf("kernel backend: %s%s\n", backend.name(),
-              IsaSuffix(backend).c_str());
 }
 
 /** Task head i is supervised by Microarchitecture(i). */
@@ -531,7 +477,6 @@ granite::train::TrainerConfig EvalConfig(const ThroughputPredictor& model,
 
 int RunTrain(const Flags& flags) {
   flags.RequireKnown(KnownFlagsOf(CommandSpecFor("train")));
-  ApplyBackendFlag(flags);
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {
     std::fprintf(stderr, "granite_cli train: --out=PATH is required\n");
@@ -631,11 +576,14 @@ int RunTrain(const Flags& flags) {
     return 2;
   }
 
+  const auto& kernels = static_cast<const granite::ml::OptimizedBackend&>(
+      granite::ml::GetKernelBackend(
+          granite::ml::KernelBackendKind::kOptimized));
   std::printf("training %s (%zu weights, %d task(s)) on %zu blocks for "
-              "%d steps...\n",
+              "%d steps with %s kernels...\n",
               model_name.c_str(),
               runner->model().parameters().TotalWeights(), num_tasks,
-              train_source.size(), steps);
+              train_source.size(), steps, kernels.isa());
   const granite::train::TrainingResult result =
       runner->Train(train_source, validation_source);
   std::printf("final training loss: %.4f\n", result.final_train_loss);
@@ -660,7 +608,6 @@ int RunTrain(const Flags& flags) {
 
 int RunEval(const Flags& flags) {
   flags.RequireKnown(KnownFlagsOf(CommandSpecFor("eval")));
-  ApplyBackendFlag(flags);
   const std::string path = flags.GetString("model-file", "");
   if (path.empty()) {
     std::fprintf(stderr,
@@ -700,7 +647,6 @@ int RunEval(const Flags& flags) {
 
 int RunPredict(const Flags& flags) {
   flags.RequireKnown(KnownFlagsOf(CommandSpecFor("predict")));
-  ApplyBackendFlag(flags);
   const std::string path = flags.GetString("model-file", "");
   if (path.empty()) {
     std::fprintf(stderr,
@@ -743,7 +689,6 @@ int RunPredict(const Flags& flags) {
 
 int RunServe(const Flags& flags) {
   flags.RequireKnown(KnownFlagsOf(CommandSpecFor("serve")));
-  ApplyBackendFlag(flags);
   if (flags.model_files.empty()) {
     std::fprintf(stderr,
                  "granite_cli serve: at least one --model-file=[NAME=]PATH "
@@ -974,7 +919,6 @@ int RunServe(const Flags& flags) {
  */
 int RunAutotune(const Flags& flags) {
   flags.RequireKnown(KnownFlagsOf(CommandSpecFor("autotune")));
-  ApplyBackendFlag(flags);
   const int beam = static_cast<int>(flags.GetCount("beam", 4, 1, 64));
   const int depth = static_cast<int>(flags.GetCount("depth", 5, 0, 32));
   const long deadline_ms =
