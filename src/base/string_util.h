@@ -1,6 +1,7 @@
 /**
  * @file
- * Small string helpers used by the assembly parser and report writers.
+ * Small string helpers used by the assembly parser and report writers,
+ * and the FNV-1a hash behind checksums and block fingerprints.
  */
 #ifndef GRANITE_BASE_STRING_UTIL_H_
 #define GRANITE_BASE_STRING_UTIL_H_
@@ -48,6 +49,22 @@ std::optional<double> ParseDouble(std::string_view text);
 /** Joins pieces with a separator. */
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view separator);
+
+/** The 64-bit FNV-1a offset basis: the hash of no bytes. */
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+
+/**
+ * Folds `bytes` into the 64-bit FNV-1a hash `hash`; start from
+ * kFnvOffsetBasis. Bundle and corpus checksums and block fingerprints
+ * are this hash, so its bytes are part of those formats.
+ */
+inline std::uint64_t Fnv1a(std::uint64_t hash, std::string_view bytes) {
+  for (const char byte : bytes) {
+    hash ^= static_cast<unsigned char>(byte);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
 
 }  // namespace granite
 

@@ -5,6 +5,7 @@
 
 #include "asm/parser.h"
 #include "base/logging.h"
+#include "base/string_util.h"
 
 namespace granite::dataset {
 namespace {
@@ -17,16 +18,6 @@ constexpr std::uint64_t kMaxBlocks = 1ull << 36;
 
 /** Fixed header size in bytes: magic + 4 u32 fields + 4 u64 fields. */
 constexpr std::uint64_t kHeaderBytes = 8 + 4 * 4 + 4 * 8;
-
-constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-
-std::uint64_t Fnv1a(std::uint64_t hash, const char* data, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 template <typename T>
 void AppendScalar(std::string& buffer, T value) {
@@ -285,7 +276,7 @@ void VerifyWholeFileChecksum(std::ifstream& file, std::uint64_t file_size,
     const std::uint64_t chunk =
         std::min<std::uint64_t>(remaining, buffer.size());
     ReadExact(file, buffer.data(), chunk, "checksum pass", path);
-    checksum = Fnv1a(checksum, buffer.data(), chunk);
+    checksum = Fnv1a(checksum, {buffer.data(), chunk});
     remaining -= chunk;
   }
   std::uint64_t stored = 0;
@@ -407,8 +398,7 @@ void CorpusWriter::Finish() {
                static_cast<std::streamsize>(buffer.size()));
     const std::streamsize got = patch.gcount();
     if (got <= 0) break;
-    checksum = Fnv1a(checksum, buffer.data(),
-                     static_cast<std::size_t>(got));
+    checksum = Fnv1a(checksum, {buffer.data(), static_cast<std::size_t>(got)});
     if (patch.eof()) break;
   }
   patch.clear();
@@ -454,7 +444,7 @@ CorpusReader::CorpusReader(const std::string& path)
   // every byte in order.
   std::string header_bytes(kHeaderBytes, '\0');
   ReadExact(file_, header_bytes.data(), kHeaderBytes, "header", path_);
-  checksum_ = Fnv1a(checksum_, header_bytes.data(), header_bytes.size());
+  checksum_ = Fnv1a(checksum_, header_bytes);
 }
 
 bool CorpusReader::NextShard(std::vector<Sample>* shard) {
@@ -479,7 +469,7 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
   }
   char prelude[16];
   ReadExact(file_, prelude, sizeof(prelude), "shard prelude", path_);
-  checksum_ = Fnv1a(checksum_, prelude, sizeof(prelude));
+  checksum_ = Fnv1a(checksum_, {prelude, sizeof(prelude)});
   std::uint64_t count = 0;
   std::uint64_t bytes = 0;
   std::memcpy(&count, prelude, 8);
@@ -494,7 +484,7 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
                     file_size - position - 8, path_);
   std::string payload(bytes, '\0');
   ReadExact(file_, payload.data(), bytes, "shard payload", path_);
-  checksum_ = Fnv1a(checksum_, payload.data(), payload.size());
+  checksum_ = Fnv1a(checksum_, payload);
   *shard = ParseShardPayload(payload, count, header_.num_labels, path_);
   ++shards_read_;
   return true;

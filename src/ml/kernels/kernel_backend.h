@@ -8,14 +8,21 @@
  * aggregations — routes through a KernelBackend. Two implementations
  * ship:
  *
- *  - ReferenceBackend: the original straightforward loops, kept as the
- *    correctness oracle for the equivalence test suite.
- *  - OptimizedBackend: cache-blocked, transpose-aware MatMul micro-kernels
- *    with vectorizable inner loops, fused AXPY/scale/bias kernels and a
- *    row-interleaved LayerNorm bit-identical to the reference. Its hot
- *    loops are compiled for the x86-64 baseline and for AVX2; the
- *    backend picks one copy at startup from CPUID, with bit-identical
- *    results either way.
+ *  - ReferenceBackend: plain scalar loops that spell out each kernel's
+ *    summation order, the correctness oracle for the equivalence suite.
+ *  - OptimizedBackend: register-tiled, transpose-aware MatMul
+ *    micro-kernels with vectorizable inner loops, fused AXPY/scale/bias
+ *    kernels and a row-interleaved LayerNorm. Its hot loops are compiled
+ *    for the x86-64 baseline and for AVX2; the backend picks one copy at
+ *    startup from CPUID.
+ *
+ * Both backends give the same bits for every kernel: each product and
+ * sum is rounded on its own, nothing fuses a multiply-add, and every
+ * reduction follows one order. For MatMulAcc, MatMulTransposeBAcc and
+ * LinearBias that order is: each output element's products are summed
+ * into a float from +0 in ascending k, and that partial is added once
+ * into the accumulator (for LinearBias, into the bias). MatMulTransposeAAcc
+ * adds each product into the accumulator in turn, in ascending k.
  *
  * Every kernel call runs on the calling thread; parallelism lives above
  * this layer (the trainer's data-parallel shards, the server's shard
@@ -47,9 +54,9 @@ namespace granite::ml {
 enum class KernelBackendKind {
   /** The process-wide default (optimized unless overridden). */
   kDefault,
-  /** The straightforward loops; the correctness oracle. */
+  /** The plain scalar loops; the correctness oracle. */
   kReference,
-  /** Blocked/SIMD kernels; the fast path. */
+  /** Tiled/SIMD kernels; the fast path. */
   kOptimized,
 };
 

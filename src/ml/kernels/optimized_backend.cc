@@ -1,6 +1,5 @@
 #include "ml/kernels/optimized_backend.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -125,7 +124,7 @@ void OptimizedBackend::DoMatMulTransposeBAcc(const Tensor& a, const Tensor& b,
 void OptimizedBackend::DoLinearBias(const Tensor& a, const Tensor& w,
                                     const Tensor& bias, Tensor& out) const {
   // Fused bias: seed every output row with the bias vector, then run the
-  // accumulating blocked product — one pass over `out` less than a
+  // accumulating tiled product — one pass over `out` less than a
   // separate broadcast-add.
   const float* bias_row = bias.row_data(0);
   const std::size_t row_bytes = static_cast<std::size_t>(out.cols()) *

@@ -1,8 +1,8 @@
 /**
  * @file
- * The optimized kernel backend: cache-blocked, register-tiled MatMul
- * micro-kernels with vectorizable (`#pragma omp simd`) inner loops, fused
- * AXPY/scale/bias element-wise kernels and a row-interleaved LayerNorm.
+ * The optimized kernel backend: register-tiled MatMul micro-kernels with
+ * vectorizable (`#pragma omp simd`) inner loops, fused AXPY/scale/bias
+ * element-wise kernels and a row-interleaved LayerNorm.
  * Every kernel runs on the calling thread.
  *
  * The hot loops live in optimized_kernels.inc and are compiled twice from
@@ -17,30 +17,26 @@
  *
  * The plain product runs a 4x16 micro-kernel whose per-row sum order
  * does not depend on the row's position in the call, so a row's result
- * is the same at every batch row count; each tile sums its products from
- * zero over one k-block of 256 and adds them to the output once (the
- * AVX2 copy keeps the tile in registers, the baseline copy in a stack
- * array). The dX product (A * B^T, with B the small weight) packs B
+ * is the same at every batch row count. Each tile sums its products from
+ * zero over the whole depth (no k-blocking) and adds them to the output
+ * once; the AVX2 copy keeps the tile in registers, the baseline copy in a
+ * stack array, and the n % 16 column remainder runs the stack-array tile
+ * at its width. The dX product (A * B^T, with B the small weight) packs B
  * transposed once per call and reuses that micro-kernel. The A^T * B (dW)
  * product runs a tile that stays in registers across the whole k loop,
  * 4x16 in the AVX2 copy and 4x8 in the baseline copy (and for an
  * 8-column remainder): it is loaded from the output, summed over k in
- * ascending order and stored once, so every element follows the
- * reference backend's sequence and the product is bit-identical to it
- * for finite inputs (the reference skips zero A entries; adding their
- * zero products leaves a finite sum unchanged unless the running value
- * is -0). LayerNorm forward and backward process 4 rows at a time with
- * one set of sums per row, in the reference backend's order, and are
- * bit-identical to it.
+ * ascending order and stored once. LayerNorm forward and backward process
+ * 4 rows at a time with one set of sums per row. Every kernel follows the
+ * summation order kernel_backend.h states, so both copies are
+ * bit-identical to the reference backend.
  *
  * Inherits the reference loops for the ops where a tuned kernel buys
  * nothing (transcendental element-wise maps, column broadcasts, row
  * dots, SumAll) and overrides everything on the training hot path,
- * including the column-block accumulate of ConcatGathered. Equivalence
- * with the reference backend across odd/prime/blocked shapes, and
- * bit-identity of the two ISA copies, are enforced by
- * tests/kernels_test.cc; the other matrix products may differ from the
- * reference by floating-point reassociation only.
+ * including the column-block accumulate of ConcatGathered. Bit-identity
+ * with the reference backend across odd/prime/deep shapes, for both ISA
+ * copies, is enforced by tests/kernels_test.cc.
  */
 #ifndef GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
 #define GRANITE_ML_KERNELS_OPTIMIZED_BACKEND_H_
@@ -51,7 +47,7 @@ namespace granite::ml {
 
 struct OptimizedKernels;
 
-/** Blocked/SIMD kernels, single-threaded. */
+/** Tiled/SIMD kernels, single-threaded. */
 class OptimizedBackend : public ReferenceBackend {
  public:
   /**

@@ -1,6 +1,8 @@
 #include "ml/kernels/reference_backend.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace granite::ml {
 
@@ -10,16 +12,20 @@ void ReferenceBackend::DoMatMulAcc(const Tensor& a, const Tensor& b,
   const int k = a.cols();
   const int n = b.cols();
   // i-k-j loop order keeps the inner loop streaming over contiguous rows of
-  // `b` and `out`, which is the cache-friendly layout for row-major data.
+  // `b`, which is the cache-friendly layout for row-major data. Each output
+  // row's products are summed into a row of partials from +0 in ascending
+  // k, and that row is added to `out` once (kernel_backend.h's rule).
+  std::vector<float> partial(n);
   for (int i = 0; i < m; ++i) {
     const float* a_row = a.row_data(i);
-    float* out_row = out.row_data(i);
+    std::fill(partial.begin(), partial.end(), 0.0f);
     for (int p = 0; p < k; ++p) {
       const float a_value = a_row[p];
-      if (a_value == 0.0f) continue;
       const float* b_row = b.row_data(p);
-      for (int j = 0; j < n; ++j) out_row[j] += a_value * b_row[j];
+      for (int j = 0; j < n; ++j) partial[j] += a_value * b_row[j];
     }
+    float* out_row = out.row_data(i);
+    for (int j = 0; j < n; ++j) out_row[j] += partial[j];
   }
 }
 
@@ -33,7 +39,6 @@ void ReferenceBackend::DoMatMulTransposeAAcc(const Tensor& a, const Tensor& b,
     const float* b_row = b.row_data(p);
     for (int i = 0; i < m; ++i) {
       const float a_value = a_row[i];
-      if (a_value == 0.0f) continue;
       float* out_row = out.row_data(i);
       for (int j = 0; j < n; ++j) out_row[j] += a_value * b_row[j];
     }
@@ -171,9 +176,7 @@ void ReferenceBackend::DoAccumulateUnaryGrad(UnaryOp op, const Tensor& input,
   const std::size_t n = in_grad.size();
   switch (op) {
     case UnaryOp::kRelu:
-      for (std::size_t i = 0; i < n; ++i) {
-        if (px[i] > 0.0f) pd[i] += pg[i];
-      }
+      for (std::size_t i = 0; i < n; ++i) pd[i] += px[i] > 0.0f ? pg[i] : 0.0f;
       break;
     case UnaryOp::kSigmoid:
       for (std::size_t i = 0; i < n; ++i) {

@@ -1,8 +1,9 @@
 /**
  * @file
- * The reference kernel backend: the library's original straightforward
- * loops, kept bit-for-bit as the correctness oracle that the equivalence
- * test suite (tests/kernels_test.cc) holds the optimized backend against.
+ * The reference kernel backend: plain scalar loops that spell out the
+ * summation order kernel_backend.h states for each kernel, the
+ * correctness oracle that the equivalence test suite
+ * (tests/kernels_test.cc) holds the optimized backend to bit for bit.
  */
 #ifndef GRANITE_ML_KERNELS_REFERENCE_BACKEND_H_
 #define GRANITE_ML_KERNELS_REFERENCE_BACKEND_H_

@@ -31,7 +31,7 @@
  * The tape records *what* to compute; *how* each kernel executes —
  * forward ops and backward accumulations alike — is delegated to the
  * ml::KernelBackend the tape was constructed with (reference loops or
- * blocked/SIMD kernels; see ml/kernels/kernel_backend.h).
+ * tiled/SIMD kernels; see ml/kernels/kernel_backend.h).
  */
 #ifndef GRANITE_ML_TAPE_H_
 #define GRANITE_ML_TAPE_H_

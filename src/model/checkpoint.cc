@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/granite_model.h"
 #include "ithemal/ithemal_model.h"
 #include "ml/tensor.h"
@@ -19,16 +20,6 @@ constexpr std::uint64_t kMaxStringBytes = 1ull << 20;
 constexpr std::uint64_t kMaxTokens = 1ull << 22;
 constexpr std::uint64_t kMaxParameters = 1ull << 20;
 constexpr std::uint64_t kMaxTensorElements = 1ull << 28;
-
-std::uint64_t Fnv1a(std::uint64_t hash, const char* data, std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
 
 class BundleWriter {
  public:
@@ -44,7 +35,7 @@ class BundleWriter {
    * just the parameter payload. */
   void WriteRaw(const char* data, std::size_t size) {
     file_.write(data, static_cast<std::streamsize>(size));
-    checksum_ = Fnv1a(checksum_, data, size);
+    checksum_ = Fnv1a(checksum_, {data, size});
   }
 
   template <typename T>
@@ -112,7 +103,7 @@ class BundleReader {
       throw CheckpointError("truncated checkpoint bundle (" +
                             std::string(what) + "): " + path_);
     }
-    checksum_ = Fnv1a(checksum_, data, size);
+    checksum_ = Fnv1a(checksum_, {data, size});
   }
 
   /** The checksum of everything read so far. */

@@ -4,6 +4,7 @@
 
 #include "base/logging.h"
 #include "base/rng.h"
+#include "base/string_util.h"
 #include "uarch/throughput_model.h"
 
 namespace granite::uarch {
@@ -39,12 +40,7 @@ const MeasurementToolParams& GetMeasurementToolParams(MeasurementTool tool) {
 
 uint64_t BlockFingerprint(const assembly::BasicBlock& block) {
   // FNV-1a over the canonical textual form.
-  uint64_t hash = 0xCBF29CE484222325ull;
-  for (const char c : block.ToString()) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
+  return Fnv1a(kFnvOffsetBasis, block.ToString());
 }
 
 double MeasureThroughput(const assembly::BasicBlock& block,

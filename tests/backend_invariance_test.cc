@@ -1,12 +1,12 @@
 /**
  * @file
- * End-to-end backend invariance, parameterized over every kernel backend
- * this build registered (the optimized backend, once per ISA copy): the
- * GRANITE model must produce the same forward values, the same parameter
- * gradients, and (to floating-point reassociation tolerance) the same
- * training trajectory on each backend as on the reference backend.
+ * End-to-end backend invariance, parameterized over the optimized backend
+ * once per ISA copy: every kernel follows the summation order
+ * kernel_backend.h states, so the GRANITE model must produce the same
+ * forward values, parameter gradients, trained parameters and
+ * predictions, bit for bit, on each backend as on the reference backend.
  */
-#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -55,6 +55,18 @@ train::ForwardFn GraniteForward(core::GraniteModel& model) {
                   const std::vector<const assembly::BasicBlock*>& blocks) {
     return model.Forward(tape, blocks);
   };
+}
+
+/** Same length and the same bit pattern in every element. */
+template <typename T>
+void ExpectSameBits(const std::vector<T>& expected,
+                    const std::vector<T>& actual, const std::string& label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&expected[i], &actual[i], sizeof(T)), 0)
+        << label << " element " << i << ": " << expected[i] << " vs "
+        << actual[i];
+  }
 }
 
 /** Runs one forward/backward pass of a fresh tiny model on `backend` and
@@ -118,56 +130,52 @@ TEST_P(BackendInvarianceTest, ForwardAndGradientsMatchReference) {
       ForwardBackwardTrace(ml::KernelBackendKind::kReference, data);
   const auto [opt_forward, opt_grads] = ForwardBackwardTrace(kind(), data);
 
-  ASSERT_EQ(ref_forward.size(), opt_forward.size());
-  for (std::size_t i = 0; i < ref_forward.size(); ++i) {
-    const float scale = std::max(
-        {1.0f, std::abs(ref_forward[i]), std::abs(opt_forward[i])});
-    EXPECT_NEAR(ref_forward[i], opt_forward[i], 1e-4f * scale)
-        << "forward element " << i;
-  }
-  ASSERT_EQ(ref_grads.size(), opt_grads.size());
-  for (std::size_t i = 0; i < ref_grads.size(); ++i) {
-    const float scale =
-        std::max({1.0f, std::abs(ref_grads[i]), std::abs(opt_grads[i])});
-    EXPECT_NEAR(ref_grads[i], opt_grads[i], 2e-4f * scale)
-        << "gradient element " << i;
-  }
+  ExpectSameBits(ref_forward, opt_forward, "forward");
+  ExpectSameBits(ref_grads, opt_grads, "gradients");
 }
 
-/** Trains a fresh tiny model on `backend` and returns its final loss and
- * test-set predictions. */
-std::pair<double, std::vector<double>> TrainOnBackend(
-    ml::KernelBackendKind backend, const dataset::Dataset& train,
-    const dataset::Dataset& test, int steps) {
+/** What a short training run leaves behind. */
+struct TrainedModel {
+  double final_loss;
+  /** Every parameter value, flattened in store order. */
+  std::vector<float> parameters;
+  /** Predictions for the test set. */
+  std::vector<double> predictions;
+};
+
+/** Trains a fresh tiny model on `backend`. */
+TrainedModel TrainOnBackend(ml::KernelBackendKind backend,
+                            const dataset::Dataset& train,
+                            const dataset::Dataset& test, int steps) {
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteModel model(&vocabulary, TinyGraniteConfig(backend));
   train::Trainer trainer(GraniteForward(model), &model.parameters(),
                          FastConfig(steps, backend));
   const train::TrainingResult result = trainer.Train(train, dataset::Dataset());
-  return {result.final_train_loss, trainer.Predict(test, 0)};
+  TrainedModel trained{result.final_train_loss, {},
+                       trainer.Predict(test, 0)};
+  for (const auto& parameter : model.parameters().parameters()) {
+    const float* values = parameter->value.data();
+    trained.parameters.insert(trained.parameters.end(), values,
+                              values + parameter->value.size());
+  }
+  return trained;
 }
 
 TEST_P(BackendInvarianceTest, TrainingIsBackendInvariant) {
+  // Identical seeds and batch sequence, and kernels that round the same
+  // way: the runs must not drift apart by a single bit.
   const dataset::Dataset train = TinyDataset(24, 11);
   const dataset::Dataset test = TinyDataset(8, 13);
   const int steps = 30;
-  const auto [ref_loss, ref_predictions] =
+  const TrainedModel ref =
       TrainOnBackend(ml::KernelBackendKind::kReference, train, test, steps);
-  const auto [opt_loss, opt_predictions] =
-      TrainOnBackend(kind(), train, test, steps);
+  const TrainedModel opt = TrainOnBackend(kind(), train, test, steps);
 
-  // Identical seeds + identical batch sequence: the two runs may diverge
-  // only through floating-point reassociation inside the kernels. Over a
-  // short run that stays within a loose relative tolerance.
-  EXPECT_NEAR(ref_loss, opt_loss,
-              1e-2 * std::max({1.0, std::abs(ref_loss), std::abs(opt_loss)}));
-  ASSERT_EQ(ref_predictions.size(), opt_predictions.size());
-  for (std::size_t i = 0; i < ref_predictions.size(); ++i) {
-    const double scale = std::max({1.0, std::abs(ref_predictions[i]),
-                                   std::abs(opt_predictions[i])});
-    EXPECT_NEAR(ref_predictions[i], opt_predictions[i], 2e-2 * scale)
-        << "prediction " << i;
-  }
+  EXPECT_EQ(std::memcmp(&ref.final_loss, &opt.final_loss, sizeof(double)), 0)
+      << ref.final_loss << " vs " << opt.final_loss;
+  ExpectSameBits(ref.parameters, opt.parameters, "trained parameters");
+  ExpectSameBits(ref.predictions, opt.predictions, "predictions");
 }
 
 TEST_P(BackendInvarianceTest, TrainerResolvesConfiguredBackend) {

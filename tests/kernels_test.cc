@@ -3,14 +3,14 @@
  * Kernel-backend equivalence suite, parameterized over the optimized
  * backend once per ISA copy (tests/backends_under_test.h): each
  * KernelBackend operation is run through the reference oracle and the
- * backend under test on the same inputs — including odd, prime, and
+ * backend under test on the same inputs — including odd, prime, deep and
  * micro-kernel-aligned shapes that exercise every remainder path of the
- * blocked kernels — and the results must agree to tight tolerance;
- * LayerNorm, the optimized A^T * B product and, at the GRANITE shapes, the
- * plain product into a zero output must agree bit for bit.
- * The optimized backend's baseline and AVX2 copies must agree with each
- * other bit for bit on every kernel. A row's matmul result must not
- * depend on the row count of the call.
+ * tiled kernels, zero-filled and seeded outputs, and zeros of both signs
+ * — and the results must have the same bits: every backend follows the
+ * summation order kernel_backend.h states. The optimized backend's
+ * baseline and AVX2 copies must agree with each other bit for bit on
+ * every kernel. A row's matmul result must not depend on the row count of
+ * the call.
  * Also gradient-checks the fused tape ops (Linear, ConcatGathered)
  * against central finite differences under the reference and optimized
  * backends, pins known values of the basic ops on the process-default
@@ -44,6 +44,19 @@ Tensor RandomTensor(int rows, int cols, Rng& rng, float lo = -1.0f,
   return tensor;
 }
 
+/** Values in [-1, 1) with about a quarter replaced by +0 and an eighth by
+ * -0, so zero products, signed-zero sums and negative ReLU inputs all
+ * occur. */
+Tensor ZeroPlantedTensor(int rows, int cols, Rng& rng) {
+  Tensor tensor = RandomTensor(rows, cols, rng);
+  for (std::size_t i = 0; i < tensor.size(); ++i) {
+    const uint64_t pick = rng.NextBounded(8);
+    if (pick < 2) tensor.data()[i] = 0.0f;
+    if (pick == 2) tensor.data()[i] = -0.0f;
+  }
+  return tensor;
+}
+
 std::vector<int> RandomIndices(std::size_t count, int bound, Rng& rng) {
   std::vector<int> indices(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -52,43 +65,69 @@ std::vector<int> RandomIndices(std::size_t count, int bound, Rng& rng) {
   return indices;
 }
 
-/** abs/rel closeness with a tolerance scaled by the reduction length. */
-void ExpectAllClose(const Tensor& a, const Tensor& b, float tolerance,
+/** Equal bit patterns, element by element: unlike ==, tells -0 from +0. */
+void ExpectSameBits(const Tensor& a, const Tensor& b,
                     const std::string& label) {
   ASSERT_EQ(a.rows(), b.rows()) << label;
   ASSERT_EQ(a.cols(), b.cols()) << label;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    const float x = a.data()[i];
-    const float y = b.data()[i];
-    const float scale = std::max({1.0f, std::abs(x), std::abs(y)});
-    ASSERT_NEAR(x, y, tolerance * scale)
-        << label << " element " << i << " of " << a.size();
+    ASSERT_EQ(std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)), 0)
+        << label << " element " << i << " of " << a.size() << ": "
+        << a.data()[i] << " vs " << b.data()[i];
   }
 }
 
-/** Exact equality, element by element. */
-void ExpectBitIdentical(const Tensor& a, const Tensor& b,
-                        const std::string& label) {
-  ASSERT_EQ(a.rows(), b.rows()) << label;
-  ASSERT_EQ(a.cols(), b.cols()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.data()[i], b.data()[i])
-        << label << " element " << i << " of " << a.size();
-  }
+/** A kernel call writing into (or accumulating onto) its output tensor. */
+using KernelCall = std::function<void(const KernelBackend&, Tensor&)>;
+
+/** Runs `op` on `expected` and on `actual`, each from a copy of `seed`,
+ * and asserts the two outputs have the same bits. */
+void ExpectSameResult(const KernelBackend& expected,
+                      const KernelBackend& actual, const std::string& label,
+                      const Tensor& seed, const KernelCall& op) {
+  Tensor from_expected = seed;
+  Tensor from_actual = seed;
+  op(expected, from_expected);
+  op(actual, from_actual);
+  ExpectSameBits(from_expected, from_actual, label);
 }
 
-/** (m, k, n) shapes covering scalar, odd, prime, and blocked cases: the
- * micro-kernel tiles are 4x16 with k-blocks of 256, so these hit full
- * tiles, row/column remainders, and multiple k-blocks. */
+/** An (m, k, n) product shape. */
 struct MatMulShape {
   int m, k, n;
 };
 
+/** Shapes for the plain, A * B^T and fused-bias products. The optimized
+ * tiles are 4 rows x 16 columns with a stack-array tile for the n % 16
+ * column remainder, so these put m on and off a multiple of 4, n % 16 at
+ * 0, 1, 3, 4, 5, 8 and 11, and k from 1 to past 512. */
 const MatMulShape kMatMulShapes[] = {
-    {1, 1, 1},    {2, 3, 4},    {4, 16, 16},  {5, 17, 16},
-    {13, 17, 11}, {31, 29, 37}, {64, 64, 64}, {8, 300, 20},
-    {67, 263, 33}, {3, 1, 47},
+    {1, 1, 1},    {2, 3, 4},     {4, 16, 16},  {5, 17, 16},   {13, 17, 11},
+    {31, 29, 37}, {64, 64, 64},  {8, 300, 20}, {67, 263, 33}, {3, 1, 47},
+    {4, 257, 17}, {17, 33, 1},   {6, 300, 19}, {5, 40, 8},    {9, 520, 24},
+    // GRANITE at embedding 16 and a batch of 100 blocks: the 64 -> 16,
+    // 16 -> 16 and 48 -> 16 layers over a trainer worker's rows, the
+    // 64 -> 16 layer over a serving batch, the packed dX product of the
+    // 64 -> 16 layer, the global projection (578 tokens + 7 edge types)
+    // and a width-1 decoder output layer.
+    {1656, 64, 16}, {1656, 16, 16}, {1548, 48, 16}, {165, 64, 16},
+    {1656, 16, 64}, {100, 585, 16}, {100, 16, 1},
 };
+
+/** Extra (m, k, n) shapes for A^T * B (A is k x m): the optimized tiles
+ * are 4 output rows x 16 columns with an 8-column tile for the remainder,
+ * so these put m on and off a multiple of 4 and n on and off multiples of
+ * 8 and 16, down to n = 1. */
+const MatMulShape kTransposeAShapes[] = {
+    {4, 9, 8},    {6, 7, 1},  {9, 21, 8},    {11, 40, 24},
+    {17, 50, 16}, {8, 33, 9}, {64, 120, 16}, {7, 3, 15},
+    {5, 40, 24},  {8, 64, 32}, {3, 20, 40},
+};
+
+std::string ShapeLabel(const MatMulShape& shape, bool seeded) {
+  return " " + std::to_string(shape.m) + "x" + std::to_string(shape.k) + "x" +
+         std::to_string(shape.n) + (seeded ? " seeded" : " into zero");
+}
 
 class KernelEquivalenceTest
     : public ::testing::TestWithParam<BackendUnderTest> {
@@ -105,289 +144,211 @@ class KernelEquivalenceTest
   /** The backend under test, compared against the reference oracle. */
   const KernelBackend& backend() { return GetParam().backend(); }
 
+  /** Runs `op` on the reference and on the backend under test, each from
+   * a copy of `seed`, and asserts the same bits. */
+  void ExpectMatchesReference(const std::string& label, const Tensor& seed,
+                              const KernelCall& op) {
+    ExpectSameResult(reference(), backend(), label, seed, op);
+  }
+
+  /** An m x n product output: zero-filled, or seeded with values and
+   * zeros of both signs. */
+  Tensor ProductOutput(const MatMulShape& shape, bool seeded) {
+    return seeded ? ZeroPlantedTensor(shape.m, shape.n, rng_)
+                  : Tensor(shape.m, shape.n);
+  }
+
   Rng rng_{20260731};
 };
 
 TEST_P(KernelEquivalenceTest, MatMulAcc) {
   for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
-    const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-    // Accumulation semantics: both backends start from the same nonzero
-    // output.
-    const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
-    Tensor ref = seed;
-    Tensor opt = seed;
-    reference().MatMulAcc(a, b, ref);
-    backend().MatMulAcc(a, b, opt);
-    ExpectAllClose(ref, opt, 1e-4f, "MatMulAcc");
-  }
-}
-
-/** Extra (m, k, n) shapes for A^T * B (A is k x m): the optimized tiles
- * are 4 output rows x 16 columns with an 8-column tile for the remainder,
- * so these put m on and off a multiple of 4 and n on and off multiples of
- * 8 and 16, down to n = 1. */
-const MatMulShape kTransposeAShapes[] = {
-    {4, 9, 8},    {6, 7, 1},  {9, 21, 8},    {11, 40, 24},
-    {17, 50, 16}, {8, 33, 9}, {64, 120, 16}, {7, 3, 15},
-    {5, 40, 24},  {8, 64, 32}, {3, 20, 40},
-};
-
-/** Zeroes parts of A the way ReLU activations do, in the three patterns
- * the reference's per-element zero skip sees: a whole row of A (one k
- * step skipped for every output row), the 4 columns one output tile reads
- * at one k step, and scattered single elements. */
-void PlantZeros(Tensor& a, Rng& rng) {
-  if (a.rows() > 1) {
-    for (int c = 0; c < a.cols(); ++c) a.at(1, c) = 0.0f;
-  }
-  if (a.rows() > 2 && a.cols() >= 8) {
-    for (int c = 4; c < 8; ++c) a.at(2, c) = 0.0f;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (rng.NextBounded(4) == 0) a.data()[i] = 0.0f;
+    for (const bool seeded : {false, true}) {
+      const Tensor a = ZeroPlantedTensor(shape.m, shape.k, rng_);
+      const Tensor b = RandomTensor(shape.k, shape.n, rng_);
+      ExpectMatchesReference("MatMulAcc" + ShapeLabel(shape, seeded),
+                             ProductOutput(shape, seeded),
+                             [&](const KernelBackend& be, Tensor& o) {
+                               be.MatMulAcc(a, b, o);
+                             });
+    }
   }
 }
 
 TEST_P(KernelEquivalenceTest, MatMulTransposeAAcc) {
-  // The optimized dW product sums every element sequentially over k from
-  // its seeded value, exactly like the reference, so it must match bit
-  // for bit (zero products it does not skip leave a finite sum
-  // unchanged).
   std::vector<MatMulShape> shapes(std::begin(kMatMulShapes),
                                   std::end(kMatMulShapes));
   shapes.insert(shapes.end(), std::begin(kTransposeAShapes),
                 std::end(kTransposeAShapes));
   for (const MatMulShape& shape : shapes) {
-    for (const bool sparse : {false, true}) {
-      Tensor a = RandomTensor(shape.k, shape.m, rng_);
-      if (sparse) PlantZeros(a, rng_);
+    for (const bool seeded : {false, true}) {
+      const Tensor a = ZeroPlantedTensor(shape.k, shape.m, rng_);
       const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-      const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
-      Tensor ref = seed;
-      Tensor opt = seed;
-      reference().MatMulTransposeAAcc(a, b, ref);
-      backend().MatMulTransposeAAcc(a, b, opt);
-      const std::string label =
-          "MatMulTransposeAAcc " + std::to_string(shape.m) + "x" +
-          std::to_string(shape.k) + "x" + std::to_string(shape.n) +
-          (sparse ? " sparse" : " dense");
-      ExpectBitIdentical(ref, opt, label);
-    }
-  }
-}
-
-/** The plain products a GRANITE step runs at embedding 16 and a batch of
- * 100 blocks: the 64 -> 16, 16 -> 16 and 48 -> 16 layers over a trainer
- * worker's rows, the 64 -> 16 layer over a serving batch and the packed
- * dX product of the 64 -> 16 layer; plus rows off the 4-row tile and the
- * deepest k inside one k-block. */
-const MatMulShape kGnnMatMulShapes[] = {
-    {1656, 64, 16}, {1656, 16, 16}, {1548, 48, 16}, {165, 64, 16},
-    {1656, 16, 64}, {7, 48, 32},    {6, 256, 16},
-};
-
-TEST_P(KernelEquivalenceTest, MatMulAccIntoZeroIsBitIdenticalToReference) {
-  // Into a zero-filled output with k inside one k-block (256), the
-  // optimized tile's "sum the products from zero in ascending k, then add
-  // once" and the reference's "add each product into the output in
-  // ascending k" do the same roundings in the same order, so the bits
-  // must agree (the reference's zero skip leaves the sums unchanged).
-  for (const MatMulShape& shape : kGnnMatMulShapes) {
-    for (const bool sparse : {false, true}) {
-      Tensor a = RandomTensor(shape.m, shape.k, rng_);
-      if (sparse) PlantZeros(a, rng_);
-      const Tensor b = RandomTensor(shape.k, shape.n, rng_);
-      Tensor ref(shape.m, shape.n);
-      Tensor opt(shape.m, shape.n);
-      reference().MatMulAcc(a, b, ref);
-      backend().MatMulAcc(a, b, opt);
-      ASSERT_EQ(std::memcmp(ref.data(), opt.data(), ref.size() * sizeof(float)),
-                0)
-          << "MatMulAcc " << shape.m << "x" << shape.k << "x" << shape.n
-          << (sparse ? " sparse" : " dense");
+      ExpectMatchesReference("MatMulTransposeAAcc" + ShapeLabel(shape, seeded),
+                             ProductOutput(shape, seeded),
+                             [&](const KernelBackend& be, Tensor& o) {
+                               be.MatMulTransposeAAcc(a, b, o);
+                             });
     }
   }
 }
 
 TEST_P(KernelEquivalenceTest, MatMulTransposeBAcc) {
   for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
-    const Tensor b = RandomTensor(shape.n, shape.k, rng_);
-    const Tensor seed = RandomTensor(shape.m, shape.n, rng_);
-    Tensor ref = seed;
-    Tensor opt = seed;
-    reference().MatMulTransposeBAcc(a, b, ref);
-    backend().MatMulTransposeBAcc(a, b, opt);
-    ExpectAllClose(ref, opt, 1e-4f, "MatMulTransposeBAcc");
+    for (const bool seeded : {false, true}) {
+      const Tensor a = ZeroPlantedTensor(shape.m, shape.k, rng_);
+      const Tensor b = RandomTensor(shape.n, shape.k, rng_);
+      ExpectMatchesReference("MatMulTransposeBAcc" + ShapeLabel(shape, seeded),
+                             ProductOutput(shape, seeded),
+                             [&](const KernelBackend& be, Tensor& o) {
+                               be.MatMulTransposeBAcc(a, b, o);
+                             });
+    }
   }
 }
 
 TEST_P(KernelEquivalenceTest, LinearBias) {
   for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomTensor(shape.m, shape.k, rng_);
+    const Tensor a = ZeroPlantedTensor(shape.m, shape.k, rng_);
     const Tensor w = RandomTensor(shape.k, shape.n, rng_);
-    const Tensor bias = RandomTensor(1, shape.n, rng_);
-    Tensor ref(shape.m, shape.n);
-    Tensor opt(shape.m, shape.n);
-    reference().LinearBias(a, w, bias, ref);
-    backend().LinearBias(a, w, bias, opt);
-    ExpectAllClose(ref, opt, 1e-4f, "LinearBias");
+    const Tensor bias = ZeroPlantedTensor(1, shape.n, rng_);
+    ExpectMatchesReference("LinearBias" + ShapeLabel(shape, false),
+                           Tensor(shape.m, shape.n),
+                           [&](const KernelBackend& be, Tensor& o) {
+                             be.LinearBias(a, w, bias, o);
+                           });
   }
 }
 
 TEST_P(KernelEquivalenceTest, ElementwiseOps) {
   const int rows = 13;
   const int cols = 37;
-  const Tensor a = RandomTensor(rows, cols, rng_);
+  const Tensor a = ZeroPlantedTensor(rows, cols, rng_);
   const Tensor b = RandomTensor(rows, cols, rng_, 0.5f, 2.0f);
+  const Tensor seed = ZeroPlantedTensor(rows, cols, rng_);
 
   for (const BinaryOp op : {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul,
                             BinaryOp::kDiv}) {
-    Tensor ref(rows, cols);
-    Tensor opt(rows, cols);
-    reference().BinaryPointwise(op, a, b, ref);
-    backend().BinaryPointwise(op, a, b, opt);
-    ExpectAllClose(ref, opt, 1e-6f, "BinaryPointwise");
+    ExpectMatchesReference(
+        "BinaryPointwise op " + std::to_string(static_cast<int>(op)), seed,
+        [&](const KernelBackend& be, Tensor& o) {
+          be.BinaryPointwise(op, a, b, o);
+        });
   }
+  ExpectMatchesReference("ScaleInto", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.ScaleInto(a, 2.5f, o);
+                         });
+  ExpectMatchesReference("AddScalarInto", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AddScalarInto(a, -1.25f, o);
+                         });
+  ExpectMatchesReference(
+      "AccumulateAdd", seed,
+      [&](const KernelBackend& be, Tensor& o) { be.AccumulateAdd(a, o); });
+  ExpectMatchesReference("AccumulateScaled", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AccumulateScaled(a, -0.75f, o);
+                         });
+  ExpectMatchesReference(
+      "AccumulateMul", seed,
+      [&](const KernelBackend& be, Tensor& o) { be.AccumulateMul(a, b, o); });
+  ExpectMatchesReference("AccumulateConstant", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AccumulateConstant(0.125f, o);
+                         });
 
-  Tensor ref(rows, cols);
-  Tensor opt(rows, cols);
-  reference().ScaleInto(a, 2.5f, ref);
-  backend().ScaleInto(a, 2.5f, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "ScaleInto");
-
-  reference().AddScalarInto(a, -1.25f, ref);
-  backend().AddScalarInto(a, -1.25f, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "AddScalarInto");
-
-  const Tensor acc_seed = RandomTensor(rows, cols, rng_);
-  Tensor ref_acc = acc_seed;
-  Tensor opt_acc = acc_seed;
-  reference().AccumulateAdd(a, ref_acc);
-  backend().AccumulateAdd(a, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateAdd");
-
-  reference().AccumulateScaled(a, -0.75f, ref_acc);
-  backend().AccumulateScaled(a, -0.75f, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateScaled");
-
-  reference().AccumulateMul(a, b, ref_acc);
-  backend().AccumulateMul(a, b, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateMul");
-
-  reference().AccumulateConstant(0.125f, ref_acc);
-  backend().AccumulateConstant(0.125f, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateConstant");
-
-  EXPECT_NEAR(reference().SumAll(a), backend().SumAll(a), 1e-4);
+  const double ref_sum = reference().SumAll(a);
+  const double opt_sum = backend().SumAll(a);
+  EXPECT_EQ(std::memcmp(&ref_sum, &opt_sum, sizeof(double)), 0) << "SumAll";
 }
 
 TEST_P(KernelEquivalenceTest, UnaryOpsForwardAndGrad) {
   const int rows = 7;
   const int cols = 53;
-  const Tensor input = RandomTensor(rows, cols, rng_, -2.0f, 2.0f);
+  const Tensor input = ZeroPlantedTensor(rows, cols, rng_);
   const Tensor out_grad = RandomTensor(rows, cols, rng_);
+  const Tensor grad_seed = ZeroPlantedTensor(rows, cols, rng_);
   const float param = 0.8f;  // Huber delta.
 
   for (const UnaryOp op : {UnaryOp::kRelu, UnaryOp::kSigmoid, UnaryOp::kTanh,
                            UnaryOp::kAbs, UnaryOp::kSquare, UnaryOp::kHuber}) {
-    Tensor ref(rows, cols);
-    Tensor opt(rows, cols);
-    reference().UnaryForward(op, input, ref, param);
-    backend().UnaryForward(op, input, opt, param);
-    ExpectAllClose(ref, opt, 1e-6f, "UnaryForward");
-
-    const Tensor grad_seed = RandomTensor(rows, cols, rng_);
-    Tensor ref_grad = grad_seed;
-    Tensor opt_grad = grad_seed;
-    reference().AccumulateUnaryGrad(op, input, ref, out_grad, ref_grad,
-                                    param);
-    backend().AccumulateUnaryGrad(op, input, opt, out_grad, opt_grad,
-                                    param);
-    ExpectAllClose(ref_grad, opt_grad, 1e-6f, "AccumulateUnaryGrad");
+    const std::string label = " op " + std::to_string(static_cast<int>(op));
+    Tensor forward(rows, cols);
+    reference().UnaryForward(op, input, forward, param);
+    ExpectMatchesReference("UnaryForward" + label, Tensor(rows, cols),
+                           [&](const KernelBackend& be, Tensor& o) {
+                             be.UnaryForward(op, input, o, param);
+                           });
+    ExpectMatchesReference("AccumulateUnaryGrad" + label, grad_seed,
+                           [&](const KernelBackend& be, Tensor& o) {
+                             be.AccumulateUnaryGrad(op, input, forward,
+                                                    out_grad, o, param);
+                           });
   }
 }
 
 TEST_P(KernelEquivalenceTest, BroadcastAndReductionOps) {
   const int rows = 29;
   const int cols = 31;
-  const Tensor a = RandomTensor(rows, cols, rng_);
-  const Tensor bias = RandomTensor(1, cols, rng_);
-  const Tensor column = RandomTensor(rows, 1, rng_);
+  const Tensor a = ZeroPlantedTensor(rows, cols, rng_);
+  const Tensor b = ZeroPlantedTensor(rows, cols, rng_);
+  const Tensor bias = ZeroPlantedTensor(1, cols, rng_);
+  const Tensor column = ZeroPlantedTensor(rows, 1, rng_);
+  const Tensor seed = ZeroPlantedTensor(rows, cols, rng_);
 
-  Tensor ref(rows, cols);
-  Tensor opt(rows, cols);
-  reference().AddRowBroadcastInto(a, bias, ref);
-  backend().AddRowBroadcastInto(a, bias, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "AddRowBroadcastInto");
-
-  const Tensor sums_seed = RandomTensor(1, cols, rng_);
-  Tensor ref_sums = sums_seed;
-  Tensor opt_sums = sums_seed;
-  reference().AccumulateColumnSums(a, ref_sums);
-  backend().AccumulateColumnSums(a, opt_sums);
-  ExpectAllClose(ref_sums, opt_sums, 1e-5f, "AccumulateColumnSums");
-
-  reference().MulColumnBroadcastInto(a, column, ref);
-  backend().MulColumnBroadcastInto(a, column, opt);
-  ExpectAllClose(ref, opt, 1e-6f, "MulColumnBroadcastInto");
-
-  const Tensor acc_seed = RandomTensor(rows, cols, rng_);
-  Tensor ref_acc = acc_seed;
-  Tensor opt_acc = acc_seed;
-  reference().AccumulateMulColumnBroadcast(a, column, ref_acc);
-  backend().AccumulateMulColumnBroadcast(a, column, opt_acc);
-  ExpectAllClose(ref_acc, opt_acc, 1e-6f, "AccumulateMulColumnBroadcast");
-
-  const Tensor dots_seed = RandomTensor(rows, 1, rng_);
-  Tensor ref_dots = dots_seed;
-  Tensor opt_dots = dots_seed;
-  const Tensor b = RandomTensor(rows, cols, rng_);
-  reference().AccumulateRowDots(a, b, ref_dots);
-  backend().AccumulateRowDots(a, b, opt_dots);
-  ExpectAllClose(ref_dots, opt_dots, 1e-5f, "AccumulateRowDots");
+  ExpectMatchesReference("AddRowBroadcastInto", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AddRowBroadcastInto(a, bias, o);
+                         });
+  ExpectMatchesReference("AccumulateColumnSums",
+                         ZeroPlantedTensor(1, cols, rng_),
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AccumulateColumnSums(a, o);
+                         });
+  ExpectMatchesReference("MulColumnBroadcastInto", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.MulColumnBroadcastInto(a, column, o);
+                         });
+  ExpectMatchesReference("AccumulateMulColumnBroadcast", seed,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AccumulateMulColumnBroadcast(a, column, o);
+                         });
+  ExpectMatchesReference("AccumulateRowDots", ZeroPlantedTensor(rows, 1, rng_),
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AccumulateRowDots(a, b, o);
+                         });
 }
 
 TEST_P(KernelEquivalenceTest, GatherScatterConcatOps) {
   const int table_rows = 23;
   const int cols = 19;
   const int gathered = 41;
-  const Tensor table = RandomTensor(table_rows, cols, rng_);
+  const Tensor table = ZeroPlantedTensor(table_rows, cols, rng_);
   const std::vector<int> indices = RandomIndices(gathered, table_rows, rng_);
-
-  // Gather into a column block of a wider output.
   const int offset = 7;
-  const Tensor out_seed = RandomTensor(gathered, cols + 11, rng_);
-  Tensor ref_out = out_seed;
-  Tensor opt_out = out_seed;
-  reference().GatherRowsAcc(table, indices, ref_out, offset);
-  backend().GatherRowsAcc(table, indices, opt_out, offset);
-  ExpectAllClose(ref_out, opt_out, 1e-6f, "GatherRowsAcc");
+  const Tensor wide = ZeroPlantedTensor(gathered, cols + 11, rng_);
 
-  // Scatter-add from a column block back into the table shape.
-  const Tensor rows = RandomTensor(gathered, cols + 11, rng_);
-  const Tensor table_seed = RandomTensor(table_rows, cols, rng_);
-  Tensor ref_table = table_seed;
-  Tensor opt_table = table_seed;
-  reference().ScatterAddRows(rows, indices, ref_table, offset);
-  backend().ScatterAddRows(rows, indices, opt_table, offset);
-  ExpectAllClose(ref_table, opt_table, 1e-5f, "ScatterAddRows");
-
-  // Column-block accumulate.
-  const Tensor src = RandomTensor(gathered, cols + 11, rng_);
-  Tensor ref_dest = out_seed;
-  Tensor opt_dest = out_seed;
-  reference().AccumulateColumnBlock(src, 3, ref_dest, 5, cols);
-  backend().AccumulateColumnBlock(src, 3, opt_dest, 5, cols);
-  ExpectAllClose(ref_dest, opt_dest, 1e-6f, "AccumulateColumnBlock");
+  ExpectMatchesReference("GatherRowsAcc into a column block", wide,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.GatherRowsAcc(table, indices, o, offset);
+                         });
+  ExpectMatchesReference("ScatterAddRows from a column block",
+                         ZeroPlantedTensor(table_rows, cols, rng_),
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.ScatterAddRows(wide, indices, o, offset);
+                         });
+  const Tensor src = ZeroPlantedTensor(gathered, cols + 11, rng_);
+  ExpectMatchesReference("AccumulateColumnBlock", wide,
+                         [&](const KernelBackend& be, Tensor& o) {
+                           be.AccumulateColumnBlock(src, 3, o, 5, cols);
+                         });
 }
 
 TEST_P(KernelEquivalenceTest, LayerNormIsBitIdenticalToReference) {
   // The tuned LayerNorm interleaves rows but keeps every row's sums and
-  // the gain/bias reductions in the reference order, so it must match
-  // the reference bit for bit — at row counts on and off the interleave
-  // width and at the widths the model runs.
+  // the gain/bias reductions in the reference order — at row counts on
+  // and off the interleave width and at the widths the model runs.
   const float epsilon = 1e-5f;
   for (const int rows : {1, 3, 4, 5, 17}) {
     for (const int cols : {16, 43, 48, 64}) {
@@ -404,10 +365,13 @@ TEST_P(KernelEquivalenceTest, LayerNormIsBitIdenticalToReference) {
                                    ref_norm, ref_inv);
       backend().LayerNormForward(x, gain, bias, epsilon, opt_out, opt_norm,
                                  opt_inv);
-      ExpectBitIdentical(ref_out, opt_out, "LayerNormForward out " + shape);
-      ExpectBitIdentical(ref_norm, opt_norm,
-                         "LayerNormForward normalized " + shape);
-      ASSERT_EQ(ref_inv, opt_inv) << "inv_stddev " << shape;
+      ExpectSameBits(ref_out, opt_out, "LayerNormForward out " + shape);
+      ExpectSameBits(ref_norm, opt_norm,
+                     "LayerNormForward normalized " + shape);
+      ASSERT_EQ(std::memcmp(ref_inv.data(), opt_inv.data(),
+                            rows * sizeof(float)),
+                0)
+          << "inv_stddev " << shape;
 
       // Accumulation semantics: every gradient starts from the same
       // nonzero seed.
@@ -422,22 +386,20 @@ TEST_P(KernelEquivalenceTest, LayerNormIsBitIdenticalToReference) {
                                     &ref_dx, &ref_dgain, &ref_dbias);
       backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, &opt_dx,
                                   &opt_dgain, &opt_dbias);
-      ExpectBitIdentical(ref_dx, opt_dx, "LayerNormBackward dx " + shape);
-      ExpectBitIdentical(ref_dgain, opt_dgain,
-                         "LayerNormBackward dgain " + shape);
-      ExpectBitIdentical(ref_dbias, opt_dbias,
-                         "LayerNormBackward dbias " + shape);
+      ExpectSameBits(ref_dx, opt_dx, "LayerNormBackward dx " + shape);
+      ExpectSameBits(ref_dgain, opt_dgain, "LayerNormBackward dgain " + shape);
+      ExpectSameBits(ref_dbias, opt_dbias, "LayerNormBackward dbias " + shape);
 
       // Each gradient alone (the others null) takes the same path.
       Tensor only_dx = dx_seed;
       backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, &only_dx,
                                   nullptr, nullptr);
-      ExpectBitIdentical(ref_dx, only_dx, "LayerNormBackward dx only " + shape);
+      ExpectSameBits(ref_dx, only_dx, "LayerNormBackward dx only " + shape);
       Tensor only_dgain = dgain_seed;
       backend().LayerNormBackward(out_grad, gain, opt_norm, opt_inv, nullptr,
                                   &only_dgain, nullptr);
-      ExpectBitIdentical(ref_dgain, only_dgain,
-                         "LayerNormBackward dgain only " + shape);
+      ExpectSameBits(ref_dgain, only_dgain,
+                     "LayerNormBackward dgain only " + shape);
     }
   }
 }
@@ -482,51 +444,20 @@ TEST(OptimizedMatMulRowTest, LinearBiasRowDoesNotDependOnRowCount) {
 
 // ---- The two ISA copies of the optimized backend -------------------------
 
-/** Equal bit patterns, element by element: unlike ==, tells -0 from +0. */
-void ExpectSameBits(const Tensor& a, const Tensor& b,
-                    const std::string& label) {
-  ASSERT_EQ(a.rows(), b.rows()) << label;
-  ASSERT_EQ(a.cols(), b.cols()) << label;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&a.data()[i], &b.data()[i], sizeof(float)), 0)
-        << label << " element " << i << " of " << a.size() << ": "
-        << a.data()[i] << " vs " << b.data()[i];
-  }
-}
-
-/** Values in [-1, 1) with about a quarter replaced by +0 and an eighth by
- * -0, so zero products, signed-zero sums and negative ReLU inputs all
- * occur. */
-Tensor ZeroPlantedTensor(int rows, int cols, Rng& rng) {
-  Tensor tensor = RandomTensor(rows, cols, rng);
-  for (std::size_t i = 0; i < tensor.size(); ++i) {
-    const uint64_t pick = rng.NextBounded(8);
-    if (pick < 2) tensor.data()[i] = 0.0f;
-    if (pick == 2) tensor.data()[i] = -0.0f;
-  }
-  return tensor;
-}
-
 TEST(OptimizedIsaTest, CopiesAreBitIdentical) {
   // The AVX2 copy only changes instruction selection: every product and
   // sum keeps its own rounding and order, and FMA is never enabled. So
-  // every overridden kernel must match the baseline copy bit for bit —
-  // including MatMulAcc and LinearBias, which match the reference only to
-  // tolerance. Accumulators start from seeded values (with zeros of both
-  // signs); row counts sit on and off the 4-row tiles, widths on and off
-  // the 8- and 16-column slivers and the vector widths.
+  // every overridden kernel must match the baseline copy bit for bit.
+  // Accumulators start from seeded values (with zeros of both signs); row
+  // counts sit on and off the 4-row tiles, widths on and off the 8- and
+  // 16-column slivers and the vector widths.
   if (!DispatchesAvx2Copy()) GTEST_SKIP() << "this CPU has no AVX2";
   const KernelBackend& avx2 = GetKernelBackend(KernelBackendKind::kOptimized);
   const KernelBackend& baseline = BaselineCopyBackend();
   Rng rng(20261017);
   const auto both = [&](const std::string& label, const Tensor& seed,
-                        const std::function<void(const KernelBackend&,
-                                                 Tensor&)>& op) {
-    Tensor from_avx2 = seed;
-    Tensor from_baseline = seed;
-    op(avx2, from_avx2);
-    op(baseline, from_baseline);
-    ExpectSameBits(from_avx2, from_baseline, label);
+                        const KernelCall& op) {
+    ExpectSameResult(avx2, baseline, label, seed, op);
   };
   for (const int rows : {1, 2, 3, 4, 5, 6, 7, 17}) {
     for (const int width : {1, 7, 8, 15, 16, 17, 24, 32, 40, 48, 64}) {
@@ -538,7 +469,7 @@ TEST(OptimizedIsaTest, CopiesAreBitIdentical) {
       const Tensor seed = ZeroPlantedTensor(rows, width, rng);
       const Tensor row = ZeroPlantedTensor(1, width, rng);
 
-      // Matrix products, at depths inside and across one k-block.
+      // Matrix products, shallow and deep.
       for (const int k : {1, 9, 37, 300}) {
         const std::string mk = shape + " k=" + std::to_string(k);
         const Tensor a = ZeroPlantedTensor(rows, k, rng);
@@ -737,7 +668,8 @@ TEST_P(FusedOpGradTest, LinearMatchesUnfusedComposition) {
       tape.Linear(tape.Param(a), tape.Param(w), tape.Param(bias));
   const Var composed = tape.AddRowBroadcast(
       tape.MatMul(tape.Param(a), tape.Param(w)), tape.Param(bias));
-  EXPECT_TRUE(tape.value(fused).AllClose(tape.value(composed), 1e-5f));
+  // Both sum A * W from zero and add the bias once, so the bits agree.
+  EXPECT_TRUE(tape.value(fused) == tape.value(composed));
 }
 
 TEST_P(FusedOpGradTest, ConcatGatheredAllInputs) {
