@@ -1,10 +1,24 @@
 #include "asm/instruction.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace granite::assembly {
 
 bool Instruction::HasPrefix(const std::string& prefix) const {
   for (const std::string& candidate : prefixes) {
     if (candidate == prefix) return true;
+  }
+  return false;
+}
+
+bool Instruction::HasRepPrefix() const {
+  for (const std::string& prefix : prefixes) {
+    if (prefix != "LOCK" &&
+        std::ranges::find(kInstructionPrefixes, prefix) !=
+            std::end(kInstructionPrefixes)) {
+      return true;
+    }
   }
   return false;
 }

@@ -14,11 +14,18 @@
 #define GRANITE_ASM_INSTRUCTION_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asm/operand.h"
 
 namespace granite::assembly {
+
+/** The instruction prefixes the parser accepts, upper-case: LOCK, then
+ * the REP family. The default vocabulary assigns their token ids in this
+ * order, so it is part of the checkpoint format. */
+inline constexpr std::string_view kInstructionPrefixes[] = {
+    "LOCK", "REP", "REPE", "REPZ", "REPNE", "REPNZ"};
 
 /** One decoded x86-64 instruction. */
 struct Instruction {
@@ -34,6 +41,10 @@ struct Instruction {
   /** True when `prefix` is present (case-sensitive; prefixes are stored
    * upper-case). */
   bool HasPrefix(const std::string& prefix) const;
+
+  /** True when any REP-family prefix (REP, REPE, REPZ, REPNE, REPNZ) is
+   * present. */
+  bool HasRepPrefix() const;
 
   /** Appends the Intel-syntax rendering, e.g.
    * "LOCK ADD DWORD PTR [RAX], EBX". */

@@ -11,8 +11,7 @@ namespace {
 
 /** Instruction prefixes recognized by the parser. */
 bool IsPrefixToken(std::string_view token) {
-  for (const char* prefix :
-       {"LOCK", "REP", "REPE", "REPZ", "REPNE", "REPNZ"}) {
+  for (const std::string_view prefix : kInstructionPrefixes) {
     if (EqualsIgnoreCase(token, prefix)) return true;
   }
   return false;

@@ -463,15 +463,112 @@ std::vector<std::string> SemanticsCatalog::Mnemonics() const {
   return names;
 }
 
-std::vector<OperandUsage> OperandUsageFor(const Instruction& instruction) {
-  const InstructionSemantics& semantics =
-      SemanticsCatalog::Get().Require(instruction.mnemonic);
+namespace {
+
+/** The usage vector of `semantics` for `instruction`'s arity; fails on
+ * an unsupported arity. */
+const std::vector<OperandUsage>& RequireUsage(
+    const InstructionSemantics& semantics, const Instruction& instruction) {
   const std::vector<OperandUsage>* usage =
       semantics.UsageForArity(instruction.operands.size());
   GRANITE_CHECK_MSG(usage != nullptr,
                     "unsupported arity " << instruction.operands.size()
                                          << " for " << instruction.mnemonic);
   return *usage;
+}
+
+bool Contains(const std::vector<Register>& list, Register reg) {
+  return std::find(list.begin(), list.end(), reg) != list.end();
+}
+
+void AddCanonical(std::vector<Register>& list, Register reg) {
+  const Register canonical = CanonicalRegister(reg);
+  if (!Contains(list, canonical)) list.push_back(canonical);
+}
+
+void AddAddressReads(std::vector<Register>& reads,
+                     const MemoryReference& reference) {
+  for (const Register reg :
+       {reference.base, reference.index, reference.segment}) {
+    if (reg != kInvalidRegister) AddCanonical(reads, reg);
+  }
+}
+
+}  // namespace
+
+std::vector<OperandUsage> OperandUsageFor(const Instruction& instruction) {
+  return RequireUsage(SemanticsCatalog::Get().Require(instruction.mnemonic),
+                      instruction);
+}
+
+bool DataFlow::ReadsRegister(Register canonical) const {
+  return Contains(register_reads, canonical) ||
+         Contains(address_reads, canonical);
+}
+
+bool DataFlow::WritesRegister(Register canonical) const {
+  return Contains(register_writes, canonical);
+}
+
+DataFlow DataFlowFor(const Instruction& instruction) {
+  DataFlow flow;
+  flow.semantics = &SemanticsCatalog::Get().Require(instruction.mnemonic);
+  const InstructionSemantics& semantics = *flow.semantics;
+  const std::vector<OperandUsage>& usage = RequireUsage(semantics, instruction);
+
+  for (std::size_t i = 0; i < instruction.operands.size(); ++i) {
+    const Operand& operand = instruction.operands[i];
+    const bool is_read = usage[i] != OperandUsage::kWrite;
+    const bool is_write = usage[i] != OperandUsage::kRead;
+    switch (operand.kind()) {
+      case OperandKind::kRegister:
+        if (is_read) AddCanonical(flow.register_reads, operand.reg());
+        if (is_write) AddCanonical(flow.register_writes, operand.reg());
+        break;
+      case OperandKind::kMemory: {
+        AddAddressReads(flow.address_reads, operand.mem());
+        const MemoryAccess access{operand.mem(), operand.width_bits(),
+                                  /*unknown=*/false};
+        if (is_read) flow.memory_reads.push_back(access);
+        if (is_write) flow.memory_writes.push_back(access);
+        break;
+      }
+      case OperandKind::kAddress:
+        AddAddressReads(flow.address_reads, operand.mem());
+        break;
+      case OperandKind::kImmediate:
+      case OperandKind::kFpImmediate:
+        break;
+    }
+  }
+
+  if (ImplicitOperandsApply(semantics, instruction.operands.size())) {
+    for (const Register reg : semantics.implicit_reads) {
+      AddCanonical(flow.register_reads, reg);
+    }
+    for (const Register reg : semantics.implicit_writes) {
+      AddCanonical(flow.register_writes, reg);
+    }
+  }
+  if (semantics.reads_flags) {
+    AddCanonical(flow.register_reads, FlagsRegister());
+  }
+  if (semantics.writes_flags) {
+    AddCanonical(flow.register_writes, FlagsRegister());
+  }
+  if (semantics.implicit_memory_read) {
+    flow.memory_reads.push_back(MemoryAccess{{}, 64, /*unknown=*/true});
+  }
+  if (semantics.implicit_memory_write) {
+    flow.memory_writes.push_back(MemoryAccess{{}, 64, /*unknown=*/true});
+  }
+  // A REP prefix turns a string operation into a loop counted in RCX.
+  if (semantics.is_string_op && instruction.HasRepPrefix()) {
+    const Register rcx = RegisterByName("RCX");
+    AddCanonical(flow.register_reads, rcx);
+    AddCanonical(flow.register_writes, rcx);
+  }
+  return flow;
 }
 
 bool ImplicitOperandsApply(const InstructionSemantics& semantics,

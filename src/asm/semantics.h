@@ -7,8 +7,14 @@
  * which registers it touches implicitly (RAX/RDX for MUL and DIV, RSP for
  * PUSH/POP, RSI/RDI for string operations), and whether it reads or writes
  * EFLAGS. This is the information the original GRANITE pipeline obtains
- * from LLVM; the graph builder (src/graph) and the throughput simulator
- * (src/uarch) both consume it.
+ * from LLVM; the graph builder (src/graph), the throughput simulator
+ * (src/uarch) and the autotuner's legality checks (src/autotune) consume
+ * it.
+ *
+ * DataFlowFor() is the one place that turns a row plus a concrete
+ * instruction into register and memory read/write sets: the throughput
+ * oracle and the autotuner read the same sets, so a label and a
+ * legality verdict can never disagree about what an instruction touches.
  *
  * The catalog is loaded from the declarative instruction table in
  * semantics.cc — one constexpr row per mnemonic family — and the checked
@@ -152,6 +158,47 @@ std::vector<OperandUsage> OperandUsageFor(const Instruction& instruction);
 
 /** True when the catalog knows `mnemonic` with the given operand count. */
 bool IsSupportedInstruction(const Instruction& instruction);
+
+/** One memory access of an instruction: the address expression plus its
+ * width. `unknown` marks implicit accesses (PUSH/POP/string ops) whose
+ * address is not an operand; they conservatively alias everything. */
+struct MemoryAccess {
+  MemoryReference reference;
+  int width_bits = 64;
+  bool unknown = false;
+};
+
+/**
+ * Data-flow footprint of one instruction, on canonical registers with
+ * EFLAGS as FlagsRegister(). Every register list is duplicate-free.
+ */
+struct DataFlow {
+  /** The catalog row of the mnemonic. */
+  const InstructionSemantics* semantics = nullptr;
+  /** Registers read — explicit operands, implicit registers, flags, and
+   * RCX under a REP prefix — not counting address components. */
+  std::vector<Register> register_reads;
+  /** Base, index and segment registers of memory and address operands. */
+  std::vector<Register> address_reads;
+  /** Registers written, with the same sources as `register_reads`. */
+  std::vector<Register> register_writes;
+  /** One entry per memory-read operand, then one `unknown` entry for an
+   * implicit read. */
+  std::vector<MemoryAccess> memory_reads;
+  /** Like `memory_reads`, for writes. */
+  std::vector<MemoryAccess> memory_writes;
+
+  /** True when `canonical` is in `register_reads` or `address_reads`. */
+  bool ReadsRegister(Register canonical) const;
+  /** True when `canonical` is in `register_writes`. */
+  bool WritesRegister(Register canonical) const;
+};
+
+/**
+ * Decodes the data flow of `instruction`. The instruction must be
+ * supported by the catalog (IsSupportedInstruction).
+ */
+DataFlow DataFlowFor(const Instruction& instruction);
 
 /**
  * True when the implicit register operands of `semantics` apply to an

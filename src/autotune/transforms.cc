@@ -13,34 +13,15 @@ namespace granite::autotune {
 namespace {
 
 using assembly::BasicBlock;
+using assembly::DataFlow;
 using assembly::Instruction;
 using assembly::InstructionSemantics;
+using assembly::MemoryAccess;
 using assembly::MemoryReference;
 using assembly::Operand;
 using assembly::OperandKind;
 using assembly::OperandUsage;
 using assembly::Register;
-using assembly::SemanticsCatalog;
-
-void AddCanonical(std::vector<Register>& list, Register reg) {
-  const Register canonical = assembly::CanonicalRegister(reg);
-  if (std::find(list.begin(), list.end(), canonical) == list.end()) {
-    list.push_back(canonical);
-  }
-}
-
-void AddAddressReads(std::vector<Register>& reads,
-                     const MemoryReference& reference) {
-  if (reference.base != assembly::kInvalidRegister) {
-    AddCanonical(reads, reference.base);
-  }
-  if (reference.index != assembly::kInvalidRegister) {
-    AddCanonical(reads, reference.index);
-  }
-  if (reference.segment != assembly::kInvalidRegister) {
-    AddCanonical(reads, reference.segment);
-  }
-}
 
 /** True when the flags write of `semantics` redefines the whole flags
  * register in the catalog's one-register model. INC and DEC are the
@@ -52,83 +33,6 @@ bool WritesAllFlags(const InstructionSemantics& semantics) {
 }
 
 }  // namespace
-
-bool InstructionAccess::ReadsRegister(Register canonical) const {
-  return std::find(reads.begin(), reads.end(), canonical) != reads.end();
-}
-
-bool InstructionAccess::WritesRegister(Register canonical) const {
-  return std::find(writes.begin(), writes.end(), canonical) != writes.end();
-}
-
-InstructionAccess AccessFor(const Instruction& instruction) {
-  const InstructionSemantics& semantics =
-      SemanticsCatalog::Get().Require(instruction.mnemonic);
-  const std::vector<OperandUsage> usage =
-      assembly::OperandUsageFor(instruction);
-
-  InstructionAccess access;
-  for (std::size_t i = 0; i < instruction.operands.size(); ++i) {
-    const Operand& operand = instruction.operands[i];
-    const bool is_read = usage[i] != OperandUsage::kWrite;
-    const bool is_write = usage[i] != OperandUsage::kRead;
-    switch (operand.kind()) {
-      case OperandKind::kRegister:
-        if (is_read) AddCanonical(access.reads, operand.reg());
-        if (is_write) AddCanonical(access.writes, operand.reg());
-        break;
-      case OperandKind::kMemory: {
-        AddAddressReads(access.reads, operand.mem());
-        const MemoryAccess location{operand.mem(), operand.width_bits(),
-                                    /*unknown=*/false};
-        if (is_read) access.memory_reads.push_back(location);
-        if (is_write) access.memory_writes.push_back(location);
-        break;
-      }
-      case OperandKind::kAddress:
-        AddAddressReads(access.reads, operand.mem());
-        break;
-      case OperandKind::kImmediate:
-      case OperandKind::kFpImmediate:
-        break;
-    }
-  }
-
-  if (assembly::ImplicitOperandsApply(semantics,
-                                      instruction.operands.size())) {
-    for (Register reg : semantics.implicit_reads) {
-      AddCanonical(access.reads, reg);
-    }
-    for (Register reg : semantics.implicit_writes) {
-      AddCanonical(access.writes, reg);
-    }
-  }
-  if (semantics.reads_flags) {
-    AddCanonical(access.reads, assembly::FlagsRegister());
-  }
-  if (semantics.writes_flags) {
-    AddCanonical(access.writes, assembly::FlagsRegister());
-  }
-  if (semantics.implicit_memory_read) {
-    access.memory_reads.push_back(MemoryAccess{{}, 64, /*unknown=*/true});
-  }
-  if (semantics.implicit_memory_write) {
-    access.memory_writes.push_back(MemoryAccess{{}, 64, /*unknown=*/true});
-  }
-  // A REP-prefixed string operation additionally cycles RCX (mirrors the
-  // throughput model's profile).
-  const bool has_rep = instruction.HasPrefix("REP") ||
-                       instruction.HasPrefix("REPE") ||
-                       instruction.HasPrefix("REPZ") ||
-                       instruction.HasPrefix("REPNE") ||
-                       instruction.HasPrefix("REPNZ");
-  if (has_rep && semantics.is_string_op) {
-    const Register rcx = assembly::RegisterByName("RCX");
-    AddCanonical(access.reads, rcx);
-    AddCanonical(access.writes, rcx);
-  }
-  return access;
-}
 
 bool MayAlias(const MemoryAccess& a, const MemoryAccess& b) {
   if (a.unknown || b.unknown) return true;
@@ -150,12 +54,12 @@ bool MayAlias(const MemoryAccess& a, const MemoryAccess& b) {
   return a_begin < b_end && b_begin < a_end;
 }
 
-bool Conflicts(const InstructionAccess& a, const InstructionAccess& b) {
-  for (const Register reg : a.writes) {
+bool Conflicts(const DataFlow& a, const DataFlow& b) {
+  for (const Register reg : a.register_writes) {
     if (b.ReadsRegister(reg) || b.WritesRegister(reg)) return true;
   }
-  for (const Register reg : a.reads) {
-    if (b.WritesRegister(reg)) return true;
+  for (const Register reg : b.register_writes) {
+    if (a.ReadsRegister(reg)) return true;
   }
   for (const MemoryAccess& write : a.memory_writes) {
     for (const MemoryAccess& other : b.memory_reads) {
@@ -187,8 +91,8 @@ bool Skipped(const std::vector<std::size_t>& skip, std::size_t pos) {
 bool FullyKills(const Instruction& instruction,
                 const InstructionSemantics& semantics, Register reg) {
   if (reg == assembly::FlagsRegister()) return WritesAllFlags(semantics);
-  const std::vector<OperandUsage> usage =
-      assembly::OperandUsageFor(instruction);
+  const std::vector<OperandUsage>& usage =
+      *semantics.UsageForArity(instruction.operands.size());
   for (std::size_t i = 0; i < instruction.operands.size(); ++i) {
     const Operand& operand = instruction.operands[i];
     if (operand.kind() != OperandKind::kRegister) continue;
@@ -217,12 +121,10 @@ bool RegisterDeadAfter(const BasicBlock& block, std::size_t index,
     const std::size_t pos = (index + step) % n;
     if (Skipped(skip, pos)) continue;
     const Instruction& instruction = block.instructions[pos];
-    const InstructionAccess access = AccessFor(instruction);
-    if (access.ReadsRegister(reg)) return false;
-    const InstructionSemantics& semantics =
-        SemanticsCatalog::Get().Require(instruction.mnemonic);
-    if (access.WritesRegister(reg) &&
-        FullyKills(instruction, semantics, reg)) {
+    const DataFlow flow = assembly::DataFlowFor(instruction);
+    if (flow.ReadsRegister(reg)) return false;
+    if (flow.WritesRegister(reg) &&
+        FullyKills(instruction, *flow.semantics, reg)) {
       return true;
     }
   }
@@ -308,12 +210,16 @@ bool IsUnaryAluMnemonic(const Instruction& instruction) {
  * written, or used as an address component) — safe scratch space. RSP
  * is never offered: redirecting the stack pointer is not a peephole. */
 std::vector<Register> FreeScratchRegisters(const BasicBlock& block) {
-  std::vector<Register> used;
+  std::vector<DataFlow> flows;
+  flows.reserve(block.size());
   for (const Instruction& instruction : block.instructions) {
-    const InstructionAccess access = AccessFor(instruction);
-    for (const Register reg : access.reads) AddCanonical(used, reg);
-    for (const Register reg : access.writes) AddCanonical(used, reg);
+    flows.push_back(assembly::DataFlowFor(instruction));
   }
+  const auto used = [&flows](Register reg) {
+    return std::any_of(flows.begin(), flows.end(), [reg](const DataFlow& f) {
+      return f.ReadsRegister(reg) || f.WritesRegister(reg);
+    });
+  };
   std::vector<Register> free;
   const Register rsp = assembly::RegisterByName("RSP");
   const std::vector<Register>& all = assembly::CanonicalGpRegisters();
@@ -321,10 +227,7 @@ std::vector<Register> FreeScratchRegisters(const BasicBlock& block) {
   // generator's blocks favor the classic names, so high registers are
   // the likeliest to be genuinely free.
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
-    if (*it == rsp) continue;
-    if (std::find(used.begin(), used.end(), *it) == used.end()) {
-      free.push_back(*it);
-    }
+    if (*it != rsp && !used(*it)) free.push_back(*it);
   }
   return free;
 }
@@ -731,15 +634,11 @@ class CopyEliminateTransform : public Transform {
       }
       if (!substituted || blocked) continue;
       // Implicit uses of the temp (e.g. MUL's RAX) cannot be renamed.
-      const InstructionAccess user_access = AccessFor(user);
-      const InstructionAccess rewritten_access = AccessFor(rewritten);
-      if (rewritten_access.ReadsRegister(
-              assembly::CanonicalRegister(temp)) ||
-          rewritten_access.WritesRegister(
-              assembly::CanonicalRegister(temp))) {
+      const DataFlow rewritten_flow = assembly::DataFlowFor(rewritten);
+      if (rewritten_flow.ReadsRegister(assembly::CanonicalRegister(temp)) ||
+          rewritten_flow.WritesRegister(assembly::CanonicalRegister(temp))) {
         continue;
       }
-      (void)user_access;
       if (!RegisterDeadAfter(block, i + 1,
                              assembly::CanonicalRegister(temp), {i})) {
         continue;
@@ -765,8 +664,9 @@ class CopyInsertTransform : public Transform {
     for (std::size_t i = 0; i < block.size(); ++i) {
       const Instruction& instruction = block.instructions[i];
       if (!instruction.prefixes.empty()) continue;
-      const std::vector<OperandUsage> usage =
-          assembly::OperandUsageFor(instruction);
+      const DataFlow flow = assembly::DataFlowFor(instruction);
+      const std::vector<OperandUsage>& usage =
+          *flow.semantics->UsageForArity(instruction.operands.size());
       // Collect the distinct pure-read register ids of this instruction
       // (explicit reads and address components).
       std::vector<Register> readable;
@@ -798,13 +698,12 @@ class CopyInsertTransform : public Transform {
       }
       if (readable.empty()) continue;
       for (const Register source : readable) {
-        const Register source_canonical =
-            assembly::CanonicalRegister(source);
         // Skip registers the instruction also writes: the copy would
         // capture the pre-write value only by accident of operand
         // ordering.
-        const InstructionAccess access = AccessFor(instruction);
-        if (access.WritesRegister(source_canonical)) continue;
+        if (flow.WritesRegister(assembly::CanonicalRegister(source))) {
+          continue;
+        }
         if (!scratch_ready) {
           scratch = FreeScratchRegisters(block);
           scratch_ready = true;
@@ -862,13 +761,13 @@ class ReorderTransform : public Transform {
   void Enumerate(const BasicBlock& block,
                  std::vector<RewriteCandidate>& out) const override {
     if (block.size() < 2) return;
-    std::vector<InstructionAccess> access;
-    access.reserve(block.size());
+    std::vector<DataFlow> flows;
+    flows.reserve(block.size());
     for (const Instruction& instruction : block.instructions) {
-      access.push_back(AccessFor(instruction));
+      flows.push_back(assembly::DataFlowFor(instruction));
     }
     for (std::size_t i = 0; i + 1 < block.size(); ++i) {
-      if (Conflicts(access[i], access[i + 1])) continue;
+      if (Conflicts(flows[i], flows[i + 1])) continue;
       BasicBlock swapped = block;
       std::swap(swapped.instructions[i], swapped.instructions[i + 1]);
       RewriteCandidate candidate;

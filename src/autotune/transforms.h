@@ -5,9 +5,10 @@
  * Every transform enumerates *candidate* rewrites of a block — spellings
  * with the same architectural effect whose relative cost the served cost
  * model (or the analytical oracle) is asked to rank. Legality is decided
- * entirely from the instruction semantics catalog (src/asm/semantics):
- * per-operand read/write sets, implicit registers, and the EFLAGS
- * read/write bits. Where the catalog models EFLAGS as a single register,
+ * entirely from assembly::DataFlowFor (src/asm/semantics), the decoder
+ * the throughput oracle also reads: per-operand read/write sets,
+ * implicit registers, the EFLAGS read/write bits and the memory
+ * accesses. Where the catalog models EFLAGS as a single register,
  * so do we — with the one classic exception (INC/DEC preserve CF) that
  * is special-cased so a partial-flags writer never masks a dropped or
  * added flags definition.
@@ -45,42 +46,10 @@
 
 #include "asm/instruction.h"
 #include "asm/registers.h"
+#include "asm/semantics.h"
 #include "uarch/throughput_model.h"
 
 namespace granite::autotune {
-
-/** One explicit memory access: the address expression plus its width.
- * `unknown` marks implicit accesses (PUSH/POP/string ops) whose address
- * is not an operand; they conservatively alias everything. */
-struct MemoryAccess {
-  assembly::MemoryReference reference;
-  int width_bits = 64;
-  bool unknown = false;
-};
-
-/**
- * Data-flow footprint of one instruction, on canonical registers
- * (EFLAGS included as FlagsRegister()): what a reordering or rewrite
- * legality check needs to know. Address-component registers count as
- * reads; memory is tracked as address+width intervals for the alias
- * test.
- */
-struct InstructionAccess {
-  /** Canonical registers read — explicit, implicit, address components,
-   * and FlagsRegister() when the instruction reads flags. */
-  std::vector<assembly::Register> reads;
-  /** Canonical registers written, FlagsRegister() included. */
-  std::vector<assembly::Register> writes;
-  std::vector<MemoryAccess> memory_reads;
-  std::vector<MemoryAccess> memory_writes;
-
-  bool ReadsRegister(assembly::Register canonical) const;
-  bool WritesRegister(assembly::Register canonical) const;
-};
-
-/** Builds the access footprint of `instruction`. The instruction must be
- * supported by the semantics catalog (IsSupportedInstruction). */
-InstructionAccess AccessFor(const assembly::Instruction& instruction);
 
 /**
  * True when the two accesses may touch the same memory. Provably
@@ -89,12 +58,14 @@ InstructionAccess AccessFor(const assembly::Instruction& instruction);
  * [displacement, displacement + width) do not overlap; any unknown or
  * differing base (two registers may hold the same address) aliases.
  */
-bool MayAlias(const MemoryAccess& a, const MemoryAccess& b);
+bool MayAlias(const assembly::MemoryAccess& a,
+              const assembly::MemoryAccess& b);
 
 /** True when swapping two adjacent instructions with these footprints
  * would change program semantics: any register RAW/WAR/WAW hazard
- * (flags included) or a potentially aliasing memory conflict. */
-bool Conflicts(const InstructionAccess& a, const InstructionAccess& b);
+ * (flags and address components included) or a potentially aliasing
+ * memory conflict. */
+bool Conflicts(const assembly::DataFlow& a, const assembly::DataFlow& b);
 
 /**
  * Loop-carried deadness of canonical register `reg` after position

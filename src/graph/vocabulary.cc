@@ -1,5 +1,6 @@
 #include "graph/vocabulary.h"
 
+#include "asm/instruction.h"
 #include "asm/registers.h"
 #include "asm/semantics.h"
 #include "base/logging.h"
@@ -27,9 +28,8 @@ Vocabulary Vocabulary::CreateDefault() {
   tokens.push_back(kFpImmediateToken);
   tokens.push_back(kAddressToken);
   tokens.push_back(kMemoryToken);
-  for (const char* prefix :
-       {"LOCK", "REP", "REPE", "REPZ", "REPNE", "REPNZ"}) {
-    tokens.push_back(prefix);
+  for (const std::string_view prefix : assembly::kInstructionPrefixes) {
+    tokens.emplace_back(prefix);
   }
   for (const assembly::RegisterInfo& info : assembly::RegisterTable()) {
     tokens.push_back(info.name);

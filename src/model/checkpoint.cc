@@ -2,12 +2,14 @@
 
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "base/string_util.h"
 #include "core/granite_model.h"
+#include "graph/vocabulary.h"
 #include "ithemal/ithemal_model.h"
 #include "ml/tensor.h"
 
@@ -20,6 +22,11 @@ constexpr std::uint64_t kMaxStringBytes = 1ull << 20;
 constexpr std::uint64_t kMaxTokens = 1ull << 22;
 constexpr std::uint64_t kMaxParameters = 1ull << 20;
 constexpr std::uint64_t kMaxTensorElements = 1ull << 28;
+
+std::uint64_t TensorElements(const BundleTensorInfo& tensor) {
+  return static_cast<std::uint64_t>(tensor.rows) *
+         static_cast<std::uint64_t>(tensor.cols);
+}
 
 class BundleWriter {
  public:
@@ -66,6 +73,12 @@ class BundleWriter {
   std::uint64_t checksum_ = kFnvOffsetBasis;
 };
 
+/**
+ * Reads a bundle front to back. The format checks LoadModel and
+ * InspectBundle share — magic, version, string and vocabulary-size
+ * bounds, tensor-shape bounds, the end of the file — live here, so the
+ * two readers reject the same corruption with the same message.
+ */
 class BundleReader {
  public:
   BundleReader(const std::string& path)
@@ -128,24 +141,76 @@ class BundleReader {
   }
 
   std::string ReadString(const char* what) {
+    std::string value(ReadStringSize(what), '\0');
+    ReadRaw(value.data(), value.size(), what);
+    return value;
+  }
+
+  /** ReadString without the bytes: checked like it, then seeked over. */
+  void SkipString(const char* what) { Skip(ReadStringSize(what), what); }
+
+  /** Reads the magic and the format version; returns the version. */
+  std::uint32_t ReadMagicAndVersion() {
+    std::array<char, 8> magic{};
+    ReadRaw(magic.data(), magic.size(), "magic");
+    if (magic != kBundleMagic) {
+      throw CheckpointError("not a GRANITE checkpoint bundle (bad magic): " +
+                            path_);
+    }
+    const std::uint32_t version = ReadScalar<std::uint32_t>("version");
+    if (version != kBundleFormatVersion) {
+      throw CheckpointError(
+          "unsupported checkpoint bundle version " + std::to_string(version) +
+          " (this build reads version " +
+          std::to_string(kBundleFormatVersion) + "): " + path_);
+    }
+    return version;
+  }
+
+  std::uint64_t ReadVocabularySize() {
+    const std::uint64_t size = ReadScalar<std::uint64_t>("vocabulary size");
+    if (size == 0 || size > kMaxTokens) {
+      throw CheckpointError(
+          "corrupt checkpoint bundle (bad vocabulary size): " + path_);
+    }
+    return size;
+  }
+
+  /** Reads one tensor's name and shape, up to its values. */
+  BundleTensorInfo ReadTensorHeader() {
+    BundleTensorInfo tensor;
+    tensor.name = ReadString("parameter name");
+    tensor.rows = ReadScalar<std::int32_t>("parameter rows");
+    tensor.cols = ReadScalar<std::int32_t>("parameter cols");
+    if (tensor.rows < 0 || tensor.cols < 0 ||
+        TensorElements(tensor) > kMaxTensorElements) {
+      throw CheckpointError(
+          "corrupt checkpoint bundle (bad tensor shape for '" + tensor.name +
+          "'): " + path_);
+    }
+    return tensor;
+  }
+
+  /** Throws unless the file ends here. */
+  void ExpectEnd() {
+    file_.peek();
+    if (!file_.eof()) {
+      throw CheckpointError(
+          "corrupt checkpoint bundle (trailing bytes after checksum): " +
+          path_);
+    }
+  }
+
+ private:
+  std::uint64_t ReadStringSize(const char* what) {
     const std::uint64_t size = ReadScalar<std::uint64_t>(what);
     if (size > kMaxStringBytes) {
       throw CheckpointError("corrupt checkpoint bundle (oversized " +
                             std::string(what) + "): " + path_);
     }
-    std::string value(size, '\0');
-    ReadRaw(value.data(), size, what);
-    return value;
+    return size;
   }
 
-  bool AtEof() {
-    file_.peek();
-    return file_.eof();
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
   std::string path_;
   std::ifstream file_;
   std::uint64_t file_size_ = 0;
@@ -261,21 +326,7 @@ void SaveModel(const ThroughputPredictor& model, const std::string& path) {
 
 std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
   BundleReader reader(path);
-
-  std::array<char, 8> magic{};
-  reader.ReadRaw(magic.data(), magic.size(), "magic");
-  if (magic != kBundleMagic) {
-    throw CheckpointError("not a GRANITE checkpoint bundle (bad magic): " +
-                          path);
-  }
-  const std::uint32_t version = reader.ReadScalar<std::uint32_t>("version");
-  if (version != kBundleFormatVersion) {
-    throw CheckpointError(
-        "unsupported checkpoint bundle version " + std::to_string(version) +
-        " (this build reads version " +
-        std::to_string(kBundleFormatVersion) + "): " + path);
-  }
-
+  reader.ReadMagicAndVersion();
   const std::string kind_name = reader.ReadString("model kind");
   const std::optional<ModelKind> kind = ModelKindFromName(kind_name);
   if (!kind.has_value()) {
@@ -284,16 +335,21 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
   }
   const std::string config_text = reader.ReadString("config");
 
-  const std::uint64_t num_tokens =
-      reader.ReadScalar<std::uint64_t>("vocabulary size");
-  if (num_tokens == 0 || num_tokens > kMaxTokens) {
-    throw CheckpointError(
-        "corrupt checkpoint bundle (bad vocabulary size): " + path);
-  }
+  const std::uint64_t num_tokens = reader.ReadVocabularySize();
   std::vector<std::string> tokens;
   tokens.reserve(num_tokens);
   for (std::uint64_t i = 0; i < num_tokens; ++i) {
     tokens.push_back(reader.ReadString("vocabulary token"));
+  }
+  // The checksum that would catch a flipped token is read only after the
+  // model is built, so reject here what the Vocabulary constructor would
+  // abort on: a duplicate token or a missing unknown token.
+  const std::unordered_set<std::string_view> distinct(tokens.begin(),
+                                                      tokens.end());
+  if (distinct.size() != tokens.size() ||
+      !distinct.contains(graph::Vocabulary::kUnknownToken)) {
+    throw CheckpointError("corrupt checkpoint bundle (bad vocabulary): " +
+                          path);
   }
 
   std::unique_ptr<ThroughputPredictor> model = ConstructModel(
@@ -312,19 +368,11 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
   }
   std::unordered_set<std::string> loaded;
   for (std::uint64_t i = 0; i < num_parameters; ++i) {
-    const std::string name = reader.ReadString("parameter name");
+    const BundleTensorInfo tensor = reader.ReadTensorHeader();
+    const std::string& name = tensor.name;
     if (!loaded.insert(name).second) {
       throw CheckpointError(
           "corrupt checkpoint bundle (duplicate parameter '" + name +
-          "'): " + path);
-    }
-    const auto rows = reader.ReadScalar<std::int32_t>("parameter rows");
-    const auto cols = reader.ReadScalar<std::int32_t>("parameter cols");
-    if (rows < 0 || cols < 0 ||
-        static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) >
-            kMaxTensorElements) {
-      throw CheckpointError(
-          "corrupt checkpoint bundle (bad tensor shape for '" + name +
           "'): " + path);
     }
     // Bundles restore by name, so parameter creation order may change
@@ -335,11 +383,12 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
                             path);
     }
     ml::Parameter* parameter = model->parameters().Get(name);
-    if (parameter->value.rows() != rows || parameter->value.cols() != cols) {
+    if (parameter->value.rows() != tensor.rows ||
+        parameter->value.cols() != tensor.cols) {
       throw CheckpointError(
           "checkpoint bundle shape mismatch for '" + name + "' (file " +
-          std::to_string(rows) + "x" + std::to_string(cols) + ", model " +
-          std::to_string(parameter->value.rows()) + "x" +
+          std::to_string(tensor.rows) + "x" + std::to_string(tensor.cols) +
+          ", model " + std::to_string(parameter->value.rows()) + "x" +
           std::to_string(parameter->value.cols()) + "): " + path);
     }
     reader.ReadRaw(reinterpret_cast<char*>(parameter->value.data()),
@@ -351,11 +400,7 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
     throw CheckpointError(
         "corrupt checkpoint bundle (checksum mismatch): " + path);
   }
-  if (!reader.AtEof()) {
-    throw CheckpointError(
-        "corrupt checkpoint bundle (trailing bytes after checksum): " +
-        path);
-  }
+  reader.ExpectEnd();
   // The values changed under the model: advance the generation so any
   // prediction cache attached before the load self-invalidates.
   model->parameters().BumpGeneration();
@@ -366,37 +411,12 @@ BundleInfo InspectBundle(const std::string& path) {
   BundleReader reader(path);
   BundleInfo info;
   info.file_bytes = reader.file_size();
-
-  std::array<char, 8> magic{};
-  reader.ReadRaw(magic.data(), magic.size(), "magic");
-  if (magic != kBundleMagic) {
-    throw CheckpointError("not a GRANITE checkpoint bundle (bad magic): " +
-                          path);
-  }
-  info.version = reader.ReadScalar<std::uint32_t>("version");
-  if (info.version != kBundleFormatVersion) {
-    throw CheckpointError(
-        "unsupported checkpoint bundle version " +
-        std::to_string(info.version) + " (this build reads version " +
-        std::to_string(kBundleFormatVersion) + "): " + path);
-  }
+  info.version = reader.ReadMagicAndVersion();
   info.kind = reader.ReadString("model kind");
   info.config_text = reader.ReadString("config");
-
-  info.vocabulary_size = reader.ReadScalar<std::uint64_t>("vocabulary size");
-  if (info.vocabulary_size == 0 || info.vocabulary_size > kMaxTokens) {
-    throw CheckpointError(
-        "corrupt checkpoint bundle (bad vocabulary size): " + path);
-  }
+  info.vocabulary_size = reader.ReadVocabularySize();
   for (std::uint64_t i = 0; i < info.vocabulary_size; ++i) {
-    const std::uint64_t token_bytes =
-        reader.ReadScalar<std::uint64_t>("vocabulary token");
-    if (token_bytes > kMaxStringBytes) {
-      throw CheckpointError(
-          "corrupt checkpoint bundle (oversized vocabulary token): " +
-          path);
-    }
-    reader.Skip(token_bytes, "vocabulary token");
+    reader.SkipString("vocabulary token");
   }
 
   const std::uint64_t num_parameters =
@@ -407,31 +427,14 @@ BundleInfo InspectBundle(const std::string& path) {
   }
   info.tensors.reserve(num_parameters);
   for (std::uint64_t i = 0; i < num_parameters; ++i) {
-    BundleTensorInfo tensor;
-    tensor.name = reader.ReadString("parameter name");
-    tensor.rows = reader.ReadScalar<std::int32_t>("parameter rows");
-    tensor.cols = reader.ReadScalar<std::int32_t>("parameter cols");
-    if (tensor.rows < 0 || tensor.cols < 0 ||
-        static_cast<std::uint64_t>(tensor.rows) *
-                static_cast<std::uint64_t>(tensor.cols) >
-            kMaxTensorElements) {
-      throw CheckpointError(
-          "corrupt checkpoint bundle (bad tensor shape for '" +
-          tensor.name + "'): " + path);
-    }
-    const std::uint64_t elements =
-        static_cast<std::uint64_t>(tensor.rows) *
-        static_cast<std::uint64_t>(tensor.cols);
+    BundleTensorInfo tensor = reader.ReadTensorHeader();
+    const std::uint64_t elements = TensorElements(tensor);
     reader.Skip(elements * sizeof(float), "parameter values");
     info.total_weights += elements;
     info.tensors.push_back(std::move(tensor));
   }
   reader.Skip(sizeof(std::uint64_t), "checksum");
-  if (!reader.AtEof()) {
-    throw CheckpointError(
-        "corrupt checkpoint bundle (trailing bytes after checksum): " +
-        path);
-  }
+  reader.ExpectEnd();
   return info;
 }
 

@@ -17,6 +17,9 @@
  *
  * Following the paper (§4 and the Table 9 caption), reported throughput
  * values are cycles per 100 iterations of the block.
+ *
+ * Thread-safety: every function here is pure (the tool parameter tables
+ * are immutable statics), so all of them are safe to call concurrently.
  */
 #ifndef GRANITE_UARCH_MEASUREMENT_H_
 #define GRANITE_UARCH_MEASUREMENT_H_

@@ -18,6 +18,10 @@
  * problem preserves the paper's structure: the three tasks are related but
  * not identical, which is what makes multi-task learning (§5.3) behave as
  * reported.
+ *
+ * Thread-safety: the parameter tables are built once on first use and
+ * immutable afterwards; GetUarchParams, AllMicroarchitectures and
+ * UarchParams::TimingFor are safe to call concurrently.
  */
 #ifndef GRANITE_UARCH_MICROARCHITECTURE_H_
 #define GRANITE_UARCH_MICROARCHITECTURE_H_

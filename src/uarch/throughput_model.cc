@@ -5,125 +5,38 @@
 #include <unordered_map>
 #include <vector>
 
+#include "asm/semantics.h"
 #include "base/logging.h"
 
 namespace granite::uarch {
 namespace {
 
 using assembly::BasicBlock;
+using assembly::DataFlow;
 using assembly::Instruction;
-using assembly::InstructionSemantics;
-using assembly::Operand;
-using assembly::OperandKind;
-using assembly::OperandUsage;
 using assembly::Register;
-using assembly::SemanticsCatalog;
 
 /** One schedulable uop: a weight of 1 on any port of `ports`. */
 struct Uop {
   PortSet ports;
 };
 
-/** Data-flow summary of one instruction for the simulator. */
+/** Data-flow and uop summary of one instruction for the simulator. */
 struct InstructionProfile {
-  std::vector<Register> register_reads;   // canonical, incl. flags
-  std::vector<Register> register_writes;  // canonical, incl. flags
-  std::vector<Register> address_reads;    // canonical address components
-  bool reads_memory = false;
-  bool writes_memory = false;
+  DataFlow flow;
   int compute_latency = 1;
   int num_uops = 0;       // total for the front-end bound
   std::vector<Uop> uops;  // only uops that occupy an execution port
 };
 
-void AddCanonical(std::vector<Register>& list, Register reg) {
-  const Register canonical = assembly::CanonicalRegister(reg);
-  for (Register existing : list) {
-    if (existing == canonical) return;
-  }
-  list.push_back(canonical);
-}
-
-void AddAddressReads(InstructionProfile& profile,
-                     const assembly::MemoryReference& reference) {
-  if (reference.base != assembly::kInvalidRegister) {
-    AddCanonical(profile.address_reads, reference.base);
-  }
-  if (reference.index != assembly::kInvalidRegister) {
-    AddCanonical(profile.address_reads, reference.index);
-  }
-  if (reference.segment != assembly::kInvalidRegister) {
-    AddCanonical(profile.address_reads, reference.segment);
-  }
-}
-
 /** Builds the data-flow and uop profile of one instruction. */
 InstructionProfile BuildProfile(const Instruction& instruction,
                                 const UarchParams& params) {
-  const InstructionSemantics& semantics =
-      SemanticsCatalog::Get().Require(instruction.mnemonic);
-  const std::vector<OperandUsage> usage =
-      assembly::OperandUsageFor(instruction);
-  const CategoryTiming& timing = params.TimingFor(semantics.category);
-
   InstructionProfile profile;
+  profile.flow = assembly::DataFlowFor(instruction);
+  const CategoryTiming& timing =
+      params.TimingFor(profile.flow.semantics->category);
   profile.compute_latency = timing.latency;
-
-  int memory_loads = 0;
-  int memory_stores = 0;
-  for (std::size_t i = 0; i < instruction.operands.size(); ++i) {
-    const Operand& operand = instruction.operands[i];
-    const OperandUsage operand_usage = usage[i];
-    const bool is_read = operand_usage != OperandUsage::kWrite;
-    const bool is_write = operand_usage != OperandUsage::kRead;
-    switch (operand.kind()) {
-      case OperandKind::kRegister:
-        if (is_read) AddCanonical(profile.register_reads, operand.reg());
-        if (is_write) AddCanonical(profile.register_writes, operand.reg());
-        break;
-      case OperandKind::kMemory:
-        AddAddressReads(profile, operand.mem());
-        if (is_read) {
-          profile.reads_memory = true;
-          ++memory_loads;
-        }
-        if (is_write) {
-          profile.writes_memory = true;
-          ++memory_stores;
-        }
-        break;
-      case OperandKind::kAddress:
-        AddAddressReads(profile, operand.mem());
-        break;
-      case OperandKind::kImmediate:
-      case OperandKind::kFpImmediate:
-        break;
-    }
-  }
-
-  if (assembly::ImplicitOperandsApply(semantics,
-                                      instruction.operands.size())) {
-    for (Register reg : semantics.implicit_reads) {
-      AddCanonical(profile.register_reads, reg);
-    }
-    for (Register reg : semantics.implicit_writes) {
-      AddCanonical(profile.register_writes, reg);
-    }
-  }
-  if (semantics.reads_flags) {
-    AddCanonical(profile.register_reads, assembly::FlagsRegister());
-  }
-  if (semantics.writes_flags) {
-    AddCanonical(profile.register_writes, assembly::FlagsRegister());
-  }
-  if (semantics.implicit_memory_read) {
-    profile.reads_memory = true;
-    ++memory_loads;
-  }
-  if (semantics.implicit_memory_write) {
-    profile.writes_memory = true;
-    ++memory_stores;
-  }
 
   // Compute uops.
   for (int u = 0; u < timing.compute_uops; ++u) {
@@ -134,34 +47,28 @@ InstructionProfile BuildProfile(const Instruction& instruction,
   profile.num_uops = timing.compute_uops;
 
   // Memory access uops.
-  for (int l = 0; l < memory_loads; ++l) {
+  for (std::size_t l = 0; l < profile.flow.memory_reads.size(); ++l) {
     profile.uops.push_back(Uop{params.load_ports});
     ++profile.num_uops;
   }
-  for (int s = 0; s < memory_stores; ++s) {
+  for (std::size_t s = 0; s < profile.flow.memory_writes.size(); ++s) {
     profile.uops.push_back(Uop{params.store_address_ports});
     profile.uops.push_back(Uop{params.store_data_ports});
     profile.num_uops += 2;
   }
 
   // Prefix effects. A LOCK prefix serializes the read-modify-write; REP
-  // turns a string operation into a micro-coded loop. Both are modeled
-  // with flat cost increments, which is what a measurement of a short
-  // fixed-count string operation looks like.
+  // turns a string operation into a micro-coded loop (DataFlowFor adds
+  // its RCX count). Both are modeled with flat cost increments, which is
+  // what a measurement of a short fixed-count string operation looks
+  // like.
   if (instruction.HasPrefix("LOCK")) {
     profile.compute_latency += 16;
     profile.num_uops += 2;
   }
-  const bool has_rep = instruction.HasPrefix("REP") ||
-                       instruction.HasPrefix("REPE") ||
-                       instruction.HasPrefix("REPZ") ||
-                       instruction.HasPrefix("REPNE") ||
-                       instruction.HasPrefix("REPNZ");
-  if (has_rep && semantics.is_string_op) {
+  if (instruction.HasRepPrefix() && profile.flow.semantics->is_string_op) {
     profile.compute_latency += 24;
     profile.num_uops += 12;
-    AddCanonical(profile.register_reads, assembly::RegisterByName("RCX"));
-    AddCanonical(profile.register_writes, assembly::RegisterByName("RCX"));
   }
   return profile;
 }
@@ -184,8 +91,6 @@ void WaterFill(const PortSet& ports, double weight, std::vector<double>& loads,
   // Raise the lowest-loaded ports to the level of the next one until the
   // weight is exhausted, then spread the rest evenly.
   for (std::size_t k = 0; k + 1 < port_list.size() && remaining > 0.0; ++k) {
-    const double gap = loads[port_list[k + 1]] - loads[port_list[0]];
-    (void)gap;
     const double level_gap =
         loads[port_list[k + 1]] - loads[port_list[k]];
     const double capacity = level_gap * static_cast<double>(k + 1);
@@ -251,22 +156,24 @@ double DependencyBound(const std::vector<InstructionProfile>& profiles,
 
   for (int iteration = 0; iteration < kTotalIterations; ++iteration) {
     for (const InstructionProfile& profile : profiles) {
+      const DataFlow& flow = profile.flow;
+      const bool reads_memory = !flow.memory_reads.empty();
       double inputs_ready = 0.0;
-      for (Register reg : profile.register_reads) {
+      for (Register reg : flow.register_reads) {
         const auto it = register_ready.find(reg);
         if (it != register_ready.end()) {
           inputs_ready = std::max(inputs_ready, it->second);
         }
       }
-      if (profile.reads_memory || !profile.address_reads.empty()) {
+      if (reads_memory || !flow.address_reads.empty()) {
         double address_ready = 0.0;
-        for (Register reg : profile.address_reads) {
+        for (Register reg : flow.address_reads) {
           const auto it = register_ready.find(reg);
           if (it != register_ready.end()) {
             address_ready = std::max(address_ready, it->second);
           }
         }
-        if (profile.reads_memory) {
+        if (reads_memory) {
           // The loaded value is ready a load-latency after the address; a
           // pending store to the (conservatively aliased) memory value
           // forwards with the store-forward latency.
@@ -282,10 +189,10 @@ double DependencyBound(const std::vector<InstructionProfile>& profiles,
         }
       }
       const double result_time = inputs_ready + profile.compute_latency;
-      for (Register reg : profile.register_writes) {
+      for (Register reg : flow.register_writes) {
         register_ready[reg] = result_time;
       }
-      if (profile.writes_memory) {
+      if (!flow.memory_writes.empty()) {
         memory_ready = result_time;
         memory_written = true;
       }

@@ -13,6 +13,15 @@
  *  3. dependency bound: the per-iteration growth of the data-flow critical
  *     path across loop-carried register/flag/memory dependencies,
  *     measured by unrolled data-flow simulation.
+ *
+ * The register and memory reads and writes come from
+ * assembly::DataFlowFor, the decoder the autotuner's legality checks
+ * also use; this model adds only timing, uop, LOCK and REP costs.
+ *
+ * Thread-safety: a ThroughputModel is immutable after construction and
+ * every method is const, so one instance is safe to call concurrently
+ * from any number of threads (the autotuner's thread-safe
+ * AnalyticalCostClient shares one instance among all its callers).
  */
 #ifndef GRANITE_UARCH_THROUGHPUT_MODEL_H_
 #define GRANITE_UARCH_THROUGHPUT_MODEL_H_

@@ -17,6 +17,7 @@
 #include "asm/parser.h"
 #include "asm/semantics.h"
 #include "autotune/transforms.h"
+#include "base/string_util.h"
 #include "dataset/generator.h"
 #include "gtest/gtest.h"
 #include "uarch/throughput_model.h"
@@ -25,6 +26,8 @@ namespace granite::autotune {
 namespace {
 
 using assembly::BasicBlock;
+using assembly::DataFlow;
+using assembly::DataFlowFor;
 using assembly::ParseBasicBlock;
 
 BasicBlock Parse(std::string_view text) {
@@ -240,7 +243,7 @@ TEST(ReorderLegalityTest, CmpSetccPairIsNeverSeparated) {
     }
     ASSERT_LT(cmp, setcc) << candidate.block.ToString();
     for (std::size_t i = cmp + 1; i < setcc; ++i) {
-      EXPECT_FALSE(AccessFor(instructions[i])
+      EXPECT_FALSE(DataFlowFor(instructions[i])
                        .WritesRegister(assembly::FlagsRegister()))
           << "flags writer moved into the CMP/SETNZ window:\n"
           << candidate.block.ToString();
@@ -252,9 +255,9 @@ TEST(ReorderLegalityTest, FlagWriterCannotCrossSetcc) {
   // The only hazard-free swap here is none: ADD writes flags, SETNZ
   // reads them, CMP writes them — all three pairwise conflict.
   const BasicBlock block = Parse("CMP RAX, RBX\nSETNZ CL\nADD RAX, RBX");
-  const InstructionAccess cmp = AccessFor(block.instructions[0]);
-  const InstructionAccess setcc = AccessFor(block.instructions[1]);
-  const InstructionAccess add = AccessFor(block.instructions[2]);
+  const DataFlow cmp = DataFlowFor(block.instructions[0]);
+  const DataFlow setcc = DataFlowFor(block.instructions[1]);
+  const DataFlow add = DataFlowFor(block.instructions[2]);
   EXPECT_TRUE(Conflicts(cmp, setcc));
   EXPECT_TRUE(Conflicts(setcc, add));
   EXPECT_TRUE(Conflicts(cmp, add));
@@ -278,8 +281,8 @@ TEST(MayAliasTest, UnknownAndDifferingBasesConflict) {
   const BasicBlock block = Parse(
       "MOV QWORD PTR [RAX], RCX\n"
       "MOV RDX, QWORD PTR [RBX]");
-  const InstructionAccess store = AccessFor(block.instructions[0]);
-  const InstructionAccess load = AccessFor(block.instructions[1]);
+  const DataFlow store = DataFlowFor(block.instructions[0]);
+  const DataFlow load = DataFlowFor(block.instructions[1]);
   ASSERT_EQ(store.memory_writes.size(), 1u);
   ASSERT_EQ(load.memory_reads.size(), 1u);
   // RAX and RBX may hold the same address: must alias, so the pair
@@ -293,8 +296,8 @@ TEST(MayAliasTest, SameBaseDisjointIntervalsDoNotAlias) {
   const BasicBlock block = Parse(
       "MOV QWORD PTR [RAX], RCX\n"
       "MOV RDX, QWORD PTR [RAX + 8]");
-  const InstructionAccess store = AccessFor(block.instructions[0]);
-  const InstructionAccess load = AccessFor(block.instructions[1]);
+  const DataFlow store = DataFlowFor(block.instructions[0]);
+  const DataFlow load = DataFlowFor(block.instructions[1]);
   EXPECT_FALSE(MayAlias(store.memory_writes[0], load.memory_reads[0]));
   EXPECT_FALSE(Conflicts(store, load));
   EXPECT_FALSE(CandidatesFor(block, "reorder").empty());
@@ -304,16 +307,16 @@ TEST(MayAliasTest, SameBaseOverlappingIntervalsAlias) {
   const BasicBlock block = Parse(
       "MOV QWORD PTR [RAX], RCX\n"
       "MOV EDX, DWORD PTR [RAX + 4]");
-  const InstructionAccess store = AccessFor(block.instructions[0]);
-  const InstructionAccess load = AccessFor(block.instructions[1]);
+  const DataFlow store = DataFlowFor(block.instructions[0]);
+  const DataFlow load = DataFlowFor(block.instructions[1]);
   EXPECT_TRUE(MayAlias(store.memory_writes[0], load.memory_reads[0]));
   EXPECT_TRUE(Conflicts(store, load));
 }
 
 TEST(MayAliasTest, ImplicitAccessesAliasEverything) {
   const BasicBlock block = Parse("PUSH RCX\nMOV RDX, QWORD PTR [RAX]");
-  const InstructionAccess push = AccessFor(block.instructions[0]);
-  const InstructionAccess load = AccessFor(block.instructions[1]);
+  const DataFlow push = DataFlowFor(block.instructions[0]);
+  const DataFlow load = DataFlowFor(block.instructions[1]);
   ASSERT_FALSE(push.memory_writes.empty());
   EXPECT_TRUE(push.memory_writes[0].unknown);
   EXPECT_TRUE(MayAlias(push.memory_writes[0], load.memory_reads[0]));
@@ -358,7 +361,7 @@ TEST(TransformFuzzTest, GeneratedBlocksProduceLegalCandidates) {
       ASSERT_EQ(hi, lo + 1) << "non-adjacent reorder";
       EXPECT_EQ(before[lo].ToString(), after[hi].ToString());
       EXPECT_EQ(before[hi].ToString(), after[lo].ToString());
-      EXPECT_FALSE(Conflicts(AccessFor(before[lo]), AccessFor(before[hi])))
+      EXPECT_FALSE(Conflicts(DataFlowFor(before[lo]), DataFlowFor(before[hi])))
           << "hazardous swap emitted:\n" << block.ToString();
     }
   }
@@ -387,6 +390,78 @@ TEST(DeoptimizeBlockTest, DeterministicAcrossCalls) {
   const BasicBlock a = DeoptimizeBlock(block, oracle, 3);
   const BasicBlock b = DeoptimizeBlock(block, oracle, 3);
   EXPECT_EQ(a.ToString(), b.ToString());
+}
+
+// ---- Pinned candidate bits --------------------------------------------
+
+/** A digest of every candidate (rule, detail and block text) of 200
+ * generator blocks, and of the DeoptimizeBlock chain of each block on
+ * every microarchitecture. A change moves the search space the served
+ * model ranks and must be made on purpose. */
+TEST(TransformGoldenTest, CandidateAndDeoptimizeDigest) {
+  dataset::GeneratorConfig config;
+  config.max_instructions = 8;
+  dataset::BlockGenerator generator(config, /*seed=*/2024);
+  const uarch::ThroughputModel oracles[] = {
+      uarch::ThroughputModel(uarch::Microarchitecture::kIvyBridge),
+      uarch::ThroughputModel(uarch::Microarchitecture::kHaswell),
+      uarch::ThroughputModel(uarch::Microarchitecture::kSkylake)};
+  uint64_t candidates_digest = kFnvOffsetBasis;
+  uint64_t deoptimize_digest = kFnvOffsetBasis;
+  for (int iteration = 0; iteration < 200; ++iteration) {
+    const BasicBlock block = generator.Generate();
+    for (const RewriteCandidate& candidate : EnumerateCandidates(block)) {
+      candidates_digest = Fnv1a(candidates_digest, candidate.rule);
+      candidates_digest = Fnv1a(candidates_digest, "\n");
+      candidates_digest = Fnv1a(candidates_digest, candidate.detail);
+      candidates_digest = Fnv1a(candidates_digest, "\n");
+      candidates_digest =
+          Fnv1a(candidates_digest, candidate.block.ToString());
+      candidates_digest = Fnv1a(candidates_digest, "\n\n");
+    }
+    for (const uarch::ThroughputModel& oracle : oracles) {
+      deoptimize_digest = Fnv1a(
+          deoptimize_digest, DeoptimizeBlock(block, oracle).ToString());
+      deoptimize_digest = Fnv1a(deoptimize_digest, "\n\n");
+    }
+  }
+  EXPECT_EQ(candidates_digest, 0x15C5F7A92E151EB0ull)
+      << std::hex << candidates_digest;
+  EXPECT_EQ(deoptimize_digest, 0x388E57DF711445EEull)
+      << std::hex << deoptimize_digest;
+}
+
+/** The candidate digest over hand-written blocks whose legality hinges
+ * on implicit operands the generator never emits: REP string operations
+ * (RCX), the MUL/CQO accumulators, PUSH/POP stack memory, and blocks
+ * that leave only classic registers free for scratch. */
+TEST(TransformGoldenTest, ImplicitOperandCandidateDigest) {
+  const char* const blocks[] = {
+      "REP MOVSB\nADD RAX, 1\nMOV RBX, RCX\nADD QWORD PTR [RBX], 1",
+      "MUL RCX\nMOV R8, RAX\nADD R8, RDX\nIMUL R9, R8, 4",
+      "PUSH RAX\nMOV RAX, 0\nPOP RBX\nADD DWORD PTR [RSP], 1",
+      "MOV R15, R14\nADD RAX, R15\nMOV R13, QWORD PTR [R12]\nADD R13, 1\n"
+      "MOV QWORD PTR [R12], R13\nMOV R11, R10\nMOV R9, R8\nCQO\nSTOSQ\n"
+      "ADD QWORD PTR [RBX], RAX",
+      "CMP RAX, RBX\nSETNE CL\nINC RDX\nMOV RSI, 0\nLEA RDI, [RSI + 4*RSI]",
+      "LOCK ADD QWORD PTR [RDI], 1\nREPNE STOSB\nSUB RCX, 1\nXOR EAX, EAX",
+  };
+  uint64_t digest = kFnvOffsetBasis;
+  int candidates_seen = 0;
+  for (const char* text : blocks) {
+    for (const RewriteCandidate& candidate :
+         EnumerateCandidates(Parse(text))) {
+      ++candidates_seen;
+      digest = Fnv1a(digest, candidate.rule);
+      digest = Fnv1a(digest, "\n");
+      digest = Fnv1a(digest, candidate.detail);
+      digest = Fnv1a(digest, "\n");
+      digest = Fnv1a(digest, candidate.block.ToString());
+      digest = Fnv1a(digest, "\n\n");
+    }
+  }
+  EXPECT_EQ(candidates_seen, 46);
+  EXPECT_EQ(digest, 0xC7BF666BBE5DAE0Full) << std::hex << digest;
 }
 
 }  // namespace

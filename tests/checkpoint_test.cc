@@ -252,6 +252,26 @@ TEST_F(CheckpointTest, FlippedVocabularyByteRaisesChecksumError) {
   EXPECT_THROW(LoadModel(path_), CheckpointError);
 }
 
+TEST_F(CheckpointTest, CorruptVocabularyRaisesCleanErrorNotAbort) {
+  // The vocabulary is built before the trailing checksum is read, so a
+  // flipped token that drops the unknown token or duplicates another
+  // must fail as a CheckpointError, not abort in the Vocabulary
+  // constructor.
+  SaveModel(*MakeGranite(1), path_);
+  const std::vector<char> bytes = ReadBundle();
+  for (const auto& [needle, replacement] :
+       {std::pair<std::string, std::string>{"_UNKNOWN_", "_UNKNOWX_"},
+        std::pair<std::string, std::string>{"REPZ", "REPE"}}) {
+    std::vector<char> mutated = bytes;
+    const auto it = std::search(mutated.begin(), mutated.end(),
+                                needle.begin(), needle.end());
+    ASSERT_NE(it, mutated.end()) << needle;
+    std::copy(replacement.begin(), replacement.end(), it);
+    WriteBundle(mutated);
+    EXPECT_THROW(LoadModel(path_), CheckpointError) << replacement;
+  }
+}
+
 TEST_F(CheckpointTest, AbsurdConfigValueRaisesCleanErrorNotAbort) {
   // A parseable-but-insane config (e.g. a flipped digit) must fail as a
   // CheckpointError before reaching the model constructors' checked

@@ -90,6 +90,20 @@ TEST(InstructionTest, ToStringWithPrefixAndOperands) {
   EXPECT_FALSE(instruction.HasPrefix("REP"));
 }
 
+TEST(InstructionTest, HasRepPrefixCoversTheRepFamilyOnly) {
+  Instruction instruction;
+  instruction.mnemonic = "STOSB";
+  EXPECT_FALSE(instruction.HasRepPrefix());
+  instruction.prefixes = {"LOCK"};
+  EXPECT_FALSE(instruction.HasRepPrefix());
+  instruction.prefixes = {"REPX"};
+  EXPECT_FALSE(instruction.HasRepPrefix());
+  for (const char* prefix : {"REP", "REPE", "REPZ", "REPNE", "REPNZ"}) {
+    instruction.prefixes = {"LOCK", prefix};
+    EXPECT_TRUE(instruction.HasRepPrefix()) << prefix;
+  }
+}
+
 TEST(BasicBlockTest, MultiLineToString) {
   BasicBlock block;
   Instruction mov;

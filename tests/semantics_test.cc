@@ -2,6 +2,10 @@
  * @file
  * Tests of the instruction-semantics catalog.
  */
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "asm/parser.h"
 #include "asm/semantics.h"
@@ -174,6 +178,99 @@ TEST(SemanticsCatalogTest, CategoryNamesAreStable) {
             "alu_simple");
   EXPECT_EQ(InstructionCategoryName(InstructionCategory::kDivInteger),
             "div_integer");
+}
+
+// ---- DataFlowFor --------------------------------------------------------
+
+Instruction ParseOne(const char* text) {
+  const ParseResult<Instruction> result = ParseInstruction(text);
+  EXPECT_TRUE(result.ok()) << result.error;
+  return *result.value;
+}
+
+std::vector<Register> Regs(std::initializer_list<const char*> names) {
+  std::vector<Register> registers;
+  for (const char* name : names) registers.push_back(RegisterByName(name));
+  return registers;
+}
+
+TEST(DataFlowForTest, MemoryOperandSplitsAddressReadsFromValueReads) {
+  const DataFlow flow =
+      DataFlowFor(ParseOne("ADD DWORD PTR FS:[RAX + 4*EBX + 8], ECX"));
+  EXPECT_EQ(flow.semantics, &Sem("ADD"));
+  EXPECT_EQ(flow.register_reads, Regs({"RCX"}));
+  EXPECT_EQ(flow.address_reads, Regs({"RAX", "RBX", "FS"}));
+  EXPECT_EQ(flow.register_writes, std::vector<Register>{FlagsRegister()});
+  ASSERT_EQ(flow.memory_reads.size(), 1u);
+  ASSERT_EQ(flow.memory_writes.size(), 1u);
+  EXPECT_FALSE(flow.memory_reads[0].unknown);
+  EXPECT_EQ(flow.memory_reads[0].width_bits, 32);
+  EXPECT_EQ(flow.memory_reads[0].reference.displacement, 8);
+  EXPECT_TRUE(flow.ReadsRegister(RegisterByName("RBX")));
+  EXPECT_TRUE(flow.ReadsRegister(RegisterByName("RCX")));
+  EXPECT_FALSE(flow.WritesRegister(RegisterByName("RAX")));
+}
+
+TEST(DataFlowForTest, LeaReadsItsAddressButNoMemory) {
+  const DataFlow flow = DataFlowFor(ParseOne("LEA RDX, [RSI + 8*RSI]"));
+  EXPECT_TRUE(flow.register_reads.empty());
+  EXPECT_EQ(flow.address_reads, Regs({"RSI"}));
+  EXPECT_EQ(flow.register_writes, Regs({"RDX"}));
+  EXPECT_TRUE(flow.memory_reads.empty());
+  EXPECT_TRUE(flow.memory_writes.empty());
+}
+
+TEST(DataFlowForTest, ImplicitAccumulatorAppliesToUnaryImulOnly) {
+  const DataFlow unary = DataFlowFor(ParseOne("IMUL ECX"));
+  EXPECT_EQ(unary.register_reads, Regs({"RCX", "RAX"}));
+  EXPECT_EQ(unary.register_writes,
+            (std::vector<Register>{RegisterByName("RAX"),
+                                   RegisterByName("RDX"), FlagsRegister()}));
+  const DataFlow binary = DataFlowFor(ParseOne("IMUL RCX, RBX"));
+  EXPECT_EQ(binary.register_reads, Regs({"RCX", "RBX"}));
+  EXPECT_EQ(binary.register_writes,
+            (std::vector<Register>{RegisterByName("RCX"), FlagsRegister()}));
+}
+
+TEST(DataFlowForTest, FlagsReadersAndWriters) {
+  const DataFlow adc = DataFlowFor(ParseOne("ADC RAX, RBX"));
+  EXPECT_TRUE(adc.ReadsRegister(FlagsRegister()));
+  EXPECT_TRUE(adc.WritesRegister(FlagsRegister()));
+  const DataFlow setcc = DataFlowFor(ParseOne("SETNE AL"));
+  EXPECT_EQ(setcc.register_reads, std::vector<Register>{FlagsRegister()});
+  EXPECT_EQ(setcc.register_writes, Regs({"RAX"}));
+}
+
+TEST(DataFlowForTest, ImplicitMemoryAccessesAreUnknown) {
+  const DataFlow push = DataFlowFor(ParseOne("PUSH RBX"));
+  EXPECT_EQ(push.register_reads, Regs({"RBX", "RSP"}));
+  EXPECT_EQ(push.register_writes, Regs({"RSP"}));
+  EXPECT_TRUE(push.memory_reads.empty());
+  ASSERT_EQ(push.memory_writes.size(), 1u);
+  EXPECT_TRUE(push.memory_writes[0].unknown);
+  const DataFlow pop = DataFlowFor(ParseOne("POP QWORD PTR [RDI]"));
+  ASSERT_EQ(pop.memory_reads.size(), 1u);
+  EXPECT_TRUE(pop.memory_reads[0].unknown);
+  ASSERT_EQ(pop.memory_writes.size(), 1u);
+  EXPECT_FALSE(pop.memory_writes[0].unknown);
+  EXPECT_EQ(pop.address_reads, Regs({"RDI"}));
+}
+
+TEST(DataFlowForTest, RepStringOperationsCycleRcx) {
+  const DataFlow plain = DataFlowFor(ParseOne("MOVSB"));
+  EXPECT_EQ(plain.register_reads, Regs({"RSI", "RDI"}));
+  EXPECT_FALSE(plain.ReadsRegister(RegisterByName("RCX")));
+  for (const char* prefix : {"REP", "REPE", "REPZ", "REPNE", "REPNZ"}) {
+    const DataFlow rep =
+        DataFlowFor(ParseOne((std::string(prefix) + " STOSQ").c_str()));
+    EXPECT_EQ(rep.register_reads, Regs({"RAX", "RDI", "RCX"})) << prefix;
+    EXPECT_EQ(rep.register_writes, Regs({"RDI", "RCX"})) << prefix;
+  }
+  // LOCK is not a REP prefix, and REP on a non-string op adds nothing.
+  EXPECT_FALSE(DataFlowFor(ParseOne("LOCK ADD QWORD PTR [RAX], 1"))
+                   .ReadsRegister(RegisterByName("RCX")));
+  EXPECT_FALSE(
+      DataFlowFor(ParseOne("REP NOP")).ReadsRegister(RegisterByName("RCX")));
 }
 
 }  // namespace

@@ -3,8 +3,14 @@
  * Tests of the microarchitecture tables and the analytical throughput
  * model (the ground-truth oracle).
  */
+#include <cstdint>
+#include <cstring>
+#include <string_view>
+
 #include "gtest/gtest.h"
 #include "asm/parser.h"
+#include "base/string_util.h"
+#include "dataset/generator.h"
 #include "uarch/throughput_model.h"
 
 namespace granite::uarch {
@@ -206,6 +212,80 @@ TEST(ThroughputModelCrossUarchTest, UarchsDisagreeOnFpHeavyCode) {
   const ThroughputModel skl(Microarchitecture::kSkylake);
   // Skylake has two FP multiply ports; Ivy Bridge has one.
   EXPECT_GT(ivb.CyclesPerIteration(block), skl.CyclesPerIteration(block));
+}
+
+// ---- Pinned oracle bits -----------------------------------------------
+
+/** Folds the bit patterns of every ThroughputBreakdown field into
+ * `hash`. Training labels are these bits, so the digests below pin them
+ * the way canonical_text_test pins block fingerprints. */
+uint64_t FoldBreakdown(uint64_t hash, const ThroughputBreakdown& breakdown) {
+  const double bounds[] = {breakdown.frontend_bound, breakdown.port_bound,
+                           breakdown.dependency_bound,
+                           breakdown.cycles_per_iteration};
+  char bytes[sizeof(bounds) + sizeof(int32_t)];
+  const int32_t uops = breakdown.total_uops;
+  std::memcpy(bytes, bounds, sizeof(bounds));
+  std::memcpy(bytes + sizeof(bounds), &uops, sizeof(uops));
+  return Fnv1a(hash, std::string_view(bytes, sizeof(bytes)));
+}
+
+/** A digest of the breakdowns of 2,000 default-generator blocks on every
+ * microarchitecture. A change moves every oracle label and must be made
+ * on purpose. */
+TEST(ThroughputModelGoldenTest, GeneratorBreakdownDigest) {
+  for (const auto& [microarchitecture, expected] :
+       {std::pair{Microarchitecture::kIvyBridge, 0x3EE9AFA79A5A7493ull},
+        std::pair{Microarchitecture::kHaswell, 0x16EC75193B2320BEull},
+        std::pair{Microarchitecture::kSkylake, 0x61BEF0CFCF3D6765ull}}) {
+    const ThroughputModel model(microarchitecture);
+    dataset::BlockGenerator generator(dataset::GeneratorConfig{}, 2024);
+    uint64_t digest = kFnvOffsetBasis;
+    for (int i = 0; i < 2000; ++i) {
+      digest = FoldBreakdown(digest, model.Estimate(generator.Generate()));
+    }
+    EXPECT_EQ(digest, expected)
+        << GetUarchParams(microarchitecture).name << " 0x" << std::hex
+        << digest;
+  }
+}
+
+/** The same digest over hand-written blocks with the data-flow shapes
+ * the generator never emits: REP string operations, implicit
+ * accumulators, implicit stack memory, segment and index address
+ * components, flag-only readers and writers. */
+TEST(ThroughputModelGoldenTest, ImplicitOperandBreakdownDigest) {
+  const char* const blocks[] = {
+      "REP MOVSB\nADD RCX, 1",
+      "REPNE STOSQ\nMOV RDI, RCX",
+      "REPE MOVSQ\nREPZ STOSB\nREPNZ MOVSW",
+      "MOVSB\nSTOSD\nDEC RCX",
+      "MUL RCX\nADD RAX, RDX\nIMUL RBX\nIMUL RBX, RAX, 3",
+      "DIV RCX\nIDIV QWORD PTR [RSI + 8]\nCQO\nCDQE",
+      "LOCK CMPXCHG QWORD PTR [RDI], RSI\nLOCK XADD DWORD PTR [RBX], EAX",
+      "PUSH QWORD PTR [RSP + 8]\nPOP RAX\nPUSH RAX\nPOP QWORD PTR [RBP]",
+      "MOV RAX, QWORD PTR FS:[RBX + 4*RCX + 16]\n"
+      "LEA RDX, GS:[RAX + 8*RDX]\nADD QWORD PTR [RDX], RAX",
+      "MULX R8, R9, RAX\nADD RDX, R9\nSHLX R10, R8, RCX",
+      "LAHF\nCMC\nSAHF\nADC RAX, RBX\nSETB CL",
+      "CMP RAX, RBX\nCMOVNE RCX, QWORD PTR [RSP]\nRCL RCX, 1\nCLC",
+      "XCHG RAX, QWORD PTR [RDI]\nBTS QWORD PTR [RDI + 8], RAX",
+      "VFMADD231PS YMM0, YMM1, YMMWORD PTR [RSI]\n"
+      "UCOMISD XMM0, XMM1\nSETA AL",
+  };
+  for (const auto& [microarchitecture, expected] :
+       {std::pair{Microarchitecture::kIvyBridge, 0xD8C45F6DE3C6A295ull},
+        std::pair{Microarchitecture::kHaswell, 0x602DD8C42B467AA3ull},
+        std::pair{Microarchitecture::kSkylake, 0x8D6D07C21F8A23BDull}}) {
+    const ThroughputModel model(microarchitecture);
+    uint64_t digest = kFnvOffsetBasis;
+    for (const char* text : blocks) {
+      digest = FoldBreakdown(digest, model.Estimate(Parse(text)));
+    }
+    EXPECT_EQ(digest, expected)
+        << GetUarchParams(microarchitecture).name << " 0x" << std::hex
+        << digest;
+  }
 }
 
 }  // namespace

@@ -25,7 +25,7 @@ import re
 import sys
 from pathlib import Path
 
-CHECKED_DIRS = ["src/serve", "src/model", "src/autotune", "src/asm"]
+CHECKED_DIRS = ["src/serve", "src/model", "src/autotune", "src/asm", "src/uarch"]
 
 THREADING_MARKERS = [
     "thread-safe",
