@@ -18,7 +18,10 @@
  *   5. canonical text — BasicBlock::ToString, BlockFingerprint and
  *      ParseBasicBlock over blocks of the corpus's shape: ns (print,
  *      fingerprint) and µs (parse) per block, the per-candidate costs
- *      of autotune search and the per-record costs of corpus write.
+ *      of autotune search and the per-record costs of corpus write;
+ *      and GraniteModel::EncodeBlocks over the same blocks in batches
+ *      of 16: ns per block, the encoding cost of every training
+ *      sample, cold served request and autotune candidate.
  *
  * Peak RSS (VmHWM) is reported on Linux as a bounded-memory sanity
  * check: it must track the shard window, not the corpus size.
@@ -28,6 +31,7 @@
  */
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -40,6 +44,7 @@
 #include "asm/parser.h"
 #include "base/resource_usage.h"
 #include "bench_common.h"
+#include "core/granite_model.h"
 #include "dataset/block_source.h"
 #include "dataset/corpus_io.h"
 #include "dataset/generator.h"
@@ -263,14 +268,34 @@ void Run(int argc, char** argv) {
     }
     const double parse_us = 1e6 * SecondsSince(start) / items;
 
+    const graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
+    const core::GraniteModel model(
+        &vocabulary, core::GraniteConfig().WithEmbeddingSize(8));
+    constexpr std::size_t kEncodeBatch = 16;
+    std::vector<const assembly::BasicBlock*> batch;
+    start = Clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (std::size_t first = 0; first < blocks.size();
+           first += kEncodeBatch) {
+        batch.clear();
+        for (std::size_t i = first;
+             i < std::min(blocks.size(), first + kEncodeBatch); ++i) {
+          batch.push_back(&blocks[i]);
+        }
+        checksum += model.EncodeBlocks(batch).num_edges;
+      }
+    }
+    const double encode_ns = 1e9 * SecondsSince(start) / items;
+
     std::printf("canonical text:   %6.0f ns print  %6.0f ns fingerprint  "
-                "%6.2f us parse per block  (%zu blocks x %d, checksum "
-                "%zx)\n",
-                print_ns, fingerprint_ns, parse_us, blocks.size(), passes,
-                checksum);
+                "%6.2f us parse  %6.0f ns encode per block  (%zu blocks "
+                "x %d, checksum %zx)\n",
+                print_ns, fingerprint_ns, parse_us, encode_ns, blocks.size(),
+                passes, checksum);
     RecordMetric("dataset_io.asm.print_ns_per_block", print_ns);
     RecordMetric("dataset_io.asm.fingerprint_ns_per_block", fingerprint_ns);
     RecordMetric("dataset_io.asm.parse_us_per_block", parse_us);
+    RecordMetric("dataset_io.graph.encode_ns_per_block", encode_ns);
   }
 
   std::error_code ignored;

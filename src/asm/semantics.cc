@@ -423,12 +423,10 @@ std::vector<InstructionSemantics> BuildCatalog() {
 SemanticsCatalog::SemanticsCatalog() : entries_(BuildCatalog()) {
   index_.reserve(entries_.size());
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    index_.emplace_back(entries_[i].mnemonic, i);
-  }
-  std::sort(index_.begin(), index_.end());
-  for (std::size_t i = 1; i < index_.size(); ++i) {
-    GRANITE_CHECK_MSG(index_[i - 1].first != index_[i].first,
-                      "duplicate mnemonic: " << index_[i].first);
+    entries_[i].id = static_cast<int>(i);
+    const bool inserted = index_.emplace(entries_[i].mnemonic, i).second;
+    GRANITE_CHECK_MSG(inserted,
+                      "duplicate mnemonic: " << entries_[i].mnemonic);
   }
 }
 
@@ -439,14 +437,9 @@ const SemanticsCatalog& SemanticsCatalog::Get() {
 
 const InstructionSemantics* SemanticsCatalog::Find(
     std::string_view mnemonic) const {
-  const std::string upper = ToUpper(mnemonic);
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), upper,
-      [](const auto& entry, const std::string& key) {
-        return entry.first < key;
-      });
-  if (it == index_.end() || it->first != upper) return nullptr;
-  return &entries_[it->second];
+  auto it = index_.find(mnemonic);
+  if (it == index_.end()) it = index_.find(ToUpper(mnemonic));
+  return it == index_.end() ? nullptr : &entries_[it->second];
 }
 
 const InstructionSemantics& SemanticsCatalog::Require(
@@ -458,16 +451,15 @@ const InstructionSemantics& SemanticsCatalog::Require(
 
 std::vector<std::string> SemanticsCatalog::Mnemonics() const {
   std::vector<std::string> names;
-  names.reserve(index_.size());
-  for (const auto& [name, unused_index] : index_) names.push_back(name);
+  names.reserve(entries_.size());
+  for (const InstructionSemantics& entry : entries_) {
+    names.push_back(entry.mnemonic);
+  }
+  std::sort(names.begin(), names.end());
   return names;
 }
 
-namespace {
-
-/** The usage vector of `semantics` for `instruction`'s arity; fails on
- * an unsupported arity. */
-const std::vector<OperandUsage>& RequireUsage(
+const std::vector<OperandUsage>& OperandUsageFor(
     const InstructionSemantics& semantics, const Instruction& instruction) {
   const std::vector<OperandUsage>* usage =
       semantics.UsageForArity(instruction.operands.size());
@@ -476,6 +468,14 @@ const std::vector<OperandUsage>& RequireUsage(
                                          << " for " << instruction.mnemonic);
   return *usage;
 }
+
+const std::vector<OperandUsage>& OperandUsageFor(
+    const Instruction& instruction) {
+  return OperandUsageFor(
+      SemanticsCatalog::Get().Require(instruction.mnemonic), instruction);
+}
+
+namespace {
 
 bool Contains(const std::vector<Register>& list, Register reg) {
   return std::find(list.begin(), list.end(), reg) != list.end();
@@ -496,11 +496,6 @@ void AddAddressReads(std::vector<Register>& reads,
 
 }  // namespace
 
-std::vector<OperandUsage> OperandUsageFor(const Instruction& instruction) {
-  return RequireUsage(SemanticsCatalog::Get().Require(instruction.mnemonic),
-                      instruction);
-}
-
 bool DataFlow::ReadsRegister(Register canonical) const {
   return Contains(register_reads, canonical) ||
          Contains(address_reads, canonical);
@@ -514,7 +509,8 @@ DataFlow DataFlowFor(const Instruction& instruction) {
   DataFlow flow;
   flow.semantics = &SemanticsCatalog::Get().Require(instruction.mnemonic);
   const InstructionSemantics& semantics = *flow.semantics;
-  const std::vector<OperandUsage>& usage = RequireUsage(semantics, instruction);
+  const std::vector<OperandUsage>& usage =
+      OperandUsageFor(semantics, instruction);
 
   for (std::size_t i = 0; i < instruction.operands.size(); ++i) {
     const Operand& operand = instruction.operands[i];

@@ -30,6 +30,7 @@
 
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "asm/instruction.h"
@@ -88,6 +89,9 @@ std::string_view InstructionCategoryName(InstructionCategory category);
 
 /** Catalog entry for one mnemonic. */
 struct InstructionSemantics {
+  /** Dense index of the entry in the catalog, in [0, size()). */
+  int id = 0;
+  /** Canonical upper-case spelling. */
   std::string mnemonic;
   /**
    * Display name of the alias family the mnemonic belongs to (the table
@@ -131,7 +135,11 @@ class SemanticsCatalog {
   /** Returns the process-wide catalog. */
   static const SemanticsCatalog& Get();
 
-  /** Finds the entry for `mnemonic` (case-insensitive), or nullptr. */
+  /**
+   * Finds the entry for `mnemonic` (case-insensitive), or nullptr. The
+   * canonical upper-case spelling takes one hash lookup; any other
+   * spelling is upper-cased first.
+   */
   const InstructionSemantics* Find(std::string_view mnemonic) const;
 
   /** Like Find but fails on unknown mnemonics. */
@@ -143,18 +151,32 @@ class SemanticsCatalog {
   /** Number of catalog entries. */
   std::size_t size() const { return entries_.size(); }
 
+  /** The entry whose `id` is `id`, for id in [0, size()). */
+  const InstructionSemantics& Row(std::size_t id) const {
+    return entries_[id];
+  }
+
  private:
   SemanticsCatalog();
 
   std::vector<InstructionSemantics> entries_;
-  std::vector<std::pair<std::string, std::size_t>> index_;  // sorted by name
+  /** Canonical spelling -> index into entries_; the keys view the
+   * entries' own strings. */
+  std::unordered_map<std::string_view, std::size_t> index_;
 };
 
 /**
  * Resolves the per-operand usage of a concrete instruction, checking that
- * the mnemonic is known and the arity is supported.
+ * the mnemonic is known and the arity is supported. The vector lives in
+ * the catalog.
  */
-std::vector<OperandUsage> OperandUsageFor(const Instruction& instruction);
+const std::vector<OperandUsage>& OperandUsageFor(
+    const Instruction& instruction);
+
+/** Like OperandUsageFor, for a caller that already holds the catalog row
+ * of `instruction`'s mnemonic. */
+const std::vector<OperandUsage>& OperandUsageFor(
+    const InstructionSemantics& semantics, const Instruction& instruction);
 
 /** True when the catalog knows `mnemonic` with the given operand count. */
 bool IsSupportedInstruction(const Instruction& instruction);

@@ -587,7 +587,7 @@ class CopyEliminateTransform : public Transform {
       // Substitute pure-read occurrences of the exact register id; a
       // read-write or written occurrence would redirect the write.
       Instruction rewritten = user;
-      const std::vector<OperandUsage> usage =
+      const std::vector<OperandUsage>& usage =
           assembly::OperandUsageFor(user);
       bool substituted = false;
       bool blocked = false;

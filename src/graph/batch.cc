@@ -9,24 +9,50 @@ BatchedGraph BatchGraphs(const std::vector<BlockGraph>& graphs,
   GRANITE_CHECK(!graphs.empty());
   BatchedGraph batch;
   batch.num_graphs = static_cast<int>(graphs.size());
-  const int global_width = vocabulary.size() + kNumEdgeTypes;
+  const int vocabulary_size = vocabulary.size();
+  const int global_width = vocabulary_size + kNumEdgeTypes;
   batch.global_features = ml::Tensor(batch.num_graphs, global_width);
 
+  std::size_t total_nodes = 0;
+  std::size_t total_edges = 0;
+  std::size_t total_mnemonics = 0;
+  for (const BlockGraph& graph : graphs) {
+    total_nodes += graph.nodes.size();
+    total_edges += graph.edges.size();
+    total_mnemonics += graph.mnemonic_nodes.size();
+  }
+  batch.node_token.reserve(total_nodes);
+  batch.node_graph.reserve(total_nodes);
+  batch.edge_type.reserve(total_edges);
+  batch.edge_source.reserve(total_edges);
+  batch.edge_target.reserve(total_edges);
+  batch.edge_graph.reserve(total_edges);
+  batch.mnemonic_node.reserve(total_mnemonics);
+  batch.mnemonic_graph.reserve(total_mnemonics);
+
+  // Columns of the current graph's row with a nonzero count.
+  std::vector<int> touched;
   int node_offset = 0;
   for (int g = 0; g < batch.num_graphs; ++g) {
     const BlockGraph& graph = graphs[g];
+    float* row = batch.global_features.row_data(g);
+    touched.clear();
+    const auto count = [&](int column) {
+      GRANITE_CHECK(column >= 0 && column < global_width);
+      if (row[column] == 0.0f) touched.push_back(column);
+      row[column] += 1.0f;
+    };
     for (const Node& node : graph.nodes) {
       batch.node_token.push_back(node.token);
       batch.node_graph.push_back(g);
-      batch.global_features.at(g, node.token) += 1.0f;
+      count(node.token);
     }
     for (const Edge& edge : graph.edges) {
       batch.edge_type.push_back(static_cast<int>(edge.type));
       batch.edge_source.push_back(node_offset + edge.source);
       batch.edge_target.push_back(node_offset + edge.target);
       batch.edge_graph.push_back(g);
-      batch.global_features.at(
-          g, vocabulary.size() + static_cast<int>(edge.type)) += 1.0f;
+      count(vocabulary_size + static_cast<int>(edge.type));
     }
     for (const int mnemonic : graph.mnemonic_nodes) {
       batch.mnemonic_node.push_back(node_offset + mnemonic);
@@ -34,13 +60,11 @@ BatchedGraph BatchGraphs(const std::vector<BlockGraph>& graphs,
     }
     // Normalize counts into relative frequencies (paper §3.2: "the
     // relative frequencies of the tokens and edge types used in the
-    // graph").
+    // graph"). Untouched columns stay +0, which is +0 / total.
     const float total =
         static_cast<float>(graph.num_nodes() + graph.num_edges());
     if (total > 0.0f) {
-      for (int c = 0; c < global_width; ++c) {
-        batch.global_features.at(g, c) /= total;
-      }
+      for (const int column : touched) row[column] /= total;
     }
     node_offset += graph.num_nodes();
   }

@@ -1,6 +1,6 @@
 #include "graph/graph_builder.h"
 
-#include <unordered_map>
+#include <vector>
 
 #include "asm/semantics.h"
 #include "base/logging.h"
@@ -17,21 +17,27 @@ using assembly::OperandUsage;
 using assembly::Register;
 using assembly::SemanticsCatalog;
 
+// Node and edge lists are reserved at these sizes per instruction.
+// Default generator blocks average 4.3 nodes and 4.8 edges per
+// instruction; these bounds cover about 95% and 99% of them.
+constexpr std::size_t kNodesPerInstruction = 6;
+constexpr std::size_t kEdgesPerInstruction = 7;
+
 /** Mutable construction state for one block. */
 class BuilderState {
  public:
-  explicit BuilderState(const Vocabulary& vocabulary)
-      : vocabulary_(vocabulary) {}
+  BuilderState(const Vocabulary& vocabulary, std::size_t num_instructions)
+      : vocabulary_(vocabulary),
+        live_register_value_(assembly::RegisterTable().size(), -1) {
+    graph_.nodes.reserve(kNodesPerInstruction * num_instructions);
+    graph_.edges.reserve(kEdgesPerInstruction * num_instructions);
+    graph_.mnemonic_nodes.reserve(num_instructions);
+  }
 
   BlockGraph Take() { return std::move(graph_); }
 
-  int AddNode(NodeType type, const std::string& token,
-              int instruction_index) {
-    Node node;
-    node.type = type;
-    node.token = vocabulary_.TokenIndex(token);
-    node.instruction_index = instruction_index;
-    graph_.nodes.push_back(node);
+  int AddNode(NodeType type, int token, int instruction_index) {
+    graph_.nodes.push_back(Node{type, token, instruction_index});
     return static_cast<int>(graph_.nodes.size()) - 1;
   }
 
@@ -44,20 +50,19 @@ class BuilderState {
   /** Returns the live value node of a register, creating an unproduced
    * node when the value comes from outside the block. */
   int RegisterValueNode(Register reg) {
-    const Register canonical = assembly::CanonicalRegister(reg);
-    const auto it = live_register_value_.find(canonical);
-    if (it != live_register_value_.end()) return it->second;
-    const int node =
-        AddNode(NodeType::kRegister, assembly::RegisterName(reg), -1);
-    live_register_value_[canonical] = node;
-    return node;
+    int& live = live_register_value_[assembly::CanonicalRegister(reg)];
+    if (live < 0) {
+      live = AddNode(NodeType::kRegister, vocabulary_.RegisterToken(reg), -1);
+    }
+    return live;
   }
 
   /** Creates a fresh value node for a register write. */
   int WriteRegister(Register reg, int mnemonic_node, int instruction_index) {
     const Register canonical = assembly::CanonicalRegister(reg);
     const int node = AddNode(NodeType::kRegister,
-                             assembly::RegisterName(reg), instruction_index);
+                             vocabulary_.RegisterToken(reg),
+                             instruction_index);
     AddEdge(EdgeType::kOutputOperand, mnemonic_node, node);
     live_register_value_[canonical] = node;
     return node;
@@ -68,7 +73,7 @@ class BuilderState {
   int MemoryValueNode() {
     if (live_memory_value_ < 0) {
       live_memory_value_ =
-          AddNode(NodeType::kMemoryValue, Vocabulary::kMemoryToken, -1);
+          AddNode(NodeType::kMemoryValue, vocabulary_.memory_token(), -1);
     }
     return live_memory_value_;
   }
@@ -76,7 +81,7 @@ class BuilderState {
   /** Creates a fresh memory value node for a store. */
   int WriteMemory(int mnemonic_node, int instruction_index) {
     const int node = AddNode(NodeType::kMemoryValue,
-                             Vocabulary::kMemoryToken, instruction_index);
+                             vocabulary_.memory_token(), instruction_index);
     AddEdge(EdgeType::kOutputOperand, mnemonic_node, node);
     live_memory_value_ = node;
     return node;
@@ -86,7 +91,7 @@ class BuilderState {
    * connects its components. */
   int AddressNode(const MemoryReference& reference, int instruction_index) {
     const int node = AddNode(NodeType::kAddressComputation,
-                             Vocabulary::kAddressToken, instruction_index);
+                             vocabulary_.address_token(), instruction_index);
     if (reference.base != assembly::kInvalidRegister) {
       AddEdge(EdgeType::kAddressBase, RegisterValueNode(reference.base),
               node);
@@ -100,9 +105,9 @@ class BuilderState {
               RegisterValueNode(reference.segment), node);
     }
     if (reference.displacement != 0) {
-      const int displacement = AddNode(NodeType::kImmediate,
-                                       Vocabulary::kImmediateToken,
-                                       instruction_index);
+      const int displacement = AddNode(
+          NodeType::kImmediate, vocabulary_.immediate_token(),
+          instruction_index);
       AddEdge(EdgeType::kAddressDisplacement, displacement, node);
     }
     return node;
@@ -113,7 +118,9 @@ class BuilderState {
  private:
   const Vocabulary& vocabulary_;
   BlockGraph graph_;
-  std::unordered_map<Register, int> live_register_value_;
+  /** Live value node per canonical register id; -1 before the first
+   * read or write. */
+  std::vector<int> live_register_value_;
   int live_memory_value_ = -1;
 };
 
@@ -125,27 +132,35 @@ GraphBuilder::GraphBuilder(const Vocabulary* vocabulary)
 }
 
 BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
-  BuilderState state(*vocabulary_);
+  const Vocabulary& vocabulary = *vocabulary_;
+  const SemanticsCatalog& catalog = SemanticsCatalog::Get();
+  BuilderState state(vocabulary, block.instructions.size());
   int previous_mnemonic = -1;
 
   for (std::size_t index = 0; index < block.instructions.size(); ++index) {
     const Instruction& instruction = block.instructions[index];
     const InstructionSemantics& semantics =
-        SemanticsCatalog::Get().Require(instruction.mnemonic);
-    const std::vector<OperandUsage> usage =
-        assembly::OperandUsageFor(instruction);
+        catalog.Require(instruction.mnemonic);
+    const std::vector<OperandUsage>& usage =
+        assembly::OperandUsageFor(semantics, instruction);
     const bool implicit_apply = assembly::ImplicitOperandsApply(
         semantics, instruction.operands.size());
     const int instruction_index = static_cast<int>(index);
 
-    const int mnemonic_node = state.AddNode(
-        NodeType::kMnemonic, instruction.mnemonic, instruction_index);
+    // The row's token is the token of its canonical spelling; any other
+    // spelling keeps its own (usually unknown) token.
+    const int mnemonic_token =
+        instruction.mnemonic == semantics.mnemonic
+            ? vocabulary.MnemonicToken(semantics)
+            : vocabulary.TokenIndex(instruction.mnemonic);
+    const int mnemonic_node =
+        state.AddNode(NodeType::kMnemonic, mnemonic_token, instruction_index);
     state.graph().mnemonic_nodes.push_back(mnemonic_node);
 
     // Prefix nodes attach to the mnemonic with a structural edge.
     for (const std::string& prefix : instruction.prefixes) {
-      const int prefix_node =
-          state.AddNode(NodeType::kPrefix, prefix, instruction_index);
+      const int prefix_node = state.AddNode(
+          NodeType::kPrefix, vocabulary.TokenIndex(prefix), instruction_index);
       state.AddEdge(EdgeType::kStructuralDependency, prefix_node,
                     mnemonic_node);
     }
@@ -171,14 +186,14 @@ BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
           break;
         case OperandKind::kImmediate: {
           const int node = state.AddNode(NodeType::kImmediate,
-                                         Vocabulary::kImmediateToken,
+                                         vocabulary.immediate_token(),
                                          instruction_index);
           state.AddEdge(EdgeType::kInputOperand, node, mnemonic_node);
           break;
         }
         case OperandKind::kFpImmediate: {
           const int node = state.AddNode(NodeType::kFpImmediate,
-                                         Vocabulary::kFpImmediateToken,
+                                         vocabulary.fp_immediate_token(),
                                          instruction_index);
           state.AddEdge(EdgeType::kInputOperand, node, mnemonic_node);
           break;

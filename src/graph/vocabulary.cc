@@ -19,6 +19,18 @@ Vocabulary::Vocabulary(std::vector<std::string> tokens)
   GRANITE_CHECK_MSG(unknown != index_.end(),
                     "vocabulary must contain " << kUnknownToken);
   unknown_index_ = unknown->second;
+  immediate_token_ = TokenIndex(kImmediateToken);
+  fp_immediate_token_ = TokenIndex(kFpImmediateToken);
+  address_token_ = TokenIndex(kAddressToken);
+  memory_token_ = TokenIndex(kMemoryToken);
+  for (const assembly::RegisterInfo& info : assembly::RegisterTable()) {
+    register_token_.push_back(TokenIndex(info.name));
+  }
+  const assembly::SemanticsCatalog& catalog =
+      assembly::SemanticsCatalog::Get();
+  for (std::size_t row = 0; row < catalog.size(); ++row) {
+    mnemonic_token_.push_back(TokenIndex(catalog.Row(row).mnemonic));
+  }
 }
 
 Vocabulary Vocabulary::CreateDefault() {

@@ -7,6 +7,14 @@
  * tokens for immediates, FP immediates, address computations and memory
  * values. The vocabulary assigns dense indices used by the learned node
  * embedding table, so its contents must be fixed before training.
+ *
+ * The graph builder encodes without strings: at construction the
+ * vocabulary resolves, once, the token id of every register id
+ * (RegisterToken), of every special token (immediate_token() and the
+ * like) and of every semantics-catalog row's canonical mnemonic
+ * (MnemonicToken). Each is what TokenIndex gives for the same spelling,
+ * so a custom or bundle-loaded token list keeps its ids, unknown
+ * fallback included.
  */
 #ifndef GRANITE_GRAPH_VOCABULARY_H_
 #define GRANITE_GRAPH_VOCABULARY_H_
@@ -14,6 +22,9 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "asm/registers.h"
+#include "asm/semantics.h"
 
 namespace granite::graph {
 
@@ -58,10 +69,37 @@ class Vocabulary {
   /** All tokens in index order. */
   const std::vector<std::string>& tokens() const { return tokens_; }
 
+  /** TokenIndex(RegisterName(reg)) for a valid register id. */
+  int RegisterToken(assembly::Register reg) const {
+    return register_token_[reg];
+  }
+
+  /** TokenIndex(row.mnemonic): the token of the row's canonical
+   * spelling. */
+  int MnemonicToken(const assembly::InstructionSemantics& row) const {
+    return mnemonic_token_[row.id];
+  }
+
+  /** TokenIndex of kImmediateToken, kFpImmediateToken, kAddressToken,
+   * kMemoryToken and kUnknownToken. */
+  int immediate_token() const { return immediate_token_; }
+  int fp_immediate_token() const { return fp_immediate_token_; }
+  int address_token() const { return address_token_; }
+  int memory_token() const { return memory_token_; }
+  int unknown_token() const { return unknown_index_; }
+
  private:
   std::vector<std::string> tokens_;
   std::unordered_map<std::string, int> index_;
   int unknown_index_ = 0;
+  int immediate_token_ = 0;
+  int fp_immediate_token_ = 0;
+  int address_token_ = 0;
+  int memory_token_ = 0;
+  /** Indexed by register id. */
+  std::vector<int> register_token_;
+  /** Indexed by semantics-catalog row id. */
+  std::vector<int> mnemonic_token_;
 };
 
 }  // namespace granite::graph

@@ -55,7 +55,7 @@ graph::Vocabulary CreateIthemalVocabulary() {
 
 std::vector<std::string> TokenizeInstruction(
     const assembly::Instruction& instruction) {
-  const std::vector<OperandUsage> usage =
+  const std::vector<OperandUsage>& usage =
       assembly::OperandUsageFor(instruction);
   std::vector<std::string> tokens;
   for (const std::string& prefix : instruction.prefixes) {

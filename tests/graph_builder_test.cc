@@ -234,6 +234,45 @@ TEST_F(GraphBuilderTest, ToDotRendersAllNodes) {
   EXPECT_NE(dot.find("->"), std::string::npos);
 }
 
+TEST_F(GraphBuilderTest, NonCanonicalMnemonicSpellingKeepsItsOwnToken) {
+  // A hand-built instruction can carry a lower-case mnemonic: the catalog
+  // still resolves its ADD row (so EFLAGS is written), but the mnemonic
+  // node takes the token of the spelling itself, which is unknown.
+  assembly::Instruction add;
+  add.mnemonic = "add";
+  add.operands = {assembly::Operand::Reg(assembly::RegisterByName("RAX")),
+                  assembly::Operand::Reg(assembly::RegisterByName("RBX"))};
+  assembly::BasicBlock block;
+  block.instructions.push_back(add);
+  const BlockGraph graph = builder_.Build(block);
+  ASSERT_EQ(graph.num_instructions(), 1);
+  EXPECT_EQ(graph.nodes[graph.mnemonic_nodes[0]].token,
+            vocabulary_.TokenIndex("add"));
+  EXPECT_EQ(vocabulary_.TokenIndex("add"),
+            vocabulary_.TokenIndex(Vocabulary::kUnknownToken));
+  EXPECT_EQ(graph.CountEdges(EdgeType::kInputOperand), 2);
+  EXPECT_EQ(graph.CountEdges(EdgeType::kOutputOperand), 2);  // RAX, EFLAGS
+  const int eflags_token = vocabulary_.TokenIndex("EFLAGS");
+  int eflags_nodes = 0;
+  for (const Node& node : graph.nodes) {
+    if (node.token == eflags_token) ++eflags_nodes;
+  }
+  EXPECT_EQ(eflags_nodes, 1);
+}
+
+TEST(GraphBuilderCustomVocabularyTest, MissingRegistersEncodeAsUnknown) {
+  const Vocabulary vocabulary(
+      {"MOV", "RAX", Vocabulary::kUnknownToken, Vocabulary::kImmediateToken});
+  const GraphBuilder builder(&vocabulary);
+  const auto block = assembly::ParseBasicBlock("MOV RAX, RBX\nMOV ECX, 5");
+  ASSERT_TRUE(block.ok()) << block.error;
+  const BlockGraph graph = builder.Build(*block.value);
+  std::vector<int> tokens;
+  for (const Node& node : graph.nodes) tokens.push_back(node.token);
+  // MOV, RBX (unknown), RAX; MOV, immediate, ECX (unknown).
+  EXPECT_EQ(tokens, (std::vector<int>{0, 2, 1, 0, 3, 2}));
+}
+
 /** Structural invariants that must hold for every encodable block. */
 class GraphInvariantTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -2,6 +2,7 @@
  * @file
  * Tests of the instruction-semantics catalog.
  */
+#include <cctype>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -27,6 +28,34 @@ TEST(SemanticsCatalogTest, FindIsCaseInsensitive) {
   EXPECT_NE(SemanticsCatalog::Get().Find("add"), nullptr);
   EXPECT_NE(SemanticsCatalog::Get().Find("Add"), nullptr);
   EXPECT_EQ(SemanticsCatalog::Get().Find("NOTANOPCODE"), nullptr);
+}
+
+TEST(SemanticsCatalogTest, FindResolvesEverySpellingToTheCanonicalRow) {
+  const SemanticsCatalog& catalog = SemanticsCatalog::Get();
+  // The canonical spelling takes the exact-match path; every other
+  // spelling falls back to upper-casing and lands on the same row.
+  for (const char* canonical : {"ADD", "CMOVNZ", "VFMADD231PS", "MOVSB"}) {
+    const InstructionSemantics* row = catalog.Find(canonical);
+    ASSERT_NE(row, nullptr) << canonical;
+    EXPECT_EQ(row->mnemonic, canonical);
+    EXPECT_EQ(&catalog.Row(row->id), row);
+    std::string lower = canonical;
+    for (char& c : lower) c = static_cast<char>(std::tolower(c));
+    std::string mixed = lower;
+    mixed[0] = static_cast<char>(std::toupper(mixed[0]));
+    EXPECT_EQ(catalog.Find(lower), row) << lower;
+    EXPECT_EQ(catalog.Find(mixed), row) << mixed;
+  }
+  EXPECT_EQ(catalog.Find("addq"), nullptr);
+  EXPECT_EQ(catalog.Find(""), nullptr);
+}
+
+TEST(SemanticsCatalogTest, RowIdsAreDense) {
+  const SemanticsCatalog& catalog = SemanticsCatalog::Get();
+  for (std::size_t id = 0; id < catalog.size(); ++id) {
+    EXPECT_EQ(catalog.Row(id).id, static_cast<int>(id));
+    EXPECT_EQ(catalog.Find(catalog.Row(id).mnemonic), &catalog.Row(id));
+  }
 }
 
 TEST(SemanticsCatalogTest, MovWritesDestReadsSource) {

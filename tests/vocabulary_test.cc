@@ -2,7 +2,10 @@
  * @file
  * Tests of the token vocabulary.
  */
+#include <vector>
+
 #include "gtest/gtest.h"
+#include "asm/registers.h"
 #include "asm/semantics.h"
 #include "graph/vocabulary.h"
 
@@ -51,6 +54,52 @@ TEST(VocabularyTest, CustomVocabulary) {
   EXPECT_EQ(vocabulary.size(), 3);
   EXPECT_EQ(vocabulary.TokenIndex("FOO"), 1);
   EXPECT_EQ(vocabulary.TokenIndex("MISSING"), 0);
+}
+
+TEST(VocabularyTest, PrecomputedIdsMatchTokenIndex) {
+  const Vocabulary vocabulary = Vocabulary::CreateDefault();
+  const std::vector<assembly::RegisterInfo>& registers =
+      assembly::RegisterTable();
+  for (std::size_t reg = 0; reg < registers.size(); ++reg) {
+    EXPECT_EQ(vocabulary.RegisterToken(static_cast<assembly::Register>(reg)),
+              vocabulary.TokenIndex(registers[reg].name));
+  }
+  const assembly::SemanticsCatalog& catalog =
+      assembly::SemanticsCatalog::Get();
+  for (std::size_t row = 0; row < catalog.size(); ++row) {
+    EXPECT_EQ(vocabulary.MnemonicToken(catalog.Row(row)),
+              vocabulary.TokenIndex(catalog.Row(row).mnemonic));
+  }
+  EXPECT_EQ(vocabulary.immediate_token(),
+            vocabulary.TokenIndex(Vocabulary::kImmediateToken));
+  EXPECT_EQ(vocabulary.fp_immediate_token(),
+            vocabulary.TokenIndex(Vocabulary::kFpImmediateToken));
+  EXPECT_EQ(vocabulary.address_token(),
+            vocabulary.TokenIndex(Vocabulary::kAddressToken));
+  EXPECT_EQ(vocabulary.memory_token(),
+            vocabulary.TokenIndex(Vocabulary::kMemoryToken));
+  EXPECT_EQ(vocabulary.unknown_token(),
+            vocabulary.TokenIndex(Vocabulary::kUnknownToken));
+}
+
+TEST(VocabularyTest, CustomVocabularyMapsMissingNamesToUnknown) {
+  // _UNKNOWN_ is not first, so a wrong fallback cannot pass as index 0.
+  const Vocabulary vocabulary(
+      {"RAX", Vocabulary::kUnknownToken, "ADD", Vocabulary::kMemoryToken});
+  const int unknown = vocabulary.unknown_token();
+  EXPECT_EQ(unknown, 1);
+  EXPECT_EQ(vocabulary.RegisterToken(assembly::RegisterByName("RAX")), 0);
+  EXPECT_EQ(vocabulary.RegisterToken(assembly::RegisterByName("EAX")),
+            unknown);
+  EXPECT_EQ(vocabulary.RegisterToken(assembly::RegisterByName("RBX")),
+            unknown);
+  const assembly::SemanticsCatalog& catalog =
+      assembly::SemanticsCatalog::Get();
+  EXPECT_EQ(vocabulary.MnemonicToken(catalog.Require("ADD")), 2);
+  EXPECT_EQ(vocabulary.MnemonicToken(catalog.Require("SUB")), unknown);
+  EXPECT_EQ(vocabulary.memory_token(), 3);
+  EXPECT_EQ(vocabulary.immediate_token(), unknown);
+  EXPECT_EQ(vocabulary.address_token(), unknown);
 }
 
 TEST(VocabularyTest, SizeIsStable) {
