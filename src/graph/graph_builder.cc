@@ -145,6 +145,10 @@ BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
         assembly::OperandUsageFor(semantics, instruction);
     const bool implicit_apply = assembly::ImplicitOperandsApply(
         semantics, instruction.operands.size());
+    // A REP prefix turns a string operation into a loop counted in RCX,
+    // which it reads and writes (as in DataFlowFor).
+    const bool rep_counted =
+        semantics.is_string_op && instruction.HasRepPrefix();
     const int instruction_index = static_cast<int>(index);
 
     // The row's token is the token of its canonical spelling; any other
@@ -233,6 +237,11 @@ BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
       state.AddEdge(EdgeType::kInputOperand, state.MemoryValueNode(),
                     mnemonic_node);
     }
+    if (rep_counted) {
+      state.AddEdge(EdgeType::kInputOperand,
+                    state.RegisterValueNode(assembly::RegisterByName("RCX")),
+                    mnemonic_node);
+    }
 
     // ---- Outputs ---------------------------------------------------------
     for (std::size_t i = 0; i < instruction.operands.size(); ++i) {
@@ -263,6 +272,10 @@ BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
     }
     if (semantics.implicit_memory_write) {
       state.WriteMemory(mnemonic_node, instruction_index);
+    }
+    if (rep_counted) {
+      state.WriteRegister(assembly::RegisterByName("RCX"), mnemonic_node,
+                          instruction_index);
     }
   }
   return state.Take();

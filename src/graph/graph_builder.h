@@ -33,7 +33,8 @@ class GraphBuilder {
    *    node; memory is tracked as a single conservatively-aliased value,
    *    so a load after a store consumes the store's memory value node;
    *  - implicit operands (EFLAGS, RAX/RDX for MUL/DIV, RSP for PUSH/POP,
-   *    string registers) take part exactly like explicit ones.
+   *    string registers, and RCX for a REP-prefixed string operation)
+   *    take part exactly like explicit ones.
    *
    * All instructions must be supported by the semantics catalog.
    */

@@ -73,13 +73,49 @@ TEST_F(GraphEdgeCaseTest, PushPopChainThroughRspAndMemory) {
 }
 
 TEST_F(GraphEdgeCaseTest, RepStringOpUsesRcx) {
-  const BlockGraph graph = Build("REP MOVSB");
+  const BlockGraph graph = Build("MOV RCX, 8\nREP MOVSB");
   EXPECT_EQ(graph.CountNodes(NodeType::kPrefix), 1);
-  // MOVSB reads RSI/RDI (+ memory); REP does not change the explicit
-  // operand structure in the graph encoding (the prefix node carries the
-  // information).
-  EXPECT_GE(graph.CountEdges(EdgeType::kInputOperand), 3);
-  EXPECT_GE(graph.CountEdges(EdgeType::kOutputOperand), 3);
+  // REP MOVSB reads RSI, RDI, memory and the loop count in RCX, and
+  // writes RSI, RDI, memory and RCX, as DataFlowFor decodes it.
+  const int mov = graph.mnemonic_nodes[0];
+  const int movsb = graph.mnemonic_nodes[1];
+  const int rcx_token = vocabulary_.TokenIndex("RCX");
+  bool reads_rcx_from_mov = false;
+  bool writes_rcx = false;
+  int movsb_inputs = 0;
+  int movsb_outputs = 0;
+  for (const Edge& edge : graph.edges) {
+    if (edge.type == EdgeType::kInputOperand && edge.target == movsb) {
+      ++movsb_inputs;
+      const Node& source = graph.nodes[edge.source];
+      if (source.token == rcx_token && source.instruction_index == 0) {
+        reads_rcx_from_mov = true;
+        bool produced_by_mov = false;
+        for (const Edge& producer : graph.edges) {
+          produced_by_mov |= producer.type == EdgeType::kOutputOperand &&
+                             producer.source == mov &&
+                             producer.target == edge.source;
+        }
+        EXPECT_TRUE(produced_by_mov);
+      }
+    }
+    if (edge.type == EdgeType::kOutputOperand && edge.source == movsb) {
+      ++movsb_outputs;
+      writes_rcx |= graph.nodes[edge.target].token == rcx_token;
+    }
+  }
+  EXPECT_TRUE(reads_rcx_from_mov);
+  EXPECT_TRUE(writes_rcx);
+  EXPECT_EQ(movsb_inputs, 4);   // RSI, RDI, memory, RCX
+  EXPECT_EQ(movsb_outputs, 4);  // RSI, RDI, memory, RCX
+}
+
+TEST_F(GraphEdgeCaseTest, StringOpWithoutRepLeavesRcxAlone) {
+  const BlockGraph graph = Build("MOVSB");
+  const int rcx_token = vocabulary_.TokenIndex("RCX");
+  for (const Node& node : graph.nodes) EXPECT_NE(node.token, rcx_token);
+  EXPECT_EQ(graph.CountEdges(EdgeType::kInputOperand), 3);
+  EXPECT_EQ(graph.CountEdges(EdgeType::kOutputOperand), 3);
 }
 
 TEST_F(GraphEdgeCaseTest, ShiftByClReadsRcxValue) {
