@@ -8,13 +8,15 @@
  * values. The vocabulary assigns dense indices used by the learned node
  * embedding table, so its contents must be fixed before training.
  *
- * The graph builder encodes without strings: at construction the
- * vocabulary resolves, once, the token id of every register id
- * (RegisterToken), of every special token (immediate_token() and the
- * like) and of every semantics-catalog row's canonical mnemonic
- * (MnemonicToken). Each is what TokenIndex gives for the same spelling,
- * so a custom or bundle-loaded token list keeps its ids, unknown
- * fallback included.
+ * So that the graph builder hashes no strings for registers, special
+ * tokens and canonical mnemonics, the vocabulary resolves at
+ * construction the dense token id of every register id (RegisterToken),
+ * of each special token (immediate_token() and the like) and of every
+ * semantics-catalog row's canonical mnemonic (MnemonicToken). Each is
+ * what TokenIndex gives for the same spelling, so a custom or
+ * bundle-loaded token list keeps its ids, unknown fallback included.
+ * Prefixes and non-canonical mnemonic spellings still go through
+ * TokenIndex.
  */
 #ifndef GRANITE_GRAPH_VOCABULARY_H_
 #define GRANITE_GRAPH_VOCABULARY_H_
@@ -80,13 +82,12 @@ class Vocabulary {
     return mnemonic_token_[row.id];
   }
 
-  /** TokenIndex of kImmediateToken, kFpImmediateToken, kAddressToken,
-   * kMemoryToken and kUnknownToken. */
+  /** TokenIndex of kImmediateToken, kFpImmediateToken, kAddressToken
+   * and kMemoryToken. */
   int immediate_token() const { return immediate_token_; }
   int fp_immediate_token() const { return fp_immediate_token_; }
   int address_token() const { return address_token_; }
   int memory_token() const { return memory_token_; }
-  int unknown_token() const { return unknown_index_; }
 
  private:
   std::vector<std::string> tokens_;

@@ -78,15 +78,13 @@ TEST(VocabularyTest, PrecomputedIdsMatchTokenIndex) {
             vocabulary.TokenIndex(Vocabulary::kAddressToken));
   EXPECT_EQ(vocabulary.memory_token(),
             vocabulary.TokenIndex(Vocabulary::kMemoryToken));
-  EXPECT_EQ(vocabulary.unknown_token(),
-            vocabulary.TokenIndex(Vocabulary::kUnknownToken));
 }
 
 TEST(VocabularyTest, CustomVocabularyMapsMissingNamesToUnknown) {
   // _UNKNOWN_ is not first, so a wrong fallback cannot pass as index 0.
   const Vocabulary vocabulary(
       {"RAX", Vocabulary::kUnknownToken, "ADD", Vocabulary::kMemoryToken});
-  const int unknown = vocabulary.unknown_token();
+  const int unknown = vocabulary.TokenIndex(Vocabulary::kUnknownToken);
   EXPECT_EQ(unknown, 1);
   EXPECT_EQ(vocabulary.RegisterToken(assembly::RegisterByName("RAX")), 0);
   EXPECT_EQ(vocabulary.RegisterToken(assembly::RegisterByName("EAX")),
