@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "base/string_util.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
 #include "gtest/gtest.h"
@@ -88,6 +89,49 @@ class CheckpointTest : public ::testing::Test {
   void WriteBundle(const std::vector<char>& bytes) const {
     std::ofstream file(path_, std::ios::binary | std::ios::trunc);
     file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /** `config` with the value of its `key=` line replaced by `value`. */
+  static std::string ReplaceConfigValue(const std::string& config,
+                                        const std::string& key,
+                                        const std::string& value) {
+    // Index i of "\n" + config is index i - 1 of config, so a match
+    // there starts the key's line at index i of config.
+    const std::size_t start = ("\n" + config).find("\n" + key + "=");
+    EXPECT_NE(start, std::string::npos) << key;
+    const std::size_t end = config.find('\n', start);
+    return config.substr(0, start) + key + "=" + value + config.substr(end);
+  }
+
+  /**
+   * `bundle` with its config string replaced by `config` and its
+   * checksum trailer recomputed, so the result is a well-formed bundle
+   * whose only change is the config text.
+   */
+  static std::vector<char> WithConfigText(const std::vector<char>& bundle,
+                                          const std::string& config) {
+    const auto read_u64 = [&](std::size_t offset) {
+      std::uint64_t value;
+      std::memcpy(&value, bundle.data() + offset, sizeof(value));
+      return value;
+    };
+    // magic, u32 version, then the length-prefixed kind and config.
+    const std::size_t kind_at = kBundleMagic.size() + sizeof(std::uint32_t);
+    const std::size_t config_at = kind_at + 8 + read_u64(kind_at);
+    const std::size_t rest_at = config_at + 8 + read_u64(config_at);
+    std::vector<char> result(bundle.begin(),
+                             bundle.begin() + static_cast<long>(config_at));
+    const std::uint64_t size = config.size();
+    result.insert(result.end(), reinterpret_cast<const char*>(&size),
+                  reinterpret_cast<const char*>(&size) + sizeof(size));
+    result.insert(result.end(), config.begin(), config.end());
+    result.insert(result.end(), bundle.begin() + static_cast<long>(rest_at),
+                  bundle.end() - 8);
+    const std::uint64_t checksum =
+        Fnv1a(kFnvOffsetBasis, {result.data(), result.size()});
+    result.insert(result.end(), reinterpret_cast<const char*>(&checksum),
+                  reinterpret_cast<const char*>(&checksum) + sizeof(checksum));
+    return result;
   }
 
   /**
@@ -286,6 +330,83 @@ TEST_F(CheckpointTest, AbsurdConfigValueRaisesCleanErrorNotAbort) {
   *(it + static_cast<long>(needle.size()) - 1) = '0';
   WriteBundle(bytes);
   EXPECT_THROW(LoadModel(path_), CheckpointError);
+
+  // Every bounded key, one step outside its range on either side, in an
+  // otherwise valid bundle (config length and checksum rewritten), so
+  // only the range check can reject it. A layer list is bounded in its
+  // widths, [1, 65536], and in its length, at most 64 entries.
+  const std::string too_long_list =
+      "8" + [] {
+        std::string rest;
+        for (int i = 0; i < 64; ++i) rest += ",8";
+        return rest;
+      }();
+  const std::vector<std::pair<std::string, std::string>> granite_cases = {
+      {"node_embedding_size", "0"},
+      {"node_embedding_size", "65537"},
+      {"edge_embedding_size", "0"},
+      {"edge_embedding_size", "65537"},
+      {"global_embedding_size", "0"},
+      {"global_embedding_size", "65537"},
+      {"message_passing_iterations", "0"},
+      {"message_passing_iterations", "1025"},
+      {"num_tasks", "0"},
+      {"num_tasks", "1025"},
+  };
+  const std::vector<std::string> granite_lists = {
+      "node_update_layers", "edge_update_layers", "global_update_layers",
+      "decoder_layers"};
+  const std::vector<std::pair<std::string, std::string>> ithemal_cases = {
+      {"embedding_size", "0"}, {"embedding_size", "65537"},
+      {"hidden_size", "0"},    {"hidden_size", "65537"},
+      {"num_tasks", "0"},      {"num_tasks", "1025"},
+  };
+  const auto expect_rejected = [&](const ThroughputPredictor& model,
+                                   const std::string& key,
+                                   const std::string& value) {
+    SCOPED_TRACE(std::string(ModelKindName(model.kind())) + " " + key +
+                 "=" + value.substr(0, 16));
+    SaveModel(model, path_);
+    WriteBundle(WithConfigText(
+        ReadBundle(), ReplaceConfigValue(model.DescribeConfig(), key, value)));
+    try {
+      LoadModel(path_);
+      ADD_FAILURE() << "loaded";
+    } catch (const CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find(key + " = "),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  const std::unique_ptr<core::GraniteModel> granite = MakeGranite(1);
+  for (const auto& [key, value] : granite_cases) {
+    expect_rejected(*granite, key, value);
+  }
+  for (const std::string& key : granite_lists) {
+    for (const std::string& value : {std::string("8,0"),
+                                     std::string("8,65537"), too_long_list}) {
+      expect_rejected(*granite, key, value);
+    }
+  }
+  const std::unique_ptr<ithemal::IthemalModel> ithemal = MakeIthemalPlus(1);
+  for (const auto& [key, value] : ithemal_cases) {
+    expect_rejected(*ithemal, key, value);
+  }
+  for (const std::string& value :
+       {std::string("8,0"), std::string("8,65537"), too_long_list}) {
+    expect_rejected(*ithemal, "decoder_layers", value);
+  }
+
+  // Both in-range edges of a key no parameter shape depends on load, so
+  // the rewritten bundles above fail only on the range check.
+  for (const std::string value : {"1", "1024"}) {
+    SaveModel(*granite, path_);
+    WriteBundle(WithConfigText(
+        ReadBundle(), ReplaceConfigValue(granite->DescribeConfig(),
+                                         "message_passing_iterations",
+                                         value)));
+    EXPECT_NO_THROW(LoadModel(path_)) << value;
+  }
 }
 
 TEST_F(CheckpointTest, TrailingGarbageRaisesCleanError) {
@@ -435,6 +556,82 @@ TEST(ConfigSerializationTest, IthemalConfigRoundTrips) {
       ithemal::IthemalConfigFromText(ithemal::SerializeConfig(config));
   EXPECT_EQ(ithemal::SerializeConfig(parsed),
             ithemal::SerializeConfig(config));
+}
+
+// Literal SerializeConfig text: bundles store it, so key order, key
+// spelling and value formatting are part of the bundle format.
+TEST(ConfigSerializationTest, DefaultGraniteConfigText) {
+  EXPECT_EQ(core::SerializeConfig(core::GraniteConfig()),
+            "node_embedding_size=256\n"
+            "edge_embedding_size=256\n"
+            "global_embedding_size=256\n"
+            "node_update_layers=256,256\n"
+            "edge_update_layers=256,256\n"
+            "global_update_layers=256,256\n"
+            "decoder_layers=256,256\n"
+            "message_passing_iterations=8\n"
+            "use_layer_norm=1\n"
+            "use_residual=1\n"
+            "num_tasks=1\n"
+            "decoder_output_bias_init=0\n"
+            "seed=42\n");
+}
+
+TEST(ConfigSerializationTest, NonDefaultGraniteConfigText) {
+  core::GraniteConfig config = core::GraniteConfig().WithEmbeddingSize(16);
+  config.node_update_layers = {};
+  config.decoder_layers = {48, 24, 12};
+  config.message_passing_iterations = 5;
+  config.use_layer_norm = false;
+  config.use_residual = false;
+  config.num_tasks = 3;
+  config.decoder_output_bias_init = 0.1f;
+  config.seed = 18446744073709551615ull;
+  // The kernel backend is a runtime choice and is not serialized.
+  config.kernel_backend = ml::KernelBackendKind::kReference;
+  EXPECT_EQ(core::SerializeConfig(config),
+            "node_embedding_size=16\n"
+            "edge_embedding_size=16\n"
+            "global_embedding_size=16\n"
+            "node_update_layers=\n"
+            "edge_update_layers=16,16\n"
+            "global_update_layers=16,16\n"
+            "decoder_layers=48,24,12\n"
+            "message_passing_iterations=5\n"
+            "use_layer_norm=0\n"
+            "use_residual=0\n"
+            "num_tasks=3\n"
+            "decoder_output_bias_init=0.100000001\n"
+            "seed=18446744073709551615\n");
+}
+
+TEST(ConfigSerializationTest, IthemalConfigTextPerDecoder) {
+  ithemal::IthemalConfig config;
+  EXPECT_EQ(ithemal::SerializeConfig(config),
+            "embedding_size=256\n"
+            "hidden_size=256\n"
+            "decoder=dot_product\n"
+            "decoder_layers=256,256\n"
+            "decoder_layer_norm=1\n"
+            "num_tasks=1\n"
+            "decoder_output_bias_init=0\n"
+            "seed=42\n");
+  config = config.WithEmbeddingSize(12);
+  config.decoder = ithemal::DecoderKind::kMlp;
+  config.decoder_layers = {12, 6};
+  config.decoder_layer_norm = false;
+  config.num_tasks = 2;
+  config.decoder_output_bias_init = -2.5f;
+  config.seed = 5;
+  EXPECT_EQ(ithemal::SerializeConfig(config),
+            "embedding_size=12\n"
+            "hidden_size=12\n"
+            "decoder=mlp\n"
+            "decoder_layers=12,6\n"
+            "decoder_layer_norm=0\n"
+            "num_tasks=2\n"
+            "decoder_output_bias_init=-2.5\n"
+            "seed=5\n");
 }
 
 TEST(ScaledLayersTest, PreservesDepth) {

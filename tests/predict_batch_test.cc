@@ -15,6 +15,9 @@
 #include "asm/parser.h"
 #include "core/granite_model.h"
 #include "gtest/gtest.h"
+#include "ithemal/ithemal_model.h"
+#include "ithemal/tokenizer.h"
+#include "ml/kernels/kernel_backend.h"
 
 namespace granite::core {
 namespace {
@@ -115,9 +118,33 @@ int CountStaleAnswers(GenerationEchoModel& model,
 }
 
 TEST_F(PredictBatchTest, UncachedMatchesPredict) {
-  GraniteModel model(&vocabulary_, SmallConfig());
   const std::vector<const assembly::BasicBlock*> blocks = {&a_, &b_};
+  GraniteModel model(&vocabulary_, SmallConfig());
   EXPECT_EQ(model.PredictBatch(blocks, 0), model.Predict(blocks, 0));
+
+  // Every task head, on a model whose backend is not the process default.
+  GraniteConfig reference_config = SmallConfig(/*num_tasks=*/2);
+  reference_config.kernel_backend = ml::KernelBackendKind::kReference;
+  GraniteModel reference(&vocabulary_, reference_config);
+  for (int task = 0; task < 2; ++task) {
+    EXPECT_EQ(reference.PredictBatch(blocks, task),
+              reference.Predict(blocks, task));
+  }
+
+  const graph::Vocabulary ithemal_vocabulary =
+      ithemal::CreateIthemalVocabulary();
+  for (const ithemal::DecoderKind decoder :
+       {ithemal::DecoderKind::kDotProduct, ithemal::DecoderKind::kMlp}) {
+    ithemal::IthemalConfig config =
+        ithemal::IthemalConfig().WithEmbeddingSize(8);
+    config.decoder = decoder;
+    config.num_tasks = 2;
+    const ithemal::IthemalModel ithemal(&ithemal_vocabulary, config);
+    for (int task = 0; task < 2; ++task) {
+      EXPECT_EQ(ithemal.PredictBatch(blocks, task),
+                ithemal.Predict(blocks, task));
+    }
+  }
 }
 
 TEST_F(PredictBatchTest, CachedMatchesPredict) {
