@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "model/config_io.h"
 
 namespace granite::core {
 
@@ -21,53 +20,11 @@ GraniteConfig GraniteConfig::WithEmbeddingSize(int size) const {
 }
 
 std::string SerializeConfig(const GraniteConfig& config) {
-  model::ConfigMap map;
-  map.SetInt("node_embedding_size", config.node_embedding_size);
-  map.SetInt("edge_embedding_size", config.edge_embedding_size);
-  map.SetInt("global_embedding_size", config.global_embedding_size);
-  map.SetIntList("node_update_layers", config.node_update_layers);
-  map.SetIntList("edge_update_layers", config.edge_update_layers);
-  map.SetIntList("global_update_layers", config.global_update_layers);
-  map.SetIntList("decoder_layers", config.decoder_layers);
-  map.SetInt("message_passing_iterations",
-             config.message_passing_iterations);
-  map.SetBool("use_layer_norm", config.use_layer_norm);
-  map.SetBool("use_residual", config.use_residual);
-  map.SetInt("num_tasks", config.num_tasks);
-  map.SetFloat("decoder_output_bias_init", config.decoder_output_bias_init);
-  map.SetUint("seed", config.seed);
-  return map.Serialize();
+  return model::SerializeFields(config);
 }
 
 GraniteConfig GraniteConfigFromText(const std::string& text) {
-  const model::ConfigMap map = model::ConfigMap::Parse(text);
-  GraniteConfig config;
-  config.node_embedding_size = static_cast<int>(
-      map.GetInt("node_embedding_size", config.node_embedding_size));
-  config.edge_embedding_size = static_cast<int>(
-      map.GetInt("edge_embedding_size", config.edge_embedding_size));
-  config.global_embedding_size = static_cast<int>(
-      map.GetInt("global_embedding_size", config.global_embedding_size));
-  config.node_update_layers =
-      map.GetIntList("node_update_layers", config.node_update_layers);
-  config.edge_update_layers =
-      map.GetIntList("edge_update_layers", config.edge_update_layers);
-  config.global_update_layers =
-      map.GetIntList("global_update_layers", config.global_update_layers);
-  config.decoder_layers =
-      map.GetIntList("decoder_layers", config.decoder_layers);
-  config.message_passing_iterations =
-      static_cast<int>(map.GetInt("message_passing_iterations",
-                                  config.message_passing_iterations));
-  config.use_layer_norm =
-      map.GetBool("use_layer_norm", config.use_layer_norm);
-  config.use_residual = map.GetBool("use_residual", config.use_residual);
-  config.num_tasks =
-      static_cast<int>(map.GetInt("num_tasks", config.num_tasks));
-  config.decoder_output_bias_init = map.GetFloat(
-      "decoder_output_bias_init", config.decoder_output_bias_init);
-  config.seed = map.GetUint("seed", config.seed);
-  return config;
+  return model::ParseFields<GraniteConfig>(text);
 }
 
 GraniteModel::GraniteModel(std::unique_ptr<graph::Vocabulary> vocabulary,
@@ -78,9 +35,9 @@ GraniteModel::GraniteModel(std::unique_ptr<graph::Vocabulary> vocabulary,
 
 GraniteModel::GraniteModel(const graph::Vocabulary* vocabulary,
                            const GraniteConfig& config)
-    : vocabulary_(vocabulary),
+    : ThroughputPredictor(&ml::GetKernelBackend(config.kernel_backend)),
+      vocabulary_(vocabulary),
       config_(config),
-      backend_(&ml::GetKernelBackend(config.kernel_backend)),
       parameters_(std::make_unique<ml::ParameterStore>(config.seed)),
       builder_(vocabulary) {
   GRANITE_CHECK(vocabulary != nullptr);
@@ -190,7 +147,7 @@ std::vector<std::vector<double>> GraniteModel::PredictPerInstruction(
 
   // The forward pass up to the decoder, keeping the per-mnemonic-node
   // contributions instead of their per-graph sums.
-  ml::Tape tape(backend_, ml::GradMode::kNone);
+  ml::Tape tape(backend(), ml::GradMode::kNone);
   const ml::Var contributions =
       decoders_[task]->Apply(tape, MnemonicEmbeddings(tape, batch));
 
@@ -203,40 +160,12 @@ std::vector<std::vector<double>> GraniteModel::PredictPerInstruction(
   return result;
 }
 
-std::vector<double> GraniteModel::Predict(
-    const std::vector<const assembly::BasicBlock*>& blocks, int task) const {
-  GRANITE_CHECK(task >= 0 && task < config_.num_tasks);
-  ml::Tape tape(backend_, ml::GradMode::kNone);
-  const std::vector<ml::Var> predictions = Forward(tape, blocks);
-  const ml::Tensor& column = tape.value(predictions[task]);
-  std::vector<double> result(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    result[i] = column.at(static_cast<int>(i), 0);
-  }
-  return result;
-}
-
 std::vector<ml::Var> GraniteModel::ForwardGraphsOrBlocks(
     ml::Tape& tape, const std::vector<const assembly::BasicBlock*>* blocks,
     const graph::BatchedGraph* graph) const {
   GRANITE_CHECK((blocks != nullptr) != (graph != nullptr));
   return graph != nullptr ? ForwardGraphs(tape, *graph)
                           : Forward(tape, *blocks);
-}
-
-std::vector<std::vector<double>> GraniteModel::ComputeBatchAllTasks(
-    const std::vector<const assembly::BasicBlock*>& blocks) const {
-  const int num_tasks = config_.num_tasks;
-  ml::Tape tape(backend_, ml::GradMode::kNone);
-  const std::vector<ml::Var> predictions = Forward(tape, blocks);
-  std::vector<std::vector<double>> result(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    result[i].resize(num_tasks);
-    for (int t = 0; t < num_tasks; ++t) {
-      result[i][t] = tape.value(predictions[t]).at(static_cast<int>(i), 0);
-    }
-  }
-  return result;
 }
 
 std::string GraniteModel::DescribeConfig() const {

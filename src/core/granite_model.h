@@ -26,6 +26,7 @@
 #include "ml/layers.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
+#include "model/config_io.h"
 #include "model/throughput_predictor.h"
 
 namespace granite::core {
@@ -59,23 +60,52 @@ struct GraniteConfig {
   uint64_t seed = 42;
   /**
    * Kernel backend executing the tapes this model creates internally
-   * (Predict / PredictBatch / PredictPerInstruction). Forward() calls
-   * run on the caller's tape and use that tape's backend.
+   * (Predict / PredictBatch / PredictPerInstruction), resolved at
+   * construction. Forward() calls run on the caller's tape and use that
+   * tape's backend.
    */
   ml::KernelBackendKind kernel_backend = ml::KernelBackendKind::kDefault;
 
   /** Returns a proportionally scaled-down copy (for tests/benches). */
   GraniteConfig WithEmbeddingSize(int size) const;
+
+  /** The serialized fields in bundle order, with the bounds a loaded
+   * bundle must meet (model/config_io.h). kernel_backend is a runtime
+   * choice, not a model property, and is not serialized. */
+  template <typename Self, typename Visitor>
+  static void VisitFields(Self& config, Visitor& visitor) {
+    visitor.Field("node_embedding_size", config.node_embedding_size,
+                  model::kWidthRange);
+    visitor.Field("edge_embedding_size", config.edge_embedding_size,
+                  model::kWidthRange);
+    visitor.Field("global_embedding_size", config.global_embedding_size,
+                  model::kWidthRange);
+    visitor.Field("node_update_layers", config.node_update_layers,
+                  model::kWidthRange);
+    visitor.Field("edge_update_layers", config.edge_update_layers,
+                  model::kWidthRange);
+    visitor.Field("global_update_layers", config.global_update_layers,
+                  model::kWidthRange);
+    visitor.Field("decoder_layers", config.decoder_layers,
+                  model::kWidthRange);
+    visitor.Field("message_passing_iterations",
+                  config.message_passing_iterations, model::kCountRange);
+    visitor.Field("use_layer_norm", config.use_layer_norm);
+    visitor.Field("use_residual", config.use_residual);
+    visitor.Field("num_tasks", config.num_tasks, model::kCountRange);
+    visitor.Field("decoder_output_bias_init",
+                  config.decoder_output_bias_init);
+    visitor.Field("seed", config.seed);
+  }
 };
 
 /** Serializes `config` as the canonical key=value text stored in
- * checkpoint bundles (kernel_backend is a runtime choice, not a model
- * property, and is deliberately not serialized). */
+ * checkpoint bundles (model::SerializeFields). */
 std::string SerializeConfig(const GraniteConfig& config);
 
-/** Parses SerializeConfig output; unknown keys are ignored and missing
- * keys keep their defaults. Throws std::runtime_error on malformed
- * values. */
+/** Parses SerializeConfig output (model::ParseFields); unknown keys are
+ * ignored and missing keys keep their defaults. Throws
+ * std::runtime_error on malformed or out-of-bounds values. */
 GraniteConfig GraniteConfigFromText(const std::string& text);
 
 /** The GRANITE throughput estimation model. */
@@ -112,11 +142,6 @@ class GraniteModel : public model::ThroughputPredictor {
       ml::Tape& tape,
       const std::vector<const assembly::BasicBlock*>* blocks,
       const graph::BatchedGraph* graph) const override;
-
-  /** Convenience inference: predictions of one task for a block batch. */
-  std::vector<double> Predict(
-      const std::vector<const assembly::BasicBlock*>& blocks,
-      int task) const override;
 
   /** Number of GNN forward passes executed by this model (every
    * ForwardGraphs call; lets tests verify that cache hits bypass the
@@ -158,12 +183,6 @@ class GraniteModel : public model::ThroughputPredictor {
     return *vocabulary_;
   }
 
- protected:
-  /** Uncached all-task batched forward for the inherited
-   * PredictBatchAllTasks cache/dedup machinery. */
-  std::vector<std::vector<double>> ComputeBatchAllTasks(
-      const std::vector<const assembly::BasicBlock*>& blocks) const override;
-
  private:
   /** The trunk shared by ForwardGraphs and PredictPerInstruction:
    * initial embeddings, message passing, then the mnemonic nodes' rows. */
@@ -174,8 +193,6 @@ class GraniteModel : public model::ThroughputPredictor {
   std::unique_ptr<graph::Vocabulary> owned_vocabulary_;
   const graph::Vocabulary* vocabulary_;
   GraniteConfig config_;
-  /** Kernel backend for internally created tapes (config.kernel_backend). */
-  const ml::KernelBackend* backend_;
   std::unique_ptr<ml::ParameterStore> parameters_;
   graph::GraphBuilder builder_;
 

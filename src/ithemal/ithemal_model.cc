@@ -1,27 +1,12 @@
 #include "ithemal/ithemal_model.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "base/logging.h"
 #include "ithemal/tokenizer.h"
-#include "model/config_io.h"
 
 namespace granite::ithemal {
-namespace {
-
-const char* DecoderKindName(DecoderKind kind) {
-  return kind == DecoderKind::kDotProduct ? "dot_product" : "mlp";
-}
-
-DecoderKind DecoderKindFromName(const std::string& name) {
-  if (name == "dot_product") return DecoderKind::kDotProduct;
-  if (name == "mlp") return DecoderKind::kMlp;
-  throw std::runtime_error("unknown Ithemal decoder kind: '" + name + "'");
-}
-
-}  // namespace
 
 IthemalConfig IthemalConfig::WithEmbeddingSize(int size) const {
   IthemalConfig scaled = *this;
@@ -32,37 +17,11 @@ IthemalConfig IthemalConfig::WithEmbeddingSize(int size) const {
 }
 
 std::string SerializeConfig(const IthemalConfig& config) {
-  model::ConfigMap map;
-  map.SetInt("embedding_size", config.embedding_size);
-  map.SetInt("hidden_size", config.hidden_size);
-  map.SetString("decoder", DecoderKindName(config.decoder));
-  map.SetIntList("decoder_layers", config.decoder_layers);
-  map.SetBool("decoder_layer_norm", config.decoder_layer_norm);
-  map.SetInt("num_tasks", config.num_tasks);
-  map.SetFloat("decoder_output_bias_init", config.decoder_output_bias_init);
-  map.SetUint("seed", config.seed);
-  return map.Serialize();
+  return model::SerializeFields(config);
 }
 
 IthemalConfig IthemalConfigFromText(const std::string& text) {
-  const model::ConfigMap map = model::ConfigMap::Parse(text);
-  IthemalConfig config;
-  config.embedding_size =
-      static_cast<int>(map.GetInt("embedding_size", config.embedding_size));
-  config.hidden_size =
-      static_cast<int>(map.GetInt("hidden_size", config.hidden_size));
-  config.decoder = DecoderKindFromName(
-      map.GetString("decoder", DecoderKindName(config.decoder)));
-  config.decoder_layers =
-      map.GetIntList("decoder_layers", config.decoder_layers);
-  config.decoder_layer_norm =
-      map.GetBool("decoder_layer_norm", config.decoder_layer_norm);
-  config.num_tasks =
-      static_cast<int>(map.GetInt("num_tasks", config.num_tasks));
-  config.decoder_output_bias_init = map.GetFloat(
-      "decoder_output_bias_init", config.decoder_output_bias_init);
-  config.seed = map.GetUint("seed", config.seed);
-  return config;
+  return model::ParseFields<IthemalConfig>(text);
 }
 
 IthemalModel::IthemalModel(std::unique_ptr<graph::Vocabulary> vocabulary,
@@ -195,19 +154,6 @@ std::vector<ml::Var> IthemalModel::Forward(
   return predictions;
 }
 
-std::vector<double> IthemalModel::Predict(
-    const std::vector<const assembly::BasicBlock*>& blocks, int task) const {
-  GRANITE_CHECK(task >= 0 && task < config_.num_tasks);
-  ml::Tape tape(/*backend=*/nullptr, ml::GradMode::kNone);
-  const std::vector<ml::Var> predictions = Forward(tape, blocks);
-  const ml::Tensor& column = tape.value(predictions[task]);
-  std::vector<double> result(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    result[i] = column.at(static_cast<int>(i), 0);
-  }
-  return result;
-}
-
 std::vector<ml::Var> IthemalModel::ForwardGraphsOrBlocks(
     ml::Tape& tape, const std::vector<const assembly::BasicBlock*>* blocks,
     const graph::BatchedGraph* graph) const {
@@ -215,21 +161,6 @@ std::vector<ml::Var> IthemalModel::ForwardGraphsOrBlocks(
                     "IthemalModel has no graph-encoded forward path");
   GRANITE_CHECK(blocks != nullptr);
   return Forward(tape, *blocks);
-}
-
-std::vector<std::vector<double>> IthemalModel::ComputeBatchAllTasks(
-    const std::vector<const assembly::BasicBlock*>& blocks) const {
-  const int num_tasks = config_.num_tasks;
-  ml::Tape tape(/*backend=*/nullptr, ml::GradMode::kNone);
-  const std::vector<ml::Var> predictions = Forward(tape, blocks);
-  std::vector<std::vector<double>> result(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    result[i].resize(num_tasks);
-    for (int t = 0; t < num_tasks; ++t) {
-      result[i][t] = tape.value(predictions[t]).at(static_cast<int>(i), 0);
-    }
-  }
-  return result;
 }
 
 std::string IthemalModel::DescribeConfig() const {

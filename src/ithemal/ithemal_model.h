@@ -14,6 +14,7 @@
 #ifndef GRANITE_ITHEMAL_ITHEMAL_MODEL_H_
 #define GRANITE_ITHEMAL_ITHEMAL_MODEL_H_
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "ml/layers.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
+#include "model/config_io.h"
 #include "model/throughput_predictor.h"
 
 namespace granite::ithemal {
@@ -34,6 +36,10 @@ enum class DecoderKind {
   /** Ithemal+: multi-layer feed-forward ReLU decoder (paper §4). */
   kMlp,
 };
+
+/** The serialized spelling of each DecoderKind. */
+inline constexpr std::array<model::EnumName<DecoderKind>, 2> kDecoderNames =
+    {{{DecoderKind::kDotProduct, "dot_product"}, {DecoderKind::kMlp, "mlp"}}};
 
 /** Hyper-parameters of the Ithemal models. */
 struct IthemalConfig {
@@ -53,15 +59,32 @@ struct IthemalConfig {
 
   /** Returns a proportionally scaled-down copy (for tests/benches). */
   IthemalConfig WithEmbeddingSize(int size) const;
+
+  /** The serialized fields in bundle order, with the bounds a loaded
+   * bundle must meet (model/config_io.h). */
+  template <typename Self, typename Visitor>
+  static void VisitFields(Self& config, Visitor& visitor) {
+    visitor.Field("embedding_size", config.embedding_size,
+                  model::kWidthRange);
+    visitor.Field("hidden_size", config.hidden_size, model::kWidthRange);
+    visitor.Field("decoder", config.decoder, kDecoderNames);
+    visitor.Field("decoder_layers", config.decoder_layers,
+                  model::kWidthRange);
+    visitor.Field("decoder_layer_norm", config.decoder_layer_norm);
+    visitor.Field("num_tasks", config.num_tasks, model::kCountRange);
+    visitor.Field("decoder_output_bias_init",
+                  config.decoder_output_bias_init);
+    visitor.Field("seed", config.seed);
+  }
 };
 
 /** Serializes `config` as the canonical key=value text stored in
- * checkpoint bundles. */
+ * checkpoint bundles (model::SerializeFields). */
 std::string SerializeConfig(const IthemalConfig& config);
 
-/** Parses SerializeConfig output; unknown keys are ignored and missing
- * keys keep their defaults. Throws std::runtime_error on malformed
- * values. */
+/** Parses SerializeConfig output (model::ParseFields); unknown keys are
+ * ignored and missing keys keep their defaults. Throws
+ * std::runtime_error on malformed or out-of-bounds values. */
 IthemalConfig IthemalConfigFromText(const std::string& text);
 
 /** The Ithemal / Ithemal+ throughput estimation model. */
@@ -92,11 +115,6 @@ class IthemalModel : public model::ThroughputPredictor {
       const std::vector<const assembly::BasicBlock*>* blocks,
       const graph::BatchedGraph* graph) const override;
 
-  /** Convenience inference for one task. */
-  std::vector<double> Predict(
-      const std::vector<const assembly::BasicBlock*>& blocks,
-      int task) const override;
-
   int num_tasks() const override { return config_.num_tasks; }
   model::ModelKind kind() const override {
     return model::ModelKind::kIthemal;
@@ -111,13 +129,6 @@ class IthemalModel : public model::ThroughputPredictor {
   const graph::Vocabulary& vocabulary() const override {
     return *vocabulary_;
   }
-
- protected:
-  /** Uncached all-task batched forward for the inherited
-   * PredictBatchAllTasks cache/dedup machinery — the batched/cached
-   * serving path Ithemal historically lacked. */
-  std::vector<std::vector<double>> ComputeBatchAllTasks(
-      const std::vector<const assembly::BasicBlock*>& blocks) const override;
 
  private:
   /** Computes one embedding row per instruction of every block:

@@ -217,81 +217,23 @@ class BundleReader {
   std::uint64_t checksum_ = kFnvOffsetBasis;
 };
 
-// Bounds on config values parsed from a bundle: a bit-flipped but
-// parseable config must not reach the model constructors' GRANITE_CHECK
-// aborts or absurd allocations — reject it as a clean CheckpointError
-// first. (Content corruption is additionally caught by the whole-stream
-// checksum, but only after construction.)
-void CheckConfigRange(std::int64_t value, std::int64_t low,
-                      std::int64_t high, const char* what,
-                      const std::string& path) {
-  if (value < low || value > high) {
-    throw CheckpointError("corrupt checkpoint bundle (" +
-                          std::string(what) + " = " +
-                          std::to_string(value) + " outside [" +
-                          std::to_string(low) + ", " +
-                          std::to_string(high) + "]): " + path);
-  }
-}
-
-void CheckLayerList(const std::vector<int>& layers, const char* what,
-                    const std::string& path) {
-  CheckConfigRange(static_cast<std::int64_t>(layers.size()), 0, 64, what,
-                   path);
-  for (const int width : layers) {
-    CheckConfigRange(width, 1, 1 << 16, what, path);
-  }
-}
-
-void ValidateConfig(const core::GraniteConfig& config,
-                    const std::string& path) {
-  CheckConfigRange(config.node_embedding_size, 1, 1 << 16,
-                   "node_embedding_size", path);
-  CheckConfigRange(config.edge_embedding_size, 1, 1 << 16,
-                   "edge_embedding_size", path);
-  CheckConfigRange(config.global_embedding_size, 1, 1 << 16,
-                   "global_embedding_size", path);
-  CheckLayerList(config.node_update_layers, "node_update_layers", path);
-  CheckLayerList(config.edge_update_layers, "edge_update_layers", path);
-  CheckLayerList(config.global_update_layers, "global_update_layers",
-                 path);
-  CheckLayerList(config.decoder_layers, "decoder_layers", path);
-  CheckConfigRange(config.message_passing_iterations, 1, 1 << 10,
-                   "message_passing_iterations", path);
-  CheckConfigRange(config.num_tasks, 1, 1 << 10, "num_tasks", path);
-}
-
-void ValidateConfig(const ithemal::IthemalConfig& config,
-                    const std::string& path) {
-  CheckConfigRange(config.embedding_size, 1, 1 << 16, "embedding_size",
-                   path);
-  CheckConfigRange(config.hidden_size, 1, 1 << 16, "hidden_size", path);
-  CheckLayerList(config.decoder_layers, "decoder_layers", path);
-  CheckConfigRange(config.num_tasks, 1, 1 << 10, "num_tasks", path);
-}
-
 std::unique_ptr<ThroughputPredictor> ConstructModel(
     ModelKind kind, const std::string& config_text,
     std::unique_ptr<graph::Vocabulary> vocabulary, const std::string& path) {
+  // Parsing rejects a bit-flipped but parseable config (a value outside
+  // its field-list bounds) before it can reach the model constructors'
+  // checked aborts or an absurd allocation; the whole-stream checksum
+  // that also catches it is read only after construction.
   try {
     switch (kind) {
-      case ModelKind::kGranite: {
-        const core::GraniteConfig config =
-            core::GraniteConfigFromText(config_text);
-        ValidateConfig(config, path);
-        return std::make_unique<core::GraniteModel>(std::move(vocabulary),
-                                                    config);
-      }
-      case ModelKind::kIthemal: {
-        const ithemal::IthemalConfig config =
-            ithemal::IthemalConfigFromText(config_text);
-        ValidateConfig(config, path);
+      case ModelKind::kGranite:
+        return std::make_unique<core::GraniteModel>(
+            std::move(vocabulary), core::GraniteConfigFromText(config_text));
+      case ModelKind::kIthemal:
         return std::make_unique<ithemal::IthemalModel>(
-            std::move(vocabulary), config);
-      }
+            std::move(vocabulary),
+            ithemal::IthemalConfigFromText(config_text));
     }
-  } catch (const CheckpointError&) {
-    throw;
   } catch (const std::runtime_error& error) {
     throw CheckpointError("corrupt checkpoint bundle (bad config): " + path +
                           ": " + error.what());

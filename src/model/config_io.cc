@@ -46,7 +46,33 @@ std::uint64_t ParseUint(const std::string& key, const std::string& value) {
   return parsed;
 }
 
+/** Throws when `value` of `key` lies outside `range`; `unit` names what
+ * `value` counts, if anything. */
+void CheckRange(const char* key, std::int64_t value, IntRange range,
+                const char* unit = "") {
+  if (value < range.low || value > range.high) {
+    throw std::runtime_error(
+        std::string("config value ") + key + " = " + std::to_string(value) +
+        unit + " outside [" + std::to_string(range.low) + ", " +
+        std::to_string(range.high) + "]");
+  }
+}
+
 }  // namespace
+
+void FieldReader::Field(const char* key, int& value, IntRange range) {
+  const std::int64_t parsed = map_.GetInt(key, value);
+  CheckRange(key, parsed, range);
+  value = static_cast<int>(parsed);
+}
+
+void FieldReader::Field(const char* key, std::vector<int>& layers,
+                        IntRange range) {
+  layers = map_.GetIntList(key, layers);
+  CheckRange(key, static_cast<std::int64_t>(layers.size()),
+             kLayerCountRange, " widths");
+  for (const int width : layers) CheckRange(key, width, range);
+}
 
 ConfigMap ConfigMap::Parse(const std::string& text) {
   ConfigMap map;
@@ -167,7 +193,9 @@ std::vector<int> ConfigMap::GetIntList(
     const std::string item = value->substr(
         start, comma == std::string::npos ? std::string::npos
                                           : comma - start);
-    values.push_back(static_cast<int>(ParseInt(key, item)));
+    const std::int64_t parsed = ParseInt(key, item);
+    if (parsed != static_cast<int>(parsed)) ParseError(key, item, "int");
+    values.push_back(static_cast<int>(parsed));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }

@@ -7,6 +7,19 @@
 #include "uarch/measurement.h"
 
 namespace granite::model {
+namespace {
+
+/** Entry `task` of every block's all-task predictions. */
+std::vector<double> TaskColumn(
+    const std::vector<std::vector<double>>& per_block, int task) {
+  std::vector<double> column(per_block.size());
+  for (std::size_t i = 0; i < per_block.size(); ++i) {
+    column[i] = per_block[i][task];
+  }
+  return column;
+}
+
+}  // namespace
 
 std::string_view ModelKindName(ModelKind kind) {
   switch (kind) {
@@ -46,16 +59,31 @@ std::size_t ThroughputPredictor::prediction_cache_misses() const {
   return prediction_cache_.misses();
 }
 
+std::vector<std::vector<double>> ThroughputPredictor::ComputeBatchAllTasks(
+    const std::vector<const assembly::BasicBlock*>& blocks) const {
+  ml::Tape tape(backend_, ml::GradMode::kNone);
+  const std::vector<ml::Var> predictions =
+      ForwardGraphsOrBlocks(tape, &blocks, nullptr);
+  std::vector<std::vector<double>> result(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    result[i].reserve(predictions.size());
+    for (const ml::Var head : predictions) {
+      result[i].push_back(tape.value(head).at(static_cast<int>(i), 0));
+    }
+  }
+  return result;
+}
+
+std::vector<double> ThroughputPredictor::Predict(
+    const std::vector<const assembly::BasicBlock*>& blocks, int task) const {
+  GRANITE_CHECK(task >= 0 && task < num_tasks());
+  return TaskColumn(ComputeBatchAllTasks(blocks), task);
+}
+
 std::vector<double> ThroughputPredictor::PredictBatch(
     const std::vector<const assembly::BasicBlock*>& blocks, int task) const {
   GRANITE_CHECK(task >= 0 && task < num_tasks());
-  const std::vector<std::vector<double>> per_block =
-      PredictBatchAllTasks(blocks);
-  std::vector<double> result(blocks.size());
-  for (std::size_t i = 0; i < per_block.size(); ++i) {
-    result[i] = per_block[i][task];
-  }
-  return result;
+  return TaskColumn(PredictBatchAllTasks(blocks), task);
 }
 
 std::vector<std::vector<double>> ThroughputPredictor::PredictBatchAllTasks(

@@ -8,13 +8,15 @@
  * InferenceServer, the ModelRouter, the checkpoint bundles and the CLI —
  * drive any member of that family without knowing which one it holds.
  *
- * The base class also owns the serving-path machinery that used to live in
- * GraniteModel: PredictBatchAllTasks with canonical-fingerprint
- * deduplication and a self-versioning LRU prediction cache (versioned on
- * the ParameterStore generation counter, so training steps and checkpoint
- * loads invalidate it automatically). Concrete models only implement the
- * uncached batched forward (ComputeBatchAllTasks), which gives Ithemal the
- * same batched/cached all-task serving path as GRANITE for free.
+ * The base class owns every inference path. No-grad inference
+ * (ComputeBatchAllTasks, Predict) runs ForwardGraphsOrBlocks on a
+ * no-grad tape of the backend the model passed at construction.
+ * PredictBatchAllTasks adds canonical-fingerprint deduplication and a
+ * self-versioning LRU prediction cache (versioned on the ParameterStore
+ * generation counter, so training steps and checkpoint loads invalidate
+ * it automatically). A concrete model states only its architecture: the
+ * forward pass, its parameters and its config; model/config_io.h holds
+ * each config's field list, text codec and bounds.
  */
 #ifndef GRANITE_MODEL_THROUGHPUT_PREDICTOR_H_
 #define GRANITE_MODEL_THROUGHPUT_PREDICTOR_H_
@@ -76,10 +78,11 @@ class ThroughputPredictor {
       const std::vector<const assembly::BasicBlock*>* blocks,
       const graph::BatchedGraph* graph) const = 0;
 
-  /** Convenience inference: predictions of one task for a block batch. */
+  /** Convenience inference: column `task` of ComputeBatchAllTasks(blocks),
+   * uncached. */
   virtual std::vector<double> Predict(
       const std::vector<const assembly::BasicBlock*>& blocks,
-      int task) const = 0;
+      int task) const;
 
   /**
    * Batched inference with deduplication and prediction caching. Blocks
@@ -155,15 +158,27 @@ class ThroughputPredictor {
 
  protected:
   /**
+   * @param backend Executes the tapes the inference paths create;
+   *     nullptr means the process default at each tape's creation.
+   */
+  explicit ThroughputPredictor(const ml::KernelBackend* backend = nullptr)
+      : backend_(backend) {}
+
+  /** The backend of internally created tapes (nullptr: the default). */
+  const ml::KernelBackend* backend() const { return backend_; }
+
+  /**
    * Uncached batched forward pass evaluating every task head: entry i of
-   * the result holds num_tasks() predictions for blocks[i]. Called by
+   * the result holds num_tasks() predictions for blocks[i]. The default
+   * runs ForwardGraphsOrBlocks on a private no-grad tape. Called by
    * PredictBatchAllTasks outside the cache lock, possibly from several
-   * threads at once; implementations must record onto a private tape.
+   * threads at once; overrides must record onto a private tape.
    */
   virtual std::vector<std::vector<double>> ComputeBatchAllTasks(
-      const std::vector<const assembly::BasicBlock*>& blocks) const = 0;
+      const std::vector<const assembly::BasicBlock*>& blocks) const;
 
  private:
+  const ml::KernelBackend* backend_;
   /** Guards prediction_cache_ and cache_generation_. Mutable because
    * inference is const. */
   mutable std::mutex cache_mutex_;
