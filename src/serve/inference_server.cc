@@ -71,31 +71,29 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
       return false;
     }
     if (shard.queue.size() < config_.queue_capacity) break;
-    if (config_.admission_policy == AdmissionPolicy::kPriority) {
-      // Shed the youngest queued request of the lowest-priority class,
-      // but only if that class is strictly lower-priority than the
-      // incoming request (equal-priority traffic is never displaced).
-      std::size_t victim = shard.queue.size();
-      int lowest = static_cast<int>(admission);
-      for (std::size_t i = shard.queue.size(); i-- > 0;) {
-        const int cls = static_cast<int>(shard.queue[i].admission);
-        if (cls > lowest) {
-          lowest = cls;
-          victim = i;
-        }
+    // Shed the youngest queued request of the lowest-priority class, but
+    // only if that class is strictly lower-priority than the incoming
+    // request (equal-priority traffic is never displaced).
+    std::size_t victim = shard.queue.size();
+    int lowest = static_cast<int>(admission);
+    for (std::size_t i = shard.queue.size(); i-- > 0;) {
+      const int cls = static_cast<int>(shard.queue[i].admission);
+      if (cls > lowest) {
+        lowest = cls;
+        victim = i;
       }
-      if (victim < shard.queue.size()) {
-        // The victim's promise is failed only after the shard lock is
-        // released (promise consumers may run arbitrary code via wait
-        // chains).
-        victims.push_back(ShedVictim{std::move(shard.queue[victim].promise),
-                                     shard.queue[victim].admission});
-        ++shard.shed_by_class[static_cast<std::size_t>(
-            victims.back().admission)];
-        shard.queue.erase(shard.queue.begin() +
-                          static_cast<std::ptrdiff_t>(victim));
-        break;  // The eviction freed one slot for this request.
-      }
+    }
+    if (victim < shard.queue.size()) {
+      // The victim's promise is failed only after the shard lock is
+      // released (promise consumers may run arbitrary code via wait
+      // chains).
+      victims.push_back(ShedVictim{std::move(shard.queue[victim].promise),
+                                   shard.queue[victim].admission});
+      ++shard.shed_by_class[static_cast<std::size_t>(
+          victims.back().admission)];
+      shard.queue.erase(shard.queue.begin() +
+                        static_cast<std::ptrdiff_t>(victim));
+      break;  // The eviction freed one slot for this request.
     }
     if (config_.overflow_policy == OverflowPolicy::kReject) {
       ++shard.rejected;

@@ -28,11 +28,11 @@
  *
  * Backpressure: each shard's queue is bounded; when it is full, Submit()
  * either blocks until space frees up or rejects the request, per the
- * configured overflow policy. Under AdmissionPolicy::kPriority a full
- * shard first tries to shed its youngest lowest-priority queued request
- * (strictly lower-priority than the incoming class) — the shed request's
- * future fails with RequestShedError — before falling back to the
- * overflow policy. Rejection (and shutdown) is reported as an empty
+ * configured overflow policy. A full shard first tries to shed its
+ * youngest lowest-priority queued request (strictly lower-priority than
+ * the incoming class, so single-class traffic is plain FIFO) — the shed
+ * request's future fails with RequestShedError — before falling back to
+ * the overflow policy. Rejection (and shutdown) is reported as an empty
  * optional rather than an exception.
  *
  * Hot model swap: UpdateModel() atomically publishes a new set of
@@ -97,23 +97,10 @@ inline constexpr std::size_t kNumAdmissionClasses = 3;
 /** Stable lowercase name of an admission class, e.g. "interactive". */
 std::string_view AdmissionClassName(AdmissionClass admission);
 
-/** How Submit() reacts to a full shard queue. */
-enum class AdmissionPolicy {
-  /** Pure FIFO: every class queues equally; a full queue always falls
-   * through to the OverflowPolicy. The legacy (and default) behavior. */
-  kFifo,
-  /** Priority shedding: a full shard evicts its youngest queued request
-   * of the lowest priority class — only when that class is strictly
-   * lower-priority than the incoming request — failing its future with
-   * RequestShedError; if no such victim exists, the OverflowPolicy
-   * applies. Dequeue order within the queue stays FIFO. */
-  kPriority,
-};
-
 /**
  * The exception a shed request's future throws from get(): the request
- * was admitted but later evicted by a higher-priority arrival under
- * AdmissionPolicy::kPriority.
+ * was admitted but later evicted from a full shard by a higher-priority
+ * arrival.
  */
 class RequestShedError : public std::runtime_error {
  public:
@@ -148,8 +135,6 @@ struct InferenceServerConfig {
    * shard — total queued capacity is num_workers * queue_capacity. */
   std::size_t queue_capacity = 1024;
   OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-  /** What a full shard does before the overflow policy applies. */
-  AdmissionPolicy admission_policy = AdmissionPolicy::kFifo;
   /**
    * When positive, EnablePredictionCache(capacity) is called on the
    * served model at construction; 0 leaves the model's cache setting

@@ -571,7 +571,6 @@ TEST_F(InferenceServerTest, PrioritySheddingShedsLowestClassFirst) {
   config.batch_window = kNeverWindow;  // The worker cannot drain yet.
   config.queue_capacity = 2;
   config.overflow_policy = OverflowPolicy::kReject;
-  config.admission_policy = AdmissionPolicy::kPriority;
   InferenceServer server(&model, config);
 
   // Fill the one shard's queue with a best-effort and a batch request.
@@ -633,7 +632,6 @@ TEST_F(InferenceServerTest, EqualPriorityTrafficIsNeverDisplaced) {
   config.batch_window = kNeverWindow;
   config.queue_capacity = 1;
   config.overflow_policy = OverflowPolicy::kReject;
-  config.admission_policy = AdmissionPolicy::kPriority;
   InferenceServer server(&model, config);
 
   // A queued best-effort request is safe from arrivals of its own

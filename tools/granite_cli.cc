@@ -272,7 +272,6 @@ const std::vector<CommandSpec>& CommandTable() {
         {"cache", "N", "prediction cache capacity"},
         {"blocks", "N", "synthesized traffic corpus size"},
         {"seed", "N", "traffic seed"},
-        {"admission", "fifo|priority", "overload shedding order"},
         {"split", "NAME=A:B:WEIGHT", "weighted A/B split route"},
         {"shadow", "ROUTE=PATH", "mirror ROUTE to a candidate bundle"},
         {"shadow-samples", "N", "comparisons before the parity verdict"},
@@ -456,16 +455,6 @@ std::unique_ptr<granite::dataset::BlockSource> MakeCorpusSource(
       SynthesizeCorpus(static_cast<std::size_t>(num_blocks), seed));
 }
 
-/** Composes outer[inner[i]] — the index form of a split-of-a-split. */
-std::vector<std::size_t> ComposeIndices(
-    const std::vector<std::size_t>& outer,
-    const std::vector<std::size_t>& inner) {
-  std::vector<std::size_t> composed;
-  composed.reserve(inner.size());
-  for (const std::size_t index : inner) composed.push_back(outer[index]);
-  return composed;
-}
-
 /** Builds the evaluation harness around an existing predictor. */
 granite::train::TrainerConfig EvalConfig(const ThroughputPredictor& model,
                                          double target_scale) {
@@ -502,16 +491,18 @@ int RunTrain(const Flags& flags) {
                  corpus->size());
     return 2;
   }
-  // The paper's splits, as index views over the source (identical sample
-  // sequences to Dataset::SplitFraction, without materializing copies).
+  // The paper's splits, as index views over the source (no sample is
+  // copied).
   const granite::dataset::IndexSplit train_test =
       granite::dataset::SplitIndices(corpus->size(), 0.83, 1);
+  const granite::dataset::SubsetBlockSource train_part(corpus.get(),
+                                                       train_test.first);
   const granite::dataset::IndexSplit inner =
-      granite::dataset::SplitIndices(train_test.first.size(), 0.98, 2);
-  const granite::dataset::SubsetBlockSource train_source(
-      corpus.get(), ComposeIndices(train_test.first, inner.first));
+      granite::dataset::SplitIndices(train_part.size(), 0.98, 2);
+  const granite::dataset::SubsetBlockSource train_source(&train_part,
+                                                         inner.first);
   const granite::dataset::SubsetBlockSource validation_source(
-      corpus.get(), ComposeIndices(train_test.first, inner.second));
+      &train_part, inner.second);
   const granite::dataset::SubsetBlockSource test_source(
       corpus.get(), train_test.second);
 
@@ -712,17 +703,6 @@ int RunServe(const Flags& flags) {
                                                60000000)};
   server_config.prediction_cache_capacity =
       static_cast<std::size_t>(flags.GetCount("cache", 512, 0, 100000000));
-  const std::string admission = flags.GetString("admission", "fifo");
-  if (admission == "priority") {
-    server_config.admission_policy =
-        granite::serve::AdmissionPolicy::kPriority;
-  } else if (admission != "fifo") {
-    std::fprintf(stderr,
-                 "granite_cli serve: --admission must be fifo or "
-                 "priority, got '%s'\n",
-                 admission.c_str());
-    return 2;
-  }
 
   granite::serve::ModelRouter router(server_config);
   std::vector<std::pair<std::string, int>> models;  // name → num_tasks
@@ -871,17 +851,12 @@ int RunServe(const Flags& flags) {
       std::vector<std::future<double>> futures;
       for (int r = c; r < requests; r += kClients) {
         const auto& [name, num_tasks] = models[r % models.size()];
-        // Under the priority policy, spread traffic over admission
-        // classes so overload exercises the shedding order.
-        const auto admission_class =
-            server_config.admission_policy ==
-                    granite::serve::AdmissionPolicy::kPriority
-                ? static_cast<granite::serve::AdmissionClass>(
-                      r % granite::serve::kNumAdmissionClasses)
-                : granite::serve::AdmissionClass::kInteractive;
-        auto future =
-            router.Submit(name, blocks[(c * 13 + r) % blocks.size()],
-                          r % num_tasks, admission_class);
+        // Traffic spreads over the admission classes, so overload
+        // exercises the shedding order.
+        auto future = router.Submit(
+            name, blocks[(c * 13 + r) % blocks.size()], r % num_tasks,
+            static_cast<granite::serve::AdmissionClass>(
+                r % granite::serve::kNumAdmissionClasses));
         if (future.has_value()) futures.push_back(std::move(*future));
       }
       for (std::future<double>& future : futures) {
