@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 namespace granite::bench {
 namespace {
@@ -106,6 +107,15 @@ void PrintBanner(const std::string& title, const Scale& scale) {
   std::printf("==================================================================\n");
 }
 
+SplitDataset::SplitDataset(dataset::Dataset synthesized)
+    : all(std::move(synthesized)),
+      train_part(&all, dataset::SplitIndices(all.size(), 0.83, 1001).first),
+      train(&train_part,
+            dataset::SplitIndices(train_part.size(), 0.98, 1002).first),
+      validation(&train_part,
+                 dataset::SplitIndices(train_part.size(), 0.98, 1002).second),
+      test(&all, dataset::SplitIndices(all.size(), 0.83, 1001).second) {}
+
 SplitDataset MakeDataset(uarch::MeasurementTool tool, std::size_t blocks,
                          uint64_t seed) {
   dataset::SynthesisConfig synthesis;
@@ -117,14 +127,9 @@ SplitDataset MakeDataset(uarch::MeasurementTool tool, std::size_t blocks,
   // instruction mix, i.e. where the experiments of the paper
   // differentiate the models.
   synthesis.generator.family_weights = {2.0, 1.0, 1.0, 1.5, 1.0, 1.5};
-  const dataset::Dataset dataset = dataset::SynthesizeDataset(synthesis);
   // Identical split settings across all experiments isolate the impact
   // of dataset distribution (paper §4).
-  const dataset::DatasetSplit train_test = dataset.SplitFraction(0.83, 1001);
-  const dataset::DatasetSplit train_validation =
-      train_test.first.SplitFraction(0.98, 1002);
-  return SplitDataset{train_validation.first, train_validation.second,
-                      train_test.second};
+  return SplitDataset(dataset::SynthesizeDataset(synthesis));
 }
 
 train::TrainerConfig MultiTaskTrainerConfig(const Scale& scale, int steps) {
@@ -149,28 +154,30 @@ train::TrainerConfig SingleTaskTrainerConfig(const Scale& scale, int steps,
   return config;
 }
 
-double MeanScaledThroughput(const dataset::Dataset& data) {
+double MeanScaledThroughput(const dataset::BlockSource& data) {
   if (data.empty()) return 0.0;
   double total = 0.0;
-  for (const dataset::Sample& sample : data.samples()) {
-    for (const double throughput : sample.throughput) total += throughput;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    for (const double throughput : *data.Get(i).throughput) {
+      total += throughput;
+    }
   }
   return total /
          (static_cast<double>(data.size()) * uarch::kNumMicroarchitectures) /
          100.0;
 }
 
-double MeanInstructions(const dataset::Dataset& data) {
+double MeanInstructions(const dataset::BlockSource& data) {
   if (data.empty()) return 1.0;
   double total = 0.0;
-  for (const dataset::Sample& sample : data.samples()) {
-    total += static_cast<double>(sample.block.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    total += static_cast<double>(data.Get(i).block->size());
   }
   return total / static_cast<double>(data.size());
 }
 
 core::GraniteConfig GraniteBenchConfig(const Scale& scale, int num_tasks,
-                                       const dataset::Dataset& reference) {
+                                       const dataset::BlockSource& reference) {
   core::GraniteConfig config =
       core::GraniteConfig().WithEmbeddingSize(scale.embedding_size);
   config.message_passing_iterations = scale.message_passing_iterations;
@@ -183,10 +190,9 @@ core::GraniteConfig GraniteBenchConfig(const Scale& scale, int num_tasks,
   return config;
 }
 
-ithemal::IthemalConfig IthemalBenchConfig(const Scale& scale,
-                                          ithemal::DecoderKind decoder,
-                                          int num_tasks,
-                                          const dataset::Dataset& reference) {
+ithemal::IthemalConfig IthemalBenchConfig(
+    const Scale& scale, ithemal::DecoderKind decoder, int num_tasks,
+    const dataset::BlockSource& reference) {
   ithemal::IthemalConfig config =
       ithemal::IthemalConfig().WithEmbeddingSize(scale.embedding_size);
   config.decoder = decoder;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/granite_model.h"
+#include "dataset/block_source.h"
 #include "dataset/dataset.h"
 #include "ithemal/ithemal_model.h"
 #include "train/runners.h"
@@ -70,11 +71,19 @@ bool WriteMetricsJson();
 void PrintBanner(const std::string& title, const Scale& scale);
 
 /** The paper's dataset splits: 83/17 train/test, then 98/2
- * train/validation inside the training part (§4). */
+ * train/validation inside the training part (§4), as views over one
+ * owned dataset (so the object is neither copied nor moved). */
 struct SplitDataset {
-  dataset::Dataset train;
-  dataset::Dataset validation;
-  dataset::Dataset test;
+  explicit SplitDataset(dataset::Dataset synthesized);
+  SplitDataset(const SplitDataset&) = delete;
+  SplitDataset& operator=(const SplitDataset&) = delete;
+
+  const dataset::Dataset all;
+  /** The 83% training part, which train and validation split. */
+  const dataset::SubsetBlockSource train_part;
+  const dataset::SubsetBlockSource train;
+  const dataset::SubsetBlockSource validation;
+  const dataset::SubsetBlockSource test;
 };
 
 /** Synthesizes and splits a dataset measured with `tool`. */
@@ -95,20 +104,19 @@ train::TrainerConfig SingleTaskTrainerConfig(const Scale& scale, int steps,
  * scaled-down step counts.
  */
 core::GraniteConfig GraniteBenchConfig(const Scale& scale, int num_tasks,
-                                       const dataset::Dataset& reference);
+                                       const dataset::BlockSource& reference);
 
 /** Ithemal / Ithemal+ hyper-parameters at bench scale. */
-ithemal::IthemalConfig IthemalBenchConfig(const Scale& scale,
-                                          ithemal::DecoderKind decoder,
-                                          int num_tasks,
-                                          const dataset::Dataset& reference);
+ithemal::IthemalConfig IthemalBenchConfig(
+    const Scale& scale, ithemal::DecoderKind decoder, int num_tasks,
+    const dataset::BlockSource& reference);
 
 /** Mean throughput of `data` over all microarchitectures, divided by the
  * bench target scale (100). */
-double MeanScaledThroughput(const dataset::Dataset& data);
+double MeanScaledThroughput(const dataset::BlockSource& data);
 
 /** Mean instruction count per block. */
-double MeanInstructions(const dataset::Dataset& data);
+double MeanInstructions(const dataset::BlockSource& data);
 
 /** Formats 0.0667 as "6.67%". */
 std::string Percent(double fraction);

@@ -9,6 +9,7 @@
  */
 #include <cstdio>
 
+#include "dataset/block_source.h"
 #include "dataset/dataset.h"
 #include "model/checkpoint.h"
 #include "train/runners.h"
@@ -21,9 +22,16 @@ int main() {
   synthesis.num_blocks = 1000;
   synthesis.seed = 11;
   const dataset::Dataset dataset = dataset::SynthesizeDataset(synthesis);
-  const dataset::DatasetSplit train_test = dataset.SplitFraction(0.83, 1);
-  const dataset::DatasetSplit train_validation =
-      train_test.first.SplitFraction(0.98, 2);
+  const dataset::IndexSplit train_test =
+      dataset::SplitIndices(dataset.size(), 0.83, 1);
+  const dataset::SubsetBlockSource train_part(&dataset, train_test.first);
+  const dataset::SubsetBlockSource test(&dataset, train_test.second);
+  const dataset::IndexSplit train_validation =
+      dataset::SplitIndices(train_part.size(), 0.98, 2);
+  const dataset::SubsetBlockSource train(&train_part,
+                                         train_validation.first);
+  const dataset::SubsetBlockSource validation(&train_part,
+                                              train_validation.second);
 
   core::GraniteConfig model_config =
       core::GraniteConfig().WithEmbeddingSize(24);
@@ -45,7 +53,7 @@ int main() {
   train::TrainerConfig single_trainer = trainer_config;
   single_trainer.tasks = {uarch::Microarchitecture::kIvyBridge};
   train::ModelRunner single_task(single_config, single_trainer);
-  single_task.Train(train_validation.first, train_validation.second);
+  single_task.Train(train, validation);
 
   // ---- Multi-task model ---------------------------------------------------
   std::printf("training a multi-task model (all three "
@@ -57,20 +65,20 @@ int main() {
                          uarch::Microarchitecture::kHaswell,
                          uarch::Microarchitecture::kSkylake};
   train::ModelRunner multi_task(multi_config, multi_trainer);
-  multi_task.Train(train_validation.first, train_validation.second);
+  multi_task.Train(train, validation);
 
   std::printf("\nheld-out MAPE:\n");
   std::printf("  %-11s single-task %.2f%%  multi-task %.2f%%\n",
               "Ivy Bridge",
-              single_task.Evaluate(train_test.second, 0).mape * 100.0,
-              multi_task.Evaluate(train_test.second, 0).mape * 100.0);
+              single_task.Evaluate(test, 0).mape * 100.0,
+              multi_task.Evaluate(test, 0).mape * 100.0);
   for (int task = 1; task < 3; ++task) {
     const auto microarchitecture =
         static_cast<uarch::Microarchitecture>(task);
     std::printf("  %-11s %-11s %.2f%%  (multi-task head)\n",
                 std::string(MicroarchitectureName(microarchitecture))
                     .c_str(),
-                "", multi_task.Evaluate(train_test.second, task).mape * 100.0);
+                "", multi_task.Evaluate(test, task).mape * 100.0);
   }
   std::printf("\nThe multi-task model predicts all three "
               "microarchitectures for one-third the per-uarch training "
@@ -83,8 +91,8 @@ int main() {
               path.c_str());
   train::ModelRunner reloaded(model::LoadModel(path), multi_trainer);
   const double original =
-      multi_task.Evaluate(train_test.second, 0).mape;
-  const double restored = reloaded.Evaluate(train_test.second, 0).mape;
+      multi_task.Evaluate(test, 0).mape;
+  const double restored = reloaded.Evaluate(test, 0).mape;
   std::printf("MAPE before save %.4f, after reload %.4f (identical: %s)\n",
               original, restored, original == restored ? "yes" : "no");
   return 0;

@@ -13,6 +13,7 @@
 
 #include "asm/parser.h"
 #include "core/granite_model.h"
+#include "dataset/block_source.h"
 #include "dataset/dataset.h"
 #include "graph/graph_builder.h"
 #include "train/runners.h"
@@ -66,7 +67,10 @@ int main() {
   synthesis.num_blocks = 600;
   synthesis.seed = 7;
   const dataset::Dataset dataset = dataset::SynthesizeDataset(synthesis);
-  const dataset::DatasetSplit split = dataset.SplitFraction(0.83, 1);
+  const dataset::IndexSplit split =
+      dataset::SplitIndices(dataset.size(), 0.83, 1);
+  const dataset::SubsetBlockSource train(&dataset, split.first);
+  const dataset::SubsetBlockSource test(&dataset, split.second);
 
   core::GraniteConfig model_config =
       core::GraniteConfig().WithEmbeddingSize(24);
@@ -84,14 +88,14 @@ int main() {
                           uarch::Microarchitecture::kHaswell,
                           uarch::Microarchitecture::kSkylake};
   train::ModelRunner runner(model_config, trainer_config);
-  runner.Train(split.first, dataset::Dataset());
+  runner.Train(train, dataset::Dataset());
 
   // ---- 4. Evaluate and predict -------------------------------------------
   std::printf("\nHeld-out accuracy (MAPE):");
   for (const uarch::Microarchitecture microarchitecture :
        uarch::AllMicroarchitectures()) {
-    const auto result = runner.Evaluate(
-        split.second, static_cast<int>(microarchitecture));
+    const auto result =
+        runner.Evaluate(test, static_cast<int>(microarchitecture));
     std::printf("  %s: %.1f%%",
                 std::string(MicroarchitectureName(microarchitecture)).c_str(),
                 result.mape * 100.0);

@@ -19,6 +19,7 @@
 
 #include "base/statistics.h"
 #include "core/granite_model.h"
+#include "dataset/block_source.h"
 #include "dataset/dataset.h"
 #include "model/checkpoint.h"
 #include "serve/inference_server.h"
@@ -41,7 +42,7 @@ granite::core::GraniteConfig DemoModelConfig(double mean_target,
 
 /** Trains `model` in place for `steps` steps. */
 void Train(granite::model::ThroughputPredictor& model,
-           const granite::dataset::Dataset& data, int steps) {
+           const granite::dataset::BlockSource& data, int steps) {
   granite::train::TrainerConfig config;
   config.num_steps = steps;
   config.batch_size = 16;
@@ -68,9 +69,11 @@ int main() {
   synthesis.seed = 21;
   granite::dataset::Dataset data =
       granite::dataset::SynthesizeDataset(synthesis);
-  const auto split = data.SplitFraction(0.8, 3);
+  const granite::dataset::IndexSplit split =
+      granite::dataset::SplitIndices(data.size(), 0.8, 3);
+  const granite::dataset::SubsetBlockSource train_set(&data, split.first);
   const double mean_target =
-      granite::Mean(split.first.Throughputs(
+      granite::Mean(train_set.Throughputs(
           granite::uarch::Microarchitecture::kIvyBridge)) /
       100.0;
 
@@ -80,8 +83,8 @@ int main() {
       DemoModelConfig(mean_target, 6.0);
   granite::core::GraniteModel trained(&vocabulary, model_config);
   std::printf("training a %zu-weight model on %zu blocks...\n",
-              trained.parameters().TotalWeights(), split.first.size());
-  Train(trained, split.first, 120);
+              trained.parameters().TotalWeights(), train_set.size());
+  Train(trained, train_set, 120);
 
   // Export the trained model as a checkpoint bundle and reload it — the
   // serving process needs only the artifact path, exactly like a
@@ -109,8 +112,10 @@ int main() {
 
   // Four clients issue requests for a hot set of blocks — the repeats a
   // BHive-style corpus would produce.
-  const std::vector<const granite::assembly::BasicBlock*> hot_set =
-      split.second.Blocks();
+  std::vector<const granite::assembly::BasicBlock*> hot_set;
+  for (const std::size_t index : split.second) {
+    hot_set.push_back(&data[index].block);
+  }
   constexpr int kClients = 4;
   constexpr int kRequestsPerClient = 1500;
   std::printf("serving %d requests from %d client threads...\n\n",
@@ -135,7 +140,7 @@ int main() {
   // stale answer survives.
   granite::core::GraniteModel improved(&vocabulary, model_config);
   improved.parameters().CopyValuesFrom(trained.parameters());
-  Train(improved, split.first, 60);
+  Train(improved, train_set, 60);
   server.UpdateModel(improved.parameters());
   std::printf("hot-swapped retrained parameters mid-traffic\n\n");
 

@@ -46,20 +46,6 @@ SampleView Dataset::Get(std::size_t index) const {
   return SampleView{&sample.block, &sample.throughput, nullptr};
 }
 
-DatasetSplit Dataset::SplitFraction(double first_fraction,
-                                    uint64_t seed) const {
-  const IndexSplit split = SplitIndices(size(), first_fraction, seed);
-  const auto copy = [this](const std::vector<std::size_t>& indices) {
-    std::vector<Sample> samples;
-    samples.reserve(indices.size());
-    for (const std::size_t index : indices) {
-      samples.push_back(samples_[index]);
-    }
-    return Dataset(std::move(samples));
-  };
-  return DatasetSplit{copy(split.first), copy(split.second)};
-}
-
 std::vector<const assembly::BasicBlock*> Dataset::Blocks() const {
   std::vector<const assembly::BasicBlock*> blocks;
   blocks.reserve(samples_.size());

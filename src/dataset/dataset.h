@@ -81,17 +81,14 @@ struct IndexSplit {
 };
 
 /**
- * Splits [0, size) into (`first_fraction`, rest) by a seeded shuffle.
- * Dataset::SplitFraction copies samples along these lists; a
- * SubsetBlockSource views them without copying.
+ * Splits [0, size) into (`first_fraction`, rest) by a seeded shuffle; a
+ * SubsetBlockSource views either list without copying. The paper uses
+ * 0.83 for train/test and 0.98 for train/validation.
  */
 IndexSplit SplitIndices(std::size_t size, double first_fraction,
                         uint64_t seed);
 
-struct DatasetSplit;
-
-/** An immutable, fully materialized list of samples with split
- * helpers. */
+/** An immutable, fully materialized list of samples. */
 class Dataset : public BlockSource {
  public:
   Dataset() = default;
@@ -102,24 +99,11 @@ class Dataset : public BlockSource {
   SampleView Get(std::size_t index) const override;
   const Sample& operator[](std::size_t index) const;
 
-  /**
-   * Deterministically splits into (`first_fraction`, rest) along
-   * SplitIndices(size(), first_fraction, seed). The paper uses 0.83 for
-   * train/test and 0.98 for train/validation.
-   */
-  DatasetSplit SplitFraction(double first_fraction, uint64_t seed) const;
-
   /** Pointers to all blocks, e.g. for whole-dataset inference. */
   std::vector<const assembly::BasicBlock*> Blocks() const;
 
  private:
   std::vector<Sample> samples_;
-};
-
-/** The result of a two-way dataset split. */
-struct DatasetSplit {
-  Dataset first;
-  Dataset second;
 };
 
 /** Configuration of dataset synthesis. */

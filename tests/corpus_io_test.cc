@@ -228,24 +228,6 @@ TEST_F(CorpusIoTest, StreamingSynthesisRoundTripsThroughFile) {
   }
 }
 
-TEST_F(CorpusIoTest, SplitIndicesMatchesSplitFraction) {
-  const Dataset data = TinyDataset(60);
-  const DatasetSplit copied = data.SplitFraction(0.83, 9);
-  const IndexSplit indices = SplitIndices(data.size(), 0.83, 9);
-  const SubsetBlockSource first(&data, indices.first);
-  const SubsetBlockSource second(&data, indices.second);
-  ASSERT_EQ(first.size(), copied.first.size());
-  ASSERT_EQ(second.size(), copied.second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(copied.first[i].block.ToString(),
-              first.Get(i).block->ToString());
-  }
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    EXPECT_EQ(copied.second[i].block.ToString(),
-              second.Get(i).block->ToString());
-  }
-}
-
 TEST_F(CorpusIoTest, EmptyCorpusRoundTrips) {
   SaveCorpus(Dataset(), path_, uarch::MeasurementTool::kIthemalTool, 0);
   EXPECT_EQ(ReadCorpusHeader(path_).num_blocks, 0u);

@@ -2,6 +2,8 @@
  * @file
  * Tests of dataset synthesis, splits and batching.
  */
+#include <algorithm>
+#include <numeric>
 #include <set>
 
 #include "gtest/gtest.h"
@@ -62,43 +64,32 @@ TEST(SynthesizeDatasetTest, UarchLabelsDiffer) {
 }
 
 TEST(SplitTest, FractionsRespected) {
-  const Dataset dataset = SynthesizeDataset(SmallConfig(200));
-  const DatasetSplit split = dataset.SplitFraction(0.83, 1);
+  const IndexSplit split = SplitIndices(200, 0.83, 1);
   EXPECT_EQ(split.first.size(), 166u);
   EXPECT_EQ(split.second.size(), 34u);
 }
 
 TEST(SplitTest, DeterministicAndDisjoint) {
-  const Dataset dataset = SynthesizeDataset(SmallConfig(100));
-  const DatasetSplit a = dataset.SplitFraction(0.8, 7);
-  const DatasetSplit b = dataset.SplitFraction(0.8, 7);
-  ASSERT_EQ(a.first.size(), b.first.size());
-  for (std::size_t i = 0; i < a.first.size(); ++i) {
-    EXPECT_EQ(a.first[i].block.ToString(), b.first[i].block.ToString());
-  }
-  // Disjoint and exhaustive.
-  std::set<std::string> first_blocks;
-  for (const Sample& sample : a.first.samples()) {
-    first_blocks.insert(sample.block.ToString());
-  }
-  for (const Sample& sample : a.second.samples()) {
-    EXPECT_EQ(first_blocks.count(sample.block.ToString()), 0u);
-  }
-  EXPECT_EQ(a.first.size() + a.second.size(), dataset.size());
+  const IndexSplit a = SplitIndices(100, 0.8, 7);
+  const IndexSplit b = SplitIndices(100, 0.8, 7);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
+  // Disjoint and exhaustive: every index of [0, 100) lands in exactly
+  // one part.
+  std::vector<std::size_t> all = a.first;
+  all.insert(all.end(), a.second.begin(), a.second.end());
+  std::sort(all.begin(), all.end());
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(all, expected);
 }
 
 TEST(SplitTest, DifferentSeedsShuffleDifferently) {
-  const Dataset dataset = SynthesizeDataset(SmallConfig(100));
-  const DatasetSplit a = dataset.SplitFraction(0.5, 1);
-  const DatasetSplit b = dataset.SplitFraction(0.5, 2);
+  const IndexSplit a = SplitIndices(100, 0.5, 1);
+  const IndexSplit b = SplitIndices(100, 0.5, 2);
+  const std::set<std::size_t> a_first(a.first.begin(), a.first.end());
   int common = 0;
-  std::set<std::string> a_blocks;
-  for (const Sample& sample : a.first.samples()) {
-    a_blocks.insert(sample.block.ToString());
-  }
-  for (const Sample& sample : b.first.samples()) {
-    if (a_blocks.count(sample.block.ToString())) ++common;
-  }
+  for (const std::size_t index : b.first) common += a_first.count(index);
   EXPECT_LT(common, 40);  // ~25 expected by chance out of 50.
 }
 

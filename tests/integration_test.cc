@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "base/statistics.h"
 #include "core/granite_model.h"
+#include "dataset/block_source.h"
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
 #include "model/checkpoint.h"
@@ -23,9 +24,16 @@ TEST(IntegrationTest, GraniteGeneralizesToHeldOutBlocks) {
   synthesis.seed = 21;
   synthesis.generator.max_instructions = 8;
   const dataset::Dataset dataset = dataset::SynthesizeDataset(synthesis);
-  const dataset::DatasetSplit train_test = dataset.SplitFraction(0.83, 1);
-  const dataset::DatasetSplit train_validation =
-      train_test.first.SplitFraction(0.98, 2);
+  const dataset::IndexSplit train_test =
+      dataset::SplitIndices(dataset.size(), 0.83, 1);
+  const dataset::SubsetBlockSource train_part(&dataset, train_test.first);
+  const dataset::SubsetBlockSource test(&dataset, train_test.second);
+  const dataset::IndexSplit train_validation =
+      dataset::SplitIndices(train_part.size(), 0.98, 2);
+  const dataset::SubsetBlockSource train(&train_part,
+                                         train_validation.first);
+  const dataset::SubsetBlockSource validation(&train_part,
+                                              train_validation.second);
 
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteConfig model_config =
@@ -49,15 +57,14 @@ TEST(IntegrationTest, GraniteGeneralizesToHeldOutBlocks) {
         return model.Forward(tape, blocks);
       },
       &model.parameters(), config);
-  trainer.Train(train_validation.first, train_validation.second);
+  trainer.Train(train, validation);
 
-  const EvaluationResult result =
-      trainer.EvaluateTask(train_test.second, 0);
+  const EvaluationResult result = trainer.EvaluateTask(test, 0);
   // At miniature scale we cannot reach the paper's 6.9% MAPE, but the
   // model must clearly generalize: better than a predict-the-mean
   // baseline and strongly rank-correlated.
   const std::vector<double> actual =
-      train_test.second.Throughputs(uarch::Microarchitecture::kIvyBridge);
+      test.Throughputs(uarch::Microarchitecture::kIvyBridge);
   const double mean = Mean(actual);
   const double mean_baseline_mape = MeanAbsolutePercentageError(
       actual, std::vector<double>(actual.size(), mean));
@@ -84,10 +91,12 @@ TEST(IntegrationTest, CrossToolEvaluationDegradesAccuracy) {
   synthesis.tool = uarch::MeasurementTool::kIthemalTool;
   const dataset::Dataset ithemal_style =
       dataset::SynthesizeDataset(synthesis);
-  const dataset::DatasetSplit split = ithemal_style.SplitFraction(0.83, 4);
+  const dataset::IndexSplit split =
+      dataset::SplitIndices(ithemal_style.size(), 0.83, 4);
+  const dataset::SubsetBlockSource train(&ithemal_style, split.first);
+  const dataset::SubsetBlockSource test(&ithemal_style, split.second);
   const dataset::Dataset bhive_test =
-      dataset::RelabelDataset(split.second,
-                              uarch::MeasurementTool::kBHiveTool);
+      dataset::RelabelDataset(test, uarch::MeasurementTool::kBHiveTool);
 
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteConfig model_config =
@@ -106,9 +115,9 @@ TEST(IntegrationTest, CrossToolEvaluationDegradesAccuracy) {
         return model.Forward(tape, blocks);
       },
       &model.parameters(), config);
-  trainer.Train(split.first, dataset::Dataset());
+  trainer.Train(train, dataset::Dataset());
 
-  const double same_tool_mape = trainer.EvaluateTask(split.second, 0).mape;
+  const double same_tool_mape = trainer.EvaluateTask(test, 0).mape;
   const double cross_tool_mape = trainer.EvaluateTask(bhive_test, 0).mape;
   EXPECT_GT(cross_tool_mape, same_tool_mape);
 }

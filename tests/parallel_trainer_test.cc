@@ -240,7 +240,10 @@ TEST(ParallelTrainerTest, ValidationGraphPathMatchesBlockPath) {
 
 TEST(ParallelTrainerTest, ValidationAndCheckpointingWorkWithWorkers) {
   const dataset::Dataset data = TinyDataset(32);
-  const auto split = data.SplitFraction(0.75, 3);
+  const dataset::IndexSplit split =
+      dataset::SplitIndices(data.size(), 0.75, 3);
+  const dataset::SubsetBlockSource train(&data, split.first);
+  const dataset::SubsetBlockSource validation(&data, split.second);
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteModel model(&vocabulary, TinyGraniteConfig());
   TrainerConfig config = FastConfig(60);
@@ -248,7 +251,7 @@ TEST(ParallelTrainerTest, ValidationAndCheckpointingWorkWithWorkers) {
   config.prefetch = true;
   config.validation_every = 20;
   Trainer trainer(GraniteForward(model), &model.parameters(), config);
-  const TrainingResult result = trainer.Train(split.first, split.second);
+  const TrainingResult result = trainer.Train(train, validation);
   EXPECT_GT(result.best_step, 0);
   EXPECT_GT(result.best_validation_mape, 0.0);
 }

@@ -7,6 +7,7 @@
 
 #include "gtest/gtest.h"
 #include "core/granite_model.h"
+#include "dataset/block_source.h"
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
 #include "train/trainer.h"
@@ -105,17 +106,20 @@ TEST(TrainerTest, MultiTaskTrainingImprovesAllHeads) {
 
 TEST(TrainerTest, ValidationCheckpointSelection) {
   const dataset::Dataset data = TinyDataset(30);
-  const dataset::DatasetSplit split = data.SplitFraction(0.8, 3);
+  const dataset::IndexSplit split =
+      dataset::SplitIndices(data.size(), 0.8, 3);
+  const dataset::SubsetBlockSource train(&data, split.first);
+  const dataset::SubsetBlockSource validation(&data, split.second);
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteModel model(&vocabulary, TinyGraniteConfig());
   TrainerConfig config = FastConfig(120);
   config.validation_every = 30;
   Trainer trainer(GraniteForward(model), &model.parameters(), config);
-  const TrainingResult result = trainer.Train(split.first, split.second);
+  const TrainingResult result = trainer.Train(train, validation);
   EXPECT_GT(result.best_step, 0);
   EXPECT_GT(result.best_validation_mape, 0.0);
   // The restored checkpoint reproduces the best validation MAPE.
-  double validation_mape = trainer.EvaluateTask(split.second, 0).mape;
+  double validation_mape = trainer.EvaluateTask(validation, 0).mape;
   EXPECT_NEAR(validation_mape, result.best_validation_mape, 1e-6);
 }
 
