@@ -559,6 +559,27 @@ class RmwSplitTransform : public Transform {
   }
 };
 
+/** Renames `from` to `to` in the base and index of a memory or address
+ * operand; true when either changed. */
+bool RenameAddressRegister(Operand& operand, Register from, Register to) {
+  MemoryReference address = operand.mem();
+  bool changed = false;
+  if (address.base == from) {
+    address.base = to;
+    changed = true;
+  }
+  if (address.index == from) {
+    address.index = to;
+    changed = true;
+  }
+  if (changed) {
+    operand = operand.kind() == OperandKind::kMemory
+                  ? Operand::Mem(address, operand.width_bits())
+                  : Operand::Addr(address);
+  }
+  return changed;
+}
+
 /** MOV t, x; <instr reading t> → <instr reading x> when the copy's
  * destination dies with that single use — adjacent-pair copy
  * propagation. */
@@ -608,25 +629,11 @@ class CopyEliminateTransform : public Transform {
             }
             break;
           case OperandKind::kMemory:
-          case OperandKind::kAddress: {
-            MemoryReference address = operand.mem();
-            bool changed = false;
-            if (address.base == temp) {
-              address.base = source;
-              changed = true;
-            }
-            if (address.index == temp) {
-              address.index = source;
-              changed = true;
-            }
-            if (changed) {
-              operand = operand.kind() == OperandKind::kMemory
-                            ? Operand::Mem(address, operand.width_bits())
-                            : Operand::Addr(address);
+          case OperandKind::kAddress:
+            if (RenameAddressRegister(operand, temp, source)) {
               substituted = true;
             }
             break;
-          }
           case OperandKind::kImmediate:
           case OperandKind::kFpImmediate:
             break;
@@ -712,6 +719,9 @@ class CopyInsertTransform : public Transform {
         const int width = assembly::GetRegisterInfo(source).width_bits;
         const Register temp =
             assembly::SubRegister(scratch.front(), width);
+        // Every occurrence of `source` is renamed, address components
+        // included: the WritesRegister skip above means the instruction
+        // only reads `source`, so each occurrence reads the copy's value.
         Instruction rewritten = instruction;
         for (Operand& operand : rewritten.operands) {
           if (operand.kind() == OperandKind::kRegister &&
@@ -719,27 +729,9 @@ class CopyInsertTransform : public Transform {
             operand = Operand::Reg(temp);
           } else if (operand.kind() == OperandKind::kMemory ||
                      operand.kind() == OperandKind::kAddress) {
-            MemoryReference address = operand.mem();
-            bool changed = false;
-            if (address.base == source) {
-              address.base = temp;
-              changed = true;
-            }
-            if (address.index == source) {
-              address.index = temp;
-              changed = true;
-            }
-            if (changed) {
-              operand = operand.kind() == OperandKind::kMemory
-                            ? Operand::Mem(address, operand.width_bits())
-                            : Operand::Addr(address);
-            }
+            RenameAddressRegister(operand, source, temp);
           }
         }
-        // Re-check: the rewritten instruction must no longer read the
-        // source through the rewritten occurrences only if every read
-        // occurrence was the pure-read id we renamed; RW occurrences
-        // were excluded above.
         Emit(out, block, {i},
              {MakeInstruction("MOV",
                               {Operand::Reg(temp), Operand::Reg(source)}),

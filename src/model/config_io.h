@@ -147,8 +147,8 @@ class FieldWriter {
  * Parses a config through its field list (see FieldWriter). A missing
  * key keeps the member's value; a malformed value, an unknown enum name
  * or an int or layer list outside its bounds (a width count outside
- * kLayerCountRange, or a width outside `range`) throws std::runtime_error naming
- * the key.
+ * kLayerCountRange, or a width outside `range`) throws
+ * std::runtime_error naming the key.
  */
 class FieldReader {
  public:
