@@ -20,10 +20,10 @@
  * (see FieldWriter); SerializeFields and ParseFields derive the text
  * codec and the bounds check from it, so a new field is one line.
  *
- * Threading contract: ConfigMap is a plain value type with no internal
- * synchronization — confine an instance to one thread or share it
- * read-only; the free (de)serialization helpers are pure functions and
- * safe to call concurrently.
+ * Threading contract: ConfigMap, FieldWriter and FieldReader are plain
+ * value types with no internal synchronization — confine an instance to
+ * one thread or share it read-only; the free (de)serialization helpers
+ * are pure functions and safe to call concurrently.
  */
 #ifndef GRANITE_MODEL_CONFIG_IO_H_
 #define GRANITE_MODEL_CONFIG_IO_H_
