@@ -19,7 +19,9 @@
  * block set, LRU cache on), where hit rate, not batching, dominates. A
  * third table sweeps the shard count (per-worker request queues) with
  * the offered load re-calibrated per point, reporting the 1->4 shard
- * scaling ratio.
+ * scaling ratio. A last table prices one uncached forward per block at
+ * batch 1 and at batch 16, run the way a server worker runs it, which is
+ * the fixed per-forward cost the batching window exists to amortize.
  */
 #include <algorithm>
 #include <chrono>
@@ -35,6 +37,7 @@
 #include "bench_common.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
+#include "ml/forward_arena.h"
 #include "serve/inference_server.h"
 
 namespace {
@@ -149,6 +152,40 @@ std::vector<SweepRow> Sweep() {
     rows.push_back(row);
   }
   return rows;
+}
+
+/**
+ * Process CPU microseconds per block of uncached PredictBatchAllTasks
+ * calls of `batch` blocks each, over `num_blocks` blocks in all. Runs on
+ * a thread of its own inside a ForwardArenaScope, as an InferenceServer
+ * worker does; one warm-up pass sizes the arena first. The calling
+ * thread only waits, so process CPU is the forward's CPU.
+ */
+double ForwardUsPerBlock(
+    const granite::core::GraniteModel& model,
+    const std::vector<granite::assembly::BasicBlock>& blocks, int batch,
+    int num_blocks) {
+  const int forwards = num_blocks / batch;
+  double us_per_block = 0.0;
+  std::thread worker([&] {
+    granite::ml::ForwardArenaScope arena;
+    std::vector<const granite::assembly::BasicBlock*> batch_blocks(batch);
+    const auto run = [&](int forward) {
+      for (int i = 0; i < batch; ++i) {
+        batch_blocks[i] = &blocks[(forward * batch + i) % blocks.size()];
+      }
+      model.PredictBatchAllTasks(batch_blocks);
+    };
+    for (int forward = 0; forward < forwards; ++forward) run(forward);
+    const granite::base::CpuUsage before = granite::base::ProcessCpuUsage();
+    for (int forward = 0; forward < forwards; ++forward) run(forward);
+    const granite::base::CpuUsage used =
+        granite::base::ProcessCpuUsage() - before;
+    us_per_block = 1e6 * (used.user_s + used.sys_s) /
+                   static_cast<double>(forwards * batch);
+  });
+  worker.join();
+  return us_per_block;
 }
 
 }  // namespace
@@ -326,6 +363,28 @@ int main(int argc, char** argv) {
               "(advisory target >= 1.7x on multi-core; 1-core CI "
               "runners may land lower)\n",
               shard_scaling);
+
+  // Forward phase: what one uncached forward costs per block at batch 1
+  // and at batch 16 on a worker thread. The difference is the fixed
+  // per-forward cost that batching spreads over the batch.
+  std::printf("\n-- uncached forward cost per block (one worker thread, "
+              "cold blocks) --\n");
+  const granite::core::GraniteModel forward_model(&vocabulary, model_config);
+  const int forward_blocks = quick ? 1024 : 4096;
+  double batch1_us = 0.0;
+  for (const int batch : {1, 16}) {
+    const double us = ForwardUsPerBlock(forward_model, unique_blocks, batch,
+                                        forward_blocks);
+    std::printf("batch=%-3d %8.2f us/block\n", batch, us);
+    granite::bench::RecordMetric(
+        "serving.forward_us_per_block.batch" + std::to_string(batch), us);
+    if (batch == 1) {
+      batch1_us = us;
+    } else {
+      std::printf("batch-1 / batch-%d per-block cost: %.2fx\n", batch,
+                  batch1_us / us);
+    }
+  }
 
   granite::bench::WriteMetricsJson();
   return 0;

@@ -201,8 +201,10 @@ void KernelBackend::LayerNormForward(const Tensor& x, const Tensor& gain,
   GRANITE_CHECK_EQ(gain.cols(), x.cols());
   GRANITE_CHECK_EQ(bias.cols(), x.cols());
   CheckSameShape(x, out);
-  CheckSameShape(x, normalized);
-  GRANITE_CHECK_EQ(inv_stddev.size(), static_cast<std::size_t>(x.rows()));
+  if (!normalized.empty() || !inv_stddev.empty()) {
+    CheckSameShape(x, normalized);
+    GRANITE_CHECK_EQ(inv_stddev.size(), static_cast<std::size_t>(x.rows()));
+  }
   DoLayerNormForward(x, gain, bias, epsilon, out, normalized, inv_stddev);
 }
 

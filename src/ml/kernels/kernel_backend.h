@@ -40,6 +40,14 @@
  * `Accumulate*` methods add into it. Outputs must be preallocated with
  * the documented shape; shapes are validated once here (non-virtual
  * interface), so backend implementations can stay check-free and tight.
+ *
+ * A kernel that "writes `out` through" (the `*Into` kernels, LinearBias,
+ * BinaryPointwise, UnaryForward and LayerNormForward) assigns every
+ * element of its output before any read of it, in every backend and ISA
+ * copy. Its output may therefore start uninitialized: inference tapes
+ * hand these kernels unfilled arena memory (ml/forward_arena.h), and a
+ * new backend must keep the rule. The accumulating kernels need a
+ * zero-filled output to compute a plain product, gather or sum.
  */
 #ifndef GRANITE_ML_KERNELS_KERNEL_BACKEND_H_
 #define GRANITE_ML_KERNELS_KERNEL_BACKEND_H_
@@ -91,13 +99,15 @@ class KernelBackend {
   void MatMulTransposeBAcc(const Tensor& a, const Tensor& b,
                            Tensor& out) const;
 
-  /** Fused linear layer: out = A[m,k] * W[k,n] + bias[1,n] (broadcast). */
+  /** Fused linear layer: out = A[m,k] * W[k,n] + bias[1,n] (broadcast).
+   * Writes `out` through. */
   void LinearBias(const Tensor& a, const Tensor& w, const Tensor& bias,
                   Tensor& out) const;
 
   // ---- Element-wise ------------------------------------------------------
 
-  /** out = a (op) b; all three tensors share one shape. */
+  /** out = a (op) b; all three tensors share one shape. Writes `out`
+   * through. */
   void BinaryPointwise(BinaryOp op, const Tensor& a, const Tensor& b,
                        Tensor& out) const;
 
@@ -120,8 +130,8 @@ class KernelBackend {
   void AccumulateConstant(float constant, Tensor& out) const;
 
   /**
-   * out = op(in), element-wise. `param` is the op's scalar parameter
-   * (Huber delta); ignored by parameterless ops.
+   * out = op(in), element-wise, written through. `param` is the op's
+   * scalar parameter (Huber delta); ignored by parameterless ops.
    */
   void UnaryForward(UnaryOp op, const Tensor& in, Tensor& out,
                     float param = 0.0f) const;
@@ -191,7 +201,9 @@ class KernelBackend {
    * Per-row layer norm: out = gain * (x - mean) / sqrt(var + eps) + bias.
    * Also writes the normalized activations and per-row inverse stddev,
    * which the backward kernel consumes. gain/bias are [1, cols];
-   * `inv_stddev` must have x.rows() entries.
+   * `normalized` has x's shape and `inv_stddev` x.rows() entries, or both
+   * are empty when no backward pass follows (inference), and then only
+   * `out` is written. Writes `out` through.
    */
   void LayerNormForward(const Tensor& x, const Tensor& gain,
                         const Tensor& bias, float epsilon, Tensor& out,

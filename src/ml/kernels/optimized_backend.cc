@@ -23,8 +23,7 @@ struct OptimizedKernels {
                                   Tensor& out, int i0, int i1);
   void (*layer_norm_forward)(const Tensor& x, const Tensor& gain,
                              const Tensor& bias, float epsilon, Tensor& out,
-                             Tensor& normalized,
-                             std::vector<float>& inv_stddev);
+                             Tensor* normalized, float* inv_stddev);
   void (*layer_norm_backward)(const Tensor& out_grad, const Tensor& gain,
                               const Tensor& normalized,
                               const std::vector<float>& inv_stddev,
@@ -234,8 +233,10 @@ void OptimizedBackend::DoScatterAddRows(const Tensor& rows,
 void OptimizedBackend::DoLayerNormForward(
     const Tensor& x, const Tensor& gain, const Tensor& bias, float epsilon,
     Tensor& out, Tensor& normalized, std::vector<float>& inv_stddev) const {
-  kernels_->layer_norm_forward(x, gain, bias, epsilon, out, normalized,
-                               inv_stddev);
+  const bool keep_state = !inv_stddev.empty();
+  kernels_->layer_norm_forward(x, gain, bias, epsilon, out,
+                               keep_state ? &normalized : nullptr,
+                               keep_state ? inv_stddev.data() : nullptr);
 }
 
 void OptimizedBackend::DoLayerNormBackward(

@@ -313,6 +313,7 @@ void ReferenceBackend::DoLayerNormForward(
   const int cols = x.cols();
   const float* gain_row = gain.row_data(0);
   const float* bias_row = bias.row_data(0);
+  const bool keep_state = !inv_stddev.empty();
   for (int r = 0; r < rows; ++r) {
     const float* x_row = x.row_data(r);
     double mean = 0.0;
@@ -325,12 +326,14 @@ void ReferenceBackend::DoLayerNormForward(
     }
     variance /= cols;
     const float inv = 1.0f / std::sqrt(static_cast<float>(variance) + epsilon);
-    inv_stddev[r] = inv;
-    float* norm_row = normalized.row_data(r);
+    // Empty backward state (inference) is left unwritten.
+    float* norm_row = keep_state ? normalized.row_data(r) : nullptr;
+    if (keep_state) inv_stddev[r] = inv;
     float* out_row = out.row_data(r);
     for (int c = 0; c < cols; ++c) {
-      norm_row[c] = (x_row[c] - static_cast<float>(mean)) * inv;
-      out_row[c] = norm_row[c] * gain_row[c] + bias_row[c];
+      const float norm = (x_row[c] - static_cast<float>(mean)) * inv;
+      if (keep_state) norm_row[c] = norm;
+      out_row[c] = norm * gain_row[c] + bias_row[c];
     }
   }
 }

@@ -1,6 +1,7 @@
 #include "ml/tape.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "base/logging.h"
@@ -9,12 +10,43 @@ namespace granite::ml {
 
 Tape::Tape(const KernelBackend* backend, GradMode mode)
     : backend_(backend != nullptr ? backend : &DefaultKernelBackend()),
-      grad_mode_(mode) {}
+      grad_mode_(mode),
+      arena_(mode == GradMode::kNone ? ForwardArenaScope::Current()
+                                     : nullptr) {
+  if (arena_ != nullptr) {
+    arena_->Attach();
+    nodes_.reserve(arena_->max_tape_nodes_);
+  }
+}
+
+Tape::~Tape() {
+  if (arena_ == nullptr) return;
+  arena_->max_tape_nodes_ = std::max(arena_->max_tape_nodes_, nodes_.size());
+  // The views go before the arena memory they point into is rewound.
+  nodes_.clear();
+  arena_->Detach();
+}
+
+Tensor Tape::NewValue(int rows, int cols) {
+  if (arena_ == nullptr) return Tensor(rows, cols);
+  GRANITE_CHECK(rows >= 0 && cols >= 0);
+  return Tensor::View(rows, cols,
+                      arena_->Allocate(static_cast<std::size_t>(rows) * cols));
+}
+
+Tensor Tape::NewZeroedValue(int rows, int cols) {
+  Tensor value = NewValue(rows, cols);
+  // A heap value starts zeroed already.
+  if (arena_ != nullptr) {
+    std::memset(value.data(), 0, value.size() * sizeof(float));
+  }
+  return value;
+}
 
 template <typename BackwardFn>
 Var Tape::MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
                    Parameter* parameter) {
-  Node node;
+  Node& node = nodes_.emplace_back();
   node.requires_grad = requires_grad;
   node.parameter = parameter;
   // Backward() only visits nodes that require grad, so a closure on any
@@ -25,7 +57,6 @@ Var Tape::MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
     node.backward = std::forward<BackwardFn>(backward);
   }
   node.value = std::move(value);
-  nodes_.push_back(std::move(node));
   return Var(this, static_cast<int>(nodes_.size()) - 1);
 }
 
@@ -63,8 +94,14 @@ Var Tape::Constant(Tensor value) {
 
 Var Tape::Param(Parameter* parameter) {
   GRANITE_CHECK(parameter != nullptr);
-  return MakeNode(parameter->value,
-                  /*requires_grad=*/grad_mode_ == GradMode::kRecord,
+  Tensor& value = parameter->value;
+  // An inference leaf borrows the parameter's storage, which the caller
+  // keeps fixed while the tape lives; a recording tape copies it.
+  const bool record = grad_mode_ == GradMode::kRecord;
+  return MakeNode(record ? value
+                         : Tensor::View(value.rows(), value.cols(),
+                                        value.data()),
+                  /*requires_grad=*/record,
                   [](Tape& tape, int self) {
                     Node& node = tape.nodes_[self];
                     Tensor& dest =
@@ -79,7 +116,7 @@ Var Tape::Param(Parameter* parameter) {
 Var Tape::MatMul(Var a, Var b) {
   const Tensor& a_value = value(a);
   const Tensor& b_value = value(b);
-  Tensor out(a_value.rows(), b_value.cols());
+  Tensor out = NewZeroedValue(a_value.rows(), b_value.cols());
   backend_->MatMulAcc(a_value, b_value, out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(b);
   const int a_id = a.id();
@@ -105,7 +142,7 @@ Var Tape::MatMul(Var a, Var b) {
 Var Tape::Linear(Var a, Var w, Var bias) {
   const Tensor& a_value = value(a);
   const Tensor& w_value = value(w);
-  Tensor out(a_value.rows(), w_value.cols());
+  Tensor out = NewValue(a_value.rows(), w_value.cols());
   backend_->LinearBias(a_value, w_value, value(bias), out);
   const bool needs_grad =
       RequiresGrad(a) || RequiresGrad(w) || RequiresGrad(bias);
@@ -134,7 +171,7 @@ Var Tape::Linear(Var a, Var w, Var bias) {
 }
 
 Var Tape::Add(Var a, Var b) {
-  Tensor out(value(a).rows(), value(a).cols());
+  Tensor out = NewValue(value(a).rows(), value(a).cols());
   backend_->BinaryPointwise(BinaryOp::kAdd, value(a), value(b), out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(b);
   const int a_id = a.id();
@@ -148,7 +185,7 @@ Var Tape::Add(Var a, Var b) {
 }
 
 Var Tape::Sub(Var a, Var b) {
-  Tensor out(value(a).rows(), value(a).cols());
+  Tensor out = NewValue(value(a).rows(), value(a).cols());
   backend_->BinaryPointwise(BinaryOp::kSub, value(a), value(b), out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(b);
   const int a_id = a.id();
@@ -165,7 +202,7 @@ Var Tape::Sub(Var a, Var b) {
 }
 
 Var Tape::Mul(Var a, Var b) {
-  Tensor out(value(a).rows(), value(a).cols());
+  Tensor out = NewValue(value(a).rows(), value(a).cols());
   backend_->BinaryPointwise(BinaryOp::kMul, value(a), value(b), out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(b);
   const int a_id = a.id();
@@ -187,7 +224,7 @@ Var Tape::Mul(Var a, Var b) {
 }
 
 Var Tape::Div(Var a, Var b) {
-  Tensor out(value(a).rows(), value(a).cols());
+  Tensor out = NewValue(value(a).rows(), value(a).cols());
   backend_->BinaryPointwise(BinaryOp::kDiv, value(a), value(b), out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(b);
   const int a_id = a.id();
@@ -219,7 +256,7 @@ Var Tape::Div(Var a, Var b) {
 }
 
 Var Tape::Scale(Var a, float factor) {
-  Tensor out(value(a).rows(), value(a).cols());
+  Tensor out = NewValue(value(a).rows(), value(a).cols());
   backend_->ScaleInto(value(a), factor, out);
   const int a_id = a.id();
   return MakeNode(std::move(out), RequiresGrad(a),
@@ -233,7 +270,7 @@ Var Tape::Scale(Var a, float factor) {
 
 Var Tape::AddConstant(Var a, float constant) {
   const Tensor& a_value = value(a);
-  Tensor out(a_value.rows(), a_value.cols());
+  Tensor out = NewValue(a_value.rows(), a_value.cols());
   backend_->AddScalarInto(a_value, constant, out);
   const int a_id = a.id();
   return MakeNode(std::move(out), RequiresGrad(a),
@@ -243,7 +280,7 @@ Var Tape::AddConstant(Var a, float constant) {
 }
 
 Var Tape::AddRowBroadcast(Var a, Var bias) {
-  Tensor out(value(a).rows(), value(a).cols());
+  Tensor out = NewValue(value(a).rows(), value(a).cols());
   backend_->AddRowBroadcastInto(value(a), value(bias), out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(bias);
   const int a_id = a.id();
@@ -263,7 +300,7 @@ Var Tape::AddRowBroadcast(Var a, Var bias) {
 
 Var Tape::MulColumnBroadcast(Var a, Var column) {
   const Tensor& a_value = value(a);
-  Tensor out(a_value.rows(), a_value.cols());
+  Tensor out = NewValue(a_value.rows(), a_value.cols());
   backend_->MulColumnBroadcastInto(a_value, value(column), out);
   const bool needs_grad = RequiresGrad(a) || RequiresGrad(column);
   const int a_id = a.id();
@@ -301,7 +338,7 @@ Var Tape::Huber(Var a, float delta) {
 
 Var Tape::UnaryNode(Var a, UnaryOp op, float param) {
   const Tensor& a_value = value(a);
-  Tensor out(a_value.rows(), a_value.cols());
+  Tensor out = NewValue(a_value.rows(), a_value.cols());
   backend_->UnaryForward(op, a_value, out, param);
   const int a_id = a.id();
   return MakeNode(std::move(out), RequiresGrad(a),
@@ -320,16 +357,21 @@ Var Tape::LayerNorm(Var x, Var gain, Var bias, float epsilon) {
   const int rows = x_value.rows();
   const int cols = x_value.cols();
 
-  // Cache the normalized activations and inverse stddev for the backward
-  // pass; both are captured by value in the closure.
-  Tensor normalized(rows, cols);
-  std::vector<float> inv_stddev(rows);
-  Tensor out(rows, cols);
+  const bool needs_grad =
+      RequiresGrad(x) || RequiresGrad(gain) || RequiresGrad(bias);
+  // The normalized activations and inverse stddev are backward-pass state,
+  // captured by value in the closure; a forward no gradient flows through
+  // leaves both empty, and the kernel skips them.
+  Tensor normalized;
+  std::vector<float> inv_stddev;
+  if (needs_grad) {
+    normalized = Tensor(rows, cols);
+    inv_stddev.resize(rows);
+  }
+  Tensor out = NewValue(rows, cols);
   backend_->LayerNormForward(x_value, value(gain), value(bias), epsilon, out,
                              normalized, inv_stddev);
 
-  const bool needs_grad =
-      RequiresGrad(x) || RequiresGrad(gain) || RequiresGrad(bias);
   const int x_id = x.id();
   const int gain_id = gain.id();
   const int bias_id = bias.id();
@@ -349,14 +391,19 @@ Var Tape::LayerNorm(Var x, Var gain, Var bias, float epsilon) {
       });
 }
 
-Var Tape::GatherRows(Var table, std::vector<int> indices) {
+Var Tape::GatherRows(Var table, const std::vector<int>& indices) {
   const Tensor& table_value = value(table);
-  Tensor out(static_cast<int>(indices.size()), table_value.cols());
+  Tensor out =
+      NewZeroedValue(static_cast<int>(indices.size()), table_value.cols());
   backend_->GatherRowsAcc(table_value, indices, out);
+  const bool needs_grad = RequiresGrad(table);
   const int table_id = table.id();
-  return MakeNode(std::move(out), RequiresGrad(table),
-                  [table_id, indices = std::move(indices)](Tape& tape,
-                                                           int self) {
+  // The backward closure keeps a copy of the indices only when a gradient
+  // will flow.
+  return MakeNode(std::move(out), needs_grad,
+                  [table_id, indices = needs_grad ? indices
+                                                  : std::vector<int>()](
+                      Tape& tape, int self) {
                     Node& table_node = tape.nodes_[table_id];
                     if (!table_node.requires_grad) return;
                     tape.backend_->ScatterAddRows(tape.nodes_[self].grad,
@@ -364,17 +411,19 @@ Var Tape::GatherRows(Var table, std::vector<int> indices) {
                   });
 }
 
-Var Tape::SegmentSum(Var rows, std::vector<int> segment_ids,
+Var Tape::SegmentSum(Var rows, const std::vector<int>& segment_ids,
                      int num_segments) {
   const Tensor& rows_value = value(rows);
   GRANITE_CHECK_EQ(segment_ids.size(),
                    static_cast<std::size_t>(rows_value.rows()));
-  Tensor out(num_segments, rows_value.cols());
+  Tensor out = NewZeroedValue(num_segments, rows_value.cols());
   backend_->ScatterAddRows(rows_value, segment_ids, out);
+  const bool needs_grad = RequiresGrad(rows);
   const int rows_id = rows.id();
-  return MakeNode(std::move(out), RequiresGrad(rows),
-                  [rows_id, segment_ids = std::move(segment_ids)](Tape& tape,
-                                                                  int self) {
+  return MakeNode(std::move(out), needs_grad,
+                  [rows_id, segment_ids = needs_grad ? segment_ids
+                                                     : std::vector<int>()](
+                      Tape& tape, int self) {
                     Node& rows_node = tape.nodes_[rows_id];
                     if (!rows_node.requires_grad) return;
                     // Each input row's adjoint is its segment's adjoint.
@@ -408,7 +457,7 @@ Var Tape::ConcatGathered(const std::vector<GatherSpec>& parts) {
     needs_grad = needs_grad || RequiresGrad(part.source);
   }
 
-  Tensor out(rows, total_cols);
+  Tensor out = NewZeroedValue(rows, total_cols);
   // Backward-closure state, kept only when a gradient will flow: node
   // id, column offset/width, whether the part was gathered, and a copy
   // of its gather indices.
@@ -465,7 +514,8 @@ Var Tape::ConcatGathered(const std::vector<GatherSpec>& parts) {
 }
 
 Var Tape::SumAll(Var a) {
-  Tensor out = Tensor::Scalar(static_cast<float>(backend_->SumAll(value(a))));
+  Tensor out = NewValue(1, 1);
+  out.at(0, 0) = static_cast<float>(backend_->SumAll(value(a)));
   const int a_id = a.id();
   return MakeNode(std::move(out), RequiresGrad(a),
                   [a_id](Tape& tape, int self) {
@@ -480,9 +530,9 @@ Var Tape::MeanAll(Var a) {
   const Tensor& a_value = value(a);
   const float inverse_count =
       1.0f / static_cast<float>(std::max<std::size_t>(1, a_value.size()));
-  Tensor out =
-      Tensor::Scalar(static_cast<float>(backend_->SumAll(a_value)) *
-                     inverse_count);
+  Tensor out = NewValue(1, 1);
+  out.at(0, 0) =
+      static_cast<float>(backend_->SumAll(a_value)) * inverse_count;
   const int a_id = a.id();
   return MakeNode(std::move(out), RequiresGrad(a),
                   [a_id, inverse_count](Tape& tape, int self) {

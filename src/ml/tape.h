@@ -23,10 +23,24 @@
  *   - GradMode::kNone is the inference tape. Param() leaves do not
  *     require grad, so no node does: no adjoint is allocated and no
  *     backward closure or captured state is kept, and each node holds
- *     only its value. Backward() and grad() fail on it. Every forward
- *     that never calls Backward() — serving, autotune scoring, trainer
- *     evaluation — runs in this mode; its values are bit-identical to a
- *     recording tape's, since both run the same forward kernels.
+ *     only its value. Param() leaves borrow the parameter's storage
+ *     instead of copying it, and LayerNorm keeps no backward state.
+ *     Backward() and grad() fail on it. Every forward that never calls
+ *     Backward() — serving, autotune scoring, trainer evaluation — runs
+ *     in this mode; its values are bit-identical to a recording tape's,
+ *     since both run the same forward kernels.
+ *
+ * Node values live on the heap, except on an inference tape created on
+ * a thread with a ForwardArenaScope (ml/forward_arena.h), such as an
+ * InferenceServer worker. There they are non-owning views into the
+ * thread's ForwardArena, and the outputs of write-through kernels
+ * (LinearBias, BinaryPointwise, UnaryForward, LayerNormForward and the
+ * `*Into` kernels) are not zero-filled first: those kernels assign every
+ * output element without reading it, so the bits do not depend on what
+ * the memory held. Accumulating kernels (MatMulAcc, GatherRowsAcc,
+ * ScatterAddRows, and the column blocks of ConcatGathered) get zeroed
+ * outputs. Views never leave the tape: value() returns a reference, and
+ * copying it yields an owning tensor that outlives the tape.
  *
  * The tape records *what* to compute; *how* each kernel executes —
  * forward ops and backward accumulations alike — is delegated to the
@@ -39,6 +53,7 @@
 #include <functional>
 #include <vector>
 
+#include "ml/forward_arena.h"
 #include "ml/kernels/kernel_backend.h"
 #include "ml/parameter.h"
 #include "ml/tensor.h"
@@ -100,6 +115,7 @@ class Tape {
    */
   explicit Tape(const KernelBackend* backend = nullptr,
                 GradMode mode = GradMode::kRecord);
+  ~Tape();
   Tape(const Tape&) = delete;
   Tape& operator=(const Tape&) = delete;
 
@@ -113,7 +129,8 @@ class Tape {
 
   /** A leaf bound to a trainable parameter; Backward() accumulates into
    * `parameter->grad`. The parameter must outlive the tape. On a kNone
-   * tape the leaf does not require grad. */
+   * tape the leaf does not require grad and borrows `parameter->value`,
+   * which must not change while the tape lives. */
   Var Param(Parameter* parameter);
 
   // ---- Linear algebra ---------------------------------------------------
@@ -184,11 +201,14 @@ class Tape {
 
   // ---- Structure ops (GNN plumbing) --------------------------------------
 
-  /** Picks rows of `table` by index; gradient scatters back into the rows. */
-  Var GatherRows(Var table, std::vector<int> indices);
+  /** Picks rows of `table` by index; gradient scatters back into the rows.
+   * The tape copies `indices` only when a gradient will flow. */
+  Var GatherRows(Var table, const std::vector<int>& indices);
 
-  /** Sums rows into `num_segments` buckets by `segment_ids`. */
-  Var SegmentSum(Var rows, std::vector<int> segment_ids, int num_segments);
+  /** Sums rows into `num_segments` buckets by `segment_ids`. The tape
+   * copies `segment_ids` only when a gradient will flow. */
+  Var SegmentSum(Var rows, const std::vector<int>& segment_ids,
+                 int num_segments);
 
   /** Horizontal concatenation of equal-height matrices. */
   Var ConcatCols(const std::vector<Var>& parts);
@@ -257,6 +277,13 @@ class Tape {
   Var MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
                Parameter* parameter = nullptr);
 
+  /** Storage for a node value that its kernel overwrites: a view into
+   * the arena, left uninitialized, or else a zeroed heap tensor. */
+  Tensor NewValue(int rows, int cols);
+
+  /** Zero-filled storage for a node value its kernel accumulates into. */
+  Tensor NewZeroedValue(int rows, int cols);
+
   /** Shared node builder for the element-wise unary ops. */
   Var UnaryNode(Var a, UnaryOp op, float param);
 
@@ -268,6 +295,9 @@ class Tape {
 
   const KernelBackend* backend_;
   GradMode grad_mode_;
+  // The thread's arena when this is an inference tape inside a
+  // ForwardArenaScope, else nullptr.
+  ForwardArena* arena_;
   std::vector<Node> nodes_;
   GradientSink* gradient_sink_ = nullptr;
 };

@@ -7,16 +7,25 @@
  * scalars are 1x1. The class is deliberately minimal: arithmetic lives in
  * the kernel backends (ml/kernels/kernel_backend.h) so that the autodiff
  * tape can reuse the same kernels for forward and backward passes.
+ *
+ * A tensor usually owns its storage. The autodiff tape alone can also
+ * make a non-owning view: on an inference tape, node values borrow
+ * parameter storage and bump-allocated ForwardArena memory
+ * (ml/forward_arena.h). A view never leaves its tape, because copying any
+ * tensor yields an owning deep copy; only a move keeps the view.
  */
 #ifndef GRANITE_ML_TENSOR_H_
 #define GRANITE_ML_TENSOR_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.h"
 
 namespace granite::ml {
+
+class Tape;
 
 /** A row-major matrix of floats. */
 class Tensor {
@@ -29,6 +38,28 @@ class Tensor {
 
   /** Creates a tensor from explicit data (size must be rows*cols). */
   Tensor(int rows, int cols, std::vector<float> data);
+
+  /** Copies are deep and always own their storage, views included. */
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other);
+
+  /** Moves take the storage over (a moved vector keeps its buffer, so
+   * `data_` stays valid); a moved view stays a view. The source is left
+   * empty. */
+  Tensor(Tensor&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::exchange(other.data_, nullptr)),
+        storage_(std::move(other.storage_)) {}
+  Tensor& operator=(Tensor&& other) noexcept {
+    if (this != &other) {
+      rows_ = std::exchange(other.rows_, 0);
+      cols_ = std::exchange(other.cols_, 0);
+      data_ = std::exchange(other.data_, nullptr);
+      storage_ = std::move(other.storage_);
+    }
+    return *this;
+  }
 
   /** Returns a rows x cols tensor filled with `value`. */
   static Tensor Constant(int rows, int cols, float value);
@@ -46,10 +77,12 @@ class Tensor {
   int cols() const { return cols_; }
 
   /** Total number of elements. */
-  std::size_t size() const { return data_.size(); }
+  std::size_t size() const {
+    return static_cast<std::size_t>(rows_) * cols_;
+  }
 
   /** True when the tensor holds no elements. */
-  bool empty() const { return data_.empty(); }
+  bool empty() const { return size() == 0; }
 
   /** Mutable element access with bounds checks in debug builds. */
   float& at(int row, int col);
@@ -58,8 +91,8 @@ class Tensor {
   float at(int row, int col) const;
 
   /** Raw storage pointers (row-major). */
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
+  float* data() { return data_; }
+  const float* data() const { return data_; }
 
   /**
    * Pointer to the start of `row`; aborts unless 0 <= row < rows() in
@@ -71,11 +104,11 @@ class Tensor {
    */
   float* row_data(int row) {
     GRANITE_CHECK(row >= 0 && row < rows_);
-    return data_.data() + static_cast<std::size_t>(row) * cols_;
+    return data_ + static_cast<std::size_t>(row) * cols_;
   }
   const float* row_data(int row) const {
     GRANITE_CHECK(row >= 0 && row < rows_);
-    return data_.data() + static_cast<std::size_t>(row) * cols_;
+    return data_ + static_cast<std::size_t>(row) * cols_;
   }
 
   /** Sets every element to `value`. */
@@ -97,9 +130,16 @@ class Tensor {
   std::string ToString() const;
 
  private:
+  friend class Tape;
+
+  /** A rows x cols view of `data`, which must outlive the view. */
+  static Tensor View(int rows, int cols, float* data);
+
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<float> data_;
+  // storage_.data() for an owning tensor, borrowed memory for a view.
+  float* data_ = nullptr;
+  std::vector<float> storage_;
 };
 
 }  // namespace granite::ml

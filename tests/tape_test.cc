@@ -2,15 +2,18 @@
  * @file
  * Forward-value tests of the autodiff tape (gradients are covered by
  * ml_grad_test.cc), and of the inference mode: a GradMode::kNone tape
- * computes the recording tape's values bit for bit and refuses Backward()
- * and grad().
+ * computes the recording tape's values bit for bit, also when its values
+ * live in a ForwardArena full of stale NaNs, and refuses Backward() and
+ * grad().
  */
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "backends_under_test.h"
 #include "gtest/gtest.h"
+#include "ml/forward_arena.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
 
@@ -225,32 +228,90 @@ std::vector<const KernelBackend*> AllBackends() {
   return backends;
 }
 
+/** Overwrites every float `arena` hands out with NaN, through one
+ * inference forward whose only node value fills the whole chunk. */
+void FillArenaWithNan(const KernelBackend* backend, ForwardArena& arena) {
+  std::size_t count = arena.capacity();
+  while (count > 0 && ForwardArena::Footprint(count) > arena.capacity()) {
+    --count;
+  }
+  ASSERT_GT(count, 0u);
+  const std::size_t mapped = arena.blocks_mapped();
+  Tape tape(backend, GradMode::kNone);
+  tape.Scale(tape.Constant(Tensor::Constant(
+                 1, static_cast<int>(count),
+                 std::numeric_limits<float>::quiet_NaN())),
+             1.0f);
+  // The fill went into the retained chunk, not into a new block.
+  EXPECT_EQ(arena.blocks_mapped(), mapped);
+}
+
+/** Expects every EveryOp output of `inference` to equal `recording`'s
+ * bit for bit. */
+void ExpectSameValues(const Tape& recording,
+                      const std::vector<Var>& recorded,
+                      const Tape& inference,
+                      const std::vector<Var>& inferred) {
+  ASSERT_EQ(recording.num_nodes(), inference.num_nodes());
+  ASSERT_EQ(recorded.size(), inferred.size());
+  for (std::size_t i = 0; i < recorded.size(); ++i) {
+    SCOPED_TRACE(i);
+    const Tensor& expected = recording.value(recorded[i]);
+    const Tensor& actual = inference.value(inferred[i]);
+    ASSERT_EQ(actual.rows(), expected.rows());
+    ASSERT_EQ(actual.cols(), expected.cols());
+    EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                          expected.size() * sizeof(float)),
+              0);
+    // The recording tape really recorded: every output but the
+    // constant leaf has an adjoint.
+    if (i != kConstantLeaf) {
+      EXPECT_EQ(recording.grad(recorded[i]).size(), expected.size());
+    }
+  }
+}
+
 TEST(TapeGradModeTest, InferenceValuesAreBitIdenticalToRecording) {
   const OpInputs inputs;
   for (const KernelBackend* backend : AllBackends()) {
     SCOPED_TRACE(backend->name());
     Tape recording(backend);
-    Tape inference(backend, GradMode::kNone);
     const std::vector<Var> recorded = EveryOp(recording, inputs);
-    const std::vector<Var> inferred = EveryOp(inference, inputs);
-    ASSERT_EQ(recording.num_nodes(), inference.num_nodes());
-    ASSERT_EQ(recorded.size(), inferred.size());
-    for (std::size_t i = 0; i < recorded.size(); ++i) {
-      SCOPED_TRACE(i);
-      const Tensor& expected = recording.value(recorded[i]);
-      const Tensor& actual = inference.value(inferred[i]);
-      ASSERT_EQ(actual.rows(), expected.rows());
-      ASSERT_EQ(actual.cols(), expected.cols());
-      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                            expected.size() * sizeof(float)),
-                0);
-      // The recording tape really recorded: every output but the
-      // constant leaf has an adjoint.
-      if (i != kConstantLeaf) {
-        EXPECT_EQ(recording.grad(recorded[i]).size(), expected.size());
+    {
+      SCOPED_TRACE("heap");
+      Tape inference(backend, GradMode::kNone);
+      const std::vector<Var> inferred = EveryOp(inference, inputs);
+      ExpectSameValues(recording, recorded, inference, inferred);
+      // Inference leaves borrow the parameter instead of copying it.
+      EXPECT_EQ(inference.value(inferred[0]).data(), inputs.x->value.data());
+    }
+    {
+      // Every write-through output starts out as stale NaNs: a kernel
+      // that skips an element shows up as a NaN mismatch.
+      SCOPED_TRACE("arena");
+      ForwardArenaScope scope;
+      {
+        Tape sizing(backend, GradMode::kNone);
+        EveryOp(sizing, inputs);
       }
+      FillArenaWithNan(backend, scope.arena());
+      const std::size_t mapped = scope.arena().blocks_mapped();
+      Tape inference(backend, GradMode::kNone);
+      EXPECT_EQ(scope.arena().live_tapes(), 1);
+      const std::vector<Var> inferred = EveryOp(inference, inputs);
+      ExpectSameValues(recording, recorded, inference, inferred);
+      EXPECT_EQ(scope.arena().blocks_mapped(), mapped);
     }
   }
+}
+
+TEST(TapeGradModeTest, RecordingTapesIgnoreTheArena) {
+  const OpInputs inputs;
+  ForwardArenaScope scope;
+  Tape recording;
+  EveryOp(recording, inputs);
+  EXPECT_EQ(scope.arena().live_tapes(), 0);
+  EXPECT_EQ(scope.arena().blocks_mapped(), 0u);
 }
 
 TEST(TapeGradModeDeathTest, BackwardOnInferenceTapeFails) {

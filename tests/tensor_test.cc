@@ -2,6 +2,8 @@
  * @file
  * Tests of the Tensor storage class.
  */
+#include <utility>
+
 #include "gtest/gtest.h"
 #include "ml/tensor.h"
 
@@ -61,6 +63,27 @@ TEST(TensorTest, EqualityAndCloseness) {
   EXPECT_FALSE(a.AllClose(c, 1e-6f));
   const Tensor d(1, 4, {1, 2, 3, 4});
   EXPECT_FALSE(a.AllClose(d));
+}
+
+TEST(TensorTest, CopiesAreDeepAndMovesEmptyTheSource) {
+  Tensor source(2, 2, {1, 2, 3, 4});
+  Tensor copy = source;
+  copy.at(0, 0) = 9.0f;
+  EXPECT_EQ(source.at(0, 0), 1.0f);
+  Tensor assigned(1, 1);
+  assigned = source;
+  EXPECT_TRUE(assigned == source);
+  EXPECT_NE(assigned.data(), source.data());
+
+  const float* storage = source.data();
+  Tensor moved = std::move(source);
+  EXPECT_EQ(moved.data(), storage);
+  EXPECT_TRUE(moved == Tensor(2, 2, {1, 2, 3, 4}));
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.data(), nullptr);
+  source = std::move(moved);
+  EXPECT_EQ(source.data(), storage);
+  EXPECT_TRUE(moved.empty());
 }
 
 TEST(TensorTest, ToStringMentionsShape) {

@@ -52,6 +52,7 @@
  * paper's cycles-per-100-iterations scale.
  */
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -60,6 +61,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -110,9 +112,16 @@ struct Flags {
     const auto it = values.find(key);
     if (it == values.end()) return fallback;
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(it->second.c_str(), &end, 10);
     if (end == it->second.c_str() || *end != '\0') {
       std::fprintf(stderr, "granite_cli: --%s wants an integer, got '%s'\n",
+                   key.c_str(), it->second.c_str());
+      std::exit(2);
+    }
+    // strtol saturates out-of-range input to LONG_MIN/LONG_MAX.
+    if (errno == ERANGE) {
+      std::fprintf(stderr, "granite_cli: --%s=%s is out of range\n",
                    key.c_str(), it->second.c_str());
       std::exit(2);
     }
@@ -131,6 +140,13 @@ struct Flags {
       std::exit(2);
     }
     return parsed;
+  }
+
+  /** A non-negative seed, so --seed=-1 fails instead of wrapping to
+   * 2^64-1. */
+  uint64_t GetSeed(long fallback) const {
+    return static_cast<uint64_t>(
+        GetCount("seed", fallback, 0, std::numeric_limits<long>::max()));
   }
 
   /** Rejects flags no subcommand knows, so a typo'd flag cannot
@@ -479,7 +495,7 @@ int RunTrain(const Flags& flags) {
       static_cast<int>(flags.GetCount("embedding", 16, 1, 4096));
   const int mp_iterations =
       static_cast<int>(flags.GetCount("mp-iterations", 2, 1, 64));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  const uint64_t seed = flags.GetSeed(7);
   const double target_scale = flags.GetPositiveDouble("target-scale", 100.0);
 
   const std::unique_ptr<granite::dataset::BlockSource> corpus =
@@ -605,7 +621,7 @@ int RunEval(const Flags& flags) {
                  "granite_cli eval: --model-file=PATH is required\n");
     return 2;
   }
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  const uint64_t seed = flags.GetSeed(11);
   const double target_scale = flags.GetPositiveDouble("target-scale", 100.0);
 
   std::unique_ptr<ThroughputPredictor> loaded = LoadBundleOrDie(path);
@@ -690,7 +706,7 @@ int RunServe(const Flags& flags) {
       static_cast<int>(flags.GetCount("requests", 400, 1, 100000000));
   const int num_blocks =
       static_cast<int>(flags.GetCount("blocks", 64, 1, 1000000));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 11));
+  const uint64_t seed = flags.GetSeed(11);
 
   granite::serve::InferenceServerConfig server_config;
   // Workers and request-queue shards are 1:1.
@@ -902,7 +918,7 @@ int RunAutotune(const Flags& flags) {
       "task", 0, 0, granite::uarch::kNumMicroarchitectures - 1));
   const int pessimize =
       static_cast<int>(flags.GetCount("pessimize", 3, 0, 16));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
+  const uint64_t seed = flags.GetSeed(17);
   const bool verbose = flags.GetInt("verbose", 0) != 0;
 
   const auto microarchitecture =
@@ -1097,7 +1113,7 @@ int RunDatasetSynthesize(const Flags& flags) {
   }
   const long num_blocks =
       flags.GetCount("blocks", 100000, 1, 100000000);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  const uint64_t seed = flags.GetSeed(7);
   const long shard_size = flags.GetCount(
       "shard-size",
       static_cast<long>(granite::dataset::kDefaultRecordsPerShard), 1,
