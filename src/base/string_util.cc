@@ -106,6 +106,19 @@ std::optional<double> ParseDouble(std::string_view text) {
   return value;
 }
 
+template <typename T>
+std::optional<T> ParseDecimal(std::string_view text) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto result = std::from_chars(text.data(), end, value);
+  if (result.ec != std::errc() || result.ptr != end) return std::nullopt;
+  return value;
+}
+
+template std::optional<int64_t> ParseDecimal(std::string_view);
+template std::optional<uint64_t> ParseDecimal(std::string_view);
+template std::optional<double> ParseDecimal(std::string_view);
+
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view separator) {
   std::string result;

@@ -46,6 +46,18 @@ std::optional<int64_t> ParseInt(std::string_view text);
 /** Parses a floating-point literal, or nullopt on malformed input. */
 std::optional<double> ParseDouble(std::string_view text);
 
+/**
+ * Parses all of `text` as one plain decimal number with std::from_chars:
+ * an optional '-' (not for unsigned T), digits, and for double a fraction
+ * and exponent. Whitespace, '+', hex, trailing bytes and values outside
+ * T's range give nullopt. For double, "nan" and "inf" do parse; callers
+ * that need a finite value check it. Bundle configs and granite_cli
+ * flags share this one spelling. Defined for int64_t, uint64_t and
+ * double.
+ */
+template <typename T>
+std::optional<T> ParseDecimal(std::string_view text);
+
 /** Joins pieces with a separator. */
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view separator);

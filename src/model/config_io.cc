@@ -1,10 +1,14 @@
 #include "model/config_io.h"
 
+#include <cerrno>
 #include <cfloat>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "base/string_util.h"
 
 namespace granite::model {
 namespace {
@@ -15,35 +19,18 @@ namespace {
                            "' is not a valid " + type + ": '" + value + "'");
 }
 
-/** Strict digit check: strtoll/strtoull tolerate leading whitespace (and
- * strtoull wraps negatives), which would let malformed values through. */
-bool IsDecimal(const std::string& value, bool allow_sign) {
-  std::size_t start = 0;
-  if (allow_sign && !value.empty() && value.front() == '-') start = 1;
-  if (start >= value.size()) return false;
-  return value.find_first_not_of("0123456789", start) == std::string::npos;
-}
-
 std::int64_t ParseInt(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (!IsDecimal(value, /*allow_sign=*/true) || errno != 0 ||
-      *end != '\0') {
-    ParseError(key, value, "integer");
-  }
-  return parsed;
+  const std::optional<std::int64_t> parsed =
+      ParseDecimal<std::int64_t>(value);
+  if (!parsed) ParseError(key, value, "integer");
+  return *parsed;
 }
 
 std::uint64_t ParseUint(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (!IsDecimal(value, /*allow_sign=*/false) || errno != 0 ||
-      *end != '\0') {
-    ParseError(key, value, "unsigned integer");
-  }
-  return parsed;
+  const std::optional<std::uint64_t> parsed =
+      ParseDecimal<std::uint64_t>(value);
+  if (!parsed) ParseError(key, value, "unsigned integer");
+  return *parsed;
 }
 
 /** Throws when `value` of `key` lies outside `range`; `unit` names what

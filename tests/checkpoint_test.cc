@@ -528,6 +528,25 @@ TEST(ConfigMapTest, MalformedValuesThrow) {
   EXPECT_THROW(negatives.GetUint("u", 0), std::runtime_error);
   EXPECT_THROW(negatives.GetUint("v", 0), std::runtime_error);
   EXPECT_THROW(negatives.GetInt("w", 0), std::runtime_error);
+  // One decimal spelling: no '+', no trailing whitespace, no hex, no bare
+  // sign, and no value past the int64 / uint64 range.
+  const ConfigMap spellings = ConfigMap::Parse(
+      "plus=+5\ntrailing=5 \nhex=0x10\nsign=-\n"
+      "int_over=9223372036854775808\nint_under=-9223372036854775809\n"
+      "uint_over=18446744073709551616\n");
+  for (const char* key :
+       {"plus", "trailing", "hex", "sign", "int_over", "int_under"}) {
+    EXPECT_THROW(spellings.GetInt(key, 0), std::runtime_error) << key;
+    EXPECT_THROW(spellings.GetIntList(key, {}), std::runtime_error) << key;
+  }
+  for (const char* key : {"plus", "trailing", "hex", "sign", "uint_over"}) {
+    EXPECT_THROW(spellings.GetUint(key, 0), std::runtime_error) << key;
+  }
+  const ConfigMap lists =
+      ConfigMap::Parse("a=1,+5\nb=1,5 \nc=0x10,1\nd=1,-\n");
+  for (const char* key : {"a", "b", "c", "d"}) {
+    EXPECT_THROW(lists.GetIntList(key, {}), std::runtime_error) << key;
+  }
 }
 
 TEST(ConfigSerializationTest, GraniteConfigRoundTrips) {

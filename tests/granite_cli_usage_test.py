@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Hostile-flag test of granite_cli, driven by its own usage text.
+
+Reads every command's flags and their types from `granite_cli help`, so
+a flag added to the table is covered without editing this file. Each
+typed flag (integer, seed, real, bool, enum) of each command is given
+malformed and out-of-range spellings; a flag given twice and a missing
+required flag are tried too. Every case must exit 2, and no output file
+may appear.
+
+Usage: granite_cli_usage_test.py PATH/TO/granite_cli
+"""
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+MALFORMED = ["+5", " 5", "5x", "0x10", "99999999999999999999", "nan", "inf"]
+RANGE_RE = re.compile(r"^(INT|U64)\[(-?\d+),(-?\d+)\]$")
+REAL_RE = re.compile(r"^REAL\(0,(\d+)\]$")
+
+
+def parse_usage(text):
+    """Returns {command: [(flag, spelling, notes)]} from the usage text."""
+    commands = {}
+    current = None
+    flag = None
+    for line in text.splitlines():
+        if re.match(r"^  \S", line):
+            current = line.strip()
+            commands[current] = []
+            flag = None
+            continue
+        match = re.match(r"^      --([a-z0-9-]+)=(\S+)\s*(.*)$", line)
+        if match and current is not None:
+            flag = [match.group(1), match.group(2), match.group(3)]
+            commands[current].append(flag)
+        elif flag is not None and line.startswith("      "):
+            flag[2] += " " + line.strip()
+    commands.pop("help", None)
+    return {name: [tuple(f) for f in flags] for name, flags in commands.items()}
+
+
+def bad_values(spelling):
+    """The refused spellings for one typed flag, or None for text flags."""
+    range_match = RANGE_RE.match(spelling)
+    if range_match:
+        low, high = int(range_match.group(2)), int(range_match.group(3))
+        return MALFORMED + [str(low - 1), str(high + 1)]
+    real_match = REAL_RE.match(spelling)
+    if real_match:
+        return MALFORMED + ["0", "-1", "1e999", real_match.group(1) + ".5"]
+    if spelling == "0|1":
+        return MALFORMED + ["2", "-1", "true"]
+    if "|" in spelling:
+        return MALFORMED + ["no_such_name"]
+    return None
+
+
+class Runner:
+    def __init__(self, binary, scratch):
+        self.binary = binary
+        self.scratch = scratch
+        self.failures = []
+        self.cases = 0
+
+    def expect(self, status, argv):
+        self.cases += 1
+        try:
+            result = subprocess.run(
+                [self.binary] + argv, stdin=subprocess.DEVNULL,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                cwd=self.scratch, timeout=60)
+            got = result.returncode
+        except subprocess.TimeoutExpired:
+            got = "timeout"
+        leftovers = os.listdir(self.scratch)
+        for name in leftovers:
+            os.remove(os.path.join(self.scratch, name))
+        if got != status:
+            self.failures.append("exit %s (want %d): %r" % (got, status, argv))
+        elif status != 0 and leftovers:
+            self.failures.append("wrote %s: %r" % (leftovers, argv))
+
+
+def main():
+    binary = os.path.abspath(sys.argv[1])
+    usage = subprocess.run([binary, "help"], stdout=subprocess.PIPE,
+                           check=True, text=True).stdout
+    commands = parse_usage(usage)
+    if "train" not in commands or not commands["train"]:
+        print("could not read the flag table from `granite_cli help`")
+        return 1
+
+    with tempfile.TemporaryDirectory() as scratch:
+        runner = Runner(binary, scratch)
+        typed = 0
+        for command, flags in commands.items():
+            words = command.split()
+            # Required flags get a path inside the (empty) scratch
+            # directory: an output that appears there is a failure.
+            required = ["--%s=%s" % (name, os.path.join(scratch, name))
+                        for name, _, notes in flags if "required" in notes]
+            for index in range(len(required)):
+                runner.expect(2, words + required[:index] +
+                              required[index + 1:])
+            for name, spelling, notes in flags:
+                values = bad_values(spelling)
+                if values is not None:
+                    typed += 1
+                    for value in values:
+                        runner.expect(2, words + required +
+                                      ["--%s=%s" % (name, value)])
+                default = re.search(r"default ([^,)]+)", notes)
+                if default and "repeatable" not in notes:
+                    twice = "--%s=%s" % (name, default.group(1))
+                    runner.expect(2, words + required + [twice, twice])
+            runner.expect(2, words + required + ["--no-such-flag=1"])
+        train_out = "--out=" + os.path.join(scratch, "out")
+        runner.expect(2, ["train", train_out, "--steps=2", "--steps=3"])
+        runner.expect(2, ["no-such-command"])
+        # The refusals above are not blanket ones: valid spellings run.
+        runner.expect(0, ["isa", "--lookup=ADD"])
+        runner.expect(0, ["dataset", "synthesize", train_out, "--blocks=20",
+                          "--seed=0", "--shard-size=8", "--verbose=1"])
+
+    for failure in runner.failures:
+        print("FAIL " + failure)
+    print("%d cases over %d commands and %d typed flags, %d failed" %
+          (runner.cases, len(commands), typed, len(runner.failures)))
+    return 1 if runner.failures or typed == 0 else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,8 @@
 #include "gtest/gtest.h"
 #include "base/string_util.h"
 
+#include <limits>
+
 namespace granite {
 namespace {
 
@@ -51,6 +53,31 @@ TEST(EqualsIgnoreCaseTest, Matches) {
 TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("QWORD PTR", "QWORD"));
   EXPECT_FALSE(StartsWith("QW", "QWORD"));
+}
+
+TEST(ParseDecimalTest, AcceptsOnePlainSpelling) {
+  EXPECT_EQ(ParseDecimal<int64_t>("42"), 42);
+  EXPECT_EQ(ParseDecimal<int64_t>("-42"), -42);
+  EXPECT_EQ(ParseDecimal<int64_t>("-9223372036854775808"),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ParseDecimal<uint64_t>("18446744073709551615"),
+            std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(ParseDecimal<double>("2.5e2"), 250.0);
+  EXPECT_EQ(ParseDecimal<double>("-0.5"), -0.5);
+}
+
+TEST(ParseDecimalTest, RefusesEveryOtherSpelling) {
+  for (const char* text : {"", "+5", " 5", "5 ", "5x", "0x10", "-", "--5",
+                           "1.5", "99999999999999999999",
+                           "-9223372036854775809"}) {
+    EXPECT_EQ(ParseDecimal<int64_t>(text), std::nullopt) << text;
+  }
+  for (const char* text : {"-1", "-0", "+5", "18446744073709551616"}) {
+    EXPECT_EQ(ParseDecimal<uint64_t>(text), std::nullopt) << text;
+  }
+  for (const char* text : {"", "+5", " 5", "5 ", "0x10", "1e999", "1.5.2"}) {
+    EXPECT_EQ(ParseDecimal<double>(text), std::nullopt) << text;
+  }
 }
 
 TEST(ParseIntTest, DecimalForms) {

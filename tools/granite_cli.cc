@@ -37,7 +37,10 @@
  *                         loading records (--verify=1 adds a full
  *                         checksum pass).
  *
- * Run `granite_cli help` (or any subcommand with --help) for flags.
+ * Run `granite_cli help` (or any subcommand with --help) for each
+ * command's flags with their types, defaults and ranges. CommandTable()
+ * states them once; every flag is parsed and range-checked before a
+ * command does any work, and a refused value exits with status 2.
  *
  * Training reads corpora through dataset::BlockSource, so an on-disk
  * corpus streams through an LRU shard window instead of materializing;
@@ -52,8 +55,7 @@
  * paper's cycles-per-100-iterations scale.
  */
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,8 +66,10 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -74,7 +78,9 @@
 #include "asm/semantics.h"
 #include "autotune/search.h"
 #include "autotune/transforms.h"
+#include "base/logging.h"
 #include "base/resource_usage.h"
+#include "base/string_util.h"
 #include "core/granite_model.h"
 #include "dataset/block_source.h"
 #include "dataset/corpus_io.h"
@@ -85,315 +91,282 @@
 #include "ml/kernels/kernel_backend.h"
 #include "ml/kernels/optimized_backend.h"
 #include "model/checkpoint.h"
+#include "model/config_io.h"
 #include "serve/model_router.h"
 #include "train/runners.h"
 #include "uarch/microarchitecture.h"
 
 namespace {
 
+using granite::model::IntRange;
 using granite::model::ThroughputPredictor;
 
-/** Parsed --key=value flags (last occurrence wins) plus repeatable
- * --model-file values in order. */
-struct Flags {
-  std::map<std::string, std::string> values;
-  std::vector<std::string> model_files;
-  bool help = false;
-
-  bool Has(const std::string& key) const { return values.count(key) > 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const {
-    const auto it = values.find(key);
-    return it == values.end() ? fallback : it->second;
-  }
-
-  long GetInt(const std::string& key, long fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    char* end = nullptr;
-    errno = 0;
-    const long parsed = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0') {
-      std::fprintf(stderr, "granite_cli: --%s wants an integer, got '%s'\n",
-                   key.c_str(), it->second.c_str());
-      std::exit(2);
-    }
-    // strtol saturates out-of-range input to LONG_MIN/LONG_MAX.
-    if (errno == ERANGE) {
-      std::fprintf(stderr, "granite_cli: --%s=%s is out of range\n",
-                   key.c_str(), it->second.c_str());
-      std::exit(2);
-    }
-    return parsed;
-  }
-
-  /** GetInt with an enforced [low, high] range, so negative or absurd
-   * counts fail with a message instead of wrapping through size_t. */
-  long GetCount(const std::string& key, long fallback, long low,
-                long high) const {
-    const long parsed = GetInt(key, fallback);
-    if (parsed < low || parsed > high) {
-      std::fprintf(stderr,
-                   "granite_cli: --%s=%ld out of range [%ld, %ld]\n",
-                   key.c_str(), parsed, low, high);
-      std::exit(2);
-    }
-    return parsed;
-  }
-
-  /** A non-negative seed, so --seed=-1 fails instead of wrapping to
-   * 2^64-1. */
-  uint64_t GetSeed(long fallback) const {
-    return static_cast<uint64_t>(
-        GetCount("seed", fallback, 0, std::numeric_limits<long>::max()));
-  }
-
-  /** Rejects flags no subcommand knows, so a typo'd flag cannot
-   * silently fall back to a default. */
-  void RequireKnown(const std::vector<std::string>& known) const {
-    for (const auto& [key, value] : values) {
-      bool found = false;
-      for (const std::string& candidate : known) {
-        if (key == candidate) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        std::fprintf(stderr,
-                     "granite_cli: unknown flag --%s for this command "
-                     "(see granite_cli help)\n",
-                     key.c_str());
-        std::exit(2);
-      }
-    }
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values.find(key);
-    if (it == values.end()) return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-      std::fprintf(stderr, "granite_cli: --%s wants a number, got '%s'\n",
-                   key.c_str(), it->second.c_str());
-      std::exit(2);
-    }
-    return parsed;
-  }
-
-  /** GetDouble constrained to finite, strictly positive values
-   * (scales). */
-  double GetPositiveDouble(const std::string& key, double fallback) const {
-    const double parsed = GetDouble(key, fallback);
-    if (!std::isfinite(parsed) || parsed <= 0.0) {
-      std::fprintf(stderr,
-                   "granite_cli: --%s must be finite and > 0, got %g\n",
-                   key.c_str(), parsed);
-      std::exit(2);
-    }
-    return parsed;
-  }
+/** What a flag's value must spell; the parse pass refuses anything
+ * else with exit 2 before a command does any work. */
+enum class FlagType {
+  kText,  ///< any string: a path, a route spec, block text
+  kInt,   ///< a decimal integer inside the flag's range
+  kSeed,  ///< a decimal uint64
+  kReal,  ///< a decimal number in (0, range.high]
+  kBool,  ///< exactly 0 or 1
+  kEnum,  ///< one of the '|'-separated names in the flag's hint
 };
 
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    const std::string argument = argv[i];
-    if (argument == "--help" || argument == "-h") {
-      flags.help = true;
-      continue;
-    }
-    if (argument.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "granite_cli: unexpected argument '%s'\n",
-                   argument.c_str());
-      std::exit(2);
-    }
-    const std::size_t separator = argument.find('=');
-    if (separator == std::string::npos) {
-      std::fprintf(stderr,
-                   "granite_cli: flags use --key=value form, got '%s'\n",
-                   argument.c_str());
-      std::exit(2);
-    }
-    const std::string key = argument.substr(2, separator - 2);
-    const std::string value = argument.substr(separator + 1);
-    if (key == "model-file") {
-      flags.model_files.push_back(value);
-    }
-    flags.values[key] = value;
-  }
-  return flags;
-}
-
-/** One flag of one subcommand: its spelling, value placeholder, and
- * one-line help. The table below is the single source of truth — both
- * the usage text and each subcommand's known-flag check (RequireKnown)
- * are generated from it, so a flag cannot be accepted but undocumented
- * (or documented but rejected). */
+/** One flag of one command: its spelling, type, default, range and
+ * help. CommandTable() is the only place a flag is described — the usage
+ * text, the parse pass and every typed read come from its rows. */
 struct FlagSpec {
   const char* name;
-  const char* hint;
+  FlagType type;
+  const char* hint;  ///< kText: the value placeholder; kEnum: the names
   const char* help;
+  std::string fallback;     ///< the default, spelled as on the command line
+  IntRange range{0, 0};     ///< kInt; kReal uses only `high`
+  bool required = false;    ///< must be given, and not empty
+  bool repeatable = false;  ///< may be given more than once
 };
 
-/** One subcommand: name (two words for dataset subcommands), one-line
- * summary, and its full flag set. */
+FlagSpec Text(const char* name, const char* hint, const char* help) {
+  return {name, FlagType::kText, hint, help, ""};
+}
+
+FlagSpec Required(FlagSpec flag) {
+  flag.required = true;
+  return flag;
+}
+
+FlagSpec Repeatable(FlagSpec flag) {
+  flag.repeatable = true;
+  return flag;
+}
+
+FlagSpec Int(const char* name, int fallback, IntRange range,
+             const char* help) {
+  GRANITE_CHECK(range.low >= std::numeric_limits<int>::min() &&
+                range.high <= std::numeric_limits<int>::max());
+  GRANITE_CHECK(fallback >= range.low && fallback <= range.high);
+  return {name, FlagType::kInt, "", help, std::to_string(fallback), range};
+}
+
+FlagSpec Seed(std::uint64_t fallback, const char* help) {
+  return {"seed", FlagType::kSeed, "", help, std::to_string(fallback)};
+}
+
+FlagSpec Real(const char* name, double fallback, std::int64_t high,
+              const char* help) {
+  GRANITE_CHECK(fallback > 0.0 && fallback <= static_cast<double>(high));
+  char spelled[32];
+  const auto result =
+      std::to_chars(spelled, spelled + sizeof(spelled), fallback);
+  return {name, FlagType::kReal, "", help, std::string(spelled, result.ptr),
+          {0, high}};
+}
+
+FlagSpec Bool(const char* name, bool fallback, const char* help) {
+  return {name, FlagType::kBool, "", help, fallback ? "1" : "0"};
+}
+
+/** An enum flag; `names` lists its values in the order of the C++ enum
+ * that Args::Enum casts the index to. */
+FlagSpec Enum(const char* name, const char* names, const char* fallback,
+              const char* help) {
+  return {name, FlagType::kEnum, names, help, fallback};
+}
+
+/** The value placeholder of `flag` in the usage text and in errors. */
+std::string Spelling(const FlagSpec& flag) {
+  switch (flag.type) {
+    case FlagType::kInt:
+      return "INT[" + std::to_string(flag.range.low) + "," +
+             std::to_string(flag.range.high) + "]";
+    case FlagType::kSeed:
+      return "U64[0," +
+             std::to_string(std::numeric_limits<std::uint64_t>::max()) + "]";
+    case FlagType::kReal:
+      return "REAL(0," + std::to_string(flag.range.high) + "]";
+    case FlagType::kBool:
+      return "0|1";
+    case FlagType::kText:
+    case FlagType::kEnum:
+      break;
+  }
+  return flag.hint;
+}
+
+/** One flag's value: as given, or the default when absent. */
+struct FlagValue {
+  const FlagSpec* spec = nullptr;
+  std::vector<std::string> texts;  ///< every given spelling, in order
+  std::int64_t integer = 0;        ///< kInt, kBool, kEnum (the index)
+  std::uint64_t seed = 0;
+  double real = 0.0;
+  bool given = false;
+};
+
+/** Parses `text` as a value of `value.spec` into `value`; false when
+ * the spelling is not of the flag's type or outside its range. */
+bool ParseValue(const std::string& text, FlagValue& value) {
+  const FlagSpec& flag = *value.spec;
+  value.texts.push_back(text);
+  switch (flag.type) {
+    case FlagType::kText:
+      return !(flag.required && text.empty());
+    case FlagType::kInt: {
+      const auto parsed = granite::ParseDecimal<std::int64_t>(text);
+      if (!parsed || *parsed < flag.range.low || *parsed > flag.range.high) {
+        return false;
+      }
+      value.integer = *parsed;
+      return true;
+    }
+    case FlagType::kSeed: {
+      const auto parsed = granite::ParseDecimal<std::uint64_t>(text);
+      value.seed = parsed.value_or(0);
+      return parsed.has_value();
+    }
+    case FlagType::kReal: {
+      const auto parsed = granite::ParseDecimal<double>(text);
+      value.real = parsed.value_or(0.0);
+      // NaN fails both comparisons.
+      return value.real > 0.0 &&
+             value.real <= static_cast<double>(flag.range.high);
+    }
+    case FlagType::kBool:
+      value.integer = text == "1";
+      return text == "0" || text == "1";
+    case FlagType::kEnum: {
+      const std::vector<std::string_view> names =
+          granite::Split(flag.hint, '|');
+      const auto it = std::find(names.begin(), names.end(), text);
+      value.integer = it - names.begin();
+      return it != names.end();
+    }
+  }
+  return false;
+}
+
+struct CommandSpec;
+
+/** Every flag of one command, parsed and range-checked by Parse();
+ * absent flags hold their table default. Reading a flag the command
+ * does not have, or as the wrong type, is a programming error. */
+class Args {
+ public:
+  /**
+   * The one parse pass of a command: every --key=value in argv[first..]
+   * must name a flag of `command`, spell a value of its type inside its
+   * range, and appear once unless repeatable; every required flag must
+   * be given. The first violation is reported and yields nullopt (exit
+   * 2).
+   */
+  static std::optional<Args> Parse(const CommandSpec& command, int argc,
+                                   char** argv, int first);
+
+  /** True when the flag was on the command line. */
+  bool Given(const char* name) const { return Find(name).given; }
+  const std::string& Text(const char* name) const {
+    const FlagValue& value = Find(name);
+    GRANITE_CHECK(value.spec->type == FlagType::kText ||
+                  value.spec->type == FlagType::kEnum);
+    return value.texts.back();
+  }
+  /** Every given value of a repeatable flag, in order. */
+  const std::vector<std::string>& Texts(const char* name) const {
+    return Find(name, FlagType::kText).texts;
+  }
+  int Int(const char* name) const {
+    return static_cast<int>(Find(name, FlagType::kInt).integer);
+  }
+  std::uint64_t Seed() const { return Find("seed", FlagType::kSeed).seed; }
+  double Real(const char* name) const {
+    return Find(name, FlagType::kReal).real;
+  }
+  bool Bool(const char* name) const {
+    return Find(name, FlagType::kBool).integer != 0;
+  }
+  template <typename E>
+  E Enum(const char* name) const {
+    return static_cast<E>(Find(name, FlagType::kEnum).integer);
+  }
+
+ private:
+  const FlagValue& Find(const char* name) const {
+    const auto it = values_.find(name);
+    GRANITE_CHECK_MSG(it != values_.end(), "no flag --" << name);
+    return it->second;
+  }
+  const FlagValue& Find(const char* name, FlagType type) const {
+    const FlagValue& value = Find(name);
+    GRANITE_CHECK(value.spec->type == type);
+    return value;
+  }
+
+  std::map<std::string, FlagValue, std::less<>> values_;
+};
+
+/** One command: name (two words for dataset subcommands), one-line
+ * summary, its flags and its handler. */
 struct CommandSpec {
   const char* name;
   const char* summary;
   std::vector<FlagSpec> flags;
+  int (*run)(const Args&);
 };
 
-const std::vector<CommandSpec>& CommandTable() {
-  static const std::vector<CommandSpec>* table = new std::vector<
-      CommandSpec>{
-      {"train",
-       "train a model and write a checkpoint bundle",
-       {{"out", "PATH", "output checkpoint bundle (required)"},
-        {"model", "granite|ithemal|ithemal_plus", "model family"},
-        {"dataset-file", "PATH",
-         "corpus file (else synthesized from --blocks)"},
-        {"blocks", "N", "synthesized corpus size"},
-        {"steps", "N", "training steps"},
-        {"tasks", "1..3", "task heads (Microarchitecture order)"},
-        {"embedding", "N", "embedding width"},
-        {"mp-iterations", "N", "message-passing iterations"},
-        {"batch-size", "N", "training batch size"},
-        {"seed", "N", "corpus + init seed"},
-        {"target-scale", "S", "cycles-per-N-iterations label scale"},
-        {"verbose", "0|1", "per-validation progress"}}},
-      {"eval",
-       "evaluate a bundle per task on a held-out corpus",
-       {{"model-file", "PATH", "checkpoint bundle (required)"},
-        {"dataset-file", "PATH",
-         "corpus file (else synthesized from --blocks)"},
-        {"blocks", "N", "synthesized corpus size"},
-        {"seed", "N", "synthesis seed"},
-        {"target-scale", "S", "cycles-per-N-iterations label scale"}}},
-      {"predict",
-       "predict one block's throughput on every task head",
-       {{"model-file", "PATH", "checkpoint bundle (required)"},
-        {"asm", "\"INSTR; INSTR\"",
-         "block text (else read from stdin)"},
-        {"target-scale", "S", "reporting scale"}}},
-      {"serve",
-       "serve bundles behind a multi-model router",
-       {{"model-file", "[NAME=]PATH", "bundle route (repeatable, required)"},
-        {"requests", "N", "replayed client requests"},
-        {"shards", "N", "queue/stats shards"},
-        {"batch-size", "N", "coalesced batch size"},
-        {"window-us", "N", "batching window"},
-        {"cache", "N", "prediction cache capacity"},
-        {"blocks", "N", "synthesized traffic corpus size"},
-        {"seed", "N", "traffic seed"},
-        {"split", "NAME=A:B:WEIGHT", "weighted A/B split route"},
-        {"shadow", "ROUTE=PATH", "mirror ROUTE to a candidate bundle"},
-        {"shadow-samples", "N", "comparisons before the parity verdict"},
-        {"promote", "0|1", "auto-promote the shadow on parity"}}},
-      {"autotune",
-       "optimize basic blocks with beam search over the served cost model",
-       {{"model-file", "PATH",
-         "cost model bundle (else the analytical oracle scores)"},
-        {"dataset-file", "PATH",
-         "corpus file (else synthesized from --blocks)"},
-        {"blocks", "N", "synthesized corpus size"},
-        {"seed", "N", "synthesis seed"},
-        {"beam", "N", "beam width"},
-        {"depth", "N", "transform-composition rounds"},
-        {"deadline-ms", "N", "per-block search budget (0 = unlimited)"},
-        {"task", "0..2", "task head / oracle microarchitecture"},
-        {"pessimize", "N",
-         "naive-codegen rewrites applied to each input block first "
-         "(0 optimizes the corpus as-is)"},
-        {"shards", "N", "server shards (with --model-file)"},
-        {"batch-size", "N", "server batch size"},
-        {"window-us", "N", "server batching window"},
-        {"cache", "N", "server prediction cache capacity"},
-        {"verbose", "0|1", "print optimized block text"}}},
-      {"inspect",
-       "dump checkpoint bundle metadata without loading the model",
-       {{"model-file", "PATH", "checkpoint bundle (required)"},
-        {"tensors", "0|1", "list every tensor shape"}}},
-      {"isa",
-       "inspect the instruction-semantics table (no flags: coverage "
-       "summary)",
-       {{"lookup", "MNEMONIC", "print one mnemonic's semantics"},
-        {"doc", "PATH|-", "write the generated ISA reference markdown"},
-        {"check", "PATH",
-         "exit 1 unless PATH matches the generated reference byte for "
-         "byte"}}},
-      {"dataset synthesize",
-       "stream a labeled synthetic corpus to disk with bounded memory",
-       {{"out", "PATH", "corpus file (required)"},
-        {"blocks", "N", "corpus size (up to 100M)"},
-        {"seed", "N", "generator seed"},
-        {"tool", "ithemal|bhive", "label measurement convention"},
-        {"max-instructions", "N", "block length cap"},
-        {"shard-size", "N", "records per shard"},
-        {"verbose", "0|1", "per-shard progress"}}},
-      {"dataset import",
-       "convert a BHive-style measured CSV into a checksummed corpus",
-       {{"csv", "PATH", "input CSV (required)"},
-        {"out", "PATH", "corpus file (required)"},
-        {"tool", "ithemal|bhive", "label measurement convention"},
-        {"throughput-scale", "S", "label rescale on import"},
-        {"shard-size", "N", "records per shard"},
-        {"disasm-file", "PATH", "disassembly sidecar for raw-hex rows"},
-        {"rejects-out", "PATH", "sampled rejected rows"},
-        {"max-reject-samples", "N", "cap on sampled rejects"}}},
-      {"dataset inspect",
-       "print corpus header/stats without loading records",
-       {{"file", "PATH", "corpus file (required)"},
-        {"verify", "0|1", "full checksum pass"}}},
-  };
-  return *table;
-}
-
-/** The table row of `name`; dies if the command is not in the table (a
- * programming error — dispatch and table must agree). */
-const CommandSpec& CommandSpecFor(const std::string& name) {
-  for (const CommandSpec& command : CommandTable()) {
-    if (name == command.name) return command;
+std::optional<Args> Args::Parse(const CommandSpec& command, int argc,
+                                char** argv, int first) {
+  Args args;
+  for (const FlagSpec& flag : command.flags) {
+    args.values_[flag.name].spec = &flag;
   }
-  std::fprintf(stderr, "granite_cli: no table entry for command '%s'\n",
-               name.c_str());
-  std::exit(2);
-}
-
-/** The known-flag set of a subcommand, for Flags::RequireKnown. */
-std::vector<std::string> KnownFlagsOf(const CommandSpec& command) {
-  std::vector<std::string> names;
-  names.reserve(command.flags.size());
-  for (const FlagSpec& flag : command.flags) names.emplace_back(flag.name);
-  return names;
-}
-
-void PrintUsage() {
-  std::printf(
-      "granite_cli — throughput-model training, evaluation and serving\n"
-      "\n"
-      "usage: granite_cli <command> [--key=value ...]\n"
-      "\n"
-      "commands:\n");
-  for (const CommandSpec& command : CommandTable()) {
-    std::printf("  %s\n      %s\n", command.name, command.summary);
-    for (const FlagSpec& flag : command.flags) {
-      const std::string spelled =
-          std::string("--") + flag.name + "=" + flag.hint;
-      if (spelled.size() > 28) {
-        std::printf("      %s\n      %-28s %s\n", spelled.c_str(), "",
-                    flag.help);
-      } else {
-        std::printf("      %-28s %s\n", spelled.c_str(), flag.help);
-      }
+  const auto fail = [&](const std::string& message) {
+    std::fprintf(stderr, "granite_cli %s: %s\n", command.name,
+                 message.c_str());
+    return std::nullopt;
+  };
+  for (int i = first; i < argc; ++i) {
+    const std::string argument = argv[i];
+    const std::size_t separator = argument.find('=');
+    if (argument.rfind("--", 0) != 0 || separator == std::string::npos) {
+      return fail("flags use --key=value form, got '" + argument + "'");
+    }
+    const std::string key = argument.substr(2, separator - 2);
+    const std::string text = argument.substr(separator + 1);
+    const auto it = args.values_.find(key);
+    if (it == args.values_.end()) {
+      return fail("unknown flag --" + key + " (see granite_cli help)");
+    }
+    FlagValue& value = it->second;
+    if (value.given && !value.spec->repeatable) {
+      return fail("--" + key + " is given more than once");
+    }
+    value.given = true;
+    if (!ParseValue(text, value)) {
+      return fail("--" + key + " wants " + Spelling(*value.spec) +
+                  ", got '" + text + "'");
     }
   }
-  std::printf("  help\n      this text\n");
+  for (auto& [key, value] : args.values_) {
+    if (value.given) continue;
+    if (value.spec->required) return fail("--" + key + " is required");
+    GRANITE_CHECK(ParseValue(value.spec->fallback, value));
+  }
+  return args;
 }
 
-/** Task head i is supervised by Microarchitecture(i). */
+/** The smallest corpus `train` splits into its three parts. */
+constexpr int kMinTrainBlocks = 16;
+/** The block length cap of synthesized corpora: `train`, `eval`, `serve`
+ * and `autotune` use it, and `dataset synthesize` defaults to it so that
+ * file-based and in-memory runs line up. */
+constexpr int kSynthesizedMaxInstructions = 8;
+
+/** `train --model`, in the order of its names in the table. */
+enum class ModelFamily { kGranite, kIthemal, kIthemalPlus };
+
+/** Task head i is supervised by Microarchitecture(i). A bundle may hold
+ * more heads than there are modelled microarchitectures; --tasks cannot
+ * (its table range stops there). */
 std::vector<granite::uarch::Microarchitecture> TasksFor(int num_tasks) {
   if (num_tasks < 1 || num_tasks > granite::uarch::kNumMicroarchitectures) {
     std::fprintf(stderr,
@@ -410,28 +383,8 @@ granite::dataset::Dataset SynthesizeCorpus(std::size_t num_blocks,
   granite::dataset::SynthesisConfig synthesis;
   synthesis.num_blocks = num_blocks;
   synthesis.seed = seed;
-  synthesis.generator.max_instructions = 8;
+  synthesis.generator.max_instructions = kSynthesizedMaxInstructions;
   return granite::dataset::SynthesizeDataset(synthesis);
-}
-
-std::unique_ptr<ThroughputPredictor> LoadBundleOrDie(
-    const std::string& path) {
-  try {
-    return granite::model::LoadModel(path);
-  } catch (const granite::model::CheckpointError& error) {
-    std::fprintf(stderr, "granite_cli: %s\n", error.what());
-    std::exit(1);
-  }
-}
-
-std::unique_ptr<granite::dataset::StreamingCorpusSource> OpenCorpusOrDie(
-    const std::string& path) {
-  try {
-    return std::make_unique<granite::dataset::StreamingCorpusSource>(path);
-  } catch (const granite::dataset::CorpusError& error) {
-    std::fprintf(stderr, "granite_cli: %s\n", error.what());
-    std::exit(1);
-  }
 }
 
 /** The corpus a command runs on: a streaming file-backed source when
@@ -439,16 +392,17 @@ std::unique_ptr<granite::dataset::StreamingCorpusSource> OpenCorpusOrDie(
  * Both are BlockSources, so the two paths are interchangeable
  * bit-for-bit given the same samples. */
 std::unique_ptr<granite::dataset::BlockSource> MakeCorpusSource(
-    const Flags& flags, long default_blocks, long min_blocks,
-    uint64_t seed) {
-  const std::string dataset_file = flags.GetString("dataset-file", "");
+    const Args& args) {
+  const std::string& dataset_file = args.Text("dataset-file");
   if (!dataset_file.empty()) {
-    if (flags.Has("blocks")) {
+    if (args.Given("blocks")) {
       std::fprintf(stderr,
                    "granite_cli: --blocks is ignored with "
                    "--dataset-file (the file fixes the corpus)\n");
     }
-    auto streaming = OpenCorpusOrDie(dataset_file);
+    auto streaming =
+        std::make_unique<granite::dataset::StreamingCorpusSource>(
+            dataset_file);
     std::printf("streaming corpus %s: %llu blocks, %llu shards of %llu "
                 "(tool %s, seed %llu)\n",
                 dataset_file.c_str(),
@@ -465,46 +419,22 @@ std::unique_ptr<granite::dataset::BlockSource> MakeCorpusSource(
                     streaming->header().generator_seed));
     return streaming;
   }
-  const long num_blocks =
-      flags.GetCount("blocks", default_blocks, min_blocks, 1000000);
-  return std::make_unique<granite::dataset::Dataset>(
-      SynthesizeCorpus(static_cast<std::size_t>(num_blocks), seed));
+  return std::make_unique<granite::dataset::Dataset>(SynthesizeCorpus(
+      static_cast<std::size_t>(args.Int("blocks")), args.Seed()));
 }
 
-/** Builds the evaluation harness around an existing predictor. */
-granite::train::TrainerConfig EvalConfig(const ThroughputPredictor& model,
-                                         double target_scale) {
-  granite::train::TrainerConfig config;
-  config.tasks = TasksFor(model.num_tasks());
-  config.target_scale = target_scale;
-  return config;
-}
-
-int RunTrain(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("train")));
-  const std::string out = flags.GetString("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "granite_cli train: --out=PATH is required\n");
-    return 2;
-  }
-  const std::string model_name = flags.GetString("model", "granite");
-  const int steps = static_cast<int>(flags.GetCount("steps", 300, 1,
-                                                    10000000));
-  const int num_tasks = static_cast<int>(flags.GetCount("tasks", 1, 1, 3));
-  const int embedding =
-      static_cast<int>(flags.GetCount("embedding", 16, 1, 4096));
-  const int mp_iterations =
-      static_cast<int>(flags.GetCount("mp-iterations", 2, 1, 64));
-  const uint64_t seed = flags.GetSeed(7);
-  const double target_scale = flags.GetPositiveDouble("target-scale", 100.0);
+int RunTrain(const Args& args) {
+  const int steps = args.Int("steps");
+  const int num_tasks = args.Int("tasks");
+  const uint64_t seed = args.Seed();
+  const double target_scale = args.Real("target-scale");
 
   const std::unique_ptr<granite::dataset::BlockSource> corpus =
-      MakeCorpusSource(flags, /*default_blocks=*/160, /*min_blocks=*/16,
-                       seed);
-  if (corpus->size() < 16) {
+      MakeCorpusSource(args);
+  if (corpus->size() < kMinTrainBlocks) {
     std::fprintf(stderr,
-                 "granite_cli train: corpus has %zu blocks, need >= 16\n",
-                 corpus->size());
+                 "granite_cli train: corpus has %zu blocks, need >= %d\n",
+                 corpus->size(), kMinTrainBlocks);
     return 2;
   }
   // The paper's splits, as index views over the source (no sample is
@@ -524,14 +454,13 @@ int RunTrain(const Flags& flags) {
 
   granite::train::TrainerConfig trainer_config;
   trainer_config.num_steps = steps;
-  trainer_config.batch_size =
-      static_cast<int>(flags.GetCount("batch-size", 16, 1, 100000));
+  trainer_config.batch_size = args.Int("batch-size");
   trainer_config.adam.learning_rate = 0.008f;
   trainer_config.final_learning_rate = 0.0008f;
   trainer_config.target_scale = target_scale;
   trainer_config.tasks = TasksFor(num_tasks);
   trainer_config.validation_every = std::max(1, steps / 4);
-  trainer_config.verbose = flags.GetInt("verbose", 0) != 0;
+  trainer_config.verbose = args.Bool("verbose");
   trainer_config.seed = seed + 1;
 
   // Initialize decoder biases at the per-instruction mean target so the
@@ -555,19 +484,22 @@ int RunTrain(const Flags& flags) {
       static_cast<float>(mean_target / mean_instructions);
 
   std::unique_ptr<granite::train::ModelRunner> runner;
-  if (model_name == "granite") {
+  const ModelFamily family = args.Enum<ModelFamily>("model");
+  if (family == ModelFamily::kGranite) {
     granite::core::GraniteConfig config =
-        granite::core::GraniteConfig().WithEmbeddingSize(embedding);
-    config.message_passing_iterations = mp_iterations;
+        granite::core::GraniteConfig().WithEmbeddingSize(
+            args.Int("embedding"));
+    config.message_passing_iterations = args.Int("mp-iterations");
     config.num_tasks = num_tasks;
     config.decoder_output_bias_init = bias_init;
     config.seed = seed + 2;
     runner = std::make_unique<granite::train::ModelRunner>(config,
                                                            trainer_config);
-  } else if (model_name == "ithemal" || model_name == "ithemal_plus") {
+  } else {
     granite::ithemal::IthemalConfig config =
-        granite::ithemal::IthemalConfig().WithEmbeddingSize(embedding);
-    config.decoder = model_name == "ithemal"
+        granite::ithemal::IthemalConfig().WithEmbeddingSize(
+            args.Int("embedding"));
+    config.decoder = family == ModelFamily::kIthemal
                          ? granite::ithemal::DecoderKind::kDotProduct
                          : granite::ithemal::DecoderKind::kMlp;
     config.num_tasks = num_tasks;
@@ -575,12 +507,6 @@ int RunTrain(const Flags& flags) {
     config.seed = seed + 2;
     runner = std::make_unique<granite::train::ModelRunner>(config,
                                                            trainer_config);
-  } else {
-    std::fprintf(stderr,
-                 "granite_cli train: unknown --model '%s' (granite, "
-                 "ithemal, ithemal_plus)\n",
-                 model_name.c_str());
-    return 2;
   }
 
   const auto& kernels = static_cast<const granite::ml::OptimizedBackend&>(
@@ -588,7 +514,7 @@ int RunTrain(const Flags& flags) {
           granite::ml::KernelBackendKind::kOptimized));
   std::printf("training %s (%zu weights, %d task(s)) on %zu blocks for "
               "%d steps with %s kernels...\n",
-              model_name.c_str(),
+              args.Text("model").c_str(),
               runner->model().parameters().TotalWeights(), num_tasks,
               train_source.size(), steps, kernels.isa());
   const granite::train::TrainingResult result =
@@ -608,34 +534,25 @@ int RunTrain(const Flags& flags) {
                 eval.count);
   }
 
-  runner->Save(out);
-  std::printf("wrote checkpoint bundle: %s\n", out.c_str());
+  runner->Save(args.Text("out"));
+  std::printf("wrote checkpoint bundle: %s\n", args.Text("out").c_str());
   return 0;
 }
 
-int RunEval(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("eval")));
-  const std::string path = flags.GetString("model-file", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli eval: --model-file=PATH is required\n");
-    return 2;
-  }
-  const uint64_t seed = flags.GetSeed(11);
-  const double target_scale = flags.GetPositiveDouble("target-scale", 100.0);
-
-  std::unique_ptr<ThroughputPredictor> loaded = LoadBundleOrDie(path);
+int RunEval(const Args& args) {
+  std::unique_ptr<ThroughputPredictor> loaded =
+      granite::model::LoadModel(args.Text("model-file"));
   std::printf("loaded %s model, %d task(s), %zu weights\n",
               std::string(granite::model::ModelKindName(loaded->kind()))
                   .c_str(),
               loaded->num_tasks(), loaded->parameters().TotalWeights());
 
-  const granite::train::TrainerConfig eval_config =
-      EvalConfig(*loaded, target_scale);
+  granite::train::TrainerConfig eval_config;
+  eval_config.tasks = TasksFor(loaded->num_tasks());
+  eval_config.target_scale = args.Real("target-scale");
   const int num_tasks = loaded->num_tasks();
   const std::unique_ptr<granite::dataset::BlockSource> corpus =
-      MakeCorpusSource(flags, /*default_blocks=*/64, /*min_blocks=*/1,
-                       seed);
+      MakeCorpusSource(args);
   granite::train::ModelRunner runner(std::move(loaded), eval_config);
   for (int task = 0; task < num_tasks; ++task) {
     const granite::train::EvaluationResult eval =
@@ -652,16 +569,8 @@ int RunEval(const Flags& flags) {
   return 0;
 }
 
-int RunPredict(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("predict")));
-  const std::string path = flags.GetString("model-file", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli predict: --model-file=PATH is required\n");
-    return 2;
-  }
-  const double target_scale = flags.GetPositiveDouble("target-scale", 100.0);
-  std::string text = flags.GetString("asm", "");
+int RunPredict(const Args& args) {
+  std::string text = args.Text("asm");
   if (text.empty()) {
     std::ostringstream buffer;
     buffer << std::cin.rdbuf();
@@ -678,7 +587,8 @@ int RunPredict(const Flags& flags) {
     return 1;
   }
 
-  const std::unique_ptr<ThroughputPredictor> loaded = LoadBundleOrDie(path);
+  const std::unique_ptr<ThroughputPredictor> loaded =
+      granite::model::LoadModel(args.Text("model-file"));
   const std::vector<std::vector<double>> predictions =
       loaded->PredictBatchAllTasks({&*parsed.value});
   const auto tasks = TasksFor(loaded->num_tasks());
@@ -689,40 +599,30 @@ int RunPredict(const Flags& flags) {
                 std::string(granite::uarch::MicroarchitectureName(
                                 tasks[task]))
                     .c_str(),
-                predictions[0][task] * target_scale);
+                predictions[0][task] * args.Real("target-scale"));
   }
   return 0;
 }
 
-int RunServe(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("serve")));
-  if (flags.model_files.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli serve: at least one --model-file=[NAME=]PATH "
-                 "is required\n");
-    return 2;
-  }
-  const int requests =
-      static_cast<int>(flags.GetCount("requests", 400, 1, 100000000));
-  const int num_blocks =
-      static_cast<int>(flags.GetCount("blocks", 64, 1, 1000000));
-  const uint64_t seed = flags.GetSeed(11);
+/** The server knobs `serve` and `autotune` share: --shards (workers and
+ * request-queue shards are 1:1), --batch-size, --window-us, --cache. */
+granite::serve::InferenceServerConfig ServerConfigFrom(const Args& args) {
+  granite::serve::InferenceServerConfig config;
+  config.num_workers = args.Int("shards");
+  config.max_batch_size = args.Int("batch-size");
+  config.batch_window = std::chrono::microseconds{args.Int("window-us")};
+  config.prediction_cache_capacity =
+      static_cast<std::size_t>(args.Int("cache"));
+  return config;
+}
 
-  granite::serve::InferenceServerConfig server_config;
-  // Workers and request-queue shards are 1:1.
-  server_config.num_workers =
-      static_cast<int>(flags.GetCount("shards", 2, 1, 256));
-  server_config.max_batch_size =
-      static_cast<int>(flags.GetCount("batch-size", 16, 1, 100000));
-  server_config.batch_window =
-      std::chrono::microseconds{flags.GetCount("window-us", 2000, 0,
-                                               60000000)};
-  server_config.prediction_cache_capacity =
-      static_cast<std::size_t>(flags.GetCount("cache", 512, 0, 100000000));
-
+int RunServe(const Args& args) {
+  const int requests = args.Int("requests");
+  const granite::serve::InferenceServerConfig server_config =
+      ServerConfigFrom(args);
   granite::serve::ModelRouter router(server_config);
   std::vector<std::pair<std::string, int>> models;  // name → num_tasks
-  for (const std::string& entry : flags.model_files) {
+  for (const std::string& entry : args.Texts("model-file")) {
     // --model-file=NAME=PATH names the route; bare PATH uses the file
     // stem (checkpoints/granite.gmb → "granite").
     std::string name;
@@ -746,7 +646,8 @@ int RunServe(const Flags& flags) {
                    name.c_str());
       return 2;
     }
-    std::unique_ptr<ThroughputPredictor> loaded = LoadBundleOrDie(path);
+    std::unique_ptr<ThroughputPredictor> loaded =
+        granite::model::LoadModel(path);
     const int num_tasks = loaded->num_tasks();
     std::printf("serving '%s' (%s, %d task(s)) from %s\n", name.c_str(),
                 std::string(granite::model::ModelKindName(loaded->kind()))
@@ -758,36 +659,26 @@ int RunServe(const Flags& flags) {
 
   // --split=NAME=A:B:WEIGHT registers a weighted A/B split over two
   // loaded routes and includes it in the replayed traffic.
-  if (flags.Has("split")) {
-    const std::string spec = flags.GetString("split", "");
+  if (args.Given("split")) {
+    const std::string& spec = args.Text("split");
     const std::size_t equals = spec.find('=');
-    const std::size_t colon = spec.find(':', equals + 1);
-    const std::size_t second_colon =
-        colon == std::string::npos ? std::string::npos
-                                   : spec.find(':', colon + 1);
-    if (equals == std::string::npos || colon == std::string::npos ||
-        second_colon == std::string::npos) {
+    const std::vector<std::string_view> arms =
+        granite::Split(std::string_view(spec).substr(equals + 1), ':');
+    // NaN fails both comparisons.
+    const double weight_a =
+        arms.size() == 3
+            ? granite::ParseDecimal<double>(arms[2]).value_or(-1.0)
+            : -1.0;
+    if (equals == std::string::npos || !(weight_a >= 0.0 && weight_a <= 1.0)) {
       std::fprintf(stderr,
-                   "granite_cli serve: --split wants NAME=A:B:WEIGHT, "
-                   "got '%s'\n",
+                   "granite_cli serve: --split wants NAME=A:B:WEIGHT with "
+                   "WEIGHT a number in [0, 1], got '%s'\n",
                    spec.c_str());
       return 2;
     }
     const std::string split_name = spec.substr(0, equals);
-    const std::string route_a = spec.substr(equals + 1, colon - equals - 1);
-    const std::string route_b =
-        spec.substr(colon + 1, second_colon - colon - 1);
-    char* end = nullptr;
-    const std::string weight_text = spec.substr(second_colon + 1);
-    const double weight_a = std::strtod(weight_text.c_str(), &end);
-    if (end == weight_text.c_str() || *end != '\0' ||
-        !std::isfinite(weight_a) || weight_a < 0.0 || weight_a > 1.0) {
-      std::fprintf(stderr,
-                   "granite_cli serve: split weight must be a finite "
-                   "number in [0, 1], got '%s'\n",
-                   weight_text.c_str());
-      return 2;
-    }
+    const std::string route_a(arms[0]);
+    const std::string route_b(arms[1]);
     if (router.HasModel(split_name)) {
       std::fprintf(stderr,
                    "granite_cli serve: split name '%s' collides with a "
@@ -819,8 +710,8 @@ int RunServe(const Flags& flags) {
   // --shadow=ROUTE=PATH starts a canary session: traffic on ROUTE is
   // mirrored to the bundle at PATH, compared (never returned), and the
   // candidate is promoted on parity unless --promote=0.
-  if (flags.Has("shadow")) {
-    const std::string spec = flags.GetString("shadow", "");
+  if (args.Given("shadow")) {
+    const std::string& spec = args.Text("shadow");
     const std::size_t separator = spec.find('=');
     if (separator == std::string::npos) {
       std::fprintf(stderr,
@@ -839,11 +730,12 @@ int RunServe(const Flags& flags) {
       return 2;
     }
     granite::serve::ShadowConfig shadow_config;
-    shadow_config.min_comparisons = static_cast<uint64_t>(
-        flags.GetCount("shadow-samples", 50, 1, 100000000));
-    shadow_config.auto_promote = flags.GetInt("promote", 1) != 0;
+    shadow_config.min_comparisons =
+        static_cast<uint64_t>(args.Int("shadow-samples"));
+    shadow_config.auto_promote = args.Bool("promote");
     shadow_config.server_config = server_config;
-    router.StartShadow(route, LoadBundleOrDie(path), shadow_config);
+    router.StartShadow(route, granite::model::LoadModel(path),
+                       shadow_config);
     std::printf("shadowing '%s' with %s (%llu samples, %s)\n",
                 route.c_str(), path.c_str(),
                 static_cast<unsigned long long>(
@@ -852,8 +744,8 @@ int RunServe(const Flags& flags) {
                                            : "manual promote");
   }
 
-  const granite::dataset::Dataset corpus =
-      SynthesizeCorpus(static_cast<std::size_t>(num_blocks), seed);
+  const granite::dataset::Dataset corpus = SynthesizeCorpus(
+      static_cast<std::size_t>(args.Int("blocks")), args.Seed());
   const std::vector<const granite::assembly::BasicBlock*> blocks =
       corpus.Blocks();
 
@@ -908,18 +800,9 @@ int RunServe(const Flags& flags) {
  * the improved fraction as judged by the *analytical oracle* (not the
  * searched model), so a trained model's wins are independently checked.
  */
-int RunAutotune(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("autotune")));
-  const int beam = static_cast<int>(flags.GetCount("beam", 4, 1, 64));
-  const int depth = static_cast<int>(flags.GetCount("depth", 5, 0, 32));
-  const long deadline_ms =
-      flags.GetCount("deadline-ms", 0, 0, 600000);
-  const int task = static_cast<int>(flags.GetCount(
-      "task", 0, 0, granite::uarch::kNumMicroarchitectures - 1));
-  const int pessimize =
-      static_cast<int>(flags.GetCount("pessimize", 3, 0, 16));
-  const uint64_t seed = flags.GetSeed(17);
-  const bool verbose = flags.GetInt("verbose", 0) != 0;
+int RunAutotune(const Args& args) {
+  const int task = args.Int("task");
+  const int pessimize = args.Int("pessimize");
 
   const auto microarchitecture =
       static_cast<granite::uarch::Microarchitecture>(task);
@@ -928,8 +811,7 @@ int RunAutotune(const Flags& flags) {
   // Collect the input corpus: oracle-supported blocks only (the
   // transform catalog cannot reason about unknown instructions).
   const std::unique_ptr<granite::dataset::BlockSource> corpus =
-      MakeCorpusSource(flags, /*default_blocks=*/32, /*min_blocks=*/1,
-                       seed);
+      MakeCorpusSource(args);
   std::vector<granite::assembly::BasicBlock> inputs;
   std::size_t unsupported = 0;
   for (std::size_t i = 0; i < corpus->size(); ++i) {
@@ -963,9 +845,9 @@ int RunAutotune(const Flags& flags) {
   std::unique_ptr<ThroughputPredictor> loaded;
   std::unique_ptr<granite::serve::InferenceServer> server;
   std::unique_ptr<granite::autotune::CostClient> client;
-  const std::string model_file = flags.GetString("model-file", "");
+  const std::string& model_file = args.Text("model-file");
   if (!model_file.empty()) {
-    loaded = LoadBundleOrDie(model_file);
+    loaded = granite::model::LoadModel(model_file);
     if (task >= loaded->num_tasks()) {
       std::fprintf(stderr,
                    "granite_cli autotune: --task=%d but the bundle has "
@@ -973,15 +855,8 @@ int RunAutotune(const Flags& flags) {
                    task, loaded->num_tasks());
       return 2;
     }
-    granite::serve::InferenceServerConfig server_config;
-    server_config.num_workers =
-        static_cast<int>(flags.GetCount("shards", 2, 1, 256));
-    server_config.max_batch_size =
-        static_cast<int>(flags.GetCount("batch-size", 16, 1, 100000));
-    server_config.batch_window = std::chrono::microseconds{
-        flags.GetCount("window-us", 500, 0, 60000000)};
-    server_config.prediction_cache_capacity = static_cast<std::size_t>(
-        flags.GetCount("cache", 4096, 0, 100000000));
+    const granite::serve::InferenceServerConfig server_config =
+        ServerConfigFrom(args);
     server = std::make_unique<granite::serve::InferenceServer>(
         loaded.get(), server_config);
     client = std::make_unique<granite::autotune::ServerCostClient>(
@@ -1000,9 +875,9 @@ int RunAutotune(const Flags& flags) {
   }
 
   granite::autotune::SearchConfig search_config;
-  search_config.beam_width = beam;
-  search_config.max_depth = depth;
-  search_config.deadline = std::chrono::milliseconds{deadline_ms};
+  search_config.beam_width = args.Int("beam");
+  search_config.max_depth = args.Int("depth");
+  search_config.deadline = std::chrono::milliseconds{args.Int("deadline-ms")};
   granite::autotune::BlockOptimizer optimizer(client.get(), search_config);
 
   std::size_t model_improved = 0;
@@ -1036,7 +911,7 @@ int RunAutotune(const Flags& flags) {
                 result.best_cost, result.predicted_speedup, oracle_before,
                 oracle_after, rules.empty() ? "" : "  via ",
                 rules.c_str());
-    if (verbose && result.improved) {
+    if (args.Bool("verbose") && result.improved) {
       std::printf("--- input:\n%s--- optimized:\n%s",
                   inputs[i].ToString().c_str(),
                   result.best.ToString().c_str());
@@ -1066,21 +941,10 @@ int RunAutotune(const Flags& flags) {
   return 0;
 }
 
-int RunInspect(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("inspect")));
-  const std::string path = flags.GetString("model-file", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli inspect: --model-file=PATH is required\n");
-    return 2;
-  }
-  granite::model::BundleInfo info;
-  try {
-    info = granite::model::InspectBundle(path);
-  } catch (const granite::model::CheckpointError& error) {
-    std::fprintf(stderr, "granite_cli: %s\n", error.what());
-    return 1;
-  }
+int RunInspect(const Args& args) {
+  const std::string& path = args.Text("model-file");
+  const granite::model::BundleInfo info =
+      granite::model::InspectBundle(path);
   std::printf("checkpoint bundle: %s\n", path.c_str());
   std::printf("  format version:  %u\n", info.version);
   std::printf("  model kind:      %s\n", info.kind.c_str());
@@ -1092,7 +956,7 @@ int RunInspect(const Flags& flags) {
   std::printf("  file size:       %llu bytes\n",
               static_cast<unsigned long long>(info.file_bytes));
   std::printf("  config:          %s\n", info.config_text.c_str());
-  if (flags.GetInt("tensors", 0) != 0) {
+  if (args.Bool("tensors")) {
     std::printf("  tensor shapes:\n");
     for (const granite::model::BundleTensorInfo& tensor : info.tensors) {
       std::printf("    %-40s %6d x %-6d\n", tensor.name.c_str(),
@@ -1102,45 +966,18 @@ int RunInspect(const Flags& flags) {
   return 0;
 }
 
-int RunDatasetSynthesize(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("dataset synthesize")));
-  const std::string out = flags.GetString("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli dataset synthesize: --out=PATH is "
-                 "required\n");
-    return 2;
-  }
-  const long num_blocks =
-      flags.GetCount("blocks", 100000, 1, 100000000);
-  const uint64_t seed = flags.GetSeed(7);
-  const long shard_size = flags.GetCount(
-      "shard-size",
-      static_cast<long>(granite::dataset::kDefaultRecordsPerShard), 1,
-      1 << 24);
-  const std::string tool_name = flags.GetString("tool", "ithemal");
-  granite::uarch::MeasurementTool tool;
-  if (tool_name == "ithemal") {
-    tool = granite::uarch::MeasurementTool::kIthemalTool;
-  } else if (tool_name == "bhive") {
-    tool = granite::uarch::MeasurementTool::kBHiveTool;
-  } else {
-    std::fprintf(stderr,
-                 "granite_cli dataset synthesize: unknown --tool '%s' "
-                 "(ithemal, bhive)\n",
-                 tool_name.c_str());
-    return 2;
-  }
-  const bool verbose = flags.GetInt("verbose", 0) != 0;
+int RunDatasetSynthesize(const Args& args) {
+  const std::string& out = args.Text("out");
+  const int num_blocks = args.Int("blocks");
+  const uint64_t seed = args.Seed();
+  const int shard_size = args.Int("shard-size");
+  const auto tool = args.Enum<granite::uarch::MeasurementTool>("tool");
 
   granite::dataset::SynthesisConfig synthesis;
   synthesis.num_blocks = static_cast<std::size_t>(num_blocks);
   synthesis.seed = seed;
   synthesis.tool = tool;
-  // Default matches the corpus `train`/`eval` synthesize (see
-  // SynthesizeCorpus), so file-based and in-memory runs line up.
-  synthesis.generator.max_instructions =
-      static_cast<int>(flags.GetCount("max-instructions", 8, 1, 256));
+  synthesis.generator.max_instructions = args.Int("max-instructions");
 
   // Lazy synthesis + streaming writer: memory stays bounded by the
   // shard window regardless of corpus size. A small cache suffices —
@@ -1148,8 +985,9 @@ int RunDatasetSynthesize(const Flags& flags) {
   granite::dataset::StreamingSynthesisOptions options;
   options.records_per_shard = static_cast<std::size_t>(shard_size);
   options.cache_shards = 2;
-  std::printf("planning %ld blocks (seed %llu, tool %s)...\n", num_blocks,
-              static_cast<unsigned long long>(seed), tool_name.c_str());
+  std::printf("planning %d blocks (seed %llu, tool %s)...\n", num_blocks,
+              static_cast<unsigned long long>(seed),
+              args.Text("tool").c_str());
   const granite::dataset::StreamingSynthesisSource source(synthesis,
                                                           options);
 
@@ -1161,8 +999,9 @@ int RunDatasetSynthesize(const Flags& flags) {
     sample.block = *view.block;
     sample.throughput = *view.throughput;
     writer.Append(sample);
-    if (verbose && (i + 1) % static_cast<std::size_t>(shard_size) == 0) {
-      std::printf("  %zu / %ld blocks written\n", i + 1, num_blocks);
+    if (args.Bool("verbose") &&
+        (i + 1) % static_cast<std::size_t>(shard_size) == 0) {
+      std::printf("  %zu / %d blocks written\n", i + 1, num_blocks);
     }
   }
   writer.Finish();
@@ -1183,47 +1022,21 @@ int RunDatasetSynthesize(const Flags& flags) {
   return 0;
 }
 
-int RunDatasetImport(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("dataset import")));
-  const std::string csv = flags.GetString("csv", "");
-  const std::string out = flags.GetString("out", "");
-  if (csv.empty() || out.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli dataset import: --csv=PATH and --out=PATH "
-                 "are required\n");
-    return 2;
-  }
-  const std::string tool_name = flags.GetString("tool", "bhive");
+int RunDatasetImport(const Args& args) {
+  const std::string& csv = args.Text("csv");
+  const std::string& out = args.Text("out");
   granite::dataset::ImportOptions options;
-  if (tool_name == "ithemal") {
-    options.tool = granite::uarch::MeasurementTool::kIthemalTool;
-  } else if (tool_name == "bhive") {
-    options.tool = granite::uarch::MeasurementTool::kBHiveTool;
-  } else {
-    std::fprintf(stderr,
-                 "granite_cli dataset import: unknown --tool '%s' "
-                 "(ithemal, bhive)\n",
-                 tool_name.c_str());
-    return 2;
-  }
-  options.throughput_scale =
-      flags.GetPositiveDouble("throughput-scale", 1.0);
-  options.records_per_shard = static_cast<std::uint64_t>(flags.GetCount(
-      "shard-size",
-      static_cast<long>(granite::dataset::kDefaultRecordsPerShard), 1,
-      1 << 24));
-  options.disasm_file = flags.GetString("disasm-file", "");
-  options.rejects_path = flags.GetString("rejects-out", "");
-  options.max_reject_samples = static_cast<std::size_t>(
-      flags.GetCount("max-reject-samples", 100, 0, 100000000));
+  options.tool = args.Enum<granite::uarch::MeasurementTool>("tool");
+  options.throughput_scale = args.Real("throughput-scale");
+  options.records_per_shard =
+      static_cast<std::uint64_t>(args.Int("shard-size"));
+  options.disasm_file = args.Text("disasm-file");
+  options.rejects_path = args.Text("rejects-out");
+  options.max_reject_samples =
+      static_cast<std::size_t>(args.Int("max-reject-samples"));
 
-  granite::dataset::ImportStats stats;
-  try {
-    stats = granite::dataset::ImportBhiveCsv(csv, out, options);
-  } catch (const granite::dataset::ImportError& error) {
-    std::fprintf(stderr, "granite_cli: %s\n", error.what());
-    return 1;
-  }
+  const granite::dataset::ImportStats stats =
+      granite::dataset::ImportBhiveCsv(csv, out, options);
 
   std::printf("imported %llu / %llu rows from %s\n",
               static_cast<unsigned long long>(stats.imported),
@@ -1260,30 +1073,19 @@ int RunDatasetImport(const Flags& flags) {
               static_cast<unsigned long long>(header.num_blocks),
               static_cast<unsigned long long>(header.num_shards),
               static_cast<unsigned long long>(header.records_per_shard),
-              tool_name.c_str());
+              args.Text("tool").c_str());
   return 0;
 }
 
-int RunDatasetInspect(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("dataset inspect")));
-  const std::string path = flags.GetString("file", "");
-  if (path.empty()) {
-    std::fprintf(stderr,
-                 "granite_cli dataset inspect: --file=PATH is required\n");
-    return 2;
-  }
-  granite::dataset::CorpusHeader header;
-  try {
-    header = granite::dataset::ReadCorpusHeader(path);
-    if (flags.GetInt("verify", 0) != 0) {
-      // Opening a streaming source with verification on walks the whole
-      // file against the checksum trailer (constant memory).
-      granite::dataset::StreamingCorpusSource verified(path);
-      std::printf("checksum verified: OK\n");
-    }
-  } catch (const granite::dataset::CorpusError& error) {
-    std::fprintf(stderr, "granite_cli: %s\n", error.what());
-    return 1;
+int RunDatasetInspect(const Args& args) {
+  const std::string& path = args.Text("file");
+  const granite::dataset::CorpusHeader header =
+      granite::dataset::ReadCorpusHeader(path);
+  if (args.Bool("verify")) {
+    // Opening a streaming source with verification on walks the whole
+    // file against the checksum trailer (constant memory).
+    granite::dataset::StreamingCorpusSource verified(path);
+    std::printf("checksum verified: OK\n");
   }
   std::printf("corpus file: %s\n", path.c_str());
   std::printf("  format version:    %u\n", header.version);
@@ -1310,11 +1112,10 @@ int RunDatasetInspect(const Flags& flags) {
  * the CI drift gate: it fails unless the file on disk is byte-identical
  * to the reference rendered from the instruction table.
  */
-int RunIsa(const Flags& flags) {
-  flags.RequireKnown(KnownFlagsOf(CommandSpecFor("isa")));
+int RunIsa(const Args& args) {
   bool acted = false;
-  if (flags.Has("lookup")) {
-    const std::string mnemonic = flags.GetString("lookup", "");
+  if (args.Given("lookup")) {
+    const std::string& mnemonic = args.Text("lookup");
     const std::string text = granite::assembly::RenderIsaLookup(mnemonic);
     if (text.empty()) {
       std::fprintf(stderr,
@@ -1326,8 +1127,8 @@ int RunIsa(const Flags& flags) {
     std::fputs(text.c_str(), stdout);
     acted = true;
   }
-  if (flags.Has("doc")) {
-    const std::string path = flags.GetString("doc", "-");
+  if (args.Given("doc")) {
+    const std::string& path = args.Text("doc");
     const std::string doc = granite::assembly::RenderIsaReference();
     if (path == "-") {
       std::fputs(doc.c_str(), stdout);
@@ -1344,8 +1145,8 @@ int RunIsa(const Flags& flags) {
     }
     acted = true;
   }
-  if (flags.Has("check")) {
-    const std::string path = flags.GetString("check", "");
+  if (args.Given("check")) {
+    const std::string& path = args.Text("check");
     std::ifstream file(path, std::ios::binary);
     if (!file.is_open()) {
       std::fprintf(stderr, "granite_cli isa: cannot read %s\n",
@@ -1370,27 +1171,204 @@ int RunIsa(const Flags& flags) {
   return 0;
 }
 
-int RunDataset(int argc, char** argv) {
-  if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
-    std::fprintf(stderr,
-                 "granite_cli dataset: expected a subcommand "
-                 "(synthesize, import, inspect)\n");
-    return 2;
+constexpr bool Within(IntRange inner, IntRange outer) {
+  return inner.low >= outer.low && inner.high <= outer.high;
+}
+
+const std::vector<CommandSpec>& CommandTable() {
+  using granite::model::kCountRange;
+  using granite::model::kWidthRange;
+  // --embedding stops inside the bundle loader's width range, so a typo
+  // cannot ask for a 16 GiB matrix; --tasks stops at the modelled
+  // microarchitectures.
+  constexpr IntRange kEmbedding{1, 4096};
+  constexpr IntRange kTasks{1, granite::uarch::kNumMicroarchitectures};
+  static_assert(Within(kEmbedding, kWidthRange));
+  static_assert(Within(kTasks, kCountRange));
+  constexpr IntRange kBlocks{1, 1000000};
+  constexpr IntRange kLargeCount{1, 100000000};
+  constexpr IntRange kBatch{1, 100000};
+  constexpr IntRange kShards{1, 256};
+  constexpr IntRange kWindowUs{0, 60000000};
+  constexpr IntRange kCache{0, 100000000};
+  constexpr IntRange kShardSize{1, 1 << 24};
+  // Label scales: cycles per N iterations, N at most a million.
+  constexpr std::int64_t kScale = 1000000;
+  constexpr int kRecordsPerShard =
+      static_cast<int>(granite::dataset::kDefaultRecordsPerShard);
+  // In the order of uarch::MeasurementTool, which Args::Enum casts to.
+  constexpr const char* kTools = "ithemal|bhive";
+  static_assert(static_cast<int>(
+                    granite::uarch::MeasurementTool::kBHiveTool) == 1);
+  const FlagSpec dataset_file = Text(
+      "dataset-file", "PATH", "corpus file (else synthesized from --blocks)");
+
+  static const std::vector<CommandSpec>* table = new std::vector<
+      CommandSpec>{
+      {"train",
+       "train a model and write a checkpoint bundle",
+       {Required(Text("out", "PATH", "output checkpoint bundle")),
+        Enum("model", "granite|ithemal|ithemal_plus", "granite",
+             "model family"),
+        dataset_file,
+        Int("blocks", 160, {kMinTrainBlocks, kBlocks.high},
+            "synthesized corpus size"),
+        Int("steps", 300, {1, 10000000}, "training steps"),
+        Int("tasks", 1, kTasks, "task heads (Microarchitecture order)"),
+        Int("embedding", 16, kEmbedding, "embedding width"),
+        Int("mp-iterations", 2, kCountRange, "message-passing iterations"),
+        Int("batch-size", 16, kBatch, "training batch size"),
+        Seed(7, "corpus + init seed"),
+        Real("target-scale", 100.0, kScale,
+             "cycles-per-N-iterations label scale"),
+        Bool("verbose", false, "per-validation progress")},
+       RunTrain},
+      {"eval",
+       "evaluate a bundle per task on a held-out corpus",
+       {Required(Text("model-file", "PATH", "checkpoint bundle")),
+        dataset_file,
+        Int("blocks", 64, kBlocks, "synthesized corpus size"),
+        Seed(11, "synthesis seed"),
+        Real("target-scale", 100.0, kScale,
+             "cycles-per-N-iterations label scale")},
+       RunEval},
+      {"predict",
+       "predict one block's throughput on every task head",
+       {Required(Text("model-file", "PATH", "checkpoint bundle")),
+        Text("asm", "\"INSTR; INSTR\"", "block text (else read from stdin)"),
+        Real("target-scale", 100.0, kScale, "reporting scale")},
+       RunPredict},
+      {"serve",
+       "serve bundles behind a multi-model router",
+       {Required(Repeatable(Text("model-file", "[NAME=]PATH", "bundle route"))),
+        Int("requests", 400, kLargeCount, "replayed client requests"),
+        Int("shards", 2, kShards, "queue/stats shards"),
+        Int("batch-size", 16, kBatch, "coalesced batch size"),
+        Int("window-us", 2000, kWindowUs, "batching window"),
+        Int("cache", 512, kCache, "prediction cache capacity"),
+        Int("blocks", 64, kBlocks, "synthesized traffic corpus size"),
+        Seed(11, "traffic seed"),
+        Text("split", "NAME=A:B:WEIGHT", "weighted A/B split route"),
+        Text("shadow", "ROUTE=PATH", "mirror ROUTE to a candidate bundle"),
+        Int("shadow-samples", 50, kLargeCount,
+            "comparisons before the parity verdict"),
+        Bool("promote", true, "auto-promote the shadow on parity")},
+       RunServe},
+      {"autotune",
+       "optimize basic blocks with beam search over the served cost model",
+       {Text("model-file", "PATH",
+             "cost model bundle (else the analytical oracle scores)"),
+        dataset_file,
+        Int("blocks", 32, kBlocks, "synthesized corpus size"),
+        Seed(17, "synthesis seed"),
+        Int("beam", 4, {1, 64}, "beam width"),
+        Int("depth", 5, {0, 32}, "transform-composition rounds"),
+        Int("deadline-ms", 0, {0, 600000},
+            "per-block search budget (0 = unlimited)"),
+        Int("task", 0, {0, kTasks.high - 1},
+            "task head / oracle microarchitecture"),
+        Int("pessimize", 3, {0, 16},
+            "naive-codegen rewrites applied to each input block first "
+            "(0 optimizes the corpus as-is)"),
+        Int("shards", 2, kShards, "server shards (with --model-file)"),
+        Int("batch-size", 16, kBatch, "server batch size"),
+        Int("window-us", 500, kWindowUs, "server batching window"),
+        Int("cache", 4096, kCache, "server prediction cache capacity"),
+        Bool("verbose", false, "print optimized block text")},
+       RunAutotune},
+      {"inspect",
+       "dump checkpoint bundle metadata without loading the model",
+       {Required(Text("model-file", "PATH", "checkpoint bundle")),
+        Bool("tensors", false, "list every tensor shape")},
+       RunInspect},
+      {"isa",
+       "inspect the instruction-semantics table (no flags: coverage "
+       "summary)",
+       {Text("lookup", "MNEMONIC", "print one mnemonic's semantics"),
+        Text("doc", "PATH",
+             "write the generated ISA reference markdown (- = stdout)"),
+        Text("check", "PATH",
+             "exit 1 unless PATH matches the generated reference byte for "
+             "byte")},
+       RunIsa},
+      {"dataset synthesize",
+       "stream a labeled synthetic corpus to disk with bounded memory",
+       {Required(Text("out", "PATH", "corpus file")),
+        Int("blocks", 100000, kLargeCount, "corpus size"),
+        Seed(7, "generator seed"),
+        Enum("tool", kTools, "ithemal", "label measurement convention"),
+        Int("max-instructions", kSynthesizedMaxInstructions, {1, 256},
+            "block length cap"),
+        Int("shard-size", kRecordsPerShard, kShardSize, "records per shard"),
+        Bool("verbose", false, "per-shard progress")},
+       RunDatasetSynthesize},
+      {"dataset import",
+       "convert a BHive-style measured CSV into a checksummed corpus",
+       {Required(Text("csv", "PATH", "input CSV")),
+        Required(Text("out", "PATH", "corpus file")),
+        Enum("tool", kTools, "bhive", "label measurement convention"),
+        Real("throughput-scale", 1.0, kScale, "label rescale on import"),
+        Int("shard-size", kRecordsPerShard, kShardSize, "records per shard"),
+        Text("disasm-file", "PATH", "disassembly sidecar for raw-hex rows"),
+        Text("rejects-out", "PATH", "sampled rejected rows"),
+        Int("max-reject-samples", 100, {0, 100000000},
+            "cap on sampled rejects")},
+       RunDatasetImport},
+      {"dataset inspect",
+       "print corpus header/stats without loading records",
+       {Required(Text("file", "PATH", "corpus file")),
+        Bool("verify", false, "full checksum pass")},
+       RunDatasetInspect},
+  };
+  return *table;
+}
+
+void PrintUsage() {
+  std::printf(
+      "granite_cli — throughput-model training, evaluation and serving\n"
+      "\n"
+      "usage: granite_cli <command> [--key=value ...]\n"
+      "\n"
+      "commands:\n");
+  for (const CommandSpec& command : CommandTable()) {
+    std::printf("  %s\n      %s\n", command.name, command.summary);
+    for (const FlagSpec& flag : command.flags) {
+      const std::string spelled =
+          std::string("--") + flag.name + "=" + Spelling(flag);
+      std::string help = flag.help;
+      if (flag.required) help += " (required)";
+      if (flag.repeatable) help += " (repeatable)";
+      if (!flag.fallback.empty()) help += " (default " + flag.fallback + ")";
+      if (spelled.size() > 28) {
+        std::printf("      %s\n      %-28s %s\n", spelled.c_str(), "",
+                    help.c_str());
+      } else {
+        std::printf("      %-28s %s\n", spelled.c_str(), help.c_str());
+      }
+    }
   }
-  const std::string subcommand = argv[2];
-  const Flags flags = ParseFlags(argc, argv, 3);
-  if (flags.help) {
-    PrintUsage();
-    return 0;
+  std::printf(
+      "  help\n      this text\n"
+      "\n"
+      "INT[a,b] and U64[a,b] take a decimal integer in that closed range,\n"
+      "REAL(0,b] a decimal number above 0 and at most b, 0|1 exactly 0 or\n"
+      "1, and a|b one of the listed names. Whitespace, '+', hex and a flag\n"
+      "given twice (unless repeatable) are refused with exit status 2.\n");
+}
+
+/** The table row argv names (one word, or two for dataset subcommands);
+ * sets `first` to the index of its first flag. */
+const CommandSpec* FindCommand(int argc, char** argv, int& first) {
+  for (const CommandSpec& command : CommandTable()) {
+    std::string words = argv[1];
+    first = 2;
+    if (std::strchr(command.name, ' ') != nullptr && argc > 2) {
+      words += std::string(" ") + argv[2];
+      first = 3;
+    }
+    if (words == command.name) return &command;
   }
-  if (subcommand == "synthesize") return RunDatasetSynthesize(flags);
-  if (subcommand == "import") return RunDatasetImport(flags);
-  if (subcommand == "inspect") return RunDatasetInspect(flags);
-  std::fprintf(stderr,
-               "granite_cli dataset: unknown subcommand '%s' "
-               "(synthesize, import, inspect)\n",
-               subcommand.c_str());
-  return 2;
+  return nullptr;
 }
 
 }  // namespace
@@ -1400,34 +1378,27 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  const std::string command = argv[1];
-  if (command == "dataset") {
-    try {
-      return RunDataset(argc, argv);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "granite_cli: %s\n", error.what());
-      return 1;
+  for (int i = 1; i < argc; ++i) {
+    const std::string argument = argv[i];
+    if ((i == 1 && argument == "help") || argument == "--help" ||
+        argument == "-h") {
+      PrintUsage();
+      return 0;
     }
   }
-  const Flags flags = ParseFlags(argc, argv, 2);
-  if (command == "help" || flags.help) {
+  int first = 0;
+  const CommandSpec* command = FindCommand(argc, argv, first);
+  if (command == nullptr) {
+    std::fprintf(stderr, "granite_cli: unknown command '%s'\n", argv[1]);
     PrintUsage();
-    return 0;
+    return 2;
   }
+  const std::optional<Args> args = Args::Parse(*command, argc, argv, first);
+  if (!args) return 2;
   try {
-    if (command == "train") return RunTrain(flags);
-    if (command == "eval") return RunEval(flags);
-    if (command == "predict") return RunPredict(flags);
-    if (command == "serve") return RunServe(flags);
-    if (command == "autotune") return RunAutotune(flags);
-    if (command == "inspect") return RunInspect(flags);
-    if (command == "isa") return RunIsa(flags);
+    return command->run(*args);
   } catch (const std::exception& error) {
     std::fprintf(stderr, "granite_cli: %s\n", error.what());
     return 1;
   }
-  std::fprintf(stderr, "granite_cli: unknown command '%s'\n",
-               command.c_str());
-  PrintUsage();
-  return 2;
 }
