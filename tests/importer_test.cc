@@ -182,6 +182,61 @@ TEST_F(ImporterTest, RejectClassificationCounts) {
   }
 }
 
+TEST_F(ImporterTest, CsvSplittingQuirks) {
+  // Each row pins one corner of the CSV field splitter; the comment says
+  // what the splitter makes of it.
+  WriteCsv(
+      // Whitespace around unquoted fields is stripped.
+      "  INC RAX  ,  50.0  ,  bhive  \n"
+      // A quote after leading whitespace opens a quoted field.
+      "\"DEC RBX\",   \"40.5\"\n"
+      // Text after a closing quote is kept, unstripped, in the field.
+      "\"NEG RCX\",\"3\"0.25 ,bhive\n"
+      // "" inside quotes is one literal quote.
+      "\"INC RAX\",50.0,\"bh\"\"ive\"\n"
+      "\"MOV RAX, \"\"RBX\"\"\",50.0\n"
+      // Text after a closing quote joins the field...
+      "\"INC RAX\"x,50.0\n"
+      // ...and a later quote is a literal character.
+      "\"INC R\"A\"X\",50.0\n"
+      // A quote inside an unquoted field is a literal character.
+      "IN\"C RAX,50.0\n"
+      // Unterminated quotes, in the first and in a later field.
+      "\"INC RAX,50.0\n"
+      "\"INC RAX\",50.0,\"bhive\n");
+  ImportOptions options;
+  options.rejects_path = rejects_path_;
+  const ImportStats stats =
+      ImportBhiveCsv(csv_path_, corpus_path_, options);
+  EXPECT_EQ(stats.rows, 10u);
+  EXPECT_EQ(stats.imported, 3u);
+
+  const std::vector<Sample> samples = LoadImported();
+  ASSERT_EQ(samples.size(), 3u);
+  EXPECT_EQ(samples[0].block.ToString(), "INC RAX");
+  EXPECT_EQ(samples[0].throughput[0], 50.0);
+  EXPECT_EQ(samples[1].block.ToString(), "DEC RBX");
+  EXPECT_EQ(samples[1].throughput[0], 40.5);
+  EXPECT_EQ(samples[2].block.ToString(), "NEG RCX");
+  EXPECT_EQ(samples[2].throughput[0], 30.25);
+
+  const std::vector<std::string> expected = {
+      "bad_row\trow 4\ttool 'bh\"ive' does not match corpus tool 'BHiveTool'"
+      "\t\"INC RAX\",50.0,\"bh\"\"ive\"",
+      "operand_parse\trow 5\tline 'MOV RAX, \"RBX\"': unrecognized "
+      "operand: \"RBX\"\t\"MOV RAX, \"\"RBX\"\"\",50.0",
+      "operand_parse\trow 6\tline 'INC RAXx': unrecognized operand: RAXx"
+      "\t\"INC RAX\"x,50.0",
+      "operand_parse\trow 7\tline 'INC RA\"X\"': unrecognized operand: "
+      "RA\"X\"\t\"INC R\"A\"X\",50.0",
+      "unknown_mnemonic\trow 8\tunknown mnemonic IN\"C\tIN\"C RAX,50.0",
+      "bad_row\trow 9\tunterminated quoted field\t\"INC RAX,50.0",
+      "bad_row\trow 10\tunterminated quoted field\t\"INC RAX\",50.0,"
+      "\"bhive",
+  };
+  EXPECT_EQ(ReadRejectLines(), expected);
+}
+
 TEST_F(ImporterTest, RejectSamplingIsCapped) {
   std::ostringstream csv;
   for (int i = 0; i < 10; ++i) csv << "FNORD" << i << " RAX,1.0\n";

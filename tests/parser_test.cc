@@ -4,9 +4,14 @@
  * in the paper (Table 1 and Figure 1) and round-trip properties over the
  * synthetic block generator.
  */
+#include <cstdint>
+#include <string>
+
 #include "gtest/gtest.h"
 #include "asm/parser.h"
 #include "asm/registers.h"
+#include "base/rng.h"
+#include "base/string_util.h"
 #include "dataset/generator.h"
 
 namespace granite::assembly {
@@ -323,6 +328,92 @@ TEST_P(RoundTripTest, GeneratedBlocksRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripTest,
                          ::testing::Values(1, 2, 3, 17, 99));
+
+/** Golden digest over every accepted block and every error message for
+ * a fixed input set: 2,000 generated blocks re-spelled in lower case with
+ * tabs and indentation, plus the seeded byte-soup and mutation corpora of
+ * parser_fuzz_test. Any change to what the parser accepts, to the block
+ * it returns or to the wording of a diagnostic changes the digest. */
+TEST(ParseBasicBlockTest, GoldenDigestOverRespelledAndMutatedBlocks) {
+  std::uint64_t digest = kFnvOffsetBasis;
+  std::size_t accepted = 0;
+  std::size_t total = 0;
+  // Folds the ok flag, then the canonical text of an accepted block or
+  // the exact error string, then a separator.
+  const auto fold = [&](std::string_view text) {
+    const ParseResult<BasicBlock> result = ParseBasicBlock(text);
+    digest = Fnv1a(digest, result.ok() ? "1" : "0");
+    digest = Fnv1a(digest, result.ok() ? result.value->ToString()
+                                       : result.error);
+    digest = Fnv1a(digest, std::string_view("\0", 1));
+    accepted += result.ok() ? 1 : 0;
+    ++total;
+    return result.ok();
+  };
+
+  dataset::GeneratorConfig config;
+  {
+    dataset::BlockGenerator generator(config, 4242);
+    Rng rng(4243);
+    for (int i = 0; i < 2000; ++i) {
+      const std::string canonical = generator.Generate().ToString();
+      std::string variant;
+      bool line_start = true;
+      for (const char c : ToLower(canonical)) {
+        if (line_start && rng.NextBounded(2) == 0) variant += '\t';
+        line_start = c == '\n';
+        if (c == ' ') {
+          switch (rng.NextBounded(3)) {
+            case 0: variant += ' '; break;
+            case 1: variant += '\t'; break;
+            default: variant += " \t"; break;
+          }
+        } else {
+          variant += c;
+        }
+      }
+      EXPECT_TRUE(fold(variant)) << variant;
+    }
+  }
+  constexpr char kAlphabet[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ,[]+-*:x.\t";
+  for (const std::uint64_t seed : {101, 202, 303}) {
+    Rng soup_rng(seed);
+    for (int iteration = 0; iteration < 500; ++iteration) {
+      const int length = static_cast<int>(soup_rng.NextBounded(40));
+      std::string line;
+      for (int i = 0; i < length; ++i) {
+        line += kAlphabet[soup_rng.NextBounded(sizeof(kAlphabet) - 1)];
+      }
+      fold(line);
+    }
+    Rng rng(seed + 100);
+    dataset::BlockGenerator generator(config, seed);
+    for (int iteration = 0; iteration < 200; ++iteration) {
+      std::string text = generator.Generate().ToString();
+      const int mutations = 1 + static_cast<int>(rng.NextBounded(3));
+      for (int m = 0; m < mutations && !text.empty(); ++m) {
+        const std::size_t position = rng.NextBounded(text.size());
+        switch (rng.NextBounded(3)) {
+          case 0:
+            text[position] = static_cast<char>('A' + rng.NextBounded(26));
+            break;
+          case 1:
+            text.erase(position, 1);
+            break;
+          default:
+            text.insert(position, 1,
+                        static_cast<char>('0' + rng.NextBounded(10)));
+            break;
+        }
+      }
+      fold(text);
+    }
+  }
+  EXPECT_EQ(total, 4100u);
+  EXPECT_EQ(accepted, 2954u);
+  EXPECT_EQ(digest, 12898162971634684698ull);
+}
 
 }  // namespace
 }  // namespace granite::assembly

@@ -5,7 +5,11 @@
 #include "gtest/gtest.h"
 #include "base/string_util.h"
 
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
 
 namespace granite {
 namespace {
@@ -16,6 +20,15 @@ TEST(StripWhitespaceTest, Basic) {
   EXPECT_EQ(StripWhitespace("\t\n abc\r "), "abc");
   EXPECT_EQ(StripWhitespace("   "), "");
   EXPECT_EQ(StripWhitespace(""), "");
+}
+
+TEST(StripWhitespaceTest, AsciiWhitespaceOnly) {
+  // The six bytes isspace() matches in the "C" locale, and nothing else:
+  // a Latin-1 no-break space (0xA0) or a NUL is text.
+  EXPECT_EQ(StripWhitespace(" \t\n\v\f\rabc\r\f\v\n\t "), "abc");
+  EXPECT_EQ(StripWhitespace("\xa0" "abc\xa0"), "\xa0" "abc\xa0");
+  EXPECT_EQ(StripWhitespace(std::string_view("\0abc", 4)),
+            std::string_view("\0abc", 4));
 }
 
 TEST(SplitTest, KeepsEmptyPieces) {
@@ -41,6 +54,14 @@ TEST(SplitAndStripTest, DropsEmptyAndStrips) {
 TEST(CaseConversionTest, UpperLower) {
   EXPECT_EQ(ToUpper("mov eax, 1"), "MOV EAX, 1");
   EXPECT_EQ(ToLower("MOV"), "mov");
+}
+
+TEST(CaseConversionTest, BytesOutsideAsciiLettersAreKept) {
+  EXPECT_EQ(ToUpper("\xe9z@[`{"), "\xe9Z@[`{");
+  EXPECT_EQ(ToLower("\xc9Z@[`{"), "\xc9z@[`{");
+  EXPECT_FALSE(EqualsIgnoreCase("\xe9", "\xc9"));
+  EXPECT_FALSE(EqualsIgnoreCase("@", "`"));
+  EXPECT_FALSE(EqualsIgnoreCase("[", "{"));
 }
 
 TEST(EqualsIgnoreCaseTest, Matches) {
@@ -116,6 +137,39 @@ TEST(ParseDoubleTest, Valid) {
   EXPECT_DOUBLE_EQ(*ParseDouble("1.5"), 1.5);
   EXPECT_DOUBLE_EQ(*ParseDouble("-0.25"), -0.25);
   EXPECT_DOUBLE_EQ(*ParseDouble("2e3"), 2000.0);
+}
+
+TEST(ParseDoubleTest, MatchesStrtodOnEverySpelling) {
+  // ParseDouble reads what strtod reads, signs, hex floats, overflow to
+  // infinity, underflow to zero and NaN included.
+  for (const char* text :
+       {"+1.5", "0x1p3", "1e999", "-1e999", "1e-400", "nan", "-0",
+        "inf", "4.9e-324", "0.1", " 2.5\t", "123456789012345678901234"}) {
+    const std::optional<double> parsed = ParseDouble(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    const double expected = std::strtod(text, nullptr);
+    if (std::isnan(expected)) {
+      EXPECT_TRUE(std::isnan(*parsed)) << text;
+    } else {
+      EXPECT_EQ(std::memcmp(&expected, &*parsed, sizeof(double)), 0)
+          << text << " -> " << *parsed << " vs " << expected;
+    }
+  }
+  EXPECT_EQ(*ParseDouble("+1.5"), 1.5);
+  EXPECT_EQ(*ParseDouble("0x1p3"), 8.0);
+  EXPECT_EQ(*ParseDouble("1e999"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(*ParseDouble("1e-400"), 0.0);
+  // Long spellings read every digit.
+  EXPECT_EQ(*ParseDouble("1." + std::string(400, '0') + "1"), 1.0);
+  EXPECT_EQ(*ParseDouble(std::string(400, '0') + "2.5"), 2.5);
+}
+
+TEST(ParseDoubleTest, RefusesPartialReads) {
+  for (const char* text : {"0x", ".", "e5", "infinityx", "1e", "- 1", "1 2"}) {
+    EXPECT_EQ(ParseDouble(text), std::nullopt) << text;
+  }
+  EXPECT_EQ(ParseDouble(std::string_view("1\0", 2)), std::nullopt);
+  EXPECT_EQ(ParseDouble(std::string_view("1.5\0" "7", 5)), std::nullopt);
 }
 
 TEST(ParseDoubleTest, Malformed) {
