@@ -1,5 +1,6 @@
 #include "asm/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <limits>
@@ -9,8 +10,12 @@
 namespace granite::assembly {
 namespace {
 
-/** Instruction prefixes recognized by the parser. */
+/** Instruction prefixes recognized by the parser. Every prefix starts
+ * with 'L' or 'R', so most mnemonics are refused on their first byte. */
 bool IsPrefixToken(std::string_view token) {
+  if (token.empty()) return false;
+  const char first = AsciiToUpper(token.front());
+  if (first != 'L' && first != 'R') return false;
   for (const std::string_view prefix : kInstructionPrefixes) {
     if (EqualsIgnoreCase(token, prefix)) return true;
   }
@@ -19,85 +24,73 @@ bool IsPrefixToken(std::string_view token) {
 
 /** Maps a "DWORD"-style width keyword to a bit width; 0 when unknown. */
 int WidthFromKeyword(std::string_view keyword) {
-  if (EqualsIgnoreCase(keyword, "BYTE")) return 8;
-  if (EqualsIgnoreCase(keyword, "WORD")) return 16;
-  if (EqualsIgnoreCase(keyword, "DWORD")) return 32;
-  if (EqualsIgnoreCase(keyword, "QWORD")) return 64;
-  if (EqualsIgnoreCase(keyword, "OWORD")) return 128;
-  if (EqualsIgnoreCase(keyword, "XMMWORD")) return 128;
-  if (EqualsIgnoreCase(keyword, "YMMWORD")) return 256;
-  return 0;
+  if (keyword.empty()) return 0;
+  switch (AsciiToUpper(keyword.front())) {
+    case 'B': return EqualsIgnoreCase(keyword, "BYTE") ? 8 : 0;
+    case 'W': return EqualsIgnoreCase(keyword, "WORD") ? 16 : 0;
+    case 'D': return EqualsIgnoreCase(keyword, "DWORD") ? 32 : 0;
+    case 'Q': return EqualsIgnoreCase(keyword, "QWORD") ? 64 : 0;
+    case 'O': return EqualsIgnoreCase(keyword, "OWORD") ? 128 : 0;
+    case 'X': return EqualsIgnoreCase(keyword, "XMMWORD") ? 128 : 0;
+    case 'Y': return EqualsIgnoreCase(keyword, "YMMWORD") ? 256 : 0;
+    default: return 0;
+  }
 }
 
 /**
- * Splits a string on commas that are not inside brackets. Unbalanced
- * brackets are an error: letting the depth counter go negative (e.g. on
- * "0], [0") would silently merge text across the stray bracket and
- * produce a bogus operand instead of a diagnostic.
+ * Calls `visit` on each operand of `text` in order: the stripped,
+ * non-empty pieces between commas outside brackets. Stops early when
+ * `visit` returns false. Returns false on unbalanced brackets: letting
+ * the depth counter go negative (e.g. on "0], [0") would silently merge
+ * text across the stray bracket and produce a bogus operand instead of
+ * a diagnostic.
  */
-ParseResult<std::vector<std::string_view>> SplitOperands(
-    std::string_view text) {
-  std::vector<std::string_view> operands;
+template <typename Visit>
+bool ForEachOperand(std::string_view text, Visit visit) {
   int depth = 0;
   std::size_t start = 0;
   for (std::size_t i = 0; i <= text.size(); ++i) {
     if (i == text.size() || (text[i] == ',' && depth == 0)) {
       const std::string_view piece =
           StripWhitespace(text.substr(start, i - start));
-      if (!piece.empty()) operands.push_back(piece);
+      if (!piece.empty() && !visit(piece)) return true;
       start = i + 1;
     } else if (text[i] == '[') {
       ++depth;
     } else if (text[i] == ']') {
-      if (depth == 0) {
-        return {std::nullopt,
-                "unbalanced brackets in: " + std::string(text)};
-      }
+      if (depth == 0) return false;
       --depth;
     }
   }
-  if (depth != 0) {
-    return {std::nullopt, "unbalanced brackets in: " + std::string(text)};
-  }
-  return {std::move(operands), ""};
+  return depth == 0;
 }
 
-/** Parses the bracketed address expression (without the brackets). */
+/** Parses the bracketed address expression (without the brackets),
+ * one +/- separated term at a time. */
 ParseResult<MemoryReference> ParseAddressExpression(std::string_view expr,
                                                     Register segment) {
   MemoryReference reference;
   reference.segment = segment;
 
-  // Split into +/- separated terms.
-  struct Term {
-    std::string_view text;
-    bool negative;
-  };
-  std::vector<Term> terms;
-  std::size_t start = 0;
-  bool negative = false;
-  for (std::size_t i = 0; i <= expr.size(); ++i) {
-    if (i == expr.size() || expr[i] == '+' || expr[i] == '-') {
-      const std::string_view piece =
-          StripWhitespace(expr.substr(start, i - start));
-      if (!piece.empty()) {
-        terms.push_back(Term{piece, negative});
-      } else if (i == expr.size() && terms.empty()) {
-        return {std::nullopt, "empty address expression"};
-      }
-      if (i < expr.size()) negative = expr[i] == '-';
-      start = i + 1;
-    }
-  }
-
+  bool saw_term = false;
   bool saw_plain_base = false;
-  for (const Term& term : terms) {
-    const std::size_t star = term.text.find('*');
+  bool negative = false;
+  std::size_t start = 0;
+  for (std::size_t i = 0; i <= expr.size(); ++i) {
+    if (i < expr.size() && expr[i] != '+' && expr[i] != '-') continue;
+    const std::string_view term =
+        StripWhitespace(expr.substr(start, i - start));
+    const bool term_negative = negative;
+    if (i < expr.size()) negative = expr[i] == '-';
+    start = i + 1;
+    if (term.empty()) continue;
+    saw_term = true;
+
+    const std::size_t star = term.find('*');
     if (star != std::string_view::npos) {
       // reg*scale or scale*reg.
-      const std::string_view left = StripWhitespace(term.text.substr(0, star));
-      const std::string_view right =
-          StripWhitespace(term.text.substr(star + 1));
+      const std::string_view left = StripWhitespace(term.substr(0, star));
+      const std::string_view right = StripWhitespace(term.substr(star + 1));
       std::optional<Register> reg = LookupRegister(left);
       std::optional<int64_t> scale = ParseInt(right);
       if (!reg.has_value()) {
@@ -105,10 +98,9 @@ ParseResult<MemoryReference> ParseAddressExpression(std::string_view expr,
         scale = ParseInt(left);
       }
       if (!reg.has_value() || !scale.has_value()) {
-        return {std::nullopt,
-                "malformed scaled index: " + std::string(term.text)};
+        return {std::nullopt, "malformed scaled index: " + std::string(term)};
       }
-      if (term.negative) {
+      if (term_negative) {
         return {std::nullopt, "negative index term not allowed"};
       }
       if (*scale != 1 && *scale != 2 && *scale != 4 && *scale != 8) {
@@ -121,9 +113,9 @@ ParseResult<MemoryReference> ParseAddressExpression(std::string_view expr,
       reference.scale = static_cast<int>(*scale);
       continue;
     }
-    const std::optional<Register> reg = LookupRegister(term.text);
+    const std::optional<Register> reg = LookupRegister(term);
     if (reg.has_value()) {
-      if (term.negative) {
+      if (term_negative) {
         return {std::nullopt, "negative register term not allowed"};
       }
       if (!saw_plain_base && reference.base == kInvalidRegister) {
@@ -137,13 +129,13 @@ ParseResult<MemoryReference> ParseAddressExpression(std::string_view expr,
       }
       continue;
     }
-    const std::optional<int64_t> value = ParseInt(term.text);
+    const std::optional<int64_t> value = ParseInt(term);
     if (value.has_value()) {
       // Checked: the sum must stay a displacement whose magnitude is an
       // int64_t, so INT64_MIN is out of range as well.
       int64_t sum = 0;
       const bool overflow =
-          term.negative
+          term_negative
               ? __builtin_sub_overflow(reference.displacement, *value, &sum)
               : __builtin_add_overflow(reference.displacement, *value, &sum);
       if (overflow || sum == std::numeric_limits<int64_t>::min()) {
@@ -153,8 +145,9 @@ ParseResult<MemoryReference> ParseAddressExpression(std::string_view expr,
       reference.displacement = sum;
       continue;
     }
-    return {std::nullopt, "malformed address term: " + std::string(term.text)};
+    return {std::nullopt, "malformed address term: " + std::string(term)};
   }
+  if (!saw_term) return {std::nullopt, "empty address expression"};
   return {reference, ""};
 }
 
@@ -204,8 +197,7 @@ ParseResult<Operand> ParseOperand(std::string_view text) {
       // ("PTRX") as typos.
       const bool has_ptr =
           rest.size() >= 3 && EqualsIgnoreCase(rest.substr(0, 3), "PTR") &&
-          (rest.size() == 3 || rest[3] == '[' ||
-           std::isspace(static_cast<unsigned char>(rest[3])));
+          (rest.size() == 3 || rest[3] == '[' || IsAsciiSpace(rest[3]));
       if (!has_ptr) {
         return {std::nullopt, "expected PTR after width keyword"};
       }
@@ -287,17 +279,29 @@ ParseResult<Instruction> ParseInstruction(std::string_view line) {
     break;
   }
 
-  const ParseResult<std::vector<std::string_view>> operands =
-      SplitOperands(text);
-  if (!operands.ok()) return {std::nullopt, operands.error};
-  // Exact capacities: parsed blocks are moved, not copied, into the
-  // caller, so a vector's growth slack would stay resident with them.
-  instruction.operands.reserve(operands.value->size());
-  for (std::string_view operand_text : *operands.value) {
-    ParseResult<Operand> operand = ParseOperand(operand_text);
-    if (!operand.ok()) return {std::nullopt, operand.error};
-    instruction.operands.push_back(*operand.value);
+  // Two walks over the operand text: the first checks the brackets and
+  // counts, so the vector gets its exact capacity (parsed blocks are
+  // moved, not copied, into the caller, so growth slack would stay
+  // resident with them); the second parses.
+  std::size_t count = 0;
+  if (!ForEachOperand(text, [&count](std::string_view) {
+        ++count;
+        return true;
+      })) {
+    return {std::nullopt, "unbalanced brackets in: " + std::string(text)};
   }
+  instruction.operands.reserve(count);
+  std::string error;
+  ForEachOperand(text, [&](std::string_view operand_text) {
+    ParseResult<Operand> operand = ParseOperand(operand_text);
+    if (!operand.ok()) {
+      error = std::move(operand.error);
+      return false;
+    }
+    instruction.operands.push_back(*operand.value);
+    return true;
+  });
+  if (!error.empty()) return {std::nullopt, std::move(error)};
 
   // The LEA source is an address computation, not a memory access.
   if (instruction.mnemonic == "LEA") {
@@ -311,11 +315,17 @@ ParseResult<Instruction> ParseInstruction(std::string_view line) {
 }
 
 ParseResult<BasicBlock> ParseBasicBlock(std::string_view text) {
-  const std::vector<std::string_view> lines = Split(text, '\n');
   BasicBlock block;
-  block.instructions.reserve(lines.size());
-  for (std::string_view line : lines) {
-    const std::string_view stripped = StripWhitespace(line);
+  // One slot per line, blank and comment lines included.
+  block.instructions.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) +
+      1);
+  for (std::size_t start = 0; start <= text.size();) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    const std::string_view stripped =
+        StripWhitespace(text.substr(start, end - start));
+    start = end + 1;
     if (stripped.empty() || stripped.front() == '#' ||
         stripped.front() == ';') {
       continue;

@@ -8,10 +8,15 @@
 namespace granite::assembly {
 namespace {
 
+/** Longest register name ("EFLAGS"); LookupRegister upper-cases into a
+ * stack buffer this long, and no longer text can name a register. */
+constexpr std::size_t kMaxRegisterNameLength = 6;
+
 /** Mutable builder state for the singleton register table. */
 struct TableData {
   std::vector<RegisterInfo> table;
-  std::unordered_map<std::string, Register> by_name;
+  /** Keyed by views of the names in `table`, filled once it is final. */
+  std::unordered_map<std::string_view, Register> by_name;
   std::vector<Register> canonical_gp;
   std::vector<Register> canonical_vector;
   Register flags = kInvalidRegister;
@@ -22,8 +27,8 @@ struct TableData {
     const Register id = static_cast<Register>(table.size());
     const Register canonical_id = canonical == kInvalidRegister ? id
                                                                 : canonical;
+    GRANITE_CHECK(name.size() <= kMaxRegisterNameLength);
     table.push_back(RegisterInfo{name, canonical_id, width_bits, reg_class});
-    by_name.emplace(name, id);
     return id;
   }
 };
@@ -103,12 +108,18 @@ TableData BuildTable() {
   for (const char* name : {"CS", "DS", "ES", "FS", "GS", "SS"}) {
     data.AddRegister(name, kInvalidRegister, 16, RegisterClass::kSegment);
   }
-
   return data;
 }
 
 const TableData& GetTableData() {
-  static const TableData* const data = new TableData(BuildTable());
+  static const TableData* const data = [] {
+    auto* built = new TableData(BuildTable());
+    for (Register id = 0; id < static_cast<Register>(built->table.size());
+         ++id) {
+      built->by_name.emplace(built->table[id].name, id);
+    }
+    return built;
+  }();
   return *data;
 }
 
@@ -119,8 +130,13 @@ const std::vector<RegisterInfo>& RegisterTable() {
 }
 
 std::optional<Register> LookupRegister(std::string_view name) {
+  if (name.size() > kMaxRegisterNameLength) return std::nullopt;
+  char upper[kMaxRegisterNameLength];
+  for (std::size_t i = 0; i < name.size(); ++i) {
+    upper[i] = AsciiToUpper(name[i]);
+  }
   const auto& by_name = GetTableData().by_name;
-  const auto it = by_name.find(ToUpper(name));
+  const auto it = by_name.find(std::string_view(upper, name.size()));
   if (it == by_name.end()) return std::nullopt;
   return it->second;
 }

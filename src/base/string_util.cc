@@ -1,22 +1,16 @@
 #include "base/string_util.h"
 
-#include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 namespace granite {
 
 std::string_view StripWhitespace(std::string_view text) {
   std::size_t begin = 0;
-  while (begin < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
+  while (begin < text.size() && IsAsciiSpace(text[begin])) ++begin;
   std::size_t end = text.size();
-  while (end > begin &&
-         std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
+  while (end > begin && IsAsciiSpace(text[end - 1])) --end;
   return text.substr(begin, end - begin);
 }
 
@@ -44,23 +38,22 @@ std::vector<std::string_view> SplitAndStrip(std::string_view text,
 
 std::string ToUpper(std::string_view text) {
   std::string result(text);
-  for (char& c : result) c = std::toupper(static_cast<unsigned char>(c));
+  for (char& c : result) c = AsciiToUpper(c);
   return result;
 }
 
 std::string ToLower(std::string_view text) {
   std::string result(text);
-  for (char& c : result) c = std::tolower(static_cast<unsigned char>(c));
+  for (char& c : result) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
   return result;
 }
 
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(a[i])) !=
-        std::toupper(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
+    if (AsciiToUpper(a[i]) != AsciiToUpper(b[i])) return false;
   }
   return true;
 }
@@ -99,10 +92,27 @@ std::optional<int64_t> ParseInt(std::string_view text) {
 std::optional<double> ParseDouble(std::string_view text) {
   text = StripWhitespace(text);
   if (text.empty()) return std::nullopt;
-  const std::string buffer(text);
+  // from_chars reads the plain spellings in place. Whatever it refuses or
+  // finds out of range ('+', hex floats, overflow, underflow, and every
+  // malformed text) goes to strtod, whose answer is the contract; strtod
+  // wants a NUL-terminated copy, which fits on the stack for any real
+  // number.
+  if (const std::optional<double> plain = ParseDecimal<double>(text)) {
+    return plain;
+  }
+  char stack_copy[64];
+  std::string heap_copy;
+  const char* copy = stack_copy;
+  if (text.size() < sizeof(stack_copy)) {
+    std::memcpy(stack_copy, text.data(), text.size());
+    stack_copy[text.size()] = '\0';
+  } else {
+    heap_copy.assign(text);
+    copy = heap_copy.c_str();
+  }
   char* end = nullptr;
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size()) return std::nullopt;
+  const double value = std::strtod(copy, &end);
+  if (end != copy + text.size()) return std::nullopt;
   return value;
 }
 
@@ -117,6 +127,7 @@ std::optional<T> ParseDecimal(std::string_view text) {
 
 template std::optional<int64_t> ParseDecimal(std::string_view);
 template std::optional<uint64_t> ParseDecimal(std::string_view);
+template std::optional<float> ParseDecimal(std::string_view);
 template std::optional<double> ParseDecimal(std::string_view);
 
 std::string Join(const std::vector<std::string>& pieces,

@@ -2,6 +2,12 @@
  * @file
  * Small string helpers used by the assembly parser and report writers,
  * and the FNV-1a hash behind checksums and block fingerprints.
+ *
+ * The whitespace and case helpers are ASCII-only: whitespace is the six
+ * bytes " \t\n\v\f\r", and only 'a'-'z' / 'A'-'Z' change case. Every
+ * other byte, UTF-8 and Latin-1 included, is ordinary text. This is what
+ * the <cctype> functions answer in the "C" locale, the only locale the
+ * program runs in, without a libc call per byte.
  */
 #ifndef GRANITE_BASE_STRING_UTIL_H_
 #define GRANITE_BASE_STRING_UTIL_H_
@@ -13,6 +19,16 @@
 #include <vector>
 
 namespace granite {
+
+/** True for the six ASCII whitespace bytes " \t\n\v\f\r". */
+constexpr bool IsAsciiSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+/** Upper-cases 'a'-'z'; every other byte is returned as is. */
+constexpr char AsciiToUpper(char c) {
+  return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
 
 /** Removes leading and trailing ASCII whitespace. */
 std::string_view StripWhitespace(std::string_view text);
@@ -43,17 +59,22 @@ bool StartsWith(std::string_view text, std::string_view prefix);
  */
 std::optional<int64_t> ParseInt(std::string_view text);
 
-/** Parses a floating-point literal, or nullopt on malformed input. */
+/**
+ * Parses a floating-point literal the way strtod does, after stripping
+ * whitespace: a sign, hex floats, "nan" and "inf" are accepted,
+ * overflow gives infinity and underflow zero. nullopt when any byte is
+ * left unread.
+ */
 std::optional<double> ParseDouble(std::string_view text);
 
 /**
  * Parses all of `text` as one plain decimal number with std::from_chars:
- * an optional '-' (not for unsigned T), digits, and for double a fraction
- * and exponent. Whitespace, '+', hex, trailing bytes and values outside
- * T's range give nullopt. For double, "nan" and "inf" do parse; callers
- * that need a finite value check it. Bundle configs and granite_cli
- * flags share this one spelling. Defined for int64_t, uint64_t and
- * double.
+ * an optional '-' (not for unsigned T), digits, and for float and double
+ * a fraction and exponent. Whitespace, '+', hex, trailing bytes and values
+ * outside T's range give nullopt. For floating T, "nan" and "inf" parse;
+ * callers that need a finite value check it. Bundle configs and
+ * granite_cli flags share this one spelling. Defined for int64_t,
+ * uint64_t, float and double.
  */
 template <typename T>
 std::optional<T> ParseDecimal(std::string_view text);

@@ -1,5 +1,6 @@
 #include "dataset/importer.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -15,49 +16,62 @@ namespace granite::dataset {
 namespace {
 
 /**
- * Splits one CSV line into fields: commas separate, double quotes guard
- * embedded commas, "" inside quotes escapes a literal quote. Returns
- * nullopt on an unterminated quoted field. Unquoted fields are
- * whitespace-stripped.
+ * Splits CSV lines into fields: commas separate, double quotes guard
+ * embedded commas, "" inside quotes escapes a literal quote. A field is
+ * quoted when its first non-blank byte is a quote; text after the
+ * closing quote joins the field as is, later quotes included. Unquoted
+ * fields are whitespace-stripped, quoted ones are not. The field strings
+ * are kept across rows, so a row allocates only when a field outgrows
+ * every earlier one.
  */
-std::optional<std::vector<std::string>> SplitCsvFields(
-    std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  bool was_quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
-          ++i;
-        } else {
-          in_quotes = false;
-        }
+class CsvFieldSplitter {
+ public:
+  /** Splits `line`; false on an unterminated quoted field. */
+  bool Split(std::string_view line) {
+    size_ = 0;
+    std::size_t start = 0;
+    while (true) {
+      std::string& field = NextField();
+      std::size_t comma = line.find(',', start);
+      const std::string_view unquoted =
+          StripWhitespace(line.substr(start, comma - start));
+      if (unquoted.empty() || unquoted.front() != '"') {
+        field.assign(unquoted);
       } else {
-        current.push_back(c);
+        // The comma found above may lie inside the quotes.
+        field.clear();
+        std::size_t i = static_cast<std::size_t>(unquoted.data() -
+                                                 line.data()) + 1;
+        while (true) {
+          const std::size_t quote = line.find('"', i);
+          if (quote == std::string_view::npos) return false;
+          field.append(line.substr(i, quote - i));
+          i = quote + 1;
+          if (i == line.size() || line[i] != '"') break;
+          field.push_back('"');
+          ++i;
+        }
+        comma = line.find(',', i);
+        field.append(line.substr(i, comma - i));
       }
-    } else if (c == '"' && StripWhitespace(current).empty() &&
-               !was_quoted) {
-      in_quotes = true;
-      was_quoted = true;
-      current.clear();
-    } else if (c == ',') {
-      fields.push_back(was_quoted ? std::move(current)
-                                  : std::string(StripWhitespace(current)));
-      current.clear();
-      was_quoted = false;
-    } else {
-      current.push_back(c);
+      if (comma == std::string_view::npos) return true;
+      start = comma + 1;
     }
   }
-  if (in_quotes) return std::nullopt;
-  fields.push_back(was_quoted ? std::move(current)
-                              : std::string(StripWhitespace(current)));
-  return fields;
-}
+
+  std::size_t size() const { return size_; }
+  const std::string& operator[](std::size_t i) const { return fields_[i]; }
+
+ private:
+  /** The next field slot, reusing one from an earlier row if any. */
+  std::string& NextField() {
+    if (size_ == fields_.size()) fields_.emplace_back();
+    return fields_[size_++];
+  }
+
+  std::vector<std::string> fields_;
+  std::size_t size_ = 0;
+};
 
 /** True for a raw-hex block field: even length >= 2, hex digits only.
  * No catalog mnemonic is hex-only with even length, and assembly text
@@ -164,13 +178,11 @@ class RejectSink {
   ImportStats* stats_;
 };
 
-/** Returns ';'-separated assembly as newline-separated parser input. */
-std::string AsParserInput(std::string_view block_field) {
-  std::string text(block_field);
-  for (char& c : text) {
-    if (c == ';') c = '\n';
-  }
-  return text;
+/** Writes ';'-separated assembly into `text` as newline-separated
+ * parser input, reusing its storage. */
+void AsParserInput(std::string_view block_field, std::string* text) {
+  text->assign(block_field);
+  std::replace(text->begin(), text->end(), ';', '\n');
 }
 
 /** Classifies a parsed block against the semantics catalog: every
@@ -245,7 +257,10 @@ ImportStats ImportBhiveCsv(const std::string& csv_path,
   CorpusWriter writer(corpus_path, options.tool, /*generator_seed=*/0,
                       options.records_per_shard);
 
+  // Reused across rows: the line, its fields and the parser input.
   std::string line;
+  CsvFieldSplitter fields;
+  std::string assembly_text;
   std::uint64_t line_number = 0;
   bool seen_header_row = false;
   while (std::getline(csv, line)) {
@@ -253,50 +268,48 @@ ImportStats ImportBhiveCsv(const std::string& csv_path,
     const std::string_view stripped = StripWhitespace(line);
     if (stripped.empty() || stripped.front() == '#') continue;
 
-    const std::optional<std::vector<std::string>> fields =
-        SplitCsvFields(stripped);
-    if (!fields.has_value()) {
+    if (!fields.Split(stripped)) {
       ++stats.rows;
       rejects.Reject(ImportRejectReason::kBadRow, line_number,
                      "unterminated quoted field", stripped);
       continue;
     }
     // An optional one-time "block,throughput[,tool]" header row.
-    if (!seen_header_row && stats.rows == 0 && !fields->empty() &&
-        EqualsIgnoreCase((*fields)[0], "block")) {
+    if (!seen_header_row && stats.rows == 0 &&
+        EqualsIgnoreCase(fields[0], "block")) {
       seen_header_row = true;
       continue;
     }
     ++stats.rows;
 
-    if (fields->size() < 2 || fields->size() > 3) {
+    if (fields.size() < 2 || fields.size() > 3) {
       rejects.Reject(ImportRejectReason::kBadRow, line_number,
                      "expected 2 or 3 fields, got " +
-                         std::to_string(fields->size()),
+                         std::to_string(fields.size()),
                      stripped);
       continue;
     }
-    const std::string& block_field = (*fields)[0];
+    const std::string& block_field = fields[0];
     if (block_field.empty()) {
       rejects.Reject(ImportRejectReason::kBadRow, line_number,
                      "empty block field", stripped);
       continue;
     }
 
-    const std::optional<double> throughput = ParseDouble((*fields)[1]);
+    const std::optional<double> throughput = ParseDouble(fields[1]);
     if (!throughput.has_value() || !std::isfinite(*throughput) ||
         *throughput <= 0.0) {
       rejects.Reject(ImportRejectReason::kBadRow, line_number,
-                     "bad throughput '" + (*fields)[1] + "'", stripped);
+                     "bad throughput '" + fields[1] + "'", stripped);
       continue;
     }
 
-    if (fields->size() == 3) {
+    if (fields.size() == 3) {
       const std::optional<uarch::MeasurementTool> row_tool =
-          ToolFromName((*fields)[2]);
+          ToolFromName(fields[2]);
       if (!row_tool.has_value() || *row_tool != options.tool) {
         rejects.Reject(ImportRejectReason::kBadRow, line_number,
-                       "tool '" + (*fields)[2] + "' does not match corpus "
+                       "tool '" + fields[2] + "' does not match corpus "
                            "tool '" +
                            std::string(uarch::MeasurementToolName(
                                options.tool)) +
@@ -309,7 +322,6 @@ ImportStats ImportBhiveCsv(const std::string& csv_path,
     // Resolve the block text: assembly inline, or via the sidecar for
     // raw-hex rows. Sidecar records are consumed in lockstep, keyed by
     // the hex text or the 1-based data-row ordinal.
-    std::string assembly_text;
     if (IsHexBlockField(block_field)) {
       if (!sidecar.has_value()) {
         rejects.Reject(ImportRejectReason::kBadRow, line_number,
@@ -332,10 +344,10 @@ ImportStats ImportBhiveCsv(const std::string& csv_path,
         continue;
       }
     } else {
-      assembly_text = AsParserInput(block_field);
+      AsParserInput(block_field, &assembly_text);
     }
 
-    const assembly::ParseResult<assembly::BasicBlock> parsed =
+    assembly::ParseResult<assembly::BasicBlock> parsed =
         assembly::ParseBasicBlock(assembly_text);
     if (!parsed.ok()) {
       rejects.Reject(ImportRejectReason::kOperandParse, line_number,
