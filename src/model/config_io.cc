@@ -1,9 +1,8 @@
 #include "model/config_io.h"
 
-#include <cerrno>
 #include <cfloat>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -159,13 +158,13 @@ bool ConfigMap::GetBool(const std::string& key, bool fallback) const {
 float ConfigMap::GetFloat(const std::string& key, float fallback) const {
   const std::string* value = Find(key);
   if (value == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const float parsed = std::strtof(value->c_str(), &end);
-  if (errno != 0 || end == value->c_str() || *end != '\0') {
-    ParseError(key, *value, "float");
+  // The one decimal spelling the integer fields take; NaN and infinity
+  // parse but are no value a config field can mean.
+  const std::optional<float> parsed = ParseDecimal<float>(*value);
+  if (!parsed || !std::isfinite(*parsed)) {
+    ParseError(key, *value, "finite float");
   }
-  return parsed;
+  return *parsed;
 }
 
 std::vector<int> ConfigMap::GetIntList(

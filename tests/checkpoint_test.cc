@@ -281,6 +281,31 @@ TEST_F(CheckpointTest, FlippedPayloadByteRaisesChecksumError) {
   EXPECT_THROW(LoadModel(path_), CheckpointError);
 }
 
+TEST_F(CheckpointTest, NonFiniteConfigFloatIsABadConfigNamingTheKey) {
+  // The config is parsed before the trailing checksum is read, so an
+  // edited bias init reaches the float parser, which must refuse it by
+  // name rather than build a model that predicts NaN.
+  for (const std::string spelling : {"-nan", "-inf"}) {
+    SaveModel(*MakeGranite(1), path_);
+    std::vector<char> bytes = ReadBundle();
+    const std::string needle = "decoder_output_bias_init=0.75";
+    const auto it = std::search(bytes.begin(), bytes.end(), needle.begin(),
+                                needle.end());
+    ASSERT_NE(it, bytes.end());
+    std::copy(spelling.begin(), spelling.end(),
+              it + static_cast<std::ptrdiff_t>(needle.size() - 4));
+    WriteBundle(bytes);
+    try {
+      LoadModel(path_);
+      ADD_FAILURE() << spelling << " loaded";
+    } catch (const CheckpointError& error) {
+      EXPECT_NE(std::string(error.what()).find("decoder_output_bias_init"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST_F(CheckpointTest, FlippedVocabularyByteRaisesChecksumError) {
   // The checksum covers the whole stream, not just tensors: corrupting
   // a vocabulary token (lengths intact) must not load a model that
@@ -547,6 +572,15 @@ TEST(ConfigMapTest, MalformedValuesThrow) {
   for (const char* key : {"a", "b", "c", "d"}) {
     EXPECT_THROW(lists.GetIntList(key, {}), std::runtime_error) << key;
   }
+  // Floats take the same one spelling, and only finite values.
+  const ConfigMap floats = ConfigMap::Parse(
+      "lead= 1.5\nplus=+1.5\nhex=0x1p3\nnan=nan\ninf=inf\n"
+      "trail=1.5 \nover=1e39\nok=-2.5\n");
+  for (const char* key : {"lead", "plus", "hex", "nan", "inf", "trail",
+                          "over"}) {
+    EXPECT_THROW(floats.GetFloat(key, 0.0f), std::runtime_error) << key;
+  }
+  EXPECT_EQ(floats.GetFloat("ok", 0.0f), -2.5f);
 }
 
 TEST(ConfigSerializationTest, GraniteConfigRoundTrips) {

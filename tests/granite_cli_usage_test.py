@@ -125,6 +125,26 @@ def main():
         runner.expect(0, ["dataset", "synthesize", train_out, "--blocks=20",
                           "--seed=0", "--shard-size=8", "--verbose=1"])
 
+    # serve refuses a malformed --split or --shadow before it loads any
+    # bundle, so no "serving '...'" line is printed.
+    with tempfile.TemporaryDirectory() as models:
+        bundle = os.path.join(models, "smoke.gmb")
+        subprocess.run([binary, "train", "--out=" + bundle, "--steps=1",
+                        "--blocks=16"], stdin=subprocess.DEVNULL,
+                       stdout=subprocess.DEVNULL, check=True, timeout=60)
+        for spec in ["--split=bogus", "--split=ab=smoke:smoke:2",
+                     "--split=ab=smoke:smoke", "--shadow=bogus"]:
+            argv = ["serve", "--model-file=" + bundle, spec]
+            result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True,
+                                    timeout=60)
+            runner.cases += 1
+            if result.returncode != 2 or "serving '" in result.stdout:
+                runner.failures.append("exit %d, stdout %r: %r" %
+                                       (result.returncode, result.stdout,
+                                        argv))
+
     for failure in runner.failures:
         print("FAIL " + failure)
     print("%d cases over %d commands and %d typed flags, %d failed" %

@@ -620,6 +620,50 @@ int RunServe(const Args& args) {
   const int requests = args.Int("requests");
   const granite::serve::InferenceServerConfig server_config =
       ServerConfigFrom(args);
+
+  // The shapes of --split=NAME=A:B:WEIGHT and --shadow=ROUTE=PATH are
+  // checked before any bundle loads; the checks that need the loaded
+  // routes come after.
+  std::string split_name;
+  std::string route_a;
+  std::string route_b;
+  double weight_a = 0.0;
+  if (args.Given("split")) {
+    const std::string& spec = args.Text("split");
+    const std::size_t equals = spec.find('=');
+    const std::vector<std::string_view> arms =
+        granite::Split(std::string_view(spec).substr(equals + 1), ':');
+    // NaN fails both comparisons.
+    weight_a = arms.size() == 3
+                   ? granite::ParseDecimal<double>(arms[2]).value_or(-1.0)
+                   : -1.0;
+    if (equals == std::string::npos || !(weight_a >= 0.0 && weight_a <= 1.0)) {
+      std::fprintf(stderr,
+                   "granite_cli serve: --split wants NAME=A:B:WEIGHT with "
+                   "WEIGHT a number in [0, 1], got '%s'\n",
+                   spec.c_str());
+      return 2;
+    }
+    split_name = spec.substr(0, equals);
+    route_a = std::string(arms[0]);
+    route_b = std::string(arms[1]);
+  }
+  std::string shadow_route;
+  std::string shadow_path;
+  if (args.Given("shadow")) {
+    const std::string& spec = args.Text("shadow");
+    const std::size_t separator = spec.find('=');
+    if (separator == std::string::npos) {
+      std::fprintf(stderr,
+                   "granite_cli serve: --shadow wants ROUTE=PATH, got "
+                   "'%s'\n",
+                   spec.c_str());
+      return 2;
+    }
+    shadow_route = spec.substr(0, separator);
+    shadow_path = spec.substr(separator + 1);
+  }
+
   granite::serve::ModelRouter router(server_config);
   std::vector<std::pair<std::string, int>> models;  // name → num_tasks
   for (const std::string& entry : args.Texts("model-file")) {
@@ -660,25 +704,6 @@ int RunServe(const Args& args) {
   // --split=NAME=A:B:WEIGHT registers a weighted A/B split over two
   // loaded routes and includes it in the replayed traffic.
   if (args.Given("split")) {
-    const std::string& spec = args.Text("split");
-    const std::size_t equals = spec.find('=');
-    const std::vector<std::string_view> arms =
-        granite::Split(std::string_view(spec).substr(equals + 1), ':');
-    // NaN fails both comparisons.
-    const double weight_a =
-        arms.size() == 3
-            ? granite::ParseDecimal<double>(arms[2]).value_or(-1.0)
-            : -1.0;
-    if (equals == std::string::npos || !(weight_a >= 0.0 && weight_a <= 1.0)) {
-      std::fprintf(stderr,
-                   "granite_cli serve: --split wants NAME=A:B:WEIGHT with "
-                   "WEIGHT a number in [0, 1], got '%s'\n",
-                   spec.c_str());
-      return 2;
-    }
-    const std::string split_name = spec.substr(0, equals);
-    const std::string route_a(arms[0]);
-    const std::string route_b(arms[1]);
     if (router.HasModel(split_name)) {
       std::fprintf(stderr,
                    "granite_cli serve: split name '%s' collides with a "
@@ -711,22 +736,11 @@ int RunServe(const Args& args) {
   // mirrored to the bundle at PATH, compared (never returned), and the
   // candidate is promoted on parity unless --promote=0.
   if (args.Given("shadow")) {
-    const std::string& spec = args.Text("shadow");
-    const std::size_t separator = spec.find('=');
-    if (separator == std::string::npos) {
-      std::fprintf(stderr,
-                   "granite_cli serve: --shadow wants ROUTE=PATH, got "
-                   "'%s'\n",
-                   spec.c_str());
-      return 2;
-    }
-    const std::string route = spec.substr(0, separator);
-    const std::string path = spec.substr(separator + 1);
-    if (!router.HasModel(route)) {
+    if (!router.HasModel(shadow_route)) {
       std::fprintf(stderr,
                    "granite_cli serve: --shadow route '%s' is not a "
                    "loaded model\n",
-                   route.c_str());
+                   shadow_route.c_str());
       return 2;
     }
     granite::serve::ShadowConfig shadow_config;
@@ -734,10 +748,10 @@ int RunServe(const Args& args) {
         static_cast<uint64_t>(args.Int("shadow-samples"));
     shadow_config.auto_promote = args.Bool("promote");
     shadow_config.server_config = server_config;
-    router.StartShadow(route, granite::model::LoadModel(path),
+    router.StartShadow(shadow_route, granite::model::LoadModel(shadow_path),
                        shadow_config);
     std::printf("shadowing '%s' with %s (%llu samples, %s)\n",
-                route.c_str(), path.c_str(),
+                shadow_route.c_str(), shadow_path.c_str(),
                 static_cast<unsigned long long>(
                     shadow_config.min_comparisons),
                 shadow_config.auto_promote ? "auto-promote"
