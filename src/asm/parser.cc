@@ -3,12 +3,21 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "base/string_util.h"
 
 namespace granite::assembly {
 namespace {
+
+static_assert(std::all_of(std::begin(kInstructionPrefixes),
+                          std::end(kInstructionPrefixes),
+                          [](std::string_view prefix) {
+                            return prefix.front() == 'L' ||
+                                   prefix.front() == 'R';
+                          }),
+              "IsPrefixToken refuses on the first byte");
 
 /** Instruction prefixes recognized by the parser. Every prefix starts
  * with 'L' or 'R', so most mnemonics are refused on their first byte. */

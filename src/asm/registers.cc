@@ -108,6 +108,7 @@ TableData BuildTable() {
   for (const char* name : {"CS", "DS", "ES", "FS", "GS", "SS"}) {
     data.AddRegister(name, kInvalidRegister, 16, RegisterClass::kSegment);
   }
+
   return data;
 }
 

@@ -31,16 +31,22 @@ std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
 // The array and nothrow forms of the default operator new call this one,
-// so counting here counts every non-aligned allocation.
-void* operator new(std::size_t size) {
+// so counting here counts every non-aligned allocation. noinline keeps
+// GCC from pairing an inlined free() with a `new` expression and warning
+// about a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
   throw std::bad_alloc();
 }
 
-void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block) noexcept {
+  std::free(block);
+}
 
-void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept {
+  std::free(block);
+}
 
 namespace granite {
 namespace {
@@ -88,9 +94,8 @@ TEST(ParseAllocationTest, ParseAllocatesOnlyWhatTheBlockOwns) {
     const std::uint64_t made = Allocations() - before;
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     ASSERT_EQ(*parsed.value, block);
-    // At most 1 + N for N instructions, plus one per prefixed one.
+    // 1 + N for N instructions with operands, plus one per prefixed one.
     EXPECT_EQ(made, OwnedAllocations(*parsed.value)) << text;
-    EXPECT_LE(made, 1 + block.size() + block.size()) << text;
     total += made;
     instructions += block.size();
   }
@@ -125,8 +130,9 @@ TEST(ParseAllocationTest, ImportStaysWithinAPerRowBudget) {
       csv << '"' << text << "\"," << 20.0 + row << "\n";
     }
   }
-  ASSERT_TRUE(dataset::ImportBhiveCsv(csv_path, corpus_path).imported ==
-              kRows);  // warm-up: tables, catalog, stream locales
+  // Warm-up: the register table, the semantics catalog, stream locales.
+  ASSERT_EQ(dataset::ImportBhiveCsv(csv_path, corpus_path).imported,
+            static_cast<std::uint64_t>(kRows));
 
   const std::uint64_t before = Allocations();
   const dataset::ImportStats stats =
