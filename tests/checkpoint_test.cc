@@ -523,66 +523,6 @@ TEST_F(CheckpointTest, InspectBundleSkipsValuesNotValidation) {
   EXPECT_THROW(LoadModel(path_), CheckpointError);
 }
 
-TEST(ConfigMapTest, RoundTripsTypedValues) {
-  ConfigMap map;
-  map.SetInt("answer", -42);
-  map.SetUint("seed", 0xFFFFFFFFFFFFFFFFull);
-  map.SetBool("flag", true);
-  map.SetFloat("bias", 0.1f);
-  map.SetIntList("layers", {16, 32, 16});
-  map.SetString("name", "granite");
-  const ConfigMap parsed = ConfigMap::Parse(map.Serialize());
-  EXPECT_EQ(parsed.GetInt("answer", 0), -42);
-  EXPECT_EQ(parsed.GetUint("seed", 0), 0xFFFFFFFFFFFFFFFFull);
-  EXPECT_TRUE(parsed.GetBool("flag", false));
-  EXPECT_EQ(parsed.GetFloat("bias", 0.0f), 0.1f);
-  EXPECT_EQ(parsed.GetIntList("layers", {}), (std::vector<int>{16, 32, 16}));
-  EXPECT_EQ(parsed.GetString("name", ""), "granite");
-  // Missing keys keep the fallback; unknown keys are ignored.
-  EXPECT_EQ(parsed.GetInt("absent", 7), 7);
-}
-
-TEST(ConfigMapTest, MalformedValuesThrow) {
-  EXPECT_THROW(ConfigMap::Parse("no_separator_line"), std::runtime_error);
-  const ConfigMap map = ConfigMap::Parse("x=abc\nb=maybe\n");
-  EXPECT_THROW(map.GetInt("x", 0), std::runtime_error);
-  EXPECT_THROW(map.GetBool("b", false), std::runtime_error);
-  // Unsigned values reject negatives even behind strtoull's whitespace
-  // skipping (which would otherwise silently wrap ' -1' to 2^64 - 1).
-  const ConfigMap negatives = ConfigMap::Parse("u= -1\nv=-1\nw= 3\n");
-  EXPECT_THROW(negatives.GetUint("u", 0), std::runtime_error);
-  EXPECT_THROW(negatives.GetUint("v", 0), std::runtime_error);
-  EXPECT_THROW(negatives.GetInt("w", 0), std::runtime_error);
-  // One decimal spelling: no '+', no trailing whitespace, no hex, no bare
-  // sign, and no value past the int64 / uint64 range.
-  const ConfigMap spellings = ConfigMap::Parse(
-      "plus=+5\ntrailing=5 \nhex=0x10\nsign=-\n"
-      "int_over=9223372036854775808\nint_under=-9223372036854775809\n"
-      "uint_over=18446744073709551616\n");
-  for (const char* key :
-       {"plus", "trailing", "hex", "sign", "int_over", "int_under"}) {
-    EXPECT_THROW(spellings.GetInt(key, 0), std::runtime_error) << key;
-    EXPECT_THROW(spellings.GetIntList(key, {}), std::runtime_error) << key;
-  }
-  for (const char* key : {"plus", "trailing", "hex", "sign", "uint_over"}) {
-    EXPECT_THROW(spellings.GetUint(key, 0), std::runtime_error) << key;
-  }
-  const ConfigMap lists =
-      ConfigMap::Parse("a=1,+5\nb=1,5 \nc=0x10,1\nd=1,-\n");
-  for (const char* key : {"a", "b", "c", "d"}) {
-    EXPECT_THROW(lists.GetIntList(key, {}), std::runtime_error) << key;
-  }
-  // Floats take the same one spelling, and only finite values.
-  const ConfigMap floats = ConfigMap::Parse(
-      "lead= 1.5\nplus=+1.5\nhex=0x1p3\nnan=nan\ninf=inf\n"
-      "trail=1.5 \nover=1e39\nok=-2.5\n");
-  for (const char* key : {"lead", "plus", "hex", "nan", "inf", "trail",
-                          "over"}) {
-    EXPECT_THROW(floats.GetFloat(key, 0.0f), std::runtime_error) << key;
-  }
-  EXPECT_EQ(floats.GetFloat("ok", 0.0f), -2.5f);
-}
-
 TEST(ConfigSerializationTest, GraniteConfigRoundTrips) {
   core::GraniteConfig config;
   config.node_embedding_size = 24;
