@@ -19,14 +19,6 @@ GraniteConfig GraniteConfig::WithEmbeddingSize(int size) const {
   return scaled;
 }
 
-std::string SerializeConfig(const GraniteConfig& config) {
-  return model::SerializeFields(config);
-}
-
-GraniteConfig GraniteConfigFromText(const std::string& text) {
-  return model::ParseFields<GraniteConfig>(text);
-}
-
 GraniteModel::GraniteModel(std::unique_ptr<graph::Vocabulary> vocabulary,
                            const GraniteConfig& config)
     : GraniteModel(vocabulary.get(), config) {
@@ -169,7 +161,7 @@ std::vector<ml::Var> GraniteModel::ForwardGraphsOrBlocks(
 }
 
 std::string GraniteModel::DescribeConfig() const {
-  return SerializeConfig(config_);
+  return model::SerializeFields(config_);
 }
 
 }  // namespace granite::core

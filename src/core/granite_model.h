@@ -99,14 +99,6 @@ struct GraniteConfig {
   }
 };
 
-/** Serializes `config` as the canonical key=value text stored in
- * checkpoint bundles (model::SerializeFields). */
-std::string SerializeConfig(const GraniteConfig& config);
-
-/** Parses SerializeConfig output (model::ParseFields); unknown keys are
- * ignored and missing keys keep their defaults. Throws
- * std::runtime_error on malformed or out-of-bounds values. */
-GraniteConfig GraniteConfigFromText(const std::string& text);
 
 /** The GRANITE throughput estimation model. */
 class GraniteModel : public model::ThroughputPredictor {

@@ -16,14 +16,6 @@ IthemalConfig IthemalConfig::WithEmbeddingSize(int size) const {
   return scaled;
 }
 
-std::string SerializeConfig(const IthemalConfig& config) {
-  return model::SerializeFields(config);
-}
-
-IthemalConfig IthemalConfigFromText(const std::string& text) {
-  return model::ParseFields<IthemalConfig>(text);
-}
-
 IthemalModel::IthemalModel(std::unique_ptr<graph::Vocabulary> vocabulary,
                            const IthemalConfig& config)
     : IthemalModel(vocabulary.get(), config) {
@@ -164,7 +156,7 @@ std::vector<ml::Var> IthemalModel::ForwardGraphsOrBlocks(
 }
 
 std::string IthemalModel::DescribeConfig() const {
-  return SerializeConfig(config_);
+  return model::SerializeFields(config_);
 }
 
 }  // namespace granite::ithemal

@@ -78,14 +78,6 @@ struct IthemalConfig {
   }
 };
 
-/** Serializes `config` as the canonical key=value text stored in
- * checkpoint bundles (model::SerializeFields). */
-std::string SerializeConfig(const IthemalConfig& config);
-
-/** Parses SerializeConfig output (model::ParseFields); unknown keys are
- * ignored and missing keys keep their defaults. Throws
- * std::runtime_error on malformed or out-of-bounds values. */
-IthemalConfig IthemalConfigFromText(const std::string& text);
 
 /** The Ithemal / Ithemal+ throughput estimation model. */
 class IthemalModel : public model::ThroughputPredictor {

@@ -12,6 +12,7 @@
 #include "graph/vocabulary.h"
 #include "ithemal/ithemal_model.h"
 #include "ml/tensor.h"
+#include "model/config_io.h"
 
 namespace granite::model {
 namespace {
@@ -228,11 +229,12 @@ std::unique_ptr<ThroughputPredictor> ConstructModel(
     switch (kind) {
       case ModelKind::kGranite:
         return std::make_unique<core::GraniteModel>(
-            std::move(vocabulary), core::GraniteConfigFromText(config_text));
+            std::move(vocabulary),
+            ParseFields<core::GraniteConfig>(config_text));
       case ModelKind::kIthemal:
         return std::make_unique<ithemal::IthemalModel>(
             std::move(vocabulary),
-            ithemal::IthemalConfigFromText(config_text));
+            ParseFields<ithemal::IthemalConfig>(config_text));
     }
   } catch (const std::runtime_error& error) {
     throw CheckpointError("corrupt checkpoint bundle (bad config): " + path +

@@ -4,13 +4,15 @@
  * the self-describing checkpoint bundles (model/checkpoint.h) and by
  * ThroughputPredictor::DescribeConfig().
  *
- * The format is one `key=value` pair per line, in insertion order.
- * Parsing is forward- and backward-compatible by construction: unknown
- * keys are ignored and missing keys keep the caller-supplied default, so
- * configs gain fields without breaking old bundles. Malformed text (a
- * line without '=', a value that does not parse as the requested type)
- * throws std::runtime_error, which model::LoadModel converts into a
- * CheckpointError.
+ * The format is one `key=value` line per field, ended by '\n', in
+ * field-list order. A reader splits each line at its first '='; it skips
+ * empty lines and lines that start with '#', and the last of several
+ * lines with one key wins. Parsing is forward- and backward-compatible
+ * by construction: unknown keys are ignored and missing keys keep the
+ * caller-supplied default, so configs gain fields without breaking old
+ * bundles. Malformed text (a line without '=', a value that does not
+ * parse as its field's type) throws std::runtime_error, which
+ * model::LoadModel converts into a CheckpointError.
  *
  * Floats are written with enough digits (FLT_DECIMAL_DIG) to round-trip
  * bit-exactly, so a reloaded config reproduces the original model
@@ -20,10 +22,10 @@
  * (see FieldWriter); SerializeFields and ParseFields derive the text
  * codec and the bounds check from it, so a new field is one line.
  *
- * Threading contract: ConfigMap, FieldWriter and FieldReader are plain
- * value types with no internal synchronization — confine an instance to
- * one thread or share it read-only; the free (de)serialization helpers
- * are pure functions and safe to call concurrently.
+ * Threading contract: FieldWriter and FieldReader are plain value types
+ * with no internal synchronization — confine an instance to one thread;
+ * SerializeFields and ParseFields are pure functions and safe to call
+ * concurrently.
  */
 #ifndef GRANITE_MODEL_CONFIG_IO_H_
 #define GRANITE_MODEL_CONFIG_IO_H_
@@ -32,52 +34,11 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 namespace granite::model {
-
-/** An ordered key=value map with typed accessors. */
-class ConfigMap {
- public:
-  ConfigMap() = default;
-
-  /** Parses Serialize() output. Throws std::runtime_error on malformed
-   * lines (missing '='); blank lines and `#` comments are skipped. */
-  static ConfigMap Parse(const std::string& text);
-
-  void SetString(const std::string& key, std::string value);
-  void SetInt(const std::string& key, std::int64_t value);
-  void SetUint(const std::string& key, std::uint64_t value);
-  void SetBool(const std::string& key, bool value);
-  void SetFloat(const std::string& key, float value);
-  void SetIntList(const std::string& key, const std::vector<int>& values);
-
-  bool Has(const std::string& key) const;
-
-  /** Each getter returns `fallback` when the key is absent and throws
-   * std::runtime_error when the stored value does not parse. */
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const;
-  std::int64_t GetInt(const std::string& key, std::int64_t fallback) const;
-  std::uint64_t GetUint(const std::string& key,
-                        std::uint64_t fallback) const;
-  bool GetBool(const std::string& key, bool fallback) const;
-  float GetFloat(const std::string& key, float fallback) const;
-  std::vector<int> GetIntList(const std::string& key,
-                              const std::vector<int>& fallback) const;
-
-  /** One `key=value` line per entry, in insertion order. */
-  std::string Serialize() const;
-
- private:
-  const std::string* Find(const std::string& key) const;
-  void Put(const std::string& key, std::string value);
-
-  std::vector<std::pair<std::string, std::string>> entries_;
-  std::unordered_map<std::string, std::size_t> index_;
-};
 
 /** Inclusive bounds of an integer config field, or of every width of a
  * layer list. */
@@ -116,31 +77,35 @@ struct EnumName {
  */
 class FieldWriter {
  public:
-  void Field(const char* key, bool value) { map_.SetBool(key, value); }
-  void Field(const char* key, float value) { map_.SetFloat(key, value); }
+  /** Booleans as `1` / `0`. */
+  void Field(const char* key, bool value) { Line(key, value ? "1" : "0"); }
+  /** Floats as `%.*g` with FLT_DECIMAL_DIG significant digits. */
+  void Field(const char* key, float value);
   void Field(const char* key, std::uint64_t value) {
-    map_.SetUint(key, value);
+    Line(key, std::to_string(value));
   }
   void Field(const char* key, int value, IntRange) {
-    map_.SetInt(key, value);
+    Line(key, std::to_string(value));
   }
-  void Field(const char* key, const std::vector<int>& layers, IntRange) {
-    map_.SetIntList(key, layers);
-  }
+  /** Layer lists as comma-joined widths; an empty list as no text. */
+  void Field(const char* key, const std::vector<int>& layers, IntRange);
   template <typename Enum, std::size_t N>
   void Field(const char* key, Enum value,
              const std::array<EnumName<Enum>, N>& names) {
     for (const EnumName<Enum>& entry : names) {
-      if (entry.value == value) return map_.SetString(key, entry.name);
+      if (entry.value == value) return Line(key, entry.name);
     }
     throw std::logic_error(std::string("unnamed value of config field ") +
                            key);
   }
 
-  std::string Serialize() const { return map_.Serialize(); }
+  /** The lines written so far. */
+  const std::string& text() const { return text_; }
 
  private:
-  ConfigMap map_;
+  void Line(const char* key, std::string_view value);
+
+  std::string text_;
 };
 
 /**
@@ -152,37 +117,40 @@ class FieldWriter {
  */
 class FieldReader {
  public:
-  explicit FieldReader(const std::string& text)
-      : map_(ConfigMap::Parse(text)) {}
+  /** Splits `text` into its lines; throws std::runtime_error on a line
+   * without '='. The reader views `text`, which must outlive it. */
+  explicit FieldReader(std::string_view text);
 
-  void Field(const char* key, bool& value) {
-    value = map_.GetBool(key, value);
-  }
-  void Field(const char* key, float& value) {
-    value = map_.GetFloat(key, value);
-  }
-  void Field(const char* key, std::uint64_t& value) {
-    value = map_.GetUint(key, value);
-  }
+  /** `1` / `true` or `0` / `false`. */
+  void Field(const char* key, bool& value);
+  /** ParseDecimal's one spelling, and finite. */
+  void Field(const char* key, float& value);
+  void Field(const char* key, std::uint64_t& value);
   void Field(const char* key, int& value, IntRange range);
+  /** Comma-separated integers that each fit int; no text is no widths. */
   void Field(const char* key, std::vector<int>& layers, IntRange range);
   template <typename Enum, std::size_t N>
   void Field(const char* key, Enum& value,
              const std::array<EnumName<Enum>, N>& names) {
-    if (!map_.Has(key)) return;
-    const std::string name = map_.GetString(key, "");
+    const std::string_view* name = Find(key);
+    if (name == nullptr) return;
     for (const EnumName<Enum>& entry : names) {
-      if (name == entry.name) {
+      if (*name == entry.name) {
         value = entry.value;
         return;
       }
     }
     throw std::runtime_error(std::string("config value for '") + key +
-                             "' is not a known name: '" + name + "'");
+                             "' is not a known name: '" +
+                             std::string(*name) + "'");
   }
 
  private:
-  ConfigMap map_;
+  /** The value of the last line with `key`, or nullptr if none has it. */
+  const std::string_view* Find(std::string_view key) const;
+
+  /** Each line's key and value, in text order. */
+  std::vector<std::pair<std::string_view, std::string_view>> lines_;
 };
 
 /** The canonical key=value text of `config`, in field-list order. */
@@ -190,7 +158,7 @@ template <typename Config>
 std::string SerializeFields(const Config& config) {
   FieldWriter writer;
   Config::VisitFields(config, writer);
-  return writer.Serialize();
+  return writer.text();
 }
 
 /** Parses SerializeFields text over a default-constructed Config: unknown

@@ -533,8 +533,8 @@ TEST(ConfigSerializationTest, GraniteConfigRoundTrips) {
   config.decoder_output_bias_init = 1.625f;
   config.seed = 777;
   const core::GraniteConfig parsed =
-      core::GraniteConfigFromText(core::SerializeConfig(config));
-  EXPECT_EQ(core::SerializeConfig(parsed), core::SerializeConfig(config));
+      ParseFields<core::GraniteConfig>(SerializeFields(config));
+  EXPECT_EQ(SerializeFields(parsed), SerializeFields(config));
 }
 
 TEST(ConfigSerializationTest, IthemalConfigRoundTrips) {
@@ -546,15 +546,15 @@ TEST(ConfigSerializationTest, IthemalConfigRoundTrips) {
   config.num_tasks = 2;
   config.seed = 5;
   const ithemal::IthemalConfig parsed =
-      ithemal::IthemalConfigFromText(ithemal::SerializeConfig(config));
-  EXPECT_EQ(ithemal::SerializeConfig(parsed),
-            ithemal::SerializeConfig(config));
+      ParseFields<ithemal::IthemalConfig>(SerializeFields(config));
+  EXPECT_EQ(SerializeFields(parsed),
+            SerializeFields(config));
 }
 
-// Literal SerializeConfig text: bundles store it, so key order, key
+// Literal SerializeFields text: bundles store it, so key order, key
 // spelling and value formatting are part of the bundle format.
 TEST(ConfigSerializationTest, DefaultGraniteConfigText) {
-  EXPECT_EQ(core::SerializeConfig(core::GraniteConfig()),
+  EXPECT_EQ(SerializeFields(core::GraniteConfig()),
             "node_embedding_size=256\n"
             "edge_embedding_size=256\n"
             "global_embedding_size=256\n"
@@ -582,7 +582,7 @@ TEST(ConfigSerializationTest, NonDefaultGraniteConfigText) {
   config.seed = 18446744073709551615ull;
   // The kernel backend is a runtime choice and is not serialized.
   config.kernel_backend = ml::KernelBackendKind::kReference;
-  EXPECT_EQ(core::SerializeConfig(config),
+  EXPECT_EQ(SerializeFields(config),
             "node_embedding_size=16\n"
             "edge_embedding_size=16\n"
             "global_embedding_size=16\n"
@@ -600,7 +600,7 @@ TEST(ConfigSerializationTest, NonDefaultGraniteConfigText) {
 
 TEST(ConfigSerializationTest, IthemalConfigTextPerDecoder) {
   ithemal::IthemalConfig config;
-  EXPECT_EQ(ithemal::SerializeConfig(config),
+  EXPECT_EQ(SerializeFields(config),
             "embedding_size=256\n"
             "hidden_size=256\n"
             "decoder=dot_product\n"
@@ -616,7 +616,7 @@ TEST(ConfigSerializationTest, IthemalConfigTextPerDecoder) {
   config.num_tasks = 2;
   config.decoder_output_bias_init = -2.5f;
   config.seed = 5;
-  EXPECT_EQ(ithemal::SerializeConfig(config),
+  EXPECT_EQ(SerializeFields(config),
             "embedding_size=12\n"
             "hidden_size=12\n"
             "decoder=mlp\n"
