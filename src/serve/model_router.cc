@@ -32,31 +32,12 @@ ModelRouter::~ModelRouter() { Shutdown(); }
 void ModelRouter::AddModel(
     const std::string& name,
     std::unique_ptr<model::ThroughputPredictor> predictor) {
-  AddModel(name, std::move(predictor), default_config_);
-}
-
-void ModelRouter::AddModel(
-    const std::string& name,
-    std::unique_ptr<model::ThroughputPredictor> predictor,
-    const InferenceServerConfig& config) {
   GRANITE_CHECK(predictor != nullptr);
   auto entry = std::make_unique<Entry>();
-  entry->active_model.store(predictor.get(), std::memory_order_relaxed);
-  auto server = std::make_unique<InferenceServer>(predictor.get(), config);
+  auto server =
+      std::make_unique<InferenceServer>(predictor.get(), default_config_);
   entry->active_server.store(server.get(), std::memory_order_relaxed);
   entry->owned_models.push_back(std::move(predictor));
-  entry->owned_servers.push_back(std::move(server));
-  AddEntry(name, std::move(entry));
-}
-
-void ModelRouter::AddModel(const std::string& name,
-                           model::ThroughputPredictor* predictor,
-                           const InferenceServerConfig& config) {
-  GRANITE_CHECK(predictor != nullptr);
-  auto entry = std::make_unique<Entry>();
-  entry->active_model.store(predictor, std::memory_order_relaxed);
-  auto server = std::make_unique<InferenceServer>(predictor, config);
-  entry->active_server.store(server.get(), std::memory_order_relaxed);
   entry->owned_servers.push_back(std::move(server));
   AddEntry(name, std::move(entry));
 }
@@ -149,7 +130,6 @@ void ModelRouter::StartShadow(
   // A saturated candidate must shed mirrored traffic, never block the
   // client submit path.
   session->config.server_config.overflow_policy = OverflowPolicy::kReject;
-  session->candidate = candidate.get();
   auto server = std::make_unique<InferenceServer>(
       candidate.get(), session->config.server_config);
   session->candidate_server = server.get();
@@ -171,10 +151,9 @@ void ModelRouter::StartShadow(
 }
 
 void ModelRouter::PromoteLocked(Entry& entry, ShadowSession& session) {
-  // Two independent atomic swaps: a request between them gets the old
-  // model from the old server or the new model from the new server —
-  // never a torn pair, because each server always serves its own model.
-  entry.active_model.store(session.candidate, std::memory_order_release);
+  // One atomic swap: each server always serves its own model, so a
+  // request gets the old model from the old server or the new one from
+  // the new server.
   entry.active_server.store(session.candidate_server,
                             std::memory_order_release);
 }
@@ -218,18 +197,14 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
     const double abs_diff = std::abs(primary_value - candidate_value);
     const double scale = std::max(
         {std::abs(primary_value), std::abs(candidate_value), 1e-12});
-    const double rel_diff = abs_diff / scale;
     session.sum_abs_diff += abs_diff;
-    session.max_rel_diff = std::max(session.max_rel_diff, rel_diff);
-    if (rel_diff <= session.config.parity_rtol) ++session.parity;
+    session.max_rel_diff = std::max(session.max_rel_diff, abs_diff / scale);
+    if (abs_diff == 0.0) ++session.parity;
 
     if (!session.verdict_reached &&
         session.compared >= session.config.min_comparisons) {
       session.verdict_reached = true;
-      const double parity_fraction =
-          static_cast<double>(session.parity) /
-          static_cast<double>(session.compared);
-      if (parity_fraction >= session.config.required_parity_fraction) {
+      if (session.parity == session.compared) {
         session.state.store(CanaryState::kPromoted,
                             std::memory_order_release);
         if (session.config.auto_promote) PromoteLocked(entry, session);
@@ -410,7 +385,7 @@ const model::ThroughputPredictor& ModelRouter::Model(
     const std::string& name) const {
   Entry* entry = FindEntry(name);
   GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
-  return *entry->active_model.load(std::memory_order_acquire);
+  return entry->active_server.load(std::memory_order_acquire)->model();
 }
 
 std::string ModelRouter::StatsString() const {
@@ -418,13 +393,13 @@ std::string ModelRouter::StatsString() const {
   for (const std::string& name : ModelNames()) {
     Entry* entry = FindEntry(name);
     if (entry == nullptr) continue;  // Raced a (hypothetical) removal.
-    const model::ThroughputPredictor* active =
-        entry->active_model.load(std::memory_order_acquire);
+    const InferenceServer* server =
+        entry->active_server.load(std::memory_order_acquire);
     text += "model '" + name + "' (";
-    text += model::ModelKindName(active->kind());
-    text += ", " + std::to_string(active->num_tasks()) + " task(s)):\n";
-    std::string stats =
-        entry->active_server.load(std::memory_order_acquire)->StatsString();
+    text += model::ModelKindName(server->model().kind());
+    text += ", " + std::to_string(server->model().num_tasks()) +
+            " task(s)):\n";
+    std::string stats = server->StatsString();
     // Indent the per-server block under its model heading.
     std::size_t start = 0;
     while (start < stats.size()) {

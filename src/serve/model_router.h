@@ -24,11 +24,11 @@
  *   active model's but NEVER returned to clients; a candidate that
  *   rejects mirrored traffic (overload) or crashes a batch only shows
  *   up in the shadow statistics. Once enough comparisons accumulate,
- *   the session reaches a verdict: parity (within the configured
- *   tolerance, on the configured fraction of requests) promotes the
- *   candidate — atomically swapping it in as the route's active model
- *   (auto_promote) or waiting for an explicit PromoteShadow() call —
- *   and anything else rejects it, ending the mirror.
+ *   the session reaches a verdict: parity (equal predictions on every
+ *   compared request) promotes the candidate — atomically swapping it
+ *   in as the route's active model (auto_promote) or waiting for an
+ *   explicit PromoteShadow() call — and anything else rejects it,
+ *   ending the mirror.
  *
  * Thread-safety: all public methods are safe to call concurrently. The
  * submit hot path reads the route map under a shared lock and the
@@ -74,16 +74,12 @@ std::string_view CanaryStateName(CanaryState state);
 
 /** Configuration of a shadow session (StartShadow). */
 struct ShadowConfig {
-  /** Comparisons to accumulate before the parity verdict. */
+  /** Comparisons to accumulate before the parity verdict. The verdict
+   * promotes only when every compared pair is at parity, i.e. the two
+   * predictions are equal — the right bar when the candidate is the
+   * same architecture retrained or re-exported (serving is
+   * deterministic per model). */
   std::uint64_t min_comparisons = 100;
-  /** A comparison is "at parity" when |primary - candidate| /
-   * max(|primary|, |candidate|, 1e-12) <= parity_rtol. The default 0
-   * demands bit-identical predictions — the right bar when the
-   * candidate is the same architecture retrained or re-exported
-   * (serving is deterministic per model). */
-  double parity_rtol = 0.0;
-  /** Fraction of comparisons that must be at parity for promotion. */
-  double required_parity_fraction = 1.0;
   /** Promote automatically on a parity verdict; otherwise the verdict
    * parks at kPromoted and an operator calls PromoteShadow(). */
   bool auto_promote = true;
@@ -104,12 +100,13 @@ struct ShadowStats {
   std::uint64_t mirror_rejects = 0;
   /** Prediction pairs compared so far. */
   std::uint64_t compared = 0;
-  /** Compared pairs within parity_rtol. */
+  /** Compared pairs whose predictions are equal. */
   std::uint64_t parity = 0;
   /** Pairs where either side's future threw (shed/failed batch);
    * excluded from `compared`. */
   std::uint64_t compare_failures = 0;
-  /** Largest relative difference seen, over compared pairs. */
+  /** Largest relative difference seen, |primary - candidate| /
+   * max(|primary|, |candidate|, 1e-12), over compared pairs. */
   double max_rel_diff = 0.0;
   /** Mean |primary - candidate| over compared pairs. */
   double mean_abs_diff = 0.0;
@@ -136,8 +133,8 @@ struct SplitStats {
  */
 class ModelRouter {
  public:
-  /** @param default_config Server configuration applied to models added
-   *   without an explicit per-model configuration. */
+  /** @param default_config Server configuration of every model's
+   *   InferenceServer. */
   explicit ModelRouter(const InferenceServerConfig& default_config = {});
 
   /** Shuts down every hosted server and comparator. */
@@ -154,14 +151,6 @@ class ModelRouter {
    */
   void AddModel(const std::string& name,
                 std::unique_ptr<model::ThroughputPredictor> predictor);
-  void AddModel(const std::string& name,
-                std::unique_ptr<model::ThroughputPredictor> predictor,
-                const InferenceServerConfig& config);
-
-  /** As above with a caller-owned model (must outlive the router). */
-  void AddModel(const std::string& name,
-                model::ThroughputPredictor* predictor,
-                const InferenceServerConfig& config);
 
   /**
    * Registers `split_name` as a weighted A/B split over two existing
@@ -279,7 +268,6 @@ class ModelRouter {
    */
   struct ShadowSession {
     ShadowConfig config;
-    model::ThroughputPredictor* candidate = nullptr;
     InferenceServer* candidate_server = nullptr;
 
     std::atomic<CanaryState> state{CanaryState::kShadowing};
@@ -302,8 +290,9 @@ class ModelRouter {
   };
 
   /**
-   * One hosted model route. The active model/server are atomics so a
-   * canary promotion swaps them without locking the submit path;
+   * One hosted model route. The active server (which serves the route's
+   * active model, its model()) is an atomic so a canary promotion swaps
+   * it without locking the submit path;
    * retired predecessors (and shadow candidates) stay alive in the
    * owned_* vectors until router teardown, so requests already queued
    * on an old server always complete. Entries are heap-allocated
@@ -312,7 +301,6 @@ class ModelRouter {
   struct Entry {
     std::vector<std::unique_ptr<model::ThroughputPredictor>> owned_models;
     std::vector<std::unique_ptr<InferenceServer>> owned_servers;
-    std::atomic<model::ThroughputPredictor*> active_model{nullptr};
     std::atomic<InferenceServer*> active_server{nullptr};
     /** Current session storage; guarded by session_mutex. The raw
      * atomic below is what the submit path reads. */
