@@ -168,8 +168,7 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
 
   // The margin is relative to the cost's magnitude, so it stays below the
   // original when a model predicts a negative cost.
-  const double margin =
-      std::abs(result.original_cost) * config_.min_relative_gain;
+  const double margin = std::abs(result.original_cost) * kMinRelativeGain;
   if (best.cost < result.original_cost - margin) {
     result.improved = true;
     result.best = best.block;

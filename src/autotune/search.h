@@ -88,6 +88,11 @@ class AnalyticalCostClient : public CostClient {
   uarch::ThroughputModel oracle_;
 };
 
+/** A candidate must beat the original by this fraction of the
+ * original's magnitude to be adopted — guards against swapping spellings
+ * over float noise, whatever the sign of the cost. */
+inline constexpr double kMinRelativeGain = 1e-4;
+
 /** Search knobs of a BlockOptimizer. */
 struct SearchConfig {
   /** Candidates kept per round; 1 degenerates to greedy search. */
@@ -98,10 +103,6 @@ struct SearchConfig {
    * deadline is checked between waves, so one in-flight wave may
    * overshoot it by its service latency. */
   std::chrono::microseconds deadline{0};
-  /** A candidate must beat the original by this fraction of the
-   * original's magnitude to be adopted — guards against swapping
-   * spellings over float noise, whatever the sign of the cost. */
-  double min_relative_gain = 1e-4;
 };
 
 /** Outcome of optimizing one block. */
@@ -112,7 +113,7 @@ struct OptimizeResult {
   /** False when the backend rejected the original block's scoring
    * request (nothing was searched). */
   bool scored = false;
-  /** True when `best` beat the original by min_relative_gain. */
+  /** True when `best` beat the original by kMinRelativeGain. */
   bool improved = false;
   double original_cost = 0.0;
   double best_cost = 0.0;
