@@ -73,7 +73,7 @@ TableData BuildTable() {
 
   // R8-R15 with D/W/B sub-registers.
   for (int n = 8; n <= 15; ++n) {
-    const std::string base = "R" + std::to_string(n);
+    const std::string base = std::string("R").append(std::to_string(n));
     const Register canonical =
         data.AddRegister(base, kInvalidRegister, 64,
                          RegisterClass::kGeneralPurpose);

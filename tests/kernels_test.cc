@@ -125,8 +125,13 @@ const MatMulShape kTransposeAShapes[] = {
 };
 
 std::string ShapeLabel(const MatMulShape& shape, bool seeded) {
-  return " " + std::to_string(shape.m) + "x" + std::to_string(shape.k) + "x" +
-         std::to_string(shape.n) + (seeded ? " seeded" : " into zero");
+  return std::string(" ")
+      .append(std::to_string(shape.m))
+      .append("x")
+      .append(std::to_string(shape.k))
+      .append("x")
+      .append(std::to_string(shape.n))
+      .append(seeded ? " seeded" : " into zero");
 }
 
 class KernelEquivalenceTest
