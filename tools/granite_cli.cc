@@ -463,8 +463,11 @@ int RunTrain(const Args& args) {
   trainer_config.verbose = args.Bool("verbose");
   trainer_config.seed = seed + 1;
 
-  // Initialize decoder biases at the per-instruction mean target so the
-  // scaled-down schedules converge quickly (see TrainerConfig docs).
+  // Initialize decoder biases at the mean target so the scaled-down
+  // schedules converge quickly: GRANITE's decoders predict each
+  // instruction's share, so theirs start at the per-instruction mean;
+  // the Ithemal decoders predict the whole block, so theirs start at the
+  // per-block mean.
   // One pass gathers both statistics: each Get() yields block and labels
   // together, and a second pass over a shuffled streaming subset would
   // re-page the whole shard window again.
@@ -480,8 +483,6 @@ int RunTrain(const Args& args) {
   const double mean_target = target_sum / train_count / target_scale;
   const double mean_instructions = std::max(
       1.0, static_cast<double>(instruction_sum) / train_count);
-  const float bias_init =
-      static_cast<float>(mean_target / mean_instructions);
 
   std::unique_ptr<granite::train::ModelRunner> runner;
   const ModelFamily family = args.Enum<ModelFamily>("model");
@@ -491,7 +492,8 @@ int RunTrain(const Args& args) {
             args.Int("embedding"));
     config.message_passing_iterations = args.Int("mp-iterations");
     config.num_tasks = num_tasks;
-    config.decoder_output_bias_init = bias_init;
+    config.decoder_output_bias_init =
+        static_cast<float>(mean_target / mean_instructions);
     config.seed = seed + 2;
     runner = std::make_unique<granite::train::ModelRunner>(config,
                                                            trainer_config);
@@ -503,7 +505,7 @@ int RunTrain(const Args& args) {
                          ? granite::ithemal::DecoderKind::kDotProduct
                          : granite::ithemal::DecoderKind::kMlp;
     config.num_tasks = num_tasks;
-    config.decoder_output_bias_init = bias_init;
+    config.decoder_output_bias_init = static_cast<float>(mean_target);
     config.seed = seed + 2;
     runner = std::make_unique<granite::train::ModelRunner>(config,
                                                            trainer_config);
