@@ -99,7 +99,6 @@ struct GraniteConfig {
   }
 };
 
-
 /** The GRANITE throughput estimation model. */
 class GraniteModel : public model::ThroughputPredictor {
  public:

@@ -78,7 +78,6 @@ struct IthemalConfig {
   }
 };
 
-
 /** The Ithemal / Ithemal+ throughput estimation model. */
 class IthemalModel : public model::ThroughputPredictor {
  public:
