@@ -467,6 +467,18 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
     done_ = true;
     return false;
   }
+  const std::uint64_t position =
+      static_cast<std::uint64_t>(file_.tellg());
+  file_.seekg(0, std::ios::end);
+  const std::uint64_t file_size =
+      static_cast<std::uint64_t>(file_.tellg());
+  file_.seekg(static_cast<std::streamoff>(position));
+  // The prelude and the checksum trailer must both fit, as in
+  // BuildShardIndex; otherwise the bytes left after the prelude wrap.
+  if (file_size - position < 16 + 8) {
+    throw CorpusError("truncated corpus (shard " +
+                      std::to_string(shards_read_) + " prelude): " + path_);
+  }
   char prelude[16];
   ReadExact(file_, prelude, sizeof(prelude), "shard prelude", path_);
   checksum_ = Fnv1a(checksum_, {prelude, sizeof(prelude)});
@@ -474,14 +486,8 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
   std::uint64_t bytes = 0;
   std::memcpy(&count, prelude, 8);
   std::memcpy(&bytes, prelude + 8, 8);
-  const std::uint64_t position =
-      static_cast<std::uint64_t>(file_.tellg());
-  file_.seekg(0, std::ios::end);
-  const std::uint64_t file_size =
-      static_cast<std::uint64_t>(file_.tellg());
-  file_.seekg(static_cast<std::streamoff>(position));
   CheckShardPrelude(header_, shards_read_, count, bytes,
-                    file_size - position - 8, path_);
+                    file_size - position - 16 - 8, path_);
   std::string payload(bytes, '\0');
   ReadExact(file_, payload.data(), bytes, "shard payload", path_);
   checksum_ = Fnv1a(checksum_, payload);

@@ -274,7 +274,36 @@ TEST(DatasetGoldenTest, CorpusReadersDigest) {
   }
   EXPECT_EQ(inputs, 801u);
   EXPECT_EQ(accepted, 113u);
-  EXPECT_EQ(digest, 13259846165549029007ull);
+  EXPECT_EQ(digest, 18413597234333022068ull);
+}
+
+/** A one-shard corpus whose prelude claims a 48 MiB payload and whose
+ * file ends 0 to 7 bytes after that prelude: there is no room for the
+ * payload or the checksum trailer, so every reader refuses it before
+ * reading or allocating the payload. */
+TEST(DatasetGoldenTest, FileEndingJustAfterAShardPreludeIsTruncated) {
+  CorpusFile file;
+  SaveCorpus(Dataset(), file.path(), uarch::MeasurementTool::kIthemalTool,
+             0, /*records_per_shard=*/64);
+  std::vector<char> header = file.Read();
+  header.resize(56);  // drop the checksum of the empty corpus
+  const auto put = [&](std::size_t offset, std::uint64_t value) {
+    std::memcpy(header.data() + offset, &value, sizeof(value));
+  };
+  put(32, 64);  // blocks
+  put(48, 1);   // shards
+  const std::uint64_t prelude[2] = {64, 48ull << 20};
+  header.insert(header.end(), reinterpret_cast<const char*>(prelude),
+                reinterpret_cast<const char*>(prelude) + sizeof(prelude));
+  for (std::size_t tail = 0; tail < 8; ++tail) {
+    std::vector<char> bytes = header;
+    bytes.resize(bytes.size() + tail, 'x');
+    file.Write(bytes);
+    SCOPED_TRACE(std::to_string(tail) + " bytes after the prelude");
+    for (const std::string& outcome : ReadWithEveryReader(file)) {
+      EXPECT_EQ(outcome, "error truncated corpus (shard 0 prelude): ");
+    }
+  }
 }
 
 }  // namespace
