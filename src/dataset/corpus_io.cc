@@ -121,7 +121,7 @@ std::uint64_t RecordOverheadBytes(std::uint32_t num_labels) {
 }
 
 /** Reads exactly `size` bytes or throws. */
-void ReadExact(std::ifstream& file, char* data, std::uint64_t size,
+void ReadExact(std::istream& file, char* data, std::uint64_t size,
                const char* what, const std::string& path) {
   file.read(data, static_cast<std::streamsize>(size));
   if (static_cast<std::uint64_t>(file.gcount()) != size) {
@@ -130,35 +130,51 @@ void ReadExact(std::ifstream& file, char* data, std::uint64_t size,
   }
 }
 
-/** The record count shard `index` must hold. */
-std::uint64_t ExpectedShardRecords(const CorpusHeader& header,
-                                   std::uint64_t index) {
-  const std::uint64_t begin = index * header.records_per_shard;
-  return std::min(header.records_per_shard, header.num_blocks - begin);
-}
+/** A shard's 16-byte prelude: record count and payload byte length. */
+struct ShardPrelude {
+  std::uint64_t count = 0;
+  std::uint64_t bytes = 0;
+};
 
-/** Validates one shard prelude (count, payload length) against the
- * header and the remaining file size. */
-void CheckShardPrelude(const CorpusHeader& header, std::uint64_t index,
-                       std::uint64_t count, std::uint64_t bytes,
-                       std::uint64_t remaining_payload_bytes,
-                       const std::string& path) {
-  if (count != ExpectedShardRecords(header, index)) {
+/**
+ * Reads the prelude of shard `index` at the read position of `file` and
+ * validates it against the header and the `bytes_left` bytes from that
+ * position to the end of the file: the prelude, its payload and the
+ * 8-byte checksum trailer must all fit. Folds the prelude bytes into
+ * `checksum` unless it is null.
+ */
+ShardPrelude ReadShardPrelude(std::istream& file, const CorpusHeader& header,
+                              std::uint64_t index, std::uint64_t bytes_left,
+                              const std::string& path,
+                              std::uint64_t* checksum = nullptr) {
+  if (bytes_left < 16 + 8) {
+    throw CorpusError("truncated corpus (shard " + std::to_string(index) +
+                      " prelude): " + path);
+  }
+  char raw[16];
+  ReadExact(file, raw, sizeof(raw), "shard prelude", path);
+  if (checksum != nullptr) *checksum = Fnv1a(*checksum, {raw, sizeof(raw)});
+  ShardPrelude prelude;
+  std::memcpy(&prelude.count, raw, 8);
+  std::memcpy(&prelude.bytes, raw + 8, 8);
+  const std::uint64_t expected_count =
+      std::min(header.records_per_shard,
+               header.num_blocks - index * header.records_per_shard);
+  if (prelude.count != expected_count) {
     throw CorpusError("corrupt corpus (shard " + std::to_string(index) +
-                      " holds " + std::to_string(count) + " records, " +
-                      std::to_string(ExpectedShardRecords(header, index)) +
+                      " holds " + std::to_string(prelude.count) +
+                      " records, " + std::to_string(expected_count) +
                       " expected): " + path);
   }
-  const std::uint64_t min_bytes =
-      count * RecordOverheadBytes(header.num_labels);
-  const std::uint64_t max_bytes =
-      count * (RecordOverheadBytes(header.num_labels) + kMaxBlockTextBytes);
-  if (bytes < min_bytes || bytes > max_bytes ||
-      bytes > remaining_payload_bytes) {
+  const std::uint64_t record_bytes = RecordOverheadBytes(header.num_labels);
+  if (prelude.bytes < prelude.count * record_bytes ||
+      prelude.bytes > prelude.count * (record_bytes + kMaxBlockTextBytes) ||
+      prelude.bytes > bytes_left - 16 - 8) {
     throw CorpusError("corrupt corpus (shard " + std::to_string(index) +
-                      " payload length " + std::to_string(bytes) +
+                      " payload length " + std::to_string(prelude.bytes) +
                       " inconsistent): " + path);
   }
+  return prelude;
 }
 
 /** Decodes one shard payload into samples. */
@@ -209,9 +225,12 @@ std::vector<Sample> ParseShardPayload(const std::string& buffer,
   return samples;
 }
 
-/** Opens `path` and returns (validated header, file size). */
+/** Reads the header of the just-opened `file` and returns (validated
+ * header, file size). Folds the header bytes into `checksum` unless it is
+ * null. */
 std::pair<CorpusHeader, std::uint64_t> OpenAndReadHeader(
-    std::ifstream& file, const std::string& path) {
+    std::ifstream& file, const std::string& path,
+    std::uint64_t* checksum = nullptr) {
   if (!file.is_open()) {
     throw CorpusError("cannot read corpus: " + path);
   }
@@ -224,6 +243,7 @@ std::pair<CorpusHeader, std::uint64_t> OpenAndReadHeader(
   }
   std::string header_bytes(kHeaderBytes, '\0');
   ReadExact(file, header_bytes.data(), kHeaderBytes, "header", path);
+  if (checksum != nullptr) *checksum = Fnv1a(*checksum, header_bytes);
   return {DecodeHeader(header_bytes, path), file_size};
 }
 
@@ -241,21 +261,11 @@ std::vector<std::uint64_t> BuildShardIndex(std::ifstream& file,
   offsets.reserve(header.num_shards);
   std::uint64_t cursor = kHeaderBytes;
   for (std::uint64_t shard = 0; shard < header.num_shards; ++shard) {
-    if (file_size - cursor < 16 + 8) {
-      throw CorpusError("truncated corpus (shard " + std::to_string(shard) +
-                        " prelude): " + path);
-    }
     offsets.push_back(cursor);
     file.seekg(static_cast<std::streamoff>(cursor));
-    char prelude[16];
-    ReadExact(file, prelude, sizeof(prelude), "shard prelude", path);
-    std::uint64_t count = 0;
-    std::uint64_t bytes = 0;
-    std::memcpy(&count, prelude, 8);
-    std::memcpy(&bytes, prelude + 8, 8);
-    CheckShardPrelude(header, shard, count, bytes,
-                      file_size - cursor - 16 - 8, path);
-    cursor += 16 + bytes;
+    const ShardPrelude prelude =
+        ReadShardPrelude(file, header, shard, file_size - cursor, path);
+    cursor += 16 + prelude.bytes;
   }
   if (cursor + 8 != file_size) {
     throw CorpusError(
@@ -264,21 +274,27 @@ std::vector<std::uint64_t> BuildShardIndex(std::ifstream& file,
   return offsets;
 }
 
-/** Streams the whole file, verifying the trailer checksum. */
-void VerifyWholeFileChecksum(std::ifstream& file, std::uint64_t file_size,
+/** FNV-1a of the first `size` bytes of `file`, read from its start in
+ * 64 KiB chunks (constant memory). */
+std::uint64_t ChecksumPrefix(std::istream& file, std::uint64_t size,
                              const std::string& path) {
   file.clear();
   file.seekg(0);
   std::uint64_t checksum = kFnvOffsetBasis;
-  std::uint64_t remaining = file_size - 8;
   std::vector<char> buffer(1 << 16);
-  while (remaining > 0) {
-    const std::uint64_t chunk =
-        std::min<std::uint64_t>(remaining, buffer.size());
+  while (size > 0) {
+    const std::uint64_t chunk = std::min<std::uint64_t>(size, buffer.size());
     ReadExact(file, buffer.data(), chunk, "checksum pass", path);
     checksum = Fnv1a(checksum, {buffer.data(), chunk});
-    remaining -= chunk;
+    size -= chunk;
   }
+  return checksum;
+}
+
+/** Streams the whole file, verifying the trailer checksum. */
+void VerifyWholeFileChecksum(std::ifstream& file, std::uint64_t file_size,
+                             const std::string& path) {
+  const std::uint64_t checksum = ChecksumPrefix(file, file_size - 8, path);
   std::uint64_t stored = 0;
   ReadExact(file, reinterpret_cast<char*>(&stored), 8, "checksum", path);
   if (stored != checksum) {
@@ -390,18 +406,9 @@ void CorpusWriter::Finish() {
   patch.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   patch.flush();
 
-  patch.seekg(0);
-  std::uint64_t checksum = kFnvOffsetBasis;
-  std::vector<char> buffer(1 << 16);
-  for (;;) {
-    patch.read(buffer.data(),
-               static_cast<std::streamsize>(buffer.size()));
-    const std::streamsize got = patch.gcount();
-    if (got <= 0) break;
-    checksum = Fnv1a(checksum, {buffer.data(), static_cast<std::size_t>(got)});
-    if (patch.eof()) break;
-  }
-  patch.clear();
+  patch.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(patch.tellg());
+  const std::uint64_t checksum = ChecksumPrefix(patch, file_size, path_);
   patch.seekp(0, std::ios::end);
   patch.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   patch.flush();
@@ -437,14 +444,9 @@ CorpusReader::CorpusReader(const std::string& path)
     : path_(path),
       file_(path, std::ios::binary),
       checksum_(kFnvOffsetBasis) {
-  std::ifstream probe(path, std::ios::binary);
-  const auto [header, file_size] = OpenAndReadHeader(probe, path);
+  const auto [header, file_size] = OpenAndReadHeader(file_, path, &checksum_);
   header_ = header;
-  // The main stream re-reads the header so the running checksum covers
-  // every byte in order.
-  std::string header_bytes(kHeaderBytes, '\0');
-  ReadExact(file_, header_bytes.data(), kHeaderBytes, "header", path_);
-  checksum_ = Fnv1a(checksum_, header_bytes);
+  bytes_left_ = file_size - kHeaderBytes;
 }
 
 bool CorpusReader::NextShard(std::vector<Sample>* shard) {
@@ -467,31 +469,14 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
     done_ = true;
     return false;
   }
-  const std::uint64_t position =
-      static_cast<std::uint64_t>(file_.tellg());
-  file_.seekg(0, std::ios::end);
-  const std::uint64_t file_size =
-      static_cast<std::uint64_t>(file_.tellg());
-  file_.seekg(static_cast<std::streamoff>(position));
-  // The prelude and the checksum trailer must both fit, as in
-  // BuildShardIndex; otherwise the bytes left after the prelude wrap.
-  if (file_size - position < 16 + 8) {
-    throw CorpusError("truncated corpus (shard " +
-                      std::to_string(shards_read_) + " prelude): " + path_);
-  }
-  char prelude[16];
-  ReadExact(file_, prelude, sizeof(prelude), "shard prelude", path_);
-  checksum_ = Fnv1a(checksum_, {prelude, sizeof(prelude)});
-  std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-  std::memcpy(&count, prelude, 8);
-  std::memcpy(&bytes, prelude + 8, 8);
-  CheckShardPrelude(header_, shards_read_, count, bytes,
-                    file_size - position - 16 - 8, path_);
-  std::string payload(bytes, '\0');
-  ReadExact(file_, payload.data(), bytes, "shard payload", path_);
+  const ShardPrelude prelude = ReadShardPrelude(
+      file_, header_, shards_read_, bytes_left_, path_, &checksum_);
+  bytes_left_ -= 16 + prelude.bytes;
+  std::string payload(prelude.bytes, '\0');
+  ReadExact(file_, payload.data(), prelude.bytes, "shard payload", path_);
   checksum_ = Fnv1a(checksum_, payload);
-  *shard = ParseShardPayload(payload, count, header_.num_labels, path_);
+  *shard = ParseShardPayload(payload, prelude.count, header_.num_labels,
+                             path_);
   ++shards_read_;
   return true;
 }
@@ -513,6 +498,7 @@ StreamingCorpusSource::OpenState StreamingCorpusSource::Open(
   state.file.open(path, std::ios::binary);
   const auto [header, file_size] = OpenAndReadHeader(state.file, path);
   state.header = header;
+  state.file_size = file_size;
   state.shard_offsets =
       BuildShardIndex(state.file, state.header, file_size, path);
   VerifyWholeFileChecksum(state.file, file_size, path);
@@ -532,29 +518,27 @@ StreamingCorpusSource::StreamingCorpusSource(OpenState state,
       path_(path),
       file_(std::move(state.file)),
       header_(state.header),
+      file_size_(state.file_size),
       shard_offsets_(std::move(state.shard_offsets)) {}
 
 std::vector<Sample> StreamingCorpusSource::LoadShard(
     std::size_t shard_index) const {
   GRANITE_CHECK_LT(shard_index, shard_offsets_.size());
   file_.clear();
-  file_.seekg(static_cast<std::streamoff>(shard_offsets_[shard_index]));
-  char prelude[16];
-  ReadExact(file_, prelude, sizeof(prelude), "shard prelude", path_);
-  std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-  std::memcpy(&count, prelude, 8);
-  std::memcpy(&bytes, prelude + 8, 8);
-  // Structure was validated at open; re-check cheaply in case the file
+  const std::uint64_t offset = shard_offsets_[shard_index];
+  file_.seekg(static_cast<std::streamoff>(offset));
+  // Open validated every prelude, so one that fails now means the file
   // changed under us.
-  if (count != ExpectedShardRecords(header_, shard_index) ||
-      bytes > count * (RecordOverheadBytes(header_.num_labels) +
-                       kMaxBlockTextBytes)) {
+  ShardPrelude prelude;
+  try {
+    prelude = ReadShardPrelude(file_, header_, shard_index,
+                               file_size_ - offset, path_);
+  } catch (const CorpusError&) {
     throw CorpusError("corpus changed while streaming: " + path_);
   }
-  std::string payload(bytes, '\0');
-  ReadExact(file_, payload.data(), bytes, "shard payload", path_);
-  return ParseShardPayload(payload, count, header_.num_labels, path_);
+  std::string payload(prelude.bytes, '\0');
+  ReadExact(file_, payload.data(), prelude.bytes, "shard payload", path_);
+  return ParseShardPayload(payload, prelude.count, header_.num_labels, path_);
 }
 
 }  // namespace granite::dataset

@@ -175,6 +175,8 @@ class CorpusReader {
   std::string path_;
   std::ifstream file_;
   CorpusHeader header_;
+  /** Bytes from the read position to the end of the file. */
+  std::uint64_t bytes_left_ = 0;
   std::uint64_t shards_read_ = 0;
   std::uint64_t checksum_;
   bool done_ = false;
@@ -219,6 +221,7 @@ class StreamingCorpusSource : public ShardedBlockSource {
   struct OpenState {
     std::ifstream file;
     CorpusHeader header;
+    std::uint64_t file_size = 0;
     std::vector<std::uint64_t> shard_offsets;
   };
 
@@ -230,6 +233,7 @@ class StreamingCorpusSource : public ShardedBlockSource {
   std::string path_;
   mutable std::ifstream file_;
   CorpusHeader header_;
+  std::uint64_t file_size_;
   /** Byte offset of each shard's record-count field. */
   std::vector<std::uint64_t> shard_offsets_;
 };
