@@ -57,9 +57,7 @@ namespace {
 /**
  * Compact open-addressing set of block fingerprints: ~16 bytes per entry
  * at worst (vs ~40+ for unordered_set), so deduplicating a million-block
- * synthesis stays far below one resident shard of samples. Membership
- * semantics are identical to unordered_set, which keeps streaming
- * synthesis accept/reject decisions equal to SynthesizeDataset's.
+ * synthesis stays far below one resident shard of samples.
  */
 class FingerprintSet {
  public:
@@ -107,6 +105,34 @@ class FingerprintSet {
   bool has_empty_key_ = false;
 };
 
+/** Measures `block` on every microarchitecture with `tool`. */
+std::array<double, uarch::kNumMicroarchitectures> MeasureOnAllUarchs(
+    const assembly::BasicBlock& block, uarch::MeasurementTool tool) {
+  std::array<double, uarch::kNumMicroarchitectures> throughput = {};
+  for (const uarch::Microarchitecture microarchitecture :
+       uarch::AllMicroarchitectures()) {
+    throughput[static_cast<int>(microarchitecture)] =
+        uarch::MeasureThroughput(block, microarchitecture, tool);
+  }
+  return throughput;
+}
+
+/** Synthesis planned as a single shard, so materializing that shard
+ * yields the whole dataset. */
+class OneShardSynthesis : public StreamingSynthesisSource {
+ public:
+  explicit OneShardSynthesis(const SynthesisConfig& config)
+      : StreamingSynthesisSource(
+            config,
+            {.records_per_shard =
+                 std::max<std::size_t>(1, config.num_blocks),
+             .cache_shards = 1}) {}
+
+  std::vector<Sample> Materialize() const {
+    return empty() ? std::vector<Sample>() : LoadShard(0);
+  }
+};
+
 }  // namespace
 
 StreamingSynthesisSource::StreamingSynthesisSource(
@@ -114,13 +140,15 @@ StreamingSynthesisSource::StreamingSynthesisSource(
     : ShardedBlockSource(options.records_per_shard, options.cache_shards),
       config_(config),
       num_blocks_(config.num_blocks) {
-  // Planning pass: replay the generator exactly as SynthesizeDataset
-  // would, but record only (per-shard RNG snapshot, accept bits) instead
-  // of the samples. Measurement is skipped here — labels are a pure
-  // function of the block, recomputed at shard materialization.
+  // Planning pass: run the generator and the dedup, but record only
+  // (per-shard RNG snapshot, accept bits) instead of the samples.
+  // Measurement is skipped here — labels are a pure function of the
+  // block, computed at shard materialization.
   BlockGenerator generator(config_.generator, config_.seed);
   FingerprintSet fingerprints;
   std::size_t produced = 0;
+  // Bounded retries so pathological configs (e.g. a single 1-instruction
+  // family) terminate rather than spin.
   std::size_t attempts = 0;
   const std::size_t max_attempts = config_.num_blocks * 20 + 1000;
   while (produced < config_.num_blocks && attempts < max_attempts) {
@@ -155,15 +183,26 @@ std::vector<Sample> StreamingSynthesisSource::LoadShard(
     Sample sample;
     sample.block = generator.Generate();
     if (!accepted) continue;
-    for (const uarch::Microarchitecture microarchitecture :
-         uarch::AllMicroarchitectures()) {
-      sample.throughput[static_cast<int>(microarchitecture)] =
-          uarch::MeasureThroughput(sample.block, microarchitecture,
-                                   config_.tool);
-    }
+    sample.throughput = MeasureOnAllUarchs(sample.block, config_.tool);
     shard.push_back(std::move(sample));
   }
   return shard;
+}
+
+Dataset SynthesizeDataset(const SynthesisConfig& config) {
+  return Dataset(OneShardSynthesis(config).Materialize());
+}
+
+Dataset RelabelDataset(const BlockSource& dataset,
+                       uarch::MeasurementTool tool) {
+  std::vector<Sample> samples;
+  samples.reserve(dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const SampleView view = dataset.Get(i);
+    samples.push_back(
+        Sample{*view.block, MeasureOnAllUarchs(*view.block, tool)});
+  }
+  return Dataset(std::move(samples));
 }
 
 }  // namespace granite::dataset

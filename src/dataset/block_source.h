@@ -84,13 +84,14 @@ struct StreamingSynthesisOptions {
 };
 
 /**
- * Synthesizes the exact sample sequence of SynthesizeDataset(config)
- * without ever materializing it: construction replays the generator once
- * (recording per-shard RNG snapshots and accept/reject decisions, but no
- * samples), and shards are regenerated — blocks and measurements — on
- * demand. Same config + seed ⇒ sample-for-sample identical to the
- * materialized dataset; peak memory is O(cache_shards * records_per_shard)
- * samples plus 8 bytes per block of dedup fingerprints.
+ * The one synthesis loop: generates, deduplicates and labels the samples
+ * of `config` without ever materializing them all. Construction runs the
+ * generator once (recording per-shard RNG snapshots and accept/reject
+ * decisions, but no samples), and shards are regenerated — blocks and
+ * measurements — on demand. SynthesizeDataset(config) is the one-shard
+ * case, so the same config + seed gives the same samples at any shard
+ * size. Peak memory is O(cache_shards * records_per_shard) samples; the
+ * dedup fingerprints (8-16 bytes per block) live only during construction.
  */
 class StreamingSynthesisSource : public ShardedBlockSource {
  public:

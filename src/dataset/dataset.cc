@@ -1,8 +1,5 @@
 #include "dataset/dataset.h"
 
-#include <algorithm>
-#include <unordered_set>
-
 #include "base/logging.h"
 
 namespace granite::dataset {
@@ -51,53 +48,6 @@ std::vector<const assembly::BasicBlock*> Dataset::Blocks() const {
   blocks.reserve(samples_.size());
   for (const Sample& sample : samples_) blocks.push_back(&sample.block);
   return blocks;
-}
-
-Dataset SynthesizeDataset(const SynthesisConfig& config) {
-  BlockGenerator generator(config.generator, config.seed);
-  std::vector<Sample> samples;
-  samples.reserve(config.num_blocks);
-  std::unordered_set<uint64_t> fingerprints;
-  // Bounded retries so pathological configs (e.g. a single 1-instruction
-  // family) terminate rather than spin.
-  std::size_t attempts = 0;
-  const std::size_t max_attempts = config.num_blocks * 20 + 1000;
-  while (samples.size() < config.num_blocks && attempts < max_attempts) {
-    ++attempts;
-    Sample sample;
-    sample.block = generator.Generate();
-    const uint64_t fingerprint = uarch::BlockFingerprint(sample.block);
-    if (!fingerprints.insert(fingerprint).second) continue;
-    for (const uarch::Microarchitecture microarchitecture :
-         uarch::AllMicroarchitectures()) {
-      sample.throughput[static_cast<int>(microarchitecture)] =
-          uarch::MeasureThroughput(sample.block, microarchitecture,
-                                   config.tool);
-    }
-    samples.push_back(std::move(sample));
-  }
-  GRANITE_CHECK_MSG(samples.size() == config.num_blocks,
-                    "generator exhausted: produced "
-                        << samples.size() << " unique blocks of "
-                        << config.num_blocks << " requested");
-  return Dataset(std::move(samples));
-}
-
-Dataset RelabelDataset(const BlockSource& dataset,
-                       uarch::MeasurementTool tool) {
-  std::vector<Sample> samples;
-  samples.reserve(dataset.size());
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    Sample relabeled;
-    relabeled.block = *dataset.Get(i).block;
-    for (const uarch::Microarchitecture microarchitecture :
-         uarch::AllMicroarchitectures()) {
-      relabeled.throughput[static_cast<int>(microarchitecture)] =
-          uarch::MeasureThroughput(relabeled.block, microarchitecture, tool);
-    }
-    samples.push_back(std::move(relabeled));
-  }
-  return Dataset(std::move(samples));
 }
 
 BatchSampler::BatchSampler(std::size_t dataset_size, std::size_t batch_size,

@@ -120,6 +120,10 @@ struct SynthesisConfig {
  * Synthesizes a labeled dataset: generates blocks and measures each one
  * on all three microarchitectures with the configured tool. Duplicate
  * blocks (by fingerprint) are regenerated, so all samples are unique.
+ * This is the one-shard case of StreamingSynthesisSource (block_source.h):
+ * all `num_blocks` samples are planned as one shard, which is
+ * materialized once, so the two are sample-for-sample equal by
+ * construction.
  */
 Dataset SynthesizeDataset(const SynthesisConfig& config);
 
