@@ -117,16 +117,20 @@ std::array<double, uarch::kNumMicroarchitectures> MeasureOnAllUarchs(
   return throughput;
 }
 
+/** Options that plan `num_blocks` samples as a single shard. */
+StreamingSynthesisOptions OneShard(std::size_t num_blocks) {
+  StreamingSynthesisOptions options;
+  options.records_per_shard = std::max<std::size_t>(1, num_blocks);
+  options.cache_shards = 1;
+  return options;
+}
+
 /** Synthesis planned as a single shard, so materializing that shard
  * yields the whole dataset. */
 class OneShardSynthesis : public StreamingSynthesisSource {
  public:
   explicit OneShardSynthesis(const SynthesisConfig& config)
-      : StreamingSynthesisSource(
-            config,
-            {.records_per_shard =
-                 std::max<std::size_t>(1, config.num_blocks),
-             .cache_shards = 1}) {}
+      : StreamingSynthesisSource(config, OneShard(config.num_blocks)) {}
 
   std::vector<Sample> Materialize() const {
     return empty() ? std::vector<Sample>() : LoadShard(0);

@@ -187,53 +187,54 @@ class CorpusFile {
   std::string path_;
 };
 
-/** Outcome of one reader on one file: "ok " and a digest of what it
- * read, or "error " and the message without the path. Only CorpusError
- * is caught: any other exception fails the test. */
-template <typename Read>
-std::string Outcome(const CorpusFile& file, Read read) {
-  try {
-    return "ok " + std::to_string(read());
-  } catch (const CorpusError& error) {
-    return "error " + file.StripPath(error.what());
+/** Every record CorpusReader yields, shard by shard. */
+std::uint64_t ReadWithCorpusReader(const std::string& path) {
+  CorpusReader reader(path);
+  std::uint64_t digest = kFnvOffsetBasis;
+  std::vector<Sample> shard;
+  while (reader.NextShard(&shard)) {
+    for (const Sample& sample : shard) {
+      digest = FoldSample(digest, sample.block, sample.throughput);
+    }
   }
+  return digest;
 }
 
-/** The outcomes of CorpusReader (every shard), StreamingCorpusSource
- * (open, then every record) and ReadCorpusHeader on the current file. */
+/** Every record of a StreamingCorpusSource, in index order. */
+std::uint64_t ReadWithStreamingSource(const std::string& path) {
+  const StreamingCorpusSource source(path);
+  return FoldSource(kFnvOffsetBasis, source);
+}
+
+/** Every field ReadCorpusHeader returns. */
+std::uint64_t ReadHeaderFields(const std::string& path) {
+  const CorpusHeader header = ReadCorpusHeader(path);
+  std::string fields;
+  for (const std::uint64_t field :
+       {std::uint64_t{header.version}, static_cast<std::uint64_t>(header.tool),
+        std::uint64_t{header.num_labels}, header.generator_seed,
+        std::uint64_t{header.import_rejected_ppm}, header.num_blocks,
+        header.records_per_shard, header.num_shards}) {
+    fields += std::to_string(field) + ",";
+  }
+  return Fnv1a(kFnvOffsetBasis, fields);
+}
+
+/** The outcome of each reader on the current file: "ok " and a digest of
+ * what it read, or "error " and the message without the path. Only
+ * CorpusError is caught: any other exception fails the test. */
 std::vector<std::string> ReadWithEveryReader(const CorpusFile& file) {
-  return {
-      Outcome(file,
-              [&] {
-                CorpusReader reader(file.path());
-                std::uint64_t records = kFnvOffsetBasis;
-                std::vector<Sample> shard;
-                while (reader.NextShard(&shard)) {
-                  for (const Sample& sample : shard) {
-                    records =
-                        FoldSample(records, sample.block, sample.throughput);
-                  }
-                }
-                return records;
-              }),
-      Outcome(file,
-              [&] {
-                const StreamingCorpusSource source(file.path());
-                return FoldSource(kFnvOffsetBasis, source);
-              }),
-      Outcome(file, [&] {
-        const CorpusHeader header = ReadCorpusHeader(file.path());
-        std::string fields;
-        for (const std::uint64_t field :
-             {std::uint64_t{header.version},
-              static_cast<std::uint64_t>(header.tool),
-              std::uint64_t{header.num_labels}, header.generator_seed,
-              std::uint64_t{header.import_rejected_ppm}, header.num_blocks,
-              header.records_per_shard, header.num_shards}) {
-          fields += std::to_string(field) + ",";
-        }
-        return Fnv1a(kFnvOffsetBasis, fields);
-      })};
+  using Read = std::uint64_t (*)(const std::string&);
+  std::vector<std::string> outcomes;
+  for (const Read read :
+       {ReadWithCorpusReader, ReadWithStreamingSource, ReadHeaderFields}) {
+    try {
+      outcomes.push_back("ok " + std::to_string(read(file.path())));
+    } catch (const CorpusError& error) {
+      outcomes.push_back("error " + file.StripPath(error.what()));
+    }
+  }
+  return outcomes;
 }
 
 /** Golden digest over the outcome of every reader on a three-shard corpus
