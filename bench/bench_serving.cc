@@ -37,7 +37,7 @@
 #include "bench_common.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
-#include "ml/forward_arena.h"
+#include "ml/tape_arena.h"
 #include "serve/inference_server.h"
 
 namespace {
@@ -157,7 +157,7 @@ std::vector<SweepRow> Sweep() {
 /**
  * Process CPU microseconds per block of uncached PredictBatchAllTasks
  * calls of `batch` blocks each, over `num_blocks` blocks in all. Runs on
- * a thread of its own inside a ForwardArenaScope, as an InferenceServer
+ * a thread of its own inside a TapeArenaScope, as an InferenceServer
  * worker does; one warm-up pass sizes the arena first. The calling
  * thread only waits, so process CPU is the forward's CPU.
  */
@@ -168,7 +168,8 @@ double ForwardUsPerBlock(
   const int forwards = num_blocks / batch;
   double us_per_block = 0.0;
   std::thread worker([&] {
-    granite::ml::ForwardArenaScope arena;
+    granite::ml::TapeArena arena;
+    const granite::ml::TapeArenaScope arena_scope(arena);
     std::vector<const granite::assembly::BasicBlock*> batch_blocks(batch);
     const auto run = [&](int forward) {
       for (int i = 0; i < batch; ++i) {

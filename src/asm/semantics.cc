@@ -572,11 +572,41 @@ bool ImplicitOperandsApply(const InstructionSemantics& semantics,
   return !(semantics.implicit_operands_unary_only && operand_count >= 2);
 }
 
-bool IsSupportedInstruction(const Instruction& instruction) {
+namespace {
+
+/** Why the catalog cannot encode `instruction`, or nullopt. */
+std::optional<UnencodableReason> EncodabilityOf(
+    const Instruction& instruction) {
   const InstructionSemantics* semantics =
       SemanticsCatalog::Get().Find(instruction.mnemonic);
-  if (semantics == nullptr) return false;
-  return semantics->UsageForArity(instruction.operands.size()) != nullptr;
+  if (semantics == nullptr) return UnencodableReason::kUnknownMnemonic;
+  if (semantics->UsageForArity(instruction.operands.size()) == nullptr) {
+    return UnencodableReason::kUnsupportedArity;
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+bool IsSupportedInstruction(const Instruction& instruction) {
+  return !EncodabilityOf(instruction).has_value();
+}
+
+std::optional<Unencodable> CheckEncodable(const BasicBlock& block) {
+  for (const Instruction& instruction : block.instructions) {
+    const std::optional<UnencodableReason> reason =
+        EncodabilityOf(instruction);
+    if (!reason.has_value()) continue;
+    if (*reason == UnencodableReason::kUnknownMnemonic) {
+      return Unencodable{*reason, std::string("unknown mnemonic ")
+                                      .append(instruction.mnemonic)};
+    }
+    return Unencodable{*reason,
+                       instruction.mnemonic + " with " +
+                           std::to_string(instruction.operands.size()) +
+                           " operands"};
+  }
+  return std::nullopt;
 }
 
 }  // namespace granite::assembly

@@ -28,6 +28,7 @@
 #ifndef GRANITE_ASM_SEMANTICS_H_
 #define GRANITE_ASM_SEMANTICS_H_
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -180,6 +181,30 @@ const std::vector<OperandUsage>& OperandUsageFor(
 
 /** True when the catalog knows `mnemonic` with the given operand count. */
 bool IsSupportedInstruction(const Instruction& instruction);
+
+/** Why the catalog cannot encode a parsed block. */
+enum class UnencodableReason {
+  /** The catalog has no row for a mnemonic. */
+  kUnknownMnemonic,
+  /** A known mnemonic with an operand count its row does not model. */
+  kUnsupportedArity,
+};
+
+/** The first instruction of a block that the catalog cannot encode. */
+struct Unencodable {
+  UnencodableReason reason;
+  /** "unknown mnemonic FROB" or "ADD with 1 operands". */
+  std::string message;
+};
+
+/**
+ * The one encodability check for blocks that enter from text: the
+ * parser accepts any mnemonic and operand count, but the graph builder
+ * and the throughput oracle look every instruction up and abort on one
+ * the catalog cannot encode. Returns nullopt when every instruction is
+ * known with a modelled arity; allocates only for a refused block.
+ */
+std::optional<Unencodable> CheckEncodable(const BasicBlock& block);
 
 /** One memory access of an instruction: the address expression plus its
  * width. `unknown` marks implicit accesses (PUSH/POP/string ops) whose

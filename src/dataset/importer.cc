@@ -185,30 +185,6 @@ void AsParserInput(std::string_view block_field, std::string* text) {
   std::replace(text->begin(), text->end(), ';', '\n');
 }
 
-/** Classifies a parsed block against the semantics catalog: every
- * mnemonic must be known with a modeled arity, or the graph builder
- * downstream would refuse the block. */
-std::optional<std::pair<ImportRejectReason, std::string>> ClassifyBlock(
-    const assembly::BasicBlock& block) {
-  const assembly::SemanticsCatalog& catalog =
-      assembly::SemanticsCatalog::Get();
-  for (const assembly::Instruction& instruction : block.instructions) {
-    const assembly::InstructionSemantics* semantics =
-        catalog.Find(instruction.mnemonic);
-    if (semantics == nullptr) {
-      return std::make_pair(ImportRejectReason::kUnknownMnemonic,
-                            "unknown mnemonic " + instruction.mnemonic);
-    }
-    if (semantics->UsageForArity(instruction.operands.size()) == nullptr) {
-      return std::make_pair(
-          ImportRejectReason::kUnsupportedArity,
-          instruction.mnemonic + " with " +
-              std::to_string(instruction.operands.size()) + " operands");
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 std::string_view ImportRejectReasonName(ImportRejectReason reason) {
@@ -359,11 +335,14 @@ ImportStats ImportBhiveCsv(const std::string& csv_path,
                      "empty block", stripped);
       continue;
     }
-    const std::optional<std::pair<ImportRejectReason, std::string>>
-        unsupported = ClassifyBlock(*parsed.value);
-    if (unsupported.has_value()) {
-      rejects.Reject(unsupported->first, line_number, unsupported->second,
-                     stripped);
+    const std::optional<assembly::Unencodable> unencodable =
+        assembly::CheckEncodable(*parsed.value);
+    if (unencodable.has_value()) {
+      rejects.Reject(unencodable->reason ==
+                             assembly::UnencodableReason::kUnknownMnemonic
+                         ? ImportRejectReason::kUnknownMnemonic
+                         : ImportRejectReason::kUnsupportedArity,
+                     line_number, unencodable->message, stripped);
       continue;
     }
 

@@ -44,9 +44,10 @@
  * A kernel that "writes `out` through" (the `*Into` kernels, LinearBias,
  * BinaryPointwise, UnaryForward and LayerNormForward) assigns every
  * element of its output before any read of it, in every backend and ISA
- * copy. Its output may therefore start uninitialized: inference tapes
- * hand these kernels unfilled arena memory (ml/forward_arena.h), and a
- * new backend must keep the rule. The accumulating kernels need a
+ * copy. Its output may therefore start uninitialized: arena-backed
+ * tapes hand these kernels unfilled arena memory (ml/tape_arena.h), and
+ * a new backend must keep the rule. LayerNormForward writes its
+ * `normalized` state through too. The accumulating kernels need a
  * zero-filled output to compute a plain product, gather or sum.
  */
 #ifndef GRANITE_ML_KERNELS_KERNEL_BACKEND_H_

@@ -11,8 +11,7 @@ namespace granite::ml {
 Tape::Tape(const KernelBackend* backend, GradMode mode)
     : backend_(backend != nullptr ? backend : &DefaultKernelBackend()),
       grad_mode_(mode),
-      arena_(mode == GradMode::kNone ? ForwardArenaScope::Current()
-                                     : nullptr) {
+      arena_(TapeArenaScope::Current()) {
   if (arena_ != nullptr) {
     arena_->Attach();
     nodes_.reserve(arena_->max_tape_nodes_);
@@ -53,7 +52,7 @@ Var Tape::MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
   // other node would never run; dropping it here frees its captures now
   // instead of when the tape dies.
   if (requires_grad) {
-    node.grad = Tensor(value.rows(), value.cols());
+    node.grad = NewZeroedValue(value.rows(), value.cols());
     node.backward = std::forward<BackwardFn>(backward);
   }
   node.value = std::move(value);
@@ -98,10 +97,13 @@ Var Tape::Param(Parameter* parameter) {
   // An inference leaf borrows the parameter's storage, which the caller
   // keeps fixed while the tape lives; a recording tape copies it.
   const bool record = grad_mode_ == GradMode::kRecord;
-  return MakeNode(record ? value
-                         : Tensor::View(value.rows(), value.cols(),
-                                        value.data()),
-                  /*requires_grad=*/record,
+  Tensor leaf =
+      record ? NewValue(value.rows(), value.cols())
+             : Tensor::View(value.rows(), value.cols(), value.data());
+  if (record) {
+    std::memcpy(leaf.data(), value.data(), value.size() * sizeof(float));
+  }
+  return MakeNode(std::move(leaf), /*requires_grad=*/record,
                   [](Tape& tape, int self) {
                     Node& node = tape.nodes_[self];
                     Tensor& dest =
@@ -365,7 +367,7 @@ Var Tape::LayerNorm(Var x, Var gain, Var bias, float epsilon) {
   Tensor normalized;
   std::vector<float> inv_stddev;
   if (needs_grad) {
-    normalized = Tensor(rows, cols);
+    normalized = NewValue(rows, cols);
     inv_stddev.resize(rows);
   }
   Tensor out = NewValue(rows, cols);

@@ -30,17 +30,21 @@
  *     in this mode; its values are bit-identical to a recording tape's,
  *     since both run the same forward kernels.
  *
- * Node values live on the heap, except on an inference tape created on
- * a thread with a ForwardArenaScope (ml/forward_arena.h), such as an
- * InferenceServer worker. There they are non-owning views into the
- * thread's ForwardArena, and the outputs of write-through kernels
- * (LinearBias, BinaryPointwise, UnaryForward, LayerNormForward and the
- * `*Into` kernels) are not zero-filled first: those kernels assign every
- * output element without reading it, so the bits do not depend on what
- * the memory held. Accumulating kernels (MatMulAcc, GatherRowsAcc,
- * ScatterAddRows, and the column blocks of ConcatGathered) get zeroed
- * outputs. Views never leave the tape: value() returns a reference, and
- * copying it yields an owning tensor that outlives the tape.
+ * Node storage lives on the heap, except on a tape created on a thread
+ * with a TapeArenaScope (ml/tape_arena.h), such as an InferenceServer
+ * worker or a Trainer shard. There node values, adjoints, LayerNorm's
+ * normalized activations and recording tapes' parameter copies are
+ * non-owning views into the scope's TapeArena. Adjoints and the outputs
+ * of accumulating kernels (MatMulAcc, GatherRowsAcc, ScatterAddRows, and
+ * the column blocks of ConcatGathered) are zero-filled; parameter copies
+ * are copied in. The outputs of write-through kernels (LinearBias,
+ * BinaryPointwise, UnaryForward, LayerNormForward with its normalized
+ * state, and the `*Into` kernels) are not zero-filled first: those
+ * kernels assign every output element without reading it, so the bits do
+ * not depend on what the memory held, and an arena-backed tape of either
+ * mode computes a heap tape's values and gradients bit for bit. Views
+ * never leave the tape: value() and grad() return references, and
+ * copying one yields an owning tensor that outlives the tape.
  *
  * The tape records *what* to compute; *how* each kernel executes —
  * forward ops and backward accumulations alike — is delegated to the
@@ -53,9 +57,9 @@
 #include <functional>
 #include <vector>
 
-#include "ml/forward_arena.h"
 #include "ml/kernels/kernel_backend.h"
 #include "ml/parameter.h"
+#include "ml/tape_arena.h"
 #include "ml/tensor.h"
 
 namespace granite::ml {
@@ -128,9 +132,10 @@ class Tape {
   Var Constant(Tensor value);
 
   /** A leaf bound to a trainable parameter; Backward() accumulates into
-   * `parameter->grad`. The parameter must outlive the tape. On a kNone
-   * tape the leaf does not require grad and borrows `parameter->value`,
-   * which must not change while the tape lives. */
+   * `parameter->grad`. The parameter must outlive the tape. A recording
+   * tape copies `parameter->value`; on a kNone tape the leaf does not
+   * require grad and borrows the value, which must not change while the
+   * tape lives. */
   Var Param(Parameter* parameter);
 
   // ---- Linear algebra ---------------------------------------------------
@@ -277,11 +282,13 @@ class Tape {
   Var MakeNode(Tensor value, bool requires_grad, BackwardFn&& backward,
                Parameter* parameter = nullptr);
 
-  /** Storage for a node value that its kernel overwrites: a view into
-   * the arena, left uninitialized, or else a zeroed heap tensor. */
+  /** Storage a kernel overwrites (a node value or LayerNorm state): a
+   * view into the arena, left uninitialized, or else a zeroed heap
+   * tensor. */
   Tensor NewValue(int rows, int cols);
 
-  /** Zero-filled storage for a node value its kernel accumulates into. */
+  /** Zero-filled storage: a node value its kernel accumulates into, or
+   * an adjoint. */
   Tensor NewZeroedValue(int rows, int cols);
 
   /** Shared node builder for the element-wise unary ops. */
@@ -295,9 +302,9 @@ class Tape {
 
   const KernelBackend* backend_;
   GradMode grad_mode_;
-  // The thread's arena when this is an inference tape inside a
-  // ForwardArenaScope, else nullptr.
-  ForwardArena* arena_;
+  // The thread's arena when the tape was created inside a TapeArenaScope,
+  // else nullptr.
+  TapeArena* arena_;
   std::vector<Node> nodes_;
   GradientSink* gradient_sink_ = nullptr;
 };

@@ -1,8 +1,9 @@
-#include "ml/forward_arena.h"
+#include "ml/tape_arena.h"
 
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <new>
 
 #include "base/logging.h"
@@ -17,6 +18,10 @@ namespace {
 // Every allocation starts on a 64-byte cache line (blocks are
 // page-aligned).
 constexpr std::size_t kAlignFloats = 16;
+
+// The smallest overflow block: a step that outgrows an empty or small
+// chunk takes a few shared blocks, not one mapping per allocation.
+constexpr std::size_t kMinOverflowFloats = std::size_t{64} << 10;
 
 #if defined(__SANITIZE_ADDRESS__)
 constexpr std::size_t kRedzoneFloats = kAlignFloats;
@@ -60,67 +65,76 @@ void UnmapFloats(float* data, std::size_t floats) {
   munmap(data, bytes);
 }
 
-thread_local ForwardArena* g_current_arena = nullptr;
+thread_local TapeArena* g_current_arena = nullptr;
 
 }  // namespace
 
-ForwardArena::~ForwardArena() {
+TapeArena::~TapeArena() {
   GRANITE_CHECK_EQ(live_tapes_, 0);
   for (const Block& block : overflow_) UnmapFloats(block.data, block.floats);
   UnmapFloats(chunk_, capacity_);
 }
 
-std::size_t ForwardArena::Footprint(std::size_t count) {
+std::size_t TapeArena::Footprint(std::size_t count) {
   return (count + kRedzoneFloats + kAlignFloats - 1) / kAlignFloats *
          kAlignFloats;
 }
 
-float* ForwardArena::Allocate(std::size_t count) {
+float* TapeArena::Allocate(std::size_t count) {
   const std::size_t footprint = Footprint(count);
   float* data;
   if (capacity_ - used_ >= footprint) {
     data = chunk_ + used_;
     used_ += footprint;
   } else {
-    data = MapFloats(footprint);
-    ++blocks_mapped_;
-    overflow_.push_back(Block{data, footprint});
-    overflow_floats_ += footprint;
+    if (overflow_.empty() ||
+        overflow_.back().floats - overflow_tail_used_ < footprint) {
+      const std::size_t floats =
+          std::max({footprint, capacity_, kMinOverflowFloats});
+      overflow_.push_back(Block{MapFloats(floats), floats});
+      ++blocks_mapped_;
+      overflow_tail_used_ = 0;
+    }
+    data = overflow_.back().data + overflow_tail_used_;
+    overflow_tail_used_ += footprint;
+    overflow_used_ += footprint;
   }
   Unpoison(data, count * sizeof(float));
   return data;
 }
 
-void ForwardArena::Detach() {
+void TapeArena::Detach() {
   GRANITE_CHECK_GT(live_tapes_, 0);
   if (--live_tapes_ > 0) return;
   if (!overflow_.empty()) {
-    // This forward outgrew the chunk: replace chunk and overflow with one
-    // chunk that holds all of it.
-    const std::size_t needed = used_ + overflow_floats_;
+    // This step outgrew the chunk: replace chunk and overflow with one
+    // chunk that holds all of it, plus headroom for the next creep.
+    const std::size_t needed = used_ + overflow_used_;
     for (const Block& block : overflow_) {
       UnmapFloats(block.data, block.floats);
     }
     overflow_.clear();
-    overflow_floats_ = 0;
+    overflow_tail_used_ = 0;
+    overflow_used_ = 0;
     UnmapFloats(chunk_, capacity_);
-    chunk_ = MapFloats(needed);
-    capacity_ = needed;
+    capacity_ = needed + needed / 8;
+    chunk_ = MapFloats(capacity_);
     ++blocks_mapped_;
   }
   used_ = 0;
   Poison(chunk_, capacity_ * sizeof(float));
 }
 
-ForwardArenaScope::ForwardArenaScope() : previous_(g_current_arena) {
+TapeArenaScope::TapeArenaScope(TapeArena& arena)
+    : arena_(arena), previous_(g_current_arena) {
   g_current_arena = &arena_;
 }
 
-ForwardArenaScope::~ForwardArenaScope() {
+TapeArenaScope::~TapeArenaScope() {
   GRANITE_CHECK_EQ(arena_.live_tapes(), 0);
   g_current_arena = previous_;
 }
 
-ForwardArena* ForwardArenaScope::Current() { return g_current_arena; }
+TapeArena* TapeArenaScope::Current() { return g_current_arena; }
 
 }  // namespace granite::ml

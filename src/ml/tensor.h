@@ -9,9 +9,10 @@
  * tape can reuse the same kernels for forward and backward passes.
  *
  * A tensor usually owns its storage. The autodiff tape alone can also
- * make a non-owning view: on an inference tape, node values borrow
- * parameter storage and bump-allocated ForwardArena memory
- * (ml/forward_arena.h). A view never leaves its tape, because copying any
+ * make a non-owning view: an inference tape's parameter leaves borrow
+ * parameter storage, and an arena-backed tape's node storage is
+ * bump-allocated TapeArena memory (ml/tape_arena.h). A view never leaves
+ * its tape, because copying any
  * tensor yields an owning deep copy; only a move keeps the view.
  */
 #ifndef GRANITE_ML_TENSOR_H_

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "base/logging.h"
-#include "ml/forward_arena.h"
+#include "ml/tape_arena.h"
 #include "uarch/measurement.h"
 
 namespace granite::serve {
@@ -208,7 +208,8 @@ double InferenceServer::Predict(const assembly::BasicBlock& block, int task) {
 
 void InferenceServer::WorkerLoop(Shard& shard) {
   // Every forward on this thread reuses one retained arena chunk.
-  ml::ForwardArenaScope forward_arena;
+  ml::TapeArena arena;
+  const ml::TapeArenaScope arena_scope(arena);
   std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
     // Wait for a flush condition: a full batch, an expired batching

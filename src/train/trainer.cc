@@ -37,15 +37,20 @@ Trainer::Trainer(ForwardFn forward, ml::ParameterStore* parameters,
   GRANITE_CHECK(!config_.tasks.empty());
   GRANITE_CHECK_GT(config_.batch_size, 0);
   GRANITE_CHECK_GE(config_.num_workers, 1);
+  arenas_ = std::vector<ml::TapeArena>(config_.num_workers);
 }
 
-void Trainer::WithPool(
-    const std::function<void(base::ThreadPool&)>& fn) const {
+void Trainer::RunSharded(
+    std::size_t count, const std::function<void(std::size_t)>& fn) const {
   std::lock_guard<std::mutex> lock(pool_mutex_);
   if (pool_ == nullptr) {
     pool_ = std::make_unique<base::ThreadPool>(config_.num_workers);
   }
-  fn(*pool_);
+  pool_->RunShards(0, count,
+                   [&](int shard, std::size_t begin, std::size_t end) {
+                     const ml::TapeArenaScope scope(arenas_[shard]);
+                     for (std::size_t i = begin; i < end; ++i) fn(i);
+                   });
 }
 
 void Trainer::SetGraphPath(GraphForwardFn graph_forward,
@@ -108,9 +113,7 @@ double Trainer::TrainStep(const dataset::PreparedBatch& batch) {
     tape.Backward(shard_loss);
     weighted_losses[s] = tape.value(shard_loss).scalar();
   };
-  WithPool([&](base::ThreadPool& pool) {
-    pool.ParallelFor(0, num_shards, run_shard);
-  });
+  RunSharded(num_shards, run_shard);
 
   // Phase 2 (sequential, deterministic order): reduce per-worker
   // gradients into the parameters and apply one optimizer step.
@@ -231,9 +234,7 @@ std::vector<double> Trainer::Predict(const dataset::BlockSource& data,
           column.at(row, 0) * config_.target_scale;
     }
   };
-  WithPool([&](base::ThreadPool& pool) {
-    pool.ParallelFor(0, num_batches, run_batch);
-  });
+  RunSharded(num_batches, run_batch);
   return predictions;
 }
 

@@ -24,6 +24,7 @@
 #include "ml/optimizer.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
+#include "ml/tape_arena.h"
 #include "train/metrics.h"
 
 namespace granite::train {
@@ -175,13 +176,16 @@ class Trainer {
       const dataset::PreparedBatch::Shard& shard) const;
 
   /**
-   * Runs `fn(pool)` on the trainer's shared worker pool, creating it on
-   * first use. One pool serves every Train/Predict/EvaluateTask call for
-   * the lifetime of the trainer (instead of a pool per call); the
-   * fork-join pool is single-caller, so concurrent calls serialize on
-   * the pool mutex.
+   * Runs `fn(i)` for every i in [0, count) on the trainer's shared worker
+   * pool (created on first use), each pool shard taking a contiguous
+   * range inside a TapeArenaScope of its own arena. One pool and one
+   * arena per shard serve every Train/Predict/EvaluateTask call for the
+   * lifetime of the trainer, so training steps and evaluation batches
+   * reuse the same memory. The fork-join pool is single-caller, so
+   * concurrent calls serialize on the pool mutex.
    */
-  void WithPool(const std::function<void(base::ThreadPool&)>& fn) const;
+  void RunSharded(std::size_t count,
+                  const std::function<void(std::size_t)>& fn) const;
 
   ForwardFn forward_;
   GraphForwardFn graph_forward_;
@@ -191,9 +195,11 @@ class Trainer {
   /** Kernel backend for every tape this trainer records. */
   const ml::KernelBackend* backend_;
   ml::AdamOptimizer optimizer_;
-  /** Shared worker pool (lazily created; guarded by pool_mutex_). */
+  /** Shared worker pool (lazily created) and one tape arena per pool
+   * shard, all guarded by pool_mutex_. */
   mutable std::mutex pool_mutex_;
   mutable std::unique_ptr<base::ThreadPool> pool_;
+  mutable std::vector<ml::TapeArena> arenas_;
 };
 
 }  // namespace granite::train

@@ -6,7 +6,8 @@ a flag added to the table is covered without editing this file. Each
 typed flag (integer, seed, real, bool, enum) of each command is given
 malformed and out-of-range spellings; a flag given twice and a missing
 required flag are tried too. Every case must exit 2, and no output file
-may appear.
+may appear. `predict` must also refuse, with exit 2, a block that parses
+but that the semantics catalog cannot encode, given by --asm or stdin.
 
 Usage: granite_cli_usage_test.py PATH/TO/granite_cli
 """
@@ -144,6 +145,25 @@ def main():
                 runner.failures.append("exit %d, stdout %r: %r" %
                                        (result.returncode, result.stdout,
                                         argv))
+
+        # predict refuses a block the catalog cannot encode (unknown
+        # mnemonic, unmodelled arity) with exit 2, from --asm and stdin.
+        # A valid block runs, so the refusals are not blanket ones.
+        for asm, status, message in [
+                ("ADD RAX", 2, "ADD with 1 operands"),
+                ("FROB RAX", 2, "unknown mnemonic FROB"),
+                ("ADD RAX, RBX", 0, "")]:
+            for flags, stdin in [(["--asm=" + asm], ""), ([], asm)]:
+                argv = ["predict", "--model-file=" + bundle] + flags
+                result = subprocess.run([binary] + argv, input=stdin,
+                                        stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, text=True,
+                                        timeout=60)
+                runner.cases += 1
+                if result.returncode != status or message not in result.stderr:
+                    runner.failures.append("exit %d, stderr %r: %r" %
+                                           (result.returncode, result.stderr,
+                                            argv))
 
     for failure in runner.failures:
         print("FAIL " + failure)

@@ -1,9 +1,11 @@
 /**
  * @file
- * Lifecycle of the per-thread ForwardArena behind inference tapes: a
- * thread whose forwards do not grow stops allocating for node values, a
- * forward that throws leaves the arena reusable, and a value copied out
- * of a tape outlives the arena memory it came from.
+ * Lifecycle of the TapeArena behind arena-backed tapes: an owner whose
+ * steps do not grow stops allocating for node storage, a creeping
+ * sequence of steps maps a number of blocks that grows with the log of
+ * its growth, one arena serves a recording tape and then an inference
+ * tape, a step that throws leaves the arena reusable, and a value copied
+ * out of a tape outlives the arena memory it came from.
  */
 #include <cmath>
 #include <cstring>
@@ -14,9 +16,9 @@
 #include "core/granite_model.h"
 #include "dataset/generator.h"
 #include "gtest/gtest.h"
-#include "ml/forward_arena.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
+#include "ml/tape_arena.h"
 
 namespace granite::ml {
 namespace {
@@ -47,11 +49,11 @@ Var SmallForward(Tape& tape, const SmallModel& model, float shift) {
   return tape.AddConstant(tape.SegmentSum(hidden, {0, 1, 0, 1}, 2), shift);
 }
 
-class ForwardArenaTest : public ::testing::Test {
+class TapeArenaTest : public ::testing::Test {
  protected:
   /** SmallForward's value on a heap (arena-free) tape. */
   Tensor HeapValue(float shift) const {
-    EXPECT_EQ(ForwardArenaScope::Current(), nullptr);
+    EXPECT_EQ(TapeArenaScope::Current(), nullptr);
     Tape tape(nullptr, GradMode::kNone);
     return tape.value(SmallForward(tape, model_, shift));
   }
@@ -59,7 +61,7 @@ class ForwardArenaTest : public ::testing::Test {
   SmallModel model_;
 };
 
-TEST_F(ForwardArenaTest, SteadyForwardsDoNotGrowTheArena) {
+TEST_F(TapeArenaTest, SteadyForwardsDoNotGrowTheArena) {
   graph::Vocabulary vocabulary = graph::Vocabulary::CreateDefault();
   core::GraniteConfig config = core::GraniteConfig().WithEmbeddingSize(8);
   config.num_tasks = 2;
@@ -71,11 +73,12 @@ TEST_F(ForwardArenaTest, SteadyForwardsDoNotGrowTheArena) {
   const std::vector<std::vector<double>> expected =
       model.PredictBatchAllTasks(pointers);
 
-  ForwardArenaScope scope;
-  ASSERT_EQ(ForwardArenaScope::Current(), &scope.arena());
+  TapeArena arena;
+  const TapeArenaScope scope(arena);
+  ASSERT_EQ(TapeArenaScope::Current(), &arena);
   EXPECT_EQ(model.PredictBatchAllTasks(pointers), expected);
-  const std::size_t mapped = scope.arena().blocks_mapped();
-  const std::size_t capacity = scope.arena().capacity();
+  const std::size_t mapped = arena.blocks_mapped();
+  const std::size_t capacity = arena.capacity();
   EXPECT_GT(mapped, 0u);
   EXPECT_GT(capacity, 0u);
 
@@ -93,14 +96,14 @@ TEST_F(ForwardArenaTest, SteadyForwardsDoNotGrowTheArena) {
       ASSERT_EQ(predictions[i], expected[begin + i]) << forward;
     }
   }
-  EXPECT_EQ(scope.arena().blocks_mapped(), mapped);
-  EXPECT_EQ(scope.arena().capacity(), capacity);
-  EXPECT_EQ(scope.arena().live_tapes(), 0);
+  EXPECT_EQ(arena.blocks_mapped(), mapped);
+  EXPECT_EQ(arena.capacity(), capacity);
+  EXPECT_EQ(arena.live_tapes(), 0);
 }
 
-TEST_F(ForwardArenaTest, LargerForwardFoldsIntoOneChunk) {
-  ForwardArenaScope scope;
-  ForwardArena& arena = scope.arena();
+TEST_F(TapeArenaTest, LargerForwardFoldsIntoOneChunk) {
+  TapeArena arena;
+  const TapeArenaScope scope(arena);
   {
     Tape tape(nullptr, GradMode::kNone);
     SmallForward(tape, model_, 0.0f);
@@ -108,16 +111,20 @@ TEST_F(ForwardArenaTest, LargerForwardFoldsIntoOneChunk) {
   const std::size_t small_capacity = arena.capacity();
   const std::size_t mapped = arena.blocks_mapped();
   {
-    // Two forwards alive at once need twice the chunk; both spill.
+    // Two forwards alive at once need about twice the chunk; the second
+    // spills into one shared overflow block.
     Tape first(nullptr, GradMode::kNone);
     Tape second(nullptr, GradMode::kNone);
     SmallForward(first, model_, 0.0f);
     SmallForward(second, model_, 0.0f);
     EXPECT_EQ(arena.live_tapes(), 2);
-    EXPECT_GT(arena.blocks_mapped(), mapped);
+    EXPECT_EQ(arena.blocks_mapped(), mapped + 1);
   }
-  EXPECT_EQ(arena.capacity(), 2 * small_capacity);
+  // The fold keeps 1/8 headroom over what the two forwards used.
+  EXPECT_GT(arena.capacity(), small_capacity);
+  EXPECT_GE(arena.capacity(), 2 * small_capacity * 8 / 9);
   const std::size_t folded = arena.blocks_mapped();
+  EXPECT_EQ(folded, mapped + 2);
   {
     Tape first(nullptr, GradMode::kNone);
     Tape second(nullptr, GradMode::kNone);
@@ -127,10 +134,82 @@ TEST_F(ForwardArenaTest, LargerForwardFoldsIntoOneChunk) {
   EXPECT_EQ(arena.blocks_mapped(), folded);
 }
 
-TEST_F(ForwardArenaTest, ThrowingForwardLeavesArenaReusable) {
+TEST_F(TapeArenaTest, CreepingForwardsMapLogarithmicallyManyBlocks) {
+  // Forward k holds k + kFirst node values of 1024 floats each, so every
+  // forward is slightly larger than the one before: kGrowth times larger
+  // by the end. An exact-size fold would map two blocks per forward.
+  constexpr int kFirst = 8;
+  constexpr int kGrowth = 64;
+  constexpr int kNodeFloats = 1024;
+  const Tensor input = Tensor::Constant(1, kNodeFloats, 1.0f);
+  TapeArena arena;
+  const TapeArenaScope scope(arena);
+  int forwards = 0;
+  for (int nodes = kFirst; nodes <= kFirst * kGrowth; ++nodes, ++forwards) {
+    Tape tape(nullptr, GradMode::kNone);
+    const Var leaf = tape.Constant(input);
+    for (int i = 0; i < nodes; ++i) tape.Scale(leaf, 2.0f);
+  }
+  // Each fold grows the chunk by at least 1/8 and maps at most two
+  // blocks: one shared overflow block (at least the chunk's size) and
+  // the folded chunk.
+  const double folds =
+      std::ceil(std::log(static_cast<double>(kGrowth)) / std::log(9.0 / 8.0));
+  EXPECT_LE(static_cast<double>(arena.blocks_mapped()), 2.0 * (folds + 1));
+  EXPECT_LT(arena.blocks_mapped(), static_cast<std::size_t>(forwards) / 4);
+  EXPECT_GE(arena.capacity(),
+            static_cast<std::size_t>(kFirst * kGrowth) *
+                TapeArena::Footprint(kNodeFloats));
+}
+
+TEST_F(TapeArenaTest, RecordingThenInferenceTapesShareOneArena) {
+  // SmallForward's value and its parameters' gradients on heap tapes.
+  const Tensor expected_value = HeapValue(0.25f);
+  std::vector<Tensor> expected_grads;
+  {
+    GradientSink sink;
+    Tape tape;
+    tape.set_gradient_sink(&sink);
+    tape.Backward(tape.SumAll(SmallForward(tape, model_, 0.25f)));
+    for (Parameter* parameter : {model_.x, model_.w, model_.bias}) {
+      expected_grads.push_back(sink.GradFor(parameter));
+    }
+  }
+
+  TapeArena arena;
+  const TapeArenaScope scope(arena);
+  {
+    GradientSink sink;
+    Tape tape;
+    tape.set_gradient_sink(&sink);
+    const Var out = SmallForward(tape, model_, 0.25f);
+    tape.Backward(tape.SumAll(out));
+    EXPECT_EQ(arena.live_tapes(), 1);
+    EXPECT_TRUE(tape.value(out) == expected_value);
+    std::size_t p = 0;
+    for (Parameter* parameter : {model_.x, model_.w, model_.bias}) {
+      EXPECT_TRUE(sink.GradFor(parameter) == expected_grads[p++]);
+    }
+  }
+  EXPECT_EQ(arena.live_tapes(), 0);
+  const std::size_t mapped = arena.blocks_mapped();
+  EXPECT_GT(mapped, 0u);
+
+  // The inference forward needs no more than the recording one (no
+  // adjoints, borrowed parameters), so it fits in the rewound chunk.
+  Tape tape(nullptr, GradMode::kNone);
+  const Tensor& value = tape.value(SmallForward(tape, model_, 0.25f));
+  EXPECT_EQ(std::memcmp(value.data(), expected_value.data(),
+                        expected_value.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(arena.live_tapes(), 1);
+  EXPECT_EQ(arena.blocks_mapped(), mapped);
+}
+
+TEST_F(TapeArenaTest, ThrowingForwardLeavesArenaReusable) {
   const Tensor expected = HeapValue(0.5f);
-  ForwardArenaScope scope;
-  ForwardArena& arena = scope.arena();
+  TapeArena arena;
+  const TapeArenaScope scope(arena);
   {
     Tape tape(nullptr, GradMode::kNone);
     SmallForward(tape, model_, 0.5f);
@@ -155,9 +234,10 @@ TEST_F(ForwardArenaTest, ThrowingForwardLeavesArenaReusable) {
   EXPECT_EQ(arena.blocks_mapped(), mapped);
 }
 
-TEST_F(ForwardArenaTest, CopiedValueOutlivesItsTape) {
+TEST_F(TapeArenaTest, CopiedValueOutlivesItsTape) {
   const Tensor expected = HeapValue(1.0f);
-  ForwardArenaScope scope;
+  TapeArena arena;
+  const TapeArenaScope scope(arena);
   Tensor copy;
   Tensor moved_copy;
   {

@@ -1,10 +1,12 @@
 /**
  * @file
  * Forward-value tests of the autodiff tape (gradients are covered by
- * ml_grad_test.cc), and of the inference mode: a GradMode::kNone tape
- * computes the recording tape's values bit for bit, also when its values
- * live in a ForwardArena full of stale NaNs, and refuses Backward() and
- * grad().
+ * ml_grad_test.cc), of the inference mode and of arena-backed tapes: a
+ * GradMode::kNone tape computes the recording tape's values bit for bit,
+ * also when its values live in a TapeArena full of stale NaNs, and
+ * refuses Backward() and grad(); a recording tape in such an arena
+ * computes a heap recording tape's values, adjoints and parameter
+ * gradients bit for bit.
  */
 #include <cmath>
 #include <cstring>
@@ -13,9 +15,9 @@
 
 #include "backends_under_test.h"
 #include "gtest/gtest.h"
-#include "ml/forward_arena.h"
 #include "ml/parameter.h"
 #include "ml/tape.h"
+#include "ml/tape_arena.h"
 
 namespace granite::ml {
 namespace {
@@ -172,11 +174,12 @@ struct OpInputs {
   Parameter* column;
 };
 
-/** Index of EveryOp's one constant leaf, the only output that does not
- * require grad on a recording tape. */
-constexpr std::size_t kConstantLeaf = 6;
+/** Whether EveryOp's output `i` is one of its two constant leaves, the
+ * only outputs that do not require grad on a recording tape. */
+bool IsConstantLeaf(std::size_t i) { return i == 6 || i == 7; }
 
-/** Applies every Tape op once and returns the outputs, leaves included. */
+/** Applies every Tape op once and returns every node it made, in order:
+ * the leaves, then one output per op. */
 std::vector<Var> EveryOp(Tape& tape, const OpInputs& in) {
   const Var x = tape.Param(in.x);
   const Var w = tape.Param(in.w);
@@ -189,7 +192,7 @@ std::vector<Var> EveryOp(Tape& tape, const OpInputs& in) {
   const Var positive = tape.Constant(Tensor::Constant(4, 3, 1.5f));
   const std::vector<int> rows = {3, 0, 0, 2, 1};
   const std::vector<int> four_rows = {2, 2, 0, 1};
-  std::vector<Var> out = {x, w, bias, gain, shift, column, c};
+  std::vector<Var> out = {x, w, bias, gain, shift, column, c, positive};
   out.push_back(tape.MatMul(x, w));
   out.push_back(tape.Linear(x, w, bias));
   out.push_back(tape.Add(x, c));
@@ -215,6 +218,7 @@ std::vector<Var> EveryOp(Tape& tape, const OpInputs& in) {
   out.push_back(tape.ConcatGathered(parts));
   out.push_back(tape.SumAll(x));
   out.push_back(tape.MeanAll(x));
+  EXPECT_EQ(out.size(), tape.num_nodes());
   return out;
 }
 
@@ -230,9 +234,9 @@ std::vector<const KernelBackend*> AllBackends() {
 
 /** Overwrites every float `arena` hands out with NaN, through one
  * inference forward whose only node value fills the whole chunk. */
-void FillArenaWithNan(const KernelBackend* backend, ForwardArena& arena) {
+void FillArenaWithNan(const KernelBackend* backend, TapeArena& arena) {
   std::size_t count = arena.capacity();
-  while (count > 0 && ForwardArena::Footprint(count) > arena.capacity()) {
+  while (count > 0 && TapeArena::Footprint(count) > arena.capacity()) {
     --count;
   }
   ASSERT_GT(count, 0u);
@@ -265,7 +269,7 @@ void ExpectSameValues(const Tape& recording,
               0);
     // The recording tape really recorded: every output but the
     // constant leaf has an adjoint.
-    if (i != kConstantLeaf) {
+    if (!IsConstantLeaf(i)) {
       EXPECT_EQ(recording.grad(recorded[i]).size(), expected.size());
     }
   }
@@ -289,29 +293,99 @@ TEST(TapeGradModeTest, InferenceValuesAreBitIdenticalToRecording) {
       // Every write-through output starts out as stale NaNs: a kernel
       // that skips an element shows up as a NaN mismatch.
       SCOPED_TRACE("arena");
-      ForwardArenaScope scope;
+      TapeArena arena;
+      const TapeArenaScope scope(arena);
       {
         Tape sizing(backend, GradMode::kNone);
         EveryOp(sizing, inputs);
       }
-      FillArenaWithNan(backend, scope.arena());
-      const std::size_t mapped = scope.arena().blocks_mapped();
+      FillArenaWithNan(backend, arena);
+      const std::size_t mapped = arena.blocks_mapped();
       Tape inference(backend, GradMode::kNone);
-      EXPECT_EQ(scope.arena().live_tapes(), 1);
+      EXPECT_EQ(arena.live_tapes(), 1);
       const std::vector<Var> inferred = EveryOp(inference, inputs);
       ExpectSameValues(recording, recorded, inference, inferred);
-      EXPECT_EQ(scope.arena().blocks_mapped(), mapped);
+      EXPECT_EQ(arena.blocks_mapped(), mapped);
     }
   }
 }
 
-TEST(TapeGradModeTest, RecordingTapesIgnoreTheArena) {
+/** Records EveryOp into `tape` with `sink`, sums every output but the
+ * constant leaves into one loss and runs Backward; returns every node,
+ * the loss chain included. */
+std::vector<Var> RecordEveryOp(Tape& tape, const OpInputs& inputs,
+                               GradientSink& sink) {
+  tape.set_gradient_sink(&sink);
+  std::vector<Var> nodes = EveryOp(tape, inputs);
+  const std::size_t outputs = nodes.size();
+  Var loss = tape.SumAll(nodes[0]);
+  nodes.push_back(loss);
+  for (std::size_t i = 1; i < outputs; ++i) {
+    if (IsConstantLeaf(i)) continue;
+    nodes.push_back(tape.SumAll(nodes[i]));
+    loss = tape.Add(loss, nodes.back());
+    nodes.push_back(loss);
+  }
+  EXPECT_EQ(nodes.size(), tape.num_nodes());
+  tape.Backward(loss);
+  return nodes;
+}
+
+/** memcmp of two tensors, shapes first. */
+void ExpectSameBits(const Tensor& actual, const Tensor& expected) {
+  ASSERT_EQ(actual.rows(), expected.rows());
+  ASSERT_EQ(actual.cols(), expected.cols());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        expected.size() * sizeof(float)),
+            0);
+}
+
+TEST(TapeGradModeTest, RecordingTapesInAScopeMatchHeap) {
   const OpInputs inputs;
-  ForwardArenaScope scope;
-  Tape recording;
-  EveryOp(recording, inputs);
-  EXPECT_EQ(scope.arena().live_tapes(), 0);
-  EXPECT_EQ(scope.arena().blocks_mapped(), 0u);
+  const std::vector<Parameter*> parameters = {
+      inputs.x,     inputs.w,     inputs.bias,
+      inputs.gain,  inputs.shift, inputs.column};
+  for (const KernelBackend* backend : AllBackends()) {
+    SCOPED_TRACE(backend->name());
+    GradientSink heap_sink;
+    Tape heap(backend);
+    const std::vector<Var> expected = RecordEveryOp(heap, inputs, heap_sink);
+
+    // Every value, adjoint, LayerNorm state and parameter copy starts out
+    // as stale NaNs: storage the tape fails to fill or zero shows up as a
+    // mismatch.
+    TapeArena arena;
+    const TapeArenaScope scope(arena);
+    {
+      GradientSink sizing_sink;
+      Tape sizing(backend);
+      RecordEveryOp(sizing, inputs, sizing_sink);
+    }
+    FillArenaWithNan(backend, arena);
+    const std::size_t mapped = arena.blocks_mapped();
+    GradientSink arena_sink;
+    Tape recording(backend);
+    EXPECT_EQ(arena.live_tapes(), 1);
+    const std::vector<Var> actual =
+        RecordEveryOp(recording, inputs, arena_sink);
+    EXPECT_EQ(arena.blocks_mapped(), mapped);
+    // The recording copied each parameter rather than borrowing it.
+    EXPECT_NE(recording.value(actual[0]).data(), inputs.x->value.data());
+
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      SCOPED_TRACE(i);
+      ExpectSameBits(recording.value(actual[i]), heap.value(expected[i]));
+      if (!IsConstantLeaf(i)) {
+        ExpectSameBits(recording.grad(actual[i]), heap.grad(expected[i]));
+      }
+    }
+    for (Parameter* parameter : parameters) {
+      SCOPED_TRACE(parameter->name);
+      ExpectSameBits(arena_sink.GradFor(parameter),
+                     heap_sink.GradFor(parameter));
+    }
+  }
 }
 
 TEST(TapeGradModeDeathTest, BackwardOnInferenceTapeFails) {

@@ -588,6 +588,12 @@ int RunPredict(const Args& args) {
                  parsed.error.c_str());
     return 1;
   }
+  if (const auto unencodable =
+          granite::assembly::CheckEncodable(*parsed.value)) {
+    std::fprintf(stderr, "granite_cli predict: cannot encode block: %s\n",
+                 unencodable->message.c_str());
+    return 2;
+  }
 
   const std::unique_ptr<ThroughputPredictor> loaded =
       granite::model::LoadModel(args.Text("model-file"));
@@ -833,12 +839,7 @@ int RunAutotune(const Args& args) {
   for (std::size_t i = 0; i < corpus->size(); ++i) {
     const granite::assembly::BasicBlock& block =
         *corpus->Get(i).block;
-    const bool supported = std::all_of(
-        block.instructions.begin(), block.instructions.end(),
-        [](const granite::assembly::Instruction& instruction) {
-          return granite::assembly::IsSupportedInstruction(instruction);
-        });
-    if (!supported) {
+    if (granite::assembly::CheckEncodable(block).has_value()) {
       ++unsupported;
       continue;
     }
