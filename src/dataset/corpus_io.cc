@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "asm/parser.h"
+#include "asm/semantics.h"
 #include "base/logging.h"
 #include "base/string_util.h"
 
@@ -207,6 +208,10 @@ std::vector<Sample> ParseShardPayload(const std::string& buffer,
       throw CorpusError("corrupt corpus (unparseable block: " +
                         parsed.error + "): " + path);
     }
+    if (const auto unencodable = assembly::CheckEncodable(*parsed.value)) {
+      throw CorpusError("corrupt corpus (unencodable block: " +
+                        unencodable->message + "): " + path);
+    }
     Sample sample;
     sample.block = std::move(*parsed.value);
     need(8ull * num_labels, "labels");
@@ -310,9 +315,9 @@ CorpusWriter::CorpusWriter(const std::string& path,
                            std::uint64_t records_per_shard)
     : path_(path),
       file_(path, std::ios::binary | std::ios::trunc),
-      records_per_shard_(records_per_shard),
-      tool_(tool),
-      generator_seed_(generator_seed) {
+      header_{.tool = tool,
+              .generator_seed = generator_seed,
+              .records_per_shard = records_per_shard} {
   if (!file_.is_open()) {
     throw CorpusError("cannot write corpus: " + path);
   }
@@ -320,12 +325,7 @@ CorpusWriter::CorpusWriter(const std::string& path,
     throw CorpusError("invalid records-per-shard " +
                       std::to_string(records_per_shard) + ": " + path);
   }
-  // Placeholder header; Finish() back-patches the final counts.
-  CorpusHeader header;
-  header.tool = tool_;
-  header.generator_seed = generator_seed_;
-  header.records_per_shard = records_per_shard_;
-  const std::string bytes = EncodeHeader(header);
+  const std::string bytes = EncodeHeader(header_);
   file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
@@ -336,10 +336,10 @@ void CorpusWriter::set_import_rejected_ppm(std::uint32_t ppm) {
     throw CorpusError("import rejected rate " + std::to_string(ppm) +
                       " ppm exceeds one million: " + path_);
   }
-  import_rejected_ppm_ = ppm;
+  header_.import_rejected_ppm = ppm;
 }
 
-void CorpusWriter::Append(const Sample& sample) {
+void CorpusWriter::Append(const SampleView& sample) {
   if (finished_) {
     throw CorpusError("append after Finish: " + path_);
   }
@@ -347,7 +347,7 @@ void CorpusWriter::Append(const Sample& sample) {
   // that is patched once the text's size is known.
   const std::size_t length_at = shard_buffer_.size();
   AppendScalar<std::uint32_t>(shard_buffer_, 0);
-  sample.block.AppendTo(shard_buffer_);
+  sample.block->AppendTo(shard_buffer_);
   const std::size_t text_size =
       shard_buffer_.size() - length_at - sizeof(std::uint32_t);
   if (text_size > kMaxBlockTextBytes) {
@@ -356,12 +356,10 @@ void CorpusWriter::Append(const Sample& sample) {
   }
   const auto length = static_cast<std::uint32_t>(text_size);
   std::memcpy(shard_buffer_.data() + length_at, &length, sizeof(length));
-  for (int label = 0; label < uarch::kNumMicroarchitectures; ++label) {
-    AppendScalar<double>(shard_buffer_, sample.throughput[label]);
-  }
+  AppendScalar(shard_buffer_, *sample.throughput);
   ++shard_records_;
-  ++blocks_written_;
-  if (shard_records_ == records_per_shard_) FlushShard();
+  ++header_.num_blocks;
+  if (shard_records_ == header_.records_per_shard) FlushShard();
 }
 
 void CorpusWriter::FlushShard() {
@@ -372,7 +370,7 @@ void CorpusWriter::FlushShard() {
   file_.write(prelude.data(), static_cast<std::streamsize>(prelude.size()));
   file_.write(shard_buffer_.data(),
               static_cast<std::streamsize>(shard_buffer_.size()));
-  ++shards_written_;
+  ++header_.num_shards;
   shard_records_ = 0;
   shard_buffer_.clear();
 }
@@ -391,18 +389,11 @@ void CorpusWriter::Finish() {
 
   // Back-patch the header with the final counts, then append the
   // whole-file checksum: one sequential re-read pass, constant memory.
-  CorpusHeader header;
-  header.tool = tool_;
-  header.generator_seed = generator_seed_;
-  header.import_rejected_ppm = import_rejected_ppm_;
-  header.num_blocks = blocks_written_;
-  header.records_per_shard = records_per_shard_;
-  header.num_shards = shards_written_;
   std::fstream patch(path_, std::ios::in | std::ios::out | std::ios::binary);
   if (!patch.is_open()) {
     throw CorpusError("cannot finalize corpus: " + path_);
   }
-  const std::string bytes = EncodeHeader(header);
+  const std::string bytes = EncodeHeader(header_);
   patch.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   patch.flush();
 
@@ -421,13 +412,7 @@ void SaveCorpus(const BlockSource& source, const std::string& path,
                 uarch::MeasurementTool tool, std::uint64_t generator_seed,
                 std::uint64_t records_per_shard) {
   CorpusWriter writer(path, tool, generator_seed, records_per_shard);
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    const SampleView view = source.Get(i);
-    Sample sample;
-    sample.block = *view.block;
-    sample.throughput = *view.throughput;
-    writer.Append(sample);
-  }
+  for (std::size_t i = 0; i < source.size(); ++i) writer.Append(source.Get(i));
   writer.Finish();
 }
 

@@ -34,7 +34,9 @@
  *
  * Corrupt, truncated, version-mismatched or structurally inconsistent
  * files raise CorpusError — never UB, never a partial dataset. All
- * length fields are bounds-checked before allocation.
+ * length fields are bounds-checked before allocation. A record whose
+ * block parses but that assembly::CheckEncodable refuses is corrupt too,
+ * so no record a reader returns can abort the graph encoder.
  */
 #ifndef GRANITE_DATASET_CORPUS_IO_H_
 #define GRANITE_DATASET_CORPUS_IO_H_
@@ -87,10 +89,13 @@ struct CorpusHeader {
 
 /**
  * Streaming corpus writer: Append() samples one at a time, then
- * Finish(). Buffers at most one shard of encoded bytes, so writing a
- * million-block corpus uses O(shard) memory. Finish() back-patches the
- * final counts into the header and appends the whole-file checksum
- * (one extra sequential read pass over the file, constant memory).
+ * Finish(). Append() reads each record through a view, so a caller
+ * passes a BlockSource's views (or a Sample, which converts to one)
+ * without copying the block. Buffers at most one shard of encoded bytes,
+ * so writing a million-block corpus uses O(shard) memory. Finish()
+ * back-patches the final counts into the header and appends the
+ * whole-file checksum (one extra sequential read pass over the file,
+ * constant memory).
  * Destroying an unfinished writer leaves the file invalid on purpose —
  * readers reject it — so a crashed producer cannot pass for a corpus.
  */
@@ -108,9 +113,9 @@ class CorpusWriter {
   CorpusWriter(const CorpusWriter&) = delete;
   CorpusWriter& operator=(const CorpusWriter&) = delete;
 
-  /** Appends one labeled sample. Throws CorpusError on write failure or
-   * after Finish(). */
-  void Append(const Sample& sample);
+  /** Appends the block and labels `sample` points at. Throws CorpusError
+   * on write failure or after Finish(). */
+  void Append(const SampleView& sample);
 
   /** Flushes the tail shard, finalizes header and checksum. Throws
    * CorpusError on IO failure. Must be called exactly once. */
@@ -122,19 +127,16 @@ class CorpusWriter {
    * one million. */
   void set_import_rejected_ppm(std::uint32_t ppm);
 
-  std::uint64_t blocks_written() const { return blocks_written_; }
+  std::uint64_t blocks_written() const { return header_.num_blocks; }
 
  private:
   void FlushShard();
 
   std::string path_;
   std::ofstream file_;
-  std::uint64_t records_per_shard_;
-  uarch::MeasurementTool tool_;
-  std::uint64_t generator_seed_;
-  std::uint32_t import_rejected_ppm_ = 0;
-  std::uint64_t blocks_written_ = 0;
-  std::uint64_t shards_written_ = 0;
+  /** Written as a placeholder at construction; Finish() writes it again
+   * with the final counts. */
+  CorpusHeader header_;
   std::uint64_t shard_records_ = 0;
   std::string shard_buffer_;
   bool finished_ = false;

@@ -38,10 +38,7 @@ const Sample& Dataset::operator[](std::size_t index) const {
   return samples_[index];
 }
 
-SampleView Dataset::Get(std::size_t index) const {
-  const Sample& sample = (*this)[index];
-  return SampleView{&sample.block, &sample.throughput, nullptr};
-}
+SampleView Dataset::Get(std::size_t index) const { return (*this)[index]; }
 
 std::vector<const assembly::BasicBlock*> Dataset::Blocks() const {
   std::vector<const assembly::BasicBlock*> blocks;

@@ -27,14 +27,6 @@
 
 namespace granite::dataset {
 
-/** One labeled basic block. */
-struct Sample {
-  assembly::BasicBlock block;
-  /** Measured throughput (cycles per 100 iterations) per
-   * microarchitecture, indexed by Microarchitecture enum value. */
-  std::array<double, uarch::kNumMicroarchitectures> throughput = {};
-};
-
 /**
  * A pinned view of one sample. `block` and `throughput` stay valid while
  * `pin` is alive (for a Dataset they point into its samples and `pin` is
@@ -46,6 +38,17 @@ struct SampleView {
       nullptr;
   /** Keep-alive handle for the backing shard of a streaming source. */
   std::shared_ptr<const void> pin;
+};
+
+/** One labeled basic block. */
+struct Sample {
+  assembly::BasicBlock block;
+  /** Measured throughput (cycles per 100 iterations) per
+   * microarchitecture, indexed by Microarchitecture enum value. */
+  std::array<double, uarch::kNumMicroarchitectures> throughput = {};
+
+  /** An unpinned view of this sample, valid while the sample lives. */
+  operator SampleView() const { return {&block, &throughput, nullptr}; }
 };
 
 /** An indexed, possibly streaming, collection of labeled blocks. */

@@ -1,6 +1,7 @@
 #include "dataset/importer.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <fstream>
@@ -346,10 +347,9 @@ ImportStats ImportBhiveCsv(const std::string& csv_path,
       continue;
     }
 
-    Sample sample;
-    sample.block = std::move(*parsed.value);
-    sample.throughput.fill(*throughput * options.throughput_scale);
-    writer.Append(sample);
+    std::array<double, uarch::kNumMicroarchitectures> labels;
+    labels.fill(*throughput * options.throughput_scale);
+    writer.Append({&*parsed.value, &labels, nullptr});
     ++stats.imported;
   }
 

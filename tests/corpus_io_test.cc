@@ -207,24 +207,29 @@ TEST_F(CorpusIoTest, StreamingSynthesisMatchesMaterializedSynthesis) {
   }
 }
 
+// With a one-shard window, each shard is evicted as soon as SaveCorpus
+// reads the next one, so Append must read only through the pinned view.
 TEST_F(CorpusIoTest, StreamingSynthesisRoundTripsThroughFile) {
   SynthesisConfig config;
   config.num_blocks = 80;
   config.seed = 23;
   config.generator.max_instructions = 6;
-  StreamingSynthesisOptions options;
-  options.records_per_shard = 16;
-  options.cache_shards = 2;
-  const StreamingSynthesisSource lazy(config, options);
-  SaveCorpus(lazy, path_, config.tool, config.seed,
-             /*records_per_shard=*/16);
-
   const Dataset direct = SynthesizeDataset(config);
-  const Dataset loaded = LoadCorpus(path_);
-  ASSERT_EQ(loaded.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i) {
-    ExpectSamplesEqual(direct[i], loaded[i],
-                       "sample " + std::to_string(i));
+  for (const std::size_t cache_shards : {2, 1}) {
+    SCOPED_TRACE("cache_shards " + std::to_string(cache_shards));
+    StreamingSynthesisOptions options;
+    options.records_per_shard = 16;
+    options.cache_shards = cache_shards;
+    const StreamingSynthesisSource lazy(config, options);
+    SaveCorpus(lazy, path_, config.tool, config.seed,
+               /*records_per_shard=*/16);
+
+    const Dataset loaded = LoadCorpus(path_);
+    ASSERT_EQ(loaded.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+      ExpectSamplesEqual(direct[i], loaded[i],
+                         "sample " + std::to_string(i));
+    }
   }
 }
 

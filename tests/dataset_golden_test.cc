@@ -16,6 +16,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "asm/parser.h"
 #include "base/rng.h"
 #include "base/string_util.h"
 #include "dataset/block_source.h"
@@ -239,7 +240,10 @@ std::vector<std::string> ReadWithEveryReader(const CorpusFile& file) {
 
 /** Golden digest over the outcome of every reader on a three-shard corpus
  * and on 800 seeded mutations of it (one or two bit flips, truncations,
- * inserted bytes or trailing bytes each). */
+ * inserted bytes or trailing bytes each). A mutation that leaves a
+ * record's text parseable but names no catalog mnemonic is refused as
+ * unencodable; CorpusReader, which checks the checksum only after the
+ * last shard, reports that first. */
 TEST(DatasetGoldenTest, CorpusReadersDigest) {
   CorpusFile file;
   SynthesisConfig config;
@@ -254,11 +258,15 @@ TEST(DatasetGoldenTest, CorpusReadersDigest) {
   std::uint64_t digest = kFnvOffsetBasis;
   std::size_t inputs = 0;
   std::size_t accepted = 0;
+  std::size_t unencodable = 0;
   const auto read_input = [&](const std::vector<char>& bytes) {
     file.Write(bytes);
     ++inputs;
     for (const std::string& outcome : ReadWithEveryReader(file)) {
       accepted += outcome.starts_with("ok ") ? 1 : 0;
+      if (outcome.starts_with("error corrupt corpus (unencodable block: ")) {
+        ++unencodable;
+      }
       digest = Fnv1a(digest, outcome);
       digest = Fnv1a(digest, std::string_view("\0", 1));
     }
@@ -275,7 +283,51 @@ TEST(DatasetGoldenTest, CorpusReadersDigest) {
   }
   EXPECT_EQ(inputs, 801u);
   EXPECT_EQ(accepted, 113u);
-  EXPECT_EQ(digest, 18413597234333022068ull);
+  EXPECT_EQ(unencodable, 52u);
+  EXPECT_EQ(digest, 10794628316154151144ull);
+}
+
+/** tests/data/unencodable_record.gbc: two records, `MOV RAX, RBX` and
+ * then `ADD RAX`, which parses but has an operand count the catalog does
+ * not model. CorpusWriter writes it byte for byte as checked in; every
+ * record reader refuses it with the same error, and ReadCorpusHeader,
+ * which reads no record, accepts it. */
+TEST(DatasetGoldenTest, UnencodableRecordIsRefusedByEveryRecordReader) {
+  std::ifstream checked_in(
+      std::string(GRANITE_TEST_DATA_DIR) + "/unencodable_record.gbc",
+      std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(checked_in)),
+                                std::istreambuf_iterator<char>());
+  CorpusFile file;
+  {
+    CorpusWriter writer(file.path(), uarch::MeasurementTool::kIthemalTool,
+                        0);
+    double label = 100.0;
+    for (const char* text : {"MOV RAX, RBX", "ADD RAX"}) {
+      Sample sample;
+      sample.block = *assembly::ParseBasicBlock(text).value;
+      sample.throughput = {label, label + 10.0, label + 20.0};
+      writer.Append(sample);
+      label += 100.0;
+    }
+    writer.Finish();
+  }
+  EXPECT_EQ(file.Read(), bytes);
+
+  file.Write(bytes);
+  const std::string refused =
+      "corrupt corpus (unencodable block: ADD with 1 operands): ";
+  const std::vector<std::string> outcomes = ReadWithEveryReader(file);
+  ASSERT_EQ(outcomes.size(), 3u);
+  EXPECT_EQ(outcomes[0], "error " + refused);  // CorpusReader
+  EXPECT_EQ(outcomes[1], "error " + refused);  // StreamingCorpusSource
+  EXPECT_TRUE(outcomes[2].starts_with("ok "));  // ReadCorpusHeader
+  try {
+    LoadCorpus(file.path());
+    ADD_FAILURE() << "LoadCorpus accepted an unencodable record";
+  } catch (const CorpusError& error) {
+    EXPECT_EQ(file.StripPath(error.what()), refused);
+  }
 }
 
 /** A one-shard corpus whose prelude claims a 48 MiB payload and whose

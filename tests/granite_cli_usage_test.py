@@ -124,7 +124,7 @@ def main():
         # The refusals above are not blanket ones: valid spellings run.
         runner.expect(0, ["isa", "--lookup=ADD"])
         runner.expect(0, ["dataset", "synthesize", train_out, "--blocks=20",
-                          "--seed=0", "--shard-size=8", "--verbose=1"])
+                          "--seed=0", "--shard-size=8"])
 
     # serve refuses a malformed --split or --shadow before it loads any
     # bundle, so no "serving '...'" line is printed.
@@ -164,6 +164,21 @@ def main():
                     runner.failures.append("exit %d, stderr %r: %r" %
                                            (result.returncode, result.stderr,
                                             argv))
+
+        # eval refuses a checksum-valid corpus whose second record
+        # (ADD RAX) the catalog cannot encode: a typed corpus error (exit
+        # 1), not an abort in the graph encoder.
+        corpus = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              "data", "unencodable_record.gbc")
+        argv = ["eval", "--model-file=" + bundle, "--dataset-file=" + corpus]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        if result.returncode != 1 or "unencodable" not in result.stderr:
+            runner.failures.append("exit %d, stderr %r: %r" %
+                                   (result.returncode, result.stderr, argv))
 
     for failure in runner.failures:
         print("FAIL " + failure)

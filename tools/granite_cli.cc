@@ -32,7 +32,7 @@
  *     dataset synthesize  Stream a labeled synthetic corpus to disk
  *                         (bounded memory — million-block corpora never
  *                         materialize; dataset::StreamingSynthesisSource
- *                         + dataset::CorpusWriter).
+ *                         + dataset::SaveCorpus).
  *     dataset inspect     Print a corpus file's header and stats without
  *                         loading records (--verify=1 adds a full
  *                         checksum pass).
@@ -1007,21 +1007,8 @@ int RunDatasetSynthesize(const Args& args) {
               args.Text("tool").c_str());
   const granite::dataset::StreamingSynthesisSource source(synthesis,
                                                           options);
-
-  granite::dataset::CorpusWriter writer(
-      out, tool, seed, static_cast<std::uint64_t>(shard_size));
-  for (std::size_t i = 0; i < source.size(); ++i) {
-    const granite::dataset::SampleView view = source.Get(i);
-    granite::dataset::Sample sample;
-    sample.block = *view.block;
-    sample.throughput = *view.throughput;
-    writer.Append(sample);
-    if (args.Bool("verbose") &&
-        (i + 1) % static_cast<std::size_t>(shard_size) == 0) {
-      std::printf("  %zu / %d blocks written\n", i + 1, num_blocks);
-    }
-  }
-  writer.Finish();
+  granite::dataset::SaveCorpus(source, out, tool, seed,
+                               static_cast<std::uint64_t>(shard_size));
 
   const granite::dataset::CorpusHeader header =
       granite::dataset::ReadCorpusHeader(out);
@@ -1316,8 +1303,7 @@ const std::vector<CommandSpec>& CommandTable() {
         Enum("tool", kTools, "ithemal", "label measurement convention"),
         Int("max-instructions", kSynthesizedMaxInstructions, {1, 256},
             "block length cap"),
-        Int("shard-size", kRecordsPerShard, kShardSize, "records per shard"),
-        Bool("verbose", false, "per-shard progress")},
+        Int("shard-size", kRecordsPerShard, kShardSize, "records per shard")},
        RunDatasetSynthesize},
       {"dataset import",
        "convert a BHive-style measured CSV into a checksummed corpus",
