@@ -140,6 +140,9 @@ std::optional<std::future<double>> InferenceServer::Submit(
   GRANITE_CHECK(block != nullptr);
   GRANITE_CHECK(task >= 0 && task < model_->num_tasks());
   Shard& shard = ShardFor(*block);
+  if (const auto unencodable = assembly::CheckEncodable(*block)) {
+    return FailUnencodable(shard, task, *unencodable);
+  }
   std::vector<ShedVictim> victims;
   bool wake = false;
   std::future<double> future;
@@ -172,8 +175,15 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
     GRANITE_CHECK(requests[i].block != nullptr);
     GRANITE_CHECK(requests[i].task >= 0 &&
                   requests[i].task < model_->num_tasks());
-    by_shard[uarch::BlockFingerprint(*requests[i].block) % shards_.size()]
-        .push_back(i);
+    const std::size_t s =
+        uarch::BlockFingerprint(*requests[i].block) % shards_.size();
+    if (const auto unencodable =
+            assembly::CheckEncodable(*requests[i].block)) {
+      futures[i] = FailUnencodable(*shards_[s], requests[i].task,
+                                   *unencodable);
+      continue;
+    }
+    by_shard[s].push_back(i);
   }
   for (std::size_t s = 0; s < by_shard.size(); ++s) {
     if (by_shard[s].empty()) continue;
@@ -197,6 +207,32 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
     if (wake) shard.queue_event.notify_one();
   }
   return futures;
+}
+
+std::optional<std::future<double>> InferenceServer::FailUnencodable(
+    Shard& shard, int task, const assembly::Unencodable& unencodable) {
+  const Clock::time_point start = Clock::now();
+  std::promise<double> promise;
+  {
+    std::scoped_lock lock(shard.mutex, shard.stats_mutex);
+    if (shard.stopping) {
+      ++shard.rejected;
+      return std::nullopt;
+    }
+    ++shard.submitted;
+    ++shard.completed;
+    ++shard.failed;
+    ++shard.unencodable;
+    const double latency_us =
+        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
+            Clock::now() - start)
+            .count();
+    shard.latency_us.Add(latency_us);
+    shard.task_latency_us[task].Add(latency_us);
+  }
+  promise.set_exception(
+      std::make_exception_ptr(UnencodableBlockError(unencodable)));
+  return promise.get_future();
 }
 
 double InferenceServer::Predict(const assembly::BasicBlock& block, int task) {
@@ -362,6 +398,7 @@ ServerStats InferenceServer::Stats() const {
   }
   Histogram latency_us{1.0, 1e8};
   std::vector<Histogram> task_latency_us;
+  std::uint64_t unencodable = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     stats.submitted += shard->submitted;
     stats.rejected += shard->rejected;
@@ -371,6 +408,7 @@ ServerStats InferenceServer::Stats() const {
     }
     stats.completed += shard->completed;
     stats.failed += shard->failed;
+    unencodable += shard->unencodable;
     stats.batches += shard->batches;
     stats.size_flushes += shard->size_flushes;
     stats.deadline_flushes += shard->deadline_flushes;
@@ -384,12 +422,13 @@ ServerStats InferenceServer::Stats() const {
       task_latency_us[task].Merge(shard->task_latency_us[task]);
     }
   }
-  // Every completed request went through exactly one batch, so the mean
-  // occupancy is completed / batches.
+  // Every completed request but the unencodable ones went through
+  // exactly one batch.
   stats.mean_batch_occupancy =
-      stats.batches == 0 ? 0.0
-                         : static_cast<double>(stats.completed) /
-                               static_cast<double>(stats.batches);
+      stats.batches == 0
+          ? 0.0
+          : static_cast<double>(stats.completed - unencodable) /
+                static_cast<double>(stats.batches);
   stats.qps = uptime_seconds <= 0.0
                   ? 0.0
                   : static_cast<double>(stats.completed) / uptime_seconds;

@@ -35,6 +35,12 @@
  * the overflow policy. Rejection (and shutdown) is reported as an empty
  * optional rather than an exception.
  *
+ * Encodability: Submit() runs assembly::CheckEncodable before it takes
+ * the shard lock. A block the catalog cannot encode never reaches a
+ * worker (whose graph encoder would abort on it); its future fails with
+ * UnencodableBlockError, and it is counted as submitted, completed and
+ * failed.
+ *
  * Hot model swap: UpdateModel() atomically publishes a new set of
  * parameter values *between* batches — it excludes in-flight forward
  * passes via a reader/writer lock, and the ParameterStore generation
@@ -61,6 +67,7 @@
 #include <vector>
 
 #include "asm/instruction.h"
+#include "asm/semantics.h"
 #include "base/statistics.h"
 #include "ml/parameter.h"
 #include "model/throughput_predictor.h"
@@ -116,6 +123,24 @@ class RequestShedError : public std::runtime_error {
   AdmissionClass admission_;
 };
 
+/**
+ * The exception an unencodable request's future throws from get(): its
+ * block has a mnemonic or an operand count that assembly::CheckEncodable
+ * refuses, so no worker ever saw it.
+ */
+class UnencodableBlockError : public std::runtime_error {
+ public:
+  explicit UnencodableBlockError(const assembly::Unencodable& unencodable)
+      : std::runtime_error("cannot encode block: " + unencodable.message),
+        reason_(unencodable.reason) {}
+
+  /** Why the catalog refused the block. */
+  assembly::UnencodableReason reason() const { return reason_; }
+
+ private:
+  assembly::UnencodableReason reason_;
+};
+
 /** Configuration of an InferenceServer. */
 struct InferenceServerConfig {
   /** Request queue + statistics shards; requests are partitioned across
@@ -160,13 +185,16 @@ struct TaskStats {
 struct ServerStats {
   /** Worker shards serving (and counting) independently. */
   std::uint64_t num_shards = 0;
-  /** Requests accepted into a shard queue. */
+  /** Requests accepted into a shard queue, plus unencodable requests
+   * (answered at once, never queued). */
   std::uint64_t submitted = 0;
-  /** Requests answered by a batch (their future is ready — with a value
-   * or, for the `failed` subset, with an exception). */
+  /** Requests answered by a batch or, unencodable, at submission (their
+   * future is ready — with a value or, for the `failed` subset, with an
+   * exception). */
   std::uint64_t completed = 0;
-  /** Answered requests whose batch's forward pass threw; their futures
-   * rethrow that exception from get(). Subset of `completed`. */
+  /** Answered requests whose batch's forward pass threw, or whose block
+   * was unencodable; their futures rethrow that exception (or throw
+   * UnencodableBlockError) from get(). Subset of `completed`. */
   std::uint64_t failed = 0;
   /** Requests turned away by backpressure or shutdown. */
   std::uint64_t rejected = 0;
@@ -249,9 +277,11 @@ class InferenceServer {
    * an empty optional when the request is rejected: shard queue full
    * under OverflowPolicy::kReject, or the server is (or goes) shut
    * down. The future throws RequestShedError from get() when the
-   * admission policy later evicted the request, and rethrows the
-   * batch's exception if its forward pass threw (e.g. bad_alloc).
-   * Thread-safe; locks only the target shard.
+   * admission policy later evicted the request, throws
+   * UnencodableBlockError when the catalog cannot encode `block` (the
+   * request is then never queued), and rethrows the batch's exception
+   * if its forward pass threw (e.g. bad_alloc). Thread-safe; locks only
+   * the target shard.
    */
   std::optional<std::future<double>> Submit(
       const assembly::BasicBlock* block, int task,
@@ -331,10 +361,10 @@ class InferenceServer {
    * counter sets, drained by one worker thread. `mutex` guards the
    * queue-side state (queue, stopping, submitted, rejected, shed);
    * `stats_mutex` guards the completion-side counters and histograms,
-   * recorded by this shard's worker.
-   * No thread ever holds two mutexes of the same shard, or
-   * any mutex of another shard, except Stats() which locks all shards
-   * in index order.
+   * recorded by this shard's worker (and by FailUnencodable).
+   * No thread ever holds a mutex of another shard, except Stats() which
+   * locks all shards in index order; FailUnencodable takes both of one
+   * shard's mutexes together (std::scoped_lock).
    */
   struct Shard {
     std::mutex mutex;
@@ -352,6 +382,9 @@ class InferenceServer {
     std::mutex stats_mutex;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
+    /** Completed requests that failed as unencodable, outside any batch
+     * (subset of `failed`). */
+    std::uint64_t unencodable = 0;
     std::uint64_t batches = 0;
     std::uint64_t size_flushes = 0;
     std::uint64_t deadline_flushes = 0;
@@ -388,6 +421,16 @@ class InferenceServer {
                      AdmissionClass admission,
                      std::vector<ShedVictim>& victims, bool& wake,
                      std::future<double>& future);
+
+  /**
+   * Answers a request for an unencodable block without queueing it: its
+   * future fails with UnencodableBlockError, and it is counted as
+   * submitted, completed and failed under both shard locks at once, so
+   * no stats read sees it in flight. Returns an empty optional (counted
+   * as rejected) when the shard is shutting down.
+   */
+  std::optional<std::future<double>> FailUnencodable(
+      Shard& shard, int task, const assembly::Unencodable& unencodable);
 
   /** Worker thread: waits for a flush condition on its shard, drains
    * one batch at a time. Every check happens under shard.mutex inside

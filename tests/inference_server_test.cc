@@ -2,8 +2,9 @@
  * @file
  * Concurrency suite for serve::InferenceServer: batching-window
  * semantics (size-flush vs deadline-flush), mixed-task coalescing,
- * backpressure under both overflow policies, shutdown draining, and hot
- * model swap under traffic.
+ * backpressure under both overflow policies, shutdown draining, hot
+ * model swap under traffic, and unencodable blocks failing only their
+ * own futures.
  *
  * Synchronization discipline: no sleeps-as-sync anywhere. Tests rely on
  * futures (which block until the server answers), on flush conditions
@@ -20,12 +21,14 @@
 #include <thread>
 #include <vector>
 
+#include "asm/parser.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
 #include "gtest/gtest.h"
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
 #include "serve/inference_server.h"
+#include "serve/model_router.h"
 
 namespace granite::serve {
 namespace {
@@ -64,6 +67,38 @@ class InferenceServerTest : public ::testing::Test {
   graph::Vocabulary vocabulary_;
   std::vector<assembly::BasicBlock> blocks_;
 };
+
+/** Blocks that parse but that the catalog cannot encode: an operand
+ * count ADD does not have, and a mnemonic it does not know. */
+assembly::BasicBlock ParseUnencodable(const char* text) {
+  return *assembly::ParseBasicBlock(text).value;
+}
+
+/** The reason `future` fails with UnencodableBlockError, or nullopt when
+ * it answers or fails otherwise. */
+std::optional<assembly::UnencodableReason> UnencodableReasonOf(
+    std::future<double>& future) {
+  try {
+    future.get();
+  } catch (const UnencodableBlockError& error) {
+    return error.reason();
+  } catch (...) {
+  }
+  return std::nullopt;
+}
+
+/** The counters every stats read must keep consistent: nothing is
+ * completed or shed that was not submitted, failures are completions,
+ * and the per-task completions add up to the total. */
+void ExpectCoherentCounters(const ServerStats& stats) {
+  EXPECT_GE(stats.submitted, stats.completed + stats.shed);
+  EXPECT_LE(stats.failed, stats.completed);
+  std::uint64_t per_task = 0;
+  for (const TaskStats& task_stats : stats.per_task) {
+    per_task += task_stats.completed;
+  }
+  EXPECT_EQ(per_task, stats.completed);
+}
 
 TEST_F(InferenceServerTest, ServesASingleRequest) {
   core::GraniteModel model(&vocabulary_, TinyConfig());
@@ -645,6 +680,125 @@ TEST_F(InferenceServerTest, EqualPriorityTrafficIsNeverDisplaced) {
   EXPECT_EQ(server.Stats().rejected, 1u);
   server.Shutdown();
   EXPECT_NO_THROW(queued->get());
+}
+
+TEST_F(InferenceServerTest, UnencodableSubmitFailsItsFutureWithoutABatch) {
+  core::GraniteModel model(&vocabulary_, TinyConfig());
+  const std::vector<double> expected = ExpectedAlone(model, 0);
+  InferenceServerConfig config;
+  config.num_workers = 2;
+  config.batch_window = microseconds{100};
+  InferenceServer server(&model, config);
+
+  const assembly::BasicBlock arity = ParseUnencodable("ADD RAX");
+  const assembly::BasicBlock unknown = ParseUnencodable("FROB RAX");
+  std::optional<std::future<double>> future = server.Submit(&arity, 0);
+  ASSERT_TRUE(future.has_value());
+  EXPECT_EQ(UnencodableReasonOf(*future),
+            assembly::UnencodableReason::kUnsupportedArity);
+  future = server.Submit(&unknown, 0);
+  ASSERT_TRUE(future.has_value());
+  EXPECT_EQ(UnencodableReasonOf(*future),
+            assembly::UnencodableReason::kUnknownMnemonic);
+  // Counted as answered the moment Submit returns, and no worker ran a
+  // batch for either.
+  ServerStats stats = server.Stats();
+  ExpectCoherentCounters(stats);
+  EXPECT_EQ(stats.submitted, 2u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.mean_batch_occupancy, 0.0);
+
+  // The server keeps serving, and a concurrent stats reader never sees
+  // the counters out of step.
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) ExpectCoherentCounters(server.Stats());
+  });
+  for (int round = 0; round < 20; ++round) {
+    future = server.Submit(round % 2 == 0 ? &arity : &unknown, 0);
+    ASSERT_TRUE(future.has_value());
+    EXPECT_TRUE(UnencodableReasonOf(*future).has_value());
+    const std::size_t i = round % blocks_.size();
+    EXPECT_EQ(server.Predict(blocks_[i], 0), expected[i]);
+  }
+  done.store(true);
+  reader.join();
+  stats = server.Stats();
+  ExpectCoherentCounters(stats);
+  EXPECT_EQ(stats.submitted, 42u);
+  EXPECT_EQ(stats.completed, 42u);
+  EXPECT_EQ(stats.failed, 22u);
+  EXPECT_EQ(stats.mean_batch_occupancy, 20.0 / stats.batches);
+
+  // After shutdown an unencodable block is rejected like any other.
+  server.Shutdown();
+  EXPECT_FALSE(server.Submit(&arity, 0).has_value());
+  EXPECT_EQ(server.Stats().rejected, 1u);
+}
+
+TEST_F(InferenceServerTest, SubmitManyFailsOnlyTheUnencodableEntries) {
+  core::GraniteModel model(&vocabulary_, TinyConfig());
+  const std::vector<double> expected = ExpectedAlone(model, 0);
+  InferenceServerConfig config;
+  config.num_workers = 2;
+  config.batch_window = microseconds{200};
+  InferenceServer server(&model, config);
+
+  const assembly::BasicBlock arity = ParseUnencodable("ADD RAX");
+  const assembly::BasicBlock unknown = ParseUnencodable("FROB RAX");
+  // Eight good blocks with an unencodable one after every second.
+  std::vector<BatchSubmitRequest> requests;
+  for (std::size_t i = 0; i < 8; ++i) {
+    requests.push_back(BatchSubmitRequest{&blocks_[i], 0});
+    if (i % 2 == 1) {
+      requests.push_back(BatchSubmitRequest{i % 4 == 1 ? &arity : &unknown, 0});
+    }
+  }
+  std::vector<std::optional<std::future<double>>> futures =
+      server.SubmitMany(requests);
+  ASSERT_EQ(futures.size(), requests.size());
+  std::size_t good = 0;
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    ASSERT_TRUE(futures[k].has_value()) << k;
+    if (requests[k].block == &arity) {
+      EXPECT_EQ(UnencodableReasonOf(*futures[k]),
+                assembly::UnencodableReason::kUnsupportedArity);
+    } else if (requests[k].block == &unknown) {
+      EXPECT_EQ(UnencodableReasonOf(*futures[k]),
+                assembly::UnencodableReason::kUnknownMnemonic);
+    } else {
+      EXPECT_EQ(futures[k]->get(), expected[good]) << k;
+      ++good;
+    }
+  }
+  EXPECT_EQ(good, 8u);
+  server.Shutdown();
+  const ServerStats stats = server.Stats();
+  ExpectCoherentCounters(stats);
+  EXPECT_EQ(stats.submitted, 12u);
+  EXPECT_EQ(stats.completed, 12u);
+  EXPECT_EQ(stats.failed, 4u);
+}
+
+TEST_F(InferenceServerTest, RouterPassesTheUnencodableErrorThrough) {
+  ModelRouter router;
+  router.AddModel("granite", std::make_unique<core::GraniteModel>(
+                                 &vocabulary_, TinyConfig()));
+  const assembly::BasicBlock arity = ParseUnencodable("ADD RAX");
+  std::optional<std::future<double>> future =
+      router.Submit("granite", &arity, 0);
+  ASSERT_TRUE(future.has_value());
+  EXPECT_EQ(UnencodableReasonOf(*future),
+            assembly::UnencodableReason::kUnsupportedArity);
+  const double answer = router.Predict("granite", blocks_[0], 0);
+  EXPECT_EQ(answer, router.Predict("granite", blocks_[0], 0));
+  const ServerStats stats = router.Stats("granite");
+  ExpectCoherentCounters(stats);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.failed, 1u);
 }
 
 TEST_F(InferenceServerTest, StatsReportCoherentLatencyPercentiles) {
