@@ -21,7 +21,10 @@
  *      of autotune search and the per-record costs of corpus write;
  *      and GraniteModel::EncodeBlocks over the same blocks in batches
  *      of 16: ns per block, the encoding cost of every training
- *      sample, cold served request and autotune candidate.
+ *      sample, cold served request and autotune candidate. Then
+ *      uarch::MeasureOnAllUarchs over the same blocks: µs per block
+ *      for the oracle labels of all three microarchitectures, the stage
+ *      that dominates phase 1's synthesize+write.
  *
  * Peak RSS (VmHWM) is reported on Linux as a bounded-memory sanity
  * check: it must track the shard window, not the corpus size.
@@ -287,15 +290,31 @@ void Run(int argc, char** argv) {
     }
     const double encode_ns = 1e9 * SecondsSince(start) / items;
 
+    double label_sum = 0.0;
+    start = Clock::now();
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const assembly::BasicBlock& block : blocks) {
+        for (const double label :
+             uarch::MeasureOnAllUarchs(block, synthesis.tool)) {
+          label_sum += label;
+        }
+      }
+    }
+    const double label_us = 1e6 * SecondsSince(start) / items;
+
     std::printf("canonical text:   %6.0f ns print  %6.0f ns fingerprint  "
                 "%6.2f us parse  %6.0f ns encode per block  (%zu blocks "
                 "x %d, checksum %zx)\n",
                 print_ns, fingerprint_ns, parse_us, encode_ns, blocks.size(),
                 passes, checksum);
+    std::printf("oracle labels:    %6.2f us per block, all %d "
+                "microarchitectures  (label sum %.6g)\n",
+                label_us, uarch::kNumMicroarchitectures, label_sum);
     RecordMetric("dataset_io.asm.print_ns_per_block", print_ns);
     RecordMetric("dataset_io.asm.fingerprint_ns_per_block", fingerprint_ns);
     RecordMetric("dataset_io.asm.parse_us_per_block", parse_us);
     RecordMetric("dataset_io.graph.encode_ns_per_block", encode_ns);
+    RecordMetric("dataset_io.uarch.label_us_per_block", label_us);
   }
 
   std::error_code ignored;

@@ -507,6 +507,17 @@ bool DataFlow::WritesRegister(Register canonical) const {
 
 DataFlow DataFlowFor(const Instruction& instruction) {
   DataFlow flow;
+  DataFlowFor(instruction, &flow);
+  return flow;
+}
+
+void DataFlowFor(const Instruction& instruction, DataFlow* out) {
+  DataFlow& flow = *out;
+  flow.register_reads.clear();
+  flow.address_reads.clear();
+  flow.register_writes.clear();
+  flow.memory_reads.clear();
+  flow.memory_writes.clear();
   flow.semantics = &SemanticsCatalog::Get().Require(instruction.mnemonic);
   const InstructionSemantics& semantics = *flow.semantics;
   const std::vector<OperandUsage>& usage =
@@ -564,7 +575,6 @@ DataFlow DataFlowFor(const Instruction& instruction) {
     AddCanonical(flow.register_reads, rcx);
     AddCanonical(flow.register_writes, rcx);
   }
-  return flow;
 }
 
 bool ImplicitOperandsApply(const InstructionSemantics& semantics,

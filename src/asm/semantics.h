@@ -247,6 +247,11 @@ struct DataFlow {
  */
 DataFlow DataFlowFor(const Instruction& instruction);
 
+/** Like DataFlowFor, decoding into `*flow` and reusing the capacity of
+ * its lists, so a caller that keeps one DataFlow per slot decodes
+ * without allocating. */
+void DataFlowFor(const Instruction& instruction, DataFlow* flow);
+
 /**
  * True when the implicit register operands of `semantics` apply to an
  * instruction with `operand_count` explicit operands. This is false only

@@ -1,6 +1,7 @@
 #include "dataset/batch_pipeline.h"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "base/logging.h"
@@ -83,12 +84,24 @@ PrefetchingBatchPipeline::~PrefetchingBatchPipeline() {
 void PrefetchingBatchPipeline::ProducerLoop() {
   for (;;) {
     // Sampling and encoding run outside the lock; the sampler is only
-    // ever touched by this thread.
-    PreparedBatch batch =
-        PrepareBatch(*source_, sampler_.NextBatch(), num_shards_, encode_);
+    // ever touched by this thread. A failure (say, a CorpusError from a
+    // streaming source's Get) is handed to Next() and ends production.
+    std::optional<PreparedBatch> batch;
+    std::exception_ptr error;
+    try {
+      batch =
+          PrepareBatch(*source_, sampler_.NextBatch(), num_shards_, encode_);
+    } catch (...) {
+      error = std::current_exception();
+    }
     std::unique_lock<std::mutex> lock(mutex_);
     slot_emptied_.wait(lock, [this] { return stop_ || !slot_.has_value(); });
     if (stop_) return;
+    if (error != nullptr) {
+      error_ = error;
+      slot_filled_.notify_all();
+      return;
+    }
     slot_ = std::move(batch);
     slot_filled_.notify_all();
   }
@@ -96,7 +109,9 @@ void PrefetchingBatchPipeline::ProducerLoop() {
 
 PreparedBatch PrefetchingBatchPipeline::Next() {
   std::unique_lock<std::mutex> lock(mutex_);
-  slot_filled_.wait(lock, [this] { return slot_.has_value(); });
+  slot_filled_.wait(lock,
+                    [this] { return slot_.has_value() || error_ != nullptr; });
+  if (!slot_.has_value()) std::rethrow_exception(error_);
   PreparedBatch batch = std::move(*slot_);
   slot_.reset();
   slot_emptied_.notify_all();

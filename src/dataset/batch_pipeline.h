@@ -14,6 +14,7 @@
 #define GRANITE_DATASET_BATCH_PIPELINE_H_
 
 #include <condition_variable>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -88,7 +89,10 @@ class PrefetchingBatchPipeline {
   PrefetchingBatchPipeline& operator=(const PrefetchingBatchPipeline&) =
       delete;
 
-  /** Blocks until the prefetched batch is ready and returns it. */
+  /** Blocks until the prefetched batch is ready and returns it. When
+   * building a batch threw (e.g. a CorpusError from the source's Get),
+   * rethrows that exception instead, on this and every later call; the
+   * producer stops at the failure. */
   PreparedBatch Next();
 
  private:
@@ -103,6 +107,8 @@ class PrefetchingBatchPipeline {
   std::condition_variable slot_filled_;
   std::condition_variable slot_emptied_;
   std::optional<PreparedBatch> slot_;
+  /** What building the batch after the last slotted one threw. */
+  std::exception_ptr error_;
   bool stop_ = false;
   std::thread producer_;
 };

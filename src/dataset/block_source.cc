@@ -105,18 +105,6 @@ class FingerprintSet {
   bool has_empty_key_ = false;
 };
 
-/** Measures `block` on every microarchitecture with `tool`. */
-std::array<double, uarch::kNumMicroarchitectures> MeasureOnAllUarchs(
-    const assembly::BasicBlock& block, uarch::MeasurementTool tool) {
-  std::array<double, uarch::kNumMicroarchitectures> throughput = {};
-  for (const uarch::Microarchitecture microarchitecture :
-       uarch::AllMicroarchitectures()) {
-    throughput[static_cast<int>(microarchitecture)] =
-        uarch::MeasureThroughput(block, microarchitecture, tool);
-  }
-  return throughput;
-}
-
 /** Options that plan `num_blocks` samples as a single shard. */
 StreamingSynthesisOptions OneShard(std::size_t num_blocks) {
   StreamingSynthesisOptions options;
@@ -187,7 +175,7 @@ std::vector<Sample> StreamingSynthesisSource::LoadShard(
     Sample sample;
     sample.block = generator.Generate();
     if (!accepted) continue;
-    sample.throughput = MeasureOnAllUarchs(sample.block, config_.tool);
+    sample.throughput = uarch::MeasureOnAllUarchs(sample.block, config_.tool);
     shard.push_back(std::move(sample));
   }
   return shard;
@@ -204,7 +192,7 @@ Dataset RelabelDataset(const BlockSource& dataset,
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     const SampleView view = dataset.Get(i);
     samples.push_back(
-        Sample{*view.block, MeasureOnAllUarchs(*view.block, tool)});
+        Sample{*view.block, uarch::MeasureOnAllUarchs(*view.block, tool)});
   }
   return Dataset(std::move(samples));
 }

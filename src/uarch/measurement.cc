@@ -43,15 +43,15 @@ uint64_t BlockFingerprint(const assembly::BasicBlock& block) {
   return Fnv1a(kFnvOffsetBasis, block.ToString());
 }
 
-double MeasureThroughput(const assembly::BasicBlock& block,
-                         Microarchitecture microarchitecture,
-                         MeasurementTool tool) {
-  const ThroughputModel model(microarchitecture);
-  const double cycles = model.CyclesPerIteration(block);
-  const MeasurementToolParams& params = GetMeasurementToolParams(tool);
+namespace {
 
-  // Deterministic noise: seeded by (block, microarchitecture, tool).
-  const uint64_t seed = BlockFingerprint(block) ^
+/** The tool model applied to the oracle's `cycles` for a block whose
+ * fingerprint is `fingerprint`: gain, offset and a deterministic noise
+ * term seeded by (block, microarchitecture, tool). */
+double ApplyTool(double cycles, uint64_t fingerprint,
+                 Microarchitecture microarchitecture, MeasurementTool tool) {
+  const MeasurementToolParams& params = GetMeasurementToolParams(tool);
+  const uint64_t seed = fingerprint ^
                         (static_cast<uint64_t>(microarchitecture) << 56) ^
                         (static_cast<uint64_t>(tool) << 48);
   Rng rng(seed);
@@ -61,6 +61,30 @@ double MeasureThroughput(const assembly::BasicBlock& block,
   // Throughput values are reported per 100 iterations of the block
   // (paper §4 and Table 9 caption).
   return measured * 100.0;
+}
+
+}  // namespace
+
+double MeasureThroughput(const assembly::BasicBlock& block,
+                         Microarchitecture microarchitecture,
+                         MeasurementTool tool) {
+  const ThroughputModel model(microarchitecture);
+  return ApplyTool(model.CyclesPerIteration(block), BlockFingerprint(block),
+                   microarchitecture, tool);
+}
+
+std::array<double, kNumMicroarchitectures> MeasureOnAllUarchs(
+    const assembly::BasicBlock& block, MeasurementTool tool) {
+  const std::array<ThroughputBreakdown, kNumMicroarchitectures> breakdowns =
+      EstimateOnAllUarchs(block);
+  const uint64_t fingerprint = BlockFingerprint(block);
+  std::array<double, kNumMicroarchitectures> throughput = {};
+  for (const Microarchitecture microarchitecture : AllMicroarchitectures()) {
+    const int m = static_cast<int>(microarchitecture);
+    throughput[m] = ApplyTool(breakdowns[m].cycles_per_iteration,
+                              fingerprint, microarchitecture, tool);
+  }
+  return throughput;
 }
 
 }  // namespace granite::uarch

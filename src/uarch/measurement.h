@@ -24,6 +24,8 @@
 #ifndef GRANITE_UARCH_MEASUREMENT_H_
 #define GRANITE_UARCH_MEASUREMENT_H_
 
+#include <array>
+#include <cstdint>
 #include <string_view>
 
 #include "asm/instruction.h"
@@ -60,6 +62,15 @@ const MeasurementToolParams& GetMeasurementToolParams(MeasurementTool tool);
 double MeasureThroughput(const assembly::BasicBlock& block,
                          Microarchitecture microarchitecture,
                          MeasurementTool tool);
+
+/**
+ * MeasureThroughput of `block` with `tool` on every microarchitecture,
+ * indexed by enum value: one oracle decode (EstimateOnAllUarchs) and
+ * one fingerprint serve all of them. The dataset layer labels every
+ * sample with this.
+ */
+std::array<double, kNumMicroarchitectures> MeasureOnAllUarchs(
+    const assembly::BasicBlock& block, MeasurementTool tool);
 
 /**
  * Deterministic 64-bit fingerprint of a basic block's textual form, used

@@ -1,10 +1,9 @@
 #include "uarch/throughput_model.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
 #include <vector>
 
+#include "asm/registers.h"
 #include "asm/semantics.h"
 #include "base/logging.h"
 
@@ -16,81 +15,84 @@ using assembly::DataFlow;
 using assembly::Instruction;
 using assembly::Register;
 
-/** One schedulable uop: a weight of 1 on any port of `ports`. */
-struct Uop {
-  PortSet ports;
-};
+/** PortSet is a 32-bit mask, so no table has more ports than this. */
+constexpr int kMaxPorts = 32;
 
-/** Data-flow and uop summary of one instruction for the simulator. */
-struct InstructionProfile {
+/** The microarchitecture-independent part of one instruction: its data
+ * flow and the prefix effects that add to its cost. */
+struct DecodedInstruction {
   DataFlow flow;
-  int compute_latency = 1;
-  int num_uops = 0;       // total for the front-end bound
-  std::vector<Uop> uops;  // only uops that occupy an execution port
+  bool lock = false;
+  /** A REP prefix on a string operation. */
+  bool rep_string = false;
 };
 
-/** Builds the data-flow and uop profile of one instruction. */
-InstructionProfile BuildProfile(const Instruction& instruction,
-                                const UarchParams& params) {
-  InstructionProfile profile;
-  profile.flow = assembly::DataFlowFor(instruction);
-  const CategoryTiming& timing =
-      params.TimingFor(profile.flow.semantics->category);
-  profile.compute_latency = timing.latency;
+/**
+ * One thread's working memory. A block is decoded into `decoded` once;
+ * each microarchitecture's estimate then rebuilds the remaining vectors
+ * from that decode. Every vector keeps its capacity across calls, so a
+ * thread that has seen a block of a given shape estimates the next one
+ * without allocating.
+ */
+struct Scratch {
+  /** The first `num_instructions` entries are the current block;
+   * entries past it keep their lists' capacity for longer blocks. */
+  std::vector<DecodedInstruction> decoded;
+  std::size_t num_instructions = 0;
+  /** Compute latency per instruction, prefix costs included. */
+  std::vector<int> latencies;
+  /** Port set of every uop that occupies an execution port, in
+   * instruction order. */
+  std::vector<PortSet> uops;
+  /** Per-port load each uop contributes, uops.size() x num_ports. */
+  std::vector<double> contributions;
+  /** Ready time per register id. Every stored time is >= 0 and every
+   * max over reads starts at 0.0, so a register never written reads as
+   * 0.0 without changing any result. */
+  std::vector<double> register_ready;
+};
 
-  // Compute uops.
-  for (int u = 0; u < timing.compute_uops; ++u) {
-    if (!timing.compute_ports.empty()) {
-      profile.uops.push_back(Uop{timing.compute_ports});
-    }
-  }
-  profile.num_uops = timing.compute_uops;
+Scratch& ThreadScratch() {
+  thread_local Scratch scratch;
+  return scratch;
+}
 
-  // Memory access uops.
-  for (std::size_t l = 0; l < profile.flow.memory_reads.size(); ++l) {
-    profile.uops.push_back(Uop{params.load_ports});
-    ++profile.num_uops;
+/** Decodes the data flow and prefixes of every instruction of `block`
+ * into `scratch`. */
+void Decode(const BasicBlock& block, Scratch& scratch) {
+  const std::size_t n = block.instructions.size();
+  if (scratch.decoded.size() < n) scratch.decoded.resize(n);
+  scratch.num_instructions = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Instruction& instruction = block.instructions[i];
+    DecodedInstruction& decoded = scratch.decoded[i];
+    assembly::DataFlowFor(instruction, &decoded.flow);
+    decoded.lock = instruction.HasPrefix("LOCK");
+    decoded.rep_string =
+        instruction.HasRepPrefix() && decoded.flow.semantics->is_string_op;
   }
-  for (std::size_t s = 0; s < profile.flow.memory_writes.size(); ++s) {
-    profile.uops.push_back(Uop{params.store_address_ports});
-    profile.uops.push_back(Uop{params.store_data_ports});
-    profile.num_uops += 2;
-  }
-
-  // Prefix effects. A LOCK prefix serializes the read-modify-write; REP
-  // turns a string operation into a micro-coded loop (DataFlowFor adds
-  // its RCX count). Both are modeled with flat cost increments, which is
-  // what a measurement of a short fixed-count string operation looks
-  // like.
-  if (instruction.HasPrefix("LOCK")) {
-    profile.compute_latency += 16;
-    profile.num_uops += 2;
-  }
-  if (instruction.HasRepPrefix() && profile.flow.semantics->is_string_op) {
-    profile.compute_latency += 24;
-    profile.num_uops += 12;
-  }
-  return profile;
 }
 
 /**
- * Distributes `weight` uops over the ports in `ports` so the resulting
- * maximum load is minimized (water-filling), updating `loads` and
- * recording the per-port contribution in `contribution`.
+ * Distributes `weight` uops over the first `num_ports` ports that are in
+ * `ports` so the resulting maximum load is minimized (water-filling),
+ * updating `loads` and recording the per-port contribution in
+ * `contribution`.
  */
-void WaterFill(const PortSet& ports, double weight, std::vector<double>& loads,
-               std::vector<double>& contribution) {
-  std::vector<int> port_list;
-  for (int p = 0; p < static_cast<int>(loads.size()); ++p) {
-    if (ports.Contains(p)) port_list.push_back(p);
+void WaterFill(PortSet ports, double weight, int num_ports, double* loads,
+               double* contribution) {
+  int port_list[kMaxPorts];
+  std::size_t count = 0;
+  for (int p = 0; p < num_ports; ++p) {
+    if (ports.Contains(p)) port_list[count++] = p;
   }
-  GRANITE_CHECK(!port_list.empty());
-  std::sort(port_list.begin(), port_list.end(),
-            [&loads](int a, int b) { return loads[a] < loads[b]; });
+  GRANITE_CHECK(count > 0);
+  std::sort(port_list, port_list + count,
+            [loads](int a, int b) { return loads[a] < loads[b]; });
   double remaining = weight;
   // Raise the lowest-loaded ports to the level of the next one until the
   // weight is exhausted, then spread the rest evenly.
-  for (std::size_t k = 0; k + 1 < port_list.size() && remaining > 0.0; ++k) {
+  for (std::size_t k = 0; k + 1 < count && remaining > 0.0; ++k) {
     const double level_gap =
         loads[port_list[k + 1]] - loads[port_list[k]];
     const double capacity = level_gap * static_cast<double>(k + 1);
@@ -103,38 +105,46 @@ void WaterFill(const PortSet& ports, double weight, std::vector<double>& loads,
     remaining -= used;
   }
   if (remaining > 0.0) {
-    const double per_port = remaining / static_cast<double>(port_list.size());
-    for (int p : port_list) {
-      loads[p] += per_port;
-      contribution[p] += per_port;
+    const double per_port = remaining / static_cast<double>(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      loads[port_list[j]] += per_port;
+      contribution[port_list[j]] += per_port;
     }
   }
 }
 
-/** Computes the port-pressure bound by iterative rebalancing. */
-double PortPressureBound(const std::vector<InstructionProfile>& profiles,
-                         int num_ports) {
-  std::vector<const Uop*> uops;
-  for (const InstructionProfile& profile : profiles) {
-    for (const Uop& uop : profile.uops) uops.push_back(&uop);
-  }
-  if (uops.empty()) return 0.0;
-  std::vector<double> loads(num_ports, 0.0);
-  std::vector<std::vector<double>> contributions(
-      uops.size(), std::vector<double>(num_ports, 0.0));
+/** Computes the port-pressure bound of `scratch.uops` by iterative
+ * rebalancing. */
+double PortPressureBound(Scratch& scratch, int num_ports) {
+  const std::size_t num_uops = scratch.uops.size();
+  if (num_uops == 0) return 0.0;
+  double loads[kMaxPorts] = {};
+  const std::size_t stride = static_cast<std::size_t>(num_ports);
+  scratch.contributions.assign(num_uops * stride, 0.0);
   // A few relaxation sweeps: remove one uop's assignment, re-water-fill it
   // against the remaining load. Converges quickly in practice.
   constexpr int kSweeps = 4;
   for (int sweep = 0; sweep < kSweeps; ++sweep) {
-    for (std::size_t i = 0; i < uops.size(); ++i) {
+    for (std::size_t i = 0; i < num_uops; ++i) {
+      double* contribution = scratch.contributions.data() + i * stride;
       for (int p = 0; p < num_ports; ++p) {
-        loads[p] -= contributions[i][p];
-        contributions[i][p] = 0.0;
+        loads[p] -= contribution[p];
+        contribution[p] = 0.0;
       }
-      WaterFill(uops[i]->ports, 1.0, loads, contributions[i]);
+      WaterFill(scratch.uops[i], 1.0, num_ports, loads, contribution);
     }
   }
-  return *std::max_element(loads.begin(), loads.end());
+  return *std::max_element(loads, loads + num_ports);
+}
+
+/** The latest ready time of `registers`, or 0.0 when none was written. */
+double ReadyTime(const std::vector<Register>& registers,
+                 const std::vector<double>& register_ready) {
+  double ready = 0.0;
+  for (const Register reg : registers) {
+    ready = std::max(ready, register_ready[reg]);
+  }
+  return ready;
 }
 
 /**
@@ -142,37 +152,26 @@ double PortPressureBound(const std::vector<InstructionProfile>& profiles,
  * execution resources. Returns the average critical-path growth per
  * iteration once the recurrence reaches steady state.
  */
-double DependencyBound(const std::vector<InstructionProfile>& profiles,
-                       const UarchParams& params) {
+double DependencyBound(Scratch& scratch, const UarchParams& params) {
   constexpr int kWarmupIterations = 16;
   constexpr int kMeasuredIterations = 16;
   constexpr int kTotalIterations = kWarmupIterations + kMeasuredIterations;
 
-  std::unordered_map<Register, double> register_ready;
+  std::vector<double>& register_ready = scratch.register_ready;
+  register_ready.assign(assembly::RegisterTable().size(), 0.0);
   double memory_ready = 0.0;
   bool memory_written = false;
   double frontier = 0.0;
   double frontier_after_warmup = 0.0;
 
   for (int iteration = 0; iteration < kTotalIterations; ++iteration) {
-    for (const InstructionProfile& profile : profiles) {
-      const DataFlow& flow = profile.flow;
+    for (std::size_t i = 0; i < scratch.num_instructions; ++i) {
+      const DataFlow& flow = scratch.decoded[i].flow;
       const bool reads_memory = !flow.memory_reads.empty();
-      double inputs_ready = 0.0;
-      for (Register reg : flow.register_reads) {
-        const auto it = register_ready.find(reg);
-        if (it != register_ready.end()) {
-          inputs_ready = std::max(inputs_ready, it->second);
-        }
-      }
+      double inputs_ready = ReadyTime(flow.register_reads, register_ready);
       if (reads_memory || !flow.address_reads.empty()) {
-        double address_ready = 0.0;
-        for (Register reg : flow.address_reads) {
-          const auto it = register_ready.find(reg);
-          if (it != register_ready.end()) {
-            address_ready = std::max(address_ready, it->second);
-          }
-        }
+        const double address_ready =
+            ReadyTime(flow.address_reads, register_ready);
         if (reads_memory) {
           // The loaded value is ready a load-latency after the address; a
           // pending store to the (conservatively aliased) memory value
@@ -188,8 +187,8 @@ double DependencyBound(const std::vector<InstructionProfile>& profiles,
           inputs_ready = std::max(inputs_ready, address_ready);
         }
       }
-      const double result_time = inputs_ready + profile.compute_latency;
-      for (Register reg : flow.register_writes) {
+      const double result_time = inputs_ready + scratch.latencies[i];
+      for (const Register reg : flow.register_writes) {
         register_ready[reg] = result_time;
       }
       if (!flow.memory_writes.empty()) {
@@ -204,27 +203,59 @@ double DependencyBound(const std::vector<InstructionProfile>& profiles,
          static_cast<double>(kMeasuredIterations);
 }
 
-}  // namespace
-
-ThroughputModel::ThroughputModel(Microarchitecture microarchitecture)
-    : microarchitecture_(microarchitecture),
-      params_(GetUarchParams(microarchitecture)) {}
-
-ThroughputBreakdown ThroughputModel::Estimate(const BasicBlock& block) const {
-  std::vector<InstructionProfile> profiles;
-  profiles.reserve(block.instructions.size());
+/** Estimates the block decoded in `scratch` on the microarchitecture
+ * `params` describes. */
+ThroughputBreakdown EstimateDecoded(Scratch& scratch,
+                                    const UarchParams& params) {
+  GRANITE_CHECK_LE(params.num_ports, kMaxPorts);
+  scratch.latencies.clear();
+  scratch.uops.clear();
   int total_uops = 0;
-  for (const Instruction& instruction : block.instructions) {
-    profiles.push_back(BuildProfile(instruction, params_));
-    total_uops += profiles.back().num_uops;
+  for (std::size_t i = 0; i < scratch.num_instructions; ++i) {
+    const DecodedInstruction& decoded = scratch.decoded[i];
+    const CategoryTiming& timing =
+        params.TimingFor(decoded.flow.semantics->category);
+    int latency = timing.latency;
+    int num_uops = timing.compute_uops;
+    if (!timing.compute_ports.empty()) {
+      for (int u = 0; u < timing.compute_uops; ++u) {
+        scratch.uops.push_back(timing.compute_ports);
+      }
+    }
+    // Memory access uops.
+    const std::size_t loads = decoded.flow.memory_reads.size();
+    const std::size_t stores = decoded.flow.memory_writes.size();
+    for (std::size_t l = 0; l < loads; ++l) {
+      scratch.uops.push_back(params.load_ports);
+    }
+    for (std::size_t s = 0; s < stores; ++s) {
+      scratch.uops.push_back(params.store_address_ports);
+      scratch.uops.push_back(params.store_data_ports);
+    }
+    num_uops += static_cast<int>(loads + 2 * stores);
+    // Prefix effects. A LOCK prefix serializes the read-modify-write; REP
+    // turns a string operation into a micro-coded loop (DataFlowFor adds
+    // its RCX count). Both are modeled with flat cost increments, which
+    // is what a measurement of a short fixed-count string operation looks
+    // like.
+    if (decoded.lock) {
+      latency += 16;
+      num_uops += 2;
+    }
+    if (decoded.rep_string) {
+      latency += 24;
+      num_uops += 12;
+    }
+    scratch.latencies.push_back(latency);
+    total_uops += num_uops;
   }
 
   ThroughputBreakdown breakdown;
   breakdown.total_uops = total_uops;
   breakdown.frontend_bound =
-      static_cast<double>(total_uops) / params_.issue_width;
-  breakdown.port_bound = PortPressureBound(profiles, params_.num_ports);
-  breakdown.dependency_bound = DependencyBound(profiles, params_);
+      static_cast<double>(total_uops) / params.issue_width;
+  breakdown.port_bound = PortPressureBound(scratch, params.num_ports);
+  breakdown.dependency_bound = DependencyBound(scratch, params);
   breakdown.cycles_per_iteration =
       std::max({breakdown.frontend_bound, breakdown.port_bound,
                 breakdown.dependency_bound});
@@ -235,8 +266,32 @@ ThroughputBreakdown ThroughputModel::Estimate(const BasicBlock& block) const {
   return breakdown;
 }
 
+}  // namespace
+
+ThroughputModel::ThroughputModel(Microarchitecture microarchitecture)
+    : microarchitecture_(microarchitecture),
+      params_(GetUarchParams(microarchitecture)) {}
+
+ThroughputBreakdown ThroughputModel::Estimate(const BasicBlock& block) const {
+  Scratch& scratch = ThreadScratch();
+  Decode(block, scratch);
+  return EstimateDecoded(scratch, params_);
+}
+
 double ThroughputModel::CyclesPerIteration(const BasicBlock& block) const {
   return Estimate(block).cycles_per_iteration;
+}
+
+std::array<ThroughputBreakdown, kNumMicroarchitectures> EstimateOnAllUarchs(
+    const BasicBlock& block) {
+  Scratch& scratch = ThreadScratch();
+  Decode(block, scratch);
+  std::array<ThroughputBreakdown, kNumMicroarchitectures> breakdowns;
+  for (const Microarchitecture microarchitecture : AllMicroarchitectures()) {
+    breakdowns[static_cast<int>(microarchitecture)] =
+        EstimateDecoded(scratch, GetUarchParams(microarchitecture));
+  }
+  return breakdowns;
 }
 
 }  // namespace granite::uarch

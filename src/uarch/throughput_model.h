@@ -16,15 +16,23 @@
  *
  * The register and memory reads and writes come from
  * assembly::DataFlowFor, the decoder the autotuner's legality checks
- * also use; this model adds only timing, uop, LOCK and REP costs.
+ * also use; this model adds only timing, uop, LOCK and REP costs. The
+ * decode does not depend on the microarchitecture, so
+ * EstimateOnAllUarchs decodes a block once and estimates it on all
+ * three; ThroughputModel::Estimate is the same computation for one.
  *
  * Thread-safety: a ThroughputModel is immutable after construction and
  * every method is const, so one instance is safe to call concurrently
  * from any number of threads (the autotuner's thread-safe
- * AnalyticalCostClient shares one instance among all its callers).
+ * AnalyticalCostClient shares one instance among all its callers). The
+ * decode and the simulation's working arrays live in a per-thread
+ * scratch (a few KB, reused by every call on that thread), so an
+ * estimate allocates only while a thread first meets a longer block.
  */
 #ifndef GRANITE_UARCH_THROUGHPUT_MODEL_H_
 #define GRANITE_UARCH_THROUGHPUT_MODEL_H_
+
+#include <array>
 
 #include "asm/instruction.h"
 #include "uarch/microarchitecture.h"
@@ -60,6 +68,12 @@ class ThroughputModel {
   Microarchitecture microarchitecture_;
   const UarchParams& params_;
 };
+
+/** Estimate(block) of every microarchitecture, indexed by enum value,
+ * from one decode of `block`. Each entry has the bits
+ * ThroughputModel(m).Estimate(block) returns. */
+std::array<ThroughputBreakdown, kNumMicroarchitectures> EstimateOnAllUarchs(
+    const assembly::BasicBlock& block);
 
 }  // namespace granite::uarch
 

@@ -7,6 +7,7 @@
  */
 #include <atomic>
 #include <set>
+#include <string>
 
 #include "dataset/batch_pipeline.h"
 #include "dataset/corpus_io.h"
@@ -191,6 +192,29 @@ TEST(PrefetchingBatchPipelineTest, StreamingSourceReplaysSamplerExactly) {
   for (int i = 0; i < 8; ++i) {
     const PreparedBatch batch = pipeline.Next();
     EXPECT_EQ(batch.indices, reference.NextBatch()) << "batch " << i;
+  }
+}
+
+/** tests/data/unencodable_record.gbc opens (its checksum is valid) but
+ * its shard holds `ADD RAX`, which the catalog cannot encode, so the
+ * producer's first Get throws. The error must reach Next() on the
+ * consumer's thread, on every later call too, and the destructor must
+ * still join the stopped producer. */
+TEST(PrefetchingBatchPipelineTest, SourceErrorReachesNext) {
+  const StreamingCorpusSource source(std::string(GRANITE_TEST_DATA_DIR) +
+                                     "/unencodable_record.gbc");
+  PrefetchingBatchPipeline pipeline(static_cast<const BlockSource*>(&source),
+                                    /*batch_size=*/2, /*num_shards=*/1,
+                                    /*seed=*/3, nullptr);
+  for (int call = 0; call < 2; ++call) {
+    try {
+      pipeline.Next();
+      ADD_FAILURE() << "Next() returned a batch of an unreadable source";
+    } catch (const CorpusError& error) {
+      EXPECT_NE(std::string(error.what()).find("unencodable block"),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

@@ -180,6 +180,21 @@ def main():
             runner.failures.append("exit %d, stderr %r: %r" %
                                    (result.returncode, result.stderr, argv))
 
+        # dataset inspect --verify=1 reads every record, so it refuses
+        # the same corpus with the same message instead of passing its
+        # valid checksum.
+        argv = ["dataset", "inspect", "--file=" + corpus, "--verify=1"]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        if (result.returncode != 1 or
+                "unencodable block" not in result.stderr or
+                "verified" in result.stdout):
+            runner.failures.append("exit %d, stderr %r: %r" %
+                                   (result.returncode, result.stderr, argv))
+
     for failure in runner.failures:
         print("FAIL " + failure)
     print("%d cases over %d commands and %d typed flags, %d failed" %

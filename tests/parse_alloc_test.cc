@@ -1,12 +1,13 @@
 /**
  * @file
- * Heap-allocation budgets of the import path. This binary replaces the
- * global operator new with a counting one, so the tests can pin how many
- * allocations ParseBasicBlock and ImportBhiveCsv make: the parser
- * allocates only what the returned block owns, and an imported row only
- * a fixed budget more. A change that brings back per-operand strings or
- * per-row vectors fails here rather than only showing up as slower
- * imports.
+ * Heap-allocation budgets of the import path and the throughput oracle.
+ * This binary replaces the global operator new with a counting one, so
+ * the tests can pin how many allocations ParseBasicBlock, ImportBhiveCsv
+ * and the oracle make: the parser allocates only what the returned block
+ * owns, an imported row only a fixed budget more, and a warm oracle
+ * nothing. A change that brings back per-operand strings, per-row
+ * vectors or per-estimate arrays fails here rather than only showing up
+ * as slower imports or labelling.
  */
 #include <atomic>
 #include <cstdint>
@@ -16,12 +17,14 @@
 #include <fstream>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "asm/parser.h"
 #include "base/rng.h"
 #include "base/string_util.h"
 #include "dataset/generator.h"
 #include "dataset/importer.h"
+#include "uarch/throughput_model.h"
 #include "gtest/gtest.h"
 
 namespace {
@@ -151,6 +154,29 @@ TEST(ParseAllocationTest, ImportStaysWithinAPerRowBudget) {
   // the file streams, the corpus shard buffer's growth and the reused
   // CSV fields, all amortized over the rows.
   EXPECT_LE(per_row, parsed_per_row + 0.25);
+}
+
+/** The throughput oracle keeps its decode and simulation arrays in a
+ * per-thread scratch. Once the scratch has grown to the longest block,
+ * estimating (one microarchitecture or all three from one decode)
+ * allocates nothing. */
+TEST(OracleAllocationTest, WarmEstimatesAllocateNothing) {
+  dataset::GeneratorConfig config;
+  config.lock_fraction = 0.2;
+  dataset::BlockGenerator generator(config, 51);
+  const std::vector<assembly::BasicBlock> blocks = generator.GenerateMany(500);
+  const uarch::ThroughputModel model(uarch::Microarchitecture::kSkylake);
+  double sum = 0.0;
+  for (const assembly::BasicBlock& block : blocks) {  // warm-up
+    sum += uarch::EstimateOnAllUarchs(block)[0].cycles_per_iteration;
+  }
+  const std::uint64_t before = Allocations();
+  for (const assembly::BasicBlock& block : blocks) {
+    sum += model.CyclesPerIteration(block);
+    sum += uarch::EstimateOnAllUarchs(block)[2].cycles_per_iteration;
+  }
+  EXPECT_EQ(Allocations() - before, 0u);
+  EXPECT_GT(sum, 0.0);
 }
 
 }  // namespace

@@ -3,14 +3,19 @@
  * Tests of the microarchitecture tables and the analytical throughput
  * model (the ground-truth oracle).
  */
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "asm/parser.h"
+#include "autotune/search.h"
 #include "base/string_util.h"
 #include "dataset/generator.h"
+#include "uarch/measurement.h"
 #include "uarch/throughput_model.h"
 
 namespace granite::uarch {
@@ -250,41 +255,169 @@ TEST(ThroughputModelGoldenTest, GeneratorBreakdownDigest) {
   }
 }
 
-/** The same digest over hand-written blocks with the data-flow shapes
- * the generator never emits: REP string operations, implicit
- * accumulators, implicit stack memory, segment and index address
- * components, flag-only readers and writers. */
+/** Hand-written blocks with the data-flow shapes the generator never
+ * emits: REP string operations, implicit accumulators, implicit stack
+ * memory, segment and index address components, flag-only readers and
+ * writers. */
+const char* const kImplicitOperandBlocks[] = {
+    "REP MOVSB\nADD RCX, 1",
+    "REPNE STOSQ\nMOV RDI, RCX",
+    "REPE MOVSQ\nREPZ STOSB\nREPNZ MOVSW",
+    "MOVSB\nSTOSD\nDEC RCX",
+    "MUL RCX\nADD RAX, RDX\nIMUL RBX\nIMUL RBX, RAX, 3",
+    "DIV RCX\nIDIV QWORD PTR [RSI + 8]\nCQO\nCDQE",
+    "LOCK CMPXCHG QWORD PTR [RDI], RSI\nLOCK XADD DWORD PTR [RBX], EAX",
+    "PUSH QWORD PTR [RSP + 8]\nPOP RAX\nPUSH RAX\nPOP QWORD PTR [RBP]",
+    "MOV RAX, QWORD PTR FS:[RBX + 4*RCX + 16]\n"
+    "LEA RDX, GS:[RAX + 8*RDX]\nADD QWORD PTR [RDX], RAX",
+    "MULX R8, R9, RAX\nADD RDX, R9\nSHLX R10, R8, RCX",
+    "LAHF\nCMC\nSAHF\nADC RAX, RBX\nSETB CL",
+    "CMP RAX, RBX\nCMOVNE RCX, QWORD PTR [RSP]\nRCL RCX, 1\nCLC",
+    "XCHG RAX, QWORD PTR [RDI]\nBTS QWORD PTR [RDI + 8], RAX",
+    "VFMADD231PS YMM0, YMM1, YMMWORD PTR [RSI]\n"
+    "UCOMISD XMM0, XMM1\nSETA AL",
+};
+
+/** The same digest over kImplicitOperandBlocks. */
 TEST(ThroughputModelGoldenTest, ImplicitOperandBreakdownDigest) {
-  const char* const blocks[] = {
-      "REP MOVSB\nADD RCX, 1",
-      "REPNE STOSQ\nMOV RDI, RCX",
-      "REPE MOVSQ\nREPZ STOSB\nREPNZ MOVSW",
-      "MOVSB\nSTOSD\nDEC RCX",
-      "MUL RCX\nADD RAX, RDX\nIMUL RBX\nIMUL RBX, RAX, 3",
-      "DIV RCX\nIDIV QWORD PTR [RSI + 8]\nCQO\nCDQE",
-      "LOCK CMPXCHG QWORD PTR [RDI], RSI\nLOCK XADD DWORD PTR [RBX], EAX",
-      "PUSH QWORD PTR [RSP + 8]\nPOP RAX\nPUSH RAX\nPOP QWORD PTR [RBP]",
-      "MOV RAX, QWORD PTR FS:[RBX + 4*RCX + 16]\n"
-      "LEA RDX, GS:[RAX + 8*RDX]\nADD QWORD PTR [RDX], RAX",
-      "MULX R8, R9, RAX\nADD RDX, R9\nSHLX R10, R8, RCX",
-      "LAHF\nCMC\nSAHF\nADC RAX, RBX\nSETB CL",
-      "CMP RAX, RBX\nCMOVNE RCX, QWORD PTR [RSP]\nRCL RCX, 1\nCLC",
-      "XCHG RAX, QWORD PTR [RDI]\nBTS QWORD PTR [RDI + 8], RAX",
-      "VFMADD231PS YMM0, YMM1, YMMWORD PTR [RSI]\n"
-      "UCOMISD XMM0, XMM1\nSETA AL",
-  };
   for (const auto& [microarchitecture, expected] :
        {std::pair{Microarchitecture::kIvyBridge, 0xD8C45F6DE3C6A295ull},
         std::pair{Microarchitecture::kHaswell, 0x602DD8C42B467AA3ull},
         std::pair{Microarchitecture::kSkylake, 0x8D6D07C21F8A23BDull}}) {
     const ThroughputModel model(microarchitecture);
     uint64_t digest = kFnvOffsetBasis;
-    for (const char* text : blocks) {
+    for (const char* text : kImplicitOperandBlocks) {
       digest = FoldBreakdown(digest, model.Estimate(Parse(text)));
     }
     EXPECT_EQ(digest, expected)
         << GetUarchParams(microarchitecture).name << " 0x" << std::hex
         << digest;
+  }
+}
+
+// ---- One decode for every microarchitecture ----------------------------
+
+/** The blocks both golden digests fold. */
+std::vector<BasicBlock> GoldenBlocks() {
+  dataset::BlockGenerator generator(dataset::GeneratorConfig{}, 2024);
+  std::vector<BasicBlock> blocks = generator.GenerateMany(2000);
+  for (const char* text : kImplicitOperandBlocks) {
+    blocks.push_back(Parse(text));
+  }
+  return blocks;
+}
+
+template <typename T>
+bool SameBits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/** Field by field, so struct padding does not take part. */
+bool SameBreakdown(const ThroughputBreakdown& a,
+                   const ThroughputBreakdown& b) {
+  return SameBits(a.frontend_bound, b.frontend_bound) &&
+         SameBits(a.port_bound, b.port_bound) &&
+         SameBits(a.dependency_bound, b.dependency_bound) &&
+         SameBits(a.cycles_per_iteration, b.cycles_per_iteration) &&
+         a.total_uops == b.total_uops;
+}
+
+constexpr MeasurementTool kTools[] = {MeasurementTool::kIthemalTool,
+                                      MeasurementTool::kBHiveTool};
+
+/** EstimateOnAllUarchs and MeasureOnAllUarchs decode a block once for
+ * all three microarchitectures; every bit must equal the one-model
+ * Estimate and the one-microarchitecture MeasureThroughput. */
+TEST(AllUarchOracleTest, OneDecodeMatchesPerUarchPaths) {
+  std::size_t mismatches = 0;
+  for (const BasicBlock& block : GoldenBlocks()) {
+    const auto breakdowns = EstimateOnAllUarchs(block);
+    for (const Microarchitecture microarchitecture : AllMicroarchitectures()) {
+      const int m = static_cast<int>(microarchitecture);
+      if (!SameBreakdown(breakdowns[m],
+                         ThroughputModel(microarchitecture).Estimate(block))) {
+        ADD_FAILURE() << "breakdown on " << m << ":\n" << block.ToString();
+        ++mismatches;
+      }
+    }
+    for (const MeasurementTool tool : kTools) {
+      const auto measured = MeasureOnAllUarchs(block, tool);
+      for (const Microarchitecture microarchitecture :
+           AllMicroarchitectures()) {
+        const int m = static_cast<int>(microarchitecture);
+        if (!SameBits(measured[m],
+                      MeasureThroughput(block, microarchitecture, tool))) {
+          ADD_FAILURE() << "measurement on " << m << ":\n"
+                        << block.ToString();
+          ++mismatches;
+        }
+      }
+    }
+    ASSERT_LT(mismatches, 10u) << "stopping after 10 mismatches";
+  }
+}
+
+/** What one thread reads from the oracle for every block, in order. */
+struct OracleReadings {
+  std::vector<ThroughputBreakdown> haswell;
+  std::vector<double> client_cycles;
+  std::vector<std::array<ThroughputBreakdown, kNumMicroarchitectures>> all;
+  std::vector<std::array<double, kNumMicroarchitectures>> measured;
+};
+
+OracleReadings ReadOracle(const std::vector<BasicBlock>& blocks,
+                          std::size_t first, const ThroughputModel& model,
+                          autotune::AnalyticalCostClient& client) {
+  OracleReadings readings;
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const BasicBlock& block = blocks[(first + k) % blocks.size()];
+    readings.haswell.push_back(model.Estimate(block));
+    auto futures = client.SubmitWave({&block});
+    readings.client_cycles.push_back(futures[0]->get());
+    readings.all.push_back(EstimateOnAllUarchs(block));
+    readings.measured.push_back(
+        MeasureOnAllUarchs(block, MeasurementTool::kBHiveTool));
+  }
+  return readings;
+}
+
+/** Four threads share one ThroughputModel and one AnalyticalCostClient,
+ * each starting at a different block so their per-thread scratches see
+ * different shapes at the same time; every reading must equal the
+ * serial one. */
+TEST(AllUarchOracleTest, ConcurrentCallersReproduceSerialBits) {
+  const std::vector<BasicBlock> blocks = GoldenBlocks();
+  const ThroughputModel model(Microarchitecture::kHaswell);
+  autotune::AnalyticalCostClient client(Microarchitecture::kHaswell);
+  const OracleReadings serial = ReadOracle(blocks, 0, model, client);
+
+  constexpr int kThreads = 4;
+  std::vector<OracleReadings> readings(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      readings[t] = ReadOracle(blocks, t * blocks.size() / kThreads, model,
+                               client);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const std::size_t first = t * blocks.size() / kThreads;
+    std::size_t mismatches = 0;
+    for (std::size_t k = 0; k < blocks.size(); ++k) {
+      const std::size_t i = (first + k) % blocks.size();
+      bool same =
+          SameBreakdown(readings[t].haswell[k], serial.haswell[i]) &&
+          SameBits(readings[t].client_cycles[k], serial.client_cycles[i]);
+      for (int m = 0; m < kNumMicroarchitectures; ++m) {
+        same = same &&
+               SameBreakdown(readings[t].all[k][m], serial.all[i][m]) &&
+               SameBits(readings[t].measured[k][m], serial.measured[i][m]);
+      }
+      if (!same) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << "thread " << t;
   }
 }
 

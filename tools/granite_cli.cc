@@ -34,8 +34,9 @@
  *                         materialize; dataset::StreamingSynthesisSource
  *                         + dataset::SaveCorpus).
  *     dataset inspect     Print a corpus file's header and stats without
- *                         loading records (--verify=1 adds a full
- *                         checksum pass).
+ *                         loading records (--verify=1 reads every
+ *                         record as training would and checks the
+ *                         checksum).
  *
  * Run `granite_cli help` (or any subcommand with --help) for each
  * command's flags with their types, defaults and ranges. CommandTable()
@@ -1086,10 +1087,14 @@ int RunDatasetInspect(const Args& args) {
   const granite::dataset::CorpusHeader header =
       granite::dataset::ReadCorpusHeader(path);
   if (args.Bool("verify")) {
-    // Opening a streaming source with verification on walks the whole
-    // file against the checksum trailer (constant memory).
-    granite::dataset::StreamingCorpusSource verified(path);
-    std::printf("checksum verified: OK\n");
+    // Read every record the way training and eval do, one shard
+    // resident: a record a reader would refuse (say, an unencodable
+    // block) fails here too, and the last shard checks the checksum.
+    granite::dataset::CorpusReader reader(path);
+    std::vector<granite::dataset::Sample> shard;
+    while (reader.NextShard(&shard)) {
+    }
+    std::printf("records and checksum verified: OK\n");
   }
   std::printf("corpus file: %s\n", path.c_str());
   std::printf("  format version:    %u\n", header.version);
@@ -1320,7 +1325,8 @@ const std::vector<CommandSpec>& CommandTable() {
       {"dataset inspect",
        "print corpus header/stats without loading records",
        {Required(Text("file", "PATH", "corpus file")),
-        Bool("verify", false, "full checksum pass")},
+        Bool("verify", false,
+             "read every record and check the checksum")},
        RunDatasetInspect},
   };
   return *table;
