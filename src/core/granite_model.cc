@@ -107,11 +107,13 @@ ml::Var GraniteModel::MnemonicEmbeddings(
                   tape.Param(global_projection_)),
       tape.Param(global_projection_bias_));
 
-  for (int iteration = 0; iteration < config_.message_passing_iterations;
+  for (int iteration = 1; iteration < config_.message_passing_iterations;
        ++iteration) {
     state = graph_net_->Apply(tape, batch, state);
   }
-  return tape.GatherRows(state.nodes, batch.mnemonic_node);
+  // The last iteration updates only the rows the decoders read; its
+  // nodes are the mnemonic-node embeddings in mnemonic_node order.
+  return graph_net_->Apply(tape, batch, state, UpdateRows::kReadout).nodes;
 }
 
 std::vector<ml::Var> GraniteModel::ForwardGraphs(

@@ -38,36 +38,59 @@ GraphNetBlock::GraphNetBlock(ml::ParameterStore* store,
 
 GraphState GraphNetBlock::Apply(ml::Tape& tape,
                                 const graph::BatchedGraph& batch,
-                                const GraphState& state) const {
+                                const GraphState& state,
+                                UpdateRows rows) const {
   GRANITE_CHECK_EQ(tape.value(state.nodes).rows(), batch.num_nodes);
   GRANITE_CHECK_EQ(tape.value(state.edges).rows(), batch.num_edges);
   GRANITE_CHECK_EQ(tape.value(state.globals).rows(), batch.num_graphs);
+
+  // The updated edges with their endpoints and owning graph, the updated
+  // node row each one's message goes to, and the updated nodes' graphs.
+  const bool readout = rows == UpdateRows::kReadout;
+  const std::vector<int>& edge_source =
+      readout ? batch.readout_edge_source : batch.edge_source;
+  const std::vector<int>& edge_target =
+      readout ? batch.readout_edge_target : batch.edge_target;
+  const std::vector<int>& edge_graph =
+      readout ? batch.readout_edge_graph : batch.edge_graph;
+  const std::vector<int>& message_row =
+      readout ? batch.readout_edge_slot : batch.edge_target;
+  const std::vector<int>& node_graph =
+      readout ? batch.mnemonic_graph : batch.node_graph;
+  const int num_updated_nodes =
+      readout ? static_cast<int>(batch.mnemonic_node.size()) : batch.num_nodes;
 
   // ---- Edge update -------------------------------------------------------
   // Fused gather + concat: the per-edge feature rows (edge state, source
   // node, target node, owning graph's global) are gathered straight into
   // the concatenated MLP input instead of materializing three gathered
   // temporaries first.
+  const ml::Var edges =
+      readout ? tape.GatherRows(state.edges, batch.readout_edge) : state.edges;
   ml::Var updated_edges = edge_update_->Apply(
-      tape, tape.ConcatGathered({{state.edges, nullptr},
-                                 {state.nodes, &batch.edge_source},
-                                 {state.nodes, &batch.edge_target},
-                                 {state.globals, &batch.edge_graph}}));
+      tape, tape.ConcatGathered({{edges, nullptr},
+                                 {state.nodes, &edge_source},
+                                 {state.nodes, &edge_target},
+                                 {state.globals, &edge_graph}}));
   if (config_.use_residual) {
-    updated_edges = tape.Add(updated_edges, state.edges);
+    updated_edges = tape.Add(updated_edges, edges);
   }
 
   // ---- Node update -------------------------------------------------------
   // Aggregate incoming messages: sum of updated edge features per target.
   const ml::Var incoming =
-      tape.SegmentSum(updated_edges, batch.edge_target, batch.num_nodes);
+      tape.SegmentSum(updated_edges, message_row, num_updated_nodes);
+  const ml::Var nodes =
+      readout ? tape.GatherRows(state.nodes, batch.mnemonic_node) : state.nodes;
   ml::Var updated_nodes = node_update_->Apply(
-      tape, tape.ConcatGathered({{state.nodes, nullptr},
+      tape, tape.ConcatGathered({{nodes, nullptr},
                                  {incoming, nullptr},
-                                 {state.globals, &batch.node_graph}}));
+                                 {state.globals, &node_graph}}));
   if (config_.use_residual) {
-    updated_nodes = tape.Add(updated_nodes, state.nodes);
+    updated_nodes = tape.Add(updated_nodes, nodes);
   }
+  // Nothing reads the globals after the last application.
+  if (readout) return GraphState{updated_nodes, updated_edges, ml::Var()};
 
   // ---- Global update -----------------------------------------------------
   const ml::Var edge_aggregate =

@@ -11,6 +11,14 @@
  * normalization at its input, and the trailing additions are the residual
  * connections the paper ablates in §5.2. The same block (same weights) is
  * applied for all message-passing iterations.
+ *
+ * The decoders read only the mnemonic nodes (paper §3.3), so the last
+ * application computes only what reaches them (UpdateRows::kReadout):
+ * e'_k for the edges k whose target is a mnemonic node, v'_i for the
+ * mnemonic nodes i (their incoming sums run over exactly those edges),
+ * and no u'_g. Every kernel computes a row independently of the others,
+ * and the rows it skips would only have received zero adjoints, so the
+ * readout rows and every parameter gradient keep their bits.
  */
 #ifndef GRANITE_CORE_GRAPH_NET_H_
 #define GRANITE_CORE_GRAPH_NET_H_
@@ -47,15 +55,31 @@ struct GraphState {
   ml::Var globals;  ///< [num_graphs, global_size]
 };
 
+/** The rows one application of the GN block updates. */
+enum class UpdateRows {
+  /** Every edge, node and global. */
+  kAll,
+  /** Only what the readout reads: the edges into mnemonic nodes, the
+   * mnemonic nodes, no global (graph::BatchedGraph's readout lists). */
+  kReadout,
+};
+
 /** One full GN block with shared weights across iterations. */
 class GraphNetBlock {
  public:
   GraphNetBlock(ml::ParameterStore* store, const std::string& name,
                 const GraphNetConfig& config);
 
-  /** Applies one message-passing iteration. */
+  /**
+   * Applies one message-passing iteration to the full `state`. With
+   * UpdateRows::kReadout the result holds only the updated rows: `nodes`
+   * is [mnemonic_node.size(), node_size] in mnemonic_node order, `edges`
+   * is [readout_edge.size(), edge_size] in readout_edge order, and
+   * `globals` is left unset.
+   */
   GraphState Apply(ml::Tape& tape, const graph::BatchedGraph& batch,
-                   const GraphState& state) const;
+                   const GraphState& state,
+                   UpdateRows rows = UpdateRows::kAll) const;
 
   const GraphNetConfig& config() const { return config_; }
 

@@ -29,9 +29,17 @@ BatchedGraph BatchGraphs(const std::vector<BlockGraph>& graphs,
   batch.edge_graph.reserve(total_edges);
   batch.mnemonic_node.reserve(total_mnemonics);
   batch.mnemonic_graph.reserve(total_mnemonics);
+  batch.readout_edge.reserve(total_edges);
+  batch.readout_edge_source.reserve(total_edges);
+  batch.readout_edge_target.reserve(total_edges);
+  batch.readout_edge_graph.reserve(total_edges);
+  batch.readout_edge_slot.reserve(total_edges);
 
   // Columns of the current graph's row with a nonzero count.
   std::vector<int> touched;
+  // Slot in mnemonic_node of each node of the current graph; -1 for a
+  // node that is not a mnemonic node.
+  std::vector<int> mnemonic_slot;
   int node_offset = 0;
   for (int g = 0; g < batch.num_graphs; ++g) {
     const BlockGraph& graph = graphs[g];
@@ -47,16 +55,27 @@ BatchedGraph BatchGraphs(const std::vector<BlockGraph>& graphs,
       batch.node_graph.push_back(g);
       count(node.token);
     }
+    mnemonic_slot.assign(graph.nodes.size(), -1);
+    for (const int mnemonic : graph.mnemonic_nodes) {
+      GRANITE_CHECK_EQ(mnemonic_slot[mnemonic], -1);
+      mnemonic_slot[mnemonic] = static_cast<int>(batch.mnemonic_node.size());
+      batch.mnemonic_node.push_back(node_offset + mnemonic);
+      batch.mnemonic_graph.push_back(g);
+    }
     for (const Edge& edge : graph.edges) {
+      const int slot = mnemonic_slot[edge.target];
+      if (slot >= 0) {
+        batch.readout_edge.push_back(static_cast<int>(batch.edge_type.size()));
+        batch.readout_edge_source.push_back(node_offset + edge.source);
+        batch.readout_edge_target.push_back(node_offset + edge.target);
+        batch.readout_edge_graph.push_back(g);
+        batch.readout_edge_slot.push_back(slot);
+      }
       batch.edge_type.push_back(static_cast<int>(edge.type));
       batch.edge_source.push_back(node_offset + edge.source);
       batch.edge_target.push_back(node_offset + edge.target);
       batch.edge_graph.push_back(g);
       count(vocabulary_size + static_cast<int>(edge.type));
-    }
-    for (const int mnemonic : graph.mnemonic_nodes) {
-      batch.mnemonic_node.push_back(node_offset + mnemonic);
-      batch.mnemonic_graph.push_back(g);
     }
     // Normalize counts into relative frequencies (paper §3.2: "the
     // relative frequencies of the tokens and edge types used in the

@@ -40,6 +40,18 @@ struct BatchedGraph {
   std::vector<int> mnemonic_node;
   std::vector<int> mnemonic_graph;
   /**
+   * Readout lists: the edges whose target is a mnemonic node, the only
+   * edges the last message-passing iteration updates (the decoders read
+   * nothing else; see core/graph_net.h). Per kept edge, in ascending edge
+   * id: its id, its source and target node, its owning graph, and its
+   * target's slot in `mnemonic_node`.
+   */
+  std::vector<int> readout_edge;
+  std::vector<int> readout_edge_source;
+  std::vector<int> readout_edge_target;
+  std::vector<int> readout_edge_graph;
+  std::vector<int> readout_edge_slot;
+  /**
    * Initial global feature per graph: [num_graphs, vocab_size +
    * kNumEdgeTypes], the relative frequencies of node tokens and edge
    * types in the graph.

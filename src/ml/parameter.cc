@@ -41,22 +41,32 @@ void InitializeTensor(Tensor& tensor, Initializer init, Rng& rng) {
 
 Tensor& GradientSink::GradFor(Parameter* parameter) {
   GRANITE_CHECK(parameter != nullptr);
-  const auto it = index_.find(parameter);
-  if (it != index_.end()) return grads_[it->second].second;
-  index_.emplace(parameter, grads_.size());
-  grads_.emplace_back(parameter,
-                      Tensor(parameter->grad.rows(), parameter->grad.cols()));
-  return grads_.back().second;
+  const auto [it, inserted] = index_.emplace(parameter, grads_.size());
+  if (inserted) {
+    grads_.push_back(Buffer{
+        parameter, Tensor(parameter->grad.rows(), parameter->grad.cols()),
+        false});
+  }
+  Buffer& buffer = grads_[it->second];
+  if (!buffer.touched) {
+    buffer.touched = true;
+    ++num_touched_;
+  }
+  return buffer.grad;
 }
 
 void GradientSink::ReduceIntoParameters() {
-  for (auto& [parameter, grad] : grads_) {
-    float* dest = parameter->grad.data();
-    const float* source = grad.data();
-    for (std::size_t i = 0; i < grad.size(); ++i) dest[i] += source[i];
+  for (Buffer& buffer : grads_) {
+    if (!buffer.touched) continue;
+    float* dest = buffer.parameter->grad.data();
+    float* source = buffer.grad.data();
+    for (std::size_t i = 0; i < buffer.grad.size(); ++i) {
+      dest[i] += source[i];
+      source[i] = 0.0f;
+    }
+    buffer.touched = false;
   }
-  grads_.clear();
-  index_.clear();
+  num_touched_ = 0;
 }
 
 ParameterStore::ParameterStore(uint64_t seed) : rng_(seed) {}

@@ -61,20 +61,29 @@ class GradientSink {
   GradientSink& operator=(GradientSink&&) = default;
 
   /** The local gradient buffer for `parameter`, created zero-filled (with
-   * the parameter's shape) on first use. */
+   * the parameter's shape) on first use and kept across reduces. */
   Tensor& GradFor(Parameter* parameter);
 
-  /** Adds every buffer into its parameter's grad, then clears the sink. */
+  /** Adds every buffer touched since the last reduce into its
+   * parameter's grad and zeroes it for the next pass. The buffers stay
+   * allocated, so a sink reused across training steps allocates only in
+   * its first. */
   void ReduceIntoParameters();
 
   /** Number of parameters touched since the last reduce. */
-  std::size_t size() const { return grads_.size(); }
-  bool empty() const { return grads_.empty(); }
+  std::size_t size() const { return num_touched_; }
+  bool empty() const { return num_touched_ == 0; }
 
  private:
+  struct Buffer {
+    Parameter* parameter;
+    Tensor grad;
+    bool touched;
+  };
   /** Insertion-ordered so the reduction order is deterministic. */
-  std::vector<std::pair<Parameter*, Tensor>> grads_;
+  std::vector<Buffer> grads_;
   std::unordered_map<Parameter*, std::size_t> index_;
+  std::size_t num_touched_ = 0;
 };
 
 /** Owns every trainable parameter of a model. */

@@ -38,6 +38,7 @@ Trainer::Trainer(ForwardFn forward, ml::ParameterStore* parameters,
   GRANITE_CHECK_GT(config_.batch_size, 0);
   GRANITE_CHECK_GE(config_.num_workers, 1);
   arenas_ = std::vector<ml::TapeArena>(config_.num_workers);
+  sinks_ = std::vector<ml::GradientSink>(config_.num_workers);
 }
 
 void Trainer::RunSharded(
@@ -75,18 +76,18 @@ double Trainer::TrainStep(const dataset::PreparedBatch& batch) {
   const std::size_t batch_rows = batch.indices.size();
   const std::size_t num_shards = batch.shards.size();
   GRANITE_CHECK_GT(num_shards, 0u);
+  GRANITE_CHECK_LE(num_shards, sinks_.size());
 
   // Phase 1 (parallel): per-shard forward/backward. Workers only read
   // parameter values and write their private tape + sink, so no
   // synchronization is needed beyond the fork/join barrier.
-  std::vector<ml::GradientSink> sinks(num_shards);
   std::vector<double> weighted_losses(num_shards, 0.0);
   const auto run_shard = [&](std::size_t s) {
     const dataset::PreparedBatch::Shard& shard = batch.shards[s];
     const float weight = static_cast<float>(shard.end - shard.begin) /
                          static_cast<float>(batch_rows);
     ml::Tape tape(backend_);
-    tape.set_gradient_sink(&sinks[s]);
+    tape.set_gradient_sink(&sinks_[s]);
     const std::vector<ml::Var> predictions = ForwardShard(tape, batch, shard);
     GRANITE_CHECK_GE(predictions.size(), config_.tasks.size());
 
@@ -117,7 +118,9 @@ double Trainer::TrainStep(const dataset::PreparedBatch& batch) {
 
   // Phase 2 (sequential, deterministic order): reduce per-worker
   // gradients into the parameters and apply one optimizer step.
-  for (ml::GradientSink& sink : sinks) sink.ReduceIntoParameters();
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    sinks_[s].ReduceIntoParameters();
+  }
   optimizer_.Step(*parameters_);
 
   double loss = 0.0;

@@ -200,6 +200,9 @@ class Trainer {
   mutable std::mutex pool_mutex_;
   mutable std::unique_ptr<base::ThreadPool> pool_;
   mutable std::vector<ml::TapeArena> arenas_;
+  /** One gradient sink per pool shard, kept across training steps so
+   * their buffers are allocated once (each reduce zeroes them). */
+  std::vector<ml::GradientSink> sinks_;
 };
 
 }  // namespace granite::train

@@ -6,6 +6,7 @@
 
 #include "gtest/gtest.h"
 #include "asm/parser.h"
+#include "dataset/generator.h"
 #include "graph/batch.h"
 #include "graph/graph_builder.h"
 
@@ -106,6 +107,61 @@ TEST_F(BatchTest, BatchingOrderIsStable) {
   EXPECT_EQ(first.node_token, second.node_token);
   EXPECT_EQ(first.edge_source, second.edge_source);
   EXPECT_TRUE(first.global_features == second.global_features);
+}
+
+TEST_F(BatchTest, ReadoutListsMatchABruteForceScan) {
+  // Generator blocks with an empty block (no node) and a NOP block (a
+  // mnemonic node without incoming edges) mixed in.
+  dataset::BlockGenerator generator(dataset::GeneratorConfig(), 11);
+  std::vector<BlockGraph> graphs;
+  for (int i = 0; i < 40; ++i) {
+    if (i % 13 == 3) graphs.push_back(builder_.Build(assembly::BasicBlock{}));
+    if (i % 13 == 7) graphs.push_back(Build("NOP"));
+    graphs.push_back(builder_.Build(generator.Generate()));
+  }
+  const BatchedGraph batch = BatchGraphs(graphs, vocabulary_);
+
+  std::size_t kept = 0;
+  for (int e = 0; e < batch.num_edges; ++e) {
+    int slot = -1;
+    for (std::size_t m = 0; m < batch.mnemonic_node.size(); ++m) {
+      if (batch.mnemonic_node[m] == batch.edge_target[e]) {
+        EXPECT_EQ(slot, -1) << "mnemonic node listed twice";
+        slot = static_cast<int>(m);
+      }
+    }
+    if (slot < 0) continue;
+    ASSERT_LT(kept, batch.readout_edge.size());
+    EXPECT_EQ(batch.readout_edge[kept], e);
+    EXPECT_EQ(batch.readout_edge_source[kept], batch.edge_source[e]);
+    EXPECT_EQ(batch.readout_edge_target[kept], batch.edge_target[e]);
+    EXPECT_EQ(batch.readout_edge_graph[kept], batch.edge_graph[e]);
+    EXPECT_EQ(batch.readout_edge_slot[kept], slot);
+    ++kept;
+  }
+  EXPECT_EQ(batch.readout_edge.size(), kept);
+  EXPECT_EQ(batch.readout_edge_source.size(), kept);
+  EXPECT_EQ(batch.readout_edge_target.size(), kept);
+  EXPECT_EQ(batch.readout_edge_graph.size(), kept);
+  EXPECT_EQ(batch.readout_edge_slot.size(), kept);
+  // Some edges are dropped and some kept.
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, static_cast<std::size_t>(batch.num_edges));
+}
+
+TEST_F(BatchTest, DegenerateBatchesHaveEmptyReadoutLists) {
+  // A NOP has a mnemonic node but no edge into it; empty blocks have no
+  // node at all.
+  const BatchedGraph nop = BatchGraphs({Build("NOP")}, vocabulary_);
+  EXPECT_EQ(nop.mnemonic_node.size(), 1u);
+  EXPECT_TRUE(nop.readout_edge.empty());
+  EXPECT_TRUE(nop.readout_edge_slot.empty());
+
+  const BlockGraph empty = builder_.Build(assembly::BasicBlock{});
+  const BatchedGraph empties = BatchGraphs({empty, empty}, vocabulary_);
+  EXPECT_EQ(empties.num_nodes, 0);
+  EXPECT_TRUE(empties.mnemonic_node.empty());
+  EXPECT_TRUE(empties.readout_edge.empty());
 }
 
 }  // namespace

@@ -1,11 +1,16 @@
 /**
  * @file
- * Tests of the full GN block: shapes, residual behavior, and sensitivity
- * to graph structure.
+ * Tests of the full GN block: shapes, residual behavior, sensitivity
+ * to graph structure, and the readout-rows application's bit-identity
+ * with the full update.
  */
+#include <cstring>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "asm/parser.h"
 #include "core/graph_net.h"
+#include "dataset/generator.h"
 #include "graph/graph_builder.h"
 
 namespace granite::core {
@@ -17,10 +22,14 @@ class GraphNetTest : public ::testing::Test {
       : vocabulary_(graph::Vocabulary::CreateDefault()),
         builder_(&vocabulary_) {}
 
-  graph::BatchedGraph Encode(const char* text) {
+  static assembly::BasicBlock Parse(const char* text) {
     const auto block = assembly::ParseBasicBlock(text);
     EXPECT_TRUE(block.ok()) << block.error;
-    return graph::BatchGraphs({builder_.Build(*block.value)}, vocabulary_);
+    return *block.value;
+  }
+
+  graph::BatchedGraph Encode(const char* text) {
+    return graph::BatchGraphs({builder_.Build(Parse(text))}, vocabulary_);
   }
 
   GraphNetConfig SmallConfig() {
@@ -148,6 +157,105 @@ TEST_F(GraphNetTest, MessagesPropagateOneHopPerIteration) {
   const GraphState twice = block.Apply(tape, batch, once);
   EXPECT_FALSE(tape.value(once.nodes).AllClose(tape.value(twice.nodes),
                                                1e-6f));
+}
+
+bool SameBits(const ml::Tensor& a, const ml::Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/** The mnemonic-node rows after two iterations, the second one updating
+ * `rows`, and every parameter's gradient of a weighted sum of them. The
+ * initial state is trainable, so gradients reach every input. */
+struct TwoIterations {
+  ml::Tensor readout;
+  std::vector<ml::Tensor> grads;
+};
+
+TwoIterations RunTwoIterations(const GraphNetConfig& config,
+                               const graph::BatchedGraph& batch,
+                               UpdateRows rows) {
+  ml::ParameterStore store(7);
+  const GraphNetBlock block(&store, "gn", config);
+  ml::Parameter* nodes = store.Create("nodes", batch.num_nodes, 8,
+                                      ml::Initializer::kGlorotUniform);
+  ml::Parameter* edges = store.Create("edges", batch.num_edges, 8,
+                                      ml::Initializer::kGlorotUniform);
+  ml::Parameter* globals = store.Create("globals", batch.num_graphs, 8,
+                                        ml::Initializer::kGlorotUniform);
+  ml::Tape tape;
+  GraphState state{tape.Param(nodes), tape.Param(edges), tape.Param(globals)};
+  state = block.Apply(tape, batch, state);
+  const GraphState last = block.Apply(tape, batch, state, rows);
+  ml::Var readout = last.nodes;
+  if (rows == UpdateRows::kAll) {
+    readout = tape.GatherRows(last.nodes, batch.mnemonic_node);
+  }
+  ml::Tensor weights(tape.value(readout).rows(), 8);
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    weights.data()[i] = 0.25f * static_cast<float>(i % 7) - 0.5f;
+  }
+  tape.Backward(tape.SumAll(tape.Mul(readout, tape.Constant(weights))));
+  TwoIterations result{tape.value(readout), {}};
+  for (const auto& parameter : store.parameters()) {
+    result.grads.push_back(parameter->grad);
+  }
+  return result;
+}
+
+TEST_F(GraphNetTest, ReadoutRowsMatchTheFullUpdateBitForBit) {
+  // Generator blocks mixed with an empty block and a NOP, whose mnemonic
+  // node has no incoming edge.
+  dataset::BlockGenerator generator(dataset::GeneratorConfig(), 3);
+  std::vector<graph::BlockGraph> graphs;
+  for (int i = 0; i < 12; ++i) {
+    if (i == 4) graphs.push_back(builder_.Build(assembly::BasicBlock{}));
+    if (i == 8) graphs.push_back(builder_.Build(Parse("NOP")));
+    graphs.push_back(builder_.Build(generator.Generate()));
+  }
+  const graph::BatchedGraph batch = graph::BatchGraphs(graphs, vocabulary_);
+  ASSERT_LT(batch.readout_edge.size(),
+            static_cast<std::size_t>(batch.num_edges));
+
+  for (const bool residual : {true, false}) {
+    for (const bool layer_norm : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "residual=" << residual
+                                        << " layer_norm=" << layer_norm);
+      GraphNetConfig config = SmallConfig();
+      config.use_residual = residual;
+      config.use_layer_norm = layer_norm;
+      const TwoIterations full =
+          RunTwoIterations(config, batch, UpdateRows::kAll);
+      const TwoIterations readout =
+          RunTwoIterations(config, batch, UpdateRows::kReadout);
+      EXPECT_TRUE(SameBits(full.readout, readout.readout));
+      ASSERT_EQ(full.grads.size(), readout.grads.size());
+      for (std::size_t p = 0; p < full.grads.size(); ++p) {
+        EXPECT_TRUE(SameBits(full.grads[p], readout.grads[p])) << p;
+      }
+    }
+  }
+}
+
+TEST_F(GraphNetTest, ReadoutShapes) {
+  ml::ParameterStore store(8);
+  GraphNetBlock block(&store, "gn", SmallConfig());
+  const graph::BlockGraph empty = builder_.Build(assembly::BasicBlock{});
+  const graph::BatchedGraph normal = Encode("MOV RAX, 1\nADD RAX, RBX");
+  const graph::BatchedGraph nop = Encode("NOP");
+  const graph::BatchedGraph empties =
+      graph::BatchGraphs({empty, empty}, vocabulary_);
+  for (const graph::BatchedGraph* batch : {&normal, &nop, &empties}) {
+    ml::Tape tape;
+    const GraphState state = block.Apply(
+        tape, *batch, InitialState(tape, *batch, 8), UpdateRows::kReadout);
+    EXPECT_EQ(tape.value(state.nodes).rows(),
+              static_cast<int>(batch->mnemonic_node.size()));
+    EXPECT_EQ(tape.value(state.nodes).cols(), 8);
+    EXPECT_EQ(tape.value(state.edges).rows(),
+              static_cast<int>(batch->readout_edge.size()));
+    EXPECT_FALSE(state.globals.valid());
+  }
 }
 
 }  // namespace
