@@ -20,7 +20,6 @@ struct TableData {
   std::vector<Register> canonical_gp;
   std::vector<Register> canonical_vector;
   Register flags = kInvalidRegister;
-  Register rip = kInvalidRegister;
 
   Register AddRegister(const std::string& name, Register canonical,
                        int width_bits, RegisterClass reg_class) {
@@ -102,8 +101,8 @@ TableData BuildTable() {
   data.flags = data.AddRegister("EFLAGS", kInvalidRegister, 64,
                                 RegisterClass::kFlags);
 
-  data.rip = data.AddRegister("RIP", kInvalidRegister, 64,
-                              RegisterClass::kInstructionPointer);
+  data.AddRegister("RIP", kInvalidRegister, 64,
+                   RegisterClass::kInstructionPointer);
 
   for (const char* name : {"CS", "DS", "ES", "FS", "GS", "SS"}) {
     data.AddRegister(name, kInvalidRegister, 16, RegisterClass::kSegment);
@@ -167,8 +166,6 @@ bool IsRegisterClass(Register reg, RegisterClass reg_class) {
 }
 
 Register FlagsRegister() { return GetTableData().flags; }
-
-Register InstructionPointerRegister() { return GetTableData().rip; }
 
 const std::vector<Register>& CanonicalGpRegisters() {
   return GetTableData().canonical_gp;

@@ -70,9 +70,6 @@ bool IsRegisterClass(Register reg, RegisterClass reg_class);
 /** The id of the EFLAGS pseudo-register. */
 Register FlagsRegister();
 
-/** The id of RIP. */
-Register InstructionPointerRegister();
-
 /** All canonical (full-width) general-purpose registers, RSP included. */
 const std::vector<Register>& CanonicalGpRegisters();
 

@@ -1,41 +1,12 @@
 #include "base/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
-namespace granite {
-namespace {
+namespace granite::internal {
 
-std::atomic<LogLevel> g_log_level{LogLevel::kInfo};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_log_level.store(level); }
-
-LogLevel GetLogLevel() { return g_log_level.load(); }
-
-namespace internal {
-
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(g_log_level.load())) return;
-  std::fprintf(stderr, "[%s %s:%d] %s\n", LevelName(level), file, line,
-               message.c_str());
+void LogMessage(const char* file, int line, const std::string& message) {
+  std::fprintf(stderr, "[INFO %s:%d] %s\n", file, line, message.c_str());
 }
 
 void PanicImpl(const char* file, int line, const std::string& message) {
@@ -48,5 +19,4 @@ void FatalImpl(const char* file, int line, const std::string& message) {
   std::exit(1);
 }
 
-}  // namespace internal
-}  // namespace granite
+}  // namespace granite::internal

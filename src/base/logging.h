@@ -12,27 +12,10 @@
 #include <sstream>
 #include <string>
 
-namespace granite {
+namespace granite::internal {
 
-/** Severity levels for log messages. */
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-};
-
-/** Sets the minimum level that will be printed. Default: kInfo. */
-void SetLogLevel(LogLevel level);
-
-/** Returns the current minimum log level. */
-LogLevel GetLogLevel();
-
-namespace internal {
-
-/** Emits one formatted log line to stderr if `level` passes the filter. */
-void LogMessage(LogLevel level, const char* file, int line,
-                const std::string& message);
+/** Emits one formatted INFO line to stderr. */
+void LogMessage(const char* file, int line, const std::string& message);
 
 /** Prints the failure message and aborts the process. */
 [[noreturn]] void PanicImpl(const char* file, int line,
@@ -52,22 +35,16 @@ class LogStream {
   std::ostringstream stream_;
 };
 
-}  // namespace internal
-}  // namespace granite
+}  // namespace granite::internal
 
-#define GRANITE_LOG(level, msg_expr)                                       \
+/** Progress message: print one INFO line to stderr. */
+#define GRANITE_INFO(msg_expr)                                             \
   do {                                                                     \
     ::granite::internal::LogStream granite_log_stream;                     \
     granite_log_stream.stream() << msg_expr;                               \
-    ::granite::internal::LogMessage(level, __FILE__, __LINE__,             \
+    ::granite::internal::LogMessage(__FILE__, __LINE__,                    \
                                     granite_log_stream.str());             \
   } while (0)
-
-#define GRANITE_INFO(msg_expr) GRANITE_LOG(::granite::LogLevel::kInfo, msg_expr)
-#define GRANITE_WARN(msg_expr) \
-  GRANITE_LOG(::granite::LogLevel::kWarning, msg_expr)
-#define GRANITE_DEBUG(msg_expr) \
-  GRANITE_LOG(::granite::LogLevel::kDebug, msg_expr)
 
 /** Internal invariant violation: print and abort (gem5 `panic`). */
 #define GRANITE_PANIC(msg_expr)                                            \

@@ -104,6 +104,4 @@ std::vector<std::size_t> Rng::Permutation(std::size_t n) {
   return perm;
 }
 
-Rng Rng::Split() { return Rng(Next() ^ 0xA5A5A5A5DEADBEEFull); }
-
 }  // namespace granite

@@ -51,9 +51,6 @@ class Rng {
   /** Produces an in-place Fisher-Yates shuffle of indices [0, n). */
   std::vector<std::size_t> Permutation(std::size_t n);
 
-  /** Splits off an independent generator (for parallel streams). */
-  Rng Split();
-
  private:
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;

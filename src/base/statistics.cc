@@ -14,14 +14,6 @@ double Mean(const std::vector<double>& values) {
          static_cast<double>(values.size());
 }
 
-double StandardDeviation(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double mean = Mean(values);
-  double sum_sq = 0.0;
-  for (double v : values) sum_sq += (v - mean) * (v - mean);
-  return std::sqrt(sum_sq / static_cast<double>(values.size()));
-}
-
 double MeanAbsolutePercentageError(const std::vector<double>& actual,
                                    const std::vector<double>& predicted) {
   GRANITE_CHECK_EQ(actual.size(), predicted.size());
@@ -151,14 +143,6 @@ void Histogram::Merge(const Histogram& other) {
   count_ += other.count_;
 }
 
-void Histogram::Clear() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_seen_ = 0.0;
-  max_seen_ = 0.0;
-}
-
 double Histogram::mean() const {
   return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
 }
@@ -190,19 +174,6 @@ double Histogram::Percentile(double percentile) const {
     return lower + (upper - lower) * fraction;
   }
   return max_seen_;
-}
-
-double Percentile(std::vector<double> values, double percentile) {
-  GRANITE_CHECK(!values.empty());
-  GRANITE_CHECK_GE(percentile, 0.0);
-  GRANITE_CHECK_LE(percentile, 100.0);
-  std::sort(values.begin(), values.end());
-  const double position =
-      percentile / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lower = static_cast<std::size_t>(position);
-  const double fraction = position - static_cast<double>(lower);
-  if (lower + 1 >= values.size()) return values.back();
-  return values[lower] * (1.0 - fraction) + values[lower + 1] * fraction;
 }
 
 }  // namespace granite

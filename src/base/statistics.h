@@ -15,9 +15,6 @@ namespace granite {
 /** Arithmetic mean. Returns 0 for empty input. */
 double Mean(const std::vector<double>& values);
 
-/** Population standard deviation. Returns 0 for fewer than 2 values. */
-double StandardDeviation(const std::vector<double>& values);
-
 /**
  * Mean absolute percentage error: mean_i |actual_i - predicted_i| /
  * |actual_i|. This is the loss and headline metric of the paper (§4).
@@ -46,9 +43,6 @@ double SpearmanCorrelation(const std::vector<double>& a,
 
 /** Returns average ranks (1-based, ties averaged) of the input values. */
 std::vector<double> FractionalRanks(const std::vector<double>& values);
-
-/** Percentile in [0, 100] using linear interpolation. */
-double Percentile(std::vector<double> values, double percentile);
 
 /**
  * Streaming histogram with geometrically spaced buckets, built for
@@ -80,9 +74,6 @@ class Histogram {
 
   /** Adds every bucket of `other` (same bucketization required). */
   void Merge(const Histogram& other);
-
-  /** Discards all recorded observations. */
-  void Clear();
 
   /** Number of observations recorded. */
   std::uint64_t count() const { return count_; }

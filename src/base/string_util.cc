@@ -42,14 +42,6 @@ std::string ToUpper(std::string_view text) {
   return result;
 }
 
-std::string ToLower(std::string_view text) {
-  std::string result(text);
-  for (char& c : result) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return result;
-}
-
 bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -129,15 +121,5 @@ template std::optional<int64_t> ParseDecimal(std::string_view);
 template std::optional<uint64_t> ParseDecimal(std::string_view);
 template std::optional<float> ParseDecimal(std::string_view);
 template std::optional<double> ParseDecimal(std::string_view);
-
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view separator) {
-  std::string result;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) result.append(separator);
-    result.append(pieces[i]);
-  }
-  return result;
-}
 
 }  // namespace granite

@@ -43,9 +43,6 @@ std::vector<std::string_view> SplitAndStrip(std::string_view text,
 /** Returns an upper-cased copy (ASCII only). */
 std::string ToUpper(std::string_view text);
 
-/** Returns a lower-cased copy (ASCII only). */
-std::string ToLower(std::string_view text);
-
 /** Case-insensitive ASCII string equality. */
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
@@ -78,10 +75,6 @@ std::optional<double> ParseDouble(std::string_view text);
  */
 template <typename T>
 std::optional<T> ParseDecimal(std::string_view text);
-
-/** Joins pieces with a separator. */
-std::string Join(const std::vector<std::string>& pieces,
-                 std::string_view separator);
 
 /** The 64-bit FNV-1a offset basis: the hash of no bytes. */
 constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;

@@ -73,8 +73,8 @@ int ThreadPool::RunShards(std::size_t begin, std::size_t end,
                           const ShardFn& fn) {
   GRANITE_CHECK_GE(end, begin);
   GRANITE_CHECK_MSG(!busy_.exchange(true),
-                    "ThreadPool::RunShards/ParallelFor called from inside "
-                    "a shard or concurrently with another call");
+                    "ThreadPool::RunShards called from inside a shard or "
+                    "concurrently with another call");
   const std::size_t total = end - begin;
   const int num_shards =
       static_cast<int>(std::min<std::size_t>(total, num_threads_));
@@ -101,15 +101,6 @@ int ThreadPool::RunShards(std::size_t begin, std::size_t end,
   busy_.store(false);
   if (exception != nullptr) std::rethrow_exception(exception);
   return num_shards;
-}
-
-void ThreadPool::ParallelFor(std::size_t begin, std::size_t end,
-                             const std::function<void(std::size_t)>& fn) {
-  RunShards(begin, end,
-            [&fn](int /*shard*/, std::size_t shard_begin,
-                  std::size_t shard_end) {
-              for (std::size_t i = shard_begin; i < shard_end; ++i) fn(i);
-            });
 }
 
 }  // namespace granite::base

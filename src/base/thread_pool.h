@@ -3,7 +3,7 @@
  * A fixed-size fork-join worker pool.
  *
  * The data-parallel trainer runs its per-worker tapes on it: one
- * RunShards()/ParallelFor() call per training step or evaluation pass.
+ * RunShards() call per training step or evaluation pass.
  * (The inference server and the kernel backends do not use it; the
  * server runs its own shard threads, and every kernel call is
  * single-threaded.)
@@ -12,7 +12,7 @@
  * shards, the calling thread runs shard 0, and worker i runs shard i.
  * The call returns once every shard has finished. A pool constructed
  * with `num_threads == 1` spawns no threads and runs everything inline.
- * Calling RunShards()/ParallelFor() while another call on the same pool
+ * Calling RunShards() while another call on the same pool
  * is in flight — from inside a shard (nested) or from a second thread
  * (concurrent) — is a GRANITE_CHECK failure, not a deadlock.
  *
@@ -67,11 +67,6 @@ class ThreadPool {
    * is < num_threads() when the range is shorter than the thread count.
    */
   int RunShards(std::size_t begin, std::size_t end, const ShardFn& fn);
-
-  /** Runs `fn(index)` for every index in [begin, end), statically
-   * partitioned like RunShards(). Blocks until done. */
-  void ParallelFor(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& fn);
 
   /**
    * Splits [0, total) into `num_shards` near-equal contiguous

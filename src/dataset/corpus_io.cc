@@ -466,17 +466,6 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
   return true;
 }
 
-Dataset LoadCorpus(const std::string& path) {
-  CorpusReader reader(path);
-  std::vector<Sample> samples;
-  samples.reserve(reader.header().num_blocks);
-  std::vector<Sample> shard;
-  while (reader.NextShard(&shard)) {
-    for (Sample& sample : shard) samples.push_back(std::move(sample));
-  }
-  return Dataset(std::move(samples));
-}
-
 StreamingCorpusSource::OpenState StreamingCorpusSource::Open(
     const std::string& path) {
   OpenState state;

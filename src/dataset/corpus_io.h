@@ -163,8 +163,6 @@ class CorpusReader {
   /** Opens `path` and validates the header. Throws CorpusError. */
   explicit CorpusReader(const std::string& path);
 
-  const CorpusHeader& header() const { return header_; }
-
   /**
    * Reads the next shard into `shard` (replacing its contents). Returns
    * false when all shards have been consumed — at which point the
@@ -183,10 +181,6 @@ class CorpusReader {
   std::uint64_t checksum_;
   bool done_ = false;
 };
-
-/** Loads an entire corpus into memory through the chunked reader
- * (checksum-verified). Prefer StreamingCorpusSource for large files. */
-Dataset LoadCorpus(const std::string& path);
 
 /** Tuning of a file-backed streaming source. */
 struct StreamingCorpusOptions {

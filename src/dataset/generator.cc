@@ -31,18 +31,6 @@ Instruction Make(const std::string& mnemonic, Operand a) {
 
 }  // namespace
 
-std::string_view WorkloadFamilyName(WorkloadFamily family) {
-  switch (family) {
-    case WorkloadFamily::kDependencyChain: return "dependency_chain";
-    case WorkloadFamily::kParallel: return "parallel";
-    case WorkloadFamily::kMemoryHeavy: return "memory_heavy";
-    case WorkloadFamily::kFloatingPoint: return "floating_point";
-    case WorkloadFamily::kAddressArithmetic: return "address_arithmetic";
-    case WorkloadFamily::kMixed: return "mixed";
-  }
-  return "?";
-}
-
 BlockGenerator::BlockGenerator(const GeneratorConfig& config, uint64_t seed)
     : config_(config), rng_(seed) {
   GRANITE_CHECK_GE(config.min_instructions, 1);

@@ -36,9 +36,6 @@ enum class WorkloadFamily {
 /** Number of workload families. */
 inline constexpr int kNumWorkloadFamilies = 6;
 
-/** Display name of a family. */
-std::string_view WorkloadFamilyName(WorkloadFamily family);
-
 /** Tuning knobs of the generator. */
 struct GeneratorConfig {
   /** Inclusive bounds on the block length in instructions. */

@@ -58,13 +58,4 @@ int Vocabulary::TokenIndex(const std::string& token) const {
   return it == index_.end() ? unknown_index_ : it->second;
 }
 
-bool Vocabulary::Contains(const std::string& token) const {
-  return index_.count(token) > 0;
-}
-
-const std::string& Vocabulary::TokenName(int index) const {
-  GRANITE_CHECK(index >= 0 && index < size());
-  return tokens_[index];
-}
-
 }  // namespace granite::graph

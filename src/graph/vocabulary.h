@@ -62,12 +62,6 @@ class Vocabulary {
    */
   int TokenIndex(const std::string& token) const;
 
-  /** True when `token` is present (kUnknownToken does not count). */
-  bool Contains(const std::string& token) const;
-
-  /** The token string at `index`. */
-  const std::string& TokenName(int index) const;
-
   /** All tokens in index order. */
   const std::vector<std::string>& tokens() const { return tokens_; }
 

@@ -103,10 +103,6 @@ std::size_t ParameterStore::TotalWeights() const {
   return total;
 }
 
-void ParameterStore::ZeroAllGrads() {
-  for (const auto& parameter : parameters_) parameter->ZeroGrad();
-}
-
 std::vector<Tensor> ParameterStore::SnapshotValues() const {
   std::vector<Tensor> snapshot;
   snapshot.reserve(parameters_.size());

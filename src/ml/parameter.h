@@ -38,9 +38,6 @@ struct Parameter {
   Tensor grad;
   Tensor adam_m;
   Tensor adam_v;
-
-  /** Resets the accumulated gradient to zero. */
-  void ZeroGrad() { grad.SetZero(); }
 };
 
 /**
@@ -115,9 +112,6 @@ class ParameterStore {
 
   /** Total number of scalar weights across all parameters. */
   std::size_t TotalWeights() const;
-
-  /** Zeroes every parameter's gradient. */
-  void ZeroAllGrads();
 
   /**
    * Monotone counter identifying the current set of parameter values.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "base/logging.h"
 
@@ -95,20 +94,6 @@ bool Tensor::AllClose(const Tensor& other, float tolerance) const {
     if (std::abs(data_[i] - other.data_[i]) > tolerance) return false;
   }
   return true;
-}
-
-std::string Tensor::ToString() const {
-  std::ostringstream out;
-  out << "Tensor(" << rows_ << "x" << cols_ << ")[";
-  for (int r = 0; r < rows_; ++r) {
-    if (r > 0) out << "; ";
-    for (int c = 0; c < cols_; ++c) {
-      if (c > 0) out << ", ";
-      out << at(r, c);
-    }
-  }
-  out << "]";
-  return out.str();
 }
 
 }  // namespace granite::ml

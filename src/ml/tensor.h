@@ -127,9 +127,6 @@ class Tensor {
   /** Element-wise closeness within `tolerance`. Shapes must match. */
   bool AllClose(const Tensor& other, float tolerance = 1e-5f) const;
 
-  /** Human-readable rendering for diagnostics. */
-  std::string ToString() const;
-
  private:
   friend class Tape;
 

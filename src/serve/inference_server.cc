@@ -235,13 +235,6 @@ std::optional<std::future<double>> InferenceServer::FailUnencodable(
   return promise.get_future();
 }
 
-double InferenceServer::Predict(const assembly::BasicBlock& block, int task) {
-  std::optional<std::future<double>> future = Submit(&block, task);
-  GRANITE_CHECK_MSG(future.has_value(),
-                    "Predict() rejected (server overloaded or stopped)");
-  return future->get();
-}
-
 void InferenceServer::WorkerLoop(Shard& shard) {
   // Every forward on this thread reuses one retained arena chunk.
   ml::TapeArena arena;

@@ -247,7 +247,7 @@ struct BatchSubmitRequest {
  * batched GNN inference over per-worker shards.
  *
  * Thread-safety: all public methods are safe to call from any number of
- * threads concurrently. Submit()/Predict() touch exactly one shard's
+ * threads concurrently. Submit() touches exactly one shard's
  * lock; Stats()/StatsString() lock shards in a fixed order; UpdateModel
  * excludes in-flight batches via a reader/writer lock; Shutdown() is
  * idempotent and serializes concurrent callers.
@@ -301,14 +301,6 @@ class InferenceServer {
   std::vector<std::optional<std::future<double>>> SubmitMany(
       const std::vector<BatchSubmitRequest>& requests,
       AdmissionClass admission = AdmissionClass::kInteractive);
-
-  /**
-   * Synchronous convenience wrapper: Submit() + wait. Fails (via
-   * GRANITE_CHECK) if the request is rejected, so use it only with
-   * OverflowPolicy::kBlock or under loads the queue can absorb.
-   * Thread-safe.
-   */
-  double Predict(const assembly::BasicBlock& block, int task);
 
   /**
    * Atomically publishes new parameter values (same store structure as

@@ -150,14 +150,6 @@ void ModelRouter::StartShadow(
   entry->shadow.store(raw, std::memory_order_release);
 }
 
-void ModelRouter::PromoteLocked(Entry& entry, ShadowSession& session) {
-  // One atomic swap: each server always serves its own model, so a
-  // request gets the old model from the old server or the new one from
-  // the new server.
-  entry.active_server.store(session.candidate_server,
-                            std::memory_order_release);
-}
-
 void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
   std::unique_lock<std::mutex> lock(session.mutex);
   for (;;) {
@@ -207,7 +199,13 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
       if (session.parity == session.compared) {
         session.state.store(CanaryState::kPromoted,
                             std::memory_order_release);
-        if (session.config.auto_promote) PromoteLocked(entry, session);
+        // One atomic swap: each server always serves its own model, so
+        // a request gets the old model from the old server or the new
+        // one from the new server.
+        if (session.config.auto_promote) {
+          entry.active_server.store(session.candidate_server,
+                                    std::memory_order_release);
+        }
       } else {
         session.state.store(CanaryState::kRejected,
                             std::memory_order_release);
@@ -234,21 +232,6 @@ void ModelRouter::StopSessionLocked(Entry& entry, ShadowSession& session) {
   session.event.notify_all();
   session.comparator.join();
   (void)entry;
-}
-
-void ModelRouter::PromoteShadow(const std::string& name) {
-  Entry* entry = FindEntry(name);
-  GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
-  std::lock_guard<std::mutex> session_lock(entry->session_mutex);
-  ShadowSession* session = entry->shadow.load(std::memory_order_acquire);
-  GRANITE_CHECK_MSG(session != nullptr,
-                    "route '" << name << "' has no shadow session");
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    session->verdict_reached = true;
-  }
-  session->state.store(CanaryState::kPromoted, std::memory_order_release);
-  PromoteLocked(*entry, *session);
 }
 
 std::optional<ShadowStats> ModelRouter::ShadowStatus(
@@ -336,23 +319,6 @@ std::optional<std::future<double>> ModelRouter::Submit(
   return std::async(std::launch::deferred, [shared_primary] {
     return shared_primary.get();
   });
-}
-
-double ModelRouter::Predict(const std::string& name,
-                            const assembly::BasicBlock& block, int task) {
-  std::optional<std::future<double>> future = Submit(name, &block, task);
-  GRANITE_CHECK_MSG(future.has_value(),
-                    "Predict() on route '" << name
-                                           << "' rejected or unknown");
-  return future->get();
-}
-
-void ModelRouter::UpdateModel(const std::string& name,
-                              const ml::ParameterStore& new_parameters) {
-  Entry* entry = FindEntry(name);
-  GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
-  entry->active_server.load(std::memory_order_acquire)
-      ->UpdateModel(new_parameters);
 }
 
 bool ModelRouter::HasModel(const std::string& name) const {

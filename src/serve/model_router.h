@@ -8,7 +8,7 @@
  * window, workers and stats), so traffic for one model never blocks
  * another and per-model per-task statistics stay separable; the router
  * is the thin name → server indirection on top. Models can be added
- * while traffic flows and hot-swapped per name (UpdateModel).
+ * while traffic flows.
  *
  * Routing policies, the canary workflow of a real fleet:
  *
@@ -26,9 +26,9 @@
  *   up in the shadow statistics. Once enough comparisons accumulate,
  *   the session reaches a verdict: parity (equal predictions on every
  *   compared request) promotes the candidate — atomically swapping it
- *   in as the route's active model (auto_promote) or waiting for an
- *   explicit PromoteShadow() call — and anything else rejects it,
- *   ending the mirror.
+ *   in as the route's active model when auto_promote is set, otherwise
+ *   only reporting the verdict — and anything else rejects it. Either
+ *   verdict ends the mirror.
  *
  * Thread-safety: all public methods are safe to call concurrently. The
  * submit hot path reads the route map under a shared lock and the
@@ -63,7 +63,9 @@ enum class CanaryState {
   kInactive,
   /** Mirroring traffic to the candidate, accumulating comparisons. */
   kShadowing,
-  /** Verdict: candidate at parity; it is (or may be) the active model. */
+  /** Verdict: candidate at parity; it is the active model when the
+   * session's auto_promote was set, otherwise the active model is
+   * unchanged. */
   kPromoted,
   /** Verdict: candidate diverged; mirroring stopped, active model kept. */
   kRejected,
@@ -80,8 +82,9 @@ struct ShadowConfig {
    * same architecture retrained or re-exported (serving is
    * deterministic per model). */
   std::uint64_t min_comparisons = 100;
-  /** Promote automatically on a parity verdict; otherwise the verdict
-   * parks at kPromoted and an operator calls PromoteShadow(). */
+  /** Swap the candidate in as the active model on a parity verdict.
+   * When false, the verdict is reported (kPromoted) and the candidate
+   * is never swapped in. */
   bool auto_promote = true;
   /** Server configuration for the candidate's own InferenceServer. Its
    * overflow policy is forced to kReject: a saturated candidate sheds
@@ -180,16 +183,6 @@ class ModelRouter {
    * had a shadow session. Thread-safe. */
   std::optional<ShadowStats> ShadowStatus(const std::string& name) const;
 
-  /**
-   * Operator override: immediately promotes the route's shadow
-   * candidate to active (ending the mirror), regardless of the parity
-   * verdict so far — the manual half of the canary runbook, for
-   * sessions started with auto_promote = false (also usable to
-   * force-promote a kRejected candidate). Fails on an unknown route or
-   * one without a shadow session. Thread-safe.
-   */
-  void PromoteShadow(const std::string& name);
-
   /** The split's routing statistics, or an empty optional when `name`
    * is not a split. Thread-safe. */
   std::optional<SplitStats> SplitStatus(const std::string& name) const;
@@ -206,17 +199,6 @@ class ModelRouter {
   std::optional<std::future<double>> Submit(
       const std::string& name, const assembly::BasicBlock* block, int task,
       AdmissionClass admission = AdmissionClass::kInteractive);
-
-  /** Synchronous convenience wrapper: Submit() + wait; fails on an
-   * unknown route or a rejected request. Thread-safe. */
-  double Predict(const std::string& name, const assembly::BasicBlock& block,
-                 int task);
-
-  /** Hot-swaps the named model's parameters (see
-   * InferenceServer::UpdateModel); applies to the route's currently
-   * active model. Fails on an unknown name. Thread-safe. */
-  void UpdateModel(const std::string& name,
-                   const ml::ParameterStore& new_parameters);
 
   /** True when a model is registered under `name` (splits excluded). */
   bool HasModel(const std::string& name) const;
@@ -334,10 +316,6 @@ class ModelRouter {
    * block's canonical fingerprint. Also bumps the arm counter. */
   const std::string& ResolveSplit(Split& split,
                                   const assembly::BasicBlock& block) const;
-
-  /** Swaps the session's candidate in as the route's active model.
-   * Requires entry.session_mutex to be held. */
-  static void PromoteLocked(Entry& entry, ShadowSession& session);
 
   /** Comparator thread: drains pending primary/candidate pairs,
    * accumulates parity stats, decides the verdict. */

@@ -2,7 +2,7 @@
  * @file
  * Corpus-file robustness suite: save/load round-trips must be bit-exact
  * (blocks and binary double labels), the chunked reader and the
- * random-access streaming source must agree with the whole-file load,
+ * random-access streaming source must agree with the saved dataset,
  * streaming synthesis must replay the materialized synthesis exactly,
  * and every class of malformed file (bad magic, truncation, flipped
  * payload or label bytes, inconsistent counts, trailing garbage) must
@@ -19,6 +19,7 @@
 #include "dataset/block_source.h"
 #include "dataset/corpus_io.h"
 #include "gtest/gtest.h"
+#include "temp_corpus.h"
 
 namespace granite::dataset {
 namespace {
@@ -60,10 +61,18 @@ class CorpusIoTest : public ::testing::Test {
     file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
+  /** Reads the current file to the end through the chunked reader. */
+  void ReadEveryShard() const {
+    CorpusReader reader(path_);
+    std::vector<Sample> shard;
+    while (reader.NextShard(&shard)) {
+    }
+  }
+
   /** Every read path must reject the current file. */
   void ExpectAllReadersThrow() const {
     EXPECT_THROW(ReadCorpusHeader(path_), CorpusError);
-    EXPECT_THROW(LoadCorpus(path_), CorpusError);
+    EXPECT_THROW(ReadEveryShard(), CorpusError);
     EXPECT_THROW(StreamingCorpusSource{path_}, CorpusError);
   }
 
@@ -84,7 +93,7 @@ TEST_F(CorpusIoTest, RoundTripIsBitExact) {
   const Dataset data = TinyDataset(120);
   SaveCorpus(data, path_, uarch::MeasurementTool::kIthemalTool,
              /*generator_seed=*/5, /*records_per_shard=*/32);
-  const Dataset loaded = LoadCorpus(path_);
+  const Dataset loaded = ReadStreamedCorpus(path_);
   ASSERT_EQ(loaded.size(), data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
     ExpectSamplesEqual(data[i], loaded[i], "sample " + std::to_string(i));
@@ -120,12 +129,11 @@ TEST_F(CorpusIoTest, HeaderReportsMetadataWithoutLoad) {
   EXPECT_EQ(header.num_shards, 3u);  // 32 + 32 + 6
 }
 
-TEST_F(CorpusIoTest, ChunkedReaderMatchesWholeFileLoad) {
+TEST_F(CorpusIoTest, ChunkedReaderMatchesSavedDataset) {
   const Dataset data = TinyDataset(100);
   SaveCorpus(data, path_, uarch::MeasurementTool::kIthemalTool, 5,
              /*records_per_shard=*/16);
   CorpusReader reader(path_);
-  EXPECT_EQ(reader.header().num_shards, 7u);
   std::vector<Sample> shard;
   std::size_t total = 0;
   std::size_t shards = 0;
@@ -224,7 +232,7 @@ TEST_F(CorpusIoTest, StreamingSynthesisRoundTripsThroughFile) {
     SaveCorpus(lazy, path_, config.tool, config.seed,
                /*records_per_shard=*/16);
 
-    const Dataset loaded = LoadCorpus(path_);
+    const Dataset loaded = ReadStreamedCorpus(path_);
     ASSERT_EQ(loaded.size(), direct.size());
     for (std::size_t i = 0; i < direct.size(); ++i) {
       ExpectSamplesEqual(direct[i], loaded[i],
@@ -236,9 +244,8 @@ TEST_F(CorpusIoTest, StreamingSynthesisRoundTripsThroughFile) {
 TEST_F(CorpusIoTest, EmptyCorpusRoundTrips) {
   SaveCorpus(Dataset(), path_, uarch::MeasurementTool::kIthemalTool, 0);
   EXPECT_EQ(ReadCorpusHeader(path_).num_blocks, 0u);
-  EXPECT_TRUE(LoadCorpus(path_).empty());
-  const StreamingCorpusSource source(path_);
-  EXPECT_EQ(source.size(), 0u);
+  EXPECT_TRUE(ReadStreamedCorpus(path_).empty());
+  EXPECT_NO_THROW(ReadEveryShard());
 }
 
 TEST_F(CorpusIoTest, FpImmediatesRoundTripExactly) {
@@ -249,7 +256,7 @@ TEST_F(CorpusIoTest, FpImmediatesRoundTripExactly) {
   sample.throughput.fill(1.0);
   SaveCorpus(Dataset({sample}), path_, uarch::MeasurementTool::kIthemalTool,
              0);
-  const Dataset loaded = LoadCorpus(path_);
+  const Dataset loaded = ReadStreamedCorpus(path_);
   ASSERT_EQ(loaded.size(), 1u);
   const assembly::BasicBlock& block = loaded[0].block;
   EXPECT_EQ(block, sample.block);
@@ -275,7 +282,7 @@ TEST_F(CorpusIoTest, OversizedBlockTextIsRejectedAndNotWritten) {
   writer.Finish();
   EXPECT_EQ(writer.blocks_written(), 3u);
 
-  const Dataset loaded = LoadCorpus(path_);
+  const Dataset loaded = ReadStreamedCorpus(path_);
   ASSERT_EQ(loaded.size(), 3u);
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     ExpectSamplesEqual(data[i], loaded[i], "sample " + std::to_string(i));
@@ -365,7 +372,7 @@ TEST_F(CorpusIoTest, FlippedPayloadByteRaisesCleanError) {
   // the checksum must reject it.
   bytes[56 + 16 + 4 + 1] ^= 0x40;
   WriteFile(bytes);
-  EXPECT_THROW(LoadCorpus(path_), CorpusError);
+  EXPECT_THROW(ReadEveryShard(), CorpusError);
   EXPECT_THROW(StreamingCorpusSource{path_}, CorpusError);
 }
 
@@ -377,7 +384,7 @@ TEST_F(CorpusIoTest, FlippedLabelByteRaisesChecksumError) {
   // whole-file checksum can catch it.
   bytes[bytes.size() - 9] ^= 0x01;
   WriteFile(bytes);
-  EXPECT_THROW(LoadCorpus(path_), CorpusError);
+  EXPECT_THROW(ReadEveryShard(), CorpusError);
   EXPECT_THROW(StreamingCorpusSource{path_}, CorpusError);
 }
 

@@ -322,12 +322,6 @@ TEST(DatasetGoldenTest, UnencodableRecordIsRefusedByEveryRecordReader) {
   EXPECT_EQ(outcomes[0], "error " + refused);  // CorpusReader
   EXPECT_EQ(outcomes[1], "error " + refused);  // StreamingCorpusSource
   EXPECT_TRUE(outcomes[2].starts_with("ok "));  // ReadCorpusHeader
-  try {
-    LoadCorpus(file.path());
-    ADD_FAILURE() << "LoadCorpus accepted an unencodable record";
-  } catch (const CorpusError& error) {
-    EXPECT_EQ(file.StripPath(error.what()), refused);
-  }
 }
 
 /** A one-shard corpus whose prelude claims a 48 MiB payload and whose

@@ -106,8 +106,8 @@ TEST_F(InferenceServerTest, ServesASingleRequest) {
   InferenceServerConfig config;
   config.batch_window = microseconds{500};
   InferenceServer server(&model, config);
-  EXPECT_EQ(server.Predict(blocks_[0], 0), expected[0]);
-  EXPECT_EQ(server.Predict(blocks_[1], 0), expected[1]);
+  EXPECT_EQ(server.Submit(&blocks_[0], 0).value().get(), expected[0]);
+  EXPECT_EQ(server.Submit(&blocks_[1], 0).value().get(), expected[1]);
 }
 
 TEST_F(InferenceServerTest, SizeFlushFiresBeforeTheDeadline) {
@@ -513,10 +513,10 @@ TEST_F(InferenceServerTest, PerTaskLatencyBreakdownSplitsCompletions) {
 
   // 6 requests on task 0, 3 on task 1, all answered synchronously.
   for (int r = 0; r < 6; ++r) {
-    server.Predict(blocks_[r % blocks_.size()], 0);
+    server.Submit(&blocks_[r % blocks_.size()], 0).value().get();
   }
   for (int r = 0; r < 3; ++r) {
-    server.Predict(blocks_[r % blocks_.size()], 1);
+    server.Submit(&blocks_[r % blocks_.size()], 1).value().get();
   }
 
   const ServerStats stats = server.Stats();
@@ -556,7 +556,7 @@ TEST_F(InferenceServerTest, ServesAnIthemalModelThroughTheInterface) {
   server_config.batch_window = microseconds{200};
   InferenceServer server(&model, server_config);
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(server.Predict(blocks_[i], 0), expected[i]);
+    EXPECT_EQ(server.Submit(&blocks_[i], 0).value().get(), expected[i]);
   }
 }
 
@@ -721,7 +721,7 @@ TEST_F(InferenceServerTest, UnencodableSubmitFailsItsFutureWithoutABatch) {
     ASSERT_TRUE(future.has_value());
     EXPECT_TRUE(UnencodableReasonOf(*future).has_value());
     const std::size_t i = round % blocks_.size();
-    EXPECT_EQ(server.Predict(blocks_[i], 0), expected[i]);
+    EXPECT_EQ(server.Submit(&blocks_[i], 0).value().get(), expected[i]);
   }
   done.store(true);
   reader.join();
@@ -792,8 +792,8 @@ TEST_F(InferenceServerTest, RouterPassesTheUnencodableErrorThrough) {
   ASSERT_TRUE(future.has_value());
   EXPECT_EQ(UnencodableReasonOf(*future),
             assembly::UnencodableReason::kUnsupportedArity);
-  const double answer = router.Predict("granite", blocks_[0], 0);
-  EXPECT_EQ(answer, router.Predict("granite", blocks_[0], 0));
+  const double answer = router.Submit("granite", &blocks_[0], 0).value().get();
+  EXPECT_EQ(answer, router.Submit("granite", &blocks_[0], 0).value().get());
   const ServerStats stats = router.Stats("granite");
   ExpectCoherentCounters(stats);
   EXPECT_EQ(stats.submitted, 3u);
@@ -808,7 +808,7 @@ TEST_F(InferenceServerTest, StatsReportCoherentLatencyPercentiles) {
   config.batch_window = microseconds{100};
   InferenceServer server(&model, config);
   for (int r = 0; r < 16; ++r) {
-    server.Predict(blocks_[r % blocks_.size()], 0);
+    server.Submit(&blocks_[r % blocks_.size()], 0).value().get();
   }
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 16u);

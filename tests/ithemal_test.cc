@@ -82,9 +82,9 @@ TEST(TokenizerTest, IndicesResolveThroughVocabulary) {
 
 TEST(IthemalVocabularyTest, ContainsSeparators) {
   const graph::Vocabulary vocabulary = CreateIthemalVocabulary();
-  EXPECT_TRUE(vocabulary.Contains(kSourcesToken));
-  EXPECT_TRUE(vocabulary.Contains(kDestinationsToken));
-  EXPECT_TRUE(vocabulary.Contains(kEndToken));
+  for (const char* token : {kSourcesToken, kDestinationsToken, kEndToken}) {
+    EXPECT_EQ(vocabulary.tokens()[vocabulary.TokenIndex(token)], token);
+  }
 }
 
 class IthemalModelTest : public ::testing::Test {

@@ -612,7 +612,7 @@ void CheckParameterGradient(const KernelBackend& backend,
                             Parameter* parameter,
                             const std::function<Var(Tape&)>& build,
                             float step = 1e-2f, float tolerance = 2e-2f) {
-  parameter->ZeroGrad();
+  parameter->grad.SetZero();
   {
     Tape tape(&backend);
     tape.Backward(build(tape));

@@ -45,7 +45,7 @@ class GradCheckTest : public ::testing::TestWithParam<KernelBackendKind> {
                               float step = 1e-2f, float tolerance = 2e-2f) {
     const KernelBackend* backend = &GetKernelBackend(GetParam());
     // Analytic gradient.
-    parameter->ZeroGrad();
+    parameter->grad.SetZero();
     {
       Tape tape(backend);
       Var loss = build(tape);

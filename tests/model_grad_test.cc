@@ -33,7 +33,7 @@ std::vector<assembly::BasicBlock> TestBlocks() {
 template <typename LossFn>
 void SpotCheckGradients(ml::ParameterStore& store, LossFn loss_fn,
                         int samples, float step, float tolerance) {
-  store.ZeroAllGrads();
+  for (const auto& parameter : store.parameters()) parameter->grad.SetZero();
   {
     ml::Tape tape;
     tape.Backward(loss_fn(tape));
@@ -124,7 +124,9 @@ TEST(ModelGradTest, GraniteGradientsAreNonTrivial) {
   config.message_passing_iterations = 2;
   core::GraniteModel model(&vocabulary, config);
   const auto block = assembly::ParseBasicBlock("ADD RAX, RBX");
-  model.parameters().ZeroAllGrads();
+  for (const auto& parameter : model.parameters().parameters()) {
+    parameter->grad.SetZero();
+  }
   {
     ml::Tape tape;
     const auto predictions = model.Forward(tape, {&*block.value});

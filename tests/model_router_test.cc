@@ -4,7 +4,7 @@
  * loaded from checkpoint bundles) served concurrently behind one submit
  * API, with exact-value expectations (the same batch-composition
  * invariance the InferenceServer suite relies on), per-model per-task
- * stats, per-model hot swap, and unknown-name handling.
+ * stats, and unknown-name handling.
  */
 #include <atomic>
 #include <chrono>
@@ -110,9 +110,9 @@ TEST_F(ModelRouterTest, RoutesByNameToTheRightModel) {
             (std::vector<std::string>{"granite", "ithemal_plus"}));
 
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("granite", blocks_[i], 0),
+    EXPECT_EQ(router.Submit("granite", &blocks_[i], 0).value().get(),
               expected_granite[i]);
-    EXPECT_EQ(router.Predict("ithemal_plus", blocks_[i], 0),
+    EXPECT_EQ(router.Submit("ithemal_plus", &blocks_[i], 0).value().get(),
               expected_ithemal[i]);
   }
 }
@@ -205,32 +205,6 @@ TEST_F(ModelRouterTest, ServesBothModelsConcurrentlyFromBundles) {
   EXPECT_NE(text.find("task 1:"), std::string::npos);
 }
 
-TEST_F(ModelRouterTest, HotSwapsOneModelWithoutTouchingTheOther) {
-  const auto original = MakeGranite(1, 42);
-  const auto retrained = MakeGranite(1, 991);
-  const auto ithemal = MakeIthemalPlus(1);
-  const std::vector<double> expected_before = ExpectedAlone(*original, 0);
-  const std::vector<double> expected_after = ExpectedAlone(*retrained, 0);
-  const std::vector<double> expected_ithemal = ExpectedAlone(*ithemal, 0);
-
-  InferenceServerConfig config;
-  config.batch_window = microseconds{200};
-  config.prediction_cache_capacity = 64;
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*original, "granite"));
-  router.AddModel("ithemal_plus", ThroughBundle(*ithemal, "ithemal_plus"));
-
-  EXPECT_EQ(router.Predict("granite", blocks_[0], 0), expected_before[0]);
-  router.UpdateModel("granite", retrained->parameters());
-  // The swapped model serves the new weights (the generation bump
-  // flushed its prediction cache); the other model is untouched.
-  EXPECT_EQ(router.Predict("granite", blocks_[0], 0), expected_after[0]);
-  EXPECT_EQ(router.Predict("ithemal_plus", blocks_[0], 0),
-            expected_ithemal[0]);
-  EXPECT_EQ(router.Stats("granite").model_updates, 1u);
-  EXPECT_EQ(router.Stats("ithemal_plus").model_updates, 0u);
-}
-
 TEST_F(ModelRouterTest, ShutdownStopsAllModels) {
   ModelRouter router;
   router.AddModel("a", MakeGranite(1, 1));
@@ -257,7 +231,7 @@ TEST_F(ModelRouterTest, CachedServingSharesTheModelCache) {
 
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 4; ++i) {
-      router.Predict("ithemal_plus", blocks_[i], 0);
+      router.Submit("ithemal_plus", &blocks_[i], 0).value().get();
     }
   }
   EXPECT_GT(router.Model("ithemal_plus").prediction_cache_hits(), 0u);

@@ -82,7 +82,7 @@ TEST(GradientSinkTest, MultipleSinksReduceLikeOneBackward) {
     tape.Backward(tape.Square(tape.Param(p)));
   }
   const float direct = p->grad.at(0, 0);
-  p->ZeroGrad();
+  p->grad.SetZero();
 
   // Same two passes through worker-private sinks, reduced afterwards.
   std::vector<ml::GradientSink> sinks(2);

@@ -21,7 +21,6 @@
 
 #include "asm/parser.h"
 #include "base/rng.h"
-#include "base/string_util.h"
 #include "dataset/generator.h"
 #include "dataset/importer.h"
 #include "uarch/throughput_model.h"
@@ -86,8 +85,8 @@ TEST(ParseAllocationTest, ParseAllocatesOnlyWhatTheBlockOwns) {
     std::string text = block.ToString();
     // Half the blocks in lower case with tabs, as hand-written input is.
     if (rng.NextBounded(2) == 0) {
-      text = ToLower(text);
       for (char& c : text) {
+        if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
         if (c == ' ' && rng.NextBounded(2) == 0) c = '\t';
       }
     }

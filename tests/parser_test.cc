@@ -102,7 +102,7 @@ TEST(ParseOperandTest, SegmentOverride) {
 TEST(ParseOperandTest, RipRelative) {
   const auto result = ParseOperand("QWORD PTR [RIP + 0x100]");
   ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_EQ(result.value->mem().base, InstructionPointerRegister());
+  EXPECT_EQ(result.value->mem().base, RegisterByName("RIP"));
 }
 
 TEST(ParseOperandTest, RejectsGarbage) {
@@ -359,7 +359,7 @@ TEST(ParseBasicBlockTest, GoldenDigestOverRespelledAndMutatedBlocks) {
       const std::string canonical = generator.Generate().ToString();
       std::string variant;
       bool line_start = true;
-      for (const char c : ToLower(canonical)) {
+      for (const char c : canonical) {
         if (line_start && rng.NextBounded(2) == 0) variant += '\t';
         line_start = c == '\n';
         if (c == ' ') {
@@ -369,7 +369,8 @@ TEST(ParseBasicBlockTest, GoldenDigestOverRespelledAndMutatedBlocks) {
             default: variant += " \t"; break;
           }
         } else {
-          variant += c;
+          variant += c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a')
+                                          : c;
         }
       }
       EXPECT_TRUE(fold(variant)) << variant;

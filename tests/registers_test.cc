@@ -64,7 +64,7 @@ TEST(RegisterTableTest, Classes) {
   EXPECT_TRUE(IsRegisterClass(FlagsRegister(), RegisterClass::kFlags));
   EXPECT_TRUE(IsRegisterClass(RegisterByName("GS"),
                               RegisterClass::kSegment));
-  EXPECT_TRUE(IsRegisterClass(InstructionPointerRegister(),
+  EXPECT_TRUE(IsRegisterClass(RegisterByName("RIP"),
                               RegisterClass::kInstructionPointer));
 }
 

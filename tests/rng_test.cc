@@ -106,16 +106,6 @@ TEST(RngTest, PermutationOfZeroAndOne) {
   EXPECT_EQ(one[0], 0u);
 }
 
-TEST(RngTest, SplitProducesIndependentStream) {
-  Rng rng(31);
-  Rng child = rng.Split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (rng.Next() == child.Next()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
 TEST(RngTest, UniformRange) {
   Rng rng(37);
   for (int i = 0; i < 1000; ++i) {

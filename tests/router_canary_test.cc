@@ -122,13 +122,13 @@ TEST_F(RouterCanaryTest, SplitRoutesDeterministicallyAndBitExactPerArm) {
   // never mixes models), and the arm choice is stable per block.
   std::vector<double> first_pass(blocks_.size());
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    first_pass[i] = router.Predict("mix", blocks_[i], 0);
+    first_pass[i] = router.Submit("mix", &blocks_[i], 0).value().get();
     EXPECT_TRUE(first_pass[i] == expected_a[i] ||
                 first_pass[i] == expected_b[i])
         << "block " << i << " matched neither arm";
   }
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("mix", blocks_[i], 0), first_pass[i])
+    EXPECT_EQ(router.Submit("mix", &blocks_[i], 0).value().get(), first_pass[i])
         << "arm choice must be deterministic per block";
   }
 
@@ -155,8 +155,10 @@ TEST_F(RouterCanaryTest, DegenerateWeightsSendAllTrafficToOneArm) {
   router.AddSplit("all_b", "a", "b", /*weight_a=*/0.0);
 
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("all_a", blocks_[i], 0), expected_a[i]);
-    EXPECT_EQ(router.Predict("all_b", blocks_[i], 0), expected_b[i]);
+    EXPECT_EQ(router.Submit("all_a", &blocks_[i], 0).value().get(),
+              expected_a[i]);
+    EXPECT_EQ(router.Submit("all_b", &blocks_[i], 0).value().get(),
+              expected_b[i]);
   }
   EXPECT_EQ(router.SplitStatus("all_a")->to_b, 0u);
   EXPECT_EQ(router.SplitStatus("all_b")->to_a, 0u);
@@ -230,7 +232,8 @@ TEST_F(RouterCanaryTest, ShadowPredictionsNeverReachClients) {
 
   // After rejection the mirror is off: traffic still serves exactly.
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("granite", blocks_[i], 0), expected[i]);
+    EXPECT_EQ(router.Submit("granite", &blocks_[i], 0).value().get(),
+              expected[i]);
   }
   router.Shutdown();
 }
@@ -280,16 +283,16 @@ TEST_F(RouterCanaryTest, PromoteOnParitySwapsTheActiveModel) {
 
   // The promoted twin serves the same (bit-identical) predictions.
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("granite", blocks_[i], 0), expected[i]);
+    EXPECT_EQ(router.Submit("granite", &blocks_[i], 0).value().get(),
+              expected[i]);
   }
   EXPECT_NE(router.StatsString().find("state=promoted"),
             std::string::npos);
   router.Shutdown();
 }
 
-TEST_F(RouterCanaryTest, ManualPromotionRunbook) {
+TEST_F(RouterCanaryTest, ParityWithoutAutoPromoteKeepsTheActiveModel) {
   const auto primary = MakeGranite(42);
-  const std::vector<double> expected = ExpectedAlone(*primary, 0);
 
   InferenceServerConfig config;
   config.max_batch_size = 4;
@@ -301,22 +304,15 @@ TEST_F(RouterCanaryTest, ManualPromotionRunbook) {
 
   ShadowConfig shadow;
   shadow.min_comparisons = 10;
-  shadow.auto_promote = false;  // Parity parks; an operator promotes.
+  shadow.auto_promote = false;  // The verdict is reported, not applied.
   shadow.server_config = config;
   router.StartShadow("granite", ThroughBundle(*primary, "twin"), shadow);
 
   for (int r = 0; r < 15; ++r) {
-    router.Predict("granite", blocks_[r % blocks_.size()], 0);
+    router.Submit("granite", &blocks_[r % blocks_.size()], 0).value().get();
   }
   EXPECT_EQ(AwaitVerdict(router, "granite"), CanaryState::kPromoted);
-  // Verdict reached, but without auto_promote the active model stays.
   EXPECT_EQ(&router.Model("granite"), active_before);
-
-  router.PromoteShadow("granite");
-  EXPECT_NE(&router.Model("granite"), active_before);
-  for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("granite", blocks_[i], 0), expected[i]);
-  }
   router.Shutdown();
 }
 
@@ -345,7 +341,8 @@ TEST_F(RouterCanaryTest, OverloadedCandidateNeverDelaysClients) {
   // client to the candidate's queue.
   for (int r = 0; r < 30; ++r) {
     const std::size_t i = r % blocks_.size();
-    EXPECT_EQ(router.Predict("granite", blocks_[i], 0), expected[i]);
+    EXPECT_EQ(router.Submit("granite", &blocks_[i], 0).value().get(),
+              expected[i]);
   }
   const ShadowStats status = *router.ShadowStatus("granite");
   EXPECT_EQ(status.state, CanaryState::kShadowing);
@@ -379,7 +376,8 @@ TEST_F(RouterCanaryTest, SplitOverShadowedRouteStaysExact) {
   router.StartShadow("a", ThroughBundle(*model_b, "candidate"), shadow);
 
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    EXPECT_EQ(router.Predict("all_a", blocks_[i], 0), expected_a[i]);
+    EXPECT_EQ(router.Submit("all_a", &blocks_[i], 0).value().get(),
+              expected_a[i]);
   }
   EXPECT_GT(router.ShadowStatus("a")->mirrored, 0u);
   router.Shutdown();

@@ -17,12 +17,6 @@ TEST(MeanTest, Basic) {
   EXPECT_DOUBLE_EQ(Mean({7}), 7.0);
 }
 
-TEST(StandardDeviationTest, Basic) {
-  EXPECT_DOUBLE_EQ(StandardDeviation({2, 2, 2}), 0.0);
-  EXPECT_NEAR(StandardDeviation({1, 3}), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(StandardDeviation({5}), 0.0);
-}
-
 TEST(MapeTest, PerfectPrediction) {
   EXPECT_DOUBLE_EQ(MeanAbsolutePercentageError({1, 2, 3}, {1, 2, 3}), 0.0);
 }
@@ -80,13 +74,6 @@ TEST(FractionalRanksTest, TiesGetAverageRank) {
   EXPECT_DOUBLE_EQ(ranks[3], 4.0);
 }
 
-TEST(PercentileTest, Basic) {
-  EXPECT_DOUBLE_EQ(Percentile({1, 2, 3, 4, 5}, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile({1, 2, 3, 4, 5}, 100), 5.0);
-  EXPECT_DOUBLE_EQ(Percentile({1, 2, 3, 4, 5}, 50), 3.0);
-  EXPECT_DOUBLE_EQ(Percentile({1, 2}, 50), 1.5);
-}
-
 TEST(HistogramTest, CountMeanAndExtremesAreExact) {
   Histogram histogram(1.0, 1e6);
   EXPECT_EQ(histogram.count(), 0u);
@@ -106,14 +93,11 @@ TEST(HistogramTest, CountMeanAndExtremesAreExact) {
 TEST(HistogramTest, PercentileErrorIsBoundedByBucketGrowth) {
   const double growth = 1.04;
   Histogram histogram(1.0, 1e6, growth);
-  // 1..1000 uniformly: every sample percentile is known exactly.
-  std::vector<double> values;
-  for (int i = 1; i <= 1000; ++i) {
-    values.push_back(static_cast<double>(i));
-    histogram.Add(static_cast<double>(i));
-  }
+  // 1..1000 uniformly: every sample percentile is known exactly, by
+  // linear interpolation between the sorted samples.
+  for (int i = 1; i <= 1000; ++i) histogram.Add(static_cast<double>(i));
   for (const double p : {10.0, 50.0, 90.0, 95.0, 99.0}) {
-    const double exact = Percentile(values, p);
+    const double exact = 1.0 + p / 100.0 * 999.0;
     const double approx = histogram.Percentile(p);
     EXPECT_LE(approx, exact * growth * 1.01) << "p" << p;
     EXPECT_GE(approx, exact / (growth * 1.01)) << "p" << p;
@@ -151,18 +135,6 @@ TEST(HistogramTest, MergeMatchesCombinedStream) {
   for (const double p : {25.0, 50.0, 75.0, 99.0}) {
     EXPECT_DOUBLE_EQ(a.Percentile(p), combined.Percentile(p));
   }
-}
-
-TEST(HistogramTest, ClearResetsEverything) {
-  Histogram histogram(1.0, 1e4);
-  for (int i = 1; i <= 10; ++i) histogram.Add(i);
-  histogram.Clear();
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_DOUBLE_EQ(histogram.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(histogram.min(), 0.0);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(99), 0.0);
-  histogram.Add(7.0);
-  EXPECT_DOUBLE_EQ(histogram.Percentile(50), 7.0);
 }
 
 TEST(HistogramTest, SingleValueIsReportedExactly) {

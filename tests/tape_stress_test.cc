@@ -99,7 +99,7 @@ TEST(TapeStressTest, CompositeExpressionGradCheck) {
   };
 
   for (const auto& parameter : store.parameters()) {
-    parameter->ZeroGrad();
+    parameter->grad.SetZero();
   }
   // Analytic gradients.
   {

@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared RAII temp corpus file for the streaming-equivalence tests
- * (batch_pipeline_test, parallel_trainer_test): writes `data` as a
- * corpus under the system temp directory and removes it on destruction.
+ * Shared corpus-file helpers for the corpus and streaming-equivalence
+ * tests: an RAII temp corpus file, and a copy-out read of a whole file.
  */
 #ifndef GRANITE_TESTS_TEMP_CORPUS_H_
 #define GRANITE_TESTS_TEMP_CORPUS_H_
@@ -10,11 +9,30 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "dataset/corpus_io.h"
 
 namespace granite::dataset {
 
+/** Every sample of the corpus at `path`, in order, copied out of a
+ * StreamingCorpusSource: the reader `train --dataset-file` uses. Throws
+ * CorpusError like the source does. */
+inline Dataset ReadStreamedCorpus(const std::string& path) {
+  const StreamingCorpusSource source(path);
+  std::vector<Sample> samples;
+  samples.reserve(source.size());
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const SampleView view = source.Get(i);
+    samples.push_back(Sample{*view.block, *view.throughput});
+  }
+  return Dataset(std::move(samples));
+}
+
+/** Writes `data` as a corpus under the system temp directory and
+ * removes it on destruction (batch_pipeline_test,
+ * parallel_trainer_test). */
 class TempCorpus {
  public:
   TempCorpus(const Dataset& data, std::uint64_t records_per_shard,

@@ -86,13 +86,6 @@ TEST(TensorTest, CopiesAreDeepAndMovesEmptyTheSource) {
   EXPECT_TRUE(moved.empty());
 }
 
-TEST(TensorTest, ToStringMentionsShape) {
-  const Tensor tensor(1, 2, {1.5f, -2});
-  const std::string text = tensor.ToString();
-  EXPECT_NE(text.find("1x2"), std::string::npos);
-  EXPECT_NE(text.find("1.5"), std::string::npos);
-}
-
 TEST(TensorDeathTest, RowDataChecksBoundsInEveryBuild) {
   // row_data is inline for the matmul kernels, but its bounds check is a
   // GRANITE_CHECK, not an assert: it must fire with NDEBUG defined too.

@@ -19,13 +19,16 @@ namespace {
 TEST(ThreadPoolStressTest, WorkerShardExceptionPropagatesAfterEveryShard) {
   ThreadPool pool(4);
   std::atomic<int> survivors{0};
-  EXPECT_THROW(pool.ParallelFor(0, 16,
-                                [&survivors](std::size_t i) {
+  EXPECT_THROW(pool.RunShards(0, 16,
+                              [&survivors](int, std::size_t begin,
+                                           std::size_t end) {
+                                for (std::size_t i = begin; i < end; ++i) {
                                   if (i == 7) {
                                     throw std::runtime_error("boom");
                                   }
                                   ++survivors;
-                                }),
+                                }
+                              }),
                std::runtime_error);
   // Index 7 is the last of shard 1 ([4, 8)), so every other index ran:
   // the exception does not cancel the other shards of the call.
@@ -40,7 +43,8 @@ TEST(ThreadPoolStressTest, OnlyTheFirstExceptionIsReported) {
                               }),
                std::runtime_error);
   // The pending slot was consumed: the next call is clean.
-  EXPECT_NO_THROW(pool.ParallelFor(0, 8, [](std::size_t) {}));
+  EXPECT_NO_THROW(
+      pool.RunShards(0, 8, [](int, std::size_t, std::size_t) {}));
 }
 
 TEST(ThreadPoolStressTest, CallerShardExceptionPropagatesFromRunShards) {
@@ -58,17 +62,6 @@ TEST(ThreadPoolStressTest, CallerShardExceptionPropagatesFromRunShards) {
   EXPECT_EQ(other_shards.load(), 3);
 }
 
-TEST(ThreadPoolStressTest, ParallelForExceptionPropagates) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.ParallelFor(0, 100,
-                                [](std::size_t i) {
-                                  if (i == 63) {
-                                    throw std::runtime_error("index 63");
-                                  }
-                                }),
-               std::runtime_error);
-}
-
 TEST(ThreadPoolStressTest, ExceptionDoesNotPoisonSubsequentWork) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.RunShards(0, 4,
@@ -80,8 +73,8 @@ TEST(ThreadPoolStressTest, ExceptionDoesNotPoisonSubsequentWork) {
                std::runtime_error);
 
   std::atomic<long> sum{0};
-  pool.ParallelFor(0, 100, [&](std::size_t i) {
-    sum += static_cast<long>(i);
+  pool.RunShards(0, 100, [&](int, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) sum += static_cast<long>(i);
   });
   EXPECT_EQ(sum.load(), 4950);
 }
@@ -90,8 +83,10 @@ TEST(ThreadPoolStressTest, InlinePoolRunsEverythingOnTheCaller) {
   ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen;
-  pool.ParallelFor(0, 4, [&seen](std::size_t) {
-    seen.push_back(std::this_thread::get_id());
+  pool.RunShards(0, 4, [&seen](int, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      seen.push_back(std::this_thread::get_id());
+    }
   });
   ASSERT_EQ(seen.size(), 4u);
   for (const std::thread::id& id : seen) EXPECT_EQ(id, caller);
@@ -99,10 +94,10 @@ TEST(ThreadPoolStressTest, InlinePoolRunsEverythingOnTheCaller) {
 
 TEST(ThreadPoolStressTest, InlinePoolPropagatesExceptionsToo) {
   ThreadPool pool(1);
-  EXPECT_THROW(pool.ParallelFor(0, 4,
-                                [](std::size_t) {
-                                  throw std::runtime_error("inline");
-                                }),
+  EXPECT_THROW(pool.RunShards(0, 4,
+                              [](int, std::size_t, std::size_t) {
+                                throw std::runtime_error("inline");
+                              }),
                std::runtime_error);
   EXPECT_THROW(pool.RunShards(0, 1,
                               [](int, std::size_t, std::size_t) {
@@ -117,8 +112,10 @@ TEST(ThreadPoolStressTest, RapidConstructDestroyCompletesAllCalls) {
   constexpr int kIndicesPerCycle = 32;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     ThreadPool pool(4);
-    pool.ParallelFor(0, kIndicesPerCycle,
-                     [&executed](std::size_t) { ++executed; });
+    pool.RunShards(0, kIndicesPerCycle,
+                   [&executed](int, std::size_t begin, std::size_t end) {
+                     executed += static_cast<int>(end - begin);
+                   });
   }
   EXPECT_EQ(executed.load(), kCycles * kIndicesPerCycle);
   // Pools destroyed without ever running a call shut down too.
@@ -129,8 +126,8 @@ TEST(ThreadPoolStressTest, RapidConstructDestroyWithVaryingWidths) {
   std::atomic<long> sum{0};
   for (int width = 1; width <= 8; ++width) {
     ThreadPool pool(width);
-    pool.ParallelFor(0, 64, [&](std::size_t i) {
-      sum += static_cast<long>(i);
+    pool.RunShards(0, 64, [&](int, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) sum += static_cast<long>(i);
     });
   }
   EXPECT_EQ(sum.load(), 8 * 2016);  // 8 widths x sum(0..63).
@@ -144,7 +141,9 @@ TEST(ThreadPoolStressTest, ManySequentialCallsEachSeeTheirOwnShards) {
   for (int round = 0; round < 200; ++round) {
     const std::size_t n = 1 + static_cast<std::size_t>(round % 6);
     std::atomic<int> count{0};
-    pool.ParallelFor(0, n, [&](std::size_t) { ++count; });
+    pool.RunShards(0, n, [&](int, std::size_t begin, std::size_t end) {
+      count += static_cast<int>(end - begin);
+    });
     ASSERT_EQ(count.load(), static_cast<int>(n)) << "round " << round;
   }
 }

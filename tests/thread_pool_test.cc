@@ -16,26 +16,30 @@ TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
   std::vector<int> visited;
-  pool.ParallelFor(0, 5, [&](std::size_t i) {
-    visited.push_back(static_cast<int>(i));
+  pool.RunShards(0, 5, [&](int, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      visited.push_back(static_cast<int>(i));
+    }
   });
   // With one thread everything runs on the calling thread, in order.
   EXPECT_EQ(visited, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
+TEST(ThreadPoolTest, RunShardsCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kCount = 1000;
   std::vector<std::atomic<int>> touched(kCount);
-  pool.ParallelFor(0, kCount, [&](std::size_t i) { ++touched[i]; });
+  pool.RunShards(0, kCount, [&](int, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++touched[i];
+  });
   for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(touched[i].load(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForRespectsBegin) {
+TEST(ThreadPoolTest, RunShardsRespectsBegin) {
   ThreadPool pool(3);
   std::atomic<long> sum{0};
-  pool.ParallelFor(10, 20, [&](std::size_t i) {
-    sum += static_cast<long>(i);
+  pool.RunShards(10, 20, [&](int, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) sum += static_cast<long>(i);
   });
   EXPECT_EQ(sum.load(), 145);  // 10 + 11 + ... + 19.
 }
@@ -102,8 +106,8 @@ TEST(ThreadPoolDeathTest, NestedOrConcurrentCallFailsTheCheck) {
   EXPECT_DEATH(
       {
         ThreadPool pool(2);
-        pool.ParallelFor(0, 2, [&pool](std::size_t) {
-          pool.ParallelFor(0, 2, [](std::size_t) {});
+        pool.RunShards(0, 2, [&pool](int, std::size_t, std::size_t) {
+          pool.RunShards(0, 2, [](int, std::size_t, std::size_t) {});
         });
       },
       "called from inside a shard or concurrently");
@@ -112,8 +116,9 @@ TEST(ThreadPoolDeathTest, NestedOrConcurrentCallFailsTheCheck) {
         ThreadPool pool(2);
         pool.RunShards(0, 2, [&pool](int shard, std::size_t, std::size_t) {
           if (shard != 0) return;
-          std::thread other(
-              [&pool] { pool.ParallelFor(0, 2, [](std::size_t) {}); });
+          std::thread other([&pool] {
+            pool.RunShards(0, 2, [](int, std::size_t, std::size_t) {});
+          });
           other.join();
         });
       },

@@ -743,7 +743,8 @@ int RunServe(const Args& args) {
 
   // --shadow=ROUTE=PATH starts a canary session: traffic on ROUTE is
   // mirrored to the bundle at PATH, compared (never returned), and the
-  // candidate is promoted on parity unless --promote=0.
+  // candidate is promoted on parity unless --promote=0, which only
+  // reports the verdict.
   if (args.Given("shadow")) {
     if (!router.HasModel(shadow_route)) {
       std::fprintf(stderr,
@@ -763,8 +764,9 @@ int RunServe(const Args& args) {
                 shadow_route.c_str(), shadow_path.c_str(),
                 static_cast<unsigned long long>(
                     shadow_config.min_comparisons),
-                shadow_config.auto_promote ? "auto-promote"
-                                           : "manual promote");
+                shadow_config.auto_promote
+                    ? "auto-promote"
+                    : "verdict only, never promoted");
   }
 
   const granite::dataset::Dataset corpus = SynthesizeCorpus(
@@ -1261,7 +1263,9 @@ const std::vector<CommandSpec>& CommandTable() {
         Text("shadow", "ROUTE=PATH", "mirror ROUTE to a candidate bundle"),
         Int("shadow-samples", 50, kLargeCount,
             "comparisons before the parity verdict"),
-        Bool("promote", true, "auto-promote the shadow on parity")},
+        Bool("promote", true,
+             "auto-promote the shadow on parity; 0 only reports the "
+             "verdict")},
        RunServe},
       {"autotune",
        "optimize basic blocks with beam search over the served cost model",
