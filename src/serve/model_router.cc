@@ -219,10 +219,12 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
 void ModelRouter::StopSessionLocked(Entry& entry, ShadowSession& session) {
   if (!session.comparator.joinable()) return;
   // Resolve every candidate future the comparator might still be
-  // waiting on. A promoted candidate's server is the route's active
-  // server — leave it running; traffic keeps flowing while we drain.
-  if (session.state.load(std::memory_order_acquire) !=
-      CanaryState::kPromoted) {
+  // waiting on. A candidate that auto-promotion swapped in is the
+  // route's active server — leave it running; traffic keeps flowing
+  // while we drain. Any other candidate (rejected, or a parity verdict
+  // with auto_promote off) can never serve again.
+  if (entry.active_server.load(std::memory_order_acquire) !=
+      session.candidate_server) {
     session.candidate_server->Shutdown();
   }
   {
@@ -231,7 +233,6 @@ void ModelRouter::StopSessionLocked(Entry& entry, ShadowSession& session) {
   }
   session.event.notify_all();
   session.comparator.join();
-  (void)entry;
 }
 
 std::optional<ShadowStats> ModelRouter::ShadowStatus(

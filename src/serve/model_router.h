@@ -322,8 +322,8 @@ class ModelRouter {
   void ComparatorLoop(Entry& entry, ShadowSession& session);
 
   /** Stops and joins a finished session's comparator; shuts its
-   * candidate server down first unless promoted (then it is the active
-   * server). Requires entry.session_mutex to be held. */
+   * candidate server down first unless auto-promotion made it the active
+   * server. Requires entry.session_mutex to be held. */
   static void StopSessionLocked(Entry& entry, ShadowSession& session);
 
   InferenceServerConfig default_config_;

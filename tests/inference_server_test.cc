@@ -504,6 +504,33 @@ TEST_F(InferenceServerTest, UpdateModelMidTrafficNeverServesATornRead) {
   EXPECT_GE(served_count.load(), 50u);
 }
 
+TEST_F(InferenceServerTest, UpdateModelServesTheNewWeightsOverACachedAnswer) {
+  // `served` starts as a twin of `original`; `retrained` has other weights.
+  core::GraniteConfig retrained_config = TinyConfig();
+  retrained_config.seed = 991;
+  core::GraniteModel served(&vocabulary_, TinyConfig());
+  core::GraniteModel original(&vocabulary_, TinyConfig());
+  core::GraniteModel retrained(&vocabulary_, retrained_config);
+  const std::vector<double> expected_before = ExpectedAlone(original, 0);
+  const std::vector<double> expected_after = ExpectedAlone(retrained, 0);
+  ASSERT_NE(expected_before[0], expected_after[0]) << "seeds must differ";
+
+  InferenceServerConfig config;
+  config.batch_window = microseconds{200};
+  config.prediction_cache_capacity = 64;
+  InferenceServer server(&served, config);
+
+  // The second answer comes from the cache.
+  EXPECT_EQ(server.Submit(&blocks_[0], 0).value().get(), expected_before[0]);
+  EXPECT_EQ(server.Submit(&blocks_[0], 0).value().get(), expected_before[0]);
+  EXPECT_EQ(served.prediction_cache_hits(), 1u);
+
+  // The swap flushes that cached answer: the next one is the new model's.
+  server.UpdateModel(retrained.parameters());
+  EXPECT_EQ(server.Submit(&blocks_[0], 0).value().get(), expected_after[0]);
+  EXPECT_EQ(server.Stats().model_updates, 1u);
+}
+
 TEST_F(InferenceServerTest, PerTaskLatencyBreakdownSplitsCompletions) {
   core::GraniteModel model(&vocabulary_, TinyConfig(/*num_tasks=*/2));
   InferenceServerConfig config;

@@ -121,11 +121,15 @@ def granite_functions(symbols):
     return names
 
 
-def programs(build_dir):
-    """The executables CMake wrote at the top of a build tree."""
-    return sorted(p for p in build_dir.iterdir()
-                  if p.is_file() and os.access(p, os.X_OK)
-                  and p.suffix not in (".a", ".so"))
+def program_targets():
+    """The non-test programs, named as CMakeLists.txt names them: granite_cli,
+    one bench_* per bench/bench_*.cc but bench_common, one example per
+    examples/*.cpp or *.cc."""
+    benches = [p.stem for p in (REPO / "bench").glob("bench_*.cc")
+               if p.stem != "bench_common"]
+    examples = [p.stem for p in (REPO / "examples").iterdir()
+                if p.suffix in (".cpp", ".cc")]
+    return ["granite_cli"] + sorted(benches) + sorted(examples)
 
 
 def main():
@@ -134,21 +138,21 @@ def main():
     args = parser.parse_args()
     build_dir = Path(args.build_dir).resolve()
     jobs = str(os.cpu_count() or 1)
-    repo_build = build_dir / "repo"
-    perfbench_build = build_dir / "perfbench"
 
-    run(["cmake", "-S", str(REPO), "-B", str(repo_build)] + FLAGS)
-    run(["cmake", "--build", str(repo_build), "-j", jobs])
-    run(["cmake", "-S", str(REPO / "perfbench"), "-B",
-         str(perfbench_build)] + FLAGS)
-    run(["cmake", "--build", str(perfbench_build), "-j", jobs,
-         "--target", "perfbench"])
+    # One tree: perfbench pulls the repository in as granite/, so it
+    # builds every program beside perfbench against one libgranite.a.
+    targets = program_targets()
+    run(["cmake", "-S", str(REPO / "perfbench"), "-B", str(build_dir)]
+        + FLAGS)
+    run(["cmake", "--build", str(build_dir), "-j", jobs, "--target",
+         "perfbench"] + targets)
 
-    binaries = programs(repo_build) + [perfbench_build / "perfbench"]
+    binaries = ([build_dir / "granite" / target for target in targets]
+                + [build_dir / "perfbench"])
     linked = set()
     for binary in binaries:
         linked |= text_symbols(binary)
-    dead = sorted(granite_functions(text_symbols(repo_build / "libgranite.a"))
+    dead = sorted(granite_functions(text_symbols(build_dir / "granite" / "libgranite.a"))
                   - granite_functions(linked))
 
     print(f"{len(dead)} granite:: functions defined in libgranite.a are "
