@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <limits>
 #include <utility>
 
 #include "base/logging.h"
@@ -12,8 +14,6 @@ namespace granite::serve {
 
 std::string_view CanaryStateName(CanaryState state) {
   switch (state) {
-    case CanaryState::kInactive:
-      return "inactive";
     case CanaryState::kShadowing:
       return "shadowing";
     case CanaryState::kPromoted:
@@ -24,69 +24,68 @@ std::string_view CanaryStateName(CanaryState state) {
   GRANITE_PANIC("unhandled CanaryState " << static_cast<int>(state));
 }
 
-ModelRouter::ModelRouter(const InferenceServerConfig& default_config)
-    : default_config_(default_config) {}
+ModelRouter::ModelRouter(RouterSetup setup) {
+  // Every check runs before the first server starts.
+  for (const ModelRoute& route : setup.models) {
+    GRANITE_CHECK_MSG(route.model != nullptr,
+                      "model route without a model: " << route.name);
+    GRANITE_CHECK_MSG(route.candidate == nullptr ||
+                          route.shadow.min_comparisons >= 1,
+                      "shadow min_comparisons must be at least 1 on route "
+                          << route.name);
+    const bool inserted = routes_.try_emplace(route.name).second;
+    GRANITE_CHECK_MSG(inserted, "duplicate model name: " << route.name);
+  }
+  for (const SplitRoute& route : setup.splits) {
+    GRANITE_CHECK_MSG(route.weight_a >= 0.0 && route.weight_a <= 1.0,
+                      "split weight must be in [0, 1], got "
+                          << route.weight_a);
+    GRANITE_CHECK_MSG(routes_.count(route.route_a) == 1,
+                      "split arm is not a model: " << route.route_a);
+    GRANITE_CHECK_MSG(routes_.count(route.route_b) == 1,
+                      "split arm is not a model: " << route.route_b);
+    GRANITE_CHECK_MSG(routes_.count(route.name) == 0,
+                      "split name collides with a model: " << route.name);
+    const auto [it, inserted] = splits_.try_emplace(route.name);
+    GRANITE_CHECK_MSG(inserted, "duplicate split name: " << route.name);
+    it->second.route_a = route.route_a;
+    it->second.route_b = route.route_b;
+    it->second.weight_a = route.weight_a;
+  }
+
+  for (ModelRoute& route : setup.models) {
+    Entry& entry = routes_.at(route.name);
+    entry.model = std::move(route.model);
+    entry.server = std::make_unique<InferenceServer>(entry.model.get(),
+                                                     setup.server_config);
+    entry.active_server.store(entry.server.get(), std::memory_order_relaxed);
+    if (route.candidate == nullptr) continue;
+    auto session = std::make_unique<ShadowSession>();
+    session->config = route.shadow;
+    // A saturated candidate must shed mirrored traffic, never block the
+    // client submit path.
+    session->config.server_config.overflow_policy = OverflowPolicy::kReject;
+    session->candidate = std::move(route.candidate);
+    session->candidate_server = std::make_unique<InferenceServer>(
+        session->candidate.get(), session->config.server_config);
+    session->mirror_slots.store(session->config.min_comparisons,
+                                std::memory_order_relaxed);
+    session->comparator = std::thread(ComparatorLoop, std::ref(entry),
+                                      std::ref(*session));
+    entry.shadow = std::move(session);
+  }
+}
 
 ModelRouter::~ModelRouter() { Shutdown(); }
 
-void ModelRouter::AddModel(
-    const std::string& name,
-    std::unique_ptr<model::ThroughputPredictor> predictor) {
-  GRANITE_CHECK(predictor != nullptr);
-  auto entry = std::make_unique<Entry>();
-  auto server =
-      std::make_unique<InferenceServer>(predictor.get(), default_config_);
-  entry->active_server.store(server.get(), std::memory_order_relaxed);
-  entry->owned_models.push_back(std::move(predictor));
-  entry->owned_servers.push_back(std::move(server));
-  AddEntry(name, std::move(entry));
-}
-
-void ModelRouter::AddEntry(const std::string& name,
-                           std::unique_ptr<Entry> entry) {
-  std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-  GRANITE_CHECK_MSG(splits_.find(name) == splits_.end(),
-                    "model name collides with a split: " << name);
-  const auto [it, inserted] = routes_.emplace(name, std::move(entry));
-  (void)it;
-  GRANITE_CHECK_MSG(inserted, "duplicate model name: " << name);
-}
-
-void ModelRouter::AddSplit(const std::string& split_name,
-                           const std::string& route_a,
-                           const std::string& route_b, double weight_a) {
-  GRANITE_CHECK_MSG(weight_a >= 0.0 && weight_a <= 1.0,
-                    "split weight must be in [0, 1], got " << weight_a);
-  auto split = std::make_unique<Split>();
-  split->route_a = route_a;
-  split->route_b = route_b;
-  split->weight_a = weight_a;
-  std::unique_lock<std::shared_mutex> lock(routes_mutex_);
-  GRANITE_CHECK_MSG(routes_.find(route_a) != routes_.end(),
-                    "split arm is not a model: " << route_a);
-  GRANITE_CHECK_MSG(routes_.find(route_b) != routes_.end(),
-                    "split arm is not a model: " << route_b);
-  GRANITE_CHECK_MSG(routes_.find(split_name) == routes_.end(),
-                    "split name collides with a model: " << split_name);
-  const auto [it, inserted] = splits_.emplace(split_name, std::move(split));
-  (void)it;
-  GRANITE_CHECK_MSG(inserted, "duplicate split name: " << split_name);
-}
-
-ModelRouter::Entry* ModelRouter::FindEntry(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(routes_mutex_);
+const ModelRouter::Entry* ModelRouter::FindEntry(
+    const std::string& name) const {
   const auto it = routes_.find(name);
-  return it == routes_.end() ? nullptr : it->second.get();
-}
-
-ModelRouter::Split* ModelRouter::FindSplit(const std::string& name) const {
-  std::shared_lock<std::shared_mutex> lock(routes_mutex_);
-  const auto it = splits_.find(name);
-  return it == splits_.end() ? nullptr : it->second.get();
+  return it == routes_.end() ? nullptr : &it->second;
 }
 
 const std::string& ModelRouter::ResolveSplit(
-    Split& split, const assembly::BasicBlock& block) const {
+    Split& split, const assembly::BasicBlock& block) {
   // Deterministic arm choice: a golden-ratio remix of the canonical
   // fingerprint (independent of the server's shard routing, which uses
   // the fingerprint modulo shard count) mapped to [0, 1). The same
@@ -105,61 +104,13 @@ const std::string& ModelRouter::ResolveSplit(
   return split.route_b;
 }
 
-void ModelRouter::StartShadow(
-    const std::string& name,
-    std::unique_ptr<model::ThroughputPredictor> candidate,
-    const ShadowConfig& config) {
-  GRANITE_CHECK(candidate != nullptr);
-  GRANITE_CHECK_GE(config.min_comparisons, 1u);
-  Entry* entry = FindEntry(name);
-  GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
-
-  std::lock_guard<std::mutex> session_lock(entry->session_mutex);
-  ShadowSession* old_session =
-      entry->shadow.load(std::memory_order_acquire);
-  if (old_session != nullptr) {
-    GRANITE_CHECK_MSG(
-        old_session->state.load(std::memory_order_acquire) !=
-            CanaryState::kShadowing,
-        "route '" << name << "' is already shadowing a candidate");
-    StopSessionLocked(*entry, *old_session);
-  }
-
-  auto session = std::make_unique<ShadowSession>();
-  session->config = config;
-  // A saturated candidate must shed mirrored traffic, never block the
-  // client submit path.
-  session->config.server_config.overflow_policy = OverflowPolicy::kReject;
-  auto server = std::make_unique<InferenceServer>(
-      candidate.get(), session->config.server_config);
-  session->candidate_server = server.get();
-  entry->owned_models.push_back(std::move(candidate));
-  entry->owned_servers.push_back(std::move(server));
-
-  ShadowSession* raw = session.get();
-  session->comparator =
-      std::thread([this, entry, raw] { ComparatorLoop(*entry, *raw); });
-  // Retire (not free) the previous session: a concurrent Submit may
-  // still hold its pointer; its comparator is already joined.
-  if (entry->shadow_storage != nullptr) {
-    entry->retired_sessions.push_back(std::move(entry->shadow_storage));
-  }
-  entry->shadow_storage = std::move(session);
-  // Publish only once fully constructed; the submit path starts
-  // mirroring from here on.
-  entry->shadow.store(raw, std::memory_order_release);
-}
-
 void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
   std::unique_lock<std::mutex> lock(session.mutex);
   for (;;) {
     session.event.wait(lock, [&session] {
       return session.stopping || !session.pending.empty();
     });
-    if (session.pending.empty()) {
-      if (session.stopping) return;
-      continue;
-    }
+    if (session.pending.empty()) return;  // Stopping, nothing left.
     PendingComparison pair = std::move(session.pending.front());
     session.pending.pop_front();
     lock.unlock();
@@ -183,19 +134,28 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
     lock.lock();
     if (!comparable) {
       ++session.compare_failures;
+      // The failed mirror's slot goes back, so the verdict still gets
+      // min_comparisons compared pairs.
+      session.mirror_slots.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     ++session.compared;
-    const double abs_diff = std::abs(primary_value - candidate_value);
-    const double scale = std::max(
-        {std::abs(primary_value), std::abs(candidate_value), 1e-12});
+    double abs_diff = std::abs(primary_value - candidate_value);
+    double rel_diff =
+        abs_diff / std::max({std::abs(primary_value),
+                             std::abs(candidate_value), 1e-12});
+    // A non-finite value on either side is as far off as a pair gets;
+    // NaN would otherwise vanish from the max and poison only the mean.
+    if (!std::isfinite(primary_value) || !std::isfinite(candidate_value)) {
+      abs_diff = rel_diff = std::numeric_limits<double>::infinity();
+    }
     session.sum_abs_diff += abs_diff;
-    session.max_rel_diff = std::max(session.max_rel_diff, abs_diff / scale);
+    session.max_rel_diff = std::max(session.max_rel_diff, rel_diff);
     if (abs_diff == 0.0) ++session.parity;
 
-    if (!session.verdict_reached &&
-        session.compared >= session.config.min_comparisons) {
-      session.verdict_reached = true;
+    // Each compared pair used a mirror slot that never comes back, so
+    // the count reaches min_comparisons exactly once.
+    if (session.compared == session.config.min_comparisons) {
       if (session.parity == session.compared) {
         session.state.store(CanaryState::kPromoted,
                             std::memory_order_release);
@@ -203,43 +163,22 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
         // a request gets the old model from the old server or the new
         // one from the new server.
         if (session.config.auto_promote) {
-          entry.active_server.store(session.candidate_server,
+          entry.active_server.store(session.candidate_server.get(),
                                     std::memory_order_release);
         }
       } else {
         session.state.store(CanaryState::kRejected,
                             std::memory_order_release);
       }
-      // Either way the mirror ends (Submit checks the state); the loop
-      // keeps draining comparisons already in flight.
     }
   }
 }
 
-void ModelRouter::StopSessionLocked(Entry& entry, ShadowSession& session) {
-  if (!session.comparator.joinable()) return;
-  // Resolve every candidate future the comparator might still be
-  // waiting on. A candidate that auto-promotion swapped in is the
-  // route's active server — leave it running; traffic keeps flowing
-  // while we drain. Any other candidate (rejected, or a parity verdict
-  // with auto_promote off) can never serve again.
-  if (entry.active_server.load(std::memory_order_acquire) !=
-      session.candidate_server) {
-    session.candidate_server->Shutdown();
-  }
-  {
-    std::lock_guard<std::mutex> lock(session.mutex);
-    session.stopping = true;
-  }
-  session.event.notify_all();
-  session.comparator.join();
-}
-
 std::optional<ShadowStats> ModelRouter::ShadowStatus(
     const std::string& name) const {
-  Entry* entry = FindEntry(name);
+  const Entry* entry = FindEntry(name);
   GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
-  ShadowSession* session = entry->shadow.load(std::memory_order_acquire);
+  ShadowSession* session = entry->shadow.get();
   if (session == nullptr) return std::nullopt;
   ShadowStats stats;
   stats.state = session->state.load(std::memory_order_acquire);
@@ -260,30 +199,31 @@ std::optional<ShadowStats> ModelRouter::ShadowStatus(
 
 std::optional<SplitStats> ModelRouter::SplitStatus(
     const std::string& name) const {
-  Split* split = FindSplit(name);
-  if (split == nullptr) return std::nullopt;
+  const auto it = splits_.find(name);
+  if (it == splits_.end()) return std::nullopt;
+  const Split& split = it->second;
   SplitStats stats;
-  stats.route_a = split->route_a;
-  stats.route_b = split->route_b;
-  stats.weight_a = split->weight_a;
-  stats.to_a = split->to_a.load(std::memory_order_relaxed);
-  stats.to_b = split->to_b.load(std::memory_order_relaxed);
+  stats.route_a = split.route_a;
+  stats.route_b = split.route_b;
+  stats.weight_a = split.weight_a;
+  stats.to_a = split.to_a.load(std::memory_order_relaxed);
+  stats.to_b = split.to_b.load(std::memory_order_relaxed);
   return stats;
 }
 
 std::optional<std::future<double>> ModelRouter::Submit(
     const std::string& name, const assembly::BasicBlock* block, int task,
     AdmissionClass admission) {
-  Entry* entry = FindEntry(name);
+  const Entry* entry = FindEntry(name);
   if (entry == nullptr) {
-    Split* split = FindSplit(name);
-    if (split == nullptr) {
+    const auto split = splits_.find(name);
+    if (split == splits_.end()) {
       unknown_model_requests_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     GRANITE_CHECK(block != nullptr);
-    entry = FindEntry(ResolveSplit(*split, *block));
-    GRANITE_CHECK(entry != nullptr);  // Split arms are validated models.
+    // Split arms are checked model routes.
+    entry = &routes_.at(ResolveSplit(split->second, *block));
   }
   InferenceServer* server =
       entry->active_server.load(std::memory_order_acquire);
@@ -291,17 +231,21 @@ std::optional<std::future<double>> ModelRouter::Submit(
       server->Submit(block, task, admission);
   if (!primary.has_value()) return std::nullopt;
 
-  ShadowSession* session = entry->shadow.load(std::memory_order_acquire);
-  if (session == nullptr ||
-      session->state.load(std::memory_order_acquire) !=
-          CanaryState::kShadowing) {
-    return primary;
-  }
+  ShadowSession* session = entry->shadow.get();
+  if (session == nullptr) return primary;
+  // Take a mirror slot; none are left once the verdict's comparisons
+  // are all done or in flight.
+  std::uint64_t slots = session->mirror_slots.load(std::memory_order_relaxed);
+  do {
+    if (slots == 0) return primary;
+  } while (!session->mirror_slots.compare_exchange_weak(
+      slots, slots - 1, std::memory_order_relaxed));
   // Mirror to the candidate. Its server runs OverflowPolicy::kReject,
   // so a saturated candidate sheds here instead of blocking the client.
   std::optional<std::future<double>> mirrored =
       session->candidate_server->Submit(block, task, admission);
   if (!mirrored.has_value()) {
+    session->mirror_slots.fetch_add(1, std::memory_order_relaxed);
     session->mirror_rejects.fetch_add(1, std::memory_order_relaxed);
     return primary;
   }
@@ -322,46 +266,24 @@ std::optional<std::future<double>> ModelRouter::Submit(
   });
 }
 
-bool ModelRouter::HasModel(const std::string& name) const {
-  return FindEntry(name) != nullptr;
-}
-
-std::vector<std::string> ModelRouter::ModelNames() const {
-  std::shared_lock<std::shared_mutex> lock(routes_mutex_);
-  std::vector<std::string> names;
-  names.reserve(routes_.size());
-  for (const auto& [name, entry] : routes_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> ModelRouter::SplitNames() const {
-  std::shared_lock<std::shared_mutex> lock(routes_mutex_);
-  std::vector<std::string> names;
-  names.reserve(splits_.size());
-  for (const auto& [name, split] : splits_) names.push_back(name);
-  return names;
-}
-
 ServerStats ModelRouter::Stats(const std::string& name) const {
-  Entry* entry = FindEntry(name);
+  const Entry* entry = FindEntry(name);
   GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
   return entry->active_server.load(std::memory_order_acquire)->Stats();
 }
 
 const model::ThroughputPredictor& ModelRouter::Model(
     const std::string& name) const {
-  Entry* entry = FindEntry(name);
+  const Entry* entry = FindEntry(name);
   GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
   return entry->active_server.load(std::memory_order_acquire)->model();
 }
 
 std::string ModelRouter::StatsString() const {
   std::string text;
-  for (const std::string& name : ModelNames()) {
-    Entry* entry = FindEntry(name);
-    if (entry == nullptr) continue;  // Raced a (hypothetical) removal.
+  for (const auto& [name, entry] : routes_) {
     const InferenceServer* server =
-        entry->active_server.load(std::memory_order_acquire);
+        entry.active_server.load(std::memory_order_acquire);
     text += "model '" + name + "' (";
     text += model::ModelKindName(server->model().kind());
     text += ", " + std::to_string(server->model().num_tasks()) +
@@ -386,15 +308,14 @@ std::string ModelRouter::StatsString() const {
       text += "\n";
     }
   }
-  for (const std::string& name : SplitNames()) {
-    const std::optional<SplitStats> split = SplitStatus(name);
-    if (!split.has_value()) continue;
-    text += "split '" + name + "': " + split->route_a + ":" + split->route_b;
+  for (const auto& [name, split] : splits_) {
+    const SplitStats stats = *SplitStatus(name);
+    text += "split '" + name + "': " + stats.route_a + ":" + stats.route_b;
     char buffer[96];
     std::snprintf(buffer, sizeof(buffer),
-                  " weight_a=%.3f, to_a=%llu, to_b=%llu\n", split->weight_a,
-                  static_cast<unsigned long long>(split->to_a),
-                  static_cast<unsigned long long>(split->to_b));
+                  " weight_a=%.3f, to_a=%llu, to_b=%llu\n", stats.weight_a,
+                  static_cast<unsigned long long>(stats.to_a),
+                  static_cast<unsigned long long>(stats.to_b));
     text += buffer;
   }
   text += "unknown-model submissions: " +
@@ -403,30 +324,26 @@ std::string ModelRouter::StatsString() const {
 }
 
 void ModelRouter::Shutdown() {
-  // Phase 1: shut down every server — active, retired and shadow
-  // candidates. Each drains its queued requests, so every future the
-  // comparators are waiting on resolves. No lock is held while servers
-  // drain and join.
-  std::vector<Entry*> entries;
-  {
-    std::shared_lock<std::shared_mutex> lock(routes_mutex_);
-    entries.reserve(routes_.size());
-    for (auto& [name, entry] : routes_) entries.push_back(entry.get());
-  }
-  for (Entry* entry : entries) {
-    std::lock_guard<std::mutex> session_lock(entry->session_mutex);
-    for (const std::unique_ptr<InferenceServer>& server :
-         entry->owned_servers) {
-      server->Shutdown();
+  std::call_once(shutdown_once_, [this] {
+    // Phase 1: shut down every server, primaries and candidates. Each
+    // drains its queued requests, so every future the comparators are
+    // waiting on resolves.
+    for (auto& [name, entry] : routes_) {
+      entry.server->Shutdown();
+      if (entry.shadow != nullptr) entry.shadow->candidate_server->Shutdown();
     }
-  }
-  // Phase 2: drain and join the comparators (pending comparisons all
-  // resolve now that no future can stay unanswered).
-  for (Entry* entry : entries) {
-    std::lock_guard<std::mutex> session_lock(entry->session_mutex);
-    ShadowSession* session = entry->shadow.load(std::memory_order_acquire);
-    if (session != nullptr) StopSessionLocked(*entry, *session);
-  }
+    // Phase 2: drain and join the comparators.
+    for (auto& [name, entry] : routes_) {
+      if (entry.shadow == nullptr) continue;
+      ShadowSession& session = *entry.shadow;
+      {
+        std::lock_guard<std::mutex> lock(session.mutex);
+        session.stopping = true;
+      }
+      session.event.notify_all();
+      session.comparator.join();
+    }
+  });
 }
 
 }  // namespace granite::serve

@@ -7,33 +7,34 @@
  * model gets its own InferenceServer (own request queues, batching
  * window, workers and stats), so traffic for one model never blocks
  * another and per-model per-task statistics stay separable; the router
- * is the thin name → server indirection on top. Models can be added
- * while traffic flows.
+ * is the thin name → server indirection on top. The routes are fixed
+ * when the router is constructed (RouterSetup).
  *
  * Routing policies, the canary workflow of a real fleet:
  *
- * - Weighted A/B splits (AddSplit): a split name routes each request to
- *   one of two models, chosen deterministically from the block's
+ * - Weighted A/B splits (SplitRoute): a split name routes each request
+ *   to one of two models, chosen deterministically from the block's
  *   canonical fingerprint — the same block always goes to the same arm,
  *   so per-arm predictions stay bit-identical to direct serving and an
  *   experiment is reproducible across runs.
  *
- * - Shadow traffic (StartShadow): every request served by a route's
- *   active model is also mirrored to a candidate model served by its
- *   own server. The candidate's predictions are compared against the
- *   active model's but NEVER returned to clients; a candidate that
- *   rejects mirrored traffic (overload) or crashes a batch only shows
- *   up in the shadow statistics. Once enough comparisons accumulate,
- *   the session reaches a verdict: parity (equal predictions on every
- *   compared request) promotes the candidate — atomically swapping it
- *   in as the route's active model when auto_promote is set, otherwise
- *   only reporting the verdict — and anything else rejects it. Either
- *   verdict ends the mirror.
+ * - Shadow traffic (ModelRoute::candidate): requests served by a
+ *   route's active model are also mirrored to a candidate model served
+ *   by its own server, up to the session's min_comparisons. The
+ *   candidate's predictions are compared against the active model's but
+ *   NEVER returned to clients; a candidate that rejects mirrored traffic
+ *   (overload) or crashes a batch only shows up in the shadow
+ *   statistics. Once enough comparisons accumulate, the session reaches
+ *   a verdict: parity (equal predictions on every compared request)
+ *   promotes the candidate — atomically swapping it in as the route's
+ *   active model when auto_promote is set, otherwise only reporting the
+ *   verdict — and anything else rejects it. A session runs once per
+ *   router.
  *
  * Thread-safety: all public methods are safe to call concurrently. The
- * submit hot path reads the route map under a shared lock and the
- * active-model/shadow state via atomics; it takes no router-wide
- * exclusive lock.
+ * route maps never change after construction; the submit path reads
+ * the active server and the shadow session's counters via atomics and
+ * takes no router-wide lock.
  */
 #ifndef GRANITE_SERVE_MODEL_ROUTER_H_
 #define GRANITE_SERVE_MODEL_ROUTER_H_
@@ -47,7 +48,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,10 +57,8 @@
 
 namespace granite::serve {
 
-/** Lifecycle of a shadow (canary) session on one route. */
+/** Lifecycle of a route's shadow (canary) session. */
 enum class CanaryState {
-  /** No shadow session on this route. */
-  kInactive,
   /** Mirroring traffic to the candidate, accumulating comparisons. */
   kShadowing,
   /** Verdict: candidate at parity; it is the active model when the
@@ -74,9 +72,11 @@ enum class CanaryState {
 /** Stable lowercase name of a canary state, e.g. "shadowing". */
 std::string_view CanaryStateName(CanaryState state);
 
-/** Configuration of a shadow session (StartShadow). */
+/** Configuration of a route's shadow session (ModelRoute::shadow). */
 struct ShadowConfig {
-  /** Comparisons to accumulate before the parity verdict. The verdict
+  /** Comparisons to accumulate before the parity verdict. Mirroring
+   * stops there too: at most min_comparisons + compare_failures
+   * requests are mirrored to the candidate. The verdict
    * promotes only when every compared pair is at parity, i.e. the two
    * predictions are equal — the right bar when the candidate is the
    * same architecture retrained or re-exported (serving is
@@ -93,9 +93,43 @@ struct ShadowConfig {
   InferenceServerConfig server_config;
 };
 
+/** One model route of a RouterSetup. The defaults (here and in
+ * RouterSetup) let a brace initializer leave the trailing members out
+ * without a -Wmissing-field-initializers warning. */
+struct ModelRoute {
+  /** The route name; unique among models and splits. */
+  std::string name;
+  std::unique_ptr<model::ThroughputPredictor> model;
+  /** The shadow session's candidate, or null for a route without one. */
+  std::unique_ptr<model::ThroughputPredictor> candidate = nullptr;
+  /** The shadow session's settings; read only when candidate is set. */
+  ShadowConfig shadow = {};
+};
+
+/**
+ * One weighted A/B split of a RouterSetup: a request for `name` goes to
+ * model route `route_a` with probability `weight_a` (and to `route_b`
+ * otherwise), chosen deterministically from the block fingerprint.
+ * Splits may only target models, not other splits.
+ */
+struct SplitRoute {
+  std::string name;
+  std::string route_a;
+  std::string route_b;
+  double weight_a = 0.5;
+};
+
+/** Everything a ModelRouter serves, fixed at construction. */
+struct RouterSetup {
+  /** Server configuration of every model route's InferenceServer. */
+  InferenceServerConfig server_config = {};
+  std::vector<ModelRoute> models = {};
+  std::vector<SplitRoute> splits = {};
+};
+
 /** Point-in-time statistics of a route's shadow session. */
 struct ShadowStats {
-  CanaryState state = CanaryState::kInactive;
+  CanaryState state = CanaryState::kShadowing;
   /** Requests mirrored to (accepted by) the candidate server. */
   std::uint64_t mirrored = 0;
   /** Mirror submissions the candidate rejected (its queue was full);
@@ -109,9 +143,10 @@ struct ShadowStats {
    * excluded from `compared`. */
   std::uint64_t compare_failures = 0;
   /** Largest relative difference seen, |primary - candidate| /
-   * max(|primary|, |candidate|, 1e-12), over compared pairs. */
+   * max(|primary|, |candidate|, 1e-12), over compared pairs; +inf once
+   * a pair had a non-finite value on either side. */
   double max_rel_diff = 0.0;
-  /** Mean |primary - candidate| over compared pairs. */
+  /** Mean |primary - candidate| over compared pairs (+inf likewise). */
   double mean_abs_diff = 0.0;
 };
 
@@ -131,14 +166,19 @@ struct SplitStats {
  * own InferenceServer, with A/B-split and shadow-canary policies.
  *
  * Thread-safety: all public methods are safe to call from any number
- * of threads concurrently; see the class comment above for how the
- * submit path avoids router-wide locks.
+ * of threads concurrently; see the file comment for how the submit
+ * path avoids router-wide locks.
  */
 class ModelRouter {
  public:
-  /** @param default_config Server configuration of every model's
-   *   InferenceServer. */
-  explicit ModelRouter(const InferenceServerConfig& default_config = {});
+  /**
+   * Checks `setup` — every model set, route and split names unique
+   * across both kinds, split weights in [0, 1] and split arms naming
+   * model routes, shadow min_comparisons at least 1 — then starts a
+   * server per model route and per shadow candidate, and a comparator
+   * thread per shadow session. The router owns every model.
+   */
+  explicit ModelRouter(RouterSetup setup);
 
   /** Shuts down every hosted server and comparator. */
   ~ModelRouter();
@@ -146,41 +186,8 @@ class ModelRouter {
   ModelRouter(const ModelRouter&) = delete;
   ModelRouter& operator=(const ModelRouter&) = delete;
 
-  /**
-   * Adds a model under `name` (fails on duplicate model/split names)
-   * and starts serving it immediately. The router owns the model — the
-   * natural fit for predictors returned by model::LoadModel.
-   * Thread-safe.
-   */
-  void AddModel(const std::string& name,
-                std::unique_ptr<model::ThroughputPredictor> predictor);
-
-  /**
-   * Registers `split_name` as a weighted A/B split over two existing
-   * model routes: a request for `split_name` goes to `route_a` with
-   * probability `weight_a` (and to `route_b` otherwise), chosen
-   * deterministically from the block fingerprint. Split names share
-   * the namespace with model names (duplicates fail); splits may only
-   * target models, not other splits. Thread-safe.
-   */
-  void AddSplit(const std::string& split_name, const std::string& route_a,
-                const std::string& route_b, double weight_a);
-
-  /**
-   * Starts a shadow session on model route `name`: from now on, every
-   * request served by the route is also mirrored to `candidate`
-   * (served by its own server per config.server_config); predictions
-   * are compared on a dedicated comparator thread and never returned
-   * to clients. The router owns the candidate. Fails if `name` is
-   * unknown or the route is already shadowing. A finished session
-   * (kPromoted/kRejected) is replaced by the new one. Thread-safe.
-   */
-  void StartShadow(const std::string& name,
-                   std::unique_ptr<model::ThroughputPredictor> candidate,
-                   const ShadowConfig& config);
-
-  /** The route's shadow statistics, or an empty optional when it never
-   * had a shadow session. Thread-safe. */
+  /** The route's shadow statistics, or an empty optional when it has no
+   * shadow session. Fails on an unknown model name. Thread-safe. */
   std::optional<ShadowStats> ShadowStatus(const std::string& name) const;
 
   /** The split's routing statistics, or an empty optional when `name`
@@ -189,25 +196,15 @@ class ModelRouter {
 
   /**
    * Enqueues one prediction request on the named route — a model (its
-   * active server, with shadow mirroring when a session is live) or an
-   * A/B split (resolved by block fingerprint). Returns an empty
-   * optional when `name` is unknown (counted in
-   * unknown_model_requests()) or when the serving server rejects the
-   * request (backpressure/shutdown). Thread-safe; no router-wide
-   * exclusive lock is taken.
+   * active server, mirrored to the shadow candidate while the session
+   * has mirror slots left) or an A/B split (resolved by block
+   * fingerprint). Returns an empty optional when `name` is unknown
+   * (counted in unknown_model_requests()) or when the serving server
+   * rejects the request (backpressure/shutdown). Thread-safe.
    */
   std::optional<std::future<double>> Submit(
       const std::string& name, const assembly::BasicBlock* block, int task,
       AdmissionClass admission = AdmissionClass::kInteractive);
-
-  /** True when a model is registered under `name` (splits excluded). */
-  bool HasModel(const std::string& name) const;
-
-  /** Registered model names, sorted (splits excluded). */
-  std::vector<std::string> ModelNames() const;
-
-  /** Registered split names, sorted. */
-  std::vector<std::string> SplitNames() const;
 
   /** The named model route's live server stats (of its active server).
    * Fails on an unknown name. Thread-safe. */
@@ -228,9 +225,9 @@ class ModelRouter {
    * counter. Thread-safe. */
   std::string StatsString() const;
 
-  /** Shuts down every hosted server — active, retired and shadow
-   * candidates — then drains and joins the shadow comparators
-   * (idempotent); subsequent submissions are rejected. Thread-safe. */
+  /** Shuts down every hosted server — primaries and shadow candidates —
+   * then drains and joins the shadow comparators (idempotent);
+   * subsequent submissions are rejected. Thread-safe. */
   void Shutdown();
 
  private:
@@ -243,16 +240,21 @@ class ModelRouter {
   };
 
   /**
-   * One live (or finished) shadow session. The comparator thread owns
-   * the drain side of `pending`; `mutex` guards `pending`, `stopping`
-   * and the comparison statistics; `state` and the mirror counters are
-   * atomics so the submit path reads/updates them without the lock.
+   * A route's shadow session. The comparator thread owns the drain side
+   * of `pending`; `mutex` guards `pending`, `stopping` and the
+   * comparison statistics; `state`, the mirror slots and the mirror
+   * counters are atomics so the submit path reads/updates them without
+   * the lock.
    */
   struct ShadowSession {
     ShadowConfig config;
-    InferenceServer* candidate_server = nullptr;
+    std::unique_ptr<model::ThroughputPredictor> candidate;
+    std::unique_ptr<InferenceServer> candidate_server;
 
     std::atomic<CanaryState> state{CanaryState::kShadowing};
+    /** Mirrors Submit may still start: min_comparisons at first, one
+     * back for each mirror the candidate rejects or fails. */
+    std::atomic<std::uint64_t> mirror_slots{0};
     std::atomic<std::uint64_t> mirrored{0};
     std::atomic<std::uint64_t> mirror_rejects{0};
 
@@ -266,36 +268,27 @@ class ModelRouter {
     std::uint64_t compare_failures = 0;
     double max_rel_diff = 0.0;
     double sum_abs_diff = 0.0;
-    bool verdict_reached = false;
 
     std::thread comparator;
   };
 
   /**
-   * One hosted model route. The active server (which serves the route's
-   * active model, its model()) is an atomic so a canary promotion swaps
-   * it without locking the submit path;
-   * retired predecessors (and shadow candidates) stay alive in the
-   * owned_* vectors until router teardown, so requests already queued
-   * on an old server always complete. Entries are heap-allocated
-   * (atomics are not movable) and node-stable once published.
+   * One hosted model route. The active server is an atomic so a canary
+   * promotion swaps it to the candidate's without locking the submit
+   * path; the route's own server stays alive until router teardown, so
+   * requests already queued on it always complete. Here and in
+   * ShadowSession each server is declared after its model, so it is
+   * destroyed first.
    */
   struct Entry {
-    std::vector<std::unique_ptr<model::ThroughputPredictor>> owned_models;
-    std::vector<std::unique_ptr<InferenceServer>> owned_servers;
+    std::unique_ptr<model::ThroughputPredictor> model;
+    std::unique_ptr<InferenceServer> server;
     std::atomic<InferenceServer*> active_server{nullptr};
-    /** Current session storage; guarded by session_mutex. The raw
-     * atomic below is what the submit path reads. */
-    std::unique_ptr<ShadowSession> shadow_storage;
-    /** Finished sessions kept alive (never freed before teardown): a
-     * concurrent Submit may still hold a replaced session's pointer.
-     * Guarded by session_mutex. */
-    std::vector<std::unique_ptr<ShadowSession>> retired_sessions;
-    std::atomic<ShadowSession*> shadow{nullptr};
-    std::mutex session_mutex;
+    /** Null for a route without a shadow session. */
+    std::unique_ptr<ShadowSession> shadow;
   };
 
-  /** One weighted A/B split (heap-allocated: atomics). */
+  /** One weighted A/B split. */
   struct Split {
     std::string route_a;
     std::string route_b;
@@ -304,34 +297,25 @@ class ModelRouter {
     std::atomic<std::uint64_t> to_b{0};
   };
 
-  void AddEntry(const std::string& name, std::unique_ptr<Entry> entry);
-
-  /** Returns the entry for `name`, or null. Shared-locks routes_mutex_
-   * only for the lookup; Entry pointers are stable. */
-  Entry* FindEntry(const std::string& name) const;
-  /** Returns the split for `name`, or null (same locking discipline). */
-  Split* FindSplit(const std::string& name) const;
+  /** Returns the entry for `name`, or null. */
+  const Entry* FindEntry(const std::string& name) const;
 
   /** The split arm (model name) for `block`: deterministic on the
    * block's canonical fingerprint. Also bumps the arm counter. */
-  const std::string& ResolveSplit(Split& split,
-                                  const assembly::BasicBlock& block) const;
+  static const std::string& ResolveSplit(Split& split,
+                                         const assembly::BasicBlock& block);
 
   /** Comparator thread: drains pending primary/candidate pairs,
    * accumulates parity stats, decides the verdict. */
-  void ComparatorLoop(Entry& entry, ShadowSession& session);
+  static void ComparatorLoop(Entry& entry, ShadowSession& session);
 
-  /** Stops and joins a finished session's comparator; shuts its
-   * candidate server down first unless auto-promotion made it the active
-   * server. Requires entry.session_mutex to be held. */
-  static void StopSessionLocked(Entry& entry, ShadowSession& session);
-
-  InferenceServerConfig default_config_;
-  /** Guards the routes_/splits_ map structure (entries node-stable). */
-  mutable std::shared_mutex routes_mutex_;
-  std::map<std::string, std::unique_ptr<Entry>> routes_;
-  std::map<std::string, std::unique_ptr<Split>> splits_;
+  /** Model routes and splits by name; neither map changes after
+   * construction. Entries hold atomics, so they are built in place. */
+  std::map<std::string, Entry> routes_;
+  std::map<std::string, Split> splits_;
   std::atomic<std::uint64_t> unknown_model_requests_{0};
+  /** Shutdown's work runs once; a concurrent caller waits for it. */
+  std::once_flag shutdown_once_;
 };
 
 }  // namespace granite::serve

@@ -7,7 +7,9 @@ typed flag (integer, seed, real, bool, enum) of each command is given
 malformed and out-of-range spellings; a flag given twice and a missing
 required flag are tried too. Every case must exit 2, and no output file
 may appear. `predict` must also refuse, with exit 2, a block that parses
-but that the semantics catalog cannot encode, given by --asm or stdin.
+but that the semantics catalog cannot encode, given by --asm or stdin;
+`serve` must refuse, with exit 2, a malformed --split or --shadow and a
+split arm or shadow route that names no loaded bundle.
 
 Usage: granite_cli_usage_test.py PATH/TO/granite_cli
 """
@@ -144,6 +146,23 @@ def main():
             if result.returncode != 2 or "serving '" in result.stdout:
                 runner.failures.append("exit %d, stdout %r: %r" %
                                        (result.returncode, result.stdout,
+                                        argv))
+
+        # The routes that --split and --shadow name are checked once the
+        # bundles are loaded: an unknown split arm or shadow route is a
+        # usage error (exit 2) with a message, not an abort.
+        for spec in ["--shadow=nosuch=" + bundle,
+                     "--split=mix=smoke:nosuch:0.5"]:
+            argv = ["serve", "--model-file=" + bundle, spec]
+            result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True,
+                                    timeout=60)
+            runner.cases += 1
+            if (result.returncode != 2 or
+                    "'nosuch'" not in result.stderr):
+                runner.failures.append("exit %d, stderr %r: %r" %
+                                       (result.returncode, result.stderr,
                                         argv))
 
         # predict refuses a block the catalog cannot encode (unknown

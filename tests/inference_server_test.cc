@@ -810,9 +810,11 @@ TEST_F(InferenceServerTest, SubmitManyFailsOnlyTheUnencodableEntries) {
 }
 
 TEST_F(InferenceServerTest, RouterPassesTheUnencodableErrorThrough) {
-  ModelRouter router;
-  router.AddModel("granite", std::make_unique<core::GraniteModel>(
-                                 &vocabulary_, TinyConfig()));
+  RouterSetup setup;
+  setup.models.push_back(
+      {"granite",
+       std::make_unique<core::GraniteModel>(&vocabulary_, TinyConfig())});
+  ModelRouter router(std::move(setup));
   const assembly::BasicBlock arity = ParseUnencodable("ADD RAX");
   std::optional<std::future<double>> future =
       router.Submit("granite", &arity, 0);

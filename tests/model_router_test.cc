@@ -100,14 +100,11 @@ TEST_F(ModelRouterTest, RoutesByNameToTheRightModel) {
 
   InferenceServerConfig config;
   config.batch_window = microseconds{200};
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*granite, "granite"));
-  router.AddModel("ithemal_plus", ThroughBundle(*ithemal, "ithemal_plus"));
-
-  EXPECT_TRUE(router.HasModel("granite"));
-  EXPECT_TRUE(router.HasModel("ithemal_plus"));
-  EXPECT_EQ(router.ModelNames(),
-            (std::vector<std::string>{"granite", "ithemal_plus"}));
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"granite", ThroughBundle(*granite, "granite")});
+  setup.models.push_back(
+      {"ithemal_plus", ThroughBundle(*ithemal, "ithemal_plus")});
+  ModelRouter router(std::move(setup));
 
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     EXPECT_EQ(router.Submit("granite", &blocks_[i], 0).value().get(),
@@ -118,9 +115,9 @@ TEST_F(ModelRouterTest, RoutesByNameToTheRightModel) {
 }
 
 TEST_F(ModelRouterTest, UnknownModelIsRejectedAndCounted) {
-  ModelRouter router;
-  router.AddModel("granite", MakeGranite(1, 42));
-  EXPECT_FALSE(router.HasModel("nope"));
+  RouterSetup setup;
+  setup.models.push_back({"granite", MakeGranite(1, 42)});
+  ModelRouter router(std::move(setup));
   EXPECT_FALSE(router.Submit("nope", &blocks_[0], 0).has_value());
   EXPECT_FALSE(router.Submit("nope", &blocks_[1], 0).has_value());
   EXPECT_EQ(router.unknown_model_requests(), 2u);
@@ -141,9 +138,11 @@ TEST_F(ModelRouterTest, ServesBothModelsConcurrentlyFromBundles) {
   config.max_batch_size = 8;
   config.batch_window = microseconds{100};
   config.prediction_cache_capacity = 64;
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*granite, "granite"));
-  router.AddModel("ithemal_plus", ThroughBundle(*ithemal, "ithemal_plus"));
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"granite", ThroughBundle(*granite, "granite")});
+  setup.models.push_back(
+      {"ithemal_plus", ThroughBundle(*ithemal, "ithemal_plus")});
+  ModelRouter router(std::move(setup));
 
   constexpr int kProducers = 4;
   constexpr int kRequestsPerProducer = 40;
@@ -206,9 +205,10 @@ TEST_F(ModelRouterTest, ServesBothModelsConcurrentlyFromBundles) {
 }
 
 TEST_F(ModelRouterTest, ShutdownStopsAllModels) {
-  ModelRouter router;
-  router.AddModel("a", MakeGranite(1, 1));
-  router.AddModel("b", MakeGranite(1, 2));
+  RouterSetup setup;
+  setup.models.push_back({"a", MakeGranite(1, 1)});
+  setup.models.push_back({"b", MakeGranite(1, 2)});
+  ModelRouter router(std::move(setup));
   EXPECT_TRUE(router.Submit("a", &blocks_[0], 0).has_value());
   router.Shutdown();
   EXPECT_FALSE(router.Submit("a", &blocks_[0], 0).has_value());
@@ -226,8 +226,9 @@ TEST_F(ModelRouterTest, CachedServingSharesTheModelCache) {
   config.max_batch_size = 4;
   config.batch_window = microseconds{200};
   config.prediction_cache_capacity = 64;
-  ModelRouter router(config);
-  router.AddModel("ithemal_plus", MakeIthemalPlus(1));
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"ithemal_plus", MakeIthemalPlus(1)});
+  ModelRouter router(std::move(setup));
 
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 4; ++i) {

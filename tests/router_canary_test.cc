@@ -15,6 +15,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -88,7 +89,7 @@ class RouterCanaryTest : public ::testing::Test {
     for (;;) {
       const std::optional<ShadowStats> status = router.ShadowStatus(name);
       EXPECT_TRUE(status.has_value());
-      if (!status.has_value()) return CanaryState::kInactive;
+      if (!status.has_value()) return CanaryState::kShadowing;
       if (status->state != CanaryState::kShadowing) return status->state;
       if (std::chrono::steady_clock::now() >= deadline) {
         ADD_FAILURE() << "verdict not reached within 10 s";
@@ -110,13 +111,11 @@ TEST_F(RouterCanaryTest, SplitRoutesDeterministicallyAndBitExactPerArm) {
 
   InferenceServerConfig config;
   config.batch_window = microseconds{200};
-  ModelRouter router(config);
-  router.AddModel("a", ThroughBundle(*model_a, "a"));
-  router.AddModel("b", ThroughBundle(*model_b, "b"));
-  router.AddSplit("mix", "a", "b", /*weight_a=*/0.5);
-
-  EXPECT_FALSE(router.HasModel("mix"));  // Splits are not models.
-  EXPECT_EQ(router.SplitNames(), std::vector<std::string>{"mix"});
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"a", ThroughBundle(*model_a, "a")});
+  setup.models.push_back({"b", ThroughBundle(*model_b, "b")});
+  setup.splits.push_back({"mix", "a", "b", /*weight_a=*/0.5});
+  ModelRouter router(std::move(setup));
 
   // Every answer is bit-exact for ONE of the arms (mirrored traffic
   // never mixes models), and the arm choice is stable per block.
@@ -148,11 +147,12 @@ TEST_F(RouterCanaryTest, DegenerateWeightsSendAllTrafficToOneArm) {
 
   InferenceServerConfig config;
   config.batch_window = microseconds{200};
-  ModelRouter router(config);
-  router.AddModel("a", ThroughBundle(*model_a, "a"));
-  router.AddModel("b", ThroughBundle(*model_b, "b"));
-  router.AddSplit("all_a", "a", "b", /*weight_a=*/1.0);
-  router.AddSplit("all_b", "a", "b", /*weight_a=*/0.0);
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"a", ThroughBundle(*model_a, "a")});
+  setup.models.push_back({"b", ThroughBundle(*model_b, "b")});
+  setup.splits.push_back({"all_a", "a", "b", /*weight_a=*/1.0});
+  setup.splits.push_back({"all_b", "a", "b", /*weight_a=*/0.0});
+  ModelRouter router(std::move(setup));
 
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     EXPECT_EQ(router.Submit("all_a", &blocks_[i], 0).value().get(),
@@ -181,16 +181,15 @@ TEST_F(RouterCanaryTest, ShadowPredictionsNeverReachClients) {
   config.max_batch_size = 8;
   config.batch_window = microseconds{100};
   config.prediction_cache_capacity = 64;
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*primary, "granite"));
-  const model::ThroughputPredictor* active_before =
-      &router.Model("granite");
-
   ShadowConfig shadow;
   shadow.min_comparisons = 20;
   shadow.server_config = config;
-  router.StartShadow("granite", ThroughBundle(*candidate, "candidate"),
-                     shadow);
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"granite", ThroughBundle(*primary, "granite"),
+                          ThroughBundle(*candidate, "candidate"), shadow});
+  ModelRouter router(std::move(setup));
+  const model::ThroughputPredictor* active_before =
+      &router.Model("granite");
   EXPECT_EQ(router.ShadowStatus("granite")->state,
             CanaryState::kShadowing);
 
@@ -246,18 +245,18 @@ TEST_F(RouterCanaryTest, PromoteOnParitySwapsTheActiveModel) {
   config.max_batch_size = 4;
   config.batch_window = microseconds{100};
   config.prediction_cache_capacity = 64;
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*primary, "granite"));
-  const model::ThroughputPredictor* active_before =
-      &router.Model("granite");
-
   // The candidate is a bundle twin of the primary: bit-identical
   // predictions, so every comparison is at parity (rtol 0).
   ShadowConfig shadow;
   shadow.min_comparisons = 20;
   shadow.auto_promote = true;
   shadow.server_config = config;
-  router.StartShadow("granite", ThroughBundle(*primary, "twin"), shadow);
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"granite", ThroughBundle(*primary, "granite"),
+                          ThroughBundle(*primary, "twin"), shadow});
+  ModelRouter router(std::move(setup));
+  const model::ThroughputPredictor* active_before =
+      &router.Model("granite");
 
   std::vector<std::future<double>> futures;
   std::vector<std::size_t> sent;
@@ -279,6 +278,8 @@ TEST_F(RouterCanaryTest, PromoteOnParitySwapsTheActiveModel) {
   EXPECT_GE(status.compared, 20u);
   EXPECT_EQ(status.parity, status.compared);
   EXPECT_EQ(status.compare_failures, 0u);
+  // Only the verdict's 20 samples of the 30 requests were mirrored.
+  EXPECT_EQ(status.mirrored, 20u);
   EXPECT_DOUBLE_EQ(status.max_rel_diff, 0.0);
 
   // The promoted twin serves the same (bit-identical) predictions.
@@ -297,22 +298,77 @@ TEST_F(RouterCanaryTest, ParityWithoutAutoPromoteKeepsTheActiveModel) {
   InferenceServerConfig config;
   config.max_batch_size = 4;
   config.batch_window = microseconds{100};
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*primary, "granite"));
-  const model::ThroughputPredictor* active_before =
-      &router.Model("granite");
-
   ShadowConfig shadow;
   shadow.min_comparisons = 10;
   shadow.auto_promote = false;  // The verdict is reported, not applied.
   shadow.server_config = config;
-  router.StartShadow("granite", ThroughBundle(*primary, "twin"), shadow);
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"granite", ThroughBundle(*primary, "granite"),
+                          ThroughBundle(*primary, "twin"), shadow});
+  ModelRouter router(std::move(setup));
+  const model::ThroughputPredictor* active_before =
+      &router.Model("granite");
 
   for (int r = 0; r < 15; ++r) {
     router.Submit("granite", &blocks_[r % blocks_.size()], 0).value().get();
   }
   EXPECT_EQ(AwaitVerdict(router, "granite"), CanaryState::kPromoted);
   EXPECT_EQ(&router.Model("granite"), active_before);
+  router.Shutdown();
+}
+
+/** A GRANITE model whose every prediction is NaN. */
+class NanGraniteModel : public core::GraniteModel {
+ public:
+  using core::GraniteModel::GraniteModel;
+
+ protected:
+  std::vector<std::vector<double>> ComputeBatchAllTasks(
+      const std::vector<const assembly::BasicBlock*>& blocks)
+      const override {
+    return std::vector<std::vector<double>>(
+        blocks.size(),
+        std::vector<double>(num_tasks(),
+                            std::numeric_limits<double>::quiet_NaN()));
+  }
+};
+
+TEST_F(RouterCanaryTest, NonFiniteCandidateIsRejectedAtInfiniteDistance) {
+  const auto primary = MakeGranite(42);
+  const std::vector<double> expected = ExpectedAlone(*primary, 0);
+
+  InferenceServerConfig config;
+  config.max_batch_size = 4;
+  config.batch_window = microseconds{100};
+  ShadowConfig shadow;
+  shadow.min_comparisons = 10;
+  shadow.server_config = config;
+  core::GraniteConfig nan_config = core::GraniteConfig().WithEmbeddingSize(8);
+  nan_config.message_passing_iterations = 2;
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back(
+      {"granite", ThroughBundle(*primary, "granite"),
+       std::make_unique<NanGraniteModel>(
+           std::make_unique<graph::Vocabulary>(
+               graph::Vocabulary::CreateDefault()),
+           nan_config),
+       shadow});
+  ModelRouter router(std::move(setup));
+  const model::ThroughputPredictor* active_before =
+      &router.Model("granite");
+
+  for (int r = 0; r < 15; ++r) {
+    const std::size_t i = r % blocks_.size();
+    EXPECT_EQ(router.Submit("granite", &blocks_[i], 0).value().get(),
+              expected[i]);
+  }
+  EXPECT_EQ(AwaitVerdict(router, "granite"), CanaryState::kRejected);
+  EXPECT_EQ(&router.Model("granite"), active_before);
+  const ShadowStats status = *router.ShadowStatus("granite");
+  EXPECT_EQ(status.compared, 10u);
+  EXPECT_EQ(status.parity, 0u);
+  EXPECT_EQ(status.max_rel_diff, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(status.mean_abs_diff, std::numeric_limits<double>::infinity());
   router.Shutdown();
 }
 
@@ -323,18 +379,18 @@ TEST_F(RouterCanaryTest, OverloadedCandidateNeverDelaysClients) {
   InferenceServerConfig config;
   config.max_batch_size = 4;
   config.batch_window = microseconds{100};
-  ModelRouter router(config);
-  router.AddModel("granite", ThroughBundle(*primary, "granite"));
-
   // A pathological candidate: one queue slot and a window that never
   // expires, so it accepts one mirrored request and rejects the rest
-  // (StartShadow forces OverflowPolicy::kReject on candidates).
+  // (the router forces OverflowPolicy::kReject on candidates).
   ShadowConfig shadow;
   shadow.min_comparisons = 1000;  // No verdict within this test.
   shadow.server_config.queue_capacity = 1;
   shadow.server_config.max_batch_size = 1000;
   shadow.server_config.batch_window = kNeverWindow;
-  router.StartShadow("granite", ThroughBundle(*primary, "stuck"), shadow);
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"granite", ThroughBundle(*primary, "granite"),
+                          ThroughBundle(*primary, "stuck"), shadow});
+  ModelRouter router(std::move(setup));
 
   // Clients are answered promptly and exactly despite the stuck
   // candidate — each get() below would hang if mirroring coupled the
@@ -365,15 +421,15 @@ TEST_F(RouterCanaryTest, SplitOverShadowedRouteStaysExact) {
 
   InferenceServerConfig config;
   config.batch_window = microseconds{200};
-  ModelRouter router(config);
-  router.AddModel("a", ThroughBundle(*model_a, "a"));
-  router.AddModel("b", ThroughBundle(*model_b, "b"));
-  router.AddSplit("all_a", "a", "b", /*weight_a=*/1.0);
-
   ShadowConfig shadow;
   shadow.min_comparisons = 1000;  // Stay shadowing for the whole test.
   shadow.server_config = config;
-  router.StartShadow("a", ThroughBundle(*model_b, "candidate"), shadow);
+  RouterSetup setup{.server_config = config};
+  setup.models.push_back({"a", ThroughBundle(*model_a, "a"),
+                          ThroughBundle(*model_b, "candidate"), shadow});
+  setup.models.push_back({"b", ThroughBundle(*model_b, "b")});
+  setup.splits.push_back({"all_a", "a", "b", /*weight_a=*/1.0});
+  ModelRouter router(std::move(setup));
 
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     EXPECT_EQ(router.Submit("all_a", &blocks_[i], 0).value().get(),

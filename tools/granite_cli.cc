@@ -673,7 +673,18 @@ int RunServe(const Args& args) {
     shadow_path = spec.substr(separator + 1);
   }
 
-  granite::serve::ModelRouter router(server_config);
+  granite::serve::RouterSetup setup{.server_config = server_config};
+  // The loaded model routes are checked against this list, so the
+  // router's own checks never abort on a bad flag.
+  const auto find_route = [&setup](const std::string& name) {
+    return std::find_if(setup.models.begin(), setup.models.end(),
+                        [&name](const granite::serve::ModelRoute& route) {
+                          return route.name == name;
+                        });
+  };
+  const auto is_route = [&](const std::string& name) {
+    return find_route(name) != setup.models.end();
+  };
   std::vector<std::pair<std::string, int>> models;  // name → num_tasks
   for (const std::string& entry : args.Texts("model-file")) {
     // --model-file=NAME=PATH names the route; bare PATH uses the file
@@ -692,7 +703,7 @@ int RunServe(const Args& args) {
       name = path.substr(stem, dot == std::string::npos ? std::string::npos
                                                         : dot - stem);
     }
-    if (router.HasModel(name)) {
+    if (is_route(name)) {
       std::fprintf(stderr,
                    "granite_cli serve: duplicate route name '%s' (use "
                    "--model-file=NAME=PATH to disambiguate)\n",
@@ -706,28 +717,28 @@ int RunServe(const Args& args) {
                 std::string(granite::model::ModelKindName(loaded->kind()))
                     .c_str(),
                 num_tasks, path.c_str());
-    router.AddModel(name, std::move(loaded));
+    setup.models.push_back({name, std::move(loaded)});
     models.emplace_back(name, num_tasks);
   }
 
   // --split=NAME=A:B:WEIGHT registers a weighted A/B split over two
   // loaded routes and includes it in the replayed traffic.
   if (args.Given("split")) {
-    if (router.HasModel(split_name)) {
+    if (is_route(split_name)) {
       std::fprintf(stderr,
                    "granite_cli serve: split name '%s' collides with a "
                    "loaded route\n",
                    split_name.c_str());
       return 2;
     }
-    if (!router.HasModel(route_a) || !router.HasModel(route_b)) {
+    if (!is_route(route_a) || !is_route(route_b)) {
       std::fprintf(stderr,
                    "granite_cli serve: split arms must name loaded "
                    "routes ('%s', '%s')\n",
                    route_a.c_str(), route_b.c_str());
       return 2;
     }
-    router.AddSplit(split_name, route_a, route_b, weight_a);
+    setup.splits.push_back({split_name, route_a, route_b, weight_a});
     std::printf("split '%s': %s:%s weight_a=%.3f\n", split_name.c_str(),
                 route_a.c_str(), route_b.c_str(), weight_a);
     // Split traffic exercises both arms; cap tasks at the smaller head.
@@ -746,28 +757,28 @@ int RunServe(const Args& args) {
   // candidate is promoted on parity unless --promote=0, which only
   // reports the verdict.
   if (args.Given("shadow")) {
-    if (!router.HasModel(shadow_route)) {
+    const auto route = find_route(shadow_route);
+    if (route == setup.models.end()) {
       std::fprintf(stderr,
                    "granite_cli serve: --shadow route '%s' is not a "
                    "loaded model\n",
                    shadow_route.c_str());
       return 2;
     }
-    granite::serve::ShadowConfig shadow_config;
-    shadow_config.min_comparisons =
+    route->shadow.min_comparisons =
         static_cast<uint64_t>(args.Int("shadow-samples"));
-    shadow_config.auto_promote = args.Bool("promote");
-    shadow_config.server_config = server_config;
-    router.StartShadow(shadow_route, granite::model::LoadModel(shadow_path),
-                       shadow_config);
+    route->shadow.auto_promote = args.Bool("promote");
+    route->shadow.server_config = server_config;
+    route->candidate = granite::model::LoadModel(shadow_path);
     std::printf("shadowing '%s' with %s (%llu samples, %s)\n",
                 shadow_route.c_str(), shadow_path.c_str(),
                 static_cast<unsigned long long>(
-                    shadow_config.min_comparisons),
-                shadow_config.auto_promote
+                    route->shadow.min_comparisons),
+                route->shadow.auto_promote
                     ? "auto-promote"
                     : "verdict only, never promoted");
   }
+  granite::serve::ModelRouter router(std::move(setup));
 
   const granite::dataset::Dataset corpus = SynthesizeCorpus(
       static_cast<std::size_t>(args.Int("blocks")), args.Seed());
