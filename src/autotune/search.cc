@@ -13,9 +13,8 @@ namespace granite::autotune {
 
 using assembly::BasicBlock;
 
-ServerCostClient::ServerCostClient(serve::InferenceServer* server, int task,
-                                   serve::AdmissionClass admission)
-    : server_(server), task_(task), admission_(admission) {
+ServerCostClient::ServerCostClient(serve::InferenceServer* server, int task)
+    : server_(server), task_(task) {
   GRANITE_CHECK(server != nullptr);
 }
 
@@ -26,7 +25,7 @@ std::vector<std::optional<std::future<double>>> ServerCostClient::SubmitWave(
   for (const BasicBlock* block : blocks) {
     requests.push_back(serve::BatchSubmitRequest{block, task_});
   }
-  return server_->SubmitMany(requests, admission_);
+  return server_->SubmitMany(requests);
 }
 
 AnalyticalCostClient::AnalyticalCostClient(
@@ -144,7 +143,7 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
       try {
         wave[i].cost = futures[i]->get();
       } catch (const std::exception&) {
-        ++result.rejected;  // Shed by admission policy or failed batch.
+        ++result.rejected;  // Failed batch or unencodable block.
         continue;
       }
       ++result.candidates_scored;

@@ -5,9 +5,9 @@
  * The compiler-in-the-loop workload the paper's model exists to enable:
  * a block optimizer enumerates candidate rewrites (autotune/transforms),
  * submits each wave of candidates asynchronously to a cost backend —
- * typically a serve::InferenceServer, under admission class kBatch —
- * and keeps the beam_width best-scoring candidates for the next round of
- * composition, up to max_depth rounds or a wall-clock deadline.
+ * typically a serve::InferenceServer — and keeps the beam_width
+ * best-scoring candidates for the next round of composition, up to
+ * max_depth rounds or a wall-clock deadline.
  *
  * Deduplication contract: within one wave, candidates are deduplicated
  * by canonical block fingerprint (sibling beam entries derive the same
@@ -60,9 +60,7 @@ class CostClient {
 class ServerCostClient : public CostClient {
  public:
   /** @param server Must outlive the client. */
-  ServerCostClient(
-      serve::InferenceServer* server, int task,
-      serve::AdmissionClass admission = serve::AdmissionClass::kBatch);
+  ServerCostClient(serve::InferenceServer* server, int task);
 
   std::vector<std::optional<std::future<double>>> SubmitWave(
       const std::vector<const assembly::BasicBlock*>& blocks) override;
@@ -70,7 +68,6 @@ class ServerCostClient : public CostClient {
  private:
   serve::InferenceServer* server_;
   int task_;
-  serve::AdmissionClass admission_;
 };
 
 /** Scores candidates with the analytical uarch::ThroughputModel oracle,
@@ -129,7 +126,7 @@ struct OptimizeResult {
   /** In-wave duplicates skipped by fingerprint. */
   std::size_t duplicates_skipped = 0;
   /** Submissions rejected by the backend plus futures that threw
-   * (shed requests, failed batches). */
+   * (failed batches, unencodable blocks). */
   std::size_t rejected = 0;
   /** Waves actually searched (≤ max_depth). */
   int depth_reached = 0;

@@ -10,18 +10,6 @@
 
 namespace granite::serve {
 
-std::string_view AdmissionClassName(AdmissionClass admission) {
-  switch (admission) {
-    case AdmissionClass::kInteractive:
-      return "interactive";
-    case AdmissionClass::kBatch:
-      return "batch";
-    case AdmissionClass::kBestEffort:
-      return "best-effort";
-  }
-  GRANITE_PANIC("unhandled AdmissionClass " << static_cast<int>(admission));
-}
-
 InferenceServer::InferenceServer(model::ThroughputPredictor* model,
                                  const InferenceServerConfig& config)
     : model_(model), config_(config), start_time_(Clock::now()) {
@@ -62,9 +50,7 @@ InferenceServer::Shard& InferenceServer::ShardFor(
 bool InferenceServer::EnqueueLocked(Shard& shard,
                                     std::unique_lock<std::mutex>& lock,
                                     const assembly::BasicBlock* block,
-                                    int task, AdmissionClass admission,
-                                    std::vector<ShedVictim>& victims,
-                                    bool& wake,
+                                    int task, bool& wake,
                                     std::future<double>& future) {
   for (;;) {
     if (shard.stopping) {
@@ -72,30 +58,6 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
       return false;
     }
     if (shard.queue.size() < config_.queue_capacity) break;
-    // Shed the youngest queued request of the lowest-priority class, but
-    // only if that class is strictly lower-priority than the incoming
-    // request (equal-priority traffic is never displaced).
-    std::size_t victim = shard.queue.size();
-    int lowest = static_cast<int>(admission);
-    for (std::size_t i = shard.queue.size(); i-- > 0;) {
-      const int cls = static_cast<int>(shard.queue[i].admission);
-      if (cls > lowest) {
-        lowest = cls;
-        victim = i;
-      }
-    }
-    if (victim < shard.queue.size()) {
-      // The victim's promise is failed only after the shard lock is
-      // released (promise consumers may run arbitrary code via wait
-      // chains).
-      victims.push_back(ShedVictim{std::move(shard.queue[victim].promise),
-                                   shard.queue[victim].admission});
-      ++shard.shed_by_class[static_cast<std::size_t>(
-          victims.back().admission)];
-      shard.queue.erase(shard.queue.begin() +
-                        static_cast<std::ptrdiff_t>(victim));
-      break;  // The eviction freed one slot for this request.
-    }
     if (config_.overflow_policy == OverflowPolicy::kReject) {
       ++shard.rejected;
       return false;
@@ -115,7 +77,6 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
   Request request;
   request.block = block;
   request.task = task;
-  request.admission = admission;
   request.enqueue_time = Clock::now();
   future = request.promise.get_future();
   shard.queue.push_back(std::move(request));
@@ -136,25 +97,19 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
 }
 
 std::optional<std::future<double>> InferenceServer::Submit(
-    const assembly::BasicBlock* block, int task, AdmissionClass admission) {
+    const assembly::BasicBlock* block, int task) {
   GRANITE_CHECK(block != nullptr);
   GRANITE_CHECK(task >= 0 && task < model_->num_tasks());
   Shard& shard = ShardFor(*block);
   if (const auto unencodable = assembly::CheckEncodable(*block)) {
     return FailUnencodable(shard, task, *unencodable);
   }
-  std::vector<ShedVictim> victims;
   bool wake = false;
   std::future<double> future;
   bool admitted;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
-    admitted = EnqueueLocked(shard, lock, block, task, admission, victims,
-                             wake, future);
-  }
-  for (ShedVictim& victim : victims) {
-    victim.promise.set_exception(
-        std::make_exception_ptr(RequestShedError(victim.admission)));
+    admitted = EnqueueLocked(shard, lock, block, task, wake, future);
   }
   if (wake) shard.queue_event.notify_one();
   if (!admitted) return std::nullopt;
@@ -162,8 +117,7 @@ std::optional<std::future<double>> InferenceServer::Submit(
 }
 
 std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
-    const std::vector<BatchSubmitRequest>& requests,
-    AdmissionClass admission) {
+    const std::vector<BatchSubmitRequest>& requests) {
   std::vector<std::optional<std::future<double>>> futures(requests.size());
   // Group request indices by target shard so each shard's lock is taken
   // once. Within a shard the input order is preserved, which makes the
@@ -188,21 +142,16 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
   for (std::size_t s = 0; s < by_shard.size(); ++s) {
     if (by_shard[s].empty()) continue;
     Shard& shard = *shards_[s];
-    std::vector<ShedVictim> victims;
     bool wake = false;
     {
       std::unique_lock<std::mutex> lock(shard.mutex);
       for (std::size_t i : by_shard[s]) {
         std::future<double> future;
         if (EnqueueLocked(shard, lock, requests[i].block, requests[i].task,
-                          admission, victims, wake, future)) {
+                          wake, future)) {
           futures[i] = std::move(future);
         }
       }
-    }
-    for (ShedVictim& victim : victims) {
-      victim.promise.set_exception(
-          std::make_exception_ptr(RequestShedError(victim.admission)));
     }
     if (wake) shard.queue_event.notify_one();
   }
@@ -378,9 +327,9 @@ ServerStats InferenceServer::Stats() const {
           .count();
   // Every shard's queue-side and completion-side counters are
   // snapshotted while all locks are held at once, so the result is
-  // mutually consistent (e.g. submitted - completed - shed - rejected
-  // is the true in-flight count). Stats() is the only multi-shard
-  // locker and always locks in shard-index order, so no deadlock.
+  // mutually consistent (e.g. submitted - completed is the true
+  // in-flight count). Stats() is the only multi-shard locker and always
+  // locks in shard-index order, so no deadlock.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size() * 2);
   for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -395,10 +344,6 @@ ServerStats InferenceServer::Stats() const {
   for (const std::unique_ptr<Shard>& shard : shards_) {
     stats.submitted += shard->submitted;
     stats.rejected += shard->rejected;
-    for (std::size_t cls = 0; cls < kNumAdmissionClasses; ++cls) {
-      stats.shed_by_class[cls] += shard->shed_by_class[cls];
-      stats.shed += shard->shed_by_class[cls];
-    }
     stats.completed += shard->completed;
     stats.failed += shard->failed;
     unencodable += shard->unencodable;
@@ -461,22 +406,12 @@ std::string FormatServerStats(const ServerStats& stats) {
   text += line;
   std::snprintf(line, sizeof(line),
                 "requests: %llu submitted, %llu completed (%llu failed), "
-                "%llu rejected, %llu shed\n",
+                "%llu rejected\n",
                 static_cast<unsigned long long>(stats.submitted),
                 static_cast<unsigned long long>(stats.completed),
                 static_cast<unsigned long long>(stats.failed),
-                static_cast<unsigned long long>(stats.rejected),
-                static_cast<unsigned long long>(stats.shed));
+                static_cast<unsigned long long>(stats.rejected));
   text += line;
-  if (stats.shed > 0) {
-    std::snprintf(
-        line, sizeof(line),
-        "shed by class: %llu interactive, %llu batch, %llu best-effort\n",
-        static_cast<unsigned long long>(stats.shed_by_class[0]),
-        static_cast<unsigned long long>(stats.shed_by_class[1]),
-        static_cast<unsigned long long>(stats.shed_by_class[2]));
-    text += line;
-  }
   std::snprintf(line, sizeof(line),
                 "batches: %llu (%llu size-flush, %llu deadline-flush, "
                 "%llu shutdown-flush), mean occupancy %.2f\n",

@@ -26,14 +26,10 @@
  * a consistent snapshot by locking the shards in a fixed order only when
  * asked.
  *
- * Backpressure: each shard's queue is bounded; when it is full, Submit()
- * either blocks until space frees up or rejects the request, per the
- * configured overflow policy. A full shard first tries to shed its
- * youngest lowest-priority queued request (strictly lower-priority than
- * the incoming class, so single-class traffic is plain FIFO) — the shed
- * request's future fails with RequestShedError — before falling back to
- * the overflow policy. Rejection (and shutdown) is reported as an empty
- * optional rather than an exception.
+ * Backpressure: each shard's queue is bounded and FIFO; when it is full,
+ * Submit() either blocks until space frees up or rejects the request,
+ * per the configured overflow policy. Rejection (and shutdown) is
+ * reported as an empty optional rather than an exception.
  *
  * Encodability: Submit() runs assembly::CheckEncodable before it takes
  * the shard lock. A block the catalog cannot encode never reaches a
@@ -50,7 +46,6 @@
 #ifndef GRANITE_SERVE_INFERENCE_SERVER_H_
 #define GRANITE_SERVE_INFERENCE_SERVER_H_
 
-#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -62,7 +57,6 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -81,46 +75,6 @@ enum class OverflowPolicy {
   kBlock,
   /** Reject immediately: Submit() returns an empty optional. */
   kReject,
-};
-
-/**
- * The admission class of a request: what the server sheds first under
- * overload. Lower numeric value = higher priority. The default Submit()
- * class is kInteractive, so FIFO-era callers keep top priority.
- */
-enum class AdmissionClass {
-  /** Latency-sensitive foreground traffic (e.g. a compiler's inner
-   * search loop); never shed in favor of the classes below. */
-  kInteractive = 0,
-  /** Throughput-oriented bulk traffic (e.g. corpus re-scoring). */
-  kBatch = 1,
-  /** Shed-first background traffic (e.g. speculative prefetch). */
-  kBestEffort = 2,
-};
-
-/** Number of AdmissionClass values (array sizing). */
-inline constexpr std::size_t kNumAdmissionClasses = 3;
-
-/** Stable lowercase name of an admission class, e.g. "interactive". */
-std::string_view AdmissionClassName(AdmissionClass admission);
-
-/**
- * The exception a shed request's future throws from get(): the request
- * was admitted but later evicted from a full shard by a higher-priority
- * arrival.
- */
-class RequestShedError : public std::runtime_error {
- public:
-  explicit RequestShedError(AdmissionClass admission)
-      : std::runtime_error("request shed by admission policy (class " +
-                           std::string(AdmissionClassName(admission)) + ")"),
-        admission_(admission) {}
-
-  /** The admission class of the shed request. */
-  AdmissionClass admission() const { return admission_; }
-
- private:
-  AdmissionClass admission_;
 };
 
 /**
@@ -180,8 +134,8 @@ struct TaskStats {
 };
 
 /** A point-in-time snapshot of the server's live statistics, aggregated
- * over all shards. submitted == completed + shed + in-flight (rejected
- * requests were never admitted). */
+ * over all shards. submitted == completed + in-flight (rejected requests
+ * were never admitted). */
 struct ServerStats {
   /** Worker shards serving (and counting) independently. */
   std::uint64_t num_shards = 0;
@@ -198,13 +152,6 @@ struct ServerStats {
   std::uint64_t failed = 0;
   /** Requests turned away by backpressure or shutdown. */
   std::uint64_t rejected = 0;
-  /** Admitted requests later evicted by the admission policy; their
-   * futures throw RequestShedError. Counted separately from
-   * completed/failed (they never reached a batch). */
-  std::uint64_t shed = 0;
-  /** `shed` split by the victim's admission class, indexed by
-   * AdmissionClass value. */
-  std::array<std::uint64_t, kNumAdmissionClasses> shed_by_class{};
   /** Batches drained, split by what triggered the flush. */
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
@@ -231,8 +178,8 @@ struct ServerStats {
 };
 
 /** Human-readable multi-line rendering of a stats snapshot (requests,
- * shards, shed classes, batches, latency percentiles, per-task
- * breakdown, cache hit rate). */
+ * shards, batches, latency percentiles, per-task breakdown, cache hit
+ * rate). */
 std::string FormatServerStats(const ServerStats& stats);
 
 /** One entry of a SubmitMany() batch: a block and its task head. The
@@ -276,31 +223,27 @@ class InferenceServer {
    * `block` must stay alive until the returned future is ready. Returns
    * an empty optional when the request is rejected: shard queue full
    * under OverflowPolicy::kReject, or the server is (or goes) shut
-   * down. The future throws RequestShedError from get() when the
-   * admission policy later evicted the request, throws
-   * UnencodableBlockError when the catalog cannot encode `block` (the
-   * request is then never queued), and rethrows the batch's exception
-   * if its forward pass threw (e.g. bad_alloc). Thread-safe; locks only
-   * the target shard.
+   * down. The future throws UnencodableBlockError from get() when the
+   * catalog cannot encode `block` (the request is then never queued),
+   * and rethrows the batch's exception if its forward pass threw (e.g.
+   * bad_alloc). Thread-safe; locks only the target shard.
    */
-  std::optional<std::future<double>> Submit(
-      const assembly::BasicBlock* block, int task,
-      AdmissionClass admission = AdmissionClass::kInteractive);
+  std::optional<std::future<double>> Submit(const assembly::BasicBlock* block,
+                                            int task);
 
   /**
-   * Batch-submit helper: enqueues every request (all under `admission`),
-   * returning one optional future per request, in input order, with the
-   * exact semantics of calling Submit() once per entry in that order —
-   * same fingerprint routing, admission shedding, overflow handling, and
-   * rejection reporting. The difference is locking: requests are grouped
+   * Batch-submit helper: enqueues every request, returning one optional
+   * future per request, in input order, with the exact semantics of
+   * calling Submit() once per entry in that order — same fingerprint
+   * routing, overflow handling, and rejection reporting. The difference
+   * is locking: requests are grouped
    * by target shard and each shard's lock is taken once per call instead
    * of once per request, so a scatter-gather client (e.g. the autotuner
    * submitting a search wave) pays O(#shards) lock acquisitions instead
    * of O(#requests). Thread-safe; locks one shard at a time.
    */
   std::vector<std::optional<std::future<double>>> SubmitMany(
-      const std::vector<BatchSubmitRequest>& requests,
-      AdmissionClass admission = AdmissionClass::kInteractive);
+      const std::vector<BatchSubmitRequest>& requests);
 
   /**
    * Atomically publishes new parameter values (same store structure as
@@ -340,7 +283,6 @@ class InferenceServer {
   struct Request {
     const assembly::BasicBlock* block;
     int task;
-    AdmissionClass admission;
     std::promise<double> promise;
     Clock::time_point enqueue_time;
   };
@@ -351,7 +293,7 @@ class InferenceServer {
   /**
    * One fingerprint partition of the server: its request queue and both
    * counter sets, drained by one worker thread. `mutex` guards the
-   * queue-side state (queue, stopping, submitted, rejected, shed);
+   * queue-side state (queue, stopping, submitted, rejected);
    * `stats_mutex` guards the completion-side counters and histograms,
    * recorded by this shard's worker (and by FailUnencodable).
    * No thread ever holds a mutex of another shard, except Stats() which
@@ -368,7 +310,6 @@ class InferenceServer {
     bool stopping = false;
     std::uint64_t submitted = 0;
     std::uint64_t rejected = 0;
-    std::array<std::uint64_t, kNumAdmissionClasses> shed_by_class{};
 
     /** Completion-side counters, written by this shard's worker. */
     std::mutex stats_mutex;
@@ -388,30 +329,20 @@ class InferenceServer {
     std::vector<Histogram> task_latency_us;
   };
 
-  /** A request evicted by the admission policy whose promise must be
-   * failed after the shard lock is released. */
-  struct ShedVictim {
-    std::promise<double> promise;
-    AdmissionClass admission;
-  };
-
   /** The shard owning `block` (by canonical fingerprint). */
   Shard& ShardFor(const assembly::BasicBlock& block);
 
   /**
-   * The admission/overflow/enqueue step shared by Submit and SubmitMany,
-   * run with `lock` held on `shard.mutex` (may wait on it under
-   * OverflowPolicy::kBlock). On admission, fills `future`, appends any
-   * evicted request to `victims` (to be failed after unlock), and
-   * sets `wake` when this enqueue changed a flush condition (the shard's
-   * one worker must be notified); returns false on rejection (queue full
-   * under kReject, or shutting down). A pending `wake` is delivered (and
-   * cleared) before any wait for space.
+   * The overflow/enqueue step shared by Submit and SubmitMany, run with
+   * `lock` held on `shard.mutex` (may wait on it under
+   * OverflowPolicy::kBlock). When it queues the request, fills `future`
+   * and sets `wake` when this enqueue changed a flush condition (the
+   * shard's one worker must be notified); returns false on rejection
+   * (queue full under kReject, or shutting down). A pending `wake` is
+   * delivered (and cleared) before any wait for space.
    */
   bool EnqueueLocked(Shard& shard, std::unique_lock<std::mutex>& lock,
-                     const assembly::BasicBlock* block, int task,
-                     AdmissionClass admission,
-                     std::vector<ShedVictim>& victims, bool& wake,
+                     const assembly::BasicBlock* block, int task, bool& wake,
                      std::future<double>& future);
 
   /**

@@ -33,6 +33,15 @@ ModelRouter::ModelRouter(RouterSetup setup) {
                           route.shadow.min_comparisons >= 1,
                       "shadow min_comparisons must be at least 1 on route "
                           << route.name);
+    // A mirrored request's task must exist on the candidate too.
+    GRANITE_CHECK_MSG(route.candidate == nullptr ||
+                          route.candidate->num_tasks() ==
+                              route.model->num_tasks(),
+                      "shadow candidate of route "
+                          << route.name << " has "
+                          << route.candidate->num_tasks()
+                          << " task heads, the route has "
+                          << route.model->num_tasks());
     const bool inserted = routes_.try_emplace(route.name).second;
     GRANITE_CHECK_MSG(inserted, "duplicate model name: " << route.name);
   }
@@ -62,7 +71,7 @@ ModelRouter::ModelRouter(RouterSetup setup) {
     if (route.candidate == nullptr) continue;
     auto session = std::make_unique<ShadowSession>();
     session->config = route.shadow;
-    // A saturated candidate must shed mirrored traffic, never block the
+    // A saturated candidate must reject mirrored traffic, never block the
     // client submit path.
     session->config.server_config.overflow_policy = OverflowPolicy::kReject;
     session->candidate = std::move(route.candidate);
@@ -212,8 +221,7 @@ std::optional<SplitStats> ModelRouter::SplitStatus(
 }
 
 std::optional<std::future<double>> ModelRouter::Submit(
-    const std::string& name, const assembly::BasicBlock* block, int task,
-    AdmissionClass admission) {
+    const std::string& name, const assembly::BasicBlock* block, int task) {
   const Entry* entry = FindEntry(name);
   if (entry == nullptr) {
     const auto split = splits_.find(name);
@@ -228,7 +236,7 @@ std::optional<std::future<double>> ModelRouter::Submit(
   InferenceServer* server =
       entry->active_server.load(std::memory_order_acquire);
   std::optional<std::future<double>> primary =
-      server->Submit(block, task, admission);
+      server->Submit(block, task);
   if (!primary.has_value()) return std::nullopt;
 
   ShadowSession* session = entry->shadow.get();
@@ -241,9 +249,9 @@ std::optional<std::future<double>> ModelRouter::Submit(
   } while (!session->mirror_slots.compare_exchange_weak(
       slots, slots - 1, std::memory_order_relaxed));
   // Mirror to the candidate. Its server runs OverflowPolicy::kReject,
-  // so a saturated candidate sheds here instead of blocking the client.
+  // so a saturated candidate rejects here instead of blocking the client.
   std::optional<std::future<double>> mirrored =
-      session->candidate_server->Submit(block, task, admission);
+      session->candidate_server->Submit(block, task);
   if (!mirrored.has_value()) {
     session->mirror_slots.fetch_add(1, std::memory_order_relaxed);
     session->mirror_rejects.fetch_add(1, std::memory_order_relaxed);

@@ -49,6 +49,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -87,7 +88,7 @@ struct ShadowConfig {
    * is never swapped in. */
   bool auto_promote = true;
   /** Server configuration for the candidate's own InferenceServer. Its
-   * overflow policy is forced to kReject: a saturated candidate sheds
+   * overflow policy is forced to kReject: a saturated candidate rejects
    * mirrored traffic (counted in mirror_rejects) instead of ever
    * blocking the client submit path. */
   InferenceServerConfig server_config;
@@ -139,7 +140,7 @@ struct ShadowStats {
   std::uint64_t compared = 0;
   /** Compared pairs whose predictions are equal. */
   std::uint64_t parity = 0;
-  /** Pairs where either side's future threw (shed/failed batch);
+  /** Pairs where either side's future threw (failed batch);
    * excluded from `compared`. */
   std::uint64_t compare_failures = 0;
   /** Largest relative difference seen, |primary - candidate| /
@@ -174,7 +175,8 @@ class ModelRouter {
   /**
    * Checks `setup` — every model set, route and split names unique
    * across both kinds, split weights in [0, 1] and split arms naming
-   * model routes, shadow min_comparisons at least 1 — then starts a
+   * model routes, shadow min_comparisons at least 1 and a shadow
+   * candidate with its route's task count — then starts a
    * server per model route and per shadow candidate, and a comparator
    * thread per shadow session. The router owns every model.
    */
@@ -202,9 +204,9 @@ class ModelRouter {
    * (counted in unknown_model_requests()) or when the serving server
    * rejects the request (backpressure/shutdown). Thread-safe.
    */
-  std::optional<std::future<double>> Submit(
-      const std::string& name, const assembly::BasicBlock* block, int task,
-      AdmissionClass admission = AdmissionClass::kInteractive);
+  std::optional<std::future<double>> Submit(const std::string& name,
+                                            const assembly::BasicBlock* block,
+                                            int task);
 
   /** The named model route's live server stats (of its active server).
    * Fails on an unknown name. Thread-safe. */

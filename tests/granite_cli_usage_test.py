@@ -8,8 +8,9 @@ malformed and out-of-range spellings; a flag given twice and a missing
 required flag are tried too. Every case must exit 2, and no output file
 may appear. `predict` must also refuse, with exit 2, a block that parses
 but that the semantics catalog cannot encode, given by --asm or stdin;
-`serve` must refuse, with exit 2, a malformed --split or --shadow and a
-split arm or shadow route that names no loaded bundle.
+`serve` must refuse, with exit 2, a malformed --split or --shadow, a
+split arm or shadow route that names no loaded bundle, and a shadow
+candidate whose task-head count differs from its route's.
 
 Usage: granite_cli_usage_test.py PATH/TO/granite_cli
 """
@@ -164,6 +165,26 @@ def main():
                 runner.failures.append("exit %d, stderr %r: %r" %
                                        (result.returncode, result.stderr,
                                         argv))
+
+        # A shadow candidate must have its route's task heads: mirrored
+        # requests use every task of the route. A 1-head candidate on a
+        # 2-head route is a usage error naming both counts, not an abort.
+        two_heads = os.path.join(models, "two.gmb")
+        subprocess.run([binary, "train", "--out=" + two_heads, "--steps=1",
+                        "--blocks=16", "--tasks=2"], stdin=subprocess.DEVNULL,
+                       stdout=subprocess.DEVNULL, check=True, timeout=60)
+        argv = ["serve", "--model-file=" + two_heads,
+                "--shadow=two=" + bundle, "--requests=50",
+                "--shadow-samples=10"]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        if (result.returncode != 2 or
+                "has 1 task head(s), route 'two' has 2" not in result.stderr):
+            runner.failures.append("exit %d, stderr %r: %r" %
+                                   (result.returncode, result.stderr, argv))
 
         # predict refuses a block the catalog cannot encode (unknown
         # mnemonic, unmodelled arity) with exit 2, from --asm and stdin.

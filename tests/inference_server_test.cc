@@ -3,8 +3,8 @@
  * Concurrency suite for serve::InferenceServer: batching-window
  * semantics (size-flush vs deadline-flush), mixed-task coalescing,
  * backpressure under both overflow policies, shutdown draining, hot
- * model swap under traffic, and unencodable blocks failing only their
- * own futures.
+ * model swap under traffic, and unencodable blocks and throwing forward
+ * passes failing only their own futures.
  *
  * Synchronization discipline: no sleeps-as-sync anywhere. Tests rely on
  * futures (which block until the server answers), on flush conditions
@@ -18,6 +18,8 @@
 #include <chrono>
 #include <future>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -87,11 +89,41 @@ std::optional<assembly::UnencodableReason> UnencodableReasonOf(
   return std::nullopt;
 }
 
+/** The message `future` fails with, or nullopt when it answers. */
+std::optional<std::string> FailureOf(std::future<double>& future) {
+  try {
+    future.get();
+  } catch (const std::exception& error) {
+    return error.what();
+  }
+  return std::nullopt;
+}
+
+/** A GRANITE model whose forward pass throws on any batch holding the
+ * marked block, and computes like its base class otherwise. */
+class ThrowingGraniteModel : public core::GraniteModel {
+ public:
+  using core::GraniteModel::GraniteModel;
+
+  /** The block whose batches throw; set before serving starts. */
+  const assembly::BasicBlock* poison = nullptr;
+
+ protected:
+  std::vector<std::vector<double>> ComputeBatchAllTasks(
+      const std::vector<const assembly::BasicBlock*>& blocks)
+      const override {
+    for (const assembly::BasicBlock* block : blocks) {
+      if (block == poison) throw std::runtime_error("poisoned forward pass");
+    }
+    return core::GraniteModel::ComputeBatchAllTasks(blocks);
+  }
+};
+
 /** The counters every stats read must keep consistent: nothing is
- * completed or shed that was not submitted, failures are completions,
- * and the per-task completions add up to the total. */
+ * completed that was not submitted, failures are completions, and the
+ * per-task completions add up to the total. */
 void ExpectCoherentCounters(const ServerStats& stats) {
-  EXPECT_GE(stats.submitted, stats.completed + stats.shed);
+  EXPECT_GE(stats.submitted, stats.completed);
   EXPECT_LE(stats.failed, stats.completed);
   std::uint64_t per_task = 0;
   for (const TaskStats& task_stats : stats.per_task) {
@@ -231,6 +263,9 @@ TEST_F(InferenceServerTest, SubmitManyLargerThanTheQueueBlocksAndDrains) {
     EXPECT_EQ(futures[r]->get(), expected[r % blocks_.size()]) << r;
   }
   EXPECT_EQ(server.Stats().rejected, 0u);
+  server.Shutdown();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.submitted, stats.completed);
 }
 
 TEST_F(InferenceServerTest, SubmitManyAfterShutdownRejectsEverything) {
@@ -385,6 +420,7 @@ TEST_F(InferenceServerTest, RejectPolicyShedsLoadDeterministically) {
   EXPECT_EQ(accepted->get(), expected[0]);
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.submitted, stats.completed);
   EXPECT_EQ(stats.shutdown_flushes, 1u);
 }
 
@@ -438,6 +474,7 @@ TEST_F(InferenceServerTest, ShutdownDrainsInFlightRequests) {
   }
   const ServerStats stats = server.Stats();
   EXPECT_EQ(stats.completed, 30u);
+  EXPECT_EQ(stats.submitted, stats.completed);
   EXPECT_GE(stats.shutdown_flushes, 1u);
 
   // Submissions after shutdown are rejected, not lost in a dead queue.
@@ -500,7 +537,9 @@ TEST_F(InferenceServerTest, UpdateModelMidTrafficNeverServesATornRead) {
   server.Shutdown();
 
   EXPECT_EQ(torn.load(), 0);
-  EXPECT_EQ(server.Stats().model_updates, 25u);
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.model_updates, 25u);
+  EXPECT_EQ(stats.submitted, stats.completed);
   EXPECT_GE(served_count.load(), 50u);
 }
 
@@ -622,91 +661,44 @@ TEST_F(InferenceServerTest, ShardedServingMatchesUnshardedBitExactly) {
     const ServerStats stats = server.Stats();
     EXPECT_EQ(stats.num_shards, static_cast<std::uint64_t>(workers));
     EXPECT_EQ(stats.completed, 60u);
+    EXPECT_EQ(stats.submitted, stats.completed);
   }
 }
 
-TEST_F(InferenceServerTest, PrioritySheddingShedsLowestClassFirst) {
-  core::GraniteModel model(&vocabulary_, TinyConfig());
+TEST_F(InferenceServerTest, ThrowingForwardPassFailsOnlyItsBatch) {
+  ThrowingGraniteModel model(&vocabulary_, TinyConfig());
   const std::vector<double> expected = ExpectedAlone(model, 0);
+  model.poison = &blocks_[0];
   InferenceServerConfig config;
-  config.max_batch_size = 1000;
-  config.batch_window = kNeverWindow;  // The worker cannot drain yet.
-  config.queue_capacity = 2;
-  config.overflow_policy = OverflowPolicy::kReject;
+  config.num_workers = 1;
+  config.max_batch_size = 4;
+  config.batch_window = kNeverWindow;  // Every batch is a size flush.
   InferenceServer server(&model, config);
 
-  // Fill the one shard's queue with a best-effort and a batch request.
-  auto best_effort =
-      server.Submit(&blocks_[0], 0, AdmissionClass::kBestEffort);
-  auto batch = server.Submit(&blocks_[1], 0, AdmissionClass::kBatch);
-  ASSERT_TRUE(best_effort.has_value() && batch.has_value());
-
-  // An interactive arrival sheds the lowest class first: best-effort.
-  auto interactive_1 =
-      server.Submit(&blocks_[2], 0, AdmissionClass::kInteractive);
-  ASSERT_TRUE(interactive_1.has_value());
-  EXPECT_THROW(best_effort->get(), RequestShedError);
-
-  // The next interactive arrival sheds the remaining batch request.
-  auto interactive_2 =
-      server.Submit(&blocks_[3], 0, AdmissionClass::kInteractive);
-  ASSERT_TRUE(interactive_2.has_value());
-  EXPECT_THROW(batch->get(), RequestShedError);
-
-  // Only interactive traffic remains: nothing left to shed, so the
-  // overflow policy applies — deterministic reject.
-  EXPECT_FALSE(
-      server.Submit(&blocks_[4], 0, AdmissionClass::kInteractive)
-          .has_value());
-
-  {
-    const ServerStats stats = server.Stats();
-    EXPECT_EQ(stats.shed, 2u);
-    EXPECT_EQ(stats.shed_by_class[static_cast<std::size_t>(
-                  AdmissionClass::kBestEffort)],
-              1u);
-    EXPECT_EQ(stats.shed_by_class[static_cast<std::size_t>(
-                  AdmissionClass::kBatch)],
-              1u);
-    EXPECT_EQ(stats.shed_by_class[static_cast<std::size_t>(
-                  AdmissionClass::kInteractive)],
-              0u);
-    EXPECT_EQ(stats.rejected, 1u);
-    EXPECT_EQ(stats.submitted, 4u);
+  // Blocks 0-3 fill one batch, and block 0 makes its forward pass throw.
+  std::vector<std::future<double>> failing;
+  for (int i = 0; i < 4; ++i) failing.push_back(*server.Submit(&blocks_[i], 0));
+  for (std::future<double>& future : failing) {
+    EXPECT_EQ(FailureOf(future), "poisoned forward pass");
   }
+  ServerStats stats = server.Stats();
+  ExpectCoherentCounters(stats);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.batches, 1u);
 
-  // Shutdown drains the surviving interactive requests with exact
-  // answers: shedding never corrupts the queue around the victim.
+  // The one worker survives and answers the next batch exactly.
+  std::vector<std::future<double>> answered;
+  for (int i = 4; i < 8; ++i) {
+    answered.push_back(*server.Submit(&blocks_[i], 0));
+  }
+  for (int i = 4; i < 8; ++i) EXPECT_EQ(answered[i - 4].get(), expected[i]);
   server.Shutdown();
-  EXPECT_EQ(interactive_1->get(), expected[2]);
-  EXPECT_EQ(interactive_2->get(), expected[3]);
-  const ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.completed, 2u);
-  // submitted == completed + shed (+ zero in-flight after shutdown).
-  EXPECT_EQ(stats.submitted, stats.completed + stats.shed);
-  EXPECT_NE(server.StatsString().find("shed by class"), std::string::npos);
-}
-
-TEST_F(InferenceServerTest, EqualPriorityTrafficIsNeverDisplaced) {
-  core::GraniteModel model(&vocabulary_, TinyConfig());
-  InferenceServerConfig config;
-  config.max_batch_size = 1000;
-  config.batch_window = kNeverWindow;
-  config.queue_capacity = 1;
-  config.overflow_policy = OverflowPolicy::kReject;
-  InferenceServer server(&model, config);
-
-  // A queued best-effort request is safe from arrivals of its own
-  // class: shedding requires a strictly lower-priority victim.
-  auto queued = server.Submit(&blocks_[0], 0, AdmissionClass::kBestEffort);
-  ASSERT_TRUE(queued.has_value());
-  EXPECT_FALSE(
-      server.Submit(&blocks_[1], 0, AdmissionClass::kBestEffort)
-          .has_value());
-  EXPECT_EQ(server.Stats().shed, 0u);
-  EXPECT_EQ(server.Stats().rejected, 1u);
-  server.Shutdown();
-  EXPECT_NO_THROW(queued->get());
+  stats = server.Stats();
+  ExpectCoherentCounters(stats);
+  EXPECT_EQ(stats.submitted, 8u);
+  EXPECT_EQ(stats.submitted, stats.completed);
+  EXPECT_EQ(stats.failed, 4u);
+  EXPECT_EQ(stats.batches, 2u);
 }
 
 TEST_F(InferenceServerTest, UnencodableSubmitFailsItsFutureWithoutABatch) {

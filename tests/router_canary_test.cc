@@ -439,5 +439,24 @@ TEST_F(RouterCanaryTest, SplitOverShadowedRouteStaysExact) {
   router.Shutdown();
 }
 
+using RouterCanaryDeathTest = RouterCanaryTest;
+
+TEST_F(RouterCanaryDeathTest, CandidateWithOtherTaskCountIsRefused) {
+  // A mirrored request's task must exist on the candidate, so the
+  // router refuses the pair before any server starts.
+  core::GraniteConfig two_tasks = core::GraniteConfig().WithEmbeddingSize(8);
+  two_tasks.num_tasks = 2;
+  RouterSetup setup;
+  setup.models.push_back(
+      {"granite",
+       std::make_unique<core::GraniteModel>(
+           std::make_unique<graph::Vocabulary>(
+               graph::Vocabulary::CreateDefault()),
+           two_tasks),
+       MakeGranite(42)});
+  EXPECT_DEATH({ ModelRouter router(std::move(setup)); },
+               "has 1 task heads, the route has 2");
+}
+
 }  // namespace
 }  // namespace granite::serve

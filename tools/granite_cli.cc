@@ -770,6 +770,14 @@ int RunServe(const Args& args) {
     route->shadow.auto_promote = args.Bool("promote");
     route->shadow.server_config = server_config;
     route->candidate = granite::model::LoadModel(shadow_path);
+    if (route->candidate->num_tasks() != route->model->num_tasks()) {
+      std::fprintf(stderr,
+                   "granite_cli serve: --shadow candidate %s has %d task "
+                   "head(s), route '%s' has %d\n",
+                   shadow_path.c_str(), route->candidate->num_tasks(),
+                   shadow_route.c_str(), route->model->num_tasks());
+      return 2;
+    }
     std::printf("shadowing '%s' with %s (%llu samples, %s)\n",
                 shadow_route.c_str(), shadow_path.c_str(),
                 static_cast<unsigned long long>(
@@ -795,12 +803,8 @@ int RunServe(const Args& args) {
       std::vector<std::future<double>> futures;
       for (int r = c; r < requests; r += kClients) {
         const auto& [name, num_tasks] = models[r % models.size()];
-        // Traffic spreads over the admission classes, so overload
-        // exercises the shedding order.
         auto future = router.Submit(
-            name, blocks[(c * 13 + r) % blocks.size()], r % num_tasks,
-            static_cast<granite::serve::AdmissionClass>(
-                r % granite::serve::kNumAdmissionClasses));
+            name, blocks[(c * 13 + r) % blocks.size()], r % num_tasks);
         if (future.has_value()) futures.push_back(std::move(*future));
       }
       for (std::future<double>& future : futures) {
@@ -891,7 +895,7 @@ int RunAutotune(const Args& args) {
     server = std::make_unique<granite::serve::InferenceServer>(
         loaded.get(), server_config);
     client = std::make_unique<granite::autotune::ServerCostClient>(
-        server.get(), task, granite::serve::AdmissionClass::kBatch);
+        server.get(), task);
     std::printf("scoring on served %s bundle %s (task %d, %d shard(s), "
                 "batch %d)\n",
                 std::string(
