@@ -168,10 +168,24 @@ BasicBlock Splice(const BasicBlock& block,
   return result;
 }
 
+/** Panics unless `instruction` parses back as exactly itself. The parser
+ * reads a block line by line, so a block whose instructions each pass
+ * this check round-trips as a whole. */
+void CheckRoundTrips(const Instruction& instruction) {
+  const assembly::ParseResult<BasicBlock> reparsed =
+      assembly::ParseBasicBlock(instruction.ToString());
+  GRANITE_CHECK_MSG(reparsed.ok() && reparsed.value->size() == 1 &&
+                        reparsed.value->instructions.front() == instruction,
+                    "transform emitted a non-round-tripping block");
+}
+
 void Emit(std::vector<RewriteCandidate>& out, const BasicBlock& block,
           const std::vector<std::size_t>& remove,
           const std::vector<Instruction>& replacement, std::string_view rule,
           std::size_t site) {
+  for (const Instruction& instruction : replacement) {
+    CheckRoundTrips(instruction);
+  }
   RewriteCandidate candidate;
   candidate.block = Splice(block, remove, replacement);
   candidate.rule = std::string(rule);
@@ -801,12 +815,14 @@ std::vector<RewriteCandidate> EnumerateCandidates(const BasicBlock& block) {
     transform->Enumerate(block, candidates);
   }
   // Invariant: every candidate round-trips through the parser. A
-  // violation is an emission bug in a transform, not a user error.
-  for (const RewriteCandidate& candidate : candidates) {
-    const assembly::ParseResult<BasicBlock> reparsed =
-        assembly::ParseBasicBlock(candidate.block.ToString());
-    GRANITE_CHECK_MSG(reparsed.ok() && *reparsed.value == candidate.block,
-                      "transform emitted a non-round-tripping block");
+  // violation is an emission bug in a transform, not a user error. A
+  // candidate holds only the input's instructions and the replacements
+  // Emit has already checked, so checking the input's instructions here
+  // covers every candidate.
+  if (!candidates.empty()) {
+    for (const Instruction& instruction : block.instructions) {
+      CheckRoundTrips(instruction);
+    }
   }
   return candidates;
 }

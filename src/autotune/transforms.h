@@ -117,7 +117,10 @@ const std::vector<std::unique_ptr<Transform>>& TransformCatalog();
  * Every legal single-step rewrite of `block` across the whole catalog.
  * Blocks containing an instruction the semantics catalog does not know
  * produce no candidates (their data flow cannot be reasoned about).
- * Every returned block is guaranteed to round-trip through the parser.
+ * Every returned block is guaranteed to round-trip through the parser:
+ * each replacement instruction is checked where it is spliced in and
+ * each input instruction once per call, which suffices because the
+ * parser reads a block line by line.
  */
 std::vector<RewriteCandidate> EnumerateCandidates(
     const assembly::BasicBlock& block);

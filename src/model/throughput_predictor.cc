@@ -88,6 +88,18 @@ std::vector<double> ThroughputPredictor::PredictBatch(
 
 std::vector<std::vector<double>> ThroughputPredictor::PredictBatchAllTasks(
     const std::vector<const assembly::BasicBlock*>& blocks) const {
+  std::vector<uint64_t> keys(blocks.size());
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    GRANITE_CHECK(blocks[i] != nullptr);
+    keys[i] = uarch::BlockFingerprint(*blocks[i]);
+  }
+  return PredictBatchAllTasks(blocks, keys);
+}
+
+std::vector<std::vector<double>> ThroughputPredictor::PredictBatchAllTasks(
+    const std::vector<const assembly::BasicBlock*>& blocks,
+    const std::vector<uint64_t>& keys) const {
+  GRANITE_CHECK_EQ(keys.size(), blocks.size());
   if (blocks.empty()) return {};
   bool caching;
   {
@@ -98,11 +110,6 @@ std::vector<std::vector<double>> ThroughputPredictor::PredictBatchAllTasks(
   // PredictBatch callers are never serialized on the model.
   if (!caching) return ComputeBatchAllTasks(blocks);
 
-  std::vector<uint64_t> keys(blocks.size());
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    GRANITE_CHECK(blocks[i] != nullptr);
-    keys[i] = uarch::BlockFingerprint(*blocks[i]);
-  }
   // Entries computed at an older parameter generation than `generation`
   // are stale: drop them all. Requires cache_mutex_.
   const auto roll_forward = [this](uint64_t generation) {

@@ -106,6 +106,20 @@ class ThroughputPredictor {
   std::vector<std::vector<double>> PredictBatchAllTasks(
       const std::vector<const assembly::BasicBlock*>& blocks) const;
 
+  /**
+   * PredictBatchAllTasks(blocks) with the cache keys supplied by a caller
+   * that already fingerprinted the blocks (the inference server computes
+   * each request's key once, at submit). keys.size() must equal
+   * blocks.size() (checked), and keys[i] must equal
+   * uarch::BlockFingerprint(*blocks[i]) (a precondition, not checked: a
+   * wrong key serves or caches another block's predictions). The one-argument overload computes the
+   * keys and calls this one, so both share one cache path and return
+   * the same bits.
+   */
+  std::vector<std::vector<double>> PredictBatchAllTasks(
+      const std::vector<const assembly::BasicBlock*>& blocks,
+      const std::vector<uint64_t>& keys) const;
+
   /** One task head's column of PredictBatchAllTasks:
    * PredictBatch(blocks, task)[i] == PredictBatchAllTasks(blocks)[i][task]
    * bit-for-bit. Thread-safe. */

@@ -39,18 +39,10 @@ InferenceServer::InferenceServer(model::ThroughputPredictor* model,
 
 InferenceServer::~InferenceServer() { Shutdown(); }
 
-InferenceServer::Shard& InferenceServer::ShardFor(
-    const assembly::BasicBlock& block) {
-  // Fingerprint routing keeps every occurrence of a block on one shard:
-  // its cached prediction lives in that shard's working set and repeats
-  // within a window deduplicate inside one batch.
-  return *shards_[uarch::BlockFingerprint(block) % shards_.size()];
-}
-
 bool InferenceServer::EnqueueLocked(Shard& shard,
                                     std::unique_lock<std::mutex>& lock,
                                     const assembly::BasicBlock* block,
-                                    int task, bool& wake,
+                                    uint64_t key, int task, bool& wake,
                                     std::future<double>& future) {
   for (;;) {
     if (shard.stopping) {
@@ -76,6 +68,7 @@ bool InferenceServer::EnqueueLocked(Shard& shard,
   }
   Request request;
   request.block = block;
+  request.key = key;
   request.task = task;
   request.enqueue_time = Clock::now();
   future = request.promise.get_future();
@@ -100,7 +93,12 @@ std::optional<std::future<double>> InferenceServer::Submit(
     const assembly::BasicBlock* block, int task) {
   GRANITE_CHECK(block != nullptr);
   GRANITE_CHECK(task >= 0 && task < model_->num_tasks());
-  Shard& shard = ShardFor(*block);
+  // Fingerprint routing keeps every occurrence of a block on one shard:
+  // its cached prediction lives in that shard's working set and repeats
+  // within a window deduplicate inside one batch. The same key is the
+  // block's prediction-cache key.
+  const uint64_t key = uarch::BlockFingerprint(*block);
+  Shard& shard = *shards_[key % shards_.size()];
   if (const auto unencodable = assembly::CheckEncodable(*block)) {
     return FailUnencodable(shard, task, *unencodable);
   }
@@ -109,7 +107,7 @@ std::optional<std::future<double>> InferenceServer::Submit(
   bool admitted;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
-    admitted = EnqueueLocked(shard, lock, block, task, wake, future);
+    admitted = EnqueueLocked(shard, lock, block, key, task, wake, future);
   }
   if (wake) shard.queue_event.notify_one();
   if (!admitted) return std::nullopt;
@@ -125,12 +123,13 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
   // entries routed to different shards never ordered with each other
   // anyway).
   std::vector<std::vector<std::size_t>> by_shard(shards_.size());
+  std::vector<uint64_t> keys(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     GRANITE_CHECK(requests[i].block != nullptr);
     GRANITE_CHECK(requests[i].task >= 0 &&
                   requests[i].task < model_->num_tasks());
-    const std::size_t s =
-        uarch::BlockFingerprint(*requests[i].block) % shards_.size();
+    keys[i] = uarch::BlockFingerprint(*requests[i].block);
+    const std::size_t s = keys[i] % shards_.size();
     if (const auto unencodable =
             assembly::CheckEncodable(*requests[i].block)) {
       futures[i] = FailUnencodable(*shards_[s], requests[i].task,
@@ -147,8 +146,8 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
       std::unique_lock<std::mutex> lock(shard.mutex);
       for (std::size_t i : by_shard[s]) {
         std::future<double> future;
-        if (EnqueueLocked(shard, lock, requests[i].block, requests[i].task,
-                          wake, future)) {
+        if (EnqueueLocked(shard, lock, requests[i].block, keys[i],
+                          requests[i].task, wake, future)) {
           futures[i] = std::move(future);
         }
       }
@@ -235,8 +234,13 @@ void InferenceServer::WorkerLoop(Shard& shard) {
 void InferenceServer::ExecuteBatch(Shard& shard, std::vector<Request>& batch,
                                    FlushReason reason) {
   std::vector<const assembly::BasicBlock*> blocks;
+  std::vector<uint64_t> keys;
   blocks.reserve(batch.size());
-  for (const Request& request : batch) blocks.push_back(request.block);
+  keys.reserve(batch.size());
+  for (const Request& request : batch) {
+    blocks.push_back(request.block);
+    keys.push_back(request.key);
+  }
 
   std::vector<std::vector<double>> predictions;
   std::exception_ptr failure;
@@ -245,7 +249,7 @@ void InferenceServer::ExecuteBatch(Shard& shard, std::vector<Request>& batch,
     // a forward pass never observes a half-copied parameter set.
     std::shared_lock<std::shared_mutex> model_lock(model_mutex_);
     try {
-      predictions = model_->PredictBatchAllTasks(blocks);
+      predictions = model_->PredictBatchAllTasks(blocks, keys);
     } catch (...) {
       // A throwing forward pass (e.g. bad_alloc, or a rethrown kernel
       // exception from a pooled backend) fails this batch's futures

@@ -22,6 +22,8 @@
  * to the shard chosen by the block's canonical fingerprint — so N
  * workers contend on 1/N of the queue state, and repeated blocks always
  * land on the same shard (keeping batch-level deduplication effective).
+ * The fingerprint is computed once per request and carried with it to
+ * the model as its prediction-cache key.
  * There is no global lock anywhere on the submit path; Stats() assembles
  * a consistent snapshot by locking the shards in a fixed order only when
  * asked.
@@ -282,6 +284,9 @@ class InferenceServer {
   /** One pending request. */
   struct Request {
     const assembly::BasicBlock* block;
+    /** uarch::BlockFingerprint(*block), computed once at submit: it
+     * picked the shard and is the prediction-cache key. */
+    uint64_t key;
     int task;
     std::promise<double> promise;
     Clock::time_point enqueue_time;
@@ -329,21 +334,19 @@ class InferenceServer {
     std::vector<Histogram> task_latency_us;
   };
 
-  /** The shard owning `block` (by canonical fingerprint). */
-  Shard& ShardFor(const assembly::BasicBlock& block);
-
   /**
    * The overflow/enqueue step shared by Submit and SubmitMany, run with
    * `lock` held on `shard.mutex` (may wait on it under
-   * OverflowPolicy::kBlock). When it queues the request, fills `future`
+   * OverflowPolicy::kBlock). `key` is BlockFingerprint(*block), stored
+   * in the request. When it queues the request, fills `future`
    * and sets `wake` when this enqueue changed a flush condition (the
    * shard's one worker must be notified); returns false on rejection
    * (queue full under kReject, or shutting down). A pending `wake` is
    * delivered (and cleared) before any wait for space.
    */
   bool EnqueueLocked(Shard& shard, std::unique_lock<std::mutex>& lock,
-                     const assembly::BasicBlock* block, int task, bool& wake,
-                     std::future<double>& future);
+                     const assembly::BasicBlock* block, uint64_t key,
+                     int task, bool& wake, std::future<double>& future);
 
   /**
    * Answers a request for an unencodable block without queueing it: its

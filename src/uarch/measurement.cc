@@ -1,6 +1,7 @@
 #include "uarch/measurement.h"
 
 #include <cmath>
+#include <string>
 
 #include "base/logging.h"
 #include "base/rng.h"
@@ -39,8 +40,12 @@ const MeasurementToolParams& GetMeasurementToolParams(MeasurementTool tool) {
 }
 
 uint64_t BlockFingerprint(const assembly::BasicBlock& block) {
-  // FNV-1a over the canonical textual form.
-  return Fnv1a(kFnvOffsetBasis, block.ToString());
+  // FNV-1a over the canonical textual form, rendered into a per-thread
+  // buffer that keeps its capacity, so a warm call allocates nothing.
+  thread_local std::string text;
+  text.clear();
+  block.AppendTo(text);
+  return Fnv1a(kFnvOffsetBasis, text);
 }
 
 namespace {

@@ -74,7 +74,8 @@ std::array<double, kNumMicroarchitectures> MeasureOnAllUarchs(
 
 /**
  * Deterministic 64-bit fingerprint of a basic block's textual form, used
- * to seed per-block measurement noise and dataset splits.
+ * to seed per-block measurement noise and dataset splits. A warm call
+ * allocates nothing (the text goes to a reused per-thread buffer).
  */
 uint64_t BlockFingerprint(const assembly::BasicBlock& block);
 

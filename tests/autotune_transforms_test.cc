@@ -129,6 +129,38 @@ TEST(TransformCatalogTest, FpImmediateBlockRoundTrips) {
   }
 }
 
+/** `text` with the first memory operand of instruction `index` given
+ * address scale 3, which the printer writes but the parser rejects
+ * ("invalid scale: 3"). */
+BasicBlock WithUnparseableScale(std::string_view text, std::size_t index) {
+  BasicBlock block = Parse(text);
+  for (assembly::Operand& operand : block.instructions[index].operands) {
+    if (operand.kind() != assembly::OperandKind::kMemory) continue;
+    assembly::MemoryReference address = operand.mem();
+    address.scale = 3;
+    operand = assembly::Operand::Mem(address, operand.width_bits());
+    break;
+  }
+  EXPECT_FALSE(ParseBasicBlock(block.ToString()).ok());
+  return block;
+}
+
+TEST(TransformRoundTripDeathTest, RewrittenUnparseableOperandPanics) {
+  // inc-dec and rmw-split rewrite the bad instruction itself.
+  const BasicBlock block =
+      WithUnparseableScale("ADD QWORD PTR [RBX + 2*RCX], 1\nMOV RAX, 0", 0);
+  EXPECT_DEATH(EnumerateCandidates(block), "non-round-tripping");
+}
+
+TEST(TransformRoundTripDeathTest, UntouchedUnparseableInstructionPanics) {
+  // No transform rewrites a LOCK-prefixed instruction, so only the check
+  // of the input's own instructions sees the bad one; the reorder and
+  // zero-idiom candidates still carry it.
+  const BasicBlock block = WithUnparseableScale(
+      "LOCK ADD QWORD PTR [RBX + 2*RCX], 1\nMOV RAX, 0", 0);
+  EXPECT_DEATH(EnumerateCandidates(block), "non-round-tripping");
+}
+
 // ---- Oracle direction on the classic idioms ---------------------------
 
 class OracleDirectionTest : public ::testing::Test {

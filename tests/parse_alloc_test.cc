@@ -4,9 +4,10 @@
  * This binary replaces the global operator new with a counting one, so
  * the tests can pin how many allocations ParseBasicBlock, ImportBhiveCsv
  * and the oracle make: the parser allocates only what the returned block
- * owns, an imported row only a fixed budget more, and a warm oracle
- * nothing. A change that brings back per-operand strings, per-row
- * vectors or per-estimate arrays fails here rather than only showing up
+ * owns, an imported row only a fixed budget more, and a warm oracle,
+ * labeller (MeasureOnAllUarchs) and BlockFingerprint nothing. A change
+ * that brings back per-operand strings, per-row vectors, per-estimate
+ * arrays or per-fingerprint text fails here rather than only showing up
  * as slower imports or labelling.
  */
 #include <atomic>
@@ -23,6 +24,7 @@
 #include "base/rng.h"
 #include "dataset/generator.h"
 #include "dataset/importer.h"
+#include "uarch/measurement.h"
 #include "uarch/throughput_model.h"
 #include "gtest/gtest.h"
 
@@ -176,6 +178,32 @@ TEST(OracleAllocationTest, WarmEstimatesAllocateNothing) {
   }
   EXPECT_EQ(Allocations() - before, 0u);
   EXPECT_GT(sum, 0.0);
+}
+
+TEST(OracleAllocationTest, WarmLabelsAndFingerprintsAllocateNothing) {
+  dataset::GeneratorConfig config;
+  config.lock_fraction = 0.2;
+  dataset::BlockGenerator generator(config, 52);
+  const std::vector<assembly::BasicBlock> blocks = generator.GenerateMany(500);
+  constexpr uarch::MeasurementTool kTool = uarch::MeasurementTool::kBHiveTool;
+  double sum = 0.0;
+  std::uint64_t hash = 0;
+  for (const assembly::BasicBlock& block : blocks) {  // warm-up
+    sum += uarch::MeasureOnAllUarchs(block, kTool)[0];
+    hash ^= uarch::BlockFingerprint(block);
+  }
+  const std::uint64_t before_labels = Allocations();
+  for (const assembly::BasicBlock& block : blocks) {
+    sum += uarch::MeasureOnAllUarchs(block, kTool)[1];
+  }
+  EXPECT_EQ(Allocations() - before_labels, 0u);
+  const std::uint64_t before_fingerprints = Allocations();
+  for (const assembly::BasicBlock& block : blocks) {
+    hash ^= uarch::BlockFingerprint(block) * 3;
+  }
+  EXPECT_EQ(Allocations() - before_fingerprints, 0u);
+  EXPECT_GT(sum, 0.0);
+  EXPECT_NE(hash, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
  */
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "ithemal/ithemal_model.h"
 #include "ithemal/tokenizer.h"
 #include "ml/kernels/kernel_backend.h"
+#include "uarch/measurement.h"
 
 namespace granite::core {
 namespace {
@@ -190,6 +193,57 @@ TEST_F(PredictBatchTest, DuplicateBlocksForwardOnlyOnce) {
   EXPECT_EQ(model.num_forward_passes(), passes_before + 1);
   EXPECT_DOUBLE_EQ(result[0], result[1]);
   EXPECT_DOUBLE_EQ(result[0], result[2]);
+}
+
+/** True when both results hold the same rows of the same doubles, bit
+ * for bit. */
+bool BitEqual(const std::vector<std::vector<double>>& a,
+              const std::vector<std::vector<double>>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].size() != b[i].size() ||
+        std::memcmp(a[i].data(), b[i].data(),
+                    a[i].size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(PredictBatchTest, KeyedMatchesUnkeyed) {
+  // Two identically built models, one answered through caller-supplied
+  // keys: cold with in-batch duplicates, then from the cache, then with
+  // the cache off.
+  GraniteModel keyed(&vocabulary_, SmallConfig(/*num_tasks=*/2));
+  GraniteModel unkeyed(&vocabulary_, SmallConfig(/*num_tasks=*/2));
+  keyed.EnablePredictionCache(16);
+  unkeyed.EnablePredictionCache(16);
+  const assembly::BasicBlock a_copy = Parse("ADD RAX, RBX");
+  const std::vector<const assembly::BasicBlock*> blocks = {&a_, &b_, &a_copy,
+                                                           &c_, &a_};
+  std::vector<uint64_t> keys;
+  for (const assembly::BasicBlock* block : blocks) {
+    keys.push_back(uarch::BlockFingerprint(*block));
+  }
+
+  const std::size_t passes_before = keyed.num_forward_passes();
+  EXPECT_TRUE(BitEqual(keyed.PredictBatchAllTasks(blocks, keys),
+                       unkeyed.PredictBatchAllTasks(blocks)));
+  EXPECT_EQ(keyed.num_forward_passes(), passes_before + 1);
+  EXPECT_EQ(keyed.prediction_cache_misses(), 5u);
+
+  EXPECT_TRUE(BitEqual(keyed.PredictBatchAllTasks(blocks, keys),
+                       unkeyed.PredictBatchAllTasks(blocks)));
+  EXPECT_EQ(keyed.num_forward_passes(), passes_before + 1);
+  EXPECT_EQ(keyed.prediction_cache_hits(), 5u);
+  EXPECT_EQ(unkeyed.prediction_cache_hits(), 5u);
+
+  keyed.EnablePredictionCache(0);
+  unkeyed.EnablePredictionCache(0);
+  EXPECT_TRUE(BitEqual(keyed.PredictBatchAllTasks(blocks, keys),
+                       unkeyed.PredictBatchAllTasks(blocks)));
+  EXPECT_TRUE(BitEqual(keyed.PredictBatchAllTasks(blocks, keys),
+                       keyed.PredictBatchAllTasks(blocks)));
 }
 
 TEST_F(PredictBatchTest, CachesEveryTaskHead) {
