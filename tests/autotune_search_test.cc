@@ -7,7 +7,10 @@
  * cache hits. Concurrency discipline follows inference_server_test: no
  * sleeps-as-sync, futures are the only synchronization.
  */
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <optional>
 #include <memory>
@@ -18,6 +21,7 @@
 #include "asm/parser.h"
 #include "autotune/search.h"
 #include "autotune/transforms.h"
+#include "base/string_util.h"
 #include "core/granite_model.h"
 #include "dataset/generator.h"
 #include "graph/vocabulary.h"
@@ -133,6 +137,54 @@ TEST(AnalyticalSearchTest, BookkeepingIsConsistent) {
   EXPECT_LE(result.depth_reached, config.max_depth);
   // Sibling derivations collide (commuting rewrites): dedup must fire.
   EXPECT_GT(result.duplicates_skipped, 0u);
+}
+
+/** A digest of what the search returns for 40 pessimized generator
+ * blocks: each best block and its cost bits, the rule path that built
+ * it, and the candidate counts. A change moves what the autotuner
+ * reports and must be made on purpose. */
+TEST(AnalyticalSearchTest, SearchResultDigest) {
+  dataset::GeneratorConfig generator_config;
+  generator_config.max_instructions = 8;
+  dataset::BlockGenerator generator(generator_config, /*seed=*/9);
+  const uarch::ThroughputModel oracle(kUarch);
+  AnalyticalCostClient client(kUarch);
+  SearchConfig config;
+  config.beam_width = 4;
+  config.max_depth = 6;
+  BlockOptimizer optimizer(&client, config);
+
+  uint64_t digest = kFnvOffsetBasis;
+  const auto fold_count = [&digest](std::size_t count) {
+    digest = Fnv1a(digest, std::to_string(count));
+    digest = Fnv1a(digest, "\n");
+  };
+  int improved = 0;
+  std::size_t longest_path = 0;
+  for (int i = 0; i < 40; ++i) {
+    const OptimizeResult result =
+        optimizer.Optimize(DeoptimizeBlock(generator.Generate(), oracle));
+    ASSERT_TRUE(result.scored);
+    improved += result.improved ? 1 : 0;
+    longest_path = std::max(longest_path, result.applied.size());
+    digest = Fnv1a(digest, result.best.ToString());
+    digest = Fnv1a(digest, "\n");
+    const uint64_t cost_bits = std::bit_cast<uint64_t>(result.best_cost);
+    digest = Fnv1a(digest,
+                   std::string_view(reinterpret_cast<const char*>(&cost_bits),
+                                    sizeof(cost_bits)));
+    for (const std::string& rule : result.applied) {
+      digest = Fnv1a(digest, rule);
+      digest = Fnv1a(digest, "\n");
+    }
+    fold_count(result.candidates_generated);
+    fold_count(result.candidates_scored);
+    fold_count(result.duplicates_skipped);
+  }
+  // The digest must cover improved results with multi-step paths.
+  EXPECT_GT(improved, 10);
+  EXPECT_GE(longest_path, 3u);
+  EXPECT_EQ(digest, 0xAFE52281757C59FBull) << std::hex << digest;
 }
 
 TEST(AnalyticalSearchTest, ZeroDepthScoresButNeverRewrites) {
