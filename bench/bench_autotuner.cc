@@ -84,7 +84,6 @@ void Run(int argc, char** argv) {
   serve::InferenceServerConfig server_config;
   server_config.num_workers = 2;
   server_config.max_batch_size = 16;
-  server_config.batch_window = std::chrono::microseconds(500);
   server_config.prediction_cache_capacity = 4096;
   serve::InferenceServer server(&model, server_config);
 

@@ -54,12 +54,21 @@ BlockOptimizer::BlockOptimizer(CostClient* client, const SearchConfig& config)
 
 namespace {
 
-/** One scored point in the search space: a block plus the rule names of
- * the composition that produced it. */
+/** One step of a composition path: the rule applied and the step it
+ * extends (kNoStep for the original block). */
+struct PathStep {
+  std::size_t parent;
+  std::string rule;
+};
+
+constexpr std::size_t kNoStep = static_cast<std::size_t>(-1);
+
+/** One scored point in the search space: a block plus the last step of
+ * the composition that produced it, in the Optimize call's trail. */
 struct SearchNode {
   BasicBlock block;
   double cost = 0.0;
-  std::vector<std::string> rules;
+  std::size_t step = kNoStep;
 };
 
 }  // namespace
@@ -95,7 +104,10 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
   result.scored = true;
   result.best_cost = result.original_cost;
 
-  SearchNode best{block, result.original_cost, {}};
+  SearchNode best{block, result.original_cost, kNoStep};
+  // Every step any candidate took; a node's rule path is the chain of
+  // parents from its step, so no candidate copies its parent's path.
+  std::vector<PathStep> trail;
   std::vector<SearchNode> frontier;
   frontier.push_back(best);
 
@@ -120,8 +132,8 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
         }
         SearchNode child;
         child.block = std::move(candidate.block);
-        child.rules = node.rules;
-        child.rules.push_back(std::move(candidate.rule));
+        child.step = trail.size();
+        trail.push_back(PathStep{node.step, std::move(candidate.rule)});
         wave.push_back(std::move(child));
       }
     }
@@ -170,9 +182,13 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
   const double margin = std::abs(result.original_cost) * kMinRelativeGain;
   if (best.cost < result.original_cost - margin) {
     result.improved = true;
-    result.best = best.block;
+    result.best = std::move(best.block);
     result.best_cost = best.cost;
-    result.applied = best.rules;
+    for (std::size_t step = best.step; step != kNoStep;
+         step = trail[step].parent) {
+      result.applied.push_back(std::move(trail[step].rule));
+    }
+    std::reverse(result.applied.begin(), result.applied.end());
     result.predicted_speedup = best.cost > 0.0 && result.original_cost > 0.0
                                    ? result.original_cost / best.cost
                                    : 1.0;

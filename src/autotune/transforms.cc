@@ -8,6 +8,7 @@
 #include "asm/parser.h"
 #include "asm/semantics.h"
 #include "base/logging.h"
+#include "base/string_util.h"
 
 namespace granite::autotune {
 namespace {
@@ -155,6 +156,8 @@ BasicBlock Splice(const BasicBlock& block,
                   const std::vector<std::size_t>& remove,
                   const std::vector<Instruction>& replacement) {
   BasicBlock result;
+  result.instructions.reserve(block.size() - remove.size() +
+                              replacement.size());
   for (std::size_t i = 0; i < block.size(); ++i) {
     if (Skipped(remove, i)) {
       if (i == remove.front()) {
@@ -168,23 +171,13 @@ BasicBlock Splice(const BasicBlock& block,
   return result;
 }
 
-/** Panics unless `instruction` parses back as exactly itself. The parser
- * reads a block line by line, so a block whose instructions each pass
- * this check round-trips as a whole. */
-void CheckRoundTrips(const Instruction& instruction) {
-  const assembly::ParseResult<BasicBlock> reparsed =
-      assembly::ParseBasicBlock(instruction.ToString());
-  GRANITE_CHECK_MSG(reparsed.ok() && reparsed.value->size() == 1 &&
-                        reparsed.value->instructions.front() == instruction,
-                    "transform emitted a non-round-tripping block");
-}
-
 void Emit(std::vector<RewriteCandidate>& out, const BasicBlock& block,
           const std::vector<std::size_t>& remove,
           const std::vector<Instruction>& replacement, std::string_view rule,
           std::size_t site) {
+  RoundTripMemo& memo = RoundTripMemo::ForThisThread();
   for (const Instruction& instruction : replacement) {
-    CheckRoundTrips(instruction);
+    memo.Check(instruction);
   }
   RewriteCandidate candidate;
   candidate.block = Splice(block, remove, replacement);
@@ -788,6 +781,30 @@ class ReorderTransform : public Transform {
 
 }  // namespace
 
+RoundTripMemo::RoundTripMemo() : slots_(kCapacity) {}
+
+RoundTripMemo& RoundTripMemo::ForThisThread() {
+  thread_local RoundTripMemo memo;
+  return memo;
+}
+
+// The parser reads a block line by line, so a block whose instructions
+// each pass this check round-trips as a whole.
+void RoundTripMemo::Check(const Instruction& instruction) {
+  text_.clear();
+  instruction.AppendTo(text_);
+  std::optional<Instruction>& slot =
+      slots_[Fnv1a(kFnvOffsetBasis, text_) % kCapacity];
+  if (slot.has_value() && *slot == instruction) return;
+  const assembly::ParseResult<BasicBlock> reparsed =
+      assembly::ParseBasicBlock(text_);
+  GRANITE_CHECK_MSG(reparsed.ok() && reparsed.value->size() == 1 &&
+                        reparsed.value->instructions.front() == instruction,
+                    "transform emitted a non-round-tripping block");
+  if (!slot.has_value()) ++size_;
+  slot = instruction;
+}
+
 const std::vector<std::unique_ptr<Transform>>& TransformCatalog() {
   static const std::vector<std::unique_ptr<Transform>>* catalog = [] {
     auto* transforms = new std::vector<std::unique_ptr<Transform>>();
@@ -820,8 +837,9 @@ std::vector<RewriteCandidate> EnumerateCandidates(const BasicBlock& block) {
   // Emit has already checked, so checking the input's instructions here
   // covers every candidate.
   if (!candidates.empty()) {
+    RoundTripMemo& memo = RoundTripMemo::ForThisThread();
     for (const Instruction& instruction : block.instructions) {
-      CheckRoundTrips(instruction);
+      memo.Check(instruction);
     }
   }
   return candidates;

@@ -31,15 +31,17 @@
  * (ParseBasicBlock(candidate.ToString()) reproduces the candidate) and
  * preserves architectural semantics as modeled by the catalog.
  *
- * Threading: everything here is stateless and thread-safe; the catalog
- * returned by TransformCatalog() is immutable after first use, and all
- * free functions are pure (safe to call from any number of threads
- * concurrently).
+ * Threading: everything here is thread-safe; the catalog returned by
+ * TransformCatalog() is immutable after first use, and all free
+ * functions are pure (safe to call from any number of threads
+ * concurrently). The only state is each thread's RoundTripMemo, which
+ * changes no result.
  */
 #ifndef GRANITE_AUTOTUNE_TRANSFORMS_H_
 #define GRANITE_AUTOTUNE_TRANSFORMS_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -112,6 +114,41 @@ class Transform {
 
 /** The process-wide immutable transform catalog. */
 const std::vector<std::unique_ptr<Transform>>& TransformCatalog();
+
+/**
+ * The round-trip check every instruction of an emitted candidate passes,
+ * with a bounded memo of the instructions that passed it. A search
+ * enumerates the same few instructions over and over (the beam's blocks
+ * share most of theirs), so each thread renders and parses back an
+ * instruction once while its memo holds it, not once per candidate.
+ * Slots are picked by a hash of the rendered text, but only an
+ * instruction equal (operator==) to the one a slot holds skips the
+ * parse. Every other instruction is rendered, parsed and compared.
+ */
+class RoundTripMemo {
+ public:
+  /** Instructions one memo holds at most (about 35 KB per thread). */
+  static constexpr std::size_t kCapacity = 128;
+
+  /** The calling thread's memo. */
+  static RoundTripMemo& ForThisThread();
+
+  /** Panics with "transform emitted a non-round-tripping block" unless
+   * `instruction` parses back as exactly itself. */
+  void Check(const assembly::Instruction& instruction);
+
+  /** Instructions held now; at most kCapacity. */
+  std::size_t size() const { return size_; }
+
+ private:
+  RoundTripMemo();
+
+  /** kCapacity slots, indexed by the text hash. */
+  std::vector<std::optional<assembly::Instruction>> slots_;
+  std::size_t size_ = 0;
+  /** Rendering buffer, reused across checks. */
+  std::string text_;
+};
 
 /**
  * Every legal single-step rewrite of `block` across the whole catalog.

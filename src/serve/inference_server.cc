@@ -149,6 +149,11 @@ std::vector<std::optional<std::future<double>>> InferenceServer::SubmitMany(
         if (EnqueueLocked(shard, lock, requests[i].block, keys[i],
                           requests[i].task, wake, future)) {
           futures[i] = std::move(future);
+          // The group is a formed batch: the worker flushes through this
+          // request without waiting out the window. Admitting a group
+          // request always changes the flush condition, so wake the worker.
+          shard.group_pending = shard.queue.size();
+          wake = true;
         }
       }
     }
@@ -189,15 +194,16 @@ void InferenceServer::WorkerLoop(Shard& shard) {
   const ml::TapeArenaScope arena_scope(arena);
   std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
-    // Wait for a flush condition: a full batch, an expired batching
-    // window, or shutdown (which drains whatever is queued).
+    // Wait for a flush condition: a full batch, a queued SubmitMany
+    // group, an expired batching window, or shutdown (which drains
+    // whatever is queued).
     for (;;) {
       if (shard.queue.empty()) {
         if (shard.stopping) return;
         shard.queue_event.wait(lock);
         continue;
       }
-      if (shard.stopping) break;
+      if (shard.stopping || shard.group_pending > 0) break;
       if (shard.queue.size() >=
           static_cast<std::size_t>(config_.max_batch_size)) {
         break;
@@ -208,13 +214,18 @@ void InferenceServer::WorkerLoop(Shard& shard) {
       shard.queue_event.wait_until(lock, deadline);
     }
 
-    const FlushReason reason =
-        shard.queue.size() >= static_cast<std::size_t>(config_.max_batch_size)
-            ? FlushReason::kSize
-            : (shard.stopping ? FlushReason::kShutdown
-                              : FlushReason::kDeadline);
+    FlushReason reason = FlushReason::kDeadline;
+    if (shard.queue.size() >=
+        static_cast<std::size_t>(config_.max_batch_size)) {
+      reason = FlushReason::kSize;
+    } else if (shard.group_pending > 0) {
+      reason = FlushReason::kGroup;
+    } else if (shard.stopping) {
+      reason = FlushReason::kShutdown;
+    }
     const std::size_t take = std::min(
         shard.queue.size(), static_cast<std::size_t>(config_.max_batch_size));
+    shard.group_pending -= std::min(shard.group_pending, take);
     std::vector<Request> batch;
     batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
@@ -268,6 +279,7 @@ void InferenceServer::ExecuteBatch(Shard& shard, std::vector<Request>& batch,
     ++shard.batches;
     switch (reason) {
       case FlushReason::kSize: ++shard.size_flushes; break;
+      case FlushReason::kGroup: ++shard.group_flushes; break;
       case FlushReason::kDeadline: ++shard.deadline_flushes; break;
       case FlushReason::kShutdown: ++shard.shutdown_flushes; break;
     }
@@ -353,6 +365,7 @@ ServerStats InferenceServer::Stats() const {
     unencodable += shard->unencodable;
     stats.batches += shard->batches;
     stats.size_flushes += shard->size_flushes;
+    stats.group_flushes += shard->group_flushes;
     stats.deadline_flushes += shard->deadline_flushes;
     stats.shutdown_flushes += shard->shutdown_flushes;
     latency_us.Merge(shard->latency_us);
@@ -417,10 +430,12 @@ std::string FormatServerStats(const ServerStats& stats) {
                 static_cast<unsigned long long>(stats.rejected));
   text += line;
   std::snprintf(line, sizeof(line),
-                "batches: %llu (%llu size-flush, %llu deadline-flush, "
-                "%llu shutdown-flush), mean occupancy %.2f\n",
+                "batches: %llu (%llu size-flush, %llu group-flush, "
+                "%llu deadline-flush, %llu shutdown-flush), mean occupancy "
+                "%.2f\n",
                 static_cast<unsigned long long>(stats.batches),
                 static_cast<unsigned long long>(stats.size_flushes),
+                static_cast<unsigned long long>(stats.group_flushes),
                 static_cast<unsigned long long>(stats.deadline_flushes),
                 static_cast<unsigned long long>(stats.shutdown_flushes),
                 stats.mean_batch_occupancy);

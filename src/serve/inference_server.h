@@ -6,7 +6,8 @@
  * basic-block throughput queries from any number of threads and get a
  * future back; the server coalesces pending requests into batches —
  * flushing on max-batch-size or on a deadline relative to the oldest
- * pending request, whichever comes first — and drains each batch through
+ * pending request, whichever comes first, and at once for a SubmitMany
+ * group, which is already a batch — and drains each batch through
  * ThroughputPredictor::PredictBatchAllTasks on dedicated worker threads.
  * The server is model-agnostic: it hosts any model::ThroughputPredictor
  * (GRANITE, Ithemal, Ithemal+), typically one loaded from a checkpoint
@@ -106,10 +107,11 @@ struct InferenceServerConfig {
    * in its queue. */
   int max_batch_size = 32;
   /**
-   * A batch also flushes once the oldest pending request of its shard
-   * has waited this long (the batching window). Zero serves every
-   * request immediately, degenerating to unbatched (batch-size-1-ish)
-   * serving under light load.
+   * A batch of Submit() requests also flushes once the oldest pending
+   * request of its shard has waited this long (the batching window).
+   * Zero serves every request immediately, degenerating to unbatched
+   * (batch-size-1-ish) serving under light load. A SubmitMany() group
+   * never waits for the window.
    */
   std::chrono::microseconds batch_window{2000};
   /** Bound on the number of queued (not yet draining) requests, per
@@ -157,6 +159,8 @@ struct ServerStats {
   /** Batches drained, split by what triggered the flush. */
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
+  /** Batches flushed at once because they held SubmitMany requests. */
+  std::uint64_t group_flushes = 0;
   std::uint64_t deadline_flushes = 0;
   std::uint64_t shutdown_flushes = 0;
   /** Mean requests per drained batch. */
@@ -234,15 +238,21 @@ class InferenceServer {
                                             int task);
 
   /**
-   * Batch-submit helper: enqueues every request, returning one optional
-   * future per request, in input order, with the exact semantics of
-   * calling Submit() once per entry in that order — same fingerprint
-   * routing, overflow handling, and rejection reporting. The difference
-   * is locking: requests are grouped
-   * by target shard and each shard's lock is taken once per call instead
-   * of once per request, so a scatter-gather client (e.g. the autotuner
-   * submitting a search wave) pays O(#shards) lock acquisitions instead
-   * of O(#requests). Thread-safe; locks one shard at a time.
+   * Submits a formed batch: enqueues every request, returning one
+   * optional future per request, in input order. Routing, overflow
+   * handling and rejection reporting are those of calling Submit() once
+   * per entry in that order. Two things differ:
+   * - Locking: requests are grouped by target shard and each shard's
+   *   lock is taken once per call, so a scatter-gather client (e.g. the
+   *   autotuner submitting a search wave) pays O(#shards) lock
+   *   acquisitions instead of O(#requests).
+   * - Timing: each shard's group skips the batching window. The shard's
+   *   worker flushes at once, up to max_batch_size requests per batch
+   *   (older Submit() requests queued ahead of the group ride along),
+   *   until the group is drained; these batches count as group flushes.
+   *   The window is for coalescing independent single requests, and a
+   *   group is already a batch.
+   * Thread-safe; locks one shard at a time.
    */
   std::vector<std::optional<std::future<double>>> SubmitMany(
       const std::vector<BatchSubmitRequest>& requests);
@@ -293,7 +303,7 @@ class InferenceServer {
   };
 
   /** Why a worker decided to drain a batch. */
-  enum class FlushReason { kSize, kDeadline, kShutdown };
+  enum class FlushReason { kSize, kGroup, kDeadline, kShutdown };
 
   /**
    * One fingerprint partition of the server: its request queue and both
@@ -312,6 +322,10 @@ class InferenceServer {
     /** Signals blocked producers: queue space freed / shutdown. */
     std::condition_variable space_event;
     std::deque<Request> queue;
+    /** Queued requests, counted from the front, that the worker drains
+     * without waiting out the window: up to and including the last
+     * request a SubmitMany call queued. Each popped request lowers it. */
+    std::size_t group_pending = 0;
     bool stopping = false;
     std::uint64_t submitted = 0;
     std::uint64_t rejected = 0;
@@ -325,6 +339,7 @@ class InferenceServer {
     std::uint64_t unencodable = 0;
     std::uint64_t batches = 0;
     std::uint64_t size_flushes = 0;
+    std::uint64_t group_flushes = 0;
     std::uint64_t deadline_flushes = 0;
     std::uint64_t shutdown_flushes = 0;
     /** Request latency in microseconds, 1us..100s. */

@@ -161,6 +161,44 @@ TEST(TransformRoundTripDeathTest, UntouchedUnparseableInstructionPanics) {
   EXPECT_DEATH(EnumerateCandidates(block), "non-round-tripping");
 }
 
+TEST(TransformRoundTripDeathTest, MemoizedCheckStillPanics) {
+  // Fill every slot of this thread's memo with checked instructions:
+  // whatever slot the scale-3 instruction hashes to is taken, and it must
+  // still be parsed back and refused.
+  dataset::GeneratorConfig config;
+  config.max_instructions = 8;
+  dataset::BlockGenerator generator(config, /*seed=*/17);
+  const RoundTripMemo& memo = RoundTripMemo::ForThisThread();
+  for (int i = 0; i < 1000 && memo.size() < RoundTripMemo::kCapacity; ++i) {
+    EnumerateCandidates(generator.Generate());
+  }
+  ASSERT_EQ(memo.size(), RoundTripMemo::kCapacity);
+  const BasicBlock block =
+      WithUnparseableScale("ADD QWORD PTR [RBX + 2*RCX], 1\nMOV RAX, 0", 0);
+  EXPECT_DEATH(EnumerateCandidates(block), "non-round-tripping");
+}
+
+TEST(RoundTripMemoTest, NeverHoldsMoreThanItsCapacity) {
+  dataset::GeneratorConfig config;
+  config.max_instructions = 8;
+  dataset::BlockGenerator generator(config, /*seed=*/31);
+  const RoundTripMemo& memo = RoundTripMemo::ForThisThread();
+  std::set<std::string> distinct;
+  for (int iteration = 0; iteration < 300; ++iteration) {
+    const BasicBlock block = generator.Generate();
+    for (const RewriteCandidate& candidate : EnumerateCandidates(block)) {
+      for (const assembly::Instruction& instruction :
+           candidate.block.instructions) {
+        distinct.insert(instruction.ToString());
+      }
+    }
+    ASSERT_LE(memo.size(), RoundTripMemo::kCapacity);
+  }
+  // Far more distinct instructions passed through than the memo holds.
+  EXPECT_GT(distinct.size(), 4 * RoundTripMemo::kCapacity);
+  EXPECT_GT(memo.size(), RoundTripMemo::kCapacity / 2);
+}
+
 // ---- Oracle direction on the classic idioms ---------------------------
 
 class OracleDirectionTest : public ::testing::Test {

@@ -228,6 +228,69 @@ TEST_F(InferenceServerTest, SubmitManySizeFlushesWithoutADeadline) {
   EXPECT_EQ(stats.deadline_flushes, 0u);
 }
 
+TEST_F(InferenceServerTest, SubmitManyGroupDoesNotWaitForTheWindow) {
+  // A group smaller than max_batch_size is already a batch: the window
+  // never expires, so readiness proves the group flushed at once.
+  core::GraniteModel model(&vocabulary_, TinyConfig());
+  const std::vector<double> expected = ExpectedAlone(model, 0);
+  InferenceServerConfig config;
+  config.num_workers = 1;
+  config.max_batch_size = 16;
+  config.batch_window = kNeverWindow;
+  InferenceServer server(&model, config);
+
+  std::vector<BatchSubmitRequest> requests;
+  for (int i = 0; i < 3; ++i) {
+    requests.push_back(BatchSubmitRequest{&blocks_[i], 0});
+  }
+  std::vector<std::optional<std::future<double>>> futures =
+      server.SubmitMany(requests);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(futures[i].has_value());
+    EXPECT_EQ(futures[i]->get(), expected[i]);
+  }
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.group_flushes, 1u);
+  EXPECT_EQ(stats.size_flushes, 0u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_occupancy, 3.0);
+  EXPECT_NE(FormatServerStats(stats).find("1 group-flush"),
+            std::string::npos);
+}
+
+TEST_F(InferenceServerTest, SubmitQueuedAheadOfAGroupRidesInItsBatch) {
+  // The lone Submit waits for a window that never expires; the group
+  // queued behind it flushes the whole queue, so its answer arrives in
+  // the group's batch.
+  core::GraniteModel model(&vocabulary_, TinyConfig());
+  const std::vector<double> expected = ExpectedAlone(model, 0);
+  InferenceServerConfig config;
+  config.num_workers = 1;
+  config.max_batch_size = 16;
+  config.batch_window = kNeverWindow;
+  InferenceServer server(&model, config);
+
+  std::optional<std::future<double>> lone = server.Submit(&blocks_[0], 0);
+  ASSERT_TRUE(lone.has_value());
+  std::vector<BatchSubmitRequest> requests;
+  for (int i = 1; i < 4; ++i) {
+    requests.push_back(BatchSubmitRequest{&blocks_[i], 0});
+  }
+  std::vector<std::optional<std::future<double>>> futures =
+      server.SubmitMany(requests);
+  EXPECT_EQ(lone->get(), expected[0]);
+  for (int i = 1; i < 4; ++i) {
+    ASSERT_TRUE(futures[i - 1].has_value());
+    EXPECT_EQ(futures[i - 1]->get(), expected[i]);
+  }
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.group_flushes, 1u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_occupancy, 4.0);
+}
+
 TEST_F(InferenceServerTest, SubmitManyLargerThanTheQueueBlocksAndDrains) {
   // One shard's share of a SubmitMany call exceeds queue_capacity under
   // kBlock: the call must wake the worker before waiting for space, or

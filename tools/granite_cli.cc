@@ -614,12 +614,11 @@ int RunPredict(const Args& args) {
 }
 
 /** The server knobs `serve` and `autotune` share: --shards (workers and
- * request-queue shards are 1:1), --batch-size, --window-us, --cache. */
+ * request-queue shards are 1:1), --batch-size, --cache. */
 granite::serve::InferenceServerConfig ServerConfigFrom(const Args& args) {
   granite::serve::InferenceServerConfig config;
   config.num_workers = args.Int("shards");
   config.max_batch_size = args.Int("batch-size");
-  config.batch_window = std::chrono::microseconds{args.Int("window-us")};
   config.prediction_cache_capacity =
       static_cast<std::size_t>(args.Int("cache"));
   return config;
@@ -627,8 +626,12 @@ granite::serve::InferenceServerConfig ServerConfigFrom(const Args& args) {
 
 int RunServe(const Args& args) {
   const int requests = args.Int("requests");
-  const granite::serve::InferenceServerConfig server_config =
+  granite::serve::InferenceServerConfig server_config =
       ServerConfigFrom(args);
+  // autotune scores only through SubmitMany, whose groups never wait for
+  // the window, so only serve has a window to set.
+  server_config.batch_window =
+      std::chrono::microseconds{args.Int("window-us")};
 
   // The shapes of --split=NAME=A:B:WEIGHT and --shadow=ROUTE=PATH are
   // checked before any bundle loads; the checks that need the loaded
@@ -1300,7 +1303,6 @@ const std::vector<CommandSpec>& CommandTable() {
             "(0 optimizes the corpus as-is)"),
         Int("shards", 2, kShards, "server shards (with --model-file)"),
         Int("batch-size", 16, kBatch, "server batch size"),
-        Int("window-us", 500, kWindowUs, "server batching window"),
         Int("cache", 4096, kCache, "server prediction cache capacity"),
         Bool("verbose", false, "print optimized block text")},
        RunAutotune},
