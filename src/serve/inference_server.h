@@ -159,7 +159,8 @@ struct ServerStats {
   /** Batches drained, split by what triggered the flush. */
   std::uint64_t batches = 0;
   std::uint64_t size_flushes = 0;
-  /** Batches flushed at once because they held SubmitMany requests. */
+  /** Batches of fewer than max_batch_size requests flushed at once
+   * because they held SubmitMany requests. */
   std::uint64_t group_flushes = 0;
   std::uint64_t deadline_flushes = 0;
   std::uint64_t shutdown_flushes = 0;

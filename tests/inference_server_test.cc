@@ -1,7 +1,8 @@
 /**
  * @file
  * Concurrency suite for serve::InferenceServer: batching-window
- * semantics (size-flush vs deadline-flush), mixed-task coalescing,
+ * semantics (size-flush vs deadline-flush, and SubmitMany groups that
+ * flush without the window), mixed-task coalescing,
  * backpressure under both overflow policies, shutdown draining, hot
  * model swap under traffic, and unencodable blocks and throwing forward
  * passes failing only their own futures.
@@ -38,8 +39,12 @@ namespace {
 using std::chrono::microseconds;
 
 /** A 10-second window: never expires within a test, so every flush in
- * tests using it is attributable to size or shutdown. */
+ * tests using it is attributable to size, a SubmitMany group or
+ * shutdown. */
 constexpr microseconds kNeverWindow{10'000'000};
+/** A wait that ends well before kNeverWindow could expire: a future
+ * ready within it was not held for the window. */
+constexpr std::chrono::seconds kWellInsideTheWindow{5};
 
 core::GraniteConfig TinyConfig(int num_tasks = 1) {
   core::GraniteConfig config = core::GraniteConfig().WithEmbeddingSize(8);
@@ -245,6 +250,10 @@ TEST_F(InferenceServerTest, SubmitManyGroupDoesNotWaitForTheWindow) {
   }
   std::vector<std::optional<std::future<double>>> futures =
       server.SubmitMany(requests);
+  ASSERT_TRUE(futures[2].has_value());
+  ASSERT_EQ(futures[2]->wait_for(kWellInsideTheWindow),
+            std::future_status::ready)
+      << "the group waited for the window";
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(futures[i].has_value());
     EXPECT_EQ(futures[i]->get(), expected[i]);
@@ -279,6 +288,8 @@ TEST_F(InferenceServerTest, SubmitQueuedAheadOfAGroupRidesInItsBatch) {
   }
   std::vector<std::optional<std::future<double>>> futures =
       server.SubmitMany(requests);
+  ASSERT_EQ(lone->wait_for(kWellInsideTheWindow), std::future_status::ready)
+      << "the lone Submit waited for the window";
   EXPECT_EQ(lone->get(), expected[0]);
   for (int i = 1; i < 4; ++i) {
     ASSERT_TRUE(futures[i - 1].has_value());
