@@ -218,7 +218,7 @@ TEST_F(OracleDirectionTest, StrengthReductionImprovesDependencyChain) {
   const double mul_cost = oracle_.CyclesPerIteration(mul);
   for (const RewriteCandidate& candidate : reduced) {
     EXPECT_LT(oracle_.CyclesPerIteration(candidate.block), mul_cost)
-        << candidate.detail;
+        << candidate.rule;
   }
 }
 
@@ -240,7 +240,7 @@ TEST_F(OracleDirectionTest, StrengthRaiseIsNeverAnOracleImprovement) {
   for (const RewriteCandidate& candidate :
        CandidatesFor(shifted, "strength-raise")) {
     EXPECT_GE(oracle_.CyclesPerIteration(candidate.block), shifted_cost)
-        << candidate.detail;
+        << candidate.rule;
   }
 }
 
@@ -406,8 +406,7 @@ TEST(TransformFuzzTest, GeneratedBlocksProduceLegalCandidates) {
       const std::string rendered = candidate.block.ToString();
       assembly::ParseResult<BasicBlock> reparsed = ParseBasicBlock(rendered);
       ASSERT_TRUE(reparsed.ok())
-          << candidate.rule << " (" << candidate.detail
-          << ") emitted unparseable block:\n" << rendered
+          << candidate.rule << " emitted unparseable block:\n" << rendered
           << "\nfrom:\n" << block.ToString();
       EXPECT_EQ(reparsed.value->ToString(), rendered);
       if (candidate.rule != "reorder") continue;
@@ -426,7 +425,7 @@ TEST(TransformFuzzTest, GeneratedBlocksProduceLegalCandidates) {
           differing.push_back(i);
         }
       }
-      ASSERT_EQ(differing.size(), 2u) << candidate.detail;
+      ASSERT_EQ(differing.size(), 2u) << candidate.rule;
       const std::size_t lo = differing[0], hi = differing[1];
       ASSERT_EQ(hi, lo + 1) << "non-adjacent reorder";
       EXPECT_EQ(before[lo].ToString(), after[hi].ToString());
@@ -464,7 +463,7 @@ TEST(DeoptimizeBlockTest, DeterministicAcrossCalls) {
 
 // ---- Pinned candidate bits --------------------------------------------
 
-/** A digest of every candidate (rule, detail and block text) of 200
+/** A digest of every candidate (rule and block text) of 200
  * generator blocks, and of the DeoptimizeBlock chain of each block on
  * every microarchitecture. A change moves the search space the served
  * model ranks and must be made on purpose. */
@@ -483,8 +482,6 @@ TEST(TransformGoldenTest, CandidateAndDeoptimizeDigest) {
     for (const RewriteCandidate& candidate : EnumerateCandidates(block)) {
       candidates_digest = Fnv1a(candidates_digest, candidate.rule);
       candidates_digest = Fnv1a(candidates_digest, "\n");
-      candidates_digest = Fnv1a(candidates_digest, candidate.detail);
-      candidates_digest = Fnv1a(candidates_digest, "\n");
       candidates_digest =
           Fnv1a(candidates_digest, candidate.block.ToString());
       candidates_digest = Fnv1a(candidates_digest, "\n\n");
@@ -495,7 +492,7 @@ TEST(TransformGoldenTest, CandidateAndDeoptimizeDigest) {
       deoptimize_digest = Fnv1a(deoptimize_digest, "\n\n");
     }
   }
-  EXPECT_EQ(candidates_digest, 0x15C5F7A92E151EB0ull)
+  EXPECT_EQ(candidates_digest, 0x60C227430344E749ull)
       << std::hex << candidates_digest;
   EXPECT_EQ(deoptimize_digest, 0x388E57DF711445EEull)
       << std::hex << deoptimize_digest;
@@ -524,14 +521,12 @@ TEST(TransformGoldenTest, ImplicitOperandCandidateDigest) {
       ++candidates_seen;
       digest = Fnv1a(digest, candidate.rule);
       digest = Fnv1a(digest, "\n");
-      digest = Fnv1a(digest, candidate.detail);
-      digest = Fnv1a(digest, "\n");
       digest = Fnv1a(digest, candidate.block.ToString());
       digest = Fnv1a(digest, "\n\n");
     }
   }
   EXPECT_EQ(candidates_seen, 46);
-  EXPECT_EQ(digest, 0xC7BF666BBE5DAE0Full) << std::hex << digest;
+  EXPECT_EQ(digest, 0x0F143E1FA4314E26ull) << std::hex << digest;
 }
 
 }  // namespace
