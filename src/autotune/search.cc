@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -58,7 +59,7 @@ namespace {
  * extends (kNoStep for the original block). */
 struct PathStep {
   std::size_t parent;
-  std::string rule;
+  std::string_view rule;
 };
 
 constexpr std::size_t kNoStep = static_cast<std::size_t>(-1);
@@ -133,7 +134,7 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
         SearchNode child;
         child.block = std::move(candidate.block);
         child.step = trail.size();
-        trail.push_back(PathStep{node.step, std::move(candidate.rule)});
+        trail.push_back(PathStep{node.step, candidate.rule});
         wave.push_back(std::move(child));
       }
     }
@@ -186,7 +187,7 @@ OptimizeResult BlockOptimizer::Optimize(const BasicBlock& block) {
     result.best_cost = best.cost;
     for (std::size_t step = best.step; step != kNoStep;
          step = trail[step].parent) {
-      result.applied.push_back(std::move(trail[step].rule));
+      result.applied.emplace_back(trail[step].rule);
     }
     std::reverse(result.applied.begin(), result.applied.end());
     result.predicted_speedup = best.cost > 0.0 && result.original_cost > 0.0

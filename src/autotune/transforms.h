@@ -2,7 +2,7 @@
  * @file
  * Semantics-driven basic-block transform catalog for the autotuner.
  *
- * Every transform enumerates *candidate* rewrites of a block — spellings
+ * Every rule enumerates *candidate* rewrites of a block — spellings
  * with the same architectural effect whose relative cost the served cost
  * model (or the analytical oracle) is asked to rank. Legality is decided
  * entirely from assembly::DataFlowFor (src/asm/semantics), the decoder
@@ -31,17 +31,19 @@
  * (ParseBasicBlock(candidate.ToString()) reproduces the candidate) and
  * preserves architectural semantics as modeled by the catalog.
  *
- * Threading: everything here is thread-safe; the catalog returned by
- * TransformCatalog() is immutable after first use, and all free
- * functions are pure (safe to call from any number of threads
- * concurrently). The only state is each thread's RoundTripMemo, which
- * changes no result.
+ * A candidate is its block and the name of the rule that produced it;
+ * the catalog is a constant table of (name, enumerate function) rules.
+ *
+ * Threading: everything here is thread-safe; the catalog is a constant
+ * table and all free functions are pure (safe to call from any number
+ * of threads concurrently). The only state is each thread's
+ * RoundTripMemo, which changes no result.
  */
 #ifndef GRANITE_AUTOTUNE_TRANSFORMS_H_
 #define GRANITE_AUTOTUNE_TRANSFORMS_H_
 
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -87,33 +89,26 @@ bool RegisterDeadAfter(const assembly::BasicBlock& block, std::size_t index,
 bool FlagsDeadAfter(const assembly::BasicBlock& block, std::size_t index,
                     const std::vector<std::size_t>& skip = {});
 
-/** One legal rewrite of a block: the transformed block plus the stable
- * rule name and a human-readable site description for reports. */
+/** One legal rewrite of a block: the transformed block and the name of
+ * the catalog rule that produced it. `rule` views the name in
+ * TransformCatalog(), which lives as long as the process. */
 struct RewriteCandidate {
   assembly::BasicBlock block;
-  std::string rule;
-  std::string detail;
+  std::string_view rule = {};
 };
 
-/** A family of peephole rewrites (or reorderings). Implementations are
- * stateless and thread-safe. */
-class Transform {
- public:
-  virtual ~Transform() = default;
-
-  /** Stable kebab-case rule name, e.g. "strength-reduce". */
-  virtual std::string_view name() const = 0;
-
-  /** One-line description for docs and reports. */
-  virtual std::string_view description() const = 0;
-
-  /** Appends every legal application to `out` (zero or more). */
-  virtual void Enumerate(const assembly::BasicBlock& block,
-                         std::vector<RewriteCandidate>& out) const = 0;
+/** One catalog entry: a stable kebab-case rule name (e.g.
+ * "strength-reduce") and the function that appends every legal
+ * application of the rule to `out` (zero or more). The rule table in
+ * docs/AUTOTUNER.md describes each entry. */
+struct Rule {
+  std::string_view name;
+  void (*enumerate)(const assembly::BasicBlock& block,
+                    std::vector<RewriteCandidate>& out);
 };
 
-/** The process-wide immutable transform catalog. */
-const std::vector<std::unique_ptr<Transform>>& TransformCatalog();
+/** The rule catalog, in the order EnumerateCandidates applies it. */
+std::span<const Rule> TransformCatalog();
 
 /**
  * The round-trip check every instruction of an emitted candidate passes,

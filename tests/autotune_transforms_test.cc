@@ -9,6 +9,7 @@
  * only ever swap hazard-free neighbors.
  */
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -57,15 +58,37 @@ bool HasCandidateText(const std::vector<RewriteCandidate>& candidates,
 }
 
 TEST(TransformCatalogTest, CatalogIsNonEmptyWithUniqueNames) {
-  const std::vector<std::unique_ptr<Transform>>& catalog = TransformCatalog();
-  ASSERT_GE(catalog.size(), 8u);
-  std::set<std::string> names;
-  for (const std::unique_ptr<Transform>& transform : catalog) {
-    EXPECT_FALSE(transform->name().empty());
-    EXPECT_FALSE(transform->description().empty());
-    EXPECT_TRUE(names.insert(std::string(transform->name())).second)
-        << "duplicate rule name " << transform->name();
+  ASSERT_GE(TransformCatalog().size(), 8u);
+  std::set<std::string_view> names;
+  for (const Rule& rule : TransformCatalog()) {
+    EXPECT_FALSE(rule.name.empty());
+    EXPECT_TRUE(names.insert(rule.name).second)
+        << "duplicate rule name " << rule.name;
   }
+}
+
+// The rule table in docs/AUTOTUNER.md is the catalog's only description:
+// its first column names every rule, in catalog order.
+TEST(TransformCatalogTest, DocsRuleTableListsTheCatalog) {
+  std::ifstream docs(std::string(GRANITE_TEST_DATA_DIR) +
+                     "/../../docs/AUTOTUNER.md");
+  ASSERT_TRUE(docs.is_open());
+  std::vector<std::string> documented;
+  bool in_table = false;
+  for (std::string line; std::getline(docs, line);) {
+    if (line.starts_with("| Rule |")) {
+      in_table = true;
+    } else if (in_table && line.starts_with("| `")) {
+      documented.push_back(line.substr(3, line.find('`', 3) - 3));
+    } else if (in_table && !line.starts_with("| ---")) {
+      break;
+    }
+  }
+  std::vector<std::string> catalog;
+  for (const Rule& rule : TransformCatalog()) {
+    catalog.emplace_back(rule.name);
+  }
+  EXPECT_EQ(documented, catalog);
 }
 
 // Every transform in the catalog fires on at least one curated block and
@@ -89,7 +112,7 @@ TEST(TransformCatalogTest, EveryTransformFiresAndRoundTrips) {
       "ADD RDX, RSI",
       "ADD QWORD PTR [RBX], RCX\nMOV RDX, RSI\nADD RDI, RDX",
   };
-  std::map<std::string, int> fired;
+  std::map<std::string_view, int> fired;
   for (const std::string& text : corpus) {
     const BasicBlock block = Parse(text);
     for (const RewriteCandidate& candidate : EnumerateCandidates(block)) {
@@ -108,10 +131,9 @@ TEST(TransformCatalogTest, EveryTransformFiresAndRoundTrips) {
       }
     }
   }
-  for (const std::unique_ptr<Transform>& transform : TransformCatalog()) {
-    EXPECT_GT(fired[std::string(transform->name())], 0)
-        << "transform " << transform->name()
-        << " never fired on the curated corpus";
+  for (const Rule& rule : TransformCatalog()) {
+    EXPECT_GT(fired[rule.name], 0)
+        << "rule " << rule.name << " never fired on the curated corpus";
   }
 }
 

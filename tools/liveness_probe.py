@@ -14,7 +14,11 @@ Prints every such function. Exits 1 when one of them is missing from
 ALLOWLIST below, or when an ALLOWLIST entry names no such function (it
 gained a user or was deleted, so its entry goes). Every entry carries
 the reason it is kept. Header-inline functions are not seen: making a
-function inline hides it from the probe without removing it.
+function inline hides it from the probe without removing it. Nor are
+virtual functions: a class's vtable names every override, and a
+program that constructs the class links the vtable, so an override
+that no program calls still looks live. The autotune catalog's former
+per-rule Transform::description() overrides were such functions.
 
 Needs cmake, a C++ compiler, nm and c++filt. The build tree defaults to
 build-liveness/ at the repository root:
