@@ -9,7 +9,8 @@
  *      full pass, one shard resident): blocks/sec and MB/s.
  *   3. random access — StreamingCorpusSource under a shard-hopping
  *      access pattern with a small LRU window: blocks/sec and the
- *      shard reload count (the cost of sampling-style access).
+ *      shard load count (the cost of sampling-style access, plus one
+ *      load per shard made by the validating open pass).
  *   4. CSV import — the `granite_cli dataset import` path: blocks/sec
  *      over a synthesized CSV, plus the reject rate of the checked-in
  *      BHive sample CSV (--import-csv=PATH, default

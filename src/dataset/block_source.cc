@@ -47,6 +47,14 @@ SampleView ShardedBlockSource::Get(std::size_t index) const {
   return SampleView{&sample.block, &sample.throughput, shard};
 }
 
+void ShardedBlockSource::KeepShard(std::size_t shard_index,
+                                   std::vector<Sample> samples) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++shard_loads_;
+  cache_.Put(shard_index, std::make_shared<const std::vector<Sample>>(
+                              std::move(samples)));
+}
+
 std::size_t ShardedBlockSource::shard_loads() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return shard_loads_;

@@ -54,8 +54,9 @@ class ShardedBlockSource : public BlockSource {
 
   std::size_t records_per_shard() const { return records_per_shard_; }
 
-  /** Number of shard materializations so far (monotone; for tests and
-   * the IO bench — proves cached access skips LoadShard). */
+  /** Number of shards put into the window so far: each LoadShard call
+   * and each KeepShard call (monotone; for tests and the IO bench —
+   * proves cached access skips LoadShard). */
   std::size_t shard_loads() const;
 
  protected:
@@ -65,6 +66,12 @@ class ShardedBlockSource : public BlockSource {
   /** Materializes shard `shard_index` (samples
    * [shard_index * records_per_shard, ...)). Called under the mutex. */
   virtual std::vector<Sample> LoadShard(std::size_t shard_index) const = 0;
+
+  /** Puts `samples` into the window as shard `shard_index`, as a miss
+   * would after LoadShard (counted as a load; evicts the least recently
+   * used shard when the window is full). For a source whose set-up pass
+   * already decoded the shard. */
+  void KeepShard(std::size_t shard_index, std::vector<Sample> samples);
 
  private:
   using ShardPtr = std::shared_ptr<const std::vector<Sample>>;

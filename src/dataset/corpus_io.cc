@@ -230,55 +230,6 @@ std::vector<Sample> ParseShardPayload(const std::string& buffer,
   return samples;
 }
 
-/** Reads the header of the just-opened `file` and returns (validated
- * header, file size). Folds the header bytes into `checksum` unless it is
- * null. */
-std::pair<CorpusHeader, std::uint64_t> OpenAndReadHeader(
-    std::ifstream& file, const std::string& path,
-    std::uint64_t* checksum = nullptr) {
-  if (!file.is_open()) {
-    throw CorpusError("cannot read corpus: " + path);
-  }
-  file.seekg(0, std::ios::end);
-  const std::uint64_t file_size =
-      static_cast<std::uint64_t>(file.tellg());
-  file.seekg(0);
-  if (file_size < kHeaderBytes + 8) {
-    throw CorpusError("truncated corpus (no room for header): " + path);
-  }
-  std::string header_bytes(kHeaderBytes, '\0');
-  ReadExact(file, header_bytes.data(), kHeaderBytes, "header", path);
-  if (checksum != nullptr) *checksum = Fnv1a(*checksum, header_bytes);
-  return {DecodeHeader(header_bytes, path), file_size};
-}
-
-/**
- * Seek-walks the shard table (no payload is read) and returns the byte
- * offset of every shard prelude, validating structural consistency:
- * record counts, payload lengths, and that exactly the 8-byte checksum
- * trailer follows the last shard.
- */
-std::vector<std::uint64_t> BuildShardIndex(std::ifstream& file,
-                                           const CorpusHeader& header,
-                                           std::uint64_t file_size,
-                                           const std::string& path) {
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(header.num_shards);
-  std::uint64_t cursor = kHeaderBytes;
-  for (std::uint64_t shard = 0; shard < header.num_shards; ++shard) {
-    offsets.push_back(cursor);
-    file.seekg(static_cast<std::streamoff>(cursor));
-    const ShardPrelude prelude =
-        ReadShardPrelude(file, header, shard, file_size - cursor, path);
-    cursor += 16 + prelude.bytes;
-  }
-  if (cursor + 8 != file_size) {
-    throw CorpusError(
-        "corrupt corpus (trailing bytes after the last shard): " + path);
-  }
-  return offsets;
-}
-
 /** FNV-1a of the first `size` bytes of `file`, read from its start in
  * 64 KiB chunks (constant memory). */
 std::uint64_t ChecksumPrefix(std::istream& file, std::uint64_t size,
@@ -294,17 +245,6 @@ std::uint64_t ChecksumPrefix(std::istream& file, std::uint64_t size,
     size -= chunk;
   }
   return checksum;
-}
-
-/** Streams the whole file, verifying the trailer checksum. */
-void VerifyWholeFileChecksum(std::ifstream& file, std::uint64_t file_size,
-                             const std::string& path) {
-  const std::uint64_t checksum = ChecksumPrefix(file, file_size - 8, path);
-  std::uint64_t stored = 0;
-  ReadExact(file, reinterpret_cast<char*>(&stored), 8, "checksum", path);
-  if (stored != checksum) {
-    throw CorpusError("corrupt corpus (checksum mismatch): " + path);
-  }
 }
 
 }  // namespace
@@ -416,21 +356,23 @@ void SaveCorpus(const BlockSource& source, const std::string& path,
   writer.Finish();
 }
 
-CorpusHeader ReadCorpusHeader(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  const auto [header, file_size] = OpenAndReadHeader(file, path);
-  // Structural validation (seeks only): a half-written file must not
-  // pass for an empty or truncated-but-valid corpus.
-  BuildShardIndex(file, header, file_size, path);
-  return header;
-}
-
 CorpusReader::CorpusReader(const std::string& path)
     : path_(path),
       file_(path, std::ios::binary),
       checksum_(kFnvOffsetBasis) {
-  const auto [header, file_size] = OpenAndReadHeader(file_, path, &checksum_);
-  header_ = header;
+  if (!file_.is_open()) {
+    throw CorpusError("cannot read corpus: " + path);
+  }
+  file_.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uint64_t>(file_.tellg());
+  file_.seekg(0);
+  if (file_size < kHeaderBytes + 8) {
+    throw CorpusError("truncated corpus (no room for header): " + path);
+  }
+  std::string header_bytes(kHeaderBytes, '\0');
+  ReadExact(file_, header_bytes.data(), kHeaderBytes, "header", path);
+  checksum_ = Fnv1a(checksum_, header_bytes);
+  header_ = DecodeHeader(header_bytes, path);
   bytes_left_ = file_size - kHeaderBytes;
 }
 
@@ -466,53 +408,47 @@ bool CorpusReader::NextShard(std::vector<Sample>* shard) {
   return true;
 }
 
-StreamingCorpusSource::OpenState StreamingCorpusSource::Open(
-    const std::string& path) {
-  OpenState state;
-  state.file.open(path, std::ios::binary);
-  const auto [header, file_size] = OpenAndReadHeader(state.file, path);
-  state.header = header;
-  state.file_size = file_size;
-  state.shard_offsets =
-      BuildShardIndex(state.file, state.header, file_size, path);
-  VerifyWholeFileChecksum(state.file, file_size, path);
-  return state;
-}
-
 StreamingCorpusSource::StreamingCorpusSource(
     const std::string& path, const StreamingCorpusOptions& options)
-    : StreamingCorpusSource(Open(path), path, options.cache_shards) {}
+    : StreamingCorpusSource(CorpusReader(path), options.cache_shards) {}
 
-StreamingCorpusSource::StreamingCorpusSource(OpenState state,
-                                             const std::string& path,
+StreamingCorpusSource::StreamingCorpusSource(CorpusReader reader,
                                              std::size_t cache_shards)
     : ShardedBlockSource(
-          static_cast<std::size_t>(state.header.records_per_shard),
+          static_cast<std::size_t>(reader.header_.records_per_shard),
           cache_shards),
-      path_(path),
-      file_(std::move(state.file)),
-      header_(state.header),
-      file_size_(state.file_size),
-      shard_offsets_(std::move(state.shard_offsets)) {}
+      path_(reader.path_),
+      header_(reader.header_) {
+  std::vector<Sample> shard;
+  for (std::size_t index = 0;; ++index) {
+    shard_offsets_.push_back(
+        static_cast<std::uint64_t>(reader.file_.tellg()));
+    if (!reader.NextShard(&shard)) break;
+    KeepShard(index, std::move(shard));
+  }
+  file_ = std::move(reader.file_);
+}
 
 std::vector<Sample> StreamingCorpusSource::LoadShard(
     std::size_t shard_index) const {
-  GRANITE_CHECK_LT(shard_index, shard_offsets_.size());
-  file_.clear();
+  GRANITE_CHECK_LT(shard_index + 1, shard_offsets_.size());
+  // The open pass decoded this shard from these bytes, so a failure now
+  // means the file changed under us. The payload may not run past the
+  // next shard's offset.
   const std::uint64_t offset = shard_offsets_[shard_index];
-  file_.seekg(static_cast<std::streamoff>(offset));
-  // Open validated every prelude, so one that fails now means the file
-  // changed under us.
-  ShardPrelude prelude;
   try {
-    prelude = ReadShardPrelude(file_, header_, shard_index,
-                               file_size_ - offset, path_);
+    file_.clear();
+    file_.seekg(static_cast<std::streamoff>(offset));
+    const ShardPrelude prelude =
+        ReadShardPrelude(file_, header_, shard_index,
+                         shard_offsets_[shard_index + 1] - offset + 8, path_);
+    std::string payload(prelude.bytes, '\0');
+    ReadExact(file_, payload.data(), prelude.bytes, "shard payload", path_);
+    return ParseShardPayload(payload, prelude.count, header_.num_labels,
+                             path_);
   } catch (const CorpusError&) {
     throw CorpusError("corpus changed while streaming: " + path_);
   }
-  std::string payload(prelude.bytes, '\0');
-  ReadExact(file_, payload.data(), prelude.bytes, "shard payload", path_);
-  return ParseShardPayload(payload, prelude.count, header_.num_labels, path_);
 }
 
 }  // namespace granite::dataset

@@ -37,6 +37,12 @@
  * length fields are bounds-checked before allocation. A record whose
  * block parses but that assembly::CheckEncodable refuses is corrupt too,
  * so no record a reader returns can abort the graph encoder.
+ *
+ * CorpusReader's sequential pass is the one definition of a valid
+ * corpus: it decodes and checks every record, then the checksum and the
+ * end of the file. StreamingCorpusSource opens by running that pass, so
+ * the two readers accept and refuse exactly the same files, with the
+ * same messages.
  */
 #ifndef GRANITE_DATASET_CORPUS_IO_H_
 #define GRANITE_DATASET_CORPUS_IO_H_
@@ -70,8 +76,7 @@ inline constexpr std::uint32_t kCorpusFormatVersion = 1;
 /** Default shard granularity (records per shard). */
 inline constexpr std::uint64_t kDefaultRecordsPerShard = 4096;
 
-/** Parsed corpus header: everything `dataset inspect` reports without
- * touching a record. */
+/** Parsed corpus header: the fields `dataset inspect` reports. */
 struct CorpusHeader {
   std::uint32_t version = kCorpusFormatVersion;
   uarch::MeasurementTool tool = uarch::MeasurementTool::kIthemalTool;
@@ -148,10 +153,6 @@ void SaveCorpus(const BlockSource& source, const std::string& path,
                 uarch::MeasurementTool tool, std::uint64_t generator_seed,
                 std::uint64_t records_per_shard = kDefaultRecordsPerShard);
 
-/** Reads and validates only the header of `path` (no record is read):
- * the `dataset inspect` entry point. Throws CorpusError. */
-CorpusHeader ReadCorpusHeader(const std::string& path);
-
 /**
  * Sequential chunked reader: yields one shard of samples at a time and
  * never holds more than that. The checksum accumulates as shards are
@@ -172,6 +173,9 @@ class CorpusReader {
   bool NextShard(std::vector<Sample>* shard);
 
  private:
+  /** Its open pass is this reader's pass. */
+  friend class StreamingCorpusSource;
+
   std::string path_;
   std::ifstream file_;
   CorpusHeader header_;
@@ -189,16 +193,20 @@ struct StreamingCorpusOptions {
 };
 
 /**
- * Random-access BlockSource over a corpus file: an index of shard
- * offsets is built at open, shards are parsed on demand and at most
- * `cache_shards` stay resident. Get() pins the backing shard, so views
+ * Random-access BlockSource over a corpus file. Opening runs one
+ * CorpusReader to the end: it decodes and checks every record and the
+ * checksum, records each shard's byte offset, and keeps each decoded
+ * shard in the LRU window (counted in shard_loads()), so the last
+ * `cache_shards` shards stay resident and a corpus that fits the window
+ * is never decoded twice. A larger corpus decodes its early shards
+ * again when they are used. Get() pins the backing shard, so views
  * survive eviction. Thread-safe.
  */
 class StreamingCorpusSource : public ShardedBlockSource {
  public:
-  /** Opens and validates `path`, verifying the whole-file checksum in
-   * one sequential pass (constant memory): random shard access could not
-   * verify it later. Throws CorpusError. */
+  /** Opens `path` and validates all of it (one sequential pass, one
+   * shard of samples beyond the window in memory). Throws CorpusError;
+   * Get() throws it only when the file changes after open. */
   explicit StreamingCorpusSource(const std::string& path,
                                  const StreamingCorpusOptions& options = {});
 
@@ -212,25 +220,15 @@ class StreamingCorpusSource : public ShardedBlockSource {
   std::vector<Sample> LoadShard(std::size_t shard_index) const override;
 
  private:
-  /** Everything Open() must produce before the base class (which needs
-   * the shard size) can be constructed. */
-  struct OpenState {
-    std::ifstream file;
-    CorpusHeader header;
-    std::uint64_t file_size = 0;
-    std::vector<std::uint64_t> shard_offsets;
-  };
-
-  static OpenState Open(const std::string& path);
-
-  StreamingCorpusSource(OpenState state, const std::string& path,
-                        std::size_t cache_shards);
+  /** Runs the just-opened `reader` to the end (the base class needs its
+   * header's shard size first). */
+  StreamingCorpusSource(CorpusReader reader, std::size_t cache_shards);
 
   std::string path_;
+  /** The reader's handle, reused by LoadShard. */
   mutable std::ifstream file_;
   CorpusHeader header_;
-  std::uint64_t file_size_;
-  /** Byte offset of each shard's record-count field. */
+  /** Byte offset of each shard's prelude, then of the checksum. */
   std::vector<std::uint64_t> shard_offsets_;
 };
 

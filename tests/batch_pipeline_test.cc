@@ -195,14 +195,21 @@ TEST(PrefetchingBatchPipelineTest, StreamingSourceReplaysSamplerExactly) {
   }
 }
 
-/** tests/data/unencodable_record.gbc opens (its checksum is valid) but
- * its shard holds `ADD RAX`, which the catalog cannot encode, so the
- * producer's first Get throws. The error must reach Next() on the
+/** A source whose every Get throws, as a StreamingCorpusSource's does
+ * when its file changes after open. */
+class ChangedFileSource : public BlockSource {
+ public:
+  std::size_t size() const override { return 4; }
+  SampleView Get(std::size_t) const override {
+    throw CorpusError("corpus changed while streaming: changed.gbc");
+  }
+};
+
+/** The producer's first Get throws. The error must reach Next() on the
  * consumer's thread, on every later call too, and the destructor must
  * still join the stopped producer. */
 TEST(PrefetchingBatchPipelineTest, SourceErrorReachesNext) {
-  const StreamingCorpusSource source(std::string(GRANITE_TEST_DATA_DIR) +
-                                     "/unencodable_record.gbc");
+  const ChangedFileSource source;
   PrefetchingBatchPipeline pipeline(static_cast<const BlockSource*>(&source),
                                     /*batch_size=*/2, /*num_shards=*/1,
                                     /*seed=*/3, nullptr);
@@ -211,7 +218,7 @@ TEST(PrefetchingBatchPipelineTest, SourceErrorReachesNext) {
       pipeline.Next();
       ADD_FAILURE() << "Next() returned a batch of an unreadable source";
     } catch (const CorpusError& error) {
-      EXPECT_NE(std::string(error.what()).find("unencodable block"),
+      EXPECT_NE(std::string(error.what()).find("corpus changed"),
                 std::string::npos)
           << error.what();
     }

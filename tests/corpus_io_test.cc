@@ -71,7 +71,6 @@ class CorpusIoTest : public ::testing::Test {
 
   /** Every read path must reject the current file. */
   void ExpectAllReadersThrow() const {
-    EXPECT_THROW(ReadCorpusHeader(path_), CorpusError);
     EXPECT_THROW(ReadEveryShard(), CorpusError);
     EXPECT_THROW(StreamingCorpusSource{path_}, CorpusError);
   }
@@ -114,11 +113,11 @@ TEST_F(CorpusIoTest, WriterStreamingAppendMatchesSaveCorpus) {
   EXPECT_EQ(ReadFile(), saved);
 }
 
-TEST_F(CorpusIoTest, HeaderReportsMetadataWithoutLoad) {
+TEST_F(CorpusIoTest, HeaderReportsMetadata) {
   const Dataset data = TinyDataset(70);
   SaveCorpus(data, path_, uarch::MeasurementTool::kBHiveTool,
              /*generator_seed=*/41, /*records_per_shard=*/32);
-  const CorpusHeader header = ReadCorpusHeader(path_);
+  const CorpusHeader header = StreamingCorpusSource(path_).header();
   EXPECT_EQ(header.version, kCorpusFormatVersion);
   EXPECT_EQ(header.tool, uarch::MeasurementTool::kBHiveTool);
   EXPECT_EQ(header.num_labels,
@@ -175,6 +174,52 @@ TEST_F(CorpusIoTest, StreamingSourceMatchesMaterializedInAnyOrder) {
   // reloaded many times — the source really is streaming, not caching
   // the whole file.
   EXPECT_GT(source.shard_loads(), source.header().num_shards);
+}
+
+// Opening decodes every shard once and keeps the last `cache_shards` of
+// them, so a corpus that fits the window is never decoded again (the
+// bias pass after `train --dataset-file` opens its corpus).
+TEST_F(CorpusIoTest, OpenKeepsTheLastShardsItDecoded) {
+  SaveCorpus(TinyDataset(20), path_, uarch::MeasurementTool::kIthemalTool,
+             5, /*records_per_shard=*/8);
+  StreamingCorpusOptions options;
+  options.cache_shards = 3;
+  const StreamingCorpusSource whole(path_, options);
+  ASSERT_EQ(whole.header().num_shards, 3u);
+  EXPECT_EQ(whole.shard_loads(), 3u);
+  for (std::size_t i = 0; i < whole.size(); ++i) whole.Get(i);
+  EXPECT_EQ(whole.shard_loads(), 3u);
+
+  options.cache_shards = 1;
+  const StreamingCorpusSource windowed(path_, options);
+  EXPECT_EQ(windowed.shard_loads(), 3u);
+  windowed.Get(0);  // shard 0 was evicted during the open pass
+  EXPECT_EQ(windowed.shard_loads(), 4u);
+}
+
+// Open decoded every shard, so a shard that no longer reads back on a
+// later Get means the file changed after open, whatever the damage.
+TEST_F(CorpusIoTest, ShardDamagedAfterOpenReportsAChangedCorpus) {
+  SaveCorpus(TinyDataset(20), path_, uarch::MeasurementTool::kIthemalTool,
+             5, /*records_per_shard=*/8);
+  const std::vector<char> saved = ReadFile();
+  std::vector<char> bad_text = saved;
+  bad_text[56 + 16 + 4] = '\x01';  // first letter of shard 0's first block
+  for (const std::vector<char>& damaged :
+       {bad_text, std::vector<char>(saved.begin(), saved.begin() + 60)}) {
+    WriteFile(saved);
+    StreamingCorpusOptions options;
+    options.cache_shards = 1;  // shard 0 is evicted during the open pass
+    const StreamingCorpusSource source(path_, options);
+    WriteFile(damaged);
+    try {
+      source.Get(0);
+      ADD_FAILURE() << "Get read a damaged shard";
+    } catch (const CorpusError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "corpus changed while streaming: " + path_);
+    }
+  }
 }
 
 TEST_F(CorpusIoTest, ViewsPinTheirShardAcrossEviction) {
@@ -243,7 +288,7 @@ TEST_F(CorpusIoTest, StreamingSynthesisRoundTripsThroughFile) {
 
 TEST_F(CorpusIoTest, EmptyCorpusRoundTrips) {
   SaveCorpus(Dataset(), path_, uarch::MeasurementTool::kIthemalTool, 0);
-  EXPECT_EQ(ReadCorpusHeader(path_).num_blocks, 0u);
+  EXPECT_EQ(StreamingCorpusSource(path_).header().num_blocks, 0u);
   EXPECT_TRUE(ReadStreamedCorpus(path_).empty());
   EXPECT_NO_THROW(ReadEveryShard());
 }

@@ -207,9 +207,9 @@ std::uint64_t ReadWithStreamingSource(const std::string& path) {
   return FoldSource(kFnvOffsetBasis, source);
 }
 
-/** Every field ReadCorpusHeader returns. */
+/** Every header field of an opened StreamingCorpusSource. */
 std::uint64_t ReadHeaderFields(const std::string& path) {
-  const CorpusHeader header = ReadCorpusHeader(path);
+  const CorpusHeader header = StreamingCorpusSource(path).header();
   std::string fields;
   for (const std::uint64_t field :
        {std::uint64_t{header.version}, static_cast<std::uint64_t>(header.tool),
@@ -242,8 +242,10 @@ std::vector<std::string> ReadWithEveryReader(const CorpusFile& file) {
  * and on 800 seeded mutations of it (one or two bit flips, truncations,
  * inserted bytes or trailing bytes each). A mutation that leaves a
  * record's text parseable but names no catalog mnemonic is refused as
- * unencodable; CorpusReader, which checks the checksum only after the
- * last shard, reports that first. */
+ * unencodable; the readers check the checksum only after the last
+ * shard, so they report that first. StreamingCorpusSource opens with
+ * CorpusReader's pass, so the two give the same outcome on every input,
+ * and only the unmutated corpus is accepted. */
 TEST(DatasetGoldenTest, CorpusReadersDigest) {
   CorpusFile file;
   SynthesisConfig config;
@@ -259,10 +261,13 @@ TEST(DatasetGoldenTest, CorpusReadersDigest) {
   std::size_t inputs = 0;
   std::size_t accepted = 0;
   std::size_t unencodable = 0;
+  std::size_t agreeing = 0;
   const auto read_input = [&](const std::vector<char>& bytes) {
     file.Write(bytes);
     ++inputs;
-    for (const std::string& outcome : ReadWithEveryReader(file)) {
+    const std::vector<std::string> outcomes = ReadWithEveryReader(file);
+    agreeing += outcomes[0] == outcomes[1] ? 1 : 0;
+    for (const std::string& outcome : outcomes) {
       accepted += outcome.starts_with("ok ") ? 1 : 0;
       if (outcome.starts_with("error corrupt corpus (unencodable block: ")) {
         ++unencodable;
@@ -282,16 +287,17 @@ TEST(DatasetGoldenTest, CorpusReadersDigest) {
     }
   }
   EXPECT_EQ(inputs, 801u);
-  EXPECT_EQ(accepted, 113u);
-  EXPECT_EQ(unencodable, 52u);
-  EXPECT_EQ(digest, 10794628316154151144ull);
+  EXPECT_EQ(agreeing, inputs);  // CorpusReader == StreamingCorpusSource
+  EXPECT_EQ(accepted, 3u);
+  EXPECT_EQ(unencodable, 156u);
+  EXPECT_EQ(digest, 17219173233205077240ull);
 }
 
 /** tests/data/unencodable_record.gbc: two records, `MOV RAX, RBX` and
  * then `ADD RAX`, which parses but has an operand count the catalog does
  * not model. CorpusWriter writes it byte for byte as checked in; every
- * record reader refuses it with the same error, and ReadCorpusHeader,
- * which reads no record, accepts it. */
+ * reader refuses it with the same error, the header included: no
+ * corpus opens unless every record decodes. */
 TEST(DatasetGoldenTest, UnencodableRecordIsRefusedByEveryRecordReader) {
   std::ifstream checked_in(
       std::string(GRANITE_TEST_DATA_DIR) + "/unencodable_record.gbc",
@@ -319,9 +325,9 @@ TEST(DatasetGoldenTest, UnencodableRecordIsRefusedByEveryRecordReader) {
       "corrupt corpus (unencodable block: ADD with 1 operands): ";
   const std::vector<std::string> outcomes = ReadWithEveryReader(file);
   ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_EQ(outcomes[0], "error " + refused);  // CorpusReader
-  EXPECT_EQ(outcomes[1], "error " + refused);  // StreamingCorpusSource
-  EXPECT_TRUE(outcomes[2].starts_with("ok "));  // ReadCorpusHeader
+  for (const std::string& outcome : outcomes) {
+    EXPECT_EQ(outcome, "error " + refused);
+  }
 }
 
 /** A one-shard corpus whose prelude claims a 48 MiB payload and whose

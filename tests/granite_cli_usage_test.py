@@ -10,7 +10,9 @@ may appear. `predict` must also refuse, with exit 2, a block that parses
 but that the semantics catalog cannot encode, given by --asm or stdin;
 `serve` must refuse, with exit 2, a malformed --split or --shadow, a
 split arm or shadow route that names no loaded bundle, and a shadow
-candidate whose task-head count differs from its route's.
+candidate whose task-head count differs from its route's. `eval`,
+`dataset inspect` and `train` must refuse, with exit 1, a corpus with an
+unencodable record.
 
 Usage: granite_cli_usage_test.py PATH/TO/granite_cli
 """
@@ -220,10 +222,10 @@ def main():
             runner.failures.append("exit %d, stderr %r: %r" %
                                    (result.returncode, result.stderr, argv))
 
-        # dataset inspect --verify=1 reads every record, so it refuses
-        # the same corpus with the same message instead of passing its
-        # valid checksum.
-        argv = ["dataset", "inspect", "--file=" + corpus, "--verify=1"]
+        # dataset inspect reads every record, so it refuses the same
+        # corpus with the same message instead of passing its valid
+        # checksum.
+        argv = ["dataset", "inspect", "--file=" + corpus]
         result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
                                 stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, text=True,
@@ -234,6 +236,23 @@ def main():
                 "verified" in result.stdout):
             runner.failures.append("exit %d, stderr %r: %r" %
                                    (result.returncode, result.stderr, argv))
+
+        # train refuses it when the corpus opens, before any training
+        # line is printed or a bundle is written.
+        trained = os.path.join(models, "refused.gmb")
+        argv = ["train", "--out=" + trained, "--dataset-file=" + corpus]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        if (result.returncode != 1 or
+                "unencodable block" not in result.stderr or
+                re.search(r"^training ", result.stdout, re.MULTILINE) or
+                os.path.exists(trained)):
+            runner.failures.append("exit %d, stdout %r, stderr %r: %r" %
+                                   (result.returncode, result.stdout,
+                                    result.stderr, argv))
 
     for failure in runner.failures:
         print("FAIL " + failure)

@@ -33,10 +33,9 @@
  *                         (bounded memory — million-block corpora never
  *                         materialize; dataset::StreamingSynthesisSource
  *                         + dataset::SaveCorpus).
- *     dataset inspect     Print a corpus file's header and stats without
- *                         loading records (--verify=1 reads every
- *                         record as training would and checks the
- *                         checksum).
+ *     dataset inspect     Validate every record and the checksum of a
+ *                         corpus file, as training would read it, then
+ *                         print its header.
  *
  * Run `granite_cli help` (or any subcommand with --help) for each
  * command's flags with their types, defaults and ranges. CommandTable()
@@ -1004,6 +1003,15 @@ int RunInspect(const Args& args) {
   return 0;
 }
 
+/** The header of the corpus at `path`, once it has opened: every record
+ * and the checksum are checked as training would read them, with one
+ * shard resident. Throws dataset::CorpusError. */
+granite::dataset::CorpusHeader OpenedCorpusHeader(const std::string& path) {
+  granite::dataset::StreamingCorpusOptions options;
+  options.cache_shards = 1;
+  return granite::dataset::StreamingCorpusSource(path, options).header();
+}
+
 int RunDatasetSynthesize(const Args& args) {
   const std::string& out = args.Text("out");
   const int num_blocks = args.Int("blocks");
@@ -1031,8 +1039,7 @@ int RunDatasetSynthesize(const Args& args) {
   granite::dataset::SaveCorpus(source, out, tool, seed,
                                static_cast<std::uint64_t>(shard_size));
 
-  const granite::dataset::CorpusHeader header =
-      granite::dataset::ReadCorpusHeader(out);
+  const granite::dataset::CorpusHeader header = OpenedCorpusHeader(out);
   std::printf("wrote corpus %s: %llu blocks in %llu shards of %llu\n",
               out.c_str(),
               static_cast<unsigned long long>(header.num_blocks),
@@ -1090,8 +1097,7 @@ int RunDatasetImport(const Args& args) {
                  "usable corpus\n");
     return 1;
   }
-  const granite::dataset::CorpusHeader header =
-      granite::dataset::ReadCorpusHeader(out);
+  const granite::dataset::CorpusHeader header = OpenedCorpusHeader(out);
   std::printf("wrote corpus %s: %llu blocks in %llu shards of %llu "
               "(tool %s)\n",
               out.c_str(),
@@ -1104,18 +1110,8 @@ int RunDatasetImport(const Args& args) {
 
 int RunDatasetInspect(const Args& args) {
   const std::string& path = args.Text("file");
-  const granite::dataset::CorpusHeader header =
-      granite::dataset::ReadCorpusHeader(path);
-  if (args.Bool("verify")) {
-    // Read every record the way training and eval do, one shard
-    // resident: a record a reader would refuse (say, an unencodable
-    // block) fails here too, and the last shard checks the checksum.
-    granite::dataset::CorpusReader reader(path);
-    std::vector<granite::dataset::Sample> shard;
-    while (reader.NextShard(&shard)) {
-    }
-    std::printf("records and checksum verified: OK\n");
-  }
+  const granite::dataset::CorpusHeader header = OpenedCorpusHeader(path);
+  std::printf("records and checksum verified: OK\n");
   std::printf("corpus file: %s\n", path.c_str());
   std::printf("  format version:    %u\n", header.version);
   std::printf("  measurement tool:  %s\n",
@@ -1344,10 +1340,8 @@ const std::vector<CommandSpec>& CommandTable() {
             "cap on sampled rejects")},
        RunDatasetImport},
       {"dataset inspect",
-       "print corpus header/stats without loading records",
-       {Required(Text("file", "PATH", "corpus file")),
-        Bool("verify", false,
-             "read every record and check the checksum")},
+       "validate every record of a corpus and print its header",
+       {Required(Text("file", "PATH", "corpus file"))},
        RunDatasetInspect},
   };
   return *table;
