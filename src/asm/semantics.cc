@@ -584,16 +584,39 @@ bool ImplicitOperandsApply(const InstructionSemantics& semantics,
 
 namespace {
 
-/** Why the catalog cannot encode `instruction`, or nullopt. */
+/** Why the catalog cannot encode `instruction`, or nullopt. A written
+ * slot must hold a register or memory: the graph builder has no value
+ * node to write for any other operand kind. `slot` receives the first
+ * slot refused with kOperandForm. */
 std::optional<UnencodableReason> EncodabilityOf(
-    const Instruction& instruction) {
+    const Instruction& instruction, std::size_t* slot = nullptr) {
   const InstructionSemantics* semantics =
       SemanticsCatalog::Get().Find(instruction.mnemonic);
   if (semantics == nullptr) return UnencodableReason::kUnknownMnemonic;
-  if (semantics->UsageForArity(instruction.operands.size()) == nullptr) {
-    return UnencodableReason::kUnsupportedArity;
+  const std::vector<OperandUsage>* usage =
+      semantics->UsageForArity(instruction.operands.size());
+  if (usage == nullptr) return UnencodableReason::kUnsupportedArity;
+  for (std::size_t i = 0; i < usage->size(); ++i) {
+    const OperandKind kind = instruction.operands[i].kind();
+    if ((*usage)[i] != OperandUsage::kRead &&
+        kind != OperandKind::kRegister && kind != OperandKind::kMemory) {
+      if (slot != nullptr) *slot = i;
+      return UnencodableReason::kOperandForm;
+    }
   }
   return std::nullopt;
+}
+
+/** "an immediate" and so on: the refused kind of a written slot. */
+const char* WrittenKindPhrase(OperandKind kind) {
+  switch (kind) {
+    case OperandKind::kImmediate: return "an immediate";
+    case OperandKind::kFpImmediate: return "a floating-point immediate";
+    case OperandKind::kAddress: return "an address";
+    case OperandKind::kRegister:
+    case OperandKind::kMemory: break;
+  }
+  return "?";
 }
 
 }  // namespace
@@ -604,17 +627,26 @@ bool IsSupportedInstruction(const Instruction& instruction) {
 
 std::optional<Unencodable> CheckEncodable(const BasicBlock& block) {
   for (const Instruction& instruction : block.instructions) {
+    std::size_t slot = 0;
     const std::optional<UnencodableReason> reason =
-        EncodabilityOf(instruction);
+        EncodabilityOf(instruction, &slot);
     if (!reason.has_value()) continue;
-    if (*reason == UnencodableReason::kUnknownMnemonic) {
-      return Unencodable{*reason, std::string("unknown mnemonic ")
-                                      .append(instruction.mnemonic)};
+    switch (*reason) {
+      case UnencodableReason::kUnknownMnemonic:
+        return Unencodable{*reason, std::string("unknown mnemonic ")
+                                        .append(instruction.mnemonic)};
+      case UnencodableReason::kUnsupportedArity:
+        return Unencodable{*reason,
+                           instruction.mnemonic + " with " +
+                               std::to_string(instruction.operands.size()) +
+                               " operands"};
+      case UnencodableReason::kOperandForm:
+        return Unencodable{
+            *reason,
+            instruction.mnemonic + " operand " + std::to_string(slot) +
+                " is written but is " +
+                WrittenKindPhrase(instruction.operands[slot].kind())};
     }
-    return Unencodable{*reason,
-                       instruction.mnemonic + " with " +
-                           std::to_string(instruction.operands.size()) +
-                           " operands"};
   }
   return std::nullopt;
 }

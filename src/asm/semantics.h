@@ -188,21 +188,26 @@ enum class UnencodableReason {
   kUnknownMnemonic,
   /** A known mnemonic with an operand count its row does not model. */
   kUnsupportedArity,
+  /** A slot the row writes holds neither a register nor memory (an
+   * immediate or a bare address: `ADD 5, RAX`). */
+  kOperandForm,
 };
 
 /** The first instruction of a block that the catalog cannot encode. */
 struct Unencodable {
   UnencodableReason reason;
-  /** "unknown mnemonic FROB" or "ADD with 1 operands". */
+  /** "unknown mnemonic FROB", "ADD with 1 operands" or "ADD operand 0 is
+   * written but is an immediate". */
   std::string message;
 };
 
 /**
  * The one encodability check for blocks that enter from text: the
- * parser accepts any mnemonic and operand count, but the graph builder
- * and the throughput oracle look every instruction up and abort on one
- * the catalog cannot encode. Returns nullopt when every instruction is
- * known with a modelled arity; allocates only for a refused block.
+ * parser accepts any mnemonic, operand count and operand kind, but the
+ * graph builder and the throughput oracle look every instruction up and
+ * abort on one the catalog cannot encode. Returns nullopt when every
+ * instruction is known with a modelled arity and writes only registers
+ * and memory; allocates only for a refused block.
  */
 std::optional<Unencodable> CheckEncodable(const BasicBlock& block);
 

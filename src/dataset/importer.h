@@ -57,7 +57,8 @@ enum class ImportRejectReason {
   /** Parsed, but contains a mnemonic the semantics catalog lacks. */
   kUnknownMnemonic,
   /** Known mnemonic used with an operand count the catalog does not
-   * model. */
+   * model, or with an immediate or bare address in a slot it writes
+   * (`ADD 5, RAX`; assembly::UnencodableReason::kOperandForm). */
   kUnsupportedArity,
 };
 

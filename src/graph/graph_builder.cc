@@ -257,8 +257,12 @@ BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
           state.WriteMemory(mnemonic_node, instruction_index);
           break;
         default:
-          GRANITE_PANIC("write to non-register, non-memory operand in "
-                        << instruction.ToString());
+          // assembly::CheckEncodable refuses such a block at every entry
+          // from text, so only a block built in code can get here.
+          GRANITE_PANIC("invariant violated: written operand "
+                        << i << " is neither a register nor memory in "
+                        << instruction.ToString()
+                        << " (assembly::CheckEncodable refuses this form)");
       }
     }
     if (implicit_apply) {

@@ -24,10 +24,12 @@ constexpr std::uint64_t kMaxTokens = 1ull << 22;
 constexpr std::uint64_t kMaxParameters = 1ull << 20;
 constexpr std::uint64_t kMaxTensorElements = 1ull << 28;
 
-std::uint64_t TensorElements(const BundleTensorInfo& tensor) {
-  return static_cast<std::uint64_t>(tensor.rows) *
-         static_cast<std::uint64_t>(tensor.cols);
-}
+/** One tensor's name and shape, as stored ahead of its values. */
+struct TensorHeader {
+  std::string name;
+  std::int32_t rows = 0;
+  std::int32_t cols = 0;
+};
 
 class BundleWriter {
  public:
@@ -75,10 +77,9 @@ class BundleWriter {
 };
 
 /**
- * Reads a bundle front to back. The format checks LoadModel and
- * InspectBundle share — magic, version, string and vocabulary-size
- * bounds, tensor-shape bounds, the end of the file — live here, so the
- * two readers reject the same corruption with the same message.
+ * Reads a bundle front to back for LoadModel: the format checks — magic,
+ * version, string and vocabulary-size bounds, tensor-shape bounds, the
+ * end of the file — and the running checksum live here.
  */
 class BundleReader {
  public:
@@ -87,26 +88,6 @@ class BundleReader {
     if (!file_.is_open()) {
       throw CheckpointError("cannot read checkpoint bundle: " + path);
     }
-    file_.seekg(0, std::ios::end);
-    file_size_ = static_cast<std::uint64_t>(file_.tellg());
-    file_.seekg(0);
-  }
-
-  std::uint64_t file_size() const { return file_size_; }
-
-  /**
-   * Seeks forward over `size` bytes without feeding the checksum — the
-   * metadata-only inspection path (InspectBundle), which skips tensor
-   * values and therefore cannot verify the trailer anyway.
-   */
-  void Skip(std::uint64_t size, const char* what) {
-    const std::uint64_t position =
-        static_cast<std::uint64_t>(file_.tellg());
-    if (file_.fail() || file_size_ - position < size) {
-      throw CheckpointError("truncated checkpoint bundle (" +
-                            std::string(what) + "): " + path_);
-    }
-    file_.seekg(static_cast<std::streamoff>(position + size));
   }
 
   /** Mirrors BundleWriter::WriteRaw: every consumed byte feeds the
@@ -147,11 +128,9 @@ class BundleReader {
     return value;
   }
 
-  /** ReadString without the bytes: checked like it, then seeked over. */
-  void SkipString(const char* what) { Skip(ReadStringSize(what), what); }
-
-  /** Reads the magic and the format version; returns the version. */
-  std::uint32_t ReadMagicAndVersion() {
+  /** Reads the magic and the format version; throws unless both match
+   * this build's. */
+  void ReadMagicAndVersion() {
     std::array<char, 8> magic{};
     ReadRaw(magic.data(), magic.size(), "magic");
     if (magic != kBundleMagic) {
@@ -165,7 +144,6 @@ class BundleReader {
           " (this build reads version " +
           std::to_string(kBundleFormatVersion) + "): " + path_);
     }
-    return version;
   }
 
   std::uint64_t ReadVocabularySize() {
@@ -178,13 +156,15 @@ class BundleReader {
   }
 
   /** Reads one tensor's name and shape, up to its values. */
-  BundleTensorInfo ReadTensorHeader() {
-    BundleTensorInfo tensor;
+  TensorHeader ReadTensorHeader() {
+    TensorHeader tensor;
     tensor.name = ReadString("parameter name");
     tensor.rows = ReadScalar<std::int32_t>("parameter rows");
     tensor.cols = ReadScalar<std::int32_t>("parameter cols");
     if (tensor.rows < 0 || tensor.cols < 0 ||
-        TensorElements(tensor) > kMaxTensorElements) {
+        static_cast<std::uint64_t>(tensor.rows) *
+                static_cast<std::uint64_t>(tensor.cols) >
+            kMaxTensorElements) {
       throw CheckpointError(
           "corrupt checkpoint bundle (bad tensor shape for '" + tensor.name +
           "'): " + path_);
@@ -214,7 +194,6 @@ class BundleReader {
 
   std::string path_;
   std::ifstream file_;
-  std::uint64_t file_size_ = 0;
   std::uint64_t checksum_ = kFnvOffsetBasis;
 };
 
@@ -312,7 +291,7 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
   }
   std::unordered_set<std::string> loaded;
   for (std::uint64_t i = 0; i < num_parameters; ++i) {
-    const BundleTensorInfo tensor = reader.ReadTensorHeader();
+    const TensorHeader tensor = reader.ReadTensorHeader();
     const std::string& name = tensor.name;
     if (!loaded.insert(name).second) {
       throw CheckpointError(
@@ -349,37 +328,6 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
   // prediction cache attached before the load self-invalidates.
   model->parameters().BumpGeneration();
   return model;
-}
-
-BundleInfo InspectBundle(const std::string& path) {
-  BundleReader reader(path);
-  BundleInfo info;
-  info.file_bytes = reader.file_size();
-  info.version = reader.ReadMagicAndVersion();
-  info.kind = reader.ReadString("model kind");
-  info.config_text = reader.ReadString("config");
-  info.vocabulary_size = reader.ReadVocabularySize();
-  for (std::uint64_t i = 0; i < info.vocabulary_size; ++i) {
-    reader.SkipString("vocabulary token");
-  }
-
-  const std::uint64_t num_parameters =
-      reader.ReadScalar<std::uint64_t>("parameter count");
-  if (num_parameters > kMaxParameters) {
-    throw CheckpointError(
-        "corrupt checkpoint bundle (bad parameter count): " + path);
-  }
-  info.tensors.reserve(num_parameters);
-  for (std::uint64_t i = 0; i < num_parameters; ++i) {
-    BundleTensorInfo tensor = reader.ReadTensorHeader();
-    const std::uint64_t elements = TensorElements(tensor);
-    reader.Skip(elements * sizeof(float), "parameter values");
-    info.total_weights += elements;
-    info.tensors.push_back(std::move(tensor));
-  }
-  reader.Skip(sizeof(std::uint64_t), "checksum");
-  reader.ExpectEnd();
-  return info;
 }
 
 }  // namespace granite::model

@@ -24,7 +24,10 @@
  * Corrupt, truncated, version-mismatched or wrong-kind files raise
  * CheckpointError — never UB, never a partial model.
  *
- * Threading contract: SaveModel/LoadModel/InspectBundle are pure
+ * LoadModel is the only reader: whatever opens a bundle, `granite_cli
+ * inspect` included, gets a fully checked model or a CheckpointError.
+ *
+ * Threading contract: SaveModel/LoadModel are pure
  * functions of their arguments and are safe to call concurrently on
  * distinct paths; concurrent writers to the SAME path race at the
  * filesystem level (last writer wins), and SaveModel must not run
@@ -38,7 +41,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "model/throughput_predictor.h"
 
@@ -74,36 +76,6 @@ void SaveModel(const ThroughputPredictor& model, const std::string& path);
  * Throws CheckpointError on any malformed input.
  */
 std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path);
-
-/** Shape entry of one named tensor in a bundle. */
-struct BundleTensorInfo {
-  std::string name;
-  std::int32_t rows = 0;
-  std::int32_t cols = 0;
-};
-
-/** Bundle metadata readable without constructing the model. */
-struct BundleInfo {
-  std::uint32_t version = 0;
-  /** Raw kind string as stored (not required to name a known kind). */
-  std::string kind;
-  std::string config_text;
-  std::uint64_t vocabulary_size = 0;
-  std::vector<BundleTensorInfo> tensors;
-  /** Sum of rows*cols over all tensors. */
-  std::uint64_t total_weights = 0;
-  /** Bundle file size in bytes. */
-  std::uint64_t file_bytes = 0;
-};
-
-/**
- * Reads a bundle's header-level metadata — kind, config, vocabulary
- * size, tensor names/shapes — without constructing the model or reading
- * tensor values (they are seeked over). Structural corruption and
- * truncation raise CheckpointError; the payload checksum is NOT verified
- * (that requires reading every byte — use LoadModel for a full check).
- */
-BundleInfo InspectBundle(const std::string& path);
 
 }  // namespace granite::model
 

@@ -82,8 +82,9 @@ enum class OverflowPolicy {
 
 /**
  * The exception an unencodable request's future throws from get(): its
- * block has a mnemonic or an operand count that assembly::CheckEncodable
- * refuses, so no worker ever saw it.
+ * block has a mnemonic, an operand count or a written operand kind (an
+ * immediate in `ADD 5, RAX`) that assembly::CheckEncodable refuses, so
+ * no worker ever saw it.
  */
 class UnencodableBlockError : public std::runtime_error {
  public:

@@ -334,6 +334,30 @@ TEST_F(CorpusIoTest, OversizedBlockTextIsRejectedAndNotWritten) {
   }
 }
 
+TEST_F(CorpusIoTest, WrittenImmediateRecordIsRefusedAtOpen) {
+  // `ADD 5, RAX` parses and its arity is modelled, but it writes an
+  // immediate: the graph builder has no value node for that, so the
+  // corpus does not open.
+  {
+    CorpusWriter writer(path_, uarch::MeasurementTool::kIthemalTool, 0);
+    Sample sample;
+    sample.block = *assembly::ParseBasicBlock("ADD 5, RAX").value;
+    sample.throughput.fill(100.0);
+    writer.Append(sample);
+    writer.Finish();
+  }
+  try {
+    StreamingCorpusSource source(path_);
+    ADD_FAILURE() << "the corpus opened";
+  } catch (const CorpusError& error) {
+    EXPECT_NE(std::string(error.what())
+                  .find("unencodable block: ADD operand 0 is written but "
+                        "is an immediate"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(CorpusIoTest, MissingFileRaisesCleanError) {
   ExpectAllReadersThrow();
 }

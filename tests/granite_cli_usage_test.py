@@ -8,6 +8,7 @@ malformed and out-of-range spellings; a flag given twice and a missing
 required flag are tried too. Every case must exit 2, and no output file
 may appear. `predict` must also refuse, with exit 2, a block that parses
 but that the semantics catalog cannot encode, given by --asm or stdin;
+`inspect` must refuse, with exit 1, a bundle with a flipped payload byte;
 `serve` must refuse, with exit 2, a malformed --split or --shadow, a
 split arm or shadow route that names no loaded bundle, and a shadow
 candidate whose task-head count differs from its route's. `eval`,
@@ -188,12 +189,47 @@ def main():
             runner.failures.append("exit %d, stderr %r: %r" %
                                    (result.returncode, result.stderr, argv))
 
+        # inspect loads the bundle, so it prints a valid bundle's
+        # metadata (its file size included) and refuses one flipped
+        # payload byte with the checksum error, printing nothing.
+        argv = ["inspect", "--model-file=" + bundle]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        size_line = "file size:       %d bytes" % os.path.getsize(bundle)
+        if result.returncode != 0 or size_line not in result.stdout:
+            runner.failures.append("exit %d, stdout %r: %r" %
+                                   (result.returncode, result.stdout, argv))
+        with open(bundle, "rb") as source:
+            damaged = bytearray(source.read())
+        # The byte before the 8-byte checksum trailer is a tensor value.
+        damaged[-9] ^= 0x01
+        flipped = os.path.join(models, "flipped.gmb")
+        with open(flipped, "wb") as sink:
+            sink.write(damaged)
+        argv = ["inspect", "--model-file=" + flipped]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        if (result.returncode != 1 or
+                "checksum mismatch" not in result.stderr or result.stdout):
+            runner.failures.append("exit %d, stdout %r, stderr %r: %r" %
+                                   (result.returncode, result.stdout,
+                                    result.stderr, argv))
+
         # predict refuses a block the catalog cannot encode (unknown
-        # mnemonic, unmodelled arity) with exit 2, from --asm and stdin.
-        # A valid block runs, so the refusals are not blanket ones.
+        # mnemonic, unmodelled arity, an immediate in a written slot)
+        # with exit 2, from --asm and stdin. A valid block runs, so the
+        # refusals are not blanket ones.
         for asm, status, message in [
                 ("ADD RAX", 2, "ADD with 1 operands"),
                 ("FROB RAX", 2, "unknown mnemonic FROB"),
+                ("ADD 5, RAX", 2,
+                 "ADD operand 0 is written but is an immediate"),
                 ("ADD RAX, RBX", 0, "")]:
             for flags, stdin in [(["--asm=" + asm], ""), ([], asm)]:
                 argv = ["predict", "--model-file=" + bundle] + flags

@@ -342,6 +342,30 @@ TEST_F(ImporterTest, FileLevelFailuresThrowImportError) {
       ImportError);
 }
 
+TEST_F(ImporterTest, WrittenImmediateRowIsAnUnsupportedForm) {
+  // The row's arity is modelled, but ADD writes its immediate operand 0:
+  // it lands with the forms the catalog does not model, and the reject
+  // line names the slot.
+  WriteCsv(
+      "\"ADD 5, RAX\",100\n"
+      "\"ADD RAX, 5\",100\n");
+  ImportOptions options;
+  options.rejects_path = rejects_path_;
+  const ImportStats stats =
+      ImportBhiveCsv(csv_path_, corpus_path_, options);
+  EXPECT_EQ(stats.imported, 1u);
+  EXPECT_EQ(stats.rejected(), 1u);
+  EXPECT_EQ(stats.rejected_by_reason[static_cast<int>(
+                ImportRejectReason::kUnsupportedArity)],
+            1u);
+  const std::vector<std::string> lines = ReadRejectLines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("unsupported_arity"), std::string::npos);
+  EXPECT_NE(lines[0].find("ADD operand 0 is written but is an immediate"),
+            std::string::npos)
+      << lines[0];
+}
+
 TEST_F(ImporterTest, RejectedPpmRoundTripsThroughWriterAndReader) {
   {
     CorpusWriter writer(corpus_path_, uarch::MeasurementTool::kBHiveTool,

@@ -76,7 +76,8 @@ class InferenceServerTest : public ::testing::Test {
 };
 
 /** Blocks that parse but that the catalog cannot encode: an operand
- * count ADD does not have, and a mnemonic it does not know. */
+ * count ADD does not have, a mnemonic it does not know, or an immediate
+ * in a written slot. */
 assembly::BasicBlock ParseUnencodable(const char* text) {
   return *assembly::ParseBasicBlock(text).value;
 }
@@ -785,6 +786,7 @@ TEST_F(InferenceServerTest, UnencodableSubmitFailsItsFutureWithoutABatch) {
 
   const assembly::BasicBlock arity = ParseUnencodable("ADD RAX");
   const assembly::BasicBlock unknown = ParseUnencodable("FROB RAX");
+  const assembly::BasicBlock form = ParseUnencodable("ADD 5, RAX");
   std::optional<std::future<double>> future = server.Submit(&arity, 0);
   ASSERT_TRUE(future.has_value());
   EXPECT_EQ(UnencodableReasonOf(*future),
@@ -793,13 +795,17 @@ TEST_F(InferenceServerTest, UnencodableSubmitFailsItsFutureWithoutABatch) {
   ASSERT_TRUE(future.has_value());
   EXPECT_EQ(UnencodableReasonOf(*future),
             assembly::UnencodableReason::kUnknownMnemonic);
+  future = server.Submit(&form, 0);
+  ASSERT_TRUE(future.has_value());
+  EXPECT_EQ(UnencodableReasonOf(*future),
+            assembly::UnencodableReason::kOperandForm);
   // Counted as answered the moment Submit returns, and no worker ran a
-  // batch for either.
+  // batch for any.
   ServerStats stats = server.Stats();
   ExpectCoherentCounters(stats);
-  EXPECT_EQ(stats.submitted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.failed, 2u);
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats.failed, 3u);
   EXPECT_EQ(stats.batches, 0u);
   EXPECT_EQ(stats.mean_batch_occupancy, 0.0);
 
@@ -820,9 +826,9 @@ TEST_F(InferenceServerTest, UnencodableSubmitFailsItsFutureWithoutABatch) {
   reader.join();
   stats = server.Stats();
   ExpectCoherentCounters(stats);
-  EXPECT_EQ(stats.submitted, 42u);
-  EXPECT_EQ(stats.completed, 42u);
-  EXPECT_EQ(stats.failed, 22u);
+  EXPECT_EQ(stats.submitted, 43u);
+  EXPECT_EQ(stats.completed, 43u);
+  EXPECT_EQ(stats.failed, 23u);
   EXPECT_EQ(stats.mean_batch_occupancy, 20.0 / stats.batches);
 
   // After shutdown an unencodable block is rejected like any other.

@@ -4,7 +4,9 @@
  */
 #include <cctype>
 #include <initializer_list>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -194,6 +196,56 @@ TEST(IsSupportedInstructionTest, KnownAndUnknown) {
   add3.mnemonic = "ADD";
   add3.operands = {Operand::Imm(1), Operand::Imm(2), Operand::Imm(3)};
   EXPECT_FALSE(IsSupportedInstruction(add3));
+}
+
+TEST(CheckEncodableTest, ImmediateInAnyWrittenSlotIsAnOperandFormError) {
+  const SemanticsCatalog& catalog = SemanticsCatalog::Get();
+  std::size_t written_slots = 0;
+  for (std::size_t id = 0; id < catalog.size(); ++id) {
+    const InstructionSemantics& row = catalog.Row(id);
+    for (const std::vector<OperandUsage>& usage : row.usage_by_arity) {
+      BasicBlock block;
+      block.instructions.push_back({row.mnemonic, {}, {}});
+      Instruction& instruction = block.instructions.back();
+      instruction.operands.assign(usage.size(),
+                                  Operand::Reg(RegisterByName("RAX")));
+      EXPECT_FALSE(CheckEncodable(block).has_value())
+          << instruction.ToString();
+      for (std::size_t slot = 0; slot < usage.size(); ++slot) {
+        if (usage[slot] == OperandUsage::kRead) continue;
+        ++written_slots;
+        const Operand kept = instruction.operands[slot];
+        instruction.operands[slot] = Operand::Imm(5);
+        const std::optional<Unencodable> refused = CheckEncodable(block);
+        ASSERT_TRUE(refused.has_value()) << instruction.ToString();
+        EXPECT_EQ(refused->reason, UnencodableReason::kOperandForm);
+        EXPECT_EQ(refused->message,
+                  row.mnemonic + " operand " + std::to_string(slot) +
+                      " is written but is an immediate");
+        instruction.operands[slot] = kept;
+      }
+    }
+  }
+  // Most rows write an explicit operand in some form.
+  EXPECT_GT(written_slots, catalog.size() / 2);
+}
+
+TEST(CheckEncodableTest, OperandFormNamesTheWrittenKind) {
+  for (const auto& [text, message] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"ADD 5, RAX", "ADD operand 0 is written but is an immediate"},
+           {"POP 7", "POP operand 0 is written but is an immediate"},
+           {"INC 1", "INC operand 0 is written but is an immediate"},
+           {"LEA [RAX], RBX", "LEA operand 0 is written but is an address"},
+           {"MOV 1.5, RAX",
+            "MOV operand 0 is written but is a floating-point immediate"}}) {
+    const auto block = ParseBasicBlock(text);
+    ASSERT_TRUE(block.ok()) << text;
+    const std::optional<Unencodable> refused = CheckEncodable(*block.value);
+    ASSERT_TRUE(refused.has_value()) << text;
+    EXPECT_EQ(refused->reason, UnencodableReason::kOperandForm) << text;
+    EXPECT_EQ(refused->message, message);
+  }
 }
 
 TEST(SemanticsCatalogTest, EveryEntryHasAtLeastOneArity) {

@@ -21,13 +21,12 @@
  *            naive spelling, search rewrites scored by a served bundle
  *            (or the analytical oracle), and report per-block predicted
  *            speedups plus the oracle-verified improved fraction.
- *   inspect  Dump a checkpoint bundle's metadata (kind, config,
- *            vocabulary size, tensor names/shapes) from the header,
- *            without constructing the model.
+ *   inspect  Load a checkpoint bundle (model::LoadModel, so every byte
+ *            and the checksum are verified) and print its metadata:
+ *            kind, config, vocabulary size, tensor names/shapes.
  *   isa      Inspect the instruction-semantics table: coverage summary,
- *            per-mnemonic lookup (--lookup=ADD), emit the generated ISA
- *            reference (--doc=docs/ISA.md), or verify a checked-in copy
- *            against the table (--check=docs/ISA.md, the CI drift gate).
+ *            per-mnemonic lookup (--lookup=ADD), or emit the generated
+ *            ISA reference (--doc=docs/ISA.md).
  *   dataset  Corpus-file tooling:
  *     dataset synthesize  Stream a labeled synthetic corpus to disk
  *                         (bounded memory — million-block corpora never
@@ -60,6 +59,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -980,24 +980,28 @@ int RunAutotune(const Args& args) {
 
 int RunInspect(const Args& args) {
   const std::string& path = args.Text("model-file");
-  const granite::model::BundleInfo info =
-      granite::model::InspectBundle(path);
+  const std::unique_ptr<granite::model::ThroughputPredictor> model =
+      granite::model::LoadModel(path);
+  const auto& tensors = model->parameters().parameters();
   std::printf("checkpoint bundle: %s\n", path.c_str());
-  std::printf("  format version:  %u\n", info.version);
-  std::printf("  model kind:      %s\n", info.kind.c_str());
-  std::printf("  vocabulary size: %llu tokens\n",
-              static_cast<unsigned long long>(info.vocabulary_size));
-  std::printf("  tensors:         %zu (%llu weights)\n",
-              info.tensors.size(),
-              static_cast<unsigned long long>(info.total_weights));
+  std::printf("  format version:  %u\n",
+              granite::model::kBundleFormatVersion);
+  std::printf("  model kind:      %s\n",
+              std::string(granite::model::ModelKindName(model->kind()))
+                  .c_str());
+  std::printf("  vocabulary size: %zu tokens\n",
+              model->vocabulary().tokens().size());
+  std::printf("  tensors:         %zu (%zu weights)\n", tensors.size(),
+              model->parameters().TotalWeights());
   std::printf("  file size:       %llu bytes\n",
-              static_cast<unsigned long long>(info.file_bytes));
-  std::printf("  config:          %s\n", info.config_text.c_str());
+              static_cast<unsigned long long>(
+                  std::filesystem::file_size(path)));
+  std::printf("  config:          %s\n", model->DescribeConfig().c_str());
   if (args.Bool("tensors")) {
     std::printf("  tensor shapes:\n");
-    for (const granite::model::BundleTensorInfo& tensor : info.tensors) {
-      std::printf("    %-40s %6d x %-6d\n", tensor.name.c_str(),
-                  tensor.rows, tensor.cols);
+    for (const auto& tensor : tensors) {
+      std::printf("    %-40s %6d x %-6d\n", tensor->name.c_str(),
+                  tensor->value.rows(), tensor->value.cols());
     }
   }
   return 0;
@@ -1132,10 +1136,8 @@ int RunDatasetInspect(const Args& args) {
 }
 
 /**
- * The `isa` subcommand. --lookup, --doc and --check compose (each runs
- * in that order); with no flags, prints the coverage summary. --check is
- * the CI drift gate: it fails unless the file on disk is byte-identical
- * to the reference rendered from the instruction table.
+ * The `isa` subcommand. --lookup and --doc compose (each runs in that
+ * order); with no flags, prints the coverage summary.
  */
 int RunIsa(const Args& args) {
   bool acted = false;
@@ -1168,27 +1170,6 @@ int RunIsa(const Args& args) {
       }
       std::printf("wrote %s (%zu bytes)\n", path.c_str(), doc.size());
     }
-    acted = true;
-  }
-  if (args.Given("check")) {
-    const std::string& path = args.Text("check");
-    std::ifstream file(path, std::ios::binary);
-    if (!file.is_open()) {
-      std::fprintf(stderr, "granite_cli isa: cannot read %s\n",
-                   path.c_str());
-      return 1;
-    }
-    std::ostringstream on_disk;
-    on_disk << file.rdbuf();
-    if (on_disk.str() != granite::assembly::RenderIsaReference()) {
-      std::fprintf(stderr,
-                   "granite_cli isa: %s does not match the semantics "
-                   "table — regenerate it with `granite_cli isa "
-                   "--doc=%s`\n",
-                   path.c_str(), path.c_str());
-      return 1;
-    }
-    std::printf("%s matches the semantics table\n", path.c_str());
     acted = true;
   }
   if (!acted) std::fputs(granite::assembly::RenderIsaSummary().c_str(),
@@ -1303,7 +1284,7 @@ const std::vector<CommandSpec>& CommandTable() {
         Bool("verbose", false, "print optimized block text")},
        RunAutotune},
       {"inspect",
-       "dump checkpoint bundle metadata without loading the model",
+       "load and verify a checkpoint bundle, then print its metadata",
        {Required(Text("model-file", "PATH", "checkpoint bundle")),
         Bool("tensors", false, "list every tensor shape")},
        RunInspect},
@@ -1312,10 +1293,7 @@ const std::vector<CommandSpec>& CommandTable() {
        "summary)",
        {Text("lookup", "MNEMONIC", "print one mnemonic's semantics"),
         Text("doc", "PATH",
-             "write the generated ISA reference markdown (- = stdout)"),
-        Text("check", "PATH",
-             "exit 1 unless PATH matches the generated reference byte for "
-             "byte")},
+             "write the generated ISA reference markdown (- = stdout)")},
        RunIsa},
       {"dataset synthesize",
        "stream a labeled synthetic corpus to disk with bounded memory",
