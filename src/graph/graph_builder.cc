@@ -261,8 +261,7 @@ BlockGraph GraphBuilder::Build(const assembly::BasicBlock& block) const {
           // from text, so only a block built in code can get here.
           GRANITE_PANIC("invariant violated: written operand "
                         << i << " is neither a register nor memory in "
-                        << instruction.ToString()
-                        << " (assembly::CheckEncodable refuses this form)");
+                        << instruction.ToString());
       }
     }
     if (implicit_apply) {
