@@ -6,6 +6,11 @@
 
 namespace granite::ml {
 
+// Adam's default moment decay rates and denominator epsilon.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
 AdamOptimizer::AdamOptimizer(const AdamConfig& config) : config_(config) {
   GRANITE_CHECK_GT(config.learning_rate, 0.0f);
 }
@@ -21,9 +26,9 @@ void AdamOptimizer::Step(ParameterStore& store) {
     ClipGradientsByGlobalNorm(store, config_.gradient_clip_norm);
   }
   const double bias_correction1 =
-      1.0 - std::pow(config_.beta1, static_cast<double>(step_count_));
+      1.0 - std::pow(kBeta1, static_cast<double>(step_count_));
   const double bias_correction2 =
-      1.0 - std::pow(config_.beta2, static_cast<double>(step_count_));
+      1.0 - std::pow(kBeta2, static_cast<double>(step_count_));
   for (const auto& parameter : store.parameters()) {
     Tensor& value = parameter->value;
     Tensor& grad = parameter->grad;
@@ -31,14 +36,12 @@ void AdamOptimizer::Step(ParameterStore& store) {
     Tensor& v = parameter->adam_v;
     for (std::size_t i = 0; i < value.size(); ++i) {
       const float g = grad.data()[i];
-      m.data()[i] = config_.beta1 * m.data()[i] + (1.0f - config_.beta1) * g;
-      v.data()[i] =
-          config_.beta2 * v.data()[i] + (1.0f - config_.beta2) * g * g;
+      m.data()[i] = kBeta1 * m.data()[i] + (1.0f - kBeta1) * g;
+      v.data()[i] = kBeta2 * v.data()[i] + (1.0f - kBeta2) * g * g;
       const double m_hat = m.data()[i] / bias_correction1;
       const double v_hat = v.data()[i] / bias_correction2;
       value.data()[i] -= static_cast<float>(
-          config_.learning_rate * m_hat /
-          (std::sqrt(v_hat) + config_.epsilon));
+          config_.learning_rate * m_hat / (std::sqrt(v_hat) + kEpsilon));
     }
     grad.SetZero();
   }

@@ -12,12 +12,10 @@
 
 namespace granite::ml {
 
-/** Configuration of the Adam optimizer. */
+/** Configuration of the Adam optimizer. The moment decay rates and
+ * epsilon are the paper's defaults, fixed in optimizer.cc. */
 struct AdamConfig {
   float learning_rate = 1e-3f;
-  float beta1 = 0.9f;
-  float beta2 = 0.999f;
-  float epsilon = 1e-8f;
   /**
    * When positive, gradients are rescaled so that their global L2 norm
    * does not exceed this value before the update is applied.

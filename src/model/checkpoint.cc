@@ -324,9 +324,6 @@ std::unique_ptr<ThroughputPredictor> LoadModel(const std::string& path) {
         "corrupt checkpoint bundle (checksum mismatch): " + path);
   }
   reader.ExpectEnd();
-  // The values changed under the model: advance the generation so any
-  // prediction cache attached before the load self-invalidates.
-  model->parameters().BumpGeneration();
   return model;
 }
 

@@ -1,10 +1,11 @@
 #include "serve/model_router.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <limits>
+#include <sstream>
 #include <utility>
 
 #include "base/logging.h"
@@ -24,39 +25,55 @@ std::string_view CanaryStateName(CanaryState state) {
   GRANITE_PANIC("unhandled CanaryState " << static_cast<int>(state));
 }
 
+namespace {
+
+/** Throws a RouterSetupError whose message is `parts` streamed in turn. */
+template <typename... Parts>
+[[noreturn]] void Refuse(const Parts&... parts) {
+  std::ostringstream message;
+  (message << ... << parts);
+  throw RouterSetupError(message.str());
+}
+
+}  // namespace
+
 ModelRouter::ModelRouter(RouterSetup setup) {
   // Every check runs before the first server starts.
   for (const ModelRoute& route : setup.models) {
-    GRANITE_CHECK_MSG(route.model != nullptr,
-                      "model route without a model: " << route.name);
-    GRANITE_CHECK_MSG(route.candidate == nullptr ||
-                          route.shadow.min_comparisons >= 1,
-                      "shadow min_comparisons must be at least 1 on route "
-                          << route.name);
+    if (route.model == nullptr) {
+      Refuse("model route '", route.name, "' has no model");
+    }
+    if (route.candidate != nullptr && route.shadow.min_comparisons == 0) {
+      Refuse("shadow min_comparisons of route '", route.name,
+             "' must be at least 1");
+    }
     // A mirrored request's task must exist on the candidate too.
-    GRANITE_CHECK_MSG(route.candidate == nullptr ||
-                          route.candidate->num_tasks() ==
-                              route.model->num_tasks(),
-                      "shadow candidate of route "
-                          << route.name << " has "
-                          << route.candidate->num_tasks()
-                          << " task heads, the route has "
-                          << route.model->num_tasks());
-    const bool inserted = routes_.try_emplace(route.name).second;
-    GRANITE_CHECK_MSG(inserted, "duplicate model name: " << route.name);
+    if (route.candidate != nullptr &&
+        route.candidate->num_tasks() != route.model->num_tasks()) {
+      Refuse("shadow candidate has ", route.candidate->num_tasks(),
+             " task head(s), route '", route.name, "' has ",
+             route.model->num_tasks());
+    }
+    if (!routes_.try_emplace(route.name).second) {
+      Refuse("duplicate model route name '", route.name, "'");
+    }
   }
   for (const SplitRoute& route : setup.splits) {
-    GRANITE_CHECK_MSG(route.weight_a >= 0.0 && route.weight_a <= 1.0,
-                      "split weight must be in [0, 1], got "
-                          << route.weight_a);
-    GRANITE_CHECK_MSG(routes_.count(route.route_a) == 1,
-                      "split arm is not a model: " << route.route_a);
-    GRANITE_CHECK_MSG(routes_.count(route.route_b) == 1,
-                      "split arm is not a model: " << route.route_b);
-    GRANITE_CHECK_MSG(routes_.count(route.name) == 0,
-                      "split name collides with a model: " << route.name);
+    if (!(route.weight_a >= 0.0 && route.weight_a <= 1.0)) {
+      Refuse("split '", route.name, "' weight must be in [0, 1], got ",
+             route.weight_a);
+    }
+    for (const std::string* arm : {&route.route_a, &route.route_b}) {
+      if (routes_.count(*arm) == 0) {
+        Refuse("split '", route.name, "' arm '", *arm,
+               "' is not a model route");
+      }
+    }
+    if (routes_.count(route.name) == 1) {
+      Refuse("split name '", route.name, "' collides with a model route");
+    }
     const auto [it, inserted] = splits_.try_emplace(route.name);
-    GRANITE_CHECK_MSG(inserted, "duplicate split name: " << route.name);
+    if (!inserted) Refuse("duplicate split name '", route.name, "'");
     it->second.route_a = route.route_a;
     it->second.route_b = route.route_b;
     it->second.weight_a = route.weight_a;
@@ -77,10 +94,7 @@ ModelRouter::ModelRouter(RouterSetup setup) {
     session->candidate = std::move(route.candidate);
     session->candidate_server = std::make_unique<InferenceServer>(
         session->candidate.get(), session->config.server_config);
-    session->mirror_slots.store(session->config.min_comparisons,
-                                std::memory_order_relaxed);
-    session->comparator = std::thread(ComparatorLoop, std::ref(entry),
-                                      std::ref(*session));
+    session->mirror_slots = session->config.min_comparisons;
     entry.shadow = std::move(session);
   }
 }
@@ -113,19 +127,16 @@ const std::string& ModelRouter::ResolveSplit(
   return split.route_b;
 }
 
-void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
-  std::unique_lock<std::mutex> lock(session.mutex);
-  for (;;) {
-    session.event.wait(lock, [&session] {
-      return session.stopping || !session.pending.empty();
-    });
-    if (session.pending.empty()) return;  // Stopping, nothing left.
-    PendingComparison pair = std::move(session.pending.front());
-    session.pending.pop_front();
-    lock.unlock();
-
-    // Blocking waits happen off the lock (and off the client path: the
-    // client owns an independent copy of the primary shared_future).
+void ModelRouter::FoldReady(const Entry& entry, ShadowSession& session) {
+  constexpr std::chrono::seconds kNoWait{0};
+  while (!session.pending.empty()) {
+    PendingComparison& pair = session.pending.front();
+    // Pairs fold in submission order, so the front pair waits for its
+    // predictions and every later pair waits behind it.
+    if (pair.primary.wait_for(kNoWait) != std::future_status::ready ||
+        pair.candidate.wait_for(kNoWait) != std::future_status::ready) {
+      return;
+    }
     double primary_value = 0.0;
     double candidate_value = 0.0;
     bool comparable = true;
@@ -139,13 +150,13 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
     } catch (...) {
       comparable = false;
     }
+    session.pending.pop_front();
 
-    lock.lock();
     if (!comparable) {
       ++session.compare_failures;
       // The failed mirror's slot goes back, so the verdict still gets
       // min_comparisons compared pairs.
-      session.mirror_slots.fetch_add(1, std::memory_order_relaxed);
+      ++session.mirror_slots;
       continue;
     }
     ++session.compared;
@@ -163,7 +174,8 @@ void ModelRouter::ComparatorLoop(Entry& entry, ShadowSession& session) {
     if (abs_diff == 0.0) ++session.parity;
 
     // Each compared pair used a mirror slot that never comes back, so
-    // the count reaches min_comparisons exactly once.
+    // the count reaches min_comparisons exactly once, with no pair
+    // pending or in flight.
     if (session.compared == session.config.min_comparisons) {
       if (session.parity == session.compared) {
         session.state.store(CanaryState::kPromoted,
@@ -189,12 +201,12 @@ std::optional<ShadowStats> ModelRouter::ShadowStatus(
   GRANITE_CHECK_MSG(entry != nullptr, "unknown model: " << name);
   ShadowSession* session = entry->shadow.get();
   if (session == nullptr) return std::nullopt;
-  ShadowStats stats;
-  stats.state = session->state.load(std::memory_order_acquire);
-  stats.mirrored = session->mirrored.load(std::memory_order_relaxed);
-  stats.mirror_rejects =
-      session->mirror_rejects.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(session->mutex);
+  FoldReady(*entry, *session);
+  ShadowStats stats;
+  stats.state = session->state.load(std::memory_order_relaxed);
+  stats.mirrored = session->mirrored;
+  stats.mirror_rejects = session->mirror_rejects;
   stats.compared = session->compared;
   stats.parity = session->parity;
   stats.compare_failures = session->compare_failures;
@@ -240,38 +252,39 @@ std::optional<std::future<double>> ModelRouter::Submit(
   if (!primary.has_value()) return std::nullopt;
 
   ShadowSession* session = entry->shadow.get();
-  if (session == nullptr) return primary;
-  // Take a mirror slot; none are left once the verdict's comparisons
-  // are all done or in flight.
-  std::uint64_t slots = session->mirror_slots.load(std::memory_order_relaxed);
-  do {
-    if (slots == 0) return primary;
-  } while (!session->mirror_slots.compare_exchange_weak(
-      slots, slots - 1, std::memory_order_relaxed));
-  // Mirror to the candidate. Its server runs OverflowPolicy::kReject,
-  // so a saturated candidate rejects here instead of blocking the client.
-  std::optional<std::future<double>> mirrored =
-      session->candidate_server->Submit(block, task);
-  if (!mirrored.has_value()) {
-    session->mirror_slots.fetch_add(1, std::memory_order_relaxed);
-    session->mirror_rejects.fetch_add(1, std::memory_order_relaxed);
+  // After the verdict no pair is pending and no mirror slot is left.
+  if (session == nullptr || session->state.load(std::memory_order_acquire) !=
+                                CanaryState::kShadowing) {
     return primary;
   }
-  session->mirrored.fetch_add(1, std::memory_order_relaxed);
-  // The client gets its own copy of the primary's shared state; the
-  // comparator holds another. The candidate's value can reach only the
-  // comparator — never the client — and a stuck candidate can delay
-  // only comparisons, not answers.
-  std::shared_future<double> shared_primary = primary->share();
-  {
-    std::lock_guard<std::mutex> lock(session->mutex);
-    session->pending.push_back(
-        PendingComparison{shared_primary, std::move(*mirrored)});
+  std::lock_guard<std::mutex> lock(session->mutex);
+  // No mirror slot is left once the verdict's comparisons are all done
+  // or in flight.
+  if (session->mirror_slots > 0) {
+    // Mirror to the candidate. Its server runs OverflowPolicy::kReject,
+    // so a saturated candidate rejects here instead of blocking the
+    // client.
+    std::optional<std::future<double>> mirrored =
+        session->candidate_server->Submit(block, task);
+    if (!mirrored.has_value()) {
+      ++session->mirror_rejects;
+    } else {
+      --session->mirror_slots;
+      ++session->mirrored;
+      // The client gets its own copy of the primary's shared state; the
+      // pending pair holds another. The candidate's value can reach only
+      // the comparison — never the client — and a stuck candidate can
+      // delay only comparisons, not answers.
+      std::shared_future<double> shared_primary = primary->share();
+      session->pending.push_back(
+          PendingComparison{shared_primary, std::move(*mirrored)});
+      primary = std::async(std::launch::deferred, [shared_primary] {
+        return shared_primary.get();
+      });
+    }
   }
-  session->event.notify_one();
-  return std::async(std::launch::deferred, [shared_primary] {
-    return shared_primary.get();
-  });
+  FoldReady(*entry, *session);
+  return primary;
 }
 
 ServerStats ModelRouter::Stats(const std::string& name) const {
@@ -290,6 +303,8 @@ const model::ThroughputPredictor& ModelRouter::Model(
 std::string ModelRouter::StatsString() const {
   std::string text;
   for (const auto& [name, entry] : routes_) {
+    // Folded first, so a promotion it decides shows in this block.
+    const std::optional<ShadowStats> shadow = ShadowStatus(name);
     const InferenceServer* server =
         entry.active_server.load(std::memory_order_acquire);
     text += "model '" + name + "' (";
@@ -305,7 +320,6 @@ std::string ModelRouter::StatsString() const {
       if (end == std::string::npos) break;
       start = end + 1;
     }
-    const std::optional<ShadowStats> shadow = ShadowStatus(name);
     if (shadow.has_value()) {
       text += "  shadow: state=" + std::string(CanaryStateName(shadow->state));
       text += ", mirrored=" + std::to_string(shadow->mirrored);
@@ -333,23 +347,15 @@ std::string ModelRouter::StatsString() const {
 
 void ModelRouter::Shutdown() {
   std::call_once(shutdown_once_, [this] {
-    // Phase 1: shut down every server, primaries and candidates. Each
-    // drains its queued requests, so every future the comparators are
-    // waiting on resolves.
     for (auto& [name, entry] : routes_) {
       entry.server->Shutdown();
-      if (entry.shadow != nullptr) entry.shadow->candidate_server->Shutdown();
-    }
-    // Phase 2: drain and join the comparators.
-    for (auto& [name, entry] : routes_) {
       if (entry.shadow == nullptr) continue;
       ShadowSession& session = *entry.shadow;
-      {
-        std::lock_guard<std::mutex> lock(session.mutex);
-        session.stopping = true;
-      }
-      session.event.notify_all();
-      session.comparator.join();
+      session.candidate_server->Shutdown();
+      // Both servers a pair waits on have drained their queues, so
+      // every pending pair is ready and folds.
+      std::lock_guard<std::mutex> lock(session.mutex);
+      FoldReady(entry, session);
     }
   });
 }

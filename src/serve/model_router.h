@@ -8,7 +8,9 @@
  * window, workers and stats), so traffic for one model never blocks
  * another and per-model per-task statistics stay separable; the router
  * is the thin name → server indirection on top. The routes are fixed
- * when the router is constructed (RouterSetup).
+ * when the router is constructed (RouterSetup), and a setup the router
+ * cannot serve is refused with a RouterSetupError before any server
+ * starts.
  *
  * Routing policies, the canary workflow of a real fleet:
  *
@@ -24,7 +26,10 @@
  *   candidate's predictions are compared against the active model's but
  *   NEVER returned to clients; a candidate that rejects mirrored traffic
  *   (overload) or crashes a batch only shows up in the shadow
- *   statistics. Once enough comparisons accumulate, the session reaches
+ *   statistics. Pairs are compared in submission order, by whichever
+ *   Submit or ShadowStatus call finds the oldest pair's two predictions
+ *   both ready (Shutdown compares the rest), so a session runs no thread
+ *   of its own. Once enough comparisons accumulate, the session reaches
  *   a verdict: parity (equal predictions on every compared request)
  *   promotes the candidate — atomically swapping it in as the route's
  *   active model when auto_promote is set, otherwise only reporting the
@@ -33,14 +38,13 @@
  *
  * Thread-safety: all public methods are safe to call concurrently. The
  * route maps never change after construction; the submit path reads
- * the active server and the shadow session's counters via atomics and
- * takes no router-wide lock.
+ * the active server via an atomic and takes no router-wide lock, only
+ * the route's session lock while it shadows.
  */
 #ifndef GRANITE_SERVE_MODEL_ROUTER_H_
 #define GRANITE_SERVE_MODEL_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -48,15 +52,22 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "model/throughput_predictor.h"
 #include "serve/inference_server.h"
 
 namespace granite::serve {
+
+/** Raised by the ModelRouter constructor for a RouterSetup it cannot
+ * serve; the message names the offending route, split or count. */
+class RouterSetupError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /** Lifecycle of a route's shadow (canary) session. */
 enum class CanaryState {
@@ -176,19 +187,21 @@ class ModelRouter {
    * Checks `setup` — every model set, route and split names unique
    * across both kinds, split weights in [0, 1] and split arms naming
    * model routes, shadow min_comparisons at least 1 and a shadow
-   * candidate with its route's task count — then starts a
-   * server per model route and per shadow candidate, and a comparator
-   * thread per shadow session. The router owns every model.
+   * candidate with its route's task count — and throws a
+   * RouterSetupError on the first violation, before any server starts.
+   * Then starts a server per model route and per shadow candidate. The
+   * router owns every model.
    */
   explicit ModelRouter(RouterSetup setup);
 
-  /** Shuts down every hosted server and comparator. */
+  /** Shuts down every hosted server. */
   ~ModelRouter();
 
   ModelRouter(const ModelRouter&) = delete;
   ModelRouter& operator=(const ModelRouter&) = delete;
 
-  /** The route's shadow statistics, or an empty optional when it has no
+  /** The route's shadow statistics, after comparing every pending pair
+   * whose predictions are ready, or an empty optional when it has no
    * shadow session. Fails on an unknown model name. Thread-safe. */
   std::optional<ShadowStats> ShadowStatus(const std::string& name) const;
 
@@ -199,10 +212,11 @@ class ModelRouter {
   /**
    * Enqueues one prediction request on the named route — a model (its
    * active server, mirrored to the shadow candidate while the session
-   * has mirror slots left) or an A/B split (resolved by block
-   * fingerprint). Returns an empty optional when `name` is unknown
-   * (counted in unknown_model_requests()) or when the serving server
-   * rejects the request (backpressure/shutdown). Thread-safe.
+   * has mirror slots left, then comparing the session's ready pairs) or
+   * an A/B split (resolved by block fingerprint). Returns an empty
+   * optional when `name` is unknown (counted in
+   * unknown_model_requests()) or when the serving server rejects the
+   * request (backpressure/shutdown). Thread-safe.
    */
   std::optional<std::future<double>> Submit(const std::string& name,
                                             const assembly::BasicBlock* block,
@@ -228,8 +242,8 @@ class ModelRouter {
   std::string StatsString() const;
 
   /** Shuts down every hosted server — primaries and shadow candidates —
-   * then drains and joins the shadow comparators (idempotent);
-   * subsequent submissions are rejected. Thread-safe. */
+   * then compares every pending pair, all answered by then
+   * (idempotent); subsequent submissions are rejected. Thread-safe. */
   void Shutdown();
 
  private:
@@ -242,11 +256,9 @@ class ModelRouter {
   };
 
   /**
-   * A route's shadow session. The comparator thread owns the drain side
-   * of `pending`; `mutex` guards `pending`, `stopping` and the
-   * comparison statistics; `state`, the mirror slots and the mirror
-   * counters are atomics so the submit path reads/updates them without
-   * the lock.
+   * A route's shadow session. `mutex` guards every field below it.
+   * `state` changes only under `mutex` too, but is an atomic so the
+   * submit path can skip the lock once the verdict is in.
    */
   struct ShadowSession {
     ShadowConfig config;
@@ -254,38 +266,36 @@ class ModelRouter {
     std::unique_ptr<InferenceServer> candidate_server;
 
     std::atomic<CanaryState> state{CanaryState::kShadowing};
-    /** Mirrors Submit may still start: min_comparisons at first, one
-     * back for each mirror the candidate rejects or fails. */
-    std::atomic<std::uint64_t> mirror_slots{0};
-    std::atomic<std::uint64_t> mirrored{0};
-    std::atomic<std::uint64_t> mirror_rejects{0};
 
     std::mutex mutex;
-    std::condition_variable event;
+    /** Mirrors Submit may still start: min_comparisons at first, one
+     * back for each compare failure. */
+    std::uint64_t mirror_slots = 0;
+    std::uint64_t mirrored = 0;
+    std::uint64_t mirror_rejects = 0;
+    /** Mirrored pairs in submission order, compared from the front. */
     std::deque<PendingComparison> pending;
-    bool stopping = false;
-    /** Comparison stats; guarded by mutex. */
+    /** Comparison stats. */
     std::uint64_t compared = 0;
     std::uint64_t parity = 0;
     std::uint64_t compare_failures = 0;
     double max_rel_diff = 0.0;
     double sum_abs_diff = 0.0;
-
-    std::thread comparator;
   };
 
   /**
    * One hosted model route. The active server is an atomic so a canary
    * promotion swaps it to the candidate's without locking the submit
-   * path; the route's own server stays alive until router teardown, so
-   * requests already queued on it always complete. Here and in
+   * path, and mutable because a const ShadowStatus call can reach the
+   * verdict; the route's own server stays alive until router teardown,
+   * so requests already queued on it always complete. Here and in
    * ShadowSession each server is declared after its model, so it is
    * destroyed first.
    */
   struct Entry {
     std::unique_ptr<model::ThroughputPredictor> model;
     std::unique_ptr<InferenceServer> server;
-    std::atomic<InferenceServer*> active_server{nullptr};
+    mutable std::atomic<InferenceServer*> active_server{nullptr};
     /** Null for a route without a shadow session. */
     std::unique_ptr<ShadowSession> shadow;
   };
@@ -307,9 +317,10 @@ class ModelRouter {
   static const std::string& ResolveSplit(Split& split,
                                          const assembly::BasicBlock& block);
 
-  /** Comparator thread: drains pending primary/candidate pairs,
-   * accumulates parity stats, decides the verdict. */
-  static void ComparatorLoop(Entry& entry, ShadowSession& session);
+  /** Compares pending pairs from the front while both predictions of
+   * the front pair are ready, accumulating the parity statistics and
+   * deciding the verdict. The caller holds session.mutex. */
+  static void FoldReady(const Entry& entry, ShadowSession& session);
 
   /** Model routes and splits by name; neither map changes after
    * construction. Entries hold atomics, so they are built in place. */

@@ -10,8 +10,9 @@ may appear. `predict` must also refuse, with exit 2, a block that parses
 but that the semantics catalog cannot encode, given by --asm or stdin;
 `inspect` must refuse, with exit 1, a bundle with a flipped payload byte;
 `serve` must refuse, with exit 2, a malformed --split or --shadow, a
-split arm or shadow route that names no loaded bundle, and a shadow
-candidate whose task-head count differs from its route's. `eval`,
+split arm or shadow route that names no loaded bundle, a shadow
+candidate whose task-head count differs from its route's, and two
+bundles whose file stems name the same route. `eval`,
 `dataset inspect` and `train` must refuse, with exit 1, a corpus with an
 unencodable record.
 
@@ -186,6 +187,26 @@ def main():
         runner.cases += 1
         if (result.returncode != 2 or
                 "has 1 task head(s), route 'two' has 2" not in result.stderr):
+            runner.failures.append("exit %d, stderr %r: %r" %
+                                   (result.returncode, result.stderr, argv))
+
+        # Two bundles with the same file stem name the same route: the
+        # router refuses the duplicate, naming it, with exit 2.
+        for directory in ["a", "b"]:
+            os.mkdir(os.path.join(models, directory))
+            subprocess.run([binary, "train", "--out=" +
+                            os.path.join(models, directory, "x.gmb"),
+                            "--steps=1", "--blocks=16"],
+                           stdin=subprocess.DEVNULL,
+                           stdout=subprocess.DEVNULL, check=True, timeout=60)
+        argv = ["serve", "--model-file=" + os.path.join(models, "a", "x.gmb"),
+                "--model-file=" + os.path.join(models, "b", "x.gmb")]
+        result = subprocess.run([binary] + argv, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                timeout=60)
+        runner.cases += 1
+        if result.returncode != 2 or "'x'" not in result.stderr:
             runner.failures.append("exit %d, stderr %r: %r" %
                                    (result.returncode, result.stderr, argv))
 

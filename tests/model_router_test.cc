@@ -4,12 +4,15 @@
  * loaded from checkpoint bundles) served concurrently behind one submit
  * API, with exact-value expectations (the same batch-composition
  * invariance the InferenceServer suite relies on), per-model per-task
- * stats, and unknown-name handling.
+ * stats, unknown-name handling, and the RouterSetupError refusal of
+ * every setup the router cannot serve.
  */
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -237,6 +240,82 @@ TEST_F(ModelRouterTest, CachedServingSharesTheModelCache) {
   }
   EXPECT_GT(router.Model("ithemal_plus").prediction_cache_hits(), 0u);
   EXPECT_GT(router.Stats("ithemal_plus").cache_hit_rate, 0.0);
+}
+
+TEST_F(ModelRouterTest, RefusedSetupsThrowNamingTheirCause) {
+  const auto two_routes = [] {
+    RouterSetup setup;
+    setup.models.push_back({"a", MakeGranite(1, 1)});
+    setup.models.push_back({"b", MakeGranite(1, 2)});
+    return setup;
+  };
+  const auto with_splits = [&](std::vector<SplitRoute> splits) {
+    RouterSetup setup = two_routes();
+    setup.splits = std::move(splits);
+    return setup;
+  };
+  struct Case {
+    /** A substring of the refusal's what(). */
+    std::string message;
+    std::function<RouterSetup()> make;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate model route name 'a'",
+       [&] {
+         RouterSetup setup = two_routes();
+         setup.models.push_back({"a", MakeGranite(1, 3)});
+         return setup;
+       }},
+      {"duplicate split name 'mix'",
+       [&] { return with_splits({{"mix", "a", "b"}, {"mix", "b", "a"}}); }},
+      {"split name 'b' collides with a model route",
+       [&] { return with_splits({{"b", "a", "b"}}); }},
+      {"split 'mix' arm 'nosuch' is not a model route",
+       [&] { return with_splits({{"mix", "a", "nosuch"}}); }},
+      {"split 'mix' arm 'nosuch' is not a model route",
+       [&] { return with_splits({{"mix", "nosuch", "b"}}); }},
+      {"split 'mix' weight must be in [0, 1], got 1.5",
+       [&] { return with_splits({{"mix", "a", "b", 1.5}}); }},
+      {"split 'mix' weight must be in [0, 1], got -0.25",
+       [&] { return with_splits({{"mix", "a", "b", -0.25}}); }},
+      {"split 'mix' weight must be in [0, 1], got nan",
+       [&] {
+         return with_splits({{"mix", "a", "b",
+                              std::numeric_limits<double>::quiet_NaN()}});
+       }},
+      {"shadow min_comparisons of route 'a' must be at least 1",
+       [&] {
+         RouterSetup setup;
+         ShadowConfig shadow;
+         shadow.min_comparisons = 0;
+         setup.models.push_back(
+             {"a", MakeGranite(1, 1), MakeGranite(1, 2), shadow});
+         return setup;
+       }},
+      {"shadow candidate has 1 task head(s), route 'two' has 2",
+       [&] {
+         RouterSetup setup;
+         setup.models.push_back({"two", MakeGranite(2, 1), MakeGranite(1, 2)});
+         return setup;
+       }},
+      {"model route 'a' has no model",
+       [&] {
+         RouterSetup setup;
+         setup.models.push_back({"a", nullptr});
+         return setup;
+       }},
+  };
+  for (const Case& refused : cases) {
+    try {
+      ModelRouter router(refused.make());
+      ADD_FAILURE() << "accepted a setup that should fail with: "
+                    << refused.message;
+    } catch (const RouterSetupError& error) {
+      EXPECT_NE(std::string(error.what()).find(refused.message),
+                std::string::npos)
+          << "what(): " << error.what();
+    }
+  }
 }
 
 }  // namespace

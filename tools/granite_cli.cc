@@ -633,8 +633,8 @@ int RunServe(const Args& args) {
       std::chrono::microseconds{args.Int("window-us")};
 
   // The shapes of --split=NAME=A:B:WEIGHT and --shadow=ROUTE=PATH are
-  // checked before any bundle loads; the checks that need the loaded
-  // routes come after.
+  // checked before any bundle loads; the router refuses the routes they
+  // name with a RouterSetupError.
   std::string split_name;
   std::string route_a;
   std::string route_b;
@@ -676,17 +676,6 @@ int RunServe(const Args& args) {
   }
 
   granite::serve::RouterSetup setup{.server_config = server_config};
-  // The loaded model routes are checked against this list, so the
-  // router's own checks never abort on a bad flag.
-  const auto find_route = [&setup](const std::string& name) {
-    return std::find_if(setup.models.begin(), setup.models.end(),
-                        [&name](const granite::serve::ModelRoute& route) {
-                          return route.name == name;
-                        });
-  };
-  const auto is_route = [&](const std::string& name) {
-    return find_route(name) != setup.models.end();
-  };
   std::vector<std::pair<std::string, int>> models;  // name → num_tasks
   for (const std::string& entry : args.Texts("model-file")) {
     // --model-file=NAME=PATH names the route; bare PATH uses the file
@@ -705,13 +694,6 @@ int RunServe(const Args& args) {
       name = path.substr(stem, dot == std::string::npos ? std::string::npos
                                                         : dot - stem);
     }
-    if (is_route(name)) {
-      std::fprintf(stderr,
-                   "granite_cli serve: duplicate route name '%s' (use "
-                   "--model-file=NAME=PATH to disambiguate)\n",
-                   name.c_str());
-      return 2;
-    }
     std::unique_ptr<ThroughputPredictor> loaded =
         granite::model::LoadModel(path);
     const int num_tasks = loaded->num_tasks();
@@ -726,20 +708,6 @@ int RunServe(const Args& args) {
   // --split=NAME=A:B:WEIGHT registers a weighted A/B split over two
   // loaded routes and includes it in the replayed traffic.
   if (args.Given("split")) {
-    if (is_route(split_name)) {
-      std::fprintf(stderr,
-                   "granite_cli serve: split name '%s' collides with a "
-                   "loaded route\n",
-                   split_name.c_str());
-      return 2;
-    }
-    if (!is_route(route_a) || !is_route(route_b)) {
-      std::fprintf(stderr,
-                   "granite_cli serve: split arms must name loaded "
-                   "routes ('%s', '%s')\n",
-                   route_a.c_str(), route_b.c_str());
-      return 2;
-    }
     setup.splits.push_back({split_name, route_a, route_b, weight_a});
     std::printf("split '%s': %s:%s weight_a=%.3f\n", split_name.c_str(),
                 route_a.c_str(), route_b.c_str(), weight_a);
@@ -759,7 +727,11 @@ int RunServe(const Args& args) {
   // candidate is promoted on parity unless --promote=0, which only
   // reports the verdict.
   if (args.Given("shadow")) {
-    const auto route = find_route(shadow_route);
+    const auto route = std::find_if(
+        setup.models.begin(), setup.models.end(),
+        [&shadow_route](const granite::serve::ModelRoute& model_route) {
+          return model_route.name == shadow_route;
+        });
     if (route == setup.models.end()) {
       std::fprintf(stderr,
                    "granite_cli serve: --shadow route '%s' is not a "
@@ -772,14 +744,6 @@ int RunServe(const Args& args) {
     route->shadow.auto_promote = args.Bool("promote");
     route->shadow.server_config = server_config;
     route->candidate = granite::model::LoadModel(shadow_path);
-    if (route->candidate->num_tasks() != route->model->num_tasks()) {
-      std::fprintf(stderr,
-                   "granite_cli serve: --shadow candidate %s has %d task "
-                   "head(s), route '%s' has %d\n",
-                   shadow_path.c_str(), route->candidate->num_tasks(),
-                   shadow_route.c_str(), route->model->num_tasks());
-      return 2;
-    }
     std::printf("shadowing '%s' with %s (%llu samples, %s)\n",
                 shadow_route.c_str(), shadow_path.c_str(),
                 static_cast<unsigned long long>(
@@ -788,6 +752,7 @@ int RunServe(const Args& args) {
                     ? "auto-promote"
                     : "verdict only, never promoted");
   }
+  // main() reports a setup the router refuses as a usage error.
   granite::serve::ModelRouter router(std::move(setup));
 
   const granite::dataset::Dataset corpus = SynthesizeCorpus(
@@ -1399,6 +1364,11 @@ int main(int argc, char** argv) {
   if (!args) return 2;
   try {
     return command->run(*args);
+  } catch (const granite::serve::RouterSetupError& error) {
+    // A duplicate or colliding route name, a split arm naming no
+    // route, a shadow candidate with other task heads: a bad flag.
+    std::fprintf(stderr, "granite_cli: %s\n", error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "granite_cli: %s\n", error.what());
     return 1;
