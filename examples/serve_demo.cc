@@ -4,9 +4,10 @@
  * self-describing checkpoint bundle, load the bundle back the way a
  * production server would (model::LoadModel — no config knowledge
  * needed), stand up a long-lived InferenceServer on the loaded model,
- * drive it from several client threads, hot-swap retrained parameters
- * mid-traffic, and print the live serving stats (QPS, global and
- * per-task latency percentiles, batch occupancy, cache hit rate).
+ * drive it from several client threads, then deploy retrained weights
+ * as a second bundle on a second server, printing each server's stats
+ * (QPS, global and per-task latency percentiles, batch occupancy,
+ * cache hit rate).
  *
  * Run time: a second or two.
  */
@@ -56,6 +57,35 @@ void Train(granite::model::ThroughputPredictor& model,
       },
       &model.parameters(), config);
   trainer.Train(data, granite::dataset::Dataset());
+}
+
+/** Four client threads submit 1500 requests each for blocks of the hot
+ * set and wait for every answer; then `server` is shut down and its
+ * stats printed. */
+void ServeTraffic(
+    const char* label, InferenceServer& server,
+    const std::vector<const granite::assembly::BasicBlock*>& hot_set) {
+  constexpr int kClients = 4;
+  constexpr int kRequestsPerClient = 1500;
+  std::printf("serving %d requests from %d client threads on the %s "
+              "server...\n",
+              kClients * kRequestsPerClient, kClients, label);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &hot_set, c] {
+      std::vector<std::future<double>> futures;
+      futures.reserve(kRequestsPerClient);
+      for (int r = 0; r < kRequestsPerClient; ++r) {
+        auto future =
+            server.Submit(hot_set[(c * 13 + r) % hot_set.size()], 0);
+        if (future.has_value()) futures.push_back(std::move(*future));
+      }
+      for (std::future<double>& future : futures) future.get();
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  server.Shutdown();
+  std::printf("%s server stats:\n%s\n", label, server.StatsString().c_str());
 }
 
 }  // namespace
@@ -116,42 +146,24 @@ int main() {
   for (const std::size_t index : split.second) {
     hot_set.push_back(&data[index].block);
   }
-  constexpr int kClients = 4;
-  constexpr int kRequestsPerClient = 1500;
-  std::printf("serving %d requests from %d client threads...\n\n",
-              kClients * kRequestsPerClient, kClients);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&server, &hot_set, c] {
-      std::vector<std::future<double>> futures;
-      futures.reserve(kRequestsPerClient);
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        auto future =
-            server.Submit(hot_set[(c * 13 + r) % hot_set.size()], 0);
-        if (future.has_value()) futures.push_back(std::move(*future));
-      }
-      for (std::future<double>& future : futures) future.get();
-    });
-  }
+  ServeTraffic("first", server, hot_set);
 
-  // Meanwhile: train an improved model offline and hot-swap it into the
-  // serving process. The swap publishes atomically between batches; the
-  // parameter-generation bump invalidates the prediction cache, so no
-  // stale answer survives.
+  // Train an improved model offline and deploy it the way a rollout
+  // ships any model: export a bundle, load it, and serve it from a new
+  // server. A server's model never changes under it.
   granite::core::GraniteModel improved(&vocabulary, model_config);
   improved.parameters().CopyValuesFrom(trained.parameters());
   Train(improved, train_set, 60);
-  server.UpdateModel(improved.parameters());
-  std::printf("hot-swapped retrained parameters mid-traffic\n\n");
-
-  for (std::thread& client : clients) client.join();
-  server.Shutdown();
-  std::printf("final server stats:\n%s", server.StatsString().c_str());
+  granite::model::SaveModel(improved, bundle_path);
+  std::unique_ptr<granite::model::ThroughputPredictor> retrained =
+      granite::model::LoadModel(bundle_path);
+  InferenceServer retrained_server(retrained.get(), server_config);
+  ServeTraffic("second", retrained_server, hot_set);
 
   // The demo trains on cycles-per-iteration targets (target_scale 100),
   // so scale raw model output back to the paper's value range.
-  const double example = model->PredictBatch({hot_set[0]}, 0)[0] * 100.0;
-  std::printf("\nexample block prediction (cycles/100 iters): %.2f\n",
+  const double example = retrained->PredictBatch({hot_set[0]}, 0)[0] * 100.0;
+  std::printf("example block prediction (cycles/100 iters): %.2f\n",
               example);
   std::filesystem::remove(bundle_path);
   return 0;

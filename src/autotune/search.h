@@ -15,10 +15,11 @@
  * deliberately resubmits previously seen blocks instead of memoizing
  * scores client-side: the server's prediction cache is the memoizer
  * (fingerprint-keyed, generation-checked), so repeated candidates are
- * served at cache-hit cost and stay correct across hot model swaps — a
- * client-side score map would serve stale predictions after an
- * UpdateModel(). This resubmission is what produces the high
- * cache-hit-rate traffic the serving stack is built for.
+ * served at cache-hit cost from the one cache every client of the model
+ * shares — a client-side score map would duplicate it, and would keep
+ * serving the old model's scores once the client's costs come from a
+ * server on retrained weights. This resubmission is what produces the
+ * high cache-hit-rate traffic the serving stack is built for.
  *
  * Threading: a BlockOptimizer instance is not thread-safe (use one per
  * thread); distinct instances may share one CostClient backed by a

@@ -81,8 +81,6 @@ class GraphNetBlock {
                    const GraphState& state,
                    UpdateRows rows = UpdateRows::kAll) const;
 
-  const GraphNetConfig& config() const { return config_; }
-
  private:
   GraphNetConfig config_;
   std::unique_ptr<ml::Mlp> edge_update_;

@@ -116,7 +116,6 @@ class IthemalModel : public model::ThroughputPredictor {
   const ml::ParameterStore& parameters() const override {
     return *parameters_;
   }
-  const IthemalConfig& config() const { return config_; }
   const graph::Vocabulary& vocabulary() const override {
     return *vocabulary_;
   }

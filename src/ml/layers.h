@@ -69,8 +69,6 @@ class Mlp {
   /** Applies the network to a batch of rows [N, input_size]. */
   Var Apply(Tape& tape, Var input) const;
 
-  const MlpConfig& config() const { return config_; }
-
  private:
   MlpConfig config_;
   Parameter* norm_gain_ = nullptr;

@@ -40,8 +40,6 @@ class AdamOptimizer {
   /** Overrides the learning rate (used by schedules). */
   void SetLearningRate(float learning_rate);
 
-  const AdamConfig& config() const { return config_; }
-
  private:
   AdamConfig config_;
   int64_t step_count_ = 0;

@@ -167,7 +167,7 @@ std::optional<std::future<double>> InferenceServer::FailUnencodable(
   const Clock::time_point start = Clock::now();
   std::promise<double> promise;
   {
-    std::scoped_lock lock(shard.mutex, shard.stats_mutex);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.stopping) {
       ++shard.rejected;
       return std::nullopt;
@@ -255,25 +255,22 @@ void InferenceServer::ExecuteBatch(Shard& shard, std::vector<Request>& batch,
 
   std::vector<std::vector<double>> predictions;
   std::exception_ptr failure;
-  {
-    // Shared with concurrent batches; exclusive against UpdateModel, so
-    // a forward pass never observes a half-copied parameter set.
-    std::shared_lock<std::shared_mutex> model_lock(model_mutex_);
-    try {
-      predictions = model_->PredictBatchAllTasks(blocks, keys);
-    } catch (...) {
-      // A throwing forward pass (e.g. bad_alloc, or a rethrown kernel
-      // exception from a pooled backend) fails this batch's futures
-      // instead of escaping the worker thread and terminating the
-      // process.
-      failure = std::current_exception();
-    }
+  try {
+    predictions = model_->PredictBatchAllTasks(blocks, keys);
+  } catch (...) {
+    // A throwing forward pass (e.g. bad_alloc, or a rethrown kernel
+    // exception from a pooled backend) fails this batch's futures
+    // instead of escaping the worker thread and terminating the
+    // process.
+    failure = std::current_exception();
   }
   const Clock::time_point completion_time = Clock::now();
   // Stats are recorded before the promises are fulfilled so that a
   // client observing its future ready also observes its request counted.
+  // The promises are fulfilled after the lock is released, so a woken
+  // client that submits again does not wait on this worker.
   {
-    std::lock_guard<std::mutex> stats_lock(shard.stats_mutex);
+    std::lock_guard<std::mutex> lock(shard.mutex);
     shard.completed += batch.size();
     if (failure != nullptr) shard.failed += batch.size();
     ++shard.batches;
@@ -302,15 +299,6 @@ void InferenceServer::ExecuteBatch(Shard& shard, std::vector<Request>& batch,
   }
 }
 
-void InferenceServer::UpdateModel(const ml::ParameterStore& new_parameters) {
-  std::unique_lock<std::shared_mutex> model_lock(model_mutex_);
-  // CopyValuesFrom bumps the parameter generation, which invalidates the
-  // PredictBatch cache on the next lookup — queued requests therefore
-  // see the new model, never a stale cached prediction.
-  model_->parameters().CopyValuesFrom(new_parameters);
-  ++model_updates_;
-}
-
 void InferenceServer::Shutdown() {
   // Serializes concurrent Shutdown callers (e.g. an explicit call racing
   // the destructor): the loser blocks until the winner has joined the
@@ -333,26 +321,19 @@ void InferenceServer::Shutdown() {
 ServerStats InferenceServer::Stats() const {
   ServerStats stats;
   stats.num_shards = shards_.size();
-  {
-    std::shared_lock<std::shared_mutex> model_lock(model_mutex_);
-    stats.model_updates = model_updates_;
-  }
   const double uptime_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(
           Clock::now() - start_time_)
           .count();
-  // Every shard's queue-side and completion-side counters are
-  // snapshotted while all locks are held at once, so the result is
-  // mutually consistent (e.g. submitted - completed is the true
-  // in-flight count). Stats() is the only multi-shard locker and always
-  // locks in shard-index order, so no deadlock.
+  // Every shard's counters are snapshotted while all shard locks are
+  // held at once, so the result is mutually consistent (e.g. submitted -
+  // completed is the true in-flight count). Stats() is the only
+  // multi-shard locker and always locks in shard-index order, so no
+  // deadlock.
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size() * 2);
+  locks.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
     locks.emplace_back(shard->mutex);
-  }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    locks.emplace_back(shard->stats_mutex);
   }
   Histogram latency_us{1.0, 1e8};
   std::vector<Histogram> task_latency_us;
@@ -457,10 +438,8 @@ std::string FormatServerStats(const ServerStats& stats) {
                   task_stats.latency_p95_us, task_stats.latency_p99_us);
     text += line;
   }
-  std::snprintf(line, sizeof(line),
-                "cache hit rate: %.1f%%   model updates: %llu\n",
-                100.0 * stats.cache_hit_rate,
-                static_cast<unsigned long long>(stats.model_updates));
+  std::snprintf(line, sizeof(line), "cache hit rate: %.1f%%\n",
+                100.0 * stats.cache_hit_rate);
   text += line;
   return text;
 }

@@ -39,12 +39,6 @@
  * worker (whose graph encoder would abort on it); its future fails with
  * UnencodableBlockError, and it is counted as submitted, completed and
  * failed.
- *
- * Hot model swap: UpdateModel() atomically publishes a new set of
- * parameter values *between* batches — it excludes in-flight forward
- * passes via a reader/writer lock, and the ParameterStore generation
- * counter it bumps makes stale prediction-cache entries self-invalidate,
- * so no served prediction ever mixes old and new weights.
  */
 #ifndef GRANITE_SERVE_INFERENCE_SERVER_H_
 #define GRANITE_SERVE_INFERENCE_SERVER_H_
@@ -57,7 +51,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -66,7 +59,6 @@
 #include "asm/instruction.h"
 #include "asm/semantics.h"
 #include "base/statistics.h"
-#include "ml/parameter.h"
 #include "model/throughput_predictor.h"
 
 namespace granite::serve {
@@ -178,8 +170,6 @@ struct ServerStats {
   /** Prediction-cache hit rate of the served model (lifetime), in
    * [0, 1]; 0 when the cache is disabled or untouched. */
   double cache_hit_rate = 0.0;
-  /** UpdateModel() calls published so far. */
-  std::uint64_t model_updates = 0;
   /** Per-task-head latency/volume breakdown, indexed by task. The
    * task-head `completed` counters sum to the global `completed`. */
   std::vector<TaskStats> per_task;
@@ -203,18 +193,19 @@ struct BatchSubmitRequest {
  *
  * Thread-safety: all public methods are safe to call from any number of
  * threads concurrently. Submit() touches exactly one shard's
- * lock; Stats()/StatsString() lock shards in a fixed order; UpdateModel
- * excludes in-flight batches via a reader/writer lock; Shutdown() is
- * idempotent and serializes concurrent callers.
+ * lock; Stats()/StatsString() lock shards in a fixed order; Shutdown()
+ * is idempotent and serializes concurrent callers.
  */
 class InferenceServer {
  public:
   /**
    * Starts config.num_workers queue/stats shards, each drained by one
    * worker thread.
-   * @param model The served model; must outlive the server. The server
-   *   mutates it only through UpdateModel() and (optionally)
-   *   EnablePredictionCache().
+   * @param model The served model; must outlive the server, and its
+   *   parameter values must not change while the server runs (forward
+   *   passes read them with no lock held). The server mutates it only
+   *   through EnablePredictionCache(), when configured. New weights
+   *   reach traffic through a new server built on the reloaded model.
    */
   InferenceServer(model::ThroughputPredictor* model,
                   const InferenceServerConfig& config);
@@ -260,15 +251,6 @@ class InferenceServer {
       const std::vector<BatchSubmitRequest>& requests);
 
   /**
-   * Atomically publishes new parameter values (same store structure as
-   * the served model's) between batches: waits for in-flight batches to
-   * finish, copies the values in, and lets the generation bump flush the
-   * prediction cache. Requests already queued and requests submitted
-   * during the swap are answered with the new parameters. Thread-safe.
-   */
-  void UpdateModel(const ml::ParameterStore& new_parameters);
-
-  /**
    * Stops accepting new requests, wakes blocked producers (their
    * submissions are rejected), drains every queued request, and joins
    * the workers. Idempotent; also run by the destructor. Thread-safe —
@@ -284,8 +266,6 @@ class InferenceServer {
   /** FormatServerStats(Stats()): the live stats as printable text.
    * Thread-safe. */
   std::string StatsString() const;
-
-  const InferenceServerConfig& config() const { return config_; }
 
   /** The served model (e.g. for reading cache counters in tests). */
   const model::ThroughputPredictor& model() const { return *model_; }
@@ -308,14 +288,12 @@ class InferenceServer {
   enum class FlushReason { kSize, kGroup, kDeadline, kShutdown };
 
   /**
-   * One fingerprint partition of the server: its request queue and both
-   * counter sets, drained by one worker thread. `mutex` guards the
-   * queue-side state (queue, stopping, submitted, rejected);
-   * `stats_mutex` guards the completion-side counters and histograms,
-   * recorded by this shard's worker (and by FailUnencodable).
-   * No thread ever holds a mutex of another shard, except Stats() which
-   * locks all shards in index order; FailUnencodable takes both of one
-   * shard's mutexes together (std::scoped_lock).
+   * One fingerprint partition of the server: its request queue and its
+   * counters, drained by one worker thread. `mutex` guards every field:
+   * the queue side (queue, stopping, submitted, rejected) and the
+   * completion side, recorded by this shard's worker after each batch
+   * (and by FailUnencodable). No thread ever holds a mutex of another
+   * shard, except Stats() which locks all shards in index order.
    */
   struct Shard {
     std::mutex mutex;
@@ -333,7 +311,6 @@ class InferenceServer {
     std::uint64_t rejected = 0;
 
     /** Completion-side counters, written by this shard's worker. */
-    std::mutex stats_mutex;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     /** Completed requests that failed as unencodable, outside any batch
@@ -368,8 +345,8 @@ class InferenceServer {
   /**
    * Answers a request for an unencodable block without queueing it: its
    * future fails with UnencodableBlockError, and it is counted as
-   * submitted, completed and failed under both shard locks at once, so
-   * no stats read sees it in flight. Returns an empty optional (counted
+   * submitted, completed and failed under one hold of the shard lock,
+   * so no stats read sees it in flight. Returns an empty optional (counted
    * as rejected) when the shard is shutting down.
    */
   std::optional<std::future<double>> FailUnencodable(
@@ -380,8 +357,8 @@ class InferenceServer {
    * the loop. */
   void WorkerLoop(Shard& shard);
 
-  /** Runs one coalesced batch and fulfills its promises, recording
-   * completion stats into `shard`. */
+  /** Runs one coalesced batch with no lock held, records its completion
+   * stats under shard.mutex, then fulfills its promises. */
   void ExecuteBatch(Shard& shard, std::vector<Request>& batch,
                     FlushReason reason);
 
@@ -396,10 +373,6 @@ class InferenceServer {
   /** One shard per worker; sized at construction, never resized
    * (unique_ptr keeps Shard addresses stable and Shard non-movable). */
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  /** Batches hold this shared; UpdateModel takes it exclusive. */
-  mutable std::shared_mutex model_mutex_;
-  std::uint64_t model_updates_ = 0;  // Guarded by model_mutex_.
 
   std::vector<std::thread> workers_;
 };

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -37,8 +38,37 @@ template <typename... Parts>
 
 }  // namespace
 
+void CheckRouteNames(const RouterSetup& setup) {
+  std::set<std::string_view> models;
+  for (const ModelRoute& route : setup.models) {
+    if (!models.insert(route.name).second) {
+      Refuse("duplicate model route name '", route.name, "'");
+    }
+  }
+  std::set<std::string_view> split_names;
+  for (const SplitRoute& route : setup.splits) {
+    if (!(route.weight_a >= 0.0 && route.weight_a <= 1.0)) {
+      Refuse("split '", route.name, "' weight must be in [0, 1], got ",
+             route.weight_a);
+    }
+    for (const std::string* arm : {&route.route_a, &route.route_b}) {
+      if (models.count(*arm) == 0) {
+        Refuse("split '", route.name, "' arm '", *arm,
+               "' is not a model route");
+      }
+    }
+    if (models.count(route.name) == 1) {
+      Refuse("split name '", route.name, "' collides with a model route");
+    }
+    if (!split_names.insert(route.name).second) {
+      Refuse("duplicate split name '", route.name, "'");
+    }
+  }
+}
+
 ModelRouter::ModelRouter(RouterSetup setup) {
   // Every check runs before the first server starts.
+  CheckRouteNames(setup);
   for (const ModelRoute& route : setup.models) {
     if (route.model == nullptr) {
       Refuse("model route '", route.name, "' has no model");
@@ -54,33 +84,16 @@ ModelRouter::ModelRouter(RouterSetup setup) {
              " task head(s), route '", route.name, "' has ",
              route.model->num_tasks());
     }
-    if (!routes_.try_emplace(route.name).second) {
-      Refuse("duplicate model route name '", route.name, "'");
-    }
   }
   for (const SplitRoute& route : setup.splits) {
-    if (!(route.weight_a >= 0.0 && route.weight_a <= 1.0)) {
-      Refuse("split '", route.name, "' weight must be in [0, 1], got ",
-             route.weight_a);
-    }
-    for (const std::string* arm : {&route.route_a, &route.route_b}) {
-      if (routes_.count(*arm) == 0) {
-        Refuse("split '", route.name, "' arm '", *arm,
-               "' is not a model route");
-      }
-    }
-    if (routes_.count(route.name) == 1) {
-      Refuse("split name '", route.name, "' collides with a model route");
-    }
-    const auto [it, inserted] = splits_.try_emplace(route.name);
-    if (!inserted) Refuse("duplicate split name '", route.name, "'");
-    it->second.route_a = route.route_a;
-    it->second.route_b = route.route_b;
-    it->second.weight_a = route.weight_a;
+    Split& split = splits_[route.name];
+    split.route_a = route.route_a;
+    split.route_b = route.route_b;
+    split.weight_a = route.weight_a;
   }
 
   for (ModelRoute& route : setup.models) {
-    Entry& entry = routes_.at(route.name);
+    Entry& entry = routes_[route.name];
     entry.model = std::move(route.model);
     entry.server = std::make_unique<InferenceServer>(entry.model.get(),
                                                      setup.server_config);

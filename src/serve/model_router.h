@@ -139,6 +139,16 @@ struct RouterSetup {
   std::vector<SplitRoute> splits = {};
 };
 
+/**
+ * The route-name rules of a RouterSetup: model route names unique,
+ * split names unique and unlike any model route's, split weights in
+ * [0, 1] (NaN refused) and split arms naming model routes. Reads only
+ * names, arms and weights, so a caller can run it before it loads the
+ * models (their pointers still null). Throws a RouterSetupError naming
+ * the first violation. The ModelRouter constructor runs it first.
+ */
+void CheckRouteNames(const RouterSetup& setup);
+
 /** Point-in-time statistics of a route's shadow session. */
 struct ShadowStats {
   CanaryState state = CanaryState::kShadowing;
@@ -184,11 +194,10 @@ struct SplitStats {
 class ModelRouter {
  public:
   /**
-   * Checks `setup` — every model set, route and split names unique
-   * across both kinds, split weights in [0, 1] and split arms naming
-   * model routes, shadow min_comparisons at least 1 and a shadow
-   * candidate with its route's task count — and throws a
-   * RouterSetupError on the first violation, before any server starts.
+   * Checks `setup` — the route names (CheckRouteNames), then every
+   * model set, shadow min_comparisons at least 1 and a shadow candidate
+   * with its route's task count — and throws a RouterSetupError on the
+   * first violation, before any server starts.
    * Then starts a server per model route and per shadow candidate. The
    * router owns every model.
    */

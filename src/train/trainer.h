@@ -126,12 +126,12 @@ class Trainer {
 
   /**
    * Enables the pre-encoded-graph fast path: training batches are
-   * encoded by `encode` — on the prefetch thread when config().prefetch
-   * is set — and run through `graph_forward` instead of the block-based
-   * ForwardFn. Evaluation/validation batches (Predict, EvaluateTask and
-   * the validation pass inside Train) take the same path, encoding on
-   * the worker-pool thread that runs the batch. Both closures must be
-   * thread-safe.
+   * encoded by `encode` — on the prefetch thread when the config's
+   * `prefetch` is set — and run through `graph_forward` instead of the
+   * block-based ForwardFn. Evaluation/validation batches (Predict,
+   * EvaluateTask and the validation pass inside Train) take the same
+   * path, encoding on the worker-pool thread that runs the batch. Both
+   * closures must be thread-safe.
    */
   void SetGraphPath(GraphForwardFn graph_forward, dataset::EncodeFn encode);
 
@@ -154,8 +154,6 @@ class Trainer {
   /** Full metric suite of one task head against its ground truth. */
   EvaluationResult EvaluateTask(const dataset::BlockSource& data,
                                 int task) const;
-
-  const TrainerConfig& config() const { return config_; }
 
  private:
   /** Mean validation MAPE across all task heads. */

@@ -153,8 +153,8 @@ def main():
                                        (result.returncode, result.stdout,
                                         argv))
 
-        # The routes that --split and --shadow name are checked once the
-        # bundles are loaded: an unknown split arm or shadow route is a
+        # The routes that --split and --shadow name are checked before
+        # any bundle loads: an unknown split arm or shadow route is a
         # usage error (exit 2) with a message, not an abort.
         for spec in ["--shadow=nosuch=" + bundle,
                      "--split=mix=smoke:nosuch:0.5"]:
@@ -191,7 +191,8 @@ def main():
                                    (result.returncode, result.stderr, argv))
 
         # Two bundles with the same file stem name the same route: the
-        # router refuses the duplicate, naming it, with exit 2.
+        # duplicate is refused, named, with exit 2 before either bundle
+        # loads.
         for directory in ["a", "b"]:
             os.mkdir(os.path.join(models, directory))
             subprocess.run([binary, "train", "--out=" +
@@ -206,9 +207,11 @@ def main():
                                 stderr=subprocess.PIPE, text=True,
                                 timeout=60)
         runner.cases += 1
-        if result.returncode != 2 or "'x'" not in result.stderr:
-            runner.failures.append("exit %d, stderr %r: %r" %
-                                   (result.returncode, result.stderr, argv))
+        if (result.returncode != 2 or "'x'" not in result.stderr or
+                "serving '" in result.stdout):
+            runner.failures.append("exit %d, stdout %r, stderr %r: %r" %
+                                   (result.returncode, result.stdout,
+                                    result.stderr, argv))
 
         # inspect loads the bundle, so it prints a valid bundle's
         # metadata (its file size included) and refuses one flipped

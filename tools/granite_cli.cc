@@ -632,22 +632,20 @@ int RunServe(const Args& args) {
   server_config.batch_window =
       std::chrono::microseconds{args.Int("window-us")};
 
-  // The shapes of --split=NAME=A:B:WEIGHT and --shadow=ROUTE=PATH are
-  // checked before any bundle loads; the router refuses the routes they
-  // name with a RouterSetupError.
-  std::string split_name;
-  std::string route_a;
-  std::string route_b;
-  double weight_a = 0.0;
+  // The shapes of --split=NAME=A:B:WEIGHT and --shadow=ROUTE=PATH, and
+  // the route names they and --model-file give, are checked before any
+  // bundle loads.
+  granite::serve::RouterSetup setup{.server_config = server_config};
   if (args.Given("split")) {
     const std::string& spec = args.Text("split");
     const std::size_t equals = spec.find('=');
     const std::vector<std::string_view> arms =
         granite::Split(std::string_view(spec).substr(equals + 1), ':');
     // NaN fails both comparisons.
-    weight_a = arms.size() == 3
-                   ? granite::ParseDecimal<double>(arms[2]).value_or(-1.0)
-                   : -1.0;
+    const double weight_a =
+        arms.size() == 3
+            ? granite::ParseDecimal<double>(arms[2]).value_or(-1.0)
+            : -1.0;
     if (equals == std::string::npos || !(weight_a >= 0.0 && weight_a <= 1.0)) {
       std::fprintf(stderr,
                    "granite_cli serve: --split wants NAME=A:B:WEIGHT with "
@@ -655,9 +653,8 @@ int RunServe(const Args& args) {
                    spec.c_str());
       return 2;
     }
-    split_name = spec.substr(0, equals);
-    route_a = std::string(arms[0]);
-    route_b = std::string(arms[1]);
+    setup.splits.push_back({spec.substr(0, equals), std::string(arms[0]),
+                            std::string(arms[1]), weight_a});
   }
   std::string shadow_route;
   std::string shadow_path;
@@ -674,52 +671,65 @@ int RunServe(const Args& args) {
     shadow_route = spec.substr(0, separator);
     shadow_path = spec.substr(separator + 1);
   }
-
-  granite::serve::RouterSetup setup{.server_config = server_config};
-  std::vector<std::pair<std::string, int>> models;  // name → num_tasks
+  // --model-file=NAME=PATH names the route; bare PATH uses the file
+  // stem (checkpoints/granite.gmb → "granite").
+  std::vector<std::string> paths;
   for (const std::string& entry : args.Texts("model-file")) {
-    // --model-file=NAME=PATH names the route; bare PATH uses the file
-    // stem (checkpoints/granite.gmb → "granite").
-    std::string name;
-    std::string path;
     const std::size_t separator = entry.find('=');
     if (separator != std::string::npos) {
-      name = entry.substr(0, separator);
-      path = entry.substr(separator + 1);
-    } else {
-      path = entry;
-      const std::size_t slash = path.find_last_of('/');
-      const std::size_t stem = slash == std::string::npos ? 0 : slash + 1;
-      const std::size_t dot = path.find('.', stem);
-      name = path.substr(stem, dot == std::string::npos ? std::string::npos
-                                                        : dot - stem);
+      setup.models.push_back({entry.substr(0, separator), nullptr});
+      paths.push_back(entry.substr(separator + 1));
+      continue;
     }
-    std::unique_ptr<ThroughputPredictor> loaded =
-        granite::model::LoadModel(path);
-    const int num_tasks = loaded->num_tasks();
-    std::printf("serving '%s' (%s, %d task(s)) from %s\n", name.c_str(),
-                std::string(granite::model::ModelKindName(loaded->kind()))
+    const std::size_t slash = entry.find_last_of('/');
+    const std::size_t stem = slash == std::string::npos ? 0 : slash + 1;
+    const std::size_t dot = entry.find('.', stem);
+    setup.models.push_back({entry.substr(stem, dot == std::string::npos
+                                                   ? std::string::npos
+                                                   : dot - stem),
+                            nullptr});
+    paths.push_back(entry);
+  }
+  // main() reports a refused name as a usage error.
+  granite::serve::CheckRouteNames(setup);
+  const auto shadowed = std::find_if(
+      setup.models.begin(), setup.models.end(),
+      [&shadow_route](const granite::serve::ModelRoute& route) {
+        return route.name == shadow_route;
+      });
+  if (args.Given("shadow") && shadowed == setup.models.end()) {
+    std::fprintf(stderr,
+                 "granite_cli serve: --shadow route '%s' is not a model "
+                 "route\n",
+                 shadow_route.c_str());
+    return 2;
+  }
+
+  std::vector<std::pair<std::string, int>> models;  // name → num_tasks
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    granite::serve::ModelRoute& route = setup.models[i];
+    route.model = granite::model::LoadModel(paths[i]);
+    std::printf("serving '%s' (%s, %d task(s)) from %s\n", route.name.c_str(),
+                std::string(granite::model::ModelKindName(route.model->kind()))
                     .c_str(),
-                num_tasks, path.c_str());
-    setup.models.push_back({name, std::move(loaded)});
-    models.emplace_back(name, num_tasks);
+                route.model->num_tasks(), paths[i].c_str());
+    models.emplace_back(route.name, route.model->num_tasks());
   }
 
   // --split=NAME=A:B:WEIGHT registers a weighted A/B split over two
   // loaded routes and includes it in the replayed traffic.
-  if (args.Given("split")) {
-    setup.splits.push_back({split_name, route_a, route_b, weight_a});
-    std::printf("split '%s': %s:%s weight_a=%.3f\n", split_name.c_str(),
-                route_a.c_str(), route_b.c_str(), weight_a);
+  for (const granite::serve::SplitRoute& split : setup.splits) {
+    std::printf("split '%s': %s:%s weight_a=%.3f\n", split.name.c_str(),
+                split.route_a.c_str(), split.route_b.c_str(), split.weight_a);
     // Split traffic exercises both arms; cap tasks at the smaller head.
     int split_tasks = 0;
     for (const auto& [name, num_tasks] : models) {
-      if (name == route_a || name == route_b) {
+      if (name == split.route_a || name == split.route_b) {
         split_tasks = split_tasks == 0 ? num_tasks
                                        : std::min(split_tasks, num_tasks);
       }
     }
-    models.emplace_back(split_name, std::max(split_tasks, 1));
+    models.emplace_back(split.name, std::max(split_tasks, 1));
   }
 
   // --shadow=ROUTE=PATH starts a canary session: traffic on ROUTE is
@@ -727,32 +737,21 @@ int RunServe(const Args& args) {
   // candidate is promoted on parity unless --promote=0, which only
   // reports the verdict.
   if (args.Given("shadow")) {
-    const auto route = std::find_if(
-        setup.models.begin(), setup.models.end(),
-        [&shadow_route](const granite::serve::ModelRoute& model_route) {
-          return model_route.name == shadow_route;
-        });
-    if (route == setup.models.end()) {
-      std::fprintf(stderr,
-                   "granite_cli serve: --shadow route '%s' is not a "
-                   "loaded model\n",
-                   shadow_route.c_str());
-      return 2;
-    }
-    route->shadow.min_comparisons =
+    shadowed->shadow.min_comparisons =
         static_cast<uint64_t>(args.Int("shadow-samples"));
-    route->shadow.auto_promote = args.Bool("promote");
-    route->shadow.server_config = server_config;
-    route->candidate = granite::model::LoadModel(shadow_path);
+    shadowed->shadow.auto_promote = args.Bool("promote");
+    shadowed->shadow.server_config = server_config;
+    shadowed->candidate = granite::model::LoadModel(shadow_path);
     std::printf("shadowing '%s' with %s (%llu samples, %s)\n",
                 shadow_route.c_str(), shadow_path.c_str(),
                 static_cast<unsigned long long>(
-                    route->shadow.min_comparisons),
-                route->shadow.auto_promote
+                    shadowed->shadow.min_comparisons),
+                shadowed->shadow.auto_promote
                     ? "auto-promote"
                     : "verdict only, never promoted");
   }
-  // main() reports a setup the router refuses as a usage error.
+  // main() reports a setup the router refuses (a shadow candidate with
+  // other task heads) as a usage error.
   granite::serve::ModelRouter router(std::move(setup));
 
   const granite::dataset::Dataset corpus = SynthesizeCorpus(
